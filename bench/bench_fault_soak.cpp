@@ -7,7 +7,8 @@
 /// checkpointing) exists to make those runs finish with the *same* network.
 /// This soak generates a seeded probabilistic fault plan per iteration,
 /// cycles through the shared-memory backend, the in-process message-passing
-/// transport, and the process-isolated transport, and requires every
+/// transport, and the socket transport on both address families, and
+/// requires every
 /// faulted run to produce adjacency triplets bit-identical to a clean run.
 ///
 /// Per-column recoverability rules (a plan must only inject faults the
@@ -15,13 +16,13 @@
 ///   shared      delays only — the shared-memory pool has no retry layer
 ///   mp-inproc   delays + command throws + torn frames + scripted rank
 ///               kills, under degrade policy with a command timeout
-///   mp-process  the above plus real SIGKILLs (root-scripted and
-///               worker-side kill-process), absorbed by respawn or
+///   mp-process  the above plus real SIGKILLs (root-scripted at sock.send
+///               and worker-side kill-process), absorbed by respawn or
 ///               loss reassignment
-///   mp-tcp      the mp-inproc set plus real connection drops and torn
-///               wire frames (the worker re-dials — the reconnect path)
-///               and worker-side kill-process, absorbed by loss
-///               reassignment (no respawn over TCP)
+///   mp-tcp      the mp-inproc set plus real connection drops at sock.drop
+///               (the worker re-dials — the reconnect path), torn wire
+///               frames at sock.send, and worker-side kill-process,
+///               absorbed by respawn or loss reassignment
 ///   abm-ckpt    the simulation side: a checkpointing ABM run killed at a
 ///               seeded random simulated hour (abm.step throw), resumed
 ///               from the last committed checkpoint, and required to
@@ -121,7 +122,7 @@ void makePlan(FaultPlan& plan, Column column, util::Rng& rng) {
     // into respawns, so a hot streak can exhaust the budget — that is the
     // reassignment path, still recoverable).
     if (rng.bernoulli(0.5)) {
-      plan.at("proc.send",
+      plan.at("sock.send",
               FaultSpec{.action = FaultAction::kKillRank,
                         .hit = 1 + rng.uniformBelow(8)});
     }
@@ -133,18 +134,18 @@ void makePlan(FaultPlan& plan, Column column, util::Rng& rng) {
     }
     return;
   }
-  // TCP column: real connection drops. A scripted kKillRank at tcp.drop
+  // TCP column: real connection drops. A scripted kKillRank at sock.drop
   // severs one live connection (the worker re-dials — the reconnect
   // path); probabilistic frame tears poison the worker's read side into a
-  // re-dial as well; and a worker-side kill-process drains straight into
-  // loss reassignment, since there is no respawn over TCP.
+  // re-dial as well; and a worker-side kill-process is absorbed by
+  // respawn, or by loss reassignment once the budget is spent.
   if (rng.bernoulli(0.6)) {
-    plan.at("tcp.drop",
+    plan.at("sock.drop",
             FaultSpec{.action = FaultAction::kKillRank,
                       .hit = 1 + rng.uniformBelow(8)});
   }
   if (rng.bernoulli(0.4)) {
-    plan.at("tcp.drop",
+    plan.at("sock.send",
             FaultSpec{.action = FaultAction::kTruncate,
                       .probability = rng.uniformReal(0.01, 0.05),
                       .truncateTo = rng.uniformBelow(12)});

@@ -41,8 +41,7 @@
 /// mapAdjacency must stay alive for its duration.
 
 namespace chisimnet::runtime {
-class ProcessTransport;
-class TcpTransport;
+class StreamTransport;
 }  // namespace chisimnet::runtime
 
 namespace chisimnet::net {
@@ -211,21 +210,18 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
 /// timeout race is harmless.
 ///
 /// Transports: with MpTransport::kInProcess (default) the ranks are
-/// RankTeam service threads in this process; with kProcess they are
-/// fork/exec'd OS processes behind runtime::ProcessTransport, speaking the
-/// identical command protocol over Unix-domain sockets. A worker process
-/// that crashes is respawned by the transport (config.maxRespawns) while
-/// the in-flight command rides the existing timeout/retry path; once the
-/// respawn budget is exhausted, the death feeds the same markLost +
-/// reassignment flow as an in-process loss. With kTcp the workers dial
-/// rank 0 over TCP (runtime::TcpTransport) — a dropped connection is
-/// survived by worker-initiated reconnect inside a grace window, and one
-/// that never returns feeds the same markLost + reassignment flow. Under
-/// kTcp the workers need no shared filesystem: stage commands carry
-/// shipRuns, workers spill into private local directories, and run-file
-/// bytes travel to the root as mp::kShipTag chunks ahead of the replies
-/// that reference them (the root materializes them into its own spill
-/// directory before decoding the reply).
+/// RankTeam service threads in this process; with kProcess and kTcp they
+/// are OS processes behind runtime::StreamTransport, dialing rank 0 over an
+/// AF_UNIX or TCP socket and speaking the identical command protocol. A
+/// local worker process that crashes is respawned (config.maxRespawns) and
+/// a dropped connection re-dialed inside a grace window, while the
+/// in-flight command rides the existing timeout/retry path; a rank that
+/// never returns feeds the same markLost + reassignment flow as an
+/// in-process loss. Under kTcp the workers need no shared filesystem:
+/// stage commands carry shipRuns, workers spill into private local
+/// directories, and run-file bytes travel to the root as mp::kShipTag
+/// chunks ahead of the replies that reference them (the root materializes
+/// them into its own spill directory before decoding the reply).
 class MessagePassingExecutor final : public SynthesisExecutor {
  public:
   explicit MessagePassingExecutor(const SynthesisConfig& config);
@@ -338,12 +334,9 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   std::uint64_t workerPeakBytes_ = 0;
   /// Uniquifies worker-side spill-file names per command body.
   std::uint64_t nextRunToken_ = 0;
-  /// The socket transport behind team_ when config.transport is kProcess
-  /// (non-owning; the team owns it); nullptr for the in-process transport.
-  runtime::ProcessTransport* processTransport_ = nullptr;
-  /// The TCP transport behind team_ when config.transport is kTcp
-  /// (non-owning; the team owns it); nullptr otherwise.
-  runtime::TcpTransport* tcpTransport_ = nullptr;
+  /// The socket transport behind team_ for kProcess and kTcp (non-owning;
+  /// the team owns it); nullptr for the in-process transport.
+  runtime::StreamTransport* streamTransport_ = nullptr;
   /// True when stage commands run with shipRuns: worker file runs arrive
   /// as kShipTag chunks and decode points must localizeRun() every ref.
   bool shipRuns_ = false;
@@ -366,8 +359,8 @@ class MessagePassingExecutor final : public SynthesisExecutor {
 std::unique_ptr<SynthesisExecutor> makeExecutor(const SynthesisConfig& config);
 
 /// Worker-process entry for the socket transport. When this process was
-/// exec'd as a transport worker (runtime::ProcessWorkerLink bootstrap env
-/// present), runs the synthesis command service against the root and
+/// launched as a transport worker (runtime::StreamWorkerLink bootstrap
+/// env present), runs the synthesis command service against the root and
 /// returns its exit code; returns nullopt for a normal invocation. Every
 /// binary that can act as a worker (the CLI, the distributed tests, the
 /// fault soak) calls this first thing in main() and exits with the

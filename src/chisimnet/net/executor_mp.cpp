@@ -12,15 +12,13 @@
 #include <string>
 #include <system_error>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "chisimnet/net/executor.hpp"
 #include "chisimnet/net/mp_protocol.hpp"
 #include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/process_transport.hpp"
-#include "chisimnet/runtime/tcp_transport.hpp"
+#include "chisimnet/runtime/stream_transport.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/timer.hpp"
 
@@ -51,7 +49,8 @@ mp::StageParams stageParamsOf(const SynthesisConfig& config) {
                          : 0;
   // TCP workers may live on other hosts: they spill into private local
   // directories and ship run bytes over the wire instead of returning
-  // paths into a filesystem the root may not share.
+  // paths into a filesystem the root may not share. AF_UNIX workers are
+  // local children and share it.
   params.shipRuns = config.transport == MpTransport::kTcp;
   return params;
 }
@@ -65,25 +64,6 @@ sparse::SpillRunInfo runRefInfo(const mp::RunRef& ref) {
   info.firstKey = ref.firstKey;
   info.lastKey = ref.lastKey;
   return info;
-}
-
-/// One "host:port" per line for ranks 1..N-1; blank lines and #-comments
-/// are skipped, an empty slot string means "dial the root's listen
-/// address".
-std::vector<std::string> readTcpJobFile(const std::string& path) {
-  std::ifstream in(path);
-  CHISIM_CHECK(in.good(), "cannot open tcp job file " + path);
-  std::vector<std::string> slots;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos || line[begin] == '#') {
-      continue;
-    }
-    const std::size_t end = line.find_last_not_of(" \t\r");
-    slots.push_back(line.substr(begin, end - begin + 1));
-  }
-  return slots;
 }
 
 }  // namespace
@@ -169,46 +149,32 @@ MessagePassingExecutor::MessagePassingExecutor(const SynthesisConfig& config)
     : SynthesisExecutor(config),
       ranks_(static_cast<int>(config.workers)),
       pending_(static_cast<std::size_t>(config.workers)) {
-  if (config.transport == MpTransport::kProcess) {
-    // Worker ranks are separate OS processes behind Unix-domain sockets.
-    // The hello payload carries the stage parameters, so a worker (or a
-    // respawned replacement) computes with exactly the root's config.
-    runtime::ProcessTransportOptions options;
+  if (config.transport != MpTransport::kInProcess) {
+    // Worker ranks are OS processes that dial rank 0 over an AF_UNIX or
+    // TCP socket. The hello payload carries the stage parameters, so a
+    // worker (or a respawned or reconnected one) computes with exactly the
+    // root's config. Under shipRuns workers spill locally and ship run
+    // bytes on kShipTag, which the sink materializes into the root's spill
+    // directory.
+    runtime::StreamTransportOptions options;
     options.rankCount = ranks_;
-    options.heartbeatMs = config.heartbeatMs;
-    options.maxRespawns = config.maxRespawns;
-    options.executable = config.workerExecutable;
-    options.helloPayload = mp::encodeStageParams(stageParamsOf(config));
-    auto transport = std::make_unique<runtime::ProcessTransport>(options);
-    processTransport_ = transport.get();
-    team_ = std::make_unique<runtime::RankTeam>(std::move(transport));
-  } else if (config.transport == MpTransport::kTcp) {
-    // Worker ranks dial rank 0 over TCP. Stage commands run with shipRuns:
-    // workers spill locally and ship run bytes on kShipTag, which the sink
-    // materializes into the root's spill directory.
-    runtime::TcpTransportOptions options;
-    options.rankCount = ranks_;
+    options.tcp = config.transport == MpTransport::kTcp;
+    options.listen = config.tcpListen;
     options.heartbeatMs = config.heartbeatMs;
     options.connectTimeoutMs = config.connectTimeoutMs;
     options.connectRetries = config.connectRetries;
     options.reconnectGraceMs = config.reconnectGraceMs;
-    options.executable = config.workerExecutable;
-    if (!config.tcpListen.empty()) {
-      std::tie(options.listenHost, options.listenPort) =
-          runtime::parseHostPort(config.tcpListen);
-    }
-    if (!config.tcpJob.empty()) {
-      // Job mode: workers are launched out-of-band (`chisim worker`)
-      // against the addresses listed, one per rank 1..N-1.
-      options.spawnWorkers = false;
-      options.connectAddresses = readTcpJobFile(config.tcpJob);
-    }
-    options.helloPayload = mp::encodeStageParams(stageParamsOf(config));
-    auto transport = std::make_unique<runtime::TcpTransport>(options);
-    tcpTransport_ = transport.get();
+    options.maxRespawns = config.maxRespawns;
+    const mp::StageParams params = stageParamsOf(config);
+    options.helloPayload = mp::encodeStageParams(params);
+    auto transport =
+        std::make_unique<runtime::StreamTransport>(std::move(options));
+    streamTransport_ = transport.get();
     team_ = std::make_unique<runtime::RankTeam>(std::move(transport));
-    shipRuns_ = true;
-    shipSink_ = std::make_unique<RunShipSink>(config.spillDir);
+    shipRuns_ = params.shipRuns;
+    if (shipRuns_) {
+      shipSink_ = std::make_unique<RunShipSink>(config.spillDir);
+    }
     // Bound the wait by the workers' own dial budget plus slack, so a
     // worker that is still backing off is not declared missing.
     const std::uint64_t waitMs = std::max<std::uint64_t>(
@@ -217,11 +183,9 @@ MessagePassingExecutor::MessagePassingExecutor(const SynthesisConfig& config)
                 static_cast<std::uint64_t>(config.connectRetries + 1) +
             5000);
     CHISIM_CHECK(
-        tcpTransport_->waitForWorkers(std::chrono::milliseconds(waitMs)),
-        "tcp transport: not all workers connected within " +
-            std::to_string(waitMs) + " ms (listening on " +
-            options.listenHost + ":" + std::to_string(tcpTransport_->port()) +
-            ")");
+        streamTransport_->waitForWorkers(std::chrono::milliseconds(waitMs)),
+        "not all workers connected within " + std::to_string(waitMs) +
+            " ms (listening on " + streamTransport_->address() + ")");
   } else {
     team_ = std::make_unique<runtime::RankTeam>(
         ranks_, [this](runtime::RankHandle& handle) { serviceLoop(handle); });
@@ -868,36 +832,18 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
 }
 
 std::vector<FaultEvent> MessagePassingExecutor::drainFaultEvents() {
-  if (processTransport_ != nullptr) {
-    for (runtime::ProcessTransport::WorkerEvent& event :
-         processTransport_->drainEvents()) {
-      if (event.kind !=
-          runtime::ProcessTransport::WorkerEvent::Kind::kRespawn) {
-        // Permanent deaths are accounted as kRankLost by the command retry
-        // loop (markLost), which owns the live set; double-reporting them
-        // here would double-count ranksLost.
-        continue;
+  if (streamTransport_ != nullptr) {
+    using Kind = runtime::StreamTransport::WorkerEvent::Kind;
+    for (auto& event : streamTransport_->drainEvents()) {
+      // Permanent deaths are accounted as kRankLost by the command retry
+      // loop (markLost), which owns the live set; double-reporting them
+      // here would double-count ranksLost.
+      if (event.kind != Kind::kPermanentDeath) {
+        faultEvents_.push_back(FaultEvent{
+            event.kind == Kind::kRespawn ? FaultEvent::Kind::kWorkerRespawn
+                                         : FaultEvent::Kind::kWorkerReconnect,
+            event.rank, 0, std::move(event.detail)});
       }
-      FaultEvent mapped;
-      mapped.kind = FaultEvent::Kind::kWorkerRespawn;
-      mapped.rank = event.rank;
-      mapped.detail = std::move(event.detail);
-      faultEvents_.push_back(std::move(mapped));
-    }
-  }
-  if (tcpTransport_ != nullptr) {
-    for (runtime::TcpTransport::WorkerEvent& event :
-         tcpTransport_->drainEvents()) {
-      if (event.kind != runtime::TcpTransport::WorkerEvent::Kind::kReconnect) {
-        // Permanent deaths are accounted as kRankLost by the command retry
-        // loop (markLost), which owns the live set.
-        continue;
-      }
-      FaultEvent mapped;
-      mapped.kind = FaultEvent::Kind::kWorkerReconnect;
-      mapped.rank = event.rank;
-      mapped.detail = std::move(event.detail);
-      faultEvents_.push_back(std::move(mapped));
     }
   }
   return std::exchange(faultEvents_, {});
@@ -905,12 +851,12 @@ std::vector<FaultEvent> MessagePassingExecutor::drainFaultEvents() {
 
 namespace {
 
-/// Worker-side RunShipper over a TcpWorkerLink: streams the file as
+/// Worker-side RunShipper over a StreamWorkerLink: streams the file as
 /// kShipTag chunks (ahead of the reply that references it) and returns
 /// the bare name the reply's shipped ref carries.
-class TcpLinkShipper final : public mp::RunShipper {
+class LinkShipper final : public mp::RunShipper {
  public:
-  explicit TcpLinkShipper(runtime::TcpWorkerLink& link) : link_(link) {}
+  explicit LinkShipper(runtime::StreamWorkerLink& link) : link_(link) {}
 
   std::string ship(const std::filesystem::path& file,
                    std::uint64_t bytes) override {
@@ -947,21 +893,15 @@ class TcpLinkShipper final : public mp::RunShipper {
   }
 
  private:
-  runtime::TcpWorkerLink& link_;
+  runtime::StreamWorkerLink& link_;
 };
 
-void installWorkerFaultPlan() {
-  // A fault plan shipped by the root arms this process too, so scripted
-  // worker-side faults fire with the same seed and specs as in-process
-  // runs. Counters start from zero in each exec'd process.
-  if (const char* planText = std::getenv(runtime::kWorkerFaultPlanEnv)) {
-    static std::unique_ptr<runtime::FaultPlan> plan =
-        runtime::FaultPlan::decode(planText);
-    runtime::fault::install(plan.get());
-  }
-}
+}  // namespace
 
-int runTcpSynthesisWorker() {
+std::optional<int> maybeRunSynthesisWorker() {
+  if (!runtime::StreamWorkerLink::isWorkerProcess()) {
+    return std::nullopt;
+  }
   std::filesystem::path localSpill;
   const auto cleanup = [&localSpill]() {
     if (!localSpill.empty()) {
@@ -970,92 +910,50 @@ int runTcpSynthesisWorker() {
     }
   };
   try {
-    installWorkerFaultPlan();
-    runtime::TcpWorkerLink link;
-    const runtime::TcpWorkerLink::Hello hello = link.handshake();
-    mp::StageParams params = mp::decodeStageParams(hello.payload);
+    // A fault plan shipped by the root arms this process too, so scripted
+    // worker-side faults fire with the same seed and specs as in-process
+    // runs. Counters start from zero in each exec'd process.
+    static std::unique_ptr<runtime::FaultPlan> plan;
+    if (const char* planText = std::getenv(runtime::kWorkerFaultPlanEnv)) {
+      plan = runtime::FaultPlan::decode(planText);
+      runtime::fault::install(plan.get());
+    }
+    runtime::StreamWorkerLink link;
+    mp::StageParams params = mp::decodeStageParams(link.handshake());
     if (params.shipRuns) {
       // No shared filesystem is assumed: spill into a private local
       // directory and ship run bytes to the root over the wire. The
       // root's spillDir in the params is meaningless on this host.
       localSpill = std::filesystem::temp_directory_path() /
-                   ("chisim-tcp-worker-" + std::to_string(link.rank()) +
-                    "-" + std::to_string(::getpid()));
+                   ("chisim-worker-" + std::to_string(link.rank()) + "-" +
+                    std::to_string(::getpid()));
       std::filesystem::create_directories(localSpill);
       params.spillDir = localSpill.string();
     }
-    TcpLinkShipper shipper(link);
+    LinkShipper shipper(link);
     while (true) {
       const runtime::Message message = link.recv();
       if (message.tag != mp::kCommandTag) {
         continue;  // not a command frame; nothing to service
       }
       std::vector<std::byte> reply;
-      switch (mp::serviceSynthesisCommand(params, link.rank(),
-                                          message.payload, reply, &shipper)) {
-        case mp::ServiceOutcome::kReply:
-          link.send(mp::kReplyTag, reply);
-          break;
-        case mp::ServiceOutcome::kStop:
-          cleanup();
-          return 0;
-        case mp::ServiceOutcome::kDie:
-          // Injected silent death: exit without replying. The root sees
-          // the connection close; the slot machine decides between the
-          // reconnect grace and permanent loss.
-          cleanup();
-          return 0;
+      const mp::ServiceOutcome outcome = mp::serviceSynthesisCommand(
+          params, link.rank(), message.payload, reply, &shipper);
+      if (outcome != mp::ServiceOutcome::kReply) {
+        // kStop, or an injected silent death (kDie): exit without
+        // replying. The root sees the connection close; the slot machine
+        // decides between respawn, the reconnect grace and loss.
+        cleanup();
+        return 0;
       }
+      link.send(mp::kReplyTag, reply);
     }
   } catch (const std::exception& error) {
     // Includes the orderly "root connection closed" on root teardown and
-    // the permanent-down link after an exhausted re-dial budget; either
-    // way the worker has nothing left to do.
+    // a permanently down link after an exhausted re-dial budget; either
+    // way the worker has nothing left to do. Real errors (a malformed
+    // bootstrap included) are logged for the parent's stderr.
     cleanup();
-    std::fprintf(stderr, "chisim worker: %s\n", error.what());
-    return 1;
-  }
-}
-
-}  // namespace
-
-std::optional<int> maybeRunSynthesisWorker() {
-  if (runtime::TcpWorkerLink::isTcpWorkerProcess()) {
-    return runTcpSynthesisWorker();
-  }
-  if (!runtime::ProcessWorkerLink::isWorkerProcess()) {
-    return std::nullopt;
-  }
-  try {
-    installWorkerFaultPlan();
-    runtime::ProcessWorkerLink link;
-    const runtime::ProcessWorkerLink::Hello hello = link.handshake();
-    const mp::StageParams params = mp::decodeStageParams(hello.payload);
-    while (true) {
-      const runtime::Message message = link.recv();
-      if (message.tag != mp::kCommandTag) {
-        continue;  // not a command frame; nothing to service
-      }
-      std::vector<std::byte> reply;
-      switch (mp::serviceSynthesisCommand(params, link.rank(),
-                                          message.payload, reply)) {
-        case mp::ServiceOutcome::kReply:
-          link.send(mp::kReplyTag, reply);
-          break;
-        case mp::ServiceOutcome::kStop:
-          return 0;
-        case mp::ServiceOutcome::kDie:
-          // Injected silent death: exit without replying. The root sees
-          // the socket close and drives the respawn/loss state machine —
-          // the process-transport analogue of the in-process service
-          // thread returning mid-run.
-          return 0;
-      }
-    }
-  } catch (const std::exception& error) {
-    // Includes the orderly "root connection closed" on root teardown
-    // without a stop command; either way the worker has nothing left to
-    // do. Real errors are logged for the parent's stderr.
     std::fprintf(stderr, "chisim worker: %s\n", error.what());
     return 1;
   }

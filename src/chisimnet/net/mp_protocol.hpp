@@ -17,10 +17,10 @@
 /// protocol used to live in executor_mp.cpp's anonymous namespace; it is a
 /// module of its own so the exact same command service runs in two places:
 /// the in-process RankTeam service threads and the exec'd worker processes
-/// of the socket transport (runtime::ProcessTransport). Both decode the
+/// of the socket transport (runtime::StreamTransport). Both decode the
 /// same frames, execute the same stage kernels, and produce byte-identical
-/// replies — which is what makes `--transport process` transparent to the
-/// driver.
+/// replies — which is what makes `--transport process|tcp` transparent to
+/// the driver.
 ///
 /// Frames (all integers little-endian):
 ///   command  [command u32][epoch u64][stage body]

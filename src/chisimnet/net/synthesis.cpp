@@ -14,6 +14,7 @@
 #include "chisimnet/net/checkpoint.hpp"
 #include "chisimnet/net/executor.hpp"
 #include "chisimnet/runtime/fault.hpp"
+#include "chisimnet/runtime/stream_transport.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/error.hpp"
@@ -102,9 +103,10 @@ NetworkSynthesizer::NetworkSynthesizer(SynthesisConfig config)
                      config.backend == SynthesisBackend::kMessagePassing,
                  "--transport process/tcp requires --backend mp");
   CHISIM_REQUIRE(config.maxRespawns >= 0, "maxRespawns must be >= 0");
-  CHISIM_REQUIRE(config.transport == MpTransport::kInProcess ||
-                     config.heartbeatMs >= 1,
-                 "heartbeatMs must be >= 1");
+  CHISIM_REQUIRE(config.heartbeatMs >= 1, "heartbeatMs must be >= 1");
+  CHISIM_REQUIRE(config.connectTimeoutMs >= 1,
+                 "connectTimeoutMs must be >= 1");
+  CHISIM_REQUIRE(config.connectRetries >= 0, "connectRetries must be >= 0");
   CHISIM_REQUIRE(config.transport == MpTransport::kInProcess ||
                      config.faultPolicy != FaultPolicy::kDegrade ||
                      config.commandTimeoutMs > 0,
@@ -112,16 +114,13 @@ NetworkSynthesizer::NetworkSynthesizer(SynthesisConfig config)
                  "requires --command-timeout-ms > 0: a crashed worker never "
                  "replies, so without a deadline the root hangs instead of "
                  "recovering");
-  CHISIM_REQUIRE(config.connectRetries >= 0, "connectRetries must be >= 0");
-  CHISIM_REQUIRE(config.transport != MpTransport::kTcp ||
-                     config.connectTimeoutMs >= 1,
-                 "connectTimeoutMs must be >= 1");
   CHISIM_REQUIRE(config.tcpListen.empty() ||
                      config.transport == MpTransport::kTcp,
                  "--tcp-listen requires --transport tcp");
-  CHISIM_REQUIRE(config.tcpJob.empty() || !config.tcpListen.empty(),
-                 "--tcp-job requires --tcp-listen (external workers need a "
-                 "known address to dial)");
+  if (!config.tcpListen.empty()) {
+    // External workers must be told where to dial: no ephemeral port.
+    runtime::parseHostPort(config.tcpListen);
+  }
   // Resolve the spill directory. A checkpointing run pins it under the
   // checkpoint directory so a resumed run (possibly a different process,
   // possibly a different budget) finds the manifest's run files without

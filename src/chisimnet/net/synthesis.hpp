@@ -61,15 +61,13 @@ enum class MpTransport {
   /// wire (the default; no crash isolation, no serialization of the wire
   /// frames beyond the command payloads).
   kInProcess,
-  /// Ranks are fork/exec'd OS processes speaking length-framed Unix-domain
-  /// socket streams (runtime::ProcessTransport). A worker crash — real
-  /// SIGKILL included — is survived by respawn and/or the rank-loss
-  /// reassignment path, with bit-identical output.
+  /// Ranks are fork/exec'd OS processes dialing rank 0 over an AF_UNIX
+  /// socket in a private directory (runtime::StreamTransport). A worker
+  /// crash — real SIGKILL included — is survived by respawn, reconnect
+  /// and/or the rank-loss reassignment path, with bit-identical output.
   kProcess,
-  /// Ranks dial rank 0 over TCP (runtime::TcpTransport) speaking the same
-  /// CSF1 frames — the multi-host story. A dropped connection is survived
-  /// by worker-initiated reconnect inside a grace window (epoch-replayed
-  /// handshake) and/or the same rank-loss reassignment path; spill runs
+  /// The same transport over TCP — the multi-host story. Workers are
+  /// spawned on loopback, or external when tcpListen is given. Spill runs
   /// ship their bytes over the wire, so workers need no shared filesystem.
   kTcp,
 };
@@ -108,7 +106,7 @@ struct FaultEvent {
     kCommandRetry,     ///< a worker command failed/timed out and was retried
     kRankLost,         ///< a rank was declared dead; its work reassigned
     kWorkerRespawn,    ///< a dead worker process was re-execed for its rank
-    kWorkerReconnect,  ///< a disconnected TCP worker re-dialed and resumed
+    kWorkerReconnect,  ///< a disconnected worker re-dialed and resumed
     kFileQuarantined,  ///< an input file was excluded as undecodable
     kResume,           ///< the run restarted from a checkpoint
     kCheckpoint,       ///< a batch checkpoint was persisted
@@ -198,30 +196,23 @@ struct SynthesisConfig {
   /// Base of the exponential backoff between command retries.
   std::uint64_t commandBackoffMs = 10;
 
-  // ---- process / tcp transport (kMessagePassing backend only) ----
+  // ---- socket transport (kMessagePassing backend only) ----
 
-  /// Where the ranks live: service threads in this process (default),
-  /// fork/exec'd worker processes over Unix-domain sockets, or TCP-dialing
-  /// workers (possibly on other hosts). The process and tcp transports
-  /// under kDegrade require commandTimeoutMs > 0 — a crashed worker never
-  /// replies, so without a deadline the root would hang on it instead of
-  /// retrying into the respawn/reconnect/reassignment path.
+  /// Where the ranks live: service threads in this process (default), or
+  /// worker processes dialing rank 0 over an AF_UNIX or TCP socket. The
+  /// socket transports under kDegrade require commandTimeoutMs > 0 — a
+  /// crashed worker never replies, so without a deadline the root would
+  /// hang on it instead of retrying into the respawn/reconnect/
+  /// reassignment path.
   MpTransport transport = MpTransport::kInProcess;
-  /// Process transport: times a rank's worker process is re-execed after
-  /// it dies before the rank is abandoned to the loss/reassignment path.
-  /// 0 disables respawn (first death is permanent loss).
+  /// Times a rank's local worker process is re-execed after it dies before
+  /// the rank is abandoned to the loss/reassignment path. 0 disables
+  /// respawn (first death is permanent loss).
   int maxRespawns = 1;
-  /// Process/tcp transport: heartbeat ping period (also the liveness
-  /// monitor cadence, so ~the respawn/reconnect-detection latency). A
-  /// worker silent for 8 periods is presumed hung and dropped.
+  /// Heartbeat ping period (also the liveness monitor cadence, so ~the
+  /// respawn/reconnect-detection latency). A worker silent for 8 periods
+  /// is presumed hung and dropped.
   std::uint64_t heartbeatMs = 250;
-  /// Process/tcp transport: worker binary to exec; empty re-enters the
-  /// current binary (/proc/self/exe), whose main() must call
-  /// maybeRunSynthesisWorker() first.
-  std::string workerExecutable;
-
-  // ---- tcp transport (transport == kTcp only) ----
-
   /// Per-attempt deadline of a worker's dial + hello handshake.
   std::uint64_t connectTimeoutMs = 5000;
   /// Extra dial attempts after the first (exponential backoff between
@@ -231,15 +222,10 @@ struct SynthesisConfig {
   /// the rank is declared permanently dead and its work reassigned. 0 =
   /// every disconnect is immediately permanent.
   std::uint64_t reconnectGraceMs = 3000;
-  /// Root listen address as "host:port"; empty = 127.0.0.1 on an ephemeral
-  /// port with workers spawned locally (loopback CI mode).
+  /// kTcp only: root listen address as "host:port" for external workers
+  /// (`chisim worker --connect`); nothing is spawned. Empty = 127.0.0.1 on
+  /// an ephemeral port with workers spawned locally (loopback mode).
   std::string tcpListen;
-  /// Job file of worker connect addresses, one "host:port" per line for
-  /// ranks 1..N-1 (what each worker should dial — normally this root's
-  /// address as reachable from that host). Empty = every worker dials the
-  /// listen address. Requires tcpListen; workers are then NOT spawned
-  /// locally — they are launched out-of-band via `chisim worker`.
-  std::string tcpJob;
   /// When non-empty, persist a checkpoint (accumulated adjacency + cursor
   /// manifest) into this directory after every file batch.
   std::filesystem::path checkpointDir;
@@ -376,10 +362,11 @@ struct SynthesisReport {
   std::vector<elog::QuarantinedFile> quarantined;
   std::uint64_t commandRetries = 0;  ///< worker commands retried
   int ranksLost = 0;                 ///< ranks declared dead this run
-  /// Process transport: dead worker processes re-execed for their rank.
+  /// Socket transport: dead local worker processes re-execed for their
+  /// rank.
   std::uint64_t workersRespawned = 0;
-  /// Tcp transport: disconnected workers that re-dialed inside the grace
-  /// window and resumed their rank (epoch-replayed handshake).
+  /// Socket transport: disconnected workers that re-dialed inside the
+  /// grace window and resumed their rank (epoch-replayed handshake).
   std::uint64_t workersReconnected = 0;
   bool resumed = false;              ///< run started from a checkpoint
   std::uint64_t checkpointsWritten = 0;

@@ -29,10 +29,16 @@
 ///   mp.service.command  RankTeam service loop, on each received command
 ///   mp.send             MessagePassingExecutor root, before each command send
 ///   mp.collect          MessagePassingExecutor root, before each reply wait
-///   proc.send           ProcessTransport root, per outgoing wire frame
-///                       (kTruncate = torn write; kKillRank = SIGKILL the
-///                       destination worker process)
-///   proc.worker.send    ProcessWorkerLink, per outgoing wire frame in the
+///   sock.send           StreamTransport root, per outgoing wire frame
+///                       (kDelay = stalled frame; kTruncate = torn write;
+///                       kKillRank = SIGKILL the destination's local child)
+///   sock.drop           StreamTransport root, per outgoing wire frame
+///                       (kKillRank = sever the connection; the worker
+///                       re-dials)
+///   sock.accept         StreamTransport root, per parsed worker hello
+///                       (kThrow = refuse the dial)
+///   sock.connect        worker, per dial attempt (kThrow = failed dial)
+///   sock.worker.send    StreamWorkerLink, per outgoing wire frame in the
 ///                       worker process (kTruncate = torn write)
 ///   spill.write         SpillRunWriter::finish, after the run body is on
 ///                       disk but BEFORE the tmp→final rename (kThrow models
@@ -72,7 +78,7 @@ enum class FaultAction : std::uint32_t {
   kTruncate,
   /// Returned to the caller, which must simulate a dead rank (a service
   /// loop returns without replying and stays silent forever). At
-  /// proc.send it is real: the destination worker process is SIGKILLed.
+  /// sock.send it is real: the destination worker process is SIGKILLed.
   kKillRank,
   /// Raises SIGKILL against the *current* process — a real, unhandleable
   /// crash. Only meaningful inside a transport worker process (shipped
@@ -181,7 +187,7 @@ FaultPlan* install(FaultPlan* plan) noexcept;
 bool armed() noexcept;
 
 /// The currently installed plan (nullptr when disarmed). Used by the
-/// process transport to forward the plan to spawned workers.
+/// socket transport to forward the plan to spawned workers.
 FaultPlan* current() noexcept;
 
 /// Fires the installed plan at `site`; returns kNone when no plan is

@@ -12,10 +12,9 @@
 
 /// CSF1 wire framing and shared stream-socket plumbing.
 ///
-/// One frame codec serves every transport that crosses a process boundary:
-/// the socketpair-based process transport (process_transport.hpp) and the
-/// TCP transport (tcp_transport.hpp) speak byte-identical frames, so a
-/// worker neither knows nor cares which socket kind carried its commands.
+/// One frame codec serves the socket transport (stream_transport.hpp) on
+/// both address families, so a worker neither knows nor cares whether an
+/// AF_UNIX or a TCP socket carried its commands.
 ///
 /// ## Frame format (all integers little-endian, host order)
 ///
@@ -94,7 +93,7 @@ ReadFn deadlineReadFn(int fd, std::chrono::steady_clock::time_point deadline);
 /// poisoned); never throws.
 bool writeAllFd(int fd, std::span<const std::byte> bytes) noexcept;
 
-/// One place for stream-socket setup shared by the socketpair and TCP
+/// One place for stream-socket setup shared by the AF_UNIX and TCP
 /// paths: CLOEXEC always (a transport fd must never leak across an exec
 /// into a later-spawned sibling), and for TCP sockets TCP_NODELAY (the
 /// protocol is request/reply over small frames; Nagle only adds latency)

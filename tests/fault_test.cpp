@@ -21,6 +21,7 @@
 #include "chisimnet/runtime/thread_pool.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 /// Fault-tolerance suite: the deterministic injection framework itself,
 /// the hardened comm layer, CLG5 decode-error context, input quarantine,
@@ -41,84 +42,12 @@ using runtime::FaultSpec;
 using table::Event;
 using table::Hour;
 
-// ---- local copies of the fuzz-harness fixtures (each test binary keeps
-// its helpers in its own anonymous namespace) ----
-
-struct FuzzCase {
-  table::EventTable events;
-  Hour windowStart = 0;
-  Hour windowEnd = 0;
-};
-
-FuzzCase makeCase(std::uint64_t seed) {
-  util::Rng rng(seed * 2654435761u + 17);
-  FuzzCase out;
-  const auto persons = static_cast<std::uint32_t>(8 + rng.uniformBelow(48));
-  const auto places = static_cast<std::uint32_t>(3 + rng.uniformBelow(10));
-  out.windowStart = static_cast<Hour>(rng.uniformBelow(8));
-  out.windowEnd = out.windowStart + 24 + static_cast<Hour>(rng.uniformBelow(48));
-  const std::size_t count = 80 + rng.uniformBelow(120);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Hour start = static_cast<Hour>(rng.uniformBelow(out.windowEnd + 8));
-    const Hour end = start + 1 + static_cast<Hour>(rng.uniformBelow(9));
-    out.events.append(Event{
-        start, end, static_cast<table::PersonId>(rng.uniformBelow(persons)),
-        static_cast<table::ActivityId>(rng.uniformBelow(5)),
-        static_cast<table::PlaceId>(rng.uniformBelow(places))});
-  }
-  return out;
-}
-
-std::vector<std::filesystem::path> writePlacePartitionedFiles(
-    const table::EventTable& events, const std::filesystem::path& dir,
-    int fileCount) {
-  std::vector<std::vector<Event>> buffers(
-      static_cast<std::size_t>(fileCount));
-  for (std::uint64_t row = 0; row < events.size(); ++row) {
-    const Event event = events.row(row);
-    buffers[event.place % static_cast<std::uint32_t>(fileCount)].push_back(
-        event);
-  }
-  std::vector<std::filesystem::path> files;
-  for (int i = 0; i < fileCount; ++i) {
-    const auto path = elog::logFilePath(dir, i);
-    elog::ChunkedLogWriter writer(path);
-    auto& buffer = buffers[static_cast<std::size_t>(i)];
-    std::sort(buffer.begin(), buffer.end());
-    for (std::size_t begin = 0; begin < buffer.size(); begin += 32) {
-      const std::size_t end = std::min(buffer.size(), begin + 32);
-      writer.writeChunk(
-          std::span<const Event>(buffer.data() + begin, end - begin));
-    }
-    writer.close();
-    files.push_back(path);
-  }
-  return files;
-}
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
-
-void expectEqualAdjacency(const sparse::SymmetricAdjacency& got,
-                          const sparse::SymmetricAdjacency& want,
-                          const std::string& label) {
-  EXPECT_EQ(got.edgeCount(), want.edgeCount()) << label;
-  EXPECT_EQ(got.toTriplets(), want.toTriplets()) << label;
-}
+using testsupport::expectEqualAdjacency;
+using testsupport::FuzzCase;
+using testsupport::hasFault;
+using testsupport::makeCase;
+using testsupport::ScratchDir;
+using testsupport::writePlacePartitionedFiles;
 
 /// Truncates a CLG5 file to half its size: the footer is gone, so the
 /// reader fails at header/footer level (chunkIndex -1).
@@ -134,12 +63,6 @@ std::vector<Event> rowsOf(const table::EventTable& table) {
     rows.push_back(table.row(row));
   }
   return rows;
-}
-
-bool hasFault(const SynthesisReport& report, FaultEvent::Kind kind) {
-  return std::any_of(
-      report.faults.begin(), report.faults.end(),
-      [kind](const FaultEvent& event) { return event.kind == kind; });
 }
 
 // ---- fault-injection framework ----

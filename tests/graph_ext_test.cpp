@@ -10,6 +10,7 @@
 #include "chisimnet/graph/weighted_stats.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 /// Tests for the graph/sparse extension features: the configuration model,
 /// weighted statistics, and adjacency persistence.
@@ -190,12 +191,8 @@ TEST(WeightedStats, MeanNeighborDegree) {
 
 class AdjacencyIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "chisimnet_adj_io";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_adj_io"};
+  const std::filesystem::path& dir_ = scratch_.path();
 };
 
 sparse::SymmetricAdjacency randomAdjacency(std::uint64_t seed,

@@ -12,6 +12,7 @@
 #include "chisimnet/graph/io.hpp"
 #include "chisimnet/graph/layout.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 namespace chisimnet::graph {
 namespace {
@@ -240,12 +241,8 @@ TEST(Generators, WattsStrogatzRewiringLowersClustering) {
 
 class IoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "chisimnet_graph_io";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_graph_io"};
+  const std::filesystem::path& dir_ = scratch_.path();
 };
 
 std::string slurp(const std::filesystem::path& path) {

@@ -5,17 +5,15 @@
 #include <sstream>
 
 #include "chisimnet/stats/plot.hpp"
+#include "support.hpp"
 
 namespace chisimnet::stats {
 namespace {
 
 class PlotTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "chisimnet_plot";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  testsupport::ScratchDir scratch_{"chisimnet_plot"};
+  const std::filesystem::path& dir_ = scratch_.path();
 
   std::string slurp(const std::filesystem::path& path) const {
     std::ifstream in(path);
@@ -23,8 +21,6 @@ class PlotTest : public ::testing::Test {
     buffer << in.rdbuf();
     return buffer.str();
   }
-
-  std::filesystem::path dir_;
 };
 
 TEST_F(PlotTest, ScatterRendersPointsLinesAndLegend) {

@@ -18,6 +18,7 @@
 #include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 /// Sharded external-merge suite: the shard merge plan (straddler splitting,
 /// empty and single-row shards, unknown-range runs), per-shard segment
@@ -31,22 +32,7 @@
 namespace chisimnet::sparse {
 namespace {
 
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
+using testsupport::ScratchDir;
 
 /// A strictly key-ascending random run: distinct (i, j) pairs, sorted.
 std::vector<AdjacencyTriplet> makeRun(util::Rng& rng, std::size_t size,
@@ -384,12 +370,12 @@ using runtime::FaultSpec;
 using table::Event;
 using table::Hour;
 
-struct FuzzCase {
-  table::EventTable events;
-  Hour windowStart = 0;
-  Hour windowEnd = 0;
-};
+using testsupport::FuzzCase;
+using testsupport::ScratchDir;
+using testsupport::writePlacePartitionedFiles;
 
+/// Larger than the shared case (40+ persons, 200+ events) so spills split
+/// across several row-range shards.
 FuzzCase makeCase(std::uint64_t seed) {
   util::Rng rng(seed * 2654435761u + 17);
   FuzzCase out;
@@ -409,50 +395,6 @@ FuzzCase makeCase(std::uint64_t seed) {
   }
   return out;
 }
-
-std::vector<std::filesystem::path> writePlacePartitionedFiles(
-    const table::EventTable& events, const std::filesystem::path& dir,
-    int fileCount) {
-  std::vector<std::vector<Event>> buffers(
-      static_cast<std::size_t>(fileCount));
-  for (std::uint64_t row = 0; row < events.size(); ++row) {
-    const Event event = events.row(row);
-    buffers[event.place % static_cast<std::uint32_t>(fileCount)].push_back(
-        event);
-  }
-  std::vector<std::filesystem::path> files;
-  for (int i = 0; i < fileCount; ++i) {
-    const auto path = elog::logFilePath(dir, i);
-    elog::ChunkedLogWriter writer(path);
-    auto& buffer = buffers[static_cast<std::size_t>(i)];
-    std::sort(buffer.begin(), buffer.end());
-    for (std::size_t begin = 0; begin < buffer.size(); begin += 32) {
-      const std::size_t end = std::min(buffer.size(), begin + 32);
-      writer.writeChunk(
-          std::span<const Event>(buffer.data() + begin, end - begin));
-    }
-    writer.close();
-    files.push_back(path);
-  }
-  return files;
-}
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
 
 std::string fileBytes(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);

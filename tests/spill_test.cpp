@@ -12,6 +12,7 @@
 #include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 /// Disk-spilling accumulation suite: the k-way loser-tree merge against a
 /// brute-force sum, the CSPL1 run container (round trip, truncation and
@@ -23,22 +24,7 @@
 namespace chisimnet::sparse {
 namespace {
 
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
+using testsupport::ScratchDir;
 
 /// A strictly key-ascending random run: distinct (i, j) pairs, sorted.
 std::vector<AdjacencyTriplet> makeRun(util::Rng& rng, std::size_t size,

@@ -1,0 +1,128 @@
+#pragma once
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <span>
+#include <string>
+#include <system_error>
+#include <vector>
+
+#include "chisimnet/elog/clg5.hpp"
+#include "chisimnet/elog/log_directory.hpp"
+#include "chisimnet/net/synthesis.hpp"
+#include "chisimnet/sparse/adjacency.hpp"
+#include "chisimnet/util/rng.hpp"
+
+/// Fixtures shared by the test binaries: a hermetic scratch directory and
+/// the small synthesis cases the fault, spill and transport suites run.
+
+namespace chisimnet::testsupport {
+
+/// A fresh, empty directory unique to this process and the running test:
+/// <tmp>/<name>-<pid>-<suite>.<test>. Parallel test processes (ctest -j)
+/// never share one. Removed on destruction.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name) {
+    std::string id = name + "-" + std::to_string(::getpid());
+    if (const auto* test =
+            ::testing::UnitTest::GetInstance()->current_test_info()) {
+      id += std::string("-") + test->test_suite_name() + "." + test->name();
+    }
+    std::replace(id.begin(), id.end(), '/', '_');  // parameterized names
+    dir_ = std::filesystem::temp_directory_path() / id;
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::filesystem::path& path() const { return dir_; }
+
+ private:
+  std::filesystem::path dir_;
+};
+
+struct FuzzCase {
+  table::EventTable events;
+  table::Hour windowStart = 0;
+  table::Hour windowEnd = 0;
+};
+
+/// A small seeded event table: 8-55 persons over 3-12 places, 80-199
+/// events around a 24-71 hour window.
+inline FuzzCase makeCase(std::uint64_t seed) {
+  using table::Hour;
+  util::Rng rng(seed * 2654435761u + 17);
+  FuzzCase out;
+  const auto persons = static_cast<std::uint32_t>(8 + rng.uniformBelow(48));
+  const auto places = static_cast<std::uint32_t>(3 + rng.uniformBelow(10));
+  out.windowStart = static_cast<Hour>(rng.uniformBelow(8));
+  out.windowEnd = out.windowStart + 24 + static_cast<Hour>(rng.uniformBelow(48));
+  const std::size_t count = 80 + rng.uniformBelow(120);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Hour start = static_cast<Hour>(rng.uniformBelow(out.windowEnd + 8));
+    const Hour end = start + 1 + static_cast<Hour>(rng.uniformBelow(9));
+    out.events.append(table::Event{
+        start, end, static_cast<table::PersonId>(rng.uniformBelow(persons)),
+        static_cast<table::ActivityId>(rng.uniformBelow(5)),
+        static_cast<table::PlaceId>(rng.uniformBelow(places))});
+  }
+  return out;
+}
+
+/// Writes `events` into `fileCount` CLG5 files partitioned by place id, the
+/// way real per-rank logs partition events by the rank owning the place.
+/// Place-disjoint files make any whole-file batching exactly additive.
+/// Multiple sorted chunks per file let the reader's per-chunk time-range
+/// pushdown participate.
+inline std::vector<std::filesystem::path> writePlacePartitionedFiles(
+    const table::EventTable& events, const std::filesystem::path& dir,
+    int fileCount) {
+  std::vector<std::vector<table::Event>> buffers(
+      static_cast<std::size_t>(fileCount));
+  for (std::uint64_t row = 0; row < events.size(); ++row) {
+    const table::Event event = events.row(row);
+    buffers[event.place % static_cast<std::uint32_t>(fileCount)].push_back(
+        event);
+  }
+  std::vector<std::filesystem::path> files;
+  for (int i = 0; i < fileCount; ++i) {
+    const auto path = elog::logFilePath(dir, i);
+    elog::ChunkedLogWriter writer(path);
+    auto& buffer = buffers[static_cast<std::size_t>(i)];
+    std::sort(buffer.begin(), buffer.end());
+    for (std::size_t begin = 0; begin < buffer.size(); begin += 32) {
+      const std::size_t end = std::min(buffer.size(), begin + 32);
+      writer.writeChunk(
+          std::span<const table::Event>(buffer.data() + begin, end - begin));
+    }
+    writer.close();
+    files.push_back(path);
+  }
+  return files;
+}
+
+inline void expectEqualAdjacency(const sparse::SymmetricAdjacency& got,
+                                 const sparse::SymmetricAdjacency& want,
+                                 const std::string& label) {
+  EXPECT_EQ(got.edgeCount(), want.edgeCount()) << label;
+  EXPECT_EQ(got.toTriplets(), want.toTriplets()) << label;
+}
+
+inline bool hasFault(const net::SynthesisReport& report,
+                     net::FaultEvent::Kind kind) {
+  return std::any_of(
+      report.faults.begin(), report.faults.end(),
+      [kind](const net::FaultEvent& event) { return event.kind == kind; });
+}
+
+}  // namespace chisimnet::testsupport

@@ -14,6 +14,7 @@
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 /// Randomized differential harness for the synthesis pipeline: seeded random
 /// event tables — varying person/place counts, window edges, and adversarial
@@ -28,12 +29,13 @@ namespace {
 using table::Event;
 using table::Hour;
 
-struct FuzzCase {
-  table::EventTable events;
-  Hour windowStart = 0;
-  Hour windowEnd = 0;
-};
+using testsupport::expectEqualAdjacency;
+using testsupport::FuzzCase;
+using testsupport::ScratchDir;
+using testsupport::writePlacePartitionedFiles;
 
+/// An adversarial seeded case: zero-length intervals, intervals wholly
+/// outside the window, and intervals straddling either window edge.
 FuzzCase makeCase(std::uint64_t seed) {
   util::Rng rng(seed * 2654435761u + 17);
   FuzzCase out;
@@ -90,62 +92,6 @@ FuzzCase makeCase(std::uint64_t seed) {
         static_cast<table::PlaceId>(rng.uniformBelow(places))});
   }
   return out;
-}
-
-/// Writes `events` into `fileCount` CLG5 files partitioned by place id, the
-/// way real per-rank logs partition events by the rank owning the place.
-/// Place-disjoint files make any whole-file batching exactly additive.
-std::vector<std::filesystem::path> writePlacePartitionedFiles(
-    const table::EventTable& events, const std::filesystem::path& dir,
-    int fileCount) {
-  std::vector<std::vector<Event>> buffers(
-      static_cast<std::size_t>(fileCount));
-  for (std::uint64_t row = 0; row < events.size(); ++row) {
-    const Event event = events.row(row);
-    buffers[event.place % static_cast<std::uint32_t>(fileCount)].push_back(
-        event);
-  }
-  std::vector<std::filesystem::path> files;
-  for (int i = 0; i < fileCount; ++i) {
-    const auto path = elog::logFilePath(dir, i);
-    elog::ChunkedLogWriter writer(path);
-    // Multiple sorted chunks per file so the reader's per-chunk time-range
-    // pushdown participates in the test.
-    auto& buffer = buffers[static_cast<std::size_t>(i)];
-    std::sort(buffer.begin(), buffer.end());
-    for (std::size_t begin = 0; begin < buffer.size(); begin += 32) {
-      const std::size_t end = std::min(buffer.size(), begin + 32);
-      writer.writeChunk(
-          std::span<const Event>(buffer.data() + begin, end - begin));
-    }
-    writer.close();
-    files.push_back(path);
-  }
-  return files;
-}
-
-class ScratchDir {
- public:
-  explicit ScratchDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(dir_, ignored);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
-
-void expectEqualAdjacency(const sparse::SymmetricAdjacency& got,
-                          const sparse::SymmetricAdjacency& want,
-                          const std::string& label) {
-  EXPECT_EQ(got.edgeCount(), want.edgeCount()) << label;
-  EXPECT_EQ(got.toTriplets(), want.toTriplets()) << label;
 }
 
 class SynthesisFuzz : public ::testing::TestWithParam<std::uint64_t> {};

@@ -30,8 +30,7 @@
 
 #include "chisimnet/chisimnet.hpp"
 #include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/process_transport.hpp"
-#include "chisimnet/runtime/tcp_transport.hpp"
+#include "chisimnet/runtime/stream_transport.hpp"
 
 namespace {
 
@@ -302,7 +301,6 @@ int cmdSynthesize(const Args& args) {
   config.connectRetries = static_cast<int>(args.u64("connect-retries", 5));
   config.reconnectGraceMs = args.u64("reconnect-grace-ms", 3000);
   config.tcpListen = args.str("tcp-listen", "");
-  config.tcpJob = args.str("tcp-job", "");
   config.checkpointDir = args.str("checkpoint-dir", "");
   config.resume = args.has("resume");
   config.memoryBudgetBytes = args.bytes("memory-budget", 0);
@@ -521,34 +519,21 @@ int cmdEgo(const Args& args) {
 
 /// `chisim worker` — join a remote synthesis root over TCP. The flags are
 /// translated into the same bootstrap environment the root exports when it
-/// spawns loopback workers itself, then the shared worker entry point takes
-/// over: dial, handshake, serve commands until kStop/kDie.
+/// spawns local workers itself, then the shared worker entry point takes
+/// over and validates them: dial, handshake, serve commands until
+/// kStop/kDie.
 int cmdWorker(const Args& args) {
   const std::string connect = args.requireStr("connect");
   runtime::parseHostPort(connect);  // fail fast on a malformed address
-  const auto rank = args.u64("rank", 0);
-  const auto rankCount = args.u64("rank-count", 0);
-  if (rank < 1) {
-    throw std::invalid_argument(
-        "--rank must be >= 1 (rank 0 is the listening root)");
-  }
-  if (rankCount < 2 || rank >= rankCount) {
-    throw std::invalid_argument(
-        "--rank-count must be >= 2 and greater than --rank");
-  }
-  ::setenv(runtime::kWorkerTcpEnv, connect.c_str(), 1);
-  ::setenv(runtime::kWorkerRankEnv, std::to_string(rank).c_str(), 1);
-  ::setenv(runtime::kWorkerRankCountEnv, std::to_string(rankCount).c_str(), 1);
+  ::setenv(runtime::kWorkerConnectEnv, connect.c_str(), 1);
+  ::setenv(runtime::kWorkerRankEnv, args.requireStr("rank").c_str(), 1);
+  ::setenv(runtime::kWorkerRankCountEnv, args.requireStr("rank-count").c_str(),
+           1);
   ::setenv(runtime::kWorkerConnectTimeoutEnv,
            std::to_string(args.u64("connect-timeout-ms", 5000)).c_str(), 1);
   ::setenv(runtime::kWorkerConnectRetriesEnv,
            std::to_string(args.u64("connect-retries", 5)).c_str(), 1);
-  const auto workerExit = net::maybeRunSynthesisWorker();
-  if (!workerExit.has_value()) {
-    std::cerr << "chisim worker: bootstrap environment rejected\n";
-    return 1;
-  }
-  return *workerExit;
+  return *net::maybeRunSynthesisWorker();
 }
 
 void printUsage() {
@@ -572,7 +557,7 @@ void printUsage() {
       "              [--transport inproc|process|tcp] [--max-respawns N]\n"
       "              [--heartbeat-ms MS] [--connect-timeout-ms MS]\n"
       "              [--connect-retries N] [--reconnect-grace-ms MS]\n"
-      "              [--tcp-listen HOST:PORT [--tcp-job FILE]]\n"
+      "              [--tcp-listen HOST:PORT]   (tcp: external workers)\n"
       "              [--memory-budget BYTES[K|M|G]] [--spill-dir DIR]\n"
       "              [--reduce-shards N] [--merge-readahead none|buffer|fadvise]\n"
       "  worker      --connect HOST:PORT --rank N --rank-count R\n"
@@ -588,7 +573,7 @@ void printUsage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A process spawned by --transport process re-enters this binary with
+  // A worker spawned by --transport process|tcp re-enters this binary with
   // worker bootstrap env vars set; it must become a synthesis worker before
   // any CLI parsing (the root passes no argv to workers).
   if (const auto workerExit = chisimnet::net::maybeRunSynthesisWorker()) {
@@ -597,7 +582,7 @@ int main(int argc, char** argv) {
   // A scripted fault plan shipped through the environment (the same
   // mechanism the transports use for synthesis workers) lets CI and the
   // nightly soak kill a simulation at an exact hour, tear a wire frame, or
-  // drop a TCP connection — root-side sites (proc.send, tcp.drop, ...)
+  // drop a connection — root-side sites (sock.send, sock.drop, ...)
   // fire in this process; worker-side sites ride the env into the workers.
   std::unique_ptr<chisimnet::runtime::FaultPlan> faultPlan;
   if (const char* planText =
