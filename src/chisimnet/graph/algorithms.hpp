@@ -15,16 +15,23 @@ namespace chisimnet::graph {
 /// degrees()[v] is the (unweighted) vertex degree of v.
 std::vector<std::uint64_t> degreeSequence(const Graph& graph);
 
+/// The three triangle analyses below share one kernel: edges oriented by
+/// (degree, id) rank, each triangle found once with a per-thread marker
+/// array, and exact integer corner counts per vertex. They run on
+/// std::thread::hardware_concurrency() threads; the counts are summed as
+/// integers, so the output does not depend on the thread count.
+
 /// Local clustering coefficient per vertex: the ratio of closed triangles
-/// to connected triples centered on the vertex (Wasserman & Faust). By
-/// convention vertices with degree < 2 get coefficient 0.
+/// to connected triples centered on the vertex (Wasserman & Faust), i.e.
+/// triangles(v) / (d(d-1)/2) with an exact triangle count. By convention
+/// vertices with degree < 2 get coefficient 0.
 std::vector<double> localClusteringCoefficients(const Graph& graph);
 
-/// Global transitivity: 3 x triangles / connected triples over the whole
-/// graph (0 for triple-free graphs).
+/// Global transitivity: 3 x triangleCount / connected triples over the
+/// whole graph (0 for triple-free graphs).
 double globalTransitivity(const Graph& graph);
 
-/// Total number of triangles in the graph.
+/// Exact total number of triangles in the graph.
 std::uint64_t triangleCount(const Graph& graph);
 
 /// All vertices within `radius` hops of `source` (including the source),

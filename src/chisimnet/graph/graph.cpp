@@ -87,6 +87,9 @@ Graph Graph::build(std::vector<Edge> edges, std::vector<std::uint32_t> labels) {
   }
   graph.neighbors_.resize(merged.size() * 2);
   graph.weights_.resize(merged.size() * 2);
+  // `merged` is sorted by (u, v) with u < v, so row x receives its (w, x)
+  // entries (w < x, ascending) before its (x, y) entries (y > x,
+  // ascending): every row comes out sorted without a per-row sort.
   std::vector<std::uint64_t> cursor(graph.offsets_.begin(),
                                     graph.offsets_.end() - 1);
   for (const Edge& edge : merged) {
@@ -94,22 +97,6 @@ Graph Graph::build(std::vector<Edge> edges, std::vector<std::uint32_t> labels) {
     graph.weights_[cursor[edge.u]++] = edge.weight;
     graph.neighbors_[cursor[edge.v]] = edge.u;
     graph.weights_[cursor[edge.v]++] = edge.weight;
-  }
-
-  // Sort each adjacency row by neighbor id (weights permuted alongside).
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint64_t begin = graph.offsets_[v];
-    const std::uint64_t end = graph.offsets_[v + 1];
-    std::vector<std::pair<Vertex, Weight>> row;
-    row.reserve(end - begin);
-    for (std::uint64_t i = begin; i < end; ++i) {
-      row.emplace_back(graph.neighbors_[i], graph.weights_[i]);
-    }
-    std::sort(row.begin(), row.end());
-    for (std::uint64_t i = begin; i < end; ++i) {
-      graph.neighbors_[i] = row[i - begin].first;
-      graph.weights_[i] = row[i - begin].second;
-    }
   }
   return graph;
 }

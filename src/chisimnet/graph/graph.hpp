@@ -14,8 +14,10 @@
 /// matrix (paper §IV-V): vertices are persons, edge weights are collocated
 /// person-hours. Vertex ids are compacted to [0, n); the original person ids
 /// are retained as labels so analyses can join back to demographic data.
-/// Neighbor lists are sorted by vertex id, which the clustering and
-/// subgraph algorithms rely on for O(d1+d2) intersections.
+/// Neighbor lists are sorted by vertex id (the build's edge order yields
+/// that without a per-row sort); hasEdge/weightBetween binary-search a row
+/// and subgraph extraction relies on it. The triangle kernel behind the
+/// clustering analyses does not: it builds its own rank-oriented lists.
 
 namespace chisimnet::graph {
 

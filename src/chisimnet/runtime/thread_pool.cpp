@@ -80,13 +80,19 @@ void ThreadPool::workerLoop() {
 
 void parallelFor(std::uint64_t count, unsigned workers,
                  const std::function<void(std::uint64_t)>& body) {
+  parallelFor(count, workers,
+              [&body](std::uint64_t i, unsigned /*worker*/) { body(i); });
+}
+
+void parallelFor(std::uint64_t count, unsigned workers,
+                 const std::function<void(std::uint64_t, unsigned)>& body) {
   if (count == 0) {
     return;
   }
   workers = std::max(1u, workers);
   if (workers == 1 || count == 1) {
     for (std::uint64_t i = 0; i < count; ++i) {
-      body(i);
+      body(i, 0);
     }
     return;
   }
@@ -97,7 +103,7 @@ void parallelFor(std::uint64_t count, unsigned workers,
   // Chunk size balances scheduling overhead against dynamic balance.
   const std::uint64_t chunk = std::max<std::uint64_t>(1, count / (workers * 8));
 
-  const auto drain = [&] {
+  const auto drain = [&](unsigned worker) {
     while (true) {
       const std::uint64_t begin = next.fetch_add(chunk);
       if (begin >= count) {
@@ -106,7 +112,7 @@ void parallelFor(std::uint64_t count, unsigned workers,
       const std::uint64_t end = std::min(count, begin + chunk);
       try {
         for (std::uint64_t i = begin; i < end; ++i) {
-          body(i);
+          body(i, worker);
         }
       } catch (...) {
         std::lock_guard<std::mutex> lock(errorMutex);
@@ -122,9 +128,9 @@ void parallelFor(std::uint64_t count, unsigned workers,
   std::vector<std::thread> threads;
   threads.reserve(workers - 1);
   for (unsigned i = 0; i + 1 < workers; ++i) {
-    threads.emplace_back(drain);
+    threads.emplace_back(drain, i + 1);
   }
-  drain();
+  drain(0);
   for (std::thread& thread : threads) {
     thread.join();
   }

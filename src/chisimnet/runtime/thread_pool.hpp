@@ -79,6 +79,12 @@ class ThreadPool {
 void parallelFor(std::uint64_t count, unsigned workers,
                  const std::function<void(std::uint64_t)>& body);
 
+/// Same, but body(i, worker) also receives the index in [0, workers) of the
+/// thread running it, so callers can keep per-thread scratch state (marker
+/// arrays, partial counters) without locks. The calling thread is worker 0.
+void parallelFor(std::uint64_t count, unsigned workers,
+                 const std::function<void(std::uint64_t, unsigned)>& body);
+
 /// Timing record of one treeReduce() call. `criticalSeconds` sums the
 /// slowest merge of each level — the modeled parallel time of the tree,
 /// which is what a multi-core host would observe (this repo's benches run

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "chisimnet/graph/algorithms.hpp"
@@ -43,6 +44,52 @@ TEST(Graph, NeighborsSorted) {
     const auto row = graph.neighbors(v);
     EXPECT_TRUE(std::is_sorted(row.begin(), row.end()));
   }
+}
+
+TEST(Graph, RowsSortedAndWeightsSummedFromShuffledInput) {
+  // The build fills rows straight from the (u, v)-sorted edge list; check
+  // that rows come out sorted whatever order, orientation and duplication
+  // the input edges arrive in.
+  util::Rng rng(31);
+  const Vertex n = 40;
+  std::vector<Weight> expected(n * n, 0);
+  std::vector<Edge> edges;
+  for (int k = 0; k < 300; ++k) {
+    const auto u = static_cast<Vertex>(rng.uniformBelow(n));
+    const auto v = static_cast<Vertex>(rng.uniformBelow(n));
+    if (u == v) {
+      continue;
+    }
+    const Weight weight = 1 + rng.uniformBelow(9);
+    const int copies = 1 + static_cast<int>(rng.uniformBelow(3));
+    for (int c = 0; c < copies; ++c) {
+      // Alternate orientation so duplicates arrive both ways round.
+      edges.push_back(c % 2 == 0 ? Edge{u, v, weight} : Edge{v, u, weight});
+      expected[u * n + v] += weight;
+      expected[v * n + u] += weight;
+    }
+  }
+  rng.shuffle(edges);
+  std::reverse(edges.begin(), edges.end());
+  const Graph graph = Graph::fromEdges(edges, n);
+
+  std::uint64_t expectedEdges = 0;
+  for (Vertex u = 0; u < n; ++u) {
+    const auto row = graph.neighbors(u);
+    EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << "row " << u;
+    EXPECT_EQ(std::adjacent_find(row.begin(), row.end()), row.end())
+        << "row " << u;
+    for (Vertex v = 0; v < n; ++v) {
+      EXPECT_EQ(graph.weightBetween(u, v), expected[u * n + v]);
+      expectedEdges += u < v && expected[u * n + v] != 0 ? 1 : 0;
+    }
+    // Row weights line up with their neighbours.
+    const auto weights = graph.edgeWeights(u);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(weights[i], expected[u * n + row[i]]);
+    }
+  }
+  EXPECT_EQ(graph.edgeCount(), expectedEdges);
 }
 
 TEST(Graph, ParallelEdgesMergedBySummingWeights) {
@@ -138,21 +185,197 @@ std::vector<double> bruteForceClustering(const Graph& graph) {
   return coefficients;
 }
 
+/// O(n^3) reference triangle count: every vertex triple tested directly.
+std::uint64_t bruteForceTriangleCount(const Graph& graph) {
+  const Vertex n = graph.vertexCount();
+  std::uint64_t triangles = 0;
+  for (Vertex a = 0; a < n; ++a) {
+    for (Vertex b = a + 1; b < n; ++b) {
+      if (!graph.hasEdge(a, b)) {
+        continue;
+      }
+      for (Vertex c = b + 1; c < n; ++c) {
+        triangles += graph.hasEdge(a, c) && graph.hasEdge(b, c) ? 1 : 0;
+      }
+    }
+  }
+  return triangles;
+}
+
+/// The formula localClusteringCoefficients used before the oriented kernel:
+/// closed = Σ over neighbours of a sorted-list intersection (each triangle
+/// at v counted twice), coefficient = closed / 2 / triples. The kernel must
+/// reproduce it bit for bit.
+std::vector<double> intersectionClustering(const Graph& graph) {
+  const auto sharedNeighbors = [&graph](Vertex u, Vertex v) {
+    const auto a = graph.neighbors(u);
+    const auto b = graph.neighbors(v);
+    std::uint64_t count = 0;
+    std::size_t ia = 0;
+    std::size_t ib = 0;
+    while (ia < a.size() && ib < b.size()) {
+      if (a[ia] < b[ib]) {
+        ++ia;
+      } else if (b[ib] < a[ia]) {
+        ++ib;
+      } else {
+        ++count;
+        ++ia;
+        ++ib;
+      }
+    }
+    return count;
+  };
+  std::vector<double> coefficients(graph.vertexCount(), 0.0);
+  for (Vertex v = 0; v < graph.vertexCount(); ++v) {
+    const std::uint64_t degree = graph.degree(v);
+    if (degree < 2) {
+      continue;
+    }
+    std::uint64_t closed = 0;
+    for (Vertex neighbor : graph.neighbors(v)) {
+      closed += sharedNeighbors(v, neighbor);
+    }
+    const double triples = static_cast<double>(degree) *
+                           static_cast<double>(degree - 1) / 2.0;
+    coefficients[v] = static_cast<double>(closed) / 2.0 / triples;
+  }
+  return coefficients;
+}
+
+/// Union of overlapping cliques, shaped like a collocation network: every
+/// person sits in one household (2-6 people) and most in one workplace
+/// (5-15 people), so degrees tie heavily and triangles are dense.
+Graph overlappingCliques(Vertex persons, util::Rng& rng) {
+  std::vector<Vertex> order(persons);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<Edge> edges;
+  const auto addGroups = [&](std::uint64_t minSize, std::uint64_t maxSize,
+                             double joinProbability) {
+    rng.shuffle(order);
+    std::size_t next = 0;
+    while (next < order.size()) {
+      const std::size_t size =
+          minSize + rng.uniformBelow(maxSize - minSize + 1);
+      const std::size_t end = std::min(order.size(), next + size);
+      std::vector<Vertex> members;
+      for (std::size_t i = next; i < end; ++i) {
+        if (rng.bernoulli(joinProbability)) {
+          members.push_back(order[i]);
+        }
+      }
+      for (std::size_t a = 0; a < members.size(); ++a) {
+        for (std::size_t b = a + 1; b < members.size(); ++b) {
+          edges.push_back(Edge{members[a], members[b], 1});
+        }
+      }
+      next = end;
+    }
+  };
+  addGroups(2, 6, 1.0);   // households
+  addGroups(5, 15, 0.8);  // workplaces
+  return Graph::fromEdges(edges, persons);
+}
+
+/// Kernel against both oracles: coefficients bit-identical to the old
+/// intersection formula and to the brute force, triangle count exact.
+void expectExactClustering(const Graph& graph) {
+  const auto fast = localClusteringCoefficients(graph);
+  const auto reference = bruteForceClustering(graph);
+  const auto previous = intersectionClustering(graph);
+  ASSERT_EQ(fast.size(), graph.vertexCount());
+  ASSERT_EQ(reference.size(), fast.size());
+  for (std::size_t v = 0; v < fast.size(); ++v) {
+    EXPECT_EQ(fast[v], previous[v]) << "vertex " << v;
+    EXPECT_EQ(fast[v], reference[v]) << "vertex " << v;
+  }
+  const std::uint64_t triangles = bruteForceTriangleCount(graph);
+  EXPECT_EQ(triangleCount(graph), triangles);
+  std::uint64_t triples = 0;
+  for (Vertex v = 0; v < graph.vertexCount(); ++v) {
+    const std::uint64_t degree = graph.degree(v);
+    triples += degree < 2 ? 0 : degree * (degree - 1) / 2;
+  }
+  EXPECT_EQ(globalTransitivity(graph),
+            triples == 0 ? 0.0
+                         : 3.0 * static_cast<double>(triangles) /
+                               static_cast<double>(triples));
+}
+
 class ClusteringProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ClusteringProperty, MatchesBruteForceOnRandomGraphs) {
   util::Rng rng(GetParam());
-  const Graph graph = erdosRenyi(60, 240, rng);
-  const auto fast = localClusteringCoefficients(graph);
-  const auto reference = bruteForceClustering(graph);
-  ASSERT_EQ(fast.size(), reference.size());
-  for (std::size_t v = 0; v < fast.size(); ++v) {
-    EXPECT_NEAR(fast[v], reference[v], 1e-12) << "vertex " << v;
+  {
+    SCOPED_TRACE("erdos-renyi");
+    expectExactClustering(erdosRenyi(60, 240, rng));
+  }
+  {
+    SCOPED_TRACE("barabasi-albert");
+    expectExactClustering(barabasiAlbert(200, 4, rng));
+  }
+  {
+    SCOPED_TRACE("watts-strogatz");
+    expectExactClustering(wattsStrogatz(150, 4, 0.2, rng));
+  }
+  {
+    SCOPED_TRACE("overlapping cliques");
+    expectExactClustering(overlappingCliques(200, rng));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusteringProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+TEST(Algorithms, ClusteringOnEmptyGraph) {
+  for (const Graph& graph : {Graph{}, Graph::fromEdges({}, 0)}) {
+    EXPECT_TRUE(localClusteringCoefficients(graph).empty());
+    EXPECT_EQ(triangleCount(graph), 0u);
+    EXPECT_EQ(globalTransitivity(graph), 0.0);
+  }
+}
+
+TEST(Algorithms, ClusteringOnSingleEdge) {
+  const std::vector<Edge> edges{{0, 1, 7}};
+  const Graph graph = Graph::fromEdges(edges, 2);
+  EXPECT_EQ(localClusteringCoefficients(graph),
+            (std::vector<double>{0.0, 0.0}));
+  EXPECT_EQ(triangleCount(graph), 0u);
+  EXPECT_EQ(globalTransitivity(graph), 0.0);
+}
+
+TEST(Algorithms, ClusteringIgnoresIsolatedVertices) {
+  // Triangle {1, 3, 5} among isolated vertices 0, 2, 4, 6.
+  const std::vector<Edge> edges{{1, 3, 1}, {3, 5, 1}, {1, 5, 1}};
+  const Graph graph = Graph::fromEdges(edges, 7);
+  EXPECT_EQ(localClusteringCoefficients(graph),
+            (std::vector<double>{0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0}));
+  EXPECT_EQ(triangleCount(graph), 1u);
+  EXPECT_EQ(globalTransitivity(graph), 1.0);
+}
+
+TEST(Algorithms, ClusteringOnRegularGraphs) {
+  // Every vertex ties on degree, so the rank order falls back to ids.
+  util::Rng rng(37);
+  {
+    SCOPED_TRACE("ring lattice");
+    expectExactClustering(wattsStrogatz(64, 3, 0.0, rng));
+  }
+  {
+    SCOPED_TRACE("disjoint K4s");
+    std::vector<Edge> edges;
+    for (Vertex base = 0; base < 40; base += 4) {
+      for (Vertex a = 0; a < 4; ++a) {
+        for (Vertex b = a + 1; b < 4; ++b) {
+          edges.push_back(Edge{base + a, base + b, 1});
+        }
+      }
+    }
+    const Graph cliques = Graph::fromEdges(edges, 40);
+    EXPECT_EQ(triangleCount(cliques), 40u);  // 10 x C(4,3)
+    expectExactClustering(cliques);
+  }
+}
 
 TEST(Algorithms, VerticesWithinRadius) {
   // Path 0-1-2-3-4.

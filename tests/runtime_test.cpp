@@ -465,6 +465,27 @@ TEST(ParallelFor, ComputesEveryIndexOnce) {
   }
 }
 
+TEST(ParallelFor, WorkerIndexOwnsItsSlot) {
+  // Each worker index runs on one thread, so per-worker slots take plain
+  // (non-atomic) writes; TSan flags any index shared between threads.
+  constexpr unsigned kWorkers = 4;
+  std::vector<std::uint64_t> perWorker(kWorkers, 0);
+  std::vector<std::atomic<int>> touched(1000);
+  parallelFor(1000, kWorkers, [&](std::uint64_t i, unsigned worker) {
+    ASSERT_LT(worker, kWorkers);
+    perWorker[worker] += i;
+    touched[i].fetch_add(1);
+  });
+  std::uint64_t total = 0;
+  for (std::uint64_t sum : perWorker) {
+    total += sum;
+  }
+  EXPECT_EQ(total, 999u * 1000u / 2u);
+  for (const auto& count : touched) {
+    EXPECT_EQ(count.load(), 1);
+  }
+}
+
 TEST(ParallelFor, ZeroCountNoop) {
   parallelFor(0, 4, [](std::uint64_t) { FAIL() << "must not run"; });
 }
