@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "chisimnet/runtime/thread_pool.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/timer.hpp"
 
@@ -21,31 +20,16 @@ runtime::Partition SynthesisExecutor::repartition(
 void SynthesisExecutor::reduceSums(
     std::vector<sparse::SymmetricAdjacency>& workerSums,
     sparse::SymmetricAdjacency& result) {
+  // Paper §IV.A step 6: the root adds the worker sums into the result one
+  // after another, releasing each table as soon as it has been folded.
   lastReduce_ = ReduceStats{};
-  lastReduce_.tree = config_.treeReduce;
   lastReduce_.mergedSums = workerSums.size();
-  if (config_.treeReduce && workerSums.size() > 1) {
-    const runtime::TreeReduceStats stats = runtime::treeReduce(
-        workerSums, config_.workers,
-        [](sparse::SymmetricAdjacency& into, sparse::SymmetricAdjacency& from) {
-          into.merge(from);
-          from = sparse::SymmetricAdjacency(0);  // release the merged table
-        });
-    lastReduce_.depth = stats.depth;
-    lastReduce_.criticalSeconds = stats.criticalSeconds;
-    // The fold into the cross-batch accumulator stays on the critical path
-    // whichever shape ran, so it counts toward the modeled time too. Both
-    // shapes use the thread-CPU clock, matching treeReduce's merge timing.
-    util::ThreadCpuTimer timer;
-    result.merge(workerSums.front());
-    lastReduce_.criticalSeconds += timer.seconds();
-  } else {
-    util::ThreadCpuTimer timer;
-    for (const sparse::SymmetricAdjacency& workerSum : workerSums) {
-      result.merge(workerSum);
-    }
-    lastReduce_.criticalSeconds = timer.seconds();
+  util::ThreadCpuTimer timer;
+  for (sparse::SymmetricAdjacency& workerSum : workerSums) {
+    result.merge(workerSum);
+    workerSum = sparse::SymmetricAdjacency(0);
   }
+  lastReduce_.criticalSeconds = timer.seconds();
   workerSums.clear();
 }
 
@@ -132,7 +116,6 @@ void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   CHISIM_REQUIRE(!spillSums_.empty(),
                  "reduceInto without a budgeted mapAdjacency");
   lastReduce_ = ReduceStats{};
-  lastReduce_.tree = false;  // the sink replaces the pairwise tree
   lastReduce_.mergedSums = spillSums_.size();
   // The worker maps lived beside the sink's resident shards; their summed
   // historical peaks are reported as the (pessimistic) stage-5 transient.

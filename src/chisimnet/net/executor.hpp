@@ -46,14 +46,10 @@ class StreamTransport;
 
 namespace chisimnet::net {
 
-/// Shape and modeled timing of one stage-6 reduce.
+/// Size and timing of one stage-6 reduce.
 struct ReduceStats {
-  bool tree = false;             ///< folded via the log-depth merge tree
-  unsigned depth = 0;            ///< merge-tree levels (0 = serial)
   std::uint64_t mergedSums = 0;  ///< worker sums folded into the result
-  /// Modeled parallel time: Σ over levels of that level's slowest merge
-  /// (equals total merge time when serial).
-  double criticalSeconds = 0.0;
+  double criticalSeconds = 0.0;  ///< thread-CPU seconds of the root fold
 };
 
 class SynthesisExecutor {
@@ -92,8 +88,7 @@ class SynthesisExecutor {
       const runtime::Partition& partition) = 0;
 
   /// Stage 6: fold the worker sums held since mapAdjacency into `result`,
-  /// via a log-depth pairwise merge tree (config.treeReduce, the default)
-  /// or the serial one-at-a-time root merge (the ablation baseline).
+  /// one after another at the root (paper §IV.A step 6).
   virtual void reduce(sparse::SymmetricAdjacency& result) = 0;
 
   /// Stage 6 under a memory budget: fold the worker sums into the
@@ -115,7 +110,7 @@ class SynthesisExecutor {
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment) = 0;
 
-  /// Shape and modeled timing of the last reduce().
+  /// Size and timing of the last reduce() or reduceInto().
   const ReduceStats& lastReduceStats() const noexcept { return lastReduce_; }
 
   /// Observed busy-time imbalance of the last mapAdjacency; 1.0 if the
@@ -139,7 +134,7 @@ class SynthesisExecutor {
   }
 
  protected:
-  /// Serial/tree fold over root-held worker sums — the shared path for
+  /// Serial fold over root-held worker sums — the shared path for
   /// backends whose sums are already in memory at the root. Consumes the
   /// sums and records lastReduce_.
   void reduceSums(std::vector<sparse::SymmetricAdjacency>& workerSums,
@@ -239,13 +234,10 @@ class MessagePassingExecutor final : public SynthesisExecutor {
       std::span<const std::uint64_t> weights) const override;
   void mapAdjacency(const std::vector<sparse::CollocationMatrix>& matrices,
                     const runtime::Partition& partition) override;
-  /// Rank-pair merge tree over the sorted triplet runs the adjacency stage
-  /// returned: each level pairs up runs, ships the pairs to the live ranks
-  /// (rank 0 inline), and two-pointer-merges them — no hash rebuild.
-  /// config.treeReduce=false instead inserts the runs one rank at a time
-  /// (the pre-tree baseline). Lost-rank reassignment applies per level.
-  /// Runs too large to cross the wire inline arrive and travel as spill
-  /// files (mp::RunRef) and are streamed, never rebuilt whole in memory.
+  /// Inserts the sorted triplet runs the adjacency stage returned into
+  /// `result` one rank at a time. Runs too large to cross the wire inline
+  /// arrive as spill files (mp::RunRef); they are streamed, never rebuilt
+  /// whole in memory, and deleted once read.
   void reduce(sparse::SymmetricAdjacency& result) override;
   /// Budgeted stage 6: worker run files are adopted by the sink directly
   /// (a rename-scoped ownership transfer — zero copy), inline runs are
@@ -294,8 +286,6 @@ class MessagePassingExecutor final : public SynthesisExecutor {
 
   /// Ranks currently able to take work, rank 0 first.
   std::vector<int> liveRanks() const;
-  /// Executes one level of the reduce merge tree over reduceRuns_.
-  void mergeRunsLevel();
   /// Frames and sends `body` as `command` to `rank`, recording it in
   /// pending_ for retry/reassignment.
   void sendCommand(int rank, std::uint32_t command,

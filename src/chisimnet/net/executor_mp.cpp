@@ -585,126 +585,35 @@ void MessagePassingExecutor::mapAdjacency(
   }
 }
 
-void MessagePassingExecutor::mergeRunsLevel() {
-  // One level of the rank-pair merge tree: adjacent runs (2k, 2k+1) pair
-  // up, the pair-merges spread round-robin over the live ranks (rank 0
-  // executes its share inline), and an odd leftover run carries to the
-  // next level. Work items are pair indices, so sendCommand/collectStage
-  // give this level the same retry and lost-rank reassignment semantics as
-  // the other stages; the merged sum is identical whichever rank performs
-  // it. Runs are only consumed after the level completes, so a reassigned
-  // pair can always be rebuilt from reduceRuns_.
-  const std::size_t pairCount = reduceRuns_.size() / 2;
-  const auto buildBody = [this](std::span<const std::size_t> items) {
-    std::vector<std::byte> body;
-    mp::put64(body, nextRunToken_++);
-    mp::put32(body, static_cast<std::uint32_t>(items.size()));
-    for (const std::size_t pair : items) {
-      mp::putRunRef(body, reduceRuns_[2 * pair]);
-      mp::putRunRef(body, reduceRuns_[2 * pair + 1]);
-    }
-    return body;
-  };
-  std::vector<mp::RunRef> next;
-  next.reserve(pairCount + (reduceRuns_.size() & 1));
-  if (reduceRuns_.size() & 1) {
-    next.push_back(std::move(reduceRuns_.back()));
-    reduceRuns_.back() = mp::RunRef{};  // moved-from; not an input file
-  }
-  const std::vector<int> live = liveRanks();
-  std::vector<std::vector<std::size_t>> shares(live.size());
-  for (std::size_t pair = 0; pair < pairCount; ++pair) {
-    // Under run shipping the root's run files are local to the root —
-    // remote workers cannot open them, so any pair touching a file run is
-    // pinned to rank 0 (live[0]; the root is always live) and executes
-    // inline. Inline-only pairs still spread across the workers.
-    const bool rootOnly = shipRuns_ && (reduceRuns_[2 * pair].isFile() ||
-                                        reduceRuns_[2 * pair + 1].isFile());
-    shares[rootOnly ? 0 : pair % shares.size()].push_back(pair);
-  }
-  for (std::size_t slot = 0; slot < live.size(); ++slot) {
-    if (shares[slot].empty()) {
-      continue;
-    }
-    std::vector<std::byte> body = buildBody(shares[slot]);
-    sendCommand(live[slot], mp::kCmdMergeRuns, std::move(shares[slot]),
-                std::move(body));
-  }
-  double levelPeak = 0.0;
-  collectStage(mp::kCmdMergeRuns, buildBody,
-               [this, &next, &levelPeak](std::span<const std::byte> reply) {
-                 std::size_t cursor = 0;
-                 levelPeak =
-                     std::max(levelPeak, mp::takeDouble(reply, cursor));
-                 const std::uint32_t count = mp::take32(reply, cursor);
-                 for (std::uint32_t pair = 0; pair < count; ++pair) {
-                   next.push_back(
-                       localizeRun(mp::takeRunRef(reply, cursor)));
-                 }
-                 CHISIM_CHECK(cursor == reply.size(),
-                              "malformed merge-runs reply");
-               });
-  // Only now that the level is complete (every pair merged somewhere, the
-  // merged outputs in `next`) are the consumed input run files superseded.
-  for (const mp::RunRef& run : reduceRuns_) {
-    if (run.isFile()) {
-      std::error_code ignored;
-      std::filesystem::remove(run.file, ignored);
-    }
-  }
-  reduceRuns_ = std::move(next);
-  ++lastReduce_.depth;
-  lastReduce_.criticalSeconds += levelPeak;
-}
-
 void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
   lastReduce_ = ReduceStats{};
-  lastReduce_.tree = config_.treeReduce;
   lastReduce_.mergedSums = reduceRuns_.size();
-  // Inserts one run — inline or streamed off its spill file — into the
+  // Inserts each run — inline or streamed off its spill file — into the
   // running result, consuming (deleting) file-backed runs. The reserve is
-  // the summed-row-count pre-size (satellite of the sharded merge: sized
-  // from run metadata, counted in the kernel stats).
-  const auto insertRun = [this, &result](const mp::RunRef& run) {
-    if (run.isFile()) {
-      result.reserve(result.edgeCount() + run.triplets);
-      runKernelStats_.mergeReservedEntries += run.triplets;
-      sparse::SpillRunReader reader(run.file);
-      sparse::AdjacencyTriplet triplet;
-      while (reader.next(triplet)) {
-        result.add(triplet.i, triplet.j, triplet.weight);
-      }
-      std::error_code ignored;
-      std::filesystem::remove(run.file, ignored);
-    } else {
-      result.reserve(result.edgeCount() + run.inlineRun.size());
-      runKernelStats_.mergeReservedEntries += run.inlineRun.size();
-      for (const sparse::AdjacencyTriplet& triplet : run.inlineRun) {
-        result.add(triplet.i, triplet.j, triplet.weight);
-      }
-    }
-  };
+  // the summed-row-count pre-size (sized from run metadata, counted in the
+  // kernel stats).
   try {
-    if (config_.treeReduce) {
-      while (reduceRuns_.size() > 1) {
-        mergeRunsLevel();
+    util::ThreadCpuTimer timer;
+    for (const mp::RunRef& run : reduceRuns_) {
+      if (run.isFile()) {
+        result.reserve(result.edgeCount() + run.triplets);
+        runKernelStats_.mergeReservedEntries += run.triplets;
+        sparse::SpillRunReader reader(run.file);
+        sparse::AdjacencyTriplet triplet;
+        while (reader.next(triplet)) {
+          result.add(triplet.i, triplet.j, triplet.weight);
+        }
+        std::error_code ignored;
+        std::filesystem::remove(run.file, ignored);
+      } else {
+        result.reserve(result.edgeCount() + run.inlineRun.size());
+        runKernelStats_.mergeReservedEntries += run.inlineRun.size();
+        for (const sparse::AdjacencyTriplet& triplet : run.inlineRun) {
+          result.add(triplet.i, triplet.j, triplet.weight);
+        }
       }
-      // Only the single surviving run crosses into the running result. The
-      // root-side insert is on the critical path either way, so it counts.
-      util::WallTimer timer;
-      for (const mp::RunRef& run : reduceRuns_) {
-        insertRun(run);
-      }
-      lastReduce_.criticalSeconds += timer.seconds();
-    } else {
-      // Serial baseline: insert each rank's run into the root map one at a
-      // time (the pre-tree behavior, kept for the ablation bench).
-      util::WallTimer timer;
-      for (const mp::RunRef& run : reduceRuns_) {
-        insertRun(run);
-      }
-      lastReduce_.criticalSeconds = timer.seconds();
     }
+    lastReduce_.criticalSeconds = timer.seconds();
   } catch (...) {
     team_->rethrowServiceError();
     throw;
@@ -717,13 +626,12 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
 
 void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   lastReduce_ = ReduceStats{};
-  lastReduce_.tree = false;  // the sink replaces the pairwise tree
   lastReduce_.mergedSums = reduceRuns_.size();
   // The workers' stage-5 maps were alive concurrently with the sink's
   // resident shards — the budget guarantee must account for both.
   sink.noteWorkerPeak(workerPeakBytes_);
   try {
-    util::WallTimer timer;
+    util::ThreadCpuTimer timer;
     for (mp::RunRef& run : reduceRuns_) {
       if (run.isFile()) {
         sink.adoptRunFile(runRefInfo(run));  // ownership transfer, no copy

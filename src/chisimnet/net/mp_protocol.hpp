@@ -45,7 +45,7 @@ enum Command : std::uint32_t {
   kCmdCollocation = 1,
   kCmdAdjacency = 2,
   kCmdStop = 3,
-  kCmdMergeRuns = 4,   ///< one reduce-tree level: merge sorted triplet runs
+  // 4 is retired (a reduce-tree level); workers reject it as unknown.
   kCmdMergeShard = 5,  ///< merge the spill runs of row-range shards into
                        ///< CADJ payload segments (stage-6 external merge)
 };

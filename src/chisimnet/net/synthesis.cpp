@@ -217,9 +217,8 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
   report_.adjacencyBusyImbalance = executor_->adjacencyBusyImbalance();
   timer.reset();
 
-  // Stage 6: fold the worker sums into the running result — into the dense
-  // map (log-depth merge tree by default, serial root merge behind
-  // config.treeReduce), or under a memory budget into the spilling
+  // Stage 6: fold the worker sums into the running result — one after
+  // another into the dense map, or under a memory budget into the spilling
   // accumulator, which adopts worker run files in place of merging maps.
   runtime::fault::hit("driver.reduce");
   if (dense != nullptr) {
@@ -229,9 +228,6 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
   }
   report_.reduceSeconds += timer.seconds();
   const ReduceStats& reduceStats = executor_->lastReduceStats();
-  report_.treeReduceEnabled = reduceStats.tree;
-  report_.reduceTreeDepth =
-      std::max(report_.reduceTreeDepth, reduceStats.depth);
   report_.reduceMergedSums += reduceStats.mergedSums;
   report_.reduceCriticalSeconds += reduceStats.criticalSeconds;
 

@@ -147,12 +147,6 @@ struct SynthesisConfig {
   /// pair; kSpGemm is the paper-faithful per-pair-hour global insert. All
   /// methods produce bit-identical adjacencies.
   sparse::AdjacencyMethod method = sparse::AdjacencyMethod::kLocalAccumulate;
-  /// true: stage 6 folds worker sums through a log-depth pairwise merge
-  /// tree (thread-pool merges on shared memory, rank-pair sorted-run
-  /// merges on message passing); false: the serial one-at-a-time root
-  /// merge (the ablation baseline). Output is identical either way, so
-  /// this is a perf knob and not part of the checkpoint config hash.
-  bool treeReduce = true;
   /// true: nnz-based LPT re-partitioning (the paper's scheme);
   /// false: contiguous equal-count lists (the naive ablation baseline).
   bool balancedPartition = true;
@@ -343,16 +337,10 @@ struct SynthesisReport {
   std::uint64_t kernelPairHourUpdates = 0;  ///< local increments
   std::uint64_t kernelGlobalEmits = 0;  ///< distinct-pair global inserts
 
-  // ---- stage-6 reduce shape ----
+  // ---- stage-6 reduce ----
 
-  bool treeReduceEnabled = false;
-  unsigned reduceTreeDepth = 0;  ///< deepest merge tree of any batch
   std::uint64_t reduceMergedSums = 0;   ///< worker sums folded, all batches
-  /// Modeled parallel reduce time: per tree level, only the slowest merge
-  /// is on the critical path; this sums those maxima (equals the serial
-  /// merge time when treeReduce is off). On a multi-core host this is what
-  /// stage 6 would cost; single-core wall time cannot show the win.
-  double reduceCriticalSeconds = 0.0;
+  double reduceCriticalSeconds = 0.0;   ///< thread-CPU seconds of the root fold
 
   // ---- fault section: every recovery action of the run ----
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -13,8 +12,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "chisimnet/util/timer.hpp"
 
 /// Fixed-size worker pool plus a chunked parallel-for. Used by the Cluster
 /// task farm, the prefetching log loader, and by callers that want
@@ -84,48 +81,5 @@ void parallelFor(std::uint64_t count, unsigned workers,
 /// arrays, partial counters) without locks. The calling thread is worker 0.
 void parallelFor(std::uint64_t count, unsigned workers,
                  const std::function<void(std::uint64_t, unsigned)>& body);
-
-/// Timing record of one treeReduce() call. `criticalSeconds` sums the
-/// slowest merge of each level — the modeled parallel time of the tree,
-/// which is what a multi-core host would observe (this repo's benches run
-/// on one core, so wall time alone cannot show the log-depth win). Merges
-/// are timed on the per-thread CPU clock so the model stays valid when
-/// concurrent merges time-slice a smaller core count.
-struct TreeReduceStats {
-  unsigned depth = 0;             ///< number of merge levels (⌈log2 n⌉)
-  std::uint64_t merges = 0;       ///< total pairwise merges (n-1)
-  double criticalSeconds = 0.0;   ///< Σ per-level max merge seconds
-};
-
-/// Log-depth pairwise reduction of `items` into items[0]. Each level merges
-/// disjoint (left, left+stride) pairs concurrently via parallelFor;
-/// `merge(into, from)` must leave the sum in `into` and may gut `from`.
-/// Odd leftovers at a level are carried to the next, so any item count —
-/// including odd worker counts — folds in ⌈log2 n⌉ levels. Deterministic
-/// for commutative+associative merges regardless of worker count.
-template <class T, class Merge>
-TreeReduceStats treeReduce(std::vector<T>& items, unsigned workers,
-                           Merge&& merge) {
-  TreeReduceStats stats;
-  const std::uint64_t n = items.size();
-  for (std::uint64_t stride = 1; stride < n; stride *= 2) {
-    const std::uint64_t pairCount = (n - stride - 1) / (2 * stride) + 1;
-    std::vector<double> mergeSeconds(pairCount, 0.0);
-    parallelFor(pairCount,
-                std::max<unsigned>(
-                    1, std::min<std::uint64_t>(workers, pairCount)),
-                [&](std::uint64_t k) {
-                  const std::uint64_t left = 2 * stride * k;
-                  util::ThreadCpuTimer timer;
-                  merge(items[left], items[left + stride]);
-                  mergeSeconds[k] = timer.seconds();
-                });
-    stats.criticalSeconds +=
-        *std::max_element(mergeSeconds.begin(), mergeSeconds.end());
-    stats.merges += pairCount;
-    ++stats.depth;
-  }
-  return stats;
-}
 
 }  // namespace chisimnet::runtime

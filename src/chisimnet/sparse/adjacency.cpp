@@ -241,31 +241,6 @@ std::vector<AdjacencyTriplet> SymmetricAdjacency::toTriplets() const {
   return triplets;
 }
 
-std::vector<AdjacencyTriplet> mergeSortedTriplets(
-    std::span<const AdjacencyTriplet> a, std::span<const AdjacencyTriplet> b) {
-  std::vector<AdjacencyTriplet> merged;
-  merged.reserve(a.size() + b.size());
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    const std::uint64_t keyA = packPair(a[ia].i, a[ia].j);
-    const std::uint64_t keyB = packPair(b[ib].i, b[ib].j);
-    if (keyA < keyB) {
-      merged.push_back(a[ia++]);
-    } else if (keyB < keyA) {
-      merged.push_back(b[ib++]);
-    } else {
-      merged.push_back(
-          AdjacencyTriplet{a[ia].i, a[ia].j, a[ia].weight + b[ib].weight});
-      ++ia;
-      ++ib;
-    }
-  }
-  merged.insert(merged.end(), a.begin() + ia, a.end());
-  merged.insert(merged.end(), b.begin() + ib, b.end());
-  return merged;
-}
-
 namespace {
 
 /// Exhausted-leaf sentinel. Real packed keys satisfy i < j, so the key of a

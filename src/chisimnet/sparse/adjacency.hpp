@@ -33,8 +33,8 @@ enum class AdjacencyMethod {
   kLocalAccumulate,
 };
 
-/// Diagnostic counters from the local-coordinate kernel, merged up the
-/// reduce tree alongside the weights (not part of the matrix value).
+/// Diagnostic counters from the local-coordinate kernel, merged through the
+/// stage-6 reduce alongside the weights (not part of the matrix value).
 struct AdjacencyKernelStats {
   std::uint64_t densePlaces = 0;     ///< places on the triangular-array path
   std::uint64_t hashPlaces = 0;      ///< places on the local-hash path
@@ -111,12 +111,6 @@ class SymmetricAdjacency {
   AdjacencyKernelStats kernelStats_;
 };
 
-/// Merges two (i,j)-sorted triplet runs into one sorted run, summing the
-/// weights of equal pairs. The reduce tree's building block: no hash table
-/// is rebuilt, just a two-pointer walk.
-std::vector<AdjacencyTriplet> mergeSortedTriplets(
-    std::span<const AdjacencyTriplet> a, std::span<const AdjacencyTriplet> b);
-
 /// A pull stream of (i,j)-sorted triplets with strictly increasing packed
 /// keys. The unit the external-memory merge composes over: in-memory runs,
 /// spill-run files (sparse/spill.hpp), and merger outputs all speak it.
@@ -153,8 +147,8 @@ class SpanTripletSource final : public TripletSource {
   std::size_t cursor_ = 0;
 };
 
-/// K-way generalization of mergeSortedTriplets: a loser-tree tournament
-/// over k sorted sources, emitting one strictly key-ascending stream with
+/// K-way merge of sorted runs: a loser-tree tournament over k sorted
+/// sources, emitting one strictly key-ascending stream with
 /// the weights of pairs that appear in several sources summed. Each next()
 /// costs O(log k) comparisons and replays only the path from the winning
 /// leaf to the root, so merging spilled runs streams through bounded

@@ -378,8 +378,7 @@ struct ShardSegment {
   std::uint64_t bytes = 0;
   std::uint32_t crc = 0;
   /// Thread-CPU seconds of this shard's merge. Per-owner sums of these
-  /// model the parallel critical path on one-core hosts, the same way
-  /// runtime::TreeReduceStats does for the stage-6 reduce tree.
+  /// model the parallel critical path on one-core hosts.
   double mergeSeconds = 0.0;
   unsigned owner = 0;  ///< worker index / rank that ran the merge
 };

@@ -10,6 +10,7 @@
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 /// Executor-abstraction tests: the message-passing backend must run the
 /// exact same stage driver as the shared-memory backend — same adjacency
@@ -24,17 +25,6 @@ using table::Event;
 
 class DistributedSynthesisTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_dist_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   /// When byPlace is set, events land in the file owning their place (as
   /// real per-rank logs do) so whole-file batching is exactly additive.
   std::vector<std::filesystem::path> writeRandomLogs(std::uint64_t seed,
@@ -56,7 +46,7 @@ class DistributedSynthesisTest : public ::testing::Test {
     }
     std::vector<std::filesystem::path> paths;
     for (int f = 0; f < files; ++f) {
-      const auto path = elog::logFilePath(dir_, f);
+      const auto path = elog::logFilePath(scratch_.path(), f);
       elog::ChunkedLogWriter writer(path);
       writer.writeChunk(buffers[f]);
       writer.close();
@@ -65,7 +55,7 @@ class DistributedSynthesisTest : public ::testing::Test {
     return paths;
   }
 
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_dist"};
 };
 
 TEST(CollocationSerialization, RoundTrip) {
@@ -189,13 +179,18 @@ TEST_F(DistributedSynthesisTest, BatchingAndPrefetchWorkOnMessagePassing) {
 TEST_F(DistributedSynthesisTest, InMemoryTableWorksOnMessagePassing) {
   const auto files = writeRandomLogs(21, 400, 2);
   const table::EventTable events = elog::loadEvents(files, 0, 96);
+  const auto reference = bruteForceAdjacency(events, 0, 96).toTriplets();
   SynthesisConfig config;
   config.windowEnd = 96;
-  config.workers = 3;
   config.backend = SynthesisBackend::kMessagePassing;
-  NetworkSynthesizer mp(config);
-  EXPECT_EQ(mp.synthesizeAdjacency(events).toTriplets(),
-            bruteForceAdjacency(events, 0, 96).toTriplets());
+  // Beside 3 ranks: a single rank's run and an odd rank count.
+  for (const unsigned workers : {1u, 3u, 5u}) {
+    config.workers = workers;
+    NetworkSynthesizer mp(config);
+    EXPECT_EQ(mp.synthesizeAdjacency(events).toTriplets(), reference)
+        << workers << " ranks";
+    EXPECT_EQ(mp.report().reduceMergedSums, workers) << workers << " ranks";
+  }
 }
 
 TEST_F(DistributedSynthesisTest, WindowRestrictsResult) {
@@ -276,21 +271,26 @@ TEST_F(DistributedSynthesisTest, AllAdjacencyMethodsAgree) {
   EXPECT_GE(report.kernelPairHourUpdates, report.kernelGlobalEmits);
 }
 
-TEST_F(DistributedSynthesisTest, TreeAndSerialReduceAgree) {
-  const auto files = writeRandomLogs(10, 600, 2);
-  SynthesisConfig config;
-  config.windowEnd = 96;
-  config.workers = 5;  // odd rank count: the run tree carries a leftover
-  config.backend = SynthesisBackend::kMessagePassing;
-  config.treeReduce = true;
-  NetworkSynthesizer treeRun(config);
-  const auto tree = treeRun.synthesizeAdjacency(files);
-  EXPECT_TRUE(treeRun.report().treeReduceEnabled);
-  EXPECT_GE(treeRun.report().reduceTreeDepth, 1u);
-  config.treeReduce = false;
-  NetworkSynthesizer serialRun(config);
-  EXPECT_EQ(tree.toTriplets(), serialRun.synthesizeAdjacency(files).toTriplets());
-  EXPECT_FALSE(serialRun.report().treeReduceEnabled);
+TEST(MpProtocol, RetiredMergeRunsCommandIsRejected) {
+  // Command id 4 once ran a reduce-tree level. A stray frame carrying it
+  // (say, from an older root) must fail the CHISIM_CHECK on unknown
+  // commands, not be misread as another stage's body.
+  std::vector<std::byte> body;
+  mp::put64(body, 1);  // the retired body's run token
+  mp::put32(body, 0);  // and its pair count
+  static_assert(mp::kCmdMergeShard == 5, "command ids are never renumbered");
+  try {
+    mp::executeSynthesisCommand(mp::StageParams{}, 4, body);
+    FAIL() << "retired command 4 was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("CHISIM_CHECK"),
+              std::string::npos)
+        << error.what();
+    EXPECT_NE(std::string(error.what()).find("unknown synthesis executor "
+                                             "command 4"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST_F(DistributedSynthesisTest, RejectsBadInputs) {

@@ -8,6 +8,7 @@
 #include "chisimnet/net/demography.hpp"
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 namespace chisimnet::net {
 namespace {
@@ -64,11 +65,16 @@ TEST(Synthesis, MatchesBruteForceOnKnownScenario) {
 class SynthesisProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SynthesisProperty, PipelineEqualsBruteForce) {
+  // Beside the default 3 workers: a single worker sum and an odd count.
   const table::EventTable events = randomEvents(GetParam(), 300);
-  NetworkSynthesizer synthesizer(baseConfig());
-  const auto pipeline = synthesizer.synthesizeAdjacency(events);
   const auto reference = bruteForceAdjacency(events, 0, 48);
-  expectEqualAdjacency(pipeline, reference);
+  for (const unsigned workers : {1u, 3u, 5u}) {
+    SynthesisConfig config = baseConfig();
+    config.workers = workers;
+    NetworkSynthesizer synthesizer(config);
+    expectEqualAdjacency(synthesizer.synthesizeAdjacency(events), reference);
+    EXPECT_EQ(synthesizer.report().reduceMergedSums, workers);
+  }
 }
 
 TEST_P(SynthesisProperty, AllAdjacencyMethodsAgree) {
@@ -83,22 +89,6 @@ TEST_P(SynthesisProperty, AllAdjacencyMethodsAgree) {
   config.method = sparse::AdjacencyMethod::kLocalAccumulate;
   NetworkSynthesizer local(config);
   expectEqualAdjacency(reference, local.synthesizeAdjacency(events));
-}
-
-TEST_P(SynthesisProperty, TreeAndSerialReduceAgree) {
-  const table::EventTable events = randomEvents(GetParam() + 400, 300);
-  SynthesisConfig config = baseConfig();
-  config.workers = 5;  // odd count: the merge tree carries a leftover
-  config.treeReduce = true;
-  NetworkSynthesizer tree(config);
-  const auto treeResult = tree.synthesizeAdjacency(events);
-  EXPECT_TRUE(tree.report().treeReduceEnabled);
-  EXPECT_GE(tree.report().reduceTreeDepth, 1u);
-  config.treeReduce = false;
-  NetworkSynthesizer serial(config);
-  const auto serialResult = serial.synthesizeAdjacency(events);
-  EXPECT_FALSE(serial.report().treeReduceEnabled);
-  expectEqualAdjacency(treeResult, serialResult);
 }
 
 TEST_P(SynthesisProperty, BalancedAndNaivePartitionsAgree) {
@@ -173,17 +163,6 @@ TEST(Synthesis, GraphConstructionMatchesAdjacency) {
 
 class SynthesisFileTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_net_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   /// Splits `events` round-robin across `fileCount` CLG5 files, mimicking
   /// per-rank logs.
   std::vector<std::filesystem::path> writeFiles(const table::EventTable& events,
@@ -195,7 +174,7 @@ class SynthesisFileTest : public ::testing::Test {
     }
     std::vector<std::filesystem::path> files;
     for (int i = 0; i < fileCount; ++i) {
-      const auto path = elog::logFilePath(dir_, i);
+      const auto path = elog::logFilePath(scratch_.path(), i);
       elog::ChunkedLogWriter writer(path);
       writer.writeChunk(buffers[i]);
       writer.close();
@@ -204,7 +183,7 @@ class SynthesisFileTest : public ::testing::Test {
     return files;
   }
 
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_net"};
 };
 
 TEST_F(SynthesisFileTest, FileAndTablePathsAgree) {

@@ -500,55 +500,6 @@ TEST(ParallelFor, PropagatesException) {
                std::logic_error);
 }
 
-// ---- tree reduce ----------------------------------------------------------
-
-TEST(TreeReduce, FoldsEverythingIntoFront) {
-  // Sum with a non-invertible trace of which elements were merged: the
-  // result must contain every input exactly once regardless of tree shape.
-  for (const std::size_t count : {1u, 2u, 3u, 5u, 7u, 8u, 13u, 16u, 17u}) {
-    std::vector<std::uint64_t> items(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      items[i] = std::uint64_t{1} << i;  // distinct bits
-    }
-    const TreeReduceStats stats = treeReduce(
-        items, 4, [](std::uint64_t& into, std::uint64_t& from) {
-          into |= from;
-          from = 0;
-        });
-    EXPECT_EQ(items.front(), (std::uint64_t{1} << count) - 1)
-        << "count=" << count;
-    EXPECT_EQ(stats.merges, count - 1) << "count=" << count;
-    unsigned expectedDepth = 0;
-    for (std::size_t span = 1; span < count; span *= 2) {
-      ++expectedDepth;
-    }
-    EXPECT_EQ(stats.depth, expectedDepth) << "count=" << count;
-  }
-}
-
-TEST(TreeReduce, OddWorkerCountsAndSingleItem) {
-  for (const unsigned workers : {1u, 3u, 5u, 7u}) {
-    std::vector<std::uint64_t> items{3, 5, 7, 11, 13};
-    treeReduce(items, workers,
-               [](std::uint64_t& into, std::uint64_t& from) { into += from; });
-    EXPECT_EQ(items.front(), 39u) << "workers=" << workers;
-  }
-  std::vector<std::uint64_t> single{42};
-  const TreeReduceStats stats = treeReduce(
-      single, 4, [](std::uint64_t&, std::uint64_t&) { FAIL() << "no merge"; });
-  EXPECT_EQ(single.front(), 42u);
-  EXPECT_EQ(stats.depth, 0u);
-  EXPECT_EQ(stats.merges, 0u);
-}
-
-TEST(TreeReduce, EmptyItemsNoop) {
-  std::vector<int> items;
-  const TreeReduceStats stats =
-      treeReduce(items, 4, [](int&, int&) { FAIL() << "no merge"; });
-  EXPECT_EQ(stats.depth, 0u);
-  EXPECT_EQ(stats.merges, 0u);
-}
-
 // ---- partitioner ----------------------------------------------------------
 
 std::vector<std::uint64_t> randomWeights(std::uint64_t seed, std::size_t count,

@@ -301,26 +301,6 @@ TEST(LocalAccumulateCrossover, StatsSurviveMerge) {
   EXPECT_EQ(a.kernelStats().pairHourUpdates, updates);
 }
 
-TEST(MergeSortedTriplets, SumsOverlappingPairs) {
-  const std::vector<AdjacencyTriplet> a{{1, 2, 10}, {1, 5, 1}, {3, 4, 2}};
-  const std::vector<AdjacencyTriplet> b{{1, 5, 4}, {2, 3, 7}, {3, 4, 1}};
-  const auto merged = mergeSortedTriplets(a, b);
-  const std::vector<AdjacencyTriplet> expected{
-      {1, 2, 10}, {1, 5, 5}, {2, 3, 7}, {3, 4, 3}};
-  EXPECT_EQ(merged, expected);
-}
-
-TEST(MergeSortedTriplets, DisjointAndEmptyRuns) {
-  const std::vector<AdjacencyTriplet> a{{1, 2, 1}, {9, 10, 2}};
-  const std::vector<AdjacencyTriplet> b{{4, 6, 3}};
-  const auto merged = mergeSortedTriplets(a, b);
-  const std::vector<AdjacencyTriplet> expected{{1, 2, 1}, {4, 6, 3}, {9, 10, 2}};
-  EXPECT_EQ(merged, expected);
-  EXPECT_EQ(mergeSortedTriplets(a, {}), a);
-  EXPECT_EQ(mergeSortedTriplets({}, b), b);
-  EXPECT_TRUE(mergeSortedTriplets({}, {}).empty());
-}
-
 TEST(AdjacencyFromCollocations, SumsAcrossPlaces) {
   // Two places where persons 1 and 2 are collocated for 2 and 3 hours.
   const std::vector<Event> placeA{{0, 2, 1, 0, 10}, {0, 2, 2, 0, 10}};

@@ -142,13 +142,9 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
       if (!prefetch) {
         EXPECT_DOUBLE_EQ(report.loadExposedSeconds, report.loadSeconds);
       }
-      // Default config runs the local-coordinate kernel and the tree
-      // reduce; the counters must be self-consistent.
-      EXPECT_TRUE(report.treeReduceEnabled);
+      // Default config runs the local-coordinate kernel and the root
+      // fold; the counters must be self-consistent.
       EXPECT_GT(report.reduceMergedSums, 0u);
-      if (workers > 1) {
-        EXPECT_GE(report.reduceTreeDepth, 1u);
-      }
       EXPECT_LE(report.kernelDensePlaces + report.kernelHashPlaces,
                 report.placesProcessed);
       EXPECT_LE(report.kernelGlobalEmits, report.kernelPairHourUpdates);
@@ -171,38 +167,28 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
     }
   }
 
-  // Kernel (old per-pair-hour SpGEMM vs new local-coordinate) and reduce
-  // shape (serial root merge vs log-depth tree) are perf knobs only: every
-  // combination, on both backends, must be bit-identical to the brute
-  // force for every seed.
+  // The kernel (old per-pair-hour SpGEMM vs new local-coordinate) is a
+  // perf knob only: both, on both backends, must be bit-identical to the
+  // brute force for every seed.
   config.prefetch = true;
   for (const sparse::AdjacencyMethod method :
        {sparse::AdjacencyMethod::kSpGemm,
         sparse::AdjacencyMethod::kLocalAccumulate}) {
-    for (const bool tree : {false, true}) {
-      for (const SynthesisBackend backend :
-           {SynthesisBackend::kSharedMemory,
-            SynthesisBackend::kMessagePassing}) {
-        config.method = method;
-        config.treeReduce = tree;
-        config.backend = backend;
-        config.workers =
-            backend == SynthesisBackend::kSharedMemory ? 7u : 3u;
-        NetworkSynthesizer synthesizer(config);
-        expectEqualAdjacency(
-            synthesizer.synthesizeAdjacency(files), reference,
-            "seed " + std::to_string(seed) + " " + backendName(backend) +
-                (method == sparse::AdjacencyMethod::kSpGemm ? " spgemm"
-                                                            : " local") +
-                (tree ? " tree" : " serial-reduce"));
+    for (const SynthesisBackend backend :
+         {SynthesisBackend::kSharedMemory,
+          SynthesisBackend::kMessagePassing}) {
+      config.method = method;
+      config.backend = backend;
+      config.workers = backend == SynthesisBackend::kSharedMemory ? 7u : 3u;
+      NetworkSynthesizer synthesizer(config);
+      expectEqualAdjacency(
+          synthesizer.synthesizeAdjacency(files), reference,
+          "seed " + std::to_string(seed) + " " + backendName(backend) +
+              (method == sparse::AdjacencyMethod::kSpGemm ? " spgemm"
+                                                          : " local"));
+      if (method == sparse::AdjacencyMethod::kSpGemm) {
         const SynthesisReport& report = synthesizer.report();
-        EXPECT_EQ(report.treeReduceEnabled, tree);
-        if (!tree) {
-          EXPECT_EQ(report.reduceTreeDepth, 0u);
-        }
-        if (method == sparse::AdjacencyMethod::kSpGemm) {
-          EXPECT_EQ(report.kernelDensePlaces + report.kernelHashPlaces, 0u);
-        }
+        EXPECT_EQ(report.kernelDensePlaces + report.kernelHashPlaces, 0u);
       }
     }
   }
@@ -213,7 +199,6 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
   // practically every batch) must both stay bit-identical to the brute
   // force, per backend and kernel.
   config.method = sparse::AdjacencyMethod::kLocalAccumulate;
-  config.treeReduce = true;
   for (const std::uint64_t budget : {std::uint64_t{32} * 1024,
                                      std::uint64_t{1}}) {
     for (const SynthesisBackend backend :

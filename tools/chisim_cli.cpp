@@ -22,9 +22,12 @@
 #include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,7 +39,9 @@ namespace {
 
 using namespace chisimnet;
 
-/// Minimal --key value argument parser.
+/// Minimal --key value argument parser. Every accessor records the key it
+/// was asked for; rejectUnknown() then fails on any option the subcommand
+/// never read, so a typo or a retired flag is an error, not a no-op.
 class Args {
  public:
   Args(int argc, char** argv, int firstArg) {
@@ -54,15 +59,15 @@ class Args {
     }
   }
 
-  bool has(const std::string& key) const { return values_.contains(key); }
+  bool has(const std::string& key) const { return find(key) != values_.end(); }
 
   std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
 
   std::string requireStr(const std::string& key) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end() || it->second.empty()) {
       throw std::invalid_argument("missing required option --" + key);
     }
@@ -70,7 +75,7 @@ class Args {
   }
 
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) {
       return fallback;
     }
@@ -85,10 +90,23 @@ class Args {
     return value;
   }
 
+  /// u64() narrowed to T; a value T cannot hold is rejected rather than
+  /// wrapped (--workers 4294967297 must not run with 1 worker).
+  template <class T>
+  T num(const std::string& key, T fallback) const {
+    const std::uint64_t value = u64(key, static_cast<std::uint64_t>(fallback));
+    if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+      throw std::out_of_range(
+          "--" + key + " " + std::to_string(value) + " is out of range (max " +
+          std::to_string(std::numeric_limits<T>::max()) + ")");
+    }
+    return static_cast<T>(value);
+  }
+
   /// Byte size with an optional K/M/G (KiB/MiB/GiB) suffix, e.g.
   /// --memory-budget 256M.
   std::uint64_t bytes(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) {
       return fallback;
     }
@@ -113,33 +131,52 @@ class Args {
           "--" + key + " expects a byte size like 4096, 256M or 12G, got: " +
           it->second);
     }
+    if (value > std::numeric_limits<std::uint64_t>::max() / multiplier) {
+      throw std::out_of_range("--" + key + " " + it->second +
+                              " overflows a 64-bit byte count");
+    }
     return value * multiplier;
   }
 
   double real(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) {
       return fallback;
     }
     return std::stod(it->second);
   }
 
+  /// Throws on the first given option no accessor has asked for. Each
+  /// subcommand calls this once, after reading its options and before
+  /// doing any work.
+  void rejectUnknown() const {
+    for (const auto& entry : values_) {
+      if (!read_.contains(entry.first)) {
+        throw std::invalid_argument("unknown option --" + entry.first);
+      }
+    }
+  }
+
  private:
+  std::map<std::string, std::string>::const_iterator find(
+      const std::string& key) const {
+    read_.insert(key);
+    return values_.find(key);
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 int cmdSimulate(const Args& args) {
   pop::PopulationConfig popConfig;
-  popConfig.personCount = static_cast<std::uint32_t>(args.u64("persons", 20000));
+  popConfig.personCount = args.num<std::uint32_t>("persons", 20000);
   popConfig.seed = args.u64("seed", 20170517);
-  const auto population = pop::SyntheticPopulation::generate(popConfig);
-  std::cout << "population: " << population.persons().size() << " persons, "
-            << population.places().size() << " places\n";
 
   abm::ModelConfig config;
   config.logDirectory = args.requireStr("logs");
-  config.rankCount = static_cast<int>(args.u64("ranks", 4));
-  config.weeks = static_cast<std::uint32_t>(args.u64("weeks", 1));
+  config.rankCount = args.num<int>("ranks", 4);
+  config.weeks = args.num<std::uint32_t>("weeks", 1);
   config.scheduleSeed = args.u64("schedule-seed", 7);
   config.logCacheEntries = args.u64("cache", elog::kDefaultCacheEntries);
   if (args.str("partition", "neighborhood") == "round-robin") {
@@ -159,8 +196,18 @@ int cmdSimulate(const Args& args) {
   }
   config.checkpointDir = args.str("checkpoint-dir", "");
   config.checkpointEveryHours =
-      static_cast<std::uint32_t>(args.u64("sim-checkpoint-hours", 0));
+      args.num<std::uint32_t>("sim-checkpoint-hours", 0);
   config.resume = args.has("resume");
+  const bool withDisease = args.has("disease");
+  abm::DiseaseConfig disease;
+  disease.beta = args.real("beta", 0.002);
+  disease.seedCount = args.num<std::uint32_t>("seeds", 5);
+  disease.seed = args.u64("disease-seed", 99);
+  args.rejectUnknown();
+
+  const auto population = pop::SyntheticPopulation::generate(popConfig);
+  std::cout << "population: " << population.persons().size() << " persons, "
+            << population.places().size() << " places\n";
 
   // SIGTERM/SIGINT become a graceful checkpoint-and-exit only when there
   // is a checkpoint directory to write to; otherwise the default
@@ -172,11 +219,7 @@ int cmdSimulate(const Args& args) {
   }
 
   abm::ModelStats stats;
-  if (args.has("disease")) {
-    abm::DiseaseConfig disease;
-    disease.beta = args.real("beta", 0.002);
-    disease.seedCount = static_cast<std::uint32_t>(args.u64("seeds", 5));
-    disease.seed = args.u64("disease-seed", 99);
+  if (withDisease) {
     abm::DiseaseStats epidemic;
     stats = abm::runModel(population, config, disease, epidemic);
     std::cout << "epidemic: " << epidemic.seeded << " seeds, "
@@ -210,7 +253,9 @@ int cmdSimulate(const Args& args) {
 }
 
 int cmdInfo(const Args& args) {
-  const auto files = elog::listLogFiles(args.requireStr("logs"));
+  const std::string logs = args.requireStr("logs");
+  args.rejectUnknown();
+  const auto files = elog::listLogFiles(logs);
   if (files.empty()) {
     std::cout << "no CLG5 files found\n";
     return 1;
@@ -241,24 +286,21 @@ int cmdInfo(const Args& args) {
 }
 
 int cmdSynthesize(const Args& args) {
-  const auto files = elog::listLogFiles(args.requireStr("logs"));
-  if (files.empty()) {
-    std::cerr << "no CLG5 files found\n";
-    return 1;
-  }
+  const std::string logs = args.requireStr("logs");
+  const std::string out = args.requireStr("out");
   net::SynthesisConfig config;
-  config.windowStart = static_cast<table::Hour>(args.u64("window-start", 0));
-  config.windowEnd = static_cast<table::Hour>(args.u64("window-end", 168));
-  config.workers = static_cast<unsigned>(args.u64("workers", 4));
-  config.filesPerBatch = args.u64("batch", 0);
+  config.windowStart = args.num<table::Hour>("window-start", 0);
+  config.windowEnd = args.num<table::Hour>("window-end", 168);
+  config.workers = args.num<unsigned>("workers", 4);
+  config.filesPerBatch = args.num<std::size_t>("batch", 0);
   config.balancedPartition = !args.has("no-balance");
   config.prefetch = !args.has("no-prefetch");
-  config.prefetchDepth = args.u64("prefetch-depth", 2);
-  config.decodeWorkers = static_cast<unsigned>(args.u64("decode-workers", 0));
+  config.prefetchDepth = args.num<std::size_t>("prefetch-depth", 2);
+  config.decodeWorkers = args.num<unsigned>("decode-workers", 0);
   // On by default (see EXPERIMENTS.md); --occupancy-weight is still
-  // accepted so existing invocations keep working.
+  // accepted (read here, then ignored) so existing invocations keep working.
   config.occupancyWeight = !args.has("nnz-weight");
-  config.treeReduce = !args.has("serial-reduce");
+  args.has("occupancy-weight");
   const std::string method = args.str("method", "local");
   if (method == "spgemm") {
     config.method = sparse::AdjacencyMethod::kSpGemm;
@@ -295,17 +337,17 @@ int cmdSynthesize(const Args& args) {
     throw std::invalid_argument(
         "--transport expects inproc, process or tcp, got: " + transport);
   }
-  config.maxRespawns = static_cast<int>(args.u64("max-respawns", 1));
+  config.maxRespawns = args.num<int>("max-respawns", 1);
   config.heartbeatMs = args.u64("heartbeat-ms", 250);
   config.connectTimeoutMs = args.u64("connect-timeout-ms", 5000);
-  config.connectRetries = static_cast<int>(args.u64("connect-retries", 5));
+  config.connectRetries = args.num<int>("connect-retries", 5);
   config.reconnectGraceMs = args.u64("reconnect-grace-ms", 3000);
   config.tcpListen = args.str("tcp-listen", "");
   config.checkpointDir = args.str("checkpoint-dir", "");
   config.resume = args.has("resume");
   config.memoryBudgetBytes = args.bytes("memory-budget", 0);
   config.spillDir = args.str("spill-dir", "");
-  config.reduceShards = static_cast<unsigned>(args.u64("reduce-shards", 0));
+  config.reduceShards = args.num<unsigned>("reduce-shards", 0);
   const std::string readahead = args.str("merge-readahead", "buffer");
   if (readahead == "none") {
     config.mergeReadahead = sparse::SpillReadahead::kNone;
@@ -318,7 +360,13 @@ int cmdSynthesize(const Args& args) {
         "--merge-readahead expects none, buffer or fadvise, got: " +
         readahead);
   }
-  const std::string out = args.requireStr("out");
+  args.rejectUnknown();
+
+  const auto files = elog::listLogFiles(logs);
+  if (files.empty()) {
+    std::cerr << "no CLG5 files found\n";
+    return 1;
+  }
   net::NetworkSynthesizer synthesizer(config);
   std::uint64_t edges = 0;
   if (config.memoryBudgetBytes > 0) {
@@ -350,10 +398,9 @@ int cmdSynthesize(const Args& args) {
               << report.kernelPairHourUpdates << " local updates -> "
               << report.kernelGlobalEmits << " global emits\n";
   }
-  std::cout << "reduce: " << (report.treeReduceEnabled ? "tree" : "serial")
-            << ", " << report.reduceMergedSums << " worker sums, depth "
-            << report.reduceTreeDepth << ", critical path "
-            << report.reduceCriticalSeconds << " s\n";
+  std::cout << "reduce: " << report.reduceMergedSums
+            << " worker sums folded at the root in "
+            << report.reduceCriticalSeconds << " s CPU\n";
   std::cout << "load: " << report.loadSeconds << " s total, "
             << report.loadExposedSeconds << " s exposed on the compute path";
   if (report.prefetchEnabled) {
@@ -415,7 +462,15 @@ int cmdSynthesize(const Args& args) {
 }
 
 int cmdAnalyze(const Args& args) {
-  const auto triplets = sparse::loadTriplets(args.requireStr("net"));
+  const std::string net = args.requireStr("net");
+  const bool clustering = args.has("clustering");
+  const bool communities = args.has("communities");
+  const std::uint64_t seed = args.u64("seed", 1);
+  const std::string degreesOut =
+      args.has("degrees-out") ? args.requireStr("degrees-out") : "";
+  args.rejectUnknown();
+
+  const auto triplets = sparse::loadTriplets(net);
   const graph::Graph network = graph::Graph::fromTriplets(triplets);
   std::cout << "network: " << network.vertexCount() << " vertices, "
             << network.edgeCount() << " edges, mean degree "
@@ -437,7 +492,7 @@ int cmdAnalyze(const Args& args) {
   std::cout << "components: " << components.count() << ", giant "
             << components.giantSize() << " vertices\n";
 
-  if (args.has("clustering")) {
+  if (clustering) {
     const auto coefficients = graph::localClusteringCoefficients(network);
     std::uint64_t atOne = 0;
     for (double c : coefficients) {
@@ -446,38 +501,39 @@ int cmdAnalyze(const Args& args) {
     std::cout << "clustering: mean " << stats::mean(coefficients) << ", "
               << atOne << " vertices at 1.0\n";
   }
-  if (args.has("communities")) {
-    util::Rng rng(args.u64("seed", 1));
+  if (communities) {
+    util::Rng rng(seed);
     const auto assignment = graph::louvain(network, rng);
     std::cout << "louvain: " << assignment.communityCount
               << " communities, modularity " << assignment.modularity << "\n";
   }
-  if (args.has("degrees-out")) {
-    std::ofstream out(args.requireStr("degrees-out"));
+  if (!degreesOut.empty()) {
+    std::ofstream out(degreesOut);
     out << "degree\tcount\tfraction\n";
     for (const auto& point : distribution) {
       out << point.value << '\t' << point.count << '\t' << point.fraction
           << '\n';
     }
-    std::cout << "wrote degree distribution to "
-              << args.requireStr("degrees-out") << "\n";
+    std::cout << "wrote degree distribution to " << degreesOut << "\n";
   }
   return 0;
 }
 
 int cmdExport(const Args& args) {
-  const auto files = elog::listLogFiles(args.requireStr("logs"));
+  const std::string logs = args.requireStr("logs");
+  const std::string out = args.requireStr("out");
+  const auto windowStart = args.num<table::Hour>("window-start", 0);
+  const auto windowEnd = args.num<table::Hour>(
+      "window-end", std::numeric_limits<table::Hour>::max());
+  args.rejectUnknown();
+
+  const auto files = elog::listLogFiles(logs);
   if (files.empty()) {
     std::cerr << "no CLG5 files found\n";
     return 1;
   }
-  const auto windowStart =
-      static_cast<table::Hour>(args.u64("window-start", 0));
-  const auto windowEnd =
-      static_cast<table::Hour>(args.u64("window-end", 0xFFFFFFFFull));
   table::EventTable events = elog::loadEvents(files, windowStart, windowEnd);
   events.sortByStart();
-  const std::string out = args.requireStr("out");
   table::writeEventsTsv(events, out);
   std::cout << "wrote " << events.size() << " events to " << out
             << " (load into R with data.table::fread)\n";
@@ -485,10 +541,18 @@ int cmdExport(const Args& args) {
 }
 
 int cmdEgo(const Args& args) {
-  const auto triplets = sparse::loadTriplets(args.requireStr("net"));
+  const std::string net = args.requireStr("net");
+  const auto person = args.num<std::uint32_t>("person", 0);
+  const auto radius = args.num<unsigned>("radius", 2);
+  const std::string prefix = args.requireStr("out");
+  const std::uint64_t layoutLimit = args.u64("layout-limit", 4000);
+  // Unset: scale the layout effort to the ego size (known only later).
+  const bool autoIterations = !args.has("iterations");
+  const auto iterations = args.num<unsigned>("iterations", 0);
+  args.rejectUnknown();
+
+  const auto triplets = sparse::loadTriplets(net);
   const graph::Graph network = graph::Graph::fromTriplets(triplets);
-  const auto person = static_cast<std::uint32_t>(args.u64("person", 0));
-  const auto radius = static_cast<unsigned>(args.u64("radius", 2));
   const auto vertex = network.vertexForLabel(person);
   if (!vertex.has_value()) {
     std::cerr << "person " << person << " is not in the network\n";
@@ -498,14 +562,13 @@ int cmdEgo(const Args& args) {
   std::cout << "ego(" << person << ", r=" << radius << "): "
             << ego.vertexCount() << " nodes, " << ego.edgeCount()
             << " edges\n";
-  const std::string prefix = args.requireStr("out");
   graph::writeGraphMl(ego, prefix + ".graphml");
-  if (ego.vertexCount() <= args.u64("layout-limit", 4000)) {
+  if (ego.vertexCount() <= layoutLimit) {
     util::Rng rng(5);
     graph::LayoutOptions layout;
-    layout.iterations =
-        static_cast<unsigned>(args.u64("iterations",
-                                       ego.vertexCount() > 1500 ? 80 : 200));
+    layout.iterations = autoIterations
+                            ? (ego.vertexCount() > 1500 ? 80u : 200u)
+                            : iterations;
     const auto positions = graph::forceAtlas2Layout(ego, layout, rng);
     graph::writeSvg(ego, positions, prefix + ".svg");
     std::cout << "wrote " << prefix << ".svg and " << prefix << ".graphml\n";
@@ -524,15 +587,19 @@ int cmdEgo(const Args& args) {
 /// kStop/kDie.
 int cmdWorker(const Args& args) {
   const std::string connect = args.requireStr("connect");
+  const std::string rank = args.requireStr("rank");
+  const std::string rankCount = args.requireStr("rank-count");
+  const std::uint64_t connectTimeoutMs = args.u64("connect-timeout-ms", 5000);
+  const std::uint64_t connectRetries = args.u64("connect-retries", 5);
+  args.rejectUnknown();
   runtime::parseHostPort(connect);  // fail fast on a malformed address
   ::setenv(runtime::kWorkerConnectEnv, connect.c_str(), 1);
-  ::setenv(runtime::kWorkerRankEnv, args.requireStr("rank").c_str(), 1);
-  ::setenv(runtime::kWorkerRankCountEnv, args.requireStr("rank-count").c_str(),
-           1);
+  ::setenv(runtime::kWorkerRankEnv, rank.c_str(), 1);
+  ::setenv(runtime::kWorkerRankCountEnv, rankCount.c_str(), 1);
   ::setenv(runtime::kWorkerConnectTimeoutEnv,
-           std::to_string(args.u64("connect-timeout-ms", 5000)).c_str(), 1);
+           std::to_string(connectTimeoutMs).c_str(), 1);
   ::setenv(runtime::kWorkerConnectRetriesEnv,
-           std::to_string(args.u64("connect-retries", 5)).c_str(), 1);
+           std::to_string(connectRetries).c_str(), 1);
   return *net::maybeRunSynthesisWorker();
 }
 
@@ -550,7 +617,7 @@ void printUsage() {
       "  synthesize  --logs DIR --out FILE.cadj [--window-start H] [--window-end H]\n"
       "              [--backend shared|mp] [--workers W] [--batch N]\n"
       "              [--no-balance] [--nnz-weight]\n"
-      "              [--method local|spgemm|intersect] [--serial-reduce]\n"
+      "              [--method local|spgemm|intersect]\n"
       "              [--no-prefetch] [--prefetch-depth N] [--decode-workers W]\n"
       "              [--fault-policy failfast|degrade] [--max-quarantined-files N]\n"
       "              [--command-timeout-ms MS] [--checkpoint-dir DIR] [--resume]\n"
