@@ -79,8 +79,8 @@ const char* columnName(Column column) {
 void makePlan(FaultPlan& plan, Column column, util::Rng& rng) {
   // Stragglers are survivable everywhere: short probabilistic delays on
   // the driver stages and the prefetch producer.
-  for (const char* site : {"driver.load", "driver.collocation",
-                           "driver.adjacency", "prefetch.decode"}) {
+  for (const char* site :
+       {"driver.collocation", "driver.adjacency", "prefetch.decode"}) {
     if (rng.bernoulli(0.5)) {
       plan.at(site,
               FaultSpec{.action = FaultAction::kDelay,
@@ -163,7 +163,6 @@ net::SynthesisConfig makeConfig(Column column, util::Rng& rng) {
   config.windowEnd = pop::kHoursPerWeek;
   config.workers = 4;
   config.filesPerBatch = rng.bernoulli(0.5) ? 0 : 2 + rng.uniformBelow(3);
-  config.prefetch = rng.bernoulli(0.7);
   if (column == Column::kShared) {
     return config;
   }

@@ -178,7 +178,7 @@ void BM_BatchReadPrefetch(benchmark::State& state) {
     options.windowEnd = 168;
     options.filesPerBatch = 2;
     options.depth = 2;
-    options.decodeWorkers = 2;
+    options.decodeThreads = 2;
     elog::PrefetchingLoader loader(files, options);
     while (auto batch = loader.next()) {
       places += consumeBatch(batch->table);

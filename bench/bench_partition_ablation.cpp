@@ -37,7 +37,7 @@ int main() {
   std::uint64_t minNnz = ~0ull;
   for (const auto& matrix : matrices) {
     weights.push_back(matrix.nnz());
-    // SynthesisConfig::occupancyWeight's cost model: nnz scaled by mean
+    // The pipeline's stage-4 cost model: nnz scaled by mean
     // simultaneous occupancy (nnz / occupied hours), tracking the pairwise
     // x-xT work of hub places better than raw person-hours.
     occupancyWeights.push_back(std::max<std::uint64_t>(
@@ -104,7 +104,7 @@ int main() {
   printRow("occupancy-LPT busy imbalance",
            "vs nnz-LPT " + fmt(lpt.busyImbalance, 2),
            fmt(occupancy.busyImbalance, 2),
-           "decides whether --occupancy-weight should become the default");
+           "why the pipeline weighs by occupancy, not plain nnz");
   const bool crucial =
       contiguous.weightImbalance > 1.5 * lpt.weightImbalance;
   std::cout << "\nshape check: balancing step materially evens the load: "

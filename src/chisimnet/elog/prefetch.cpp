@@ -16,7 +16,7 @@ PrefetchingLoader::PrefetchingLoader(std::vector<std::filesystem::path> files,
                                      Options options)
     : files_(std::move(files)),
       options_(options),
-      pool_(std::max(1u, options.decodeWorkers)) {
+      pool_(std::max(1u, options.decodeThreads)) {
   CHISIM_REQUIRE(options_.depth >= 1, "prefetch depth must be >= 1");
   const std::size_t batchSize =
       options_.filesPerBatch == 0 ? std::max<std::size_t>(1, files_.size())

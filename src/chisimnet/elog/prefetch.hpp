@@ -59,7 +59,7 @@ class PrefetchingLoader {
     /// Max decoded batches buffered ahead of the consumer (>= 1).
     std::size_t depth = 2;
     /// Threads decoding files of one batch in parallel (>= 1).
-    unsigned decodeWorkers = 1;
+    unsigned decodeThreads = 1;
     /// When true, an undecodable file is reported in
     /// LoadedBatch::quarantined instead of ending the stream with an
     /// exception (graceful-degradation mode).

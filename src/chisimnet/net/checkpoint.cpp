@@ -137,12 +137,11 @@ std::uint32_t checkpointConfigHash(
     const SynthesisConfig& config,
     const std::vector<std::filesystem::path>& files) {
   // Only fields that determine the output for a given file list; perf
-  // knobs (workers, prefetch, partitioning) are free to change across a
+  // knobs (workers, backend, memory budget) are free to change across a
   // resume — the summed adjacency does not depend on them.
   std::string text;
   text += std::to_string(config.windowStart) + "|";
   text += std::to_string(config.windowEnd) + "|";
-  text += std::to_string(static_cast<int>(config.method)) + "|";
   text += std::to_string(config.filesPerBatch) + "|";
   for (const std::filesystem::path& file : files) {
     text += file.filename().string() + "|";

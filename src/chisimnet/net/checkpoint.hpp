@@ -24,7 +24,7 @@
 /// A crash at any point leaves either the previous consistent checkpoint
 /// or the new one — never a manifest pointing at a half-written file.
 ///
-/// In-flight batch: with prefetching, the background loader typically has
+/// In-flight batch: the background loader typically has
 /// batch k+1 fully decoded while the checkpoint after batch k is written.
 /// That decoded-but-unprocessed table is persisted beside the adjacency,
 /// so a resume hands it straight to the compute stages and skips one batch
@@ -92,7 +92,7 @@ struct CheckpointManifest {
   /// during the external merge resumes with only the unfinished shards).
   std::vector<MergeSegmentEntry> mergeSegments;
   /// In-flight batch snapshot file name; empty when the checkpoint carries
-  /// none (no prefetch, or the loader had nothing decoded yet).
+  /// none (the loader had nothing decoded yet).
   std::string inflightFile;
   /// Quarantine list accumulated so far (degrade mode), carried across the
   /// resume so the final report still names every excluded input.

@@ -12,9 +12,7 @@ namespace chisimnet::net {
 
 runtime::Partition SynthesisExecutor::repartition(
     std::span<const std::uint64_t> weights) const {
-  return config_.balancedPartition
-             ? runtime::partitionGreedyLpt(weights, config_.workers)
-             : runtime::partitionContiguous(weights, config_.workers);
+  return runtime::partitionGreedyLpt(weights, config_.workers);
 }
 
 void SynthesisExecutor::reduceSums(
@@ -92,7 +90,7 @@ void SharedMemoryExecutor::mapAdjacency(
     ++batchCounter_;
     cluster_.applyPartitioned(
         partition, [&](std::size_t item, unsigned worker) {
-          spillSums_[worker]->addCollocation(matrices[item], config_.method);
+          spillSums_[worker]->addCollocation(matrices[item]);
         });
     return;
   }
@@ -102,7 +100,7 @@ void SharedMemoryExecutor::mapAdjacency(
     workerSums_.emplace_back(1024);
   }
   cluster_.applyPartitioned(partition, [&](std::size_t item, unsigned worker) {
-    workerSums_[worker].addCollocation(matrices[item], config_.method);
+    workerSums_[worker].addCollocation(matrices[item]);
   });
 }
 
@@ -159,8 +157,8 @@ std::vector<sparse::ShardSegment> SharedMemoryExecutor::mergeSpillShards(
       const sparse::SpillingAccumulator::ShardRunGroup& group = groups[g];
       const std::filesystem::path segmentFile =
           config_.spillDir / ("seg." + std::to_string(group.shard) + ".cseg");
-      sparse::ShardSegment segment = sparse::mergeShardRuns(
-          group.shard, group.runs, segmentFile, config_.mergeReadahead);
+      sparse::ShardSegment segment =
+          sparse::mergeShardRuns(group.shard, group.runs, segmentFile);
       segment.owner = static_cast<unsigned>(owner);
       const std::lock_guard<std::mutex> lock(mutex);
       segments[g] = segment;

@@ -30,7 +30,6 @@ mp::StageParams stageParamsOf(const SynthesisConfig& config) {
   mp::StageParams params;
   params.windowStart = config.windowStart;
   params.windowEnd = config.windowEnd;
-  params.method = config.method;
   // Each stage-5 worker gets an eighth of its budget share: the cross-batch
   // sink keeps resident bytes under budget/2, and the per-batch worker maps
   // (all live at once) plus their drain transients fit in the rest.
@@ -503,9 +502,7 @@ MessagePassingExecutor::mapCollocation() {
 runtime::Partition MessagePassingExecutor::repartition(
     std::span<const std::uint64_t> weights) const {
   const std::size_t bins = static_cast<std::size_t>(team_->liveCount());
-  return config_.balancedPartition
-             ? runtime::partitionGreedyLpt(weights, bins)
-             : runtime::partitionContiguous(weights, bins);
+  return runtime::partitionGreedyLpt(weights, bins);
 }
 
 void MessagePassingExecutor::mapAdjacency(
@@ -679,7 +676,6 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
   const auto buildBody = [this, &groups](std::span<const std::size_t> items) {
     std::vector<std::byte> body;
     mp::put64(body, nextRunToken_++);
-    mp::put32(body, static_cast<std::uint32_t>(config_.mergeReadahead));
     mp::put32(body, static_cast<std::uint32_t>(items.size()));
     for (const std::size_t g : items) {
       const sparse::SpillingAccumulator::ShardRunGroup& group = groups[g];

@@ -247,10 +247,9 @@ std::span<const std::byte> stringBytes(const std::string& text) {
 
 std::vector<std::byte> encodeStageParams(const StageParams& params) {
   std::vector<std::byte> bytes;
-  bytes.reserve(24 + params.spillDir.size());
+  bytes.reserve(28 + params.spillDir.size());
   put32(bytes, params.windowStart);
   put32(bytes, params.windowEnd);
-  put32(bytes, static_cast<std::uint32_t>(params.method));
   put64(bytes, params.spillThresholdBytes);
   putString(bytes, params.spillDir);
   put32(bytes, params.splitRows);
@@ -263,7 +262,6 @@ StageParams decodeStageParams(std::span<const std::byte> bytes) {
   StageParams params;
   params.windowStart = take32(bytes, cursor);
   params.windowEnd = take32(bytes, cursor);
-  params.method = static_cast<sparse::AdjacencyMethod>(take32(bytes, cursor));
   params.spillThresholdBytes = take64(bytes, cursor);
   params.spillDir = takeString(bytes, cursor);
   params.splitRows = take32(bytes, cursor);
@@ -329,7 +327,7 @@ std::vector<std::byte> executeSynthesisCommand(
                               "t" + std::to_string(token) + ".",
                               params.spillThresholdBytes, params.splitRows);
       for (const sparse::CollocationMatrix& matrix : batch) {
-        sum.addCollocation(matrix, params.method);
+        sum.addCollocation(matrix);
       }
       std::vector<sparse::AdjacencyTriplet> remainder = sum.drainInMemory();
       const double busySeconds = busy.seconds();
@@ -402,7 +400,7 @@ std::vector<std::byte> executeSynthesisCommand(
       return reply;
     }
     case kCmdMergeShard: {
-      // Body: [runToken u64][readahead u32][shardCount u32][per shard:
+      // Body: [runToken u64][shardCount u32][per shard:
       // shard u32, runCount u32, RunRef × runCount (file runs, shard-pure)].
       // Reply: [busySeconds f64][shardCount u32][per shard: shard u32,
       // mergeSeconds f64, segment file string, triplets u64, bytes u64,
@@ -412,8 +410,6 @@ std::vector<std::byte> executeSynthesisCommand(
       // rank still merging the old one.
       std::size_t cursor = 0;
       const std::uint64_t token = take64(body, cursor);
-      const auto readahead =
-          static_cast<sparse::SpillReadahead>(take32(body, cursor));
       const std::uint32_t shardCount = take32(body, cursor);
       CHISIM_CHECK(!params.spillDir.empty(),
                    "shard merge needs a spill directory");
@@ -441,7 +437,7 @@ std::vector<std::byte> executeSynthesisCommand(
             ("seg." + std::to_string(shard) + ".t" + std::to_string(token) +
              ".cseg");
         const sparse::ShardSegment segment =
-            sparse::mergeShardRuns(shard, runs, segmentFile, readahead);
+            sparse::mergeShardRuns(shard, runs, segmentFile);
         put32(segments, shard);
         putDouble(segments, segment.mergeSeconds);
         putString(segments, segment.file.string());

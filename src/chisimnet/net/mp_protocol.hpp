@@ -165,7 +165,6 @@ std::span<const std::byte> stringBytes(const std::string& text);
 struct StageParams {
   table::Hour windowStart = 0;
   table::Hour windowEnd = 0;
-  sparse::AdjacencyMethod method = sparse::AdjacencyMethod::kLocalAccumulate;
   /// Stage-5 worker flush threshold (≈ budget/(8·workers)); 0 = keep the
   /// whole partial sum in memory (unbudgeted).
   std::uint64_t spillThresholdBytes = 0;

@@ -83,13 +83,6 @@ NetworkSynthesizer::NetworkSynthesizer(SynthesisConfig config)
   CHISIM_REQUIRE(config.windowStart < config.windowEnd,
                  "time window must be non-empty");
   CHISIM_REQUIRE(config.workers >= 1, "need at least one worker");
-  CHISIM_REQUIRE(!config.prefetch || config.prefetchDepth >= 1,
-                 "prefetch depth must be >= 1");
-  // No silent ignores: a config that asks for behavior the pipeline will
-  // not deliver is an error, not a no-op.
-  CHISIM_REQUIRE(config.prefetch || config.decodeWorkers == 0,
-                 "decodeWorkers requires prefetch; drop --decode-workers or "
-                 "enable prefetching");
   CHISIM_REQUIRE(config.commandMaxAttempts >= 1,
                  "commandMaxAttempts must be >= 1");
   CHISIM_REQUIRE(
@@ -149,22 +142,6 @@ NetworkSynthesizer::~NetworkSynthesizer() {
   }
 }
 
-std::uint64_t NetworkSynthesizer::partitionWeight(
-    const sparse::CollocationMatrix& matrix) const {
-  if (!config_.occupancyWeight) {
-    // The paper's §IV.A.3 scheme: plain nonzero (person-hour) count.
-    return matrix.nnz();
-  }
-  // Occupancy-scaled: nnz times mean simultaneous occupancy
-  // (nnz / occupied hours). The x·xᵀ cost of a hub place grows with how
-  // many people overlap per hour, which nnz alone underestimates; dividing
-  // by occupied hours rather than sliceHours keeps sparse-attendance
-  // places from being undercounted into the bargain.
-  const std::uint64_t occupied = std::max<std::uint64_t>(
-      1, matrix.occupiedHours());
-  return std::max<std::uint64_t>(1, matrix.nnz() * matrix.nnz() / occupied);
-}
-
 void NetworkSynthesizer::processBatch(const table::EventTable& events,
                                       sparse::SymmetricAdjacency* dense,
                                       sparse::SpillingAccumulator* sink) {
@@ -195,13 +172,20 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
   }
 
   // Stage 4: re-partition the matrix list across workers by adjacency-cost
-  // weight (nnz, or occupancy-scaled behind config.occupancyWeight) — the
-  // step §IV.A.3 calls crucial for even load balance.
+  // weight — the step §IV.A.3 calls crucial for even load balance. The
+  // weight is nnz times mean simultaneous occupancy (nnz² / occupied
+  // hours): the x·xᵀ cost of a hub place grows with how many people
+  // overlap per hour, which the paper's plain nnz underestimates, and
+  // dividing by occupied rather than slice hours keeps sparse-attendance
+  // places from being undercounted (EXPERIMENTS.md BALANCE).
   runtime::fault::hit("driver.partition");
   std::vector<std::uint64_t> weights;
   weights.reserve(matrices.size());
   for (const sparse::CollocationMatrix& matrix : matrices) {
-    weights.push_back(partitionWeight(matrix));
+    const std::uint64_t occupied =
+        std::max<std::uint64_t>(1, matrix.occupiedHours());
+    weights.push_back(
+        std::max<std::uint64_t>(1, matrix.nnz() * matrix.nnz() / occupied));
   }
   const runtime::Partition partition = executor_->repartition(weights);
   report_.partitionSeconds += timer.seconds();
@@ -252,7 +236,6 @@ void NetworkSynthesizer::runFilePipeline(
   restoredSegments_.clear();
   executor_->resetTransferCounters();
 
-  const bool degrade = config_.faultPolicy == FaultPolicy::kDegrade;
   const bool checkpointing = !config_.checkpointDir.empty();
 
   std::uint64_t filesConsumed = 0;
@@ -351,7 +334,7 @@ void NetworkSynthesizer::runFilePipeline(
     }
   }
   // The restored in-flight batch covers the first files after the cursor;
-  // the disk loaders take over from just past it.
+  // the loader takes over from just past it.
   const std::size_t skipFiles =
       static_cast<std::size_t>(filesConsumed) +
       static_cast<std::size_t>(inflight ? inflight->filesInBatch : 0);
@@ -359,11 +342,11 @@ void NetworkSynthesizer::runFilePipeline(
       logFiles.begin() + static_cast<std::ptrdiff_t>(skipFiles),
       logFiles.end());
 
-  // Bookkeeping shared by both load paths, run after each batch: fold in
-  // quarantine entries and executor recovery events, enforce the
-  // quarantine limit, and persist the checkpoint. The driver.batch fault
-  // site fires last, i.e. after the checkpoint — a kThrow there models a
-  // crash between batches, which the kill-and-resume test exploits.
+  // Bookkeeping run after each batch: fold in quarantine entries and
+  // executor recovery events, enforce the quarantine limit, and persist
+  // the checkpoint. The driver.batch fault site fires last, i.e. after the
+  // checkpoint — a kThrow there models a crash between batches, which the
+  // kill-and-resume test exploits.
   const auto finishBatch = [this, &logFiles, &filesConsumed, dense, sink,
                             checkpointing](
                                std::vector<elog::QuarantinedFile> quarantined,
@@ -447,94 +430,58 @@ void NetworkSynthesizer::runFilePipeline(
     runtime::fault::hit("driver.batch");
   };
 
-  if (config_.prefetch) {
-    // Two-stage pipeline: a background loader decodes batch k+1 while this
-    // thread runs stages 2-6 on batch k.
-    elog::PrefetchingLoader::Options options;
-    options.windowStart = config_.windowStart;
-    options.windowEnd = config_.windowEnd;
-    options.filesPerBatch = config_.filesPerBatch;
-    options.depth = config_.prefetchDepth;
-    options.decodeWorkers =
-        config_.decodeWorkers == 0 ? config_.workers : config_.decodeWorkers;
-    options.quarantineCorrupt = degrade;
-    elog::PrefetchingLoader loader(remaining, options);
-    // Checkpointing captures the loader's head batch (decoded, not yet
-    // processed) so a killed run resumes without re-decoding it.
-    const auto peekInflight = [&loader,
-                               checkpointing]() -> std::optional<InflightBatch> {
-      if (!checkpointing) {
-        return std::nullopt;
-      }
-      std::optional<elog::LoadedBatch> peeked = loader.peekReady();
-      if (!peeked) {
-        return std::nullopt;
-      }
-      InflightBatch next;
-      next.events = std::move(peeked->table);
-      next.quarantined = std::move(peeked->quarantined);
-      next.filesInBatch = peeked->filesInBatch;
-      return next;
-    };
-    if (inflight) {
-      // The batch restored from the checkpoint runs first, before any
-      // disk load: its decode already happened in the previous life.
-      report_.logEntriesLoaded += inflight->events.size();
-      processBatch(inflight->events, dense, sink);
-      const std::optional<InflightBatch> next = peekInflight();
-      finishBatch(std::move(inflight->quarantined),
-                  static_cast<std::size_t>(inflight->filesInBatch),
-                  next ? &*next : nullptr);
-      inflight.reset();
+  // Two-stage pipeline: a background loader decodes batch k+1 while this
+  // thread runs stages 2-6 on batch k.
+  elog::PrefetchingLoader::Options options;
+  options.windowStart = config_.windowStart;
+  options.windowEnd = config_.windowEnd;
+  options.filesPerBatch = config_.filesPerBatch;
+  options.decodeThreads = config_.workers;
+  options.quarantineCorrupt = config_.faultPolicy == FaultPolicy::kDegrade;
+  elog::PrefetchingLoader loader(remaining, options);
+  // Checkpointing captures the loader's head batch (decoded, not yet
+  // processed) so a killed run resumes without re-decoding it.
+  const auto peekInflight = [&loader,
+                             checkpointing]() -> std::optional<InflightBatch> {
+    if (!checkpointing) {
+      return std::nullopt;
     }
-    while (std::optional<elog::LoadedBatch> batch = loader.next()) {
-      report_.logEntriesLoaded += batch->table.size();
-      processBatch(batch->table, dense, sink);
-      const std::optional<InflightBatch> next = peekInflight();
-      finishBatch(std::move(batch->quarantined), batch->filesInBatch,
-                  next ? &*next : nullptr);
+    std::optional<elog::LoadedBatch> peeked = loader.peekReady();
+    if (!peeked) {
+      return std::nullopt;
     }
-    const elog::PrefetchStats stats = loader.stats();
-    report_.prefetchEnabled = true;
-    report_.loadSeconds = stats.decodeSeconds;
-    report_.loadExposedSeconds = stats.exposedSeconds;
-    report_.loadOverlappedSeconds =
-        std::max(0.0, stats.decodeSeconds - stats.exposedSeconds);
-    report_.prefetchMeanOccupancy = stats.meanOccupancy;
-    report_.prefetchPeakOccupancy = stats.peakOccupancy;
-  } else {
-    if (inflight) {
-      // A checkpoint written by a prefetching run can still be resumed
-      // with prefetch off: the snapshot is just a decoded batch.
-      report_.logEntriesLoaded += inflight->events.size();
-      processBatch(inflight->events, dense, sink);
-      finishBatch(std::move(inflight->quarantined),
-                  static_cast<std::size_t>(inflight->filesInBatch), nullptr);
-      inflight.reset();
-    }
-    const std::size_t batchSize =
-        config_.filesPerBatch == 0 ? logFiles.size() : config_.filesPerBatch;
-    for (std::size_t begin = 0; begin < remaining.size(); begin += batchSize) {
-      const std::size_t end = std::min(remaining.size(), begin + batchSize);
-      const std::vector<std::filesystem::path> batch(remaining.begin() + begin,
-                                                     remaining.begin() + end);
-      util::WallTimer loadTimer;
-      runtime::fault::hit("driver.load");
-      std::vector<elog::QuarantinedFile> batchQuarantine;
-      table::EventTable events =
-          degrade ? elog::loadEventsQuarantining(batch, config_.windowStart,
-                                                 config_.windowEnd,
-                                                 batchQuarantine)
-                  : elog::loadEvents(batch, config_.windowStart,
-                                     config_.windowEnd);
-      report_.loadSeconds += loadTimer.seconds();
-      report_.logEntriesLoaded += events.size();
-
-      processBatch(events, dense, sink);
-      finishBatch(std::move(batchQuarantine), batch.size(), nullptr);
-    }
-    report_.loadExposedSeconds = report_.loadSeconds;
+    InflightBatch next;
+    next.events = std::move(peeked->table);
+    next.quarantined = std::move(peeked->quarantined);
+    next.filesInBatch = peeked->filesInBatch;
+    return next;
+  };
+  const auto runBatch = [&](const table::EventTable& events,
+                            std::vector<elog::QuarantinedFile> quarantined,
+                            std::size_t filesInBatch) {
+    report_.logEntriesLoaded += events.size();
+    processBatch(events, dense, sink);
+    const std::optional<InflightBatch> next = peekInflight();
+    finishBatch(std::move(quarantined), filesInBatch,
+                next ? &*next : nullptr);
+  };
+  if (inflight) {
+    // The batch restored from the checkpoint runs first, before any disk
+    // load: its decode already happened in the previous life.
+    runBatch(inflight->events, std::move(inflight->quarantined),
+             static_cast<std::size_t>(inflight->filesInBatch));
+    inflight.reset();
   }
+  while (std::optional<elog::LoadedBatch> batch = loader.next()) {
+    runBatch(batch->table, std::move(batch->quarantined), batch->filesInBatch);
+  }
+  const elog::PrefetchStats stats = loader.stats();
+  report_.loadSeconds = stats.decodeSeconds;
+  report_.loadExposedSeconds = stats.exposedSeconds;
+  report_.loadOverlappedSeconds =
+      std::max(0.0, stats.decodeSeconds - stats.exposedSeconds);
+  report_.prefetchMeanOccupancy = stats.meanOccupancy;
+  report_.prefetchPeakOccupancy = stats.peakOccupancy;
   report_.bytesScattered = executor_->bytesScattered();
   report_.bytesReturned = executor_->bytesReturned();
 }

@@ -18,14 +18,14 @@
 /// collocation network from simulation log data.
 ///
 /// Pipeline per batch of log files:
-///   1. the log files are decoded into an event table — by default on a
-///      background prefetcher that loads batch k+1 while batch k is in
-///      stages 2-6, taking file I/O off the compute critical path,
+///   1. the log files are decoded into an event table on a background
+///      prefetcher that loads batch k+1 while batch k is in stages 2-6,
+///      taking file I/O off the compute critical path,
 ///   2. the time slice is subset, unique place ids extracted, and place
 ///      groups handed to the executor's workers,
 ///   3. workers build one sparse p×t collocation matrix per place,
-///   4. the matrix list is re-partitioned by nonzero count (LPT) for even
-///      load balance — the step §IV.A.3 calls crucial,
+///   4. the matrix list is re-partitioned (LPT) by a nonzero-based cost
+///      weight for even load balance — the step §IV.A.3 calls crucial,
 ///   5. workers compute per-place adjacencies A_l = x·xᵀ and sum their set,
 ///   6. worker sums are reduced into a single sparse upper-triangular
 ///      adjacency, and batches are summed into the final network.
@@ -142,35 +142,12 @@ struct SynthesisConfig {
   table::Hour windowEnd = 168;
   unsigned workers = 4;
   SynthesisBackend backend = SynthesisBackend::kSharedMemory;
-  /// Per-place x·xᵀ kernel. kLocalAccumulate (default) gathers each
-  /// place's pairs in local row coordinates and emits once per distinct
-  /// pair; kSpGemm is the paper-faithful per-pair-hour global insert. All
-  /// methods produce bit-identical adjacencies.
-  sparse::AdjacencyMethod method = sparse::AdjacencyMethod::kLocalAccumulate;
-  /// true: nnz-based LPT re-partitioning (the paper's scheme);
-  /// false: contiguous equal-count lists (the naive ablation baseline).
-  bool balancedPartition = true;
-  /// true (default): weigh each matrix by nnz times its mean simultaneous
-  /// occupancy (nnz² / occupied hours) instead of plain nnz, so hub places
-  /// — whose x·xᵀ cost grows faster than their person-hours — are
-  /// partitioned by a closer proxy of adjacency cost. Defaulted on after
-  /// bench_partition_ablation showed consistently lower busy imbalance and
-  /// makespan on skewed populations (EXPERIMENTS.md); false restores the
-  /// paper's plain-nnz §IV.A.3 scheme.
-  bool occupancyWeight = true;
   /// Files per batch when synthesizing from disk; 0 processes all files in
   /// one batch. Batches are independent and their adjacencies are summed,
-  /// mirroring the paper's batched cluster jobs (§V).
+  /// mirroring the paper's batched cluster jobs (§V). A background loader
+  /// decodes batch k+1 (on `workers` threads, up to two batches ahead)
+  /// while batch k is in stages 2-6.
   std::size_t filesPerBatch = 0;
-  /// true: decode batch k+1 on a background loader while batch k is being
-  /// processed (two-stage pipeline); false: serial load-then-process.
-  bool prefetch = true;
-  /// Max decoded batches the prefetcher buffers ahead of the compute thread.
-  std::size_t prefetchDepth = 2;
-  /// Threads the prefetcher uses to decode the files of one batch in
-  /// parallel; 0 uses `workers`. Requires prefetch — configuring decode
-  /// workers with prefetch disabled is a hard error, not a silent ignore.
-  unsigned decodeWorkers = 0;
 
   // ---- fault tolerance ----
 
@@ -271,11 +248,6 @@ struct SynthesisConfig {
   /// mainly so tests and benches can force multi-shard layouts on small
   /// populations.
   std::uint32_t mergeRowsPerShard = 0;
-  /// Read-side prefetch policy of the merge's run readers (per-run
-  /// double-buffered frame decode by default; kFadvise adds OS readahead
-  /// hints on top).
-  sparse::SpillReadahead mergeReadahead =
-      sparse::SpillReadahead::kDoubleBuffer;
 };
 
 /// Resolved owner count of the sharded external merge (reduceShards,
@@ -299,14 +271,12 @@ struct SynthesisReport {
   std::uint64_t batches = 0;
 
   double loadSeconds = 0.0;       ///< stage 1: file load + table build
-  /// Load seconds that actually blocked the compute thread. Without
-  /// prefetching this equals loadSeconds; with prefetching it is only the
-  /// time spent waiting on the background loader.
+  /// Load seconds that actually blocked the compute thread: the time spent
+  /// waiting on the background loader.
   double loadExposedSeconds = 0.0;
   /// Load seconds hidden behind stage 2-6 compute (loadSeconds minus the
   /// exposed part, clamped at 0).
   double loadOverlappedSeconds = 0.0;
-  bool prefetchEnabled = false;
   double prefetchMeanOccupancy = 0.0;   ///< ready-buffer fill at each take
   std::uint64_t prefetchPeakOccupancy = 0;
   double subsetSeconds = 0.0;     ///< stage 2: slice + place index + scatter
@@ -330,7 +300,7 @@ struct SynthesisReport {
   std::uint64_t bytesScattered = 0;
   std::uint64_t bytesReturned = 0;
 
-  // ---- adjacency kernel (kLocalAccumulate only; zero otherwise) ----
+  // ---- adjacency kernel ----
 
   std::uint64_t kernelDensePlaces = 0;  ///< places on the triangular array
   std::uint64_t kernelHashPlaces = 0;   ///< places on the local hash
@@ -451,9 +421,6 @@ class NetworkSynthesizer {
   void runFilePipeline(const std::vector<std::filesystem::path>& logFiles,
                        sparse::SymmetricAdjacency* dense,
                        sparse::SpillingAccumulator* sink);
-
-  /// Stage-4 weight of one matrix (nnz, or occupancy-scaled per config).
-  std::uint64_t partitionWeight(const sparse::CollocationMatrix& matrix) const;
 
   /// Sharded tail of synthesizeToFile (resolvedReduceShards > 1): builds
   /// the shard merge plan, reuses validated segments restored by a resume,

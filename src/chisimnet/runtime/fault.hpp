@@ -19,7 +19,6 @@
 /// named injection points — sites — that are compiled in permanently:
 ///
 ///   prefetch.decode     PrefetchingLoader producer, before each batch decode
-///   driver.load         serial (non-prefetch) batch load in the driver
 ///   driver.subset       driver stage 2 (slice + place index + scatter)
 ///   driver.collocation  driver stage 3
 ///   driver.partition    driver stage 4

@@ -62,26 +62,6 @@ ColumnIndex buildColumnIndex(const CollocationMatrix& matrix) {
   return index;
 }
 
-/// SpGEMM path: one global hash insert per pair-hour.
-void addViaSpGemm(const CollocationMatrix& matrix, PairCountMap& pairs) {
-  const std::size_t personCount = matrix.personCount();
-  if (personCount < 2) {
-    return;
-  }
-  const ColumnIndex index = buildColumnIndex(matrix);
-  for (std::uint32_t hour = 0; hour < matrix.sliceHours(); ++hour) {
-    const std::uint64_t begin = index.offsets[hour];
-    const std::uint64_t end = index.offsets[hour + 1];
-    for (std::uint64_t a = begin; a < end; ++a) {
-      const table::PersonId personA = matrix.personAt(index.rows[a]);
-      for (std::uint64_t b = a + 1; b < end; ++b) {
-        const table::PersonId personB = matrix.personAt(index.rows[b]);
-        pairs.add(packPair(personA, personB), 1);
-      }
-    }
-  }
-}
-
 // Dense/hash crossover for the local-coordinate kernel. The flat triangular
 // array is used only when it fits the thread-local scratch buffer AND the
 // emit scan over every slot is bounded by a small multiple of the update
@@ -179,56 +159,10 @@ void addViaLocalAccumulate(const CollocationMatrix& matrix,
   }
 }
 
-std::uint64_t sortedIntersectionSize(std::span<const std::uint32_t> a,
-                                     std::span<const std::uint32_t> b) noexcept {
-  std::uint64_t count = 0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    if (a[ia] < b[ib]) {
-      ++ia;
-    } else if (b[ib] < a[ia]) {
-      ++ib;
-    } else {
-      ++count;
-      ++ia;
-      ++ib;
-    }
-  }
-  return count;
-}
-
-/// Pairwise path: weight(i,j) = |hours_i ∩ hours_j| for each visitor pair.
-void addViaIntersection(const CollocationMatrix& matrix, PairCountMap& pairs) {
-  const std::size_t personCount = matrix.personCount();
-  for (std::size_t a = 0; a < personCount; ++a) {
-    const auto hoursA = matrix.hoursAt(a);
-    for (std::size_t b = a + 1; b < personCount; ++b) {
-      const std::uint64_t shared =
-          sortedIntersectionSize(hoursA, matrix.hoursAt(b));
-      if (shared > 0) {
-        pairs.add(packPair(matrix.personAt(a), matrix.personAt(b)), shared);
-      }
-    }
-  }
-}
-
 }  // namespace
 
-void SymmetricAdjacency::addCollocation(const CollocationMatrix& matrix,
-                                        AdjacencyMethod method) {
-  switch (method) {
-    case AdjacencyMethod::kSpGemm:
-      addViaSpGemm(matrix, pairs_);
-      return;
-    case AdjacencyMethod::kIntervalIntersection:
-      addViaIntersection(matrix, pairs_);
-      return;
-    case AdjacencyMethod::kLocalAccumulate:
-      addViaLocalAccumulate(matrix, pairs_, kernelStats_);
-      return;
-  }
-  CHISIM_CHECK(false, "unknown adjacency method");
+void SymmetricAdjacency::addCollocation(const CollocationMatrix& matrix) {
+  addViaLocalAccumulate(matrix, pairs_, kernelStats_);
 }
 
 std::vector<AdjacencyTriplet> SymmetricAdjacency::toTriplets() const {
@@ -370,14 +304,33 @@ std::vector<AdjacencyTriplet> mergeKSortedTriplets(
 }
 
 SymmetricAdjacency adjacencyFromCollocations(
-    std::span<const CollocationMatrix> matrices, AdjacencyMethod method) {
+    std::span<const CollocationMatrix> matrices) {
   std::uint64_t expected = 0;
   for (const CollocationMatrix& matrix : matrices) {
     expected += matrix.nnz();
   }
   SymmetricAdjacency adjacency(static_cast<std::size_t>(expected));
   for (const CollocationMatrix& matrix : matrices) {
-    adjacency.addCollocation(matrix, method);
+    adjacency.addCollocation(matrix);
+  }
+  return adjacency;
+}
+
+SymmetricAdjacency spGemmAdjacency(const CollocationMatrix& matrix) {
+  SymmetricAdjacency adjacency(matrix.nnz());
+  if (matrix.personCount() < 2) {
+    return adjacency;
+  }
+  const ColumnIndex index = buildColumnIndex(matrix);
+  for (std::uint32_t hour = 0; hour < matrix.sliceHours(); ++hour) {
+    const std::uint64_t begin = index.offsets[hour];
+    const std::uint64_t end = index.offsets[hour + 1];
+    for (std::uint64_t a = begin; a < end; ++a) {
+      const table::PersonId personA = matrix.personAt(index.rows[a]);
+      for (std::uint64_t b = a + 1; b < end; ++b) {
+        adjacency.add(personA, matrix.personAt(index.rows[b]), 1);
+      }
+    }
   }
   return adjacency;
 }

@@ -18,21 +18,6 @@
 
 namespace chisimnet::sparse {
 
-/// How a per-place adjacency contribution x·xᵀ is computed.
-enum class AdjacencyMethod {
-  /// Faithful to the paper's math: for every time column, add 1 to every
-  /// pair of persons present in that column (sparse column outer products).
-  kSpGemm,
-  /// Optimized equivalent: for every pair of persons at the place, the
-  /// weight is the size of the sorted intersection of their hour lists.
-  kIntervalIntersection,
-  /// Local-coordinate accumulator: pair counts are gathered per place in
-  /// local row coordinates (a flat upper-triangular uint32 array for
-  /// small/medium places, a compact local hash for hubs) and emitted into
-  /// the global map once per distinct pair instead of once per pair-hour.
-  kLocalAccumulate,
-};
-
 /// Diagnostic counters from the local-coordinate kernel, merged through the
 /// stage-6 reduce alongside the weights (not part of the matrix value).
 struct AdjacencyKernelStats {
@@ -71,10 +56,12 @@ class SymmetricAdjacency {
   /// Adds `weight` collocation hours between distinct persons i and j.
   void add(std::uint32_t i, std::uint32_t j, std::uint64_t weight);
 
-  /// Accumulates one place's x·xᵀ contribution.
-  void addCollocation(
-      const CollocationMatrix& matrix,
-      AdjacencyMethod method = AdjacencyMethod::kLocalAccumulate);
+  /// Accumulates one place's x·xᵀ contribution with the local-coordinate
+  /// kernel: pair counts are gathered in local row coordinates (a flat
+  /// upper-triangular uint32 array for small/medium places, a compact
+  /// local hash for hubs) and emitted into the global map once per
+  /// distinct pair instead of once per pair-hour.
+  void addCollocation(const CollocationMatrix& matrix);
 
   /// Sums another adjacency into this one (matrix addition).
   void merge(const SymmetricAdjacency& other) {
@@ -193,7 +180,12 @@ std::vector<AdjacencyTriplet> mergeKSortedTriplets(
 
 /// Accumulates every matrix in `matrices` into a fresh adjacency.
 SymmetricAdjacency adjacencyFromCollocations(
-    std::span<const CollocationMatrix> matrices,
-    AdjacencyMethod method = AdjacencyMethod::kLocalAccumulate);
+    std::span<const CollocationMatrix> matrices);
+
+/// Reference x·xᵀ for tests and benches, never used by the pipeline: the
+/// paper's SpGEMM, which for every hour column adds 1 to every pair of
+/// persons present in it — one global insert per pair-hour. It yields the
+/// same adjacency as addCollocation, which tests check against it.
+SymmetricAdjacency spGemmAdjacency(const CollocationMatrix& matrix);
 
 }  // namespace chisimnet::sparse

@@ -49,8 +49,7 @@ class CollocationMatrix {
 
   /// Number of distinct slice hours with at least one person present.
   /// nnz() / occupiedHours() is the mean simultaneous occupancy, the basis
-  /// of the occupancy-scaled partition weight
-  /// (SynthesisConfig::occupancyWeight).
+  /// of the occupancy-scaled stage-4 partition weight.
   std::uint32_t occupiedHours() const noexcept;
 
   /// True when person `row` was present during relative hour `hour`.

@@ -7,11 +7,6 @@
 #include <system_error>
 #include <utility>
 
-#if defined(__linux__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "chisimnet/runtime/fault.hpp"
 #include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/error.hpp"
@@ -150,18 +145,9 @@ SpillRunReader::SpillRunReader(std::filesystem::path path,
                "unsupported spill run version: " + path_.string());
   total_ = util::readU64(in_);
   frame_.reserve(kSpillFrameTriplets);
-#if defined(__linux__)
-  if (readahead_ == SpillReadahead::kFadvise) {
-    // A side fd carries the kernel hints; the ifstream keeps the read path.
-    hintFd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-    if (hintFd_ >= 0) {
-      posix_fadvise(hintFd_, 0, 0, POSIX_FADV_SEQUENTIAL);
-    }
-  }
-#endif
-  if (readahead_ != SpillReadahead::kNone) {
+  if (readahead_ == SpillReadahead::kDoubleBuffer) {
     staged_.reserve(kSpillFrameTriplets);
-    // After this point only the prefetcher touches in_ (and hintFd_).
+    // After this point only the prefetcher touches in_.
     prefetcher_ = std::thread([this] { prefetchLoop(); });
   }
 }
@@ -175,11 +161,6 @@ SpillRunReader::~SpillRunReader() {
     frameTaken_.notify_all();
     prefetcher_.join();
   }
-#if defined(__linux__)
-  if (hintFd_ >= 0) {
-    ::close(hintFd_);
-  }
-#endif
 }
 
 void SpillRunReader::fail(const std::string& what,
@@ -257,16 +238,6 @@ bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
     const std::uint64_t high = take32();
     row.weight = low | (high << 32);
   }
-#if defined(__linux__)
-  if (hintFd_ >= 0) {
-    // Ask the kernel to stage the next frame while this one is consumed:
-    // readahead depth 2 in total (one frame in the double buffer, one in
-    // the page cache).
-    posix_fadvise(hintFd_, static_cast<off_t>(in_.tellg()),
-                  static_cast<off_t>(kSpillFrameTriplets * kTripletBytes + 8),
-                  POSIX_FADV_WILLNEED);
-  }
-#endif
   return true;
 }
 
@@ -662,9 +633,8 @@ SpillingSum::SpillingSum(std::filesystem::path dir, std::string filePrefix,
   }
 }
 
-void SpillingSum::addCollocation(const CollocationMatrix& matrix,
-                                 AdjacencyMethod method) {
-  sum_.addCollocation(matrix, method);
+void SpillingSum::addCollocation(const CollocationMatrix& matrix) {
+  sum_.addCollocation(matrix);
   peakBytes_ = std::max<std::uint64_t>(peakBytes_, sum_.memoryBytes());
   if (flushThreshold_ > 0 && sum_.memoryBytes() > flushThreshold_) {
     flush();
@@ -721,13 +691,13 @@ void SpillingSum::flushAll() {
 
 ShardSegment mergeShardRuns(std::uint32_t shard,
                             std::span<const SpillRunInfo> runs,
-                            const std::filesystem::path& segmentFile,
-                            SpillReadahead readahead) {
+                            const std::filesystem::path& segmentFile) {
   util::ThreadCpuTimer timer;
   std::vector<std::unique_ptr<TripletSource>> readers;
   readers.reserve(runs.size());
   for (const SpillRunInfo& run : runs) {
-    readers.push_back(std::make_unique<SpillRunReader>(run.file, readahead));
+    readers.push_back(std::make_unique<SpillRunReader>(
+        run.file, SpillReadahead::kDoubleBuffer));
   }
   TripletMerger merger(std::move(readers));
   TripletSegmentWriter writer(segmentFile);

@@ -67,19 +67,14 @@ struct SpillRunInfo {
   }
 };
 
-/// Read-side prefetch policy for SpillRunReader during external merges.
-enum class SpillReadahead : std::uint32_t {
-  /// Synchronous single-frame reads (the pre-readahead behavior).
-  kNone = 0,
+/// Read mode of a SpillRunReader.
+enum class SpillReadahead {
+  /// Synchronous single-frame reads on the consumer thread.
+  kNone,
   /// Double-buffered: a background thread decodes and CRC-checks the next
   /// frame while the merge drains the current one, so merge wall-time
   /// tracks disk bandwidth instead of single-frame latency.
-  kDoubleBuffer = 1,
-  /// kDoubleBuffer plus kernel IO hints on a side fd: POSIX_FADV_SEQUENTIAL
-  /// at open and POSIX_FADV_WILLNEED ahead of each frame read (no-op on
-  /// platforms without posix_fadvise). An O_DIRECT page-cache-bypass flavor
-  /// is the designed next plug point if merge IO ever dominates here.
-  kFadvise = 2,
+  kDoubleBuffer,
 };
 
 /// Triplets per CRC frame (64 Ki rows = 1 MiB payload): the unit of both
@@ -116,11 +111,11 @@ class SpillRunWriter {
 };
 
 /// Streams a CSPL1 run back, one CRC-checked frame resident at a time.
-/// With a readahead mode, a background prefetcher decodes the *next* frame
-/// into a standby buffer while the consumer drains the current one (double
-/// buffering: exactly one frame in flight), optionally backed by
-/// posix_fadvise hints — so a k-way merge's per-run stalls overlap instead
-/// of serializing.
+/// Double-buffered, a background prefetcher decodes the *next* frame into
+/// a standby buffer while the consumer drains the current one (exactly one
+/// frame in flight), so a k-way merge's per-run stalls overlap instead of
+/// serializing. The shard merge reads double-buffered; every other reader
+/// is synchronous.
 class SpillRunReader final : public TripletSource {
  public:
   explicit SpillRunReader(std::filesystem::path path,
@@ -150,7 +145,7 @@ class SpillRunReader final : public TripletSource {
   std::uint64_t decoded_ = 0;
   bool exhausted_ = false;
 
-  // Double-buffer machinery (readahead modes only).
+  // Double-buffer machinery (kDoubleBuffer only).
   SpillReadahead readahead_ = SpillReadahead::kNone;
   std::thread prefetcher_;
   std::mutex mutex_;
@@ -161,7 +156,6 @@ class SpillRunReader final : public TripletSource {
   bool producerDone_ = false;
   bool stop_ = false;
   std::exception_ptr producerError_;
-  int hintFd_ = -1;
 };
 
 /// Spill activity counters, folded into SynthesisReport.
@@ -341,7 +335,7 @@ class SpillingSum {
   SpillingSum(std::filesystem::path dir, std::string filePrefix,
               std::uint64_t flushThresholdBytes, std::uint32_t splitRows = 0);
 
-  void addCollocation(const CollocationMatrix& matrix, AdjacencyMethod method);
+  void addCollocation(const CollocationMatrix& matrix);
 
   const AdjacencyKernelStats& kernelStats() const noexcept;
   /// Max in-memory bytes observed (map plus flush-sort transient).
@@ -384,13 +378,12 @@ struct ShardSegment {
 };
 
 /// Runs one shard's independent loser-tree merge over its (shard-pure)
-/// runs, streaming the result into `segmentFile` (tmp+rename). This is
-/// the unit of work a shard owner — worker thread or rank — executes; the
-/// final CADJ is the byte-identical concatenation of the resulting
-/// segments in ascending shard order.
+/// runs, read double-buffered, streaming the result into `segmentFile`
+/// (tmp+rename). This is the unit of work a shard owner — worker thread or
+/// rank — executes; the final CADJ is the byte-identical concatenation of
+/// the resulting segments in ascending shard order.
 ShardSegment mergeShardRuns(std::uint32_t shard,
                             std::span<const SpillRunInfo> runs,
-                            const std::filesystem::path& segmentFile,
-                            SpillReadahead readahead);
+                            const std::filesystem::path& segmentFile);
 
 }  // namespace chisimnet::sparse

@@ -20,6 +20,7 @@
 #include "chisimnet/pop/schedule.hpp"
 #include "chisimnet/runtime/fault.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 /// Crash-safe simulation suite (label abm-ckpt): checkpoint codec round
 /// trips, cursor/RNG state reconstruction, manifest commit + garbage
@@ -52,20 +53,8 @@ class AbmCkptTest : public ::testing::Test {
     population_ = nullptr;
   }
 
-  void SetUp() override {
-    root_ = std::filesystem::temp_directory_path() /
-            ("chisimnet_ckpt_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_);
-    clearShutdownRequest();
-  }
-  void TearDown() override {
-    clearShutdownRequest();
-    std::filesystem::remove_all(root_);
-  }
+  void SetUp() override { clearShutdownRequest(); }
+  void TearDown() override { clearShutdownRequest(); }
 
   ModelConfig baseConfig(ModelCore core, int ranks,
                          const std::string& logs) const {
@@ -110,7 +99,8 @@ class AbmCkptTest : public ::testing::Test {
   }
 
   static pop::SyntheticPopulation* population_;
-  std::filesystem::path root_;
+  testsupport::ScratchDir scratch_{"chisimnet_ckpt"};
+  const std::filesystem::path& root_ = scratch_.path();
 };
 
 pop::SyntheticPopulation* AbmCkptTest::population_ = nullptr;

@@ -11,6 +11,7 @@
 #include "chisimnet/abm/place_partition.hpp"
 #include "chisimnet/elog/log_directory.hpp"
 #include "chisimnet/pop/schedule.hpp"
+#include "support.hpp"
 
 namespace chisimnet::abm {
 namespace {
@@ -28,16 +29,6 @@ class AbmTest : public ::testing::Test {
     delete population_;
     population_ = nullptr;
   }
-
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_abm_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   ModelConfig modelConfig(int ranks, std::uint32_t weeks = 1) const {
     ModelConfig config;
@@ -78,7 +69,8 @@ class AbmTest : public ::testing::Test {
   }
 
   static pop::SyntheticPopulation* population_;
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_abm"};
+  const std::filesystem::path& dir_ = scratch_.path();
 };
 
 pop::SyntheticPopulation* AbmTest::population_ = nullptr;

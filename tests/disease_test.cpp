@@ -8,6 +8,7 @@
 #include "chisimnet/abm/model.hpp"
 #include "chisimnet/elog/extended.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 namespace chisimnet::abm {
 namespace {
@@ -18,17 +19,8 @@ using elog::ExtendedLogWriter;
 
 class ExtendedLogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_clx5_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_clx5"};
+  const std::filesystem::path& dir_ = scratch_.path();
 };
 
 std::vector<ExtendedEvent> randomExtended(std::uint64_t seed, std::size_t count,
@@ -134,16 +126,6 @@ class DiseaseModelTest : public ::testing::Test {
     population_ = nullptr;
   }
 
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_disease_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   DiseaseStats run(int ranks, double beta = 0.01, std::uint32_t weeks = 1) {
     std::filesystem::remove_all(dir_);
     ModelConfig config;
@@ -179,7 +161,8 @@ class DiseaseModelTest : public ::testing::Test {
   }
 
   static pop::SyntheticPopulation* population_;
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_disease"};
+  const std::filesystem::path& dir_ = scratch_.path();
 };
 
 pop::SyntheticPopulation* DiseaseModelTest::population_ = nullptr;

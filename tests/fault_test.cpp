@@ -364,7 +364,7 @@ TEST(PrefetchDestructorTest, DestroyWhileWorkersAreMidDecodeDoesNotHang) {
   elog::PrefetchingLoader::Options options;
   options.filesPerBatch = 1;
   options.depth = 1;
-  options.decodeWorkers = 2;
+  options.decodeThreads = 2;
   {
     elog::PrefetchingLoader loader(files, options);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -396,20 +396,16 @@ TEST(SynthesisDegradeTest, QuarantinedFileIsExcludedAndReported) {
   config.faultPolicy = FaultPolicy::kDegrade;
   for (const SynthesisBackend backend :
        {SynthesisBackend::kSharedMemory, SynthesisBackend::kMessagePassing}) {
-    for (const bool prefetch : {false, true}) {
-      config.backend = backend;
-      config.prefetch = prefetch;
-      NetworkSynthesizer synthesizer(config);
-      const auto adjacency = synthesizer.synthesizeAdjacency(files);
-      const std::string label = std::string(backendName(backend)) +
-                                (prefetch ? " prefetch" : " serial");
-      expectEqualAdjacency(adjacency, reference, label);
-      const SynthesisReport& report = synthesizer.report();
-      ASSERT_EQ(report.quarantined.size(), 1u) << label;
-      EXPECT_EQ(report.quarantined[0].file, files[1]) << label;
-      EXPECT_TRUE(hasFault(report, FaultEvent::Kind::kFileQuarantined))
-          << label;
-    }
+    config.backend = backend;
+    NetworkSynthesizer synthesizer(config);
+    const auto adjacency = synthesizer.synthesizeAdjacency(files);
+    const std::string label = backendName(backend);
+    expectEqualAdjacency(adjacency, reference, label);
+    const SynthesisReport& report = synthesizer.report();
+    ASSERT_EQ(report.quarantined.size(), 1u) << label;
+    EXPECT_EQ(report.quarantined[0].file, files[1]) << label;
+    EXPECT_TRUE(hasFault(report, FaultEvent::Kind::kFileQuarantined))
+        << label;
   }
 }
 
@@ -423,7 +419,6 @@ TEST(SynthesisDegradeTest, QuarantineLimitAbortsTheRun) {
   config.windowStart = fuzz.windowStart;
   config.windowEnd = fuzz.windowEnd;
   config.workers = 2;
-  config.prefetch = false;
   config.filesPerBatch = 1;
   config.faultPolicy = FaultPolicy::kDegrade;
   config.maxQuarantinedFiles = 1;

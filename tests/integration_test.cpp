@@ -4,6 +4,7 @@
 
 #include "chisimnet/chisimnet.hpp"
 #include "chisimnet/elog/extended.hpp"
+#include "support.hpp"
 
 /// End-to-end tests over the full stack: population -> ABM -> per-rank logs
 /// -> synthesis -> graph analysis, checking the cross-module invariants the
@@ -26,16 +27,6 @@ class IntegrationTest : public ::testing::Test {
     population_ = nullptr;
   }
 
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_integration_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   abm::ModelStats simulate(int ranks, std::uint32_t weeks = 1) {
     abm::ModelConfig config;
     config.logDirectory = dir_;
@@ -46,7 +37,8 @@ class IntegrationTest : public ::testing::Test {
   }
 
   static pop::SyntheticPopulation* population_;
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_integration"};
+  const std::filesystem::path& dir_ = scratch_.path();
 };
 
 pop::SyntheticPopulation* IntegrationTest::population_ = nullptr;

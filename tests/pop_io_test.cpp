@@ -6,22 +6,15 @@
 #include "chisimnet/pop/io.hpp"
 #include "chisimnet/pop/population.hpp"
 #include "chisimnet/pop/schedule.hpp"
+#include "support.hpp"
 
 namespace chisimnet::pop {
 namespace {
 
 class PopIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_pop_io_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_pop_io"};
+  const std::filesystem::path& dir_ = scratch_.path();
 };
 
 PopulationConfig smallConfig() {

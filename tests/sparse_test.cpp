@@ -226,17 +226,20 @@ class AdjacencyMethodProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(AdjacencyMethodProperty, AllMethodsMatchBruteForce) {
-  const CollocationMatrix matrix = randomMatrix(GetParam(), 12, 24, 40);
-  const auto expected = bruteForcePairs(matrix);
-
-  for (const AdjacencyMethod method :
-       {AdjacencyMethod::kSpGemm, AdjacencyMethod::kIntervalIntersection,
-        AdjacencyMethod::kLocalAccumulate}) {
-    SymmetricAdjacency adjacency;
-    adjacency.addCollocation(matrix, method);
-    EXPECT_EQ(adjacency.edgeCount(), expected.size());
+  // The production local-accumulate kernel against the paper's SpGEMM
+  // reference, and both against brute force: a crowded place (dense path)
+  // and a sparse-overlap one over a long slice (local-hash path).
+  for (const CollocationMatrix& matrix :
+       {randomMatrix(GetParam(), 12, 24, 40),
+        randomMatrix(GetParam(), 200, 160, 60)}) {
+    const auto expected = bruteForcePairs(matrix);
+    const SymmetricAdjacency reference = spGemmAdjacency(matrix);
+    SymmetricAdjacency local;
+    local.addCollocation(matrix);
+    EXPECT_EQ(local.toTriplets(), reference.toTriplets());
+    EXPECT_EQ(reference.edgeCount(), expected.size());
     for (const auto& [pair, weight] : expected) {
-      EXPECT_EQ(adjacency.weight(pair.first, pair.second), weight)
+      EXPECT_EQ(reference.weight(pair.first, pair.second), weight)
           << "pair (" << pair.first << "," << pair.second << ")";
     }
   }
@@ -260,7 +263,7 @@ TEST(LocalAccumulateCrossover, SmallPlaceTakesDensePath) {
   // inside the dense triangular-array regime.
   const CollocationMatrix matrix = randomMatrix(3, 12, 24, 40);
   SymmetricAdjacency adjacency;
-  adjacency.addCollocation(matrix, AdjacencyMethod::kLocalAccumulate);
+  adjacency.addCollocation(matrix);
   EXPECT_EQ(adjacency.kernelStats().densePlaces, 1u);
   EXPECT_EQ(adjacency.kernelStats().hashPlaces, 0u);
   EXPECT_GT(adjacency.kernelStats().globalEmits, 0u);
@@ -279,7 +282,7 @@ TEST(LocalAccumulateCrossover, SparseOverlapTakesHashPath) {
   }
   const CollocationMatrix matrix(77, events, 0, 50);
   SymmetricAdjacency adjacency;
-  adjacency.addCollocation(matrix, AdjacencyMethod::kLocalAccumulate);
+  adjacency.addCollocation(matrix);
   EXPECT_EQ(adjacency.kernelStats().densePlaces, 0u);
   EXPECT_EQ(adjacency.kernelStats().hashPlaces, 1u);
   EXPECT_EQ(adjacency.kernelStats().pairHourUpdates, 50u);
@@ -290,10 +293,8 @@ TEST(LocalAccumulateCrossover, SparseOverlapTakesHashPath) {
 TEST(LocalAccumulateCrossover, StatsSurviveMerge) {
   SymmetricAdjacency a;
   SymmetricAdjacency b;
-  a.addCollocation(randomMatrix(4, 12, 24, 40),
-                   AdjacencyMethod::kLocalAccumulate);
-  b.addCollocation(randomMatrix(5, 12, 24, 40),
-                   AdjacencyMethod::kLocalAccumulate);
+  a.addCollocation(randomMatrix(4, 12, 24, 40));
+  b.addCollocation(randomMatrix(5, 12, 24, 40));
   const std::uint64_t updates =
       a.kernelStats().pairHourUpdates + b.kernelStats().pairHourUpdates;
   a.merge(b);

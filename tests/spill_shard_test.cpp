@@ -89,12 +89,12 @@ std::string fileBytes(const std::filesystem::path& path) {
 /// segments ascending — the driver's sharded tail, minus the executor.
 std::vector<AdjacencyTriplet> mergePlanToTriplets(
     const std::vector<SpillingAccumulator::ShardRunGroup>& plan,
-    const std::filesystem::path& dir, SpillReadahead readahead) {
+    const std::filesystem::path& dir) {
   std::vector<AdjacencyTriplet> out;
   for (const auto& group : plan) {
     const ShardSegment segment = mergeShardRuns(
         group.shard, group.runs,
-        dir / ("seg." + std::to_string(group.shard) + ".cseg"), readahead);
+        dir / ("seg." + std::to_string(group.shard) + ".cseg"));
     // A segment is a raw CADJ payload, not a CSPL1 run — read it directly.
     std::ifstream in(segment.file, std::ios::binary);
     std::vector<char> bytes(static_cast<std::size_t>(segment.bytes));
@@ -171,9 +171,7 @@ TEST(ShardMergePlanTest, StraddlingRunsAreSplitShardPure) {
   }
   EXPECT_EQ(planned, accumulator.liveRuns().size());
 
-  EXPECT_EQ(
-      mergePlanToTriplets(plan, scratch.path(), SpillReadahead::kNone),
-      bruteForceSum({adds}));
+  EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), bruteForceSum({adds}));
 }
 
 TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
@@ -196,8 +194,7 @@ TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
   const std::vector<AdjacencyTriplet> want = {
       AdjacencyTriplet{2, 90, 1}, AdjacencyTriplet{7, 8, 2},
       AdjacencyTriplet{7, 9, 3}, AdjacencyTriplet{40, 41, 4}};
-  EXPECT_EQ(
-      mergePlanToTriplets(plan, scratch.path(), SpillReadahead::kNone), want);
+  EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), want);
 }
 
 TEST(ShardMergePlanTest, EmptyAccumulatorYieldsEmptyPlan) {
@@ -231,8 +228,7 @@ TEST(ShardMergePlanTest, UnknownRangeRunIsSplit) {
   accumulator.restoreRunFile(info);
   const auto plan = accumulator.buildShardMergePlan();
   EXPECT_GT(accumulator.stats().runsSplit, 0u);
-  EXPECT_EQ(
-      mergePlanToTriplets(plan, scratch.path(), SpillReadahead::kNone), run);
+  EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), run);
 }
 
 // ---- segment concatenation vs the serial merge ----
@@ -271,35 +267,26 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
   }
   const std::string serialBytes = fileBytes(serialOut);
 
-  for (const SpillReadahead readahead :
-       {SpillReadahead::kNone, SpillReadahead::kDoubleBuffer,
-        SpillReadahead::kFadvise}) {
-    const std::string label =
-        "readahead " + std::to_string(static_cast<std::uint32_t>(readahead));
-    SpillingAccumulator::Options options;
-    options.dir =
-        scratch.path() /
-        ("sharded" + std::to_string(static_cast<std::uint32_t>(readahead)));
-    options.rowsPerShard = 16;  // 96-row space -> several shards
-    SpillingAccumulator accumulator(options);
-    feed(accumulator);
-    const auto plan = accumulator.buildShardMergePlan();
-    ASSERT_GT(plan.size(), 1u) << label;
-    const std::filesystem::path out =
-        scratch.path() / (label + ".cadj");
-    StreamingTripletWriter writer(out);
-    for (const auto& group : plan) {
-      const ShardSegment segment = mergeShardRuns(
-          group.shard, group.runs,
-          options.dir / ("seg." + std::to_string(group.shard) + ".cseg"),
-          readahead);
-      writer.appendSegmentFile(segment.file,
-                               TripletSegmentInfo{segment.triplets,
-                                                  segment.bytes, segment.crc});
-    }
-    writer.finish();
-    EXPECT_EQ(fileBytes(out), serialBytes) << label;
+  // The shard merge reads its runs double-buffered.
+  SpillingAccumulator::Options options;
+  options.dir = scratch.path() / "sharded";
+  options.rowsPerShard = 16;  // 96-row space -> several shards
+  SpillingAccumulator accumulator(options);
+  feed(accumulator);
+  const auto plan = accumulator.buildShardMergePlan();
+  ASSERT_GT(plan.size(), 1u);
+  const std::filesystem::path out = scratch.path() / "sharded.cadj";
+  StreamingTripletWriter writer(out);
+  for (const auto& group : plan) {
+    const ShardSegment segment = mergeShardRuns(
+        group.shard, group.runs,
+        options.dir / ("seg." + std::to_string(group.shard) + ".cseg"));
+    writer.appendSegmentFile(segment.file,
+                             TripletSegmentInfo{segment.triplets,
+                                                segment.bytes, segment.crc});
   }
+  writer.finish();
+  EXPECT_EQ(fileBytes(out), serialBytes);
 }
 
 TEST(ShardMergeTest, ReadaheadReaderDetectsTruncation) {

@@ -284,12 +284,18 @@ TEST(MpProtocolTest, StageParamsRoundTripThroughHelloPayload) {
   mp::StageParams params;
   params.windowStart = 17;
   params.windowEnd = 193;
-  params.method = sparse::AdjacencyMethod::kSpGemm;
+  params.spillThresholdBytes = 1u << 20;
+  params.spillDir = "spill-dir";
+  params.splitRows = 16;
+  params.shipRuns = true;
   const auto bytes = mp::encodeStageParams(params);
   const mp::StageParams back = mp::decodeStageParams(bytes);
   EXPECT_EQ(back.windowStart, params.windowStart);
   EXPECT_EQ(back.windowEnd, params.windowEnd);
-  EXPECT_EQ(back.method, params.method);
+  EXPECT_EQ(back.spillThresholdBytes, params.spillThresholdBytes);
+  EXPECT_EQ(back.spillDir, params.spillDir);
+  EXPECT_EQ(back.splitRows, params.splitRows);
+  EXPECT_EQ(back.shipRuns, params.shipRuns);
 
   // Truncated and oversized payloads are both malformed.
   std::vector<std::byte> shortBytes(bytes.begin(), bytes.end() - 1);
@@ -597,18 +603,14 @@ void expectCleanRun(MpTransport transport, std::uint64_t seed) {
 
   SynthesisConfig config = socketConfig(fuzz, transport);
   config.filesPerBatch = 2;
-  for (const bool prefetch : {false, true}) {
-    config.prefetch = prefetch;
-    NetworkSynthesizer synthesizer(config);
-    const auto adjacency = synthesizer.synthesizeAdjacency(files);
-    expectEqualAdjacency(adjacency, reference,
-                         prefetch ? "clean prefetch" : "clean serial");
-    const SynthesisReport& report = synthesizer.report();
-    EXPECT_EQ(report.ranksLost, 0);
-    EXPECT_EQ(report.workersRespawned, 0u);
-    EXPECT_EQ(report.workersReconnected, 0u);
-    EXPECT_GT(report.bytesScattered, 0u);
-  }
+  NetworkSynthesizer synthesizer(config);
+  const auto adjacency = synthesizer.synthesizeAdjacency(files);
+  expectEqualAdjacency(adjacency, reference, "clean");
+  const SynthesisReport& report = synthesizer.report();
+  EXPECT_EQ(report.ranksLost, 0);
+  EXPECT_EQ(report.workersRespawned, 0u);
+  EXPECT_EQ(report.workersReconnected, 0u);
+  EXPECT_GT(report.bytesScattered, 0u);
 }
 
 TEST(ProcessTransportSynthesisTest, CleanRunMatchesBruteForce) {
@@ -849,8 +851,6 @@ TEST(ProcessTransportSynthesisTest, KillMidBatchResumeRestoresInflight) {
     config.workers = 3;
     config.backend = SynthesisBackend::kMessagePassing;
     config.filesPerBatch = 2;  // 3 batches over 6 files
-    config.prefetch = true;
-    config.prefetchDepth = 2;
     if (processTransport) {
       config.transport = MpTransport::kProcess;
       config.heartbeatMs = 100;
@@ -893,8 +893,9 @@ TEST(ProcessTransportSynthesisTest, KillMidBatchResumeRestoresInflight) {
   }
 }
 
-/// The non-prefetching driver must also accept (and correctly consume) a
-/// checkpoint whose snapshot a prefetching run wrote before dying.
+/// A resume with a different worker count (a perf knob outside the config
+/// hash) must accept and correctly consume the in-flight snapshot a run
+/// wrote before dying.
 TEST(ProcessTransportSynthesisTest, SerialResumeConsumesAPrefetchSnapshot) {
   const FuzzCase fuzz = makeCase(98);
   ScratchDir scratch("chisimnet_proc_serial_resume");
@@ -907,8 +908,6 @@ TEST(ProcessTransportSynthesisTest, SerialResumeConsumesAPrefetchSnapshot) {
   config.windowEnd = fuzz.windowEnd;
   config.workers = 3;
   config.filesPerBatch = 2;
-  config.prefetch = true;
-  config.prefetchDepth = 2;
 
   NetworkSynthesizer uninterrupted(config);
   const auto reference = uninterrupted.synthesizeAdjacency(files);
@@ -930,7 +929,7 @@ TEST(ProcessTransportSynthesisTest, SerialResumeConsumesAPrefetchSnapshot) {
   ASSERT_FALSE(manifest->inflightFile.empty());
 
   config.resume = true;
-  config.prefetch = false;  // resume with the serial loader
+  config.workers = 1;  // resume with a different worker count
   NetworkSynthesizer resumed(config);
   const auto adjacency = resumed.synthesizeAdjacency(files);
   EXPECT_EQ(adjacency.toTriplets(), reference.toTriplets());

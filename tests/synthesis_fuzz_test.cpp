@@ -20,7 +20,7 @@
 /// event tables — varying person/place counts, window edges, and adversarial
 /// intervals (zero-length, out-of-window, window-edge-crossing) — written to
 /// place-partitioned CLG5 files like real per-rank logs, then synthesized
-/// with prefetch on and off across worker counts and file batchings, and
+/// across backends, worker counts, file batchings and memory budgets, and
 /// compared edge-for-edge against bruteForceAdjacency.
 
 namespace chisimnet::net {
@@ -121,84 +121,44 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
       writePlacePartitionedFiles(fuzz.events, scratch.path(), fileCount);
   const std::size_t batchChoices[] = {0, 1, 2};
   config.filesPerBatch = batchChoices[seed % 3];
-  config.prefetchDepth = 1 + seed % 3;
 
   for (const unsigned workers : {1u, 2u, 7u}) {
-    for (const bool prefetch : {false, true}) {
-      config.workers = workers;
-      config.prefetch = prefetch;
-      NetworkSynthesizer synthesizer(config);
-      const auto adjacency = synthesizer.synthesizeAdjacency(files);
-      expectEqualAdjacency(
-          adjacency, reference,
-          "seed " + std::to_string(seed) + " workers " +
-              std::to_string(workers) + (prefetch ? " prefetch" : " serial"));
-      // The report must agree with the reference result regardless of how
-      // the load was pipelined.
-      const SynthesisReport& report = synthesizer.report();
-      EXPECT_EQ(report.edges, reference.edgeCount());
-      EXPECT_EQ(report.prefetchEnabled, prefetch);
-      EXPECT_GE(report.loadOverlappedSeconds, 0.0);
-      if (!prefetch) {
-        EXPECT_DOUBLE_EQ(report.loadExposedSeconds, report.loadSeconds);
-      }
-      // Default config runs the local-coordinate kernel and the root
-      // fold; the counters must be self-consistent.
-      EXPECT_GT(report.reduceMergedSums, 0u);
-      EXPECT_LE(report.kernelDensePlaces + report.kernelHashPlaces,
-                report.placesProcessed);
-      EXPECT_LE(report.kernelGlobalEmits, report.kernelPairHourUpdates);
-    }
+    config.workers = workers;
+    NetworkSynthesizer synthesizer(config);
+    const auto adjacency = synthesizer.synthesizeAdjacency(files);
+    expectEqualAdjacency(adjacency, reference,
+                         "seed " + std::to_string(seed) + " workers " +
+                             std::to_string(workers));
+    // The report must agree with the reference result regardless of how
+    // the load was pipelined.
+    const SynthesisReport& report = synthesizer.report();
+    EXPECT_EQ(report.edges, reference.edgeCount());
+    EXPECT_GE(report.loadOverlappedSeconds, 0.0);
+    // The local-coordinate kernel and the root fold: the counters must be
+    // self-consistent.
+    EXPECT_GT(report.reduceMergedSums, 0u);
+    EXPECT_LE(report.kernelDensePlaces + report.kernelHashPlaces,
+              report.placesProcessed);
+    EXPECT_LE(report.kernelGlobalEmits, report.kernelPairHourUpdates);
   }
 
   // Same seeds through the message-passing executor: both backends and the
-  // brute force must agree edge-for-edge, batched and prefetched alike.
+  // brute force must agree edge-for-edge.
   config.backend = SynthesisBackend::kMessagePassing;
   for (const unsigned workers : {1u, 3u}) {
-    for (const bool prefetch : {false, true}) {
-      config.workers = workers;
-      config.prefetch = prefetch;
-      NetworkSynthesizer synthesizer(config);
-      expectEqualAdjacency(
-          synthesizer.synthesizeAdjacency(files), reference,
-          "mp seed " + std::to_string(seed) + " workers " +
-              std::to_string(workers) + (prefetch ? " prefetch" : " serial"));
-      EXPECT_GT(synthesizer.report().bytesScattered, 0u);
-    }
-  }
-
-  // The kernel (old per-pair-hour SpGEMM vs new local-coordinate) is a
-  // perf knob only: both, on both backends, must be bit-identical to the
-  // brute force for every seed.
-  config.prefetch = true;
-  for (const sparse::AdjacencyMethod method :
-       {sparse::AdjacencyMethod::kSpGemm,
-        sparse::AdjacencyMethod::kLocalAccumulate}) {
-    for (const SynthesisBackend backend :
-         {SynthesisBackend::kSharedMemory,
-          SynthesisBackend::kMessagePassing}) {
-      config.method = method;
-      config.backend = backend;
-      config.workers = backend == SynthesisBackend::kSharedMemory ? 7u : 3u;
-      NetworkSynthesizer synthesizer(config);
-      expectEqualAdjacency(
-          synthesizer.synthesizeAdjacency(files), reference,
-          "seed " + std::to_string(seed) + " " + backendName(backend) +
-              (method == sparse::AdjacencyMethod::kSpGemm ? " spgemm"
-                                                          : " local"));
-      if (method == sparse::AdjacencyMethod::kSpGemm) {
-        const SynthesisReport& report = synthesizer.report();
-        EXPECT_EQ(report.kernelDensePlaces + report.kernelHashPlaces, 0u);
-      }
-    }
+    config.workers = workers;
+    NetworkSynthesizer synthesizer(config);
+    expectEqualAdjacency(synthesizer.synthesizeAdjacency(files), reference,
+                         "mp seed " + std::to_string(seed) + " workers " +
+                             std::to_string(workers));
+    EXPECT_GT(synthesizer.report().bytesScattered, 0u);
   }
 
   // Memory-budget axis: the disk-spilling accumulator is a perf/footprint
   // knob, never an output knob. A tight budget (forces spills every few
   // batches) and a pathological one (the 4 KiB threshold floor: spill on
   // practically every batch) must both stay bit-identical to the brute
-  // force, per backend and kernel.
-  config.method = sparse::AdjacencyMethod::kLocalAccumulate;
+  // force, per backend.
   for (const std::uint64_t budget : {std::uint64_t{32} * 1024,
                                      std::uint64_t{1}}) {
     for (const SynthesisBackend backend :
@@ -290,15 +250,10 @@ TEST_P(SynthesisFuzzProcess, ProcessTransportEqualsBruteForce) {
   config.transport = MpTransport::kProcess;
   config.workers = 2 + static_cast<unsigned>(seed % 2);
   config.filesPerBatch = seed % 3;
-  for (const bool prefetch : {false, true}) {
-    config.prefetch = prefetch;
-    NetworkSynthesizer synthesizer(config);
-    expectEqualAdjacency(
-        synthesizer.synthesizeAdjacency(files), reference,
-        "process seed " + std::to_string(seed) +
-            (prefetch ? " prefetch" : " serial"));
-    EXPECT_EQ(synthesizer.report().ranksLost, 0);
-  }
+  NetworkSynthesizer synthesizer(config);
+  expectEqualAdjacency(synthesizer.synthesizeAdjacency(files), reference,
+                       "process seed " + std::to_string(seed));
+  EXPECT_EQ(synthesizer.report().ranksLost, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SynthesisFuzzProcess,
@@ -329,29 +284,25 @@ TEST(SynthesisBatching, BatchSizeInvariantOverSameLogSet) {
           SynthesisBackend::kMessagePassing}) {
       for (const std::size_t filesPerBatch :
            {std::size_t{1}, std::size_t{3}}) {
-        for (const bool prefetch : {false, true}) {
-          config.backend = backend;
-          config.filesPerBatch = filesPerBatch;
-          config.prefetch = prefetch;
-          NetworkSynthesizer batched(config);
-          const auto adjacency = batched.synthesizeAdjacency(files);
-          const SynthesisReport& report = batched.report();
-          const std::string label =
-              "seed " + std::to_string(seed) + " " + backendName(backend) +
-              " filesPerBatch " + std::to_string(filesPerBatch) +
-              (prefetch ? " prefetch" : "");
-          expectEqualAdjacency(adjacency, wholeAdjacency, label);
-          EXPECT_EQ(report.logEntriesLoaded, wholeReport.logEntriesLoaded)
-              << label;
-          EXPECT_EQ(report.placesProcessed, wholeReport.placesProcessed)
-              << label;
-          EXPECT_EQ(report.collocationNnz, wholeReport.collocationNnz)
-              << label;
-          EXPECT_EQ(report.edges, wholeReport.edges) << label;
-          EXPECT_EQ(report.batches, (files.size() + filesPerBatch - 1) /
-                                        filesPerBatch)
-              << label;
-        }
+        config.backend = backend;
+        config.filesPerBatch = filesPerBatch;
+        NetworkSynthesizer batched(config);
+        const auto adjacency = batched.synthesizeAdjacency(files);
+        const SynthesisReport& report = batched.report();
+        const std::string label =
+            "seed " + std::to_string(seed) + " " + backendName(backend) +
+            " filesPerBatch " + std::to_string(filesPerBatch);
+        expectEqualAdjacency(adjacency, wholeAdjacency, label);
+        EXPECT_EQ(report.logEntriesLoaded, wholeReport.logEntriesLoaded)
+            << label;
+        EXPECT_EQ(report.placesProcessed, wholeReport.placesProcessed)
+            << label;
+        EXPECT_EQ(report.collocationNnz, wholeReport.collocationNnz)
+            << label;
+        EXPECT_EQ(report.edges, wholeReport.edges) << label;
+        EXPECT_EQ(report.batches,
+                  (files.size() + filesPerBatch - 1) / filesPerBatch)
+            << label;
       }
     }
   }
@@ -359,7 +310,7 @@ TEST(SynthesisBatching, BatchSizeInvariantOverSameLogSet) {
 
 /// Degrade-mode differential check: corrupt one input file per seed and
 /// require the degraded run to equal the brute force over exactly the
-/// surviving files — on both backends, serial and prefetched — with the
+/// surviving files — on both backends — with the
 /// quarantine report naming the corrupted file.
 TEST(SynthesisBatching, DegradedRunEqualsBruteForceOverSurvivors) {
   for (const std::uint64_t seed : {2u, 19u, 38u}) {
@@ -389,20 +340,16 @@ TEST(SynthesisBatching, DegradedRunEqualsBruteForceOverSurvivors) {
     for (const SynthesisBackend backend :
          {SynthesisBackend::kSharedMemory,
           SynthesisBackend::kMessagePassing}) {
-      for (const bool prefetch : {false, true}) {
-        config.backend = backend;
-        config.prefetch = prefetch;
-        NetworkSynthesizer synthesizer(config);
-        const auto adjacency = synthesizer.synthesizeAdjacency(files);
-        const std::string label =
-            "degrade seed " + std::to_string(seed) + " " +
-            backendName(backend) + (prefetch ? " prefetch" : " serial");
-        expectEqualAdjacency(adjacency, reference, label);
-        const SynthesisReport& report = synthesizer.report();
-        ASSERT_EQ(report.quarantined.size(), 1u) << label;
-        EXPECT_EQ(report.quarantined[0].file, files[victim]) << label;
-        EXPECT_FALSE(report.quarantined[0].reason.empty()) << label;
-      }
+      config.backend = backend;
+      NetworkSynthesizer synthesizer(config);
+      const auto adjacency = synthesizer.synthesizeAdjacency(files);
+      const std::string label = "degrade seed " + std::to_string(seed) +
+                                " " + backendName(backend);
+      expectEqualAdjacency(adjacency, reference, label);
+      const SynthesisReport& report = synthesizer.report();
+      ASSERT_EQ(report.quarantined.size(), 1u) << label;
+      EXPECT_EQ(report.quarantined[0].file, files[victim]) << label;
+      EXPECT_FALSE(report.quarantined[0].reason.empty()) << label;
     }
   }
 }
@@ -422,12 +369,8 @@ TEST(SynthesisBatching, CorruptFileSurfacesAsException) {
   config.windowEnd = fuzz.windowEnd;
   config.workers = 2;
   config.filesPerBatch = 1;
-  for (const bool prefetch : {false, true}) {
-    config.prefetch = prefetch;
-    NetworkSynthesizer synthesizer(config);
-    EXPECT_THROW(synthesizer.synthesizeAdjacency(files), std::exception)
-        << (prefetch ? "prefetch" : "serial");
-  }
+  NetworkSynthesizer synthesizer(config);
+  EXPECT_THROW(synthesizer.synthesizeAdjacency(files), std::exception);
 }
 
 }  // namespace

@@ -5,23 +5,15 @@
 
 #include "chisimnet/table/io.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "support.hpp"
 
 namespace chisimnet::table {
 namespace {
 
 class TableIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_table_io_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  testsupport::ScratchDir scratch_{"chisimnet_table_io"};
+  const std::filesystem::path& dir_ = scratch_.path();
 };
 
 EventTable randomEvents(std::uint64_t seed, std::size_t count) {

@@ -20,6 +20,7 @@
 ///                     --out /tmp/ego
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -41,7 +42,8 @@ using namespace chisimnet;
 
 /// Minimal --key value argument parser. Every accessor records the key it
 /// was asked for; rejectUnknown() then fails on any option the subcommand
-/// never read, so a typo or a retired flag is an error, not a no-op.
+/// never read, so a typo or a retired flag is an error, not a no-op. An
+/// option given twice is an error too, not "the last one wins".
 class Args {
  public:
   Args(int argc, char** argv, int firstArg) {
@@ -51,10 +53,12 @@ class Args {
         throw std::invalid_argument("expected --option, got: " + key);
       }
       key = key.substr(2);
+      std::string value;  // empty: a boolean flag
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";  // boolean flag
+        value = argv[++i];
+      }
+      if (!values_.emplace(key, std::move(value)).second) {
+        throw std::invalid_argument("duplicate option --" + key);
       }
     }
   }
@@ -138,12 +142,23 @@ class Args {
     return value * multiplier;
   }
 
+  /// A finite decimal number; the whole string must parse (--beta 0.5x
+  /// is rejected, not read as 0.5), and inf/nan are rejected.
   double real(const std::string& key, double fallback) const {
     const auto it = find(key);
     if (it == values_.end()) {
       return fallback;
     }
-    return std::stod(it->second);
+    double value = 0.0;
+    const auto& text = it->second;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || ptr != text.data() + text.size() ||
+        !std::isfinite(value)) {
+      throw std::invalid_argument("--" + key +
+                                  " expects a finite number, got: " + text);
+    }
+    return value;
   }
 
   /// Throws on the first given option no accessor has asked for. Each
@@ -293,25 +308,6 @@ int cmdSynthesize(const Args& args) {
   config.windowEnd = args.num<table::Hour>("window-end", 168);
   config.workers = args.num<unsigned>("workers", 4);
   config.filesPerBatch = args.num<std::size_t>("batch", 0);
-  config.balancedPartition = !args.has("no-balance");
-  config.prefetch = !args.has("no-prefetch");
-  config.prefetchDepth = args.num<std::size_t>("prefetch-depth", 2);
-  config.decodeWorkers = args.num<unsigned>("decode-workers", 0);
-  // On by default (see EXPERIMENTS.md); --occupancy-weight is still
-  // accepted (read here, then ignored) so existing invocations keep working.
-  config.occupancyWeight = !args.has("nnz-weight");
-  args.has("occupancy-weight");
-  const std::string method = args.str("method", "local");
-  if (method == "spgemm") {
-    config.method = sparse::AdjacencyMethod::kSpGemm;
-  } else if (method == "intersect") {
-    config.method = sparse::AdjacencyMethod::kIntervalIntersection;
-  } else if (method == "local") {
-    config.method = sparse::AdjacencyMethod::kLocalAccumulate;
-  } else {
-    throw std::invalid_argument(
-        "--method expects local, spgemm or intersect, got: " + method);
-  }
   const std::string backend = args.str("backend", "shared");
   if (backend == "mp") {
     config.backend = net::SynthesisBackend::kMessagePassing;
@@ -348,18 +344,6 @@ int cmdSynthesize(const Args& args) {
   config.memoryBudgetBytes = args.bytes("memory-budget", 0);
   config.spillDir = args.str("spill-dir", "");
   config.reduceShards = args.num<unsigned>("reduce-shards", 0);
-  const std::string readahead = args.str("merge-readahead", "buffer");
-  if (readahead == "none") {
-    config.mergeReadahead = sparse::SpillReadahead::kNone;
-  } else if (readahead == "buffer") {
-    config.mergeReadahead = sparse::SpillReadahead::kDoubleBuffer;
-  } else if (readahead == "fadvise") {
-    config.mergeReadahead = sparse::SpillReadahead::kFadvise;
-  } else {
-    throw std::invalid_argument(
-        "--merge-readahead expects none, buffer or fadvise, got: " +
-        readahead);
-  }
   args.rejectUnknown();
 
   const auto files = elog::listLogFiles(logs);
@@ -392,23 +376,19 @@ int cmdSynthesize(const Args& args) {
               << " KiB (" << net::mpTransportName(config.transport)
               << " transport)\n";
   }
-  if (config.method == sparse::AdjacencyMethod::kLocalAccumulate) {
-    std::cout << "kernel: " << report.kernelDensePlaces << " dense / "
-              << report.kernelHashPlaces << " hash places, "
-              << report.kernelPairHourUpdates << " local updates -> "
-              << report.kernelGlobalEmits << " global emits\n";
-  }
+  std::cout << "kernel: " << report.kernelDensePlaces << " dense / "
+            << report.kernelHashPlaces << " hash places, "
+            << report.kernelPairHourUpdates << " local updates -> "
+            << report.kernelGlobalEmits << " global emits\n";
   std::cout << "reduce: " << report.reduceMergedSums
             << " worker sums folded at the root in "
             << report.reduceCriticalSeconds << " s CPU\n";
   std::cout << "load: " << report.loadSeconds << " s total, "
-            << report.loadExposedSeconds << " s exposed on the compute path";
-  if (report.prefetchEnabled) {
-    std::cout << " (prefetch hid " << report.loadOverlappedSeconds
-              << " s; buffer mean/peak " << report.prefetchMeanOccupancy << "/"
-              << report.prefetchPeakOccupancy << ")";
-  }
-  std::cout << "\n";
+            << report.loadExposedSeconds
+            << " s exposed on the compute path (prefetch hid "
+            << report.loadOverlappedSeconds << " s; buffer mean/peak "
+            << report.prefetchMeanOccupancy << "/"
+            << report.prefetchPeakOccupancy << ")\n";
   if (report.resumed) {
     std::cout << "resumed from checkpoint: skipped "
               << report.filesSkippedByResume << " already-consumed files";
@@ -616,9 +596,6 @@ void printUsage() {
       "  info        --logs DIR\n"
       "  synthesize  --logs DIR --out FILE.cadj [--window-start H] [--window-end H]\n"
       "              [--backend shared|mp] [--workers W] [--batch N]\n"
-      "              [--no-balance] [--nnz-weight]\n"
-      "              [--method local|spgemm|intersect]\n"
-      "              [--no-prefetch] [--prefetch-depth N] [--decode-workers W]\n"
       "              [--fault-policy failfast|degrade] [--max-quarantined-files N]\n"
       "              [--command-timeout-ms MS] [--checkpoint-dir DIR] [--resume]\n"
       "              [--transport inproc|process|tcp] [--max-respawns N]\n"
@@ -626,7 +603,7 @@ void printUsage() {
       "              [--connect-retries N] [--reconnect-grace-ms MS]\n"
       "              [--tcp-listen HOST:PORT]   (tcp: external workers)\n"
       "              [--memory-budget BYTES[K|M|G]] [--spill-dir DIR]\n"
-      "              [--reduce-shards N] [--merge-readahead none|buffer|fadvise]\n"
+      "              [--reduce-shards N]\n"
       "  worker      --connect HOST:PORT --rank N --rank-count R\n"
       "              [--connect-timeout-ms MS] [--connect-retries N]\n"
       "              (join a --transport tcp synthesis root from another host)\n"
