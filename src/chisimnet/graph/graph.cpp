@@ -1,45 +1,146 @@
 #include "chisimnet/graph/graph.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "chisimnet/util/error.hpp"
+#include "chisimnet/util/radix_sort.hpp"
 
 namespace chisimnet::graph {
 
-Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets) {
-  // Collect and compact the person ids that appear.
-  std::vector<std::uint32_t> labels;
-  labels.reserve(triplets.size() * 2);
+namespace {
+
+/// Checks fromTriplets' input contract (upper-triangular rows in strict
+/// (i, j) ascent) and returns the distinct endpoint ids, ascending. The
+/// i's arrive ascending, so they dedupe on the fly; only the j's need a
+/// sort.
+std::vector<std::uint32_t> checkedEndpointIds(
+    std::span<const sparse::AdjacencyTriplet> triplets) {
+  std::vector<std::uint32_t> rowIds;
+  std::vector<std::uint32_t> columnIds;
+  columnIds.reserve(triplets.size());
+  std::uint64_t previous = 0;  // every valid key is >= 1: j > i >= 0
   for (const sparse::AdjacencyTriplet& triplet : triplets) {
-    labels.push_back(triplet.i);
-    labels.push_back(triplet.j);
+    const std::uint64_t key = sparse::packPair(triplet.i, triplet.j);
+    CHISIM_REQUIRE(triplet.i < triplet.j && key > previous,
+                   "adjacency triplets must be upper-triangular (i < j) in "
+                   "strict (i, j) ascent");
+    previous = key;
+    if (rowIds.empty() || rowIds.back() != triplet.i) {
+      rowIds.push_back(triplet.i);
+    }
+    columnIds.push_back(triplet.j);
   }
-  std::sort(labels.begin(), labels.end());
-  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-  return fromTriplets(triplets, labels);
+  util::radixSort(columnIds, [](std::uint32_t id) { return id; });
+  columnIds.erase(std::unique(columnIds.begin(), columnIds.end()),
+                  columnIds.end());
+  std::vector<std::uint32_t> ids;
+  ids.reserve(rowIds.size() + columnIds.size());
+  std::set_union(rowIds.begin(), rowIds.end(), columnIds.begin(),
+                 columnIds.end(), std::back_inserter(ids));
+  return ids;
+}
+
+/// Maps labels back to vertices without a table sized by the ids: the
+/// sorted labels are bucketed on `id >> shift`, with the shift chosen so
+/// there are at most 2V buckets (2V+1 bucket starts). Dense ids get one
+/// label per bucket; a skewed id set degrades to a binary search within a
+/// bucket, never to an allocation in the id range.
+class LabelIndex {
+ public:
+  explicit LabelIndex(std::span<const std::uint32_t> labels) : labels_(labels) {
+    if (labels.empty()) {
+      return;
+    }
+    const std::uint64_t limit = 2 * static_cast<std::uint64_t>(labels.size());
+    while ((static_cast<std::uint64_t>(labels.back()) >> shift_) >= limit) {
+      ++shift_;
+    }
+    const std::size_t buckets = (labels.back() >> shift_) + 1;
+    starts_.assign(buckets + 1, 0);
+    for (const std::uint32_t label : labels) {
+      ++starts_[(label >> shift_) + 1];
+    }
+    for (std::size_t b = 1; b <= buckets; ++b) {
+      starts_[b] += starts_[b - 1];
+    }
+  }
+
+  /// The vertex labelled `id`, which must be one of the labels.
+  Vertex vertexOf(std::uint32_t id) const noexcept {
+    const std::size_t bucket = id >> shift_;
+    const auto first = labels_.begin() + starts_[bucket];
+    const auto last = labels_.begin() + starts_[bucket + 1];
+    return static_cast<Vertex>(std::lower_bound(first, last, id) -
+                               labels_.begin());
+  }
+
+ private:
+  std::span<const std::uint32_t> labels_;
+  std::vector<Vertex> starts_;  ///< bucket b holds labels[starts_[b], starts_[b+1])
+  unsigned shift_ = 0;
+};
+
+}  // namespace
+
+Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets) {
+  return assemble(triplets, checkedEndpointIds(triplets));
 }
 
 Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets,
                           std::span<const std::uint32_t> vertexLabels) {
+  const std::vector<std::uint32_t> endpoints = checkedEndpointIds(triplets);
   std::vector<std::uint32_t> labels(vertexLabels.begin(), vertexLabels.end());
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  CHISIM_REQUIRE(std::includes(labels.begin(), labels.end(), endpoints.begin(),
+                               endpoints.end()),
+                 "triplet endpoint missing from vertex label universe");
+  return assemble(triplets, std::move(labels));
+}
 
-  const auto compact = [&labels](std::uint32_t id) {
-    const auto it = std::lower_bound(labels.begin(), labels.end(), id);
-    CHISIM_REQUIRE(it != labels.end() && *it == id,
-                   "triplet endpoint missing from vertex label universe");
-    return static_cast<Vertex>(it - labels.begin());
-  };
-
-  std::vector<Edge> edges;
-  edges.reserve(triplets.size());
-  for (const sparse::AdjacencyTriplet& triplet : triplets) {
-    CHISIM_REQUIRE(triplet.i != triplet.j, "self-loop in adjacency triplets");
-    edges.push_back(Edge{compact(triplet.i), compact(triplet.j), triplet.weight});
+Graph Graph::assemble(std::span<const sparse::AdjacencyTriplet> triplets,
+                      std::vector<std::uint32_t> labels) {
+  Graph graph;
+  graph.labels_ = std::move(labels);
+  const std::size_t n = graph.labels_.size();
+  graph.offsets_.assign(n + 1, 0);
+  // Degree pass. Rows arrive in ascending i, so the row vertex advances
+  // with a cursor over the labels; columns go through the bucket index
+  // once and are kept for the fill pass.
+  const LabelIndex index(graph.labels_);
+  std::vector<Vertex> columns(triplets.size());
+  Vertex u = 0;
+  for (std::size_t e = 0; e < triplets.size(); ++e) {
+    while (graph.labels_[u] != triplets[e].i) {
+      ++u;
+    }
+    columns[e] = index.vertexOf(triplets[e].j);
+    ++graph.offsets_[u + 1];
+    ++graph.offsets_[columns[e] + 1];
   }
-  return build(std::move(edges), std::move(labels));
+  for (std::size_t v = 1; v <= n; ++v) {
+    graph.offsets_[v] += graph.offsets_[v - 1];
+  }
+  // Fill pass. The triplets are in (i, j) order with i < j and labels are
+  // monotone, so every row comes out sorted, as in build().
+  graph.neighbors_.resize(triplets.size() * 2);
+  graph.weights_.resize(triplets.size() * 2);
+  std::vector<std::uint64_t> cursor(graph.offsets_.begin(),
+                                    graph.offsets_.end() - 1);
+  u = 0;
+  for (std::size_t e = 0; e < triplets.size(); ++e) {
+    while (graph.labels_[u] != triplets[e].i) {
+      ++u;
+    }
+    const Vertex v = columns[e];
+    graph.neighbors_[cursor[u]] = v;
+    graph.weights_[cursor[u]++] = triplets[e].weight;
+    graph.neighbors_[cursor[v]] = u;
+    graph.weights_[cursor[v]++] = triplets[e].weight;
+  }
+  return graph;
 }
 
 Graph Graph::fromEdges(std::span<const Edge> edges, Vertex vertexCount) {

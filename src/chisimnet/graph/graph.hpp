@@ -14,10 +14,11 @@
 /// matrix (paper §IV-V): vertices are persons, edge weights are collocated
 /// person-hours. Vertex ids are compacted to [0, n); the original person ids
 /// are retained as labels so analyses can join back to demographic data.
-/// Neighbor lists are sorted by vertex id (the build's edge order yields
-/// that without a per-row sort); hasEdge/weightBetween binary-search a row
-/// and subgraph extraction relies on it. The triangle kernel behind the
-/// clustering analyses does not: it builds its own rank-oriented lists.
+/// Neighbor lists are sorted by vertex id (both builds fill rows in (i, j)
+/// edge order, which yields that without a per-row sort);
+/// hasEdge/weightBetween binary-search a row and subgraph extraction relies
+/// on it. The triangle kernel behind the clustering analyses does not: it
+/// builds its own rank-oriented lists.
 
 namespace chisimnet::graph {
 
@@ -36,16 +37,24 @@ class Graph {
 
   /// Builds from upper-triangular adjacency triplets; vertex labels are the
   /// person ids appearing in the triplets, compacted in ascending order.
+  /// Contract: triplets are in strict (i, j) ascent with i < j, exactly as
+  /// SymmetricAdjacency::toTriplets and sparse::loadTriplets deliver them;
+  /// anything else (unsorted, duplicate or i >= j rows) throws
+  /// std::invalid_argument. That makes the build linear: no sort of the
+  /// edges, no merge copy, and an id-to-vertex index bounded by the vertex
+  /// count, never by the id values.
   static Graph fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets);
 
   /// Same, but over an explicit vertex universe: `vertexLabels` lists every
-  /// vertex (by original id) that must exist, including isolated ones;
-  /// every triplet endpoint must be in the list.
+  /// vertex (by original id) that must exist, including isolated ones, in
+  /// any order; every triplet endpoint must be in the list
+  /// (std::invalid_argument otherwise).
   static Graph fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets,
                             std::span<const std::uint32_t> vertexLabels);
 
-  /// Builds from explicit edges over compact vertex ids [0, vertexCount).
-  /// Parallel edges are merged by summing weights; self-loops are rejected.
+  /// Builds from explicit edges over compact vertex ids [0, vertexCount),
+  /// in any order. Parallel edges are merged by summing weights; self-loops
+  /// are rejected. This sort-and-merge path serves generators and tests.
   static Graph fromEdges(std::span<const Edge> edges, Vertex vertexCount);
 
   Vertex vertexCount() const noexcept {
@@ -84,6 +93,10 @@ class Graph {
 
  private:
   static Graph build(std::vector<Edge> edges, std::vector<std::uint32_t> labels);
+  /// The linear CSR fill behind fromTriplets: `triplets` already checked,
+  /// `labels` sorted, unique and covering every endpoint.
+  static Graph assemble(std::span<const sparse::AdjacencyTriplet> triplets,
+                        std::vector<std::uint32_t> labels);
 
   std::vector<std::uint64_t> offsets_;  ///< size n+1
   std::vector<Vertex> neighbors_;       ///< both directions, sorted per row

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "chisimnet/util/error.hpp"
+#include "chisimnet/util/radix_sort.hpp"
 
 namespace chisimnet::sparse {
 
@@ -150,11 +151,11 @@ void addViaLocalAccumulate(const CollocationMatrix& matrix,
         }
       }
     }
-    for (const auto& [key, count] : local.entries()) {
+    local.forEach([&pairs, &matrix](std::uint64_t key, std::uint64_t count) {
       pairs.add(packPair(matrix.personAt(pairLow(key)),
                          matrix.personAt(pairHigh(key))),
                 count);
-    }
+    });
     stats.globalEmits += local.size();
   }
 }
@@ -168,10 +169,13 @@ void SymmetricAdjacency::addCollocation(const CollocationMatrix& matrix) {
 std::vector<AdjacencyTriplet> SymmetricAdjacency::toTriplets() const {
   std::vector<AdjacencyTriplet> triplets;
   triplets.reserve(pairs_.size());
-  for (const auto& [key, count] : pairs_.entries()) {
+  pairs_.forEach([&triplets](std::uint64_t key, std::uint64_t count) {
     triplets.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), count});
-  }
-  std::sort(triplets.begin(), triplets.end());
+  });
+  // Keys are unique, so sorting by the packed key is the (i, j) order.
+  util::radixSort(triplets, [](const AdjacencyTriplet& triplet) {
+    return packPair(triplet.i, triplet.j);
+  });
   return triplets;
 }
 

@@ -1,6 +1,8 @@
 #include "chisimnet/sparse/adjacency_io.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <fstream>
 #include <system_error>
 
@@ -13,34 +15,51 @@ namespace {
 
 constexpr char kMagic[4] = {'C', 'A', 'D', 'J'};
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kRowBytes = 4 + 4 + 8;
+constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8;
+constexpr std::uint64_t kRowBytes = 4 + 4 + 8;
+constexpr std::uint64_t kFooterBytes = 4;
+constexpr std::size_t kBufferRows = 4096;
+
+// The CADJ row codec. A row is (u32 i, u32 j, u64 weight), little-endian,
+// which is exactly AdjacencyTriplet's object representation on the hosts
+// this builds for, so rows are encoded and decoded a whole row (or a whole
+// payload) at a time as a view of the triplets' bytes.
+static_assert(std::endian::native == std::endian::little,
+              "CADJ rows are little-endian AdjacencyTriplet bytes");
+static_assert(sizeof(AdjacencyTriplet) == kRowBytes);
+static_assert(offsetof(AdjacencyTriplet, i) == 0);
+static_assert(offsetof(AdjacencyTriplet, j) == 4);
+static_assert(offsetof(AdjacencyTriplet, weight) == 8);
+
+/// The payload bytes of `rows`, the one row encoder behind saveTriplets and
+/// both writers; every row must be upper-triangular.
+std::span<const std::byte> encodeRows(
+    std::span<const AdjacencyTriplet> rows) {
+  for (const AdjacencyTriplet& row : rows) {
+    CHISIM_REQUIRE(row.i < row.j, "triplets must be upper-triangular (i < j)");
+  }
+  return std::as_bytes(rows);
+}
+
+/// Reads `rows.size()` payload rows from `in` in place and returns the
+/// payload CRC. Row order is checked by the caller once the CRC holds.
+std::uint32_t decodeRows(std::istream& in, std::span<AdjacencyTriplet> rows) {
+  const std::span<std::byte> bytes = std::as_writable_bytes(rows);
+  util::readBytes(in, bytes);
+  return util::crc32(bytes);
+}
 
 }  // namespace
 
 void saveTriplets(std::span<const AdjacencyTriplet> triplets,
                   const std::filesystem::path& path) {
+  const std::span<const std::byte> payload = encodeRows(triplets);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   CHISIM_CHECK(out.good(), "cannot open adjacency file for writing: " +
                                path.string());
   out.write(kMagic, 4);
   util::writeU32(out, kVersion);
   util::writeU64(out, triplets.size());
-
-  std::vector<std::byte> payload;
-  payload.reserve(triplets.size() * kRowBytes);
-  const auto put32 = [&payload](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      payload.push_back(static_cast<std::byte>(value >> shift));
-    }
-  };
-  for (const AdjacencyTriplet& triplet : triplets) {
-    CHISIM_REQUIRE(triplet.i < triplet.j,
-                   "triplets must be upper-triangular (i < j)");
-    put32(triplet.i);
-    put32(triplet.j);
-    put32(static_cast<std::uint32_t>(triplet.weight));
-    put32(static_cast<std::uint32_t>(triplet.weight >> 32));
-  }
   util::writeBytes(out, payload);
   util::writeU32(out, util::crc32(payload));
   out.flush();
@@ -54,39 +73,41 @@ void saveAdjacency(const SymmetricAdjacency& adjacency,
 }
 
 std::vector<AdjacencyTriplet> loadTriplets(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   CHISIM_CHECK(in.good(), "cannot open adjacency file: " + path.string());
+  const auto fileBytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   char magic[4];
   in.read(magic, 4);
   CHISIM_CHECK(in.gcount() == 4 && std::equal(magic, magic + 4, kMagic),
                "not a CADJ file: " + path.string());
   CHISIM_CHECK(util::readU32(in) == kVersion, "unsupported CADJ version");
   const std::uint64_t count = util::readU64(in);
-
-  std::vector<std::byte> payload(count * kRowBytes);
-  util::readBytes(in, payload);
-  const std::uint32_t storedCrc = util::readU32(in);
-  CHISIM_CHECK(storedCrc == util::crc32(payload),
-               "adjacency CRC mismatch (corrupt or truncated): " +
-                   path.string());
+  // The header count is untrusted: it must match the bytes actually on
+  // disk before it sizes anything. Dividing the file size (rather than
+  // multiplying the count) keeps the check overflow-free.
+  const std::uint64_t body = fileBytes - kHeaderBytes;
+  CHISIM_CHECK(body >= kFooterBytes && (body - kFooterBytes) % kRowBytes == 0 &&
+                   (body - kFooterBytes) / kRowBytes == count,
+               "CADJ header count " + std::to_string(count) +
+                   " does not match the file size " +
+                   std::to_string(fileBytes) +
+                   " (corrupt or truncated): " + path.string());
 
   std::vector<AdjacencyTriplet> triplets(count);
-  std::size_t cursor = 0;
-  const auto take32 = [&payload, &cursor]() {
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(payload[cursor]) |
-        (static_cast<std::uint32_t>(payload[cursor + 1]) << 8) |
-        (static_cast<std::uint32_t>(payload[cursor + 2]) << 16) |
-        (static_cast<std::uint32_t>(payload[cursor + 3]) << 24);
-    cursor += 4;
-    return value;
-  };
-  for (AdjacencyTriplet& triplet : triplets) {
-    triplet.i = take32();
-    triplet.j = take32();
-    const std::uint64_t low = take32();
-    const std::uint64_t high = take32();
-    triplet.weight = low | (high << 32);
+  const std::uint32_t payloadCrc = decodeRows(in, triplets);
+  CHISIM_CHECK(util::readU32(in) == payloadCrc,
+               "adjacency CRC mismatch (corrupt or truncated): " +
+                   path.string());
+  std::uint64_t previous = 0;  // every valid key is >= 1: j > i >= 0
+  for (std::size_t row = 0; row < triplets.size(); ++row) {
+    const AdjacencyTriplet& triplet = triplets[row];
+    const std::uint64_t key = packPair(triplet.i, triplet.j);
+    CHISIM_CHECK(triplet.i < triplet.j && key > previous,
+                 "CADJ row " + std::to_string(row) +
+                     " is not upper-triangular and strictly after the "
+                     "previous row: " + path.string());
+    previous = key;
   }
   return triplets;
 }
@@ -99,7 +120,7 @@ TripletSegmentWriter::TripletSegmentWriter(std::filesystem::path path)
   out_.open(tmp_, std::ios::binary | std::ios::trunc);
   CHISIM_CHECK(out_.good(),
                "cannot open segment file for writing: " + tmp_.string());
-  buffer_.reserve(kRowBytes * 4096);
+  buffer_.reserve(kBufferRows);
 }
 
 TripletSegmentWriter::~TripletSegmentWriter() {
@@ -111,19 +132,10 @@ TripletSegmentWriter::~TripletSegmentWriter() {
 }
 
 void TripletSegmentWriter::append(const AdjacencyTriplet& triplet) {
-  CHISIM_REQUIRE(triplet.i < triplet.j,
-                 "triplets must be upper-triangular (i < j)");
-  const auto put32 = [this](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buffer_.push_back(static_cast<std::byte>(value >> shift));
-    }
-  };
-  put32(triplet.i);
-  put32(triplet.j);
-  put32(static_cast<std::uint32_t>(triplet.weight));
-  put32(static_cast<std::uint32_t>(triplet.weight >> 32));
+  encodeRows({&triplet, 1});  // checks the row now; flushBuffer writes it
+  buffer_.push_back(triplet);
   ++count_;
-  if (buffer_.size() >= kRowBytes * 4096) {
+  if (buffer_.size() >= kBufferRows) {
     flushBuffer();
   }
 }
@@ -132,9 +144,10 @@ void TripletSegmentWriter::flushBuffer() {
   if (buffer_.empty()) {
     return;
   }
-  crc_ = util::crc32(buffer_, crc_);
-  bytes_ += buffer_.size();
-  util::writeBytes(out_, buffer_);
+  const std::span<const std::byte> bytes = std::as_bytes(std::span(buffer_));
+  crc_ = util::crc32(bytes, crc_);
+  bytes_ += bytes.size();
+  util::writeBytes(out_, bytes);
   buffer_.clear();
 }
 
@@ -157,23 +170,14 @@ StreamingTripletWriter::StreamingTripletWriter(
   out_.write(kMagic, 4);
   util::writeU32(out_, kVersion);
   util::writeU64(out_, 0);  // edge count, patched by finish()
-  buffer_.reserve(kRowBytes * 4096);
+  buffer_.reserve(kBufferRows);
 }
 
 void StreamingTripletWriter::append(const AdjacencyTriplet& triplet) {
-  CHISIM_REQUIRE(triplet.i < triplet.j,
-                 "triplets must be upper-triangular (i < j)");
-  const auto put32 = [this](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buffer_.push_back(static_cast<std::byte>(value >> shift));
-    }
-  };
-  put32(triplet.i);
-  put32(triplet.j);
-  put32(static_cast<std::uint32_t>(triplet.weight));
-  put32(static_cast<std::uint32_t>(triplet.weight >> 32));
+  encodeRows({&triplet, 1});  // checks the row now; flushBuffer writes it
+  buffer_.push_back(triplet);
   ++count_;
-  if (buffer_.size() >= kRowBytes * 4096) {
+  if (buffer_.size() >= kBufferRows) {
     flushBuffer();
   }
 }
@@ -182,8 +186,9 @@ void StreamingTripletWriter::flushBuffer() {
   if (buffer_.empty()) {
     return;
   }
-  crc_ = util::crc32(buffer_, crc_);  // chained: equals crc32(whole payload)
-  util::writeBytes(out_, buffer_);
+  const std::span<const std::byte> bytes = std::as_bytes(std::span(buffer_));
+  crc_ = util::crc32(bytes, crc_);  // chained: equals crc32(whole payload)
+  util::writeBytes(out_, bytes);
   buffer_.clear();
 }
 
@@ -193,7 +198,7 @@ void StreamingTripletWriter::appendSegmentFile(
   flushBuffer();  // everything appended so far must precede the segment
   std::ifstream in(segment, std::ios::binary);
   CHISIM_CHECK(in.good(), "cannot open segment file: " + segment.string());
-  std::vector<std::byte> chunk(kRowBytes * 4096);
+  std::vector<std::byte> chunk(kRowBytes * kBufferRows);
   std::uint64_t copied = 0;
   std::uint32_t segmentCrc = 0;
   while (copied < info.bytes) {

@@ -14,20 +14,29 @@
 /// visualization (§V.A). CADJ1 is a compact binary container for the sorted
 /// upper-triangular triplets: header (magic, version, edge count), payload
 /// of (i, j, weight) rows with u32 ids and u64 weights, and a CRC32 footer
-/// over the payload so a truncated transfer is detected at load.
+/// over the payload so a truncated transfer is detected at load. A row is
+/// the little-endian AdjacencyTriplet itself, so the payload is written
+/// and read as one block, never field by field.
 
 namespace chisimnet::sparse {
 
-/// Writes the adjacency as sorted triplets. Overwrites `path`.
+/// Writes the adjacency as sorted triplets (toTriplets()). Overwrites `path`.
 void saveAdjacency(const SymmetricAdjacency& adjacency,
                    const std::filesystem::path& path);
 
 /// Writes pre-sorted triplets directly (avoids re-extracting them when the
-/// caller already has the sorted form).
+/// caller already has the sorted form). Every row must have i < j
+/// (std::invalid_argument otherwise); rows must be in strict (i, j) ascent,
+/// which loadTriplets enforces.
 void saveTriplets(std::span<const AdjacencyTriplet> triplets,
                   const std::filesystem::path& path);
 
-/// Loads triplets; validates magic, version and CRC.
+/// Loads triplets, rejecting malformed input with std::runtime_error:
+/// magic and version; a header count that does not match the file size
+/// (checked before anything is allocated, so the allocation is bounded by
+/// the file); the payload CRC; and rows that are not upper-triangular
+/// (i < j) in strict (i, j) ascent. The result is therefore always valid
+/// input for graph::Graph::fromTriplets.
 std::vector<AdjacencyTriplet> loadTriplets(const std::filesystem::path& path);
 
 /// Loads into an accumulator (e.g. to sum stored partial matrices).
@@ -68,7 +77,7 @@ class TripletSegmentWriter {
   std::filesystem::path path_;
   std::filesystem::path tmp_;
   std::ofstream out_;
-  std::vector<std::byte> buffer_;
+  std::vector<AdjacencyTriplet> buffer_;  ///< rows not yet written
   std::uint32_t crc_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t bytes_ = 0;
@@ -105,7 +114,7 @@ class StreamingTripletWriter {
 
   std::filesystem::path path_;
   std::ofstream out_;
-  std::vector<std::byte> buffer_;
+  std::vector<AdjacencyTriplet> buffer_;  ///< rows not yet written
   std::uint32_t crc_ = 0;
   std::uint64_t count_ = 0;
   bool finished_ = false;

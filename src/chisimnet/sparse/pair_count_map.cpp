@@ -82,18 +82,6 @@ void PairCountMap::merge(const PairCountMap& other) {
   }
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> PairCountMap::entries()
-    const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> result;
-  result.reserve(size_);
-  for (const Slot& slot : slots_) {
-    if (slot.key != kEmpty) {
-      result.emplace_back(slot.key, slot.count);
-    }
-  }
-  return result;
-}
-
 void PairCountMap::rehash(std::size_t newCapacity) {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(newCapacity, Slot{});

@@ -37,12 +37,9 @@ class PairCountMap {
   /// worst-case union up front so the insert loop never rehashes mid-merge.
   void merge(const PairCountMap& other);
 
-  /// All (key, count) entries in unspecified order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries() const;
-
-  /// Visits every entry without materializing the entries() vector — the
-  /// spill path extracts sorted runs through this so the only transient is
-  /// the run buffer itself.
+  /// Visits every (key, count) entry in unspecified (slot) order without
+  /// materializing them, so callers that extract sorted runs or triplets
+  /// hold no transient beyond their own output.
   template <typename Visitor>
   void forEach(Visitor&& visit) const {
     for (const Slot& slot : slots_) {

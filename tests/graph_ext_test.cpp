@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -9,6 +10,7 @@
 #include "chisimnet/graph/generators.hpp"
 #include "chisimnet/graph/weighted_stats.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "support.hpp"
 
@@ -265,6 +267,79 @@ TEST_F(AdjacencyIoTest, NotAnAdjacencyFileRejected) {
     std::ofstream out(path);
     out << "hello";
   }
+  EXPECT_THROW(sparse::loadTriplets(path), std::runtime_error);
+}
+
+/// Whole-file bytes of a CADJ, for tests that forge headers and rows.
+std::vector<std::byte> readFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::byte> bytes(std::filesystem::file_size(path));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
+
+/// Writes `bytes` back with the payload CRC footer recomputed, so only the
+/// forged content (not a CRC mismatch) can make the load fail.
+void writeWithFreshCrc(const std::filesystem::path& path,
+                       std::vector<std::byte> bytes) {
+  const std::span<const std::byte> payload(bytes.data() + 16,
+                                           bytes.size() - 20);
+  const std::uint32_t crc = util::crc32(payload);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(AdjacencyIoTest, InflatedHeaderCountRejectedBeforeAllocating) {
+  const auto adjacency = randomAdjacency(6, 50);
+  const auto path = dir_ / "inflated.cadj";
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62, adjacency.edgeCount() + 1,
+        ~std::uint64_t{0}}) {
+    sparse::saveAdjacency(adjacency, path);
+    std::vector<std::byte> bytes = readFile(path);
+    std::memcpy(bytes.data() + 8, &count, 8);
+    writeWithFreshCrc(path, bytes);
+    try {
+      sparse::loadTriplets(path);
+      ADD_FAILURE() << "count " << count << " was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("does not match the file size"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST_F(AdjacencyIoTest, RowsOutOfOrderRejected) {
+  const auto adjacency = randomAdjacency(7, 50);
+  const auto path = dir_ / "swapped.cadj";
+  sparse::saveAdjacency(adjacency, path);
+  std::vector<std::byte> bytes = readFile(path);
+  // Swap rows 3 and 4 (16 B each, payload starts at byte 16).
+  std::swap_ranges(bytes.begin() + 16 + 3 * 16, bytes.begin() + 16 + 4 * 16,
+                   bytes.begin() + 16 + 4 * 16);
+  writeWithFreshCrc(path, bytes);
+  EXPECT_THROW(sparse::loadTriplets(path), std::runtime_error);
+
+  // A duplicated row (row 4 := row 3) is not strictly ascending either.
+  bytes = readFile(path);
+  std::copy(bytes.begin() + 16 + 4 * 16, bytes.begin() + 16 + 5 * 16,
+            bytes.begin() + 16 + 3 * 16);
+  writeWithFreshCrc(path, bytes);
+  EXPECT_THROW(sparse::loadTriplets(path), std::runtime_error);
+}
+
+TEST_F(AdjacencyIoTest, DiagonalRowRejected) {
+  const auto path = dir_ / "diagonal.cadj";
+  const std::vector<sparse::AdjacencyTriplet> triplets{{1, 2, 1}, {3, 4, 1}};
+  sparse::saveTriplets(triplets, path);
+  std::vector<std::byte> bytes = readFile(path);
+  // Row 1's j := its i, giving (3, 3) — still after row 0 in key order.
+  std::copy(bytes.begin() + 32, bytes.begin() + 36, bytes.begin() + 36);
+  writeWithFreshCrc(path, bytes);
   EXPECT_THROW(sparse::loadTriplets(path), std::runtime_error);
 }
 

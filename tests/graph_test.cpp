@@ -132,6 +132,151 @@ TEST(Graph, FromTripletsMissingLabelRejected) {
   EXPECT_THROW(Graph::fromTriplets(triplets, universe), std::invalid_argument);
 }
 
+/// Asserts two graphs have the same CSR: offsets (via degrees), neighbor
+/// rows, weights and labels.
+void expectSameCsr(const Graph& actual, const Graph& expected) {
+  ASSERT_EQ(actual.vertexCount(), expected.vertexCount());
+  ASSERT_EQ(actual.edgeCount(), expected.edgeCount());
+  for (Vertex v = 0; v < expected.vertexCount(); ++v) {
+    const auto row = actual.neighbors(v);
+    const auto expectedRow = expected.neighbors(v);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), expectedRow.begin(),
+                           expectedRow.end()))
+        << "row " << v;
+    const auto weights = actual.edgeWeights(v);
+    const auto expectedWeights = expected.edgeWeights(v);
+    ASSERT_TRUE(std::equal(weights.begin(), weights.end(),
+                           expectedWeights.begin(), expectedWeights.end()))
+        << "weights " << v;
+  }
+}
+
+/// fromTriplets against the sort-and-merge oracle fromEdges: random edges
+/// among `ids` (plus `isolated` universe-only ids when non-empty) are
+/// summed into an adjacency, and fromEdges gets the same edges shuffled,
+/// re-oriented and compacted by a binary search over the labels.
+void checkAgainstFromEdges(std::vector<std::uint32_t> ids,
+                           std::vector<std::uint32_t> isolated,
+                           std::size_t edgeDraws, util::Rng& rng) {
+  sparse::SymmetricAdjacency adjacency;
+  for (std::size_t k = 0; k < edgeDraws && ids.size() > 1; ++k) {
+    const std::uint32_t a = ids[rng.uniformBelow(ids.size())];
+    const std::uint32_t b = ids[rng.uniformBelow(ids.size())];
+    if (a != b) {
+      adjacency.add(a, b, 1 + rng.uniformBelow(1000));
+    }
+  }
+  const std::vector<sparse::AdjacencyTriplet> triplets = adjacency.toTriplets();
+
+  std::vector<std::uint32_t> labels;
+  for (const sparse::AdjacencyTriplet& triplet : triplets) {
+    labels.push_back(triplet.i);
+    labels.push_back(triplet.j);
+  }
+  labels.insert(labels.end(), isolated.begin(), isolated.end());
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  const auto compact = [&labels](std::uint32_t id) {
+    return static_cast<Vertex>(
+        std::lower_bound(labels.begin(), labels.end(), id) - labels.begin());
+  };
+  std::vector<Edge> edges;
+  for (const sparse::AdjacencyTriplet& triplet : triplets) {
+    Edge edge{compact(triplet.i), compact(triplet.j), triplet.weight};
+    if (rng.uniformBelow(2) == 0) {
+      std::swap(edge.u, edge.v);
+    }
+    edges.push_back(edge);
+  }
+  rng.shuffle(edges);
+  const Graph oracle =
+      Graph::fromEdges(edges, static_cast<Vertex>(labels.size()));
+
+  std::vector<std::uint32_t> universe = labels;
+  rng.shuffle(universe);
+  const Graph graph = isolated.empty() ? Graph::fromTriplets(triplets)
+                                       : Graph::fromTriplets(triplets, universe);
+  expectSameCsr(graph, oracle);
+  EXPECT_TRUE(std::equal(graph.labels().begin(), graph.labels().end(),
+                         labels.begin(), labels.end()));
+}
+
+TEST(Graph, FromTripletsMatchesFromEdgesOnDenseIds) {
+  util::Rng rng(41);
+  for (const std::uint32_t n : {2u, 3u, 50u, 700u}) {
+    std::vector<std::uint32_t> ids(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    checkAgainstFromEdges(ids, {}, 6 * n, rng);
+  }
+}
+
+TEST(Graph, FromTripletsMatchesFromEdgesOnSparseIds) {
+  util::Rng rng(42);
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<std::uint32_t> ids{0xFFFFFFFEu, 0u};
+    // Clustered low ids plus ids spread up to the largest legal one: one
+    // bucket of the label index then holds many labels.
+    for (int k = 0; k < 300; ++k) {
+      ids.push_back(static_cast<std::uint32_t>(
+          k < 150 ? rng.uniformBelow(400) : rng.uniformBelow(0xFFFFFFFFull)));
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    checkAgainstFromEdges(ids, {}, 2000, rng);
+  }
+}
+
+TEST(Graph, FromTripletsMatchesFromEdgesWithIsolatedUniverse) {
+  util::Rng rng(43);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint32_t> isolated;
+    for (std::uint32_t id = 0; id < 400; ++id) {
+      const std::uint32_t label = id * 7919u + (trial == 3 ? 0xF0000000u : 0);
+      (rng.uniformBelow(3) == 0 ? isolated : ids).push_back(label);
+    }
+    checkAgainstFromEdges(ids, isolated, 1500, rng);
+  }
+}
+
+TEST(Graph, FromTripletsEmptyInput) {
+  const Graph empty = Graph::fromTriplets({});
+  EXPECT_EQ(empty.vertexCount(), 0u);
+  EXPECT_EQ(empty.edgeCount(), 0u);
+  const std::vector<std::uint32_t> universe{30, 10};
+  const Graph isolated = Graph::fromTriplets({}, universe);
+  EXPECT_EQ(isolated.vertexCount(), 2u);
+  EXPECT_EQ(isolated.edgeCount(), 0u);
+  EXPECT_EQ(isolated.label(0), 10u);
+  EXPECT_EQ(isolated.label(1), 30u);
+}
+
+TEST(Graph, FromTripletsHugeIdsNeedNoIdSizedTable) {
+  const std::vector<sparse::AdjacencyTriplet> triplets{
+      {4'000'000'000u, 4'100'000'000u, 2}, {4'000'000'000u, 4'294'967'295u, 5}};
+  const Graph graph = Graph::fromTriplets(triplets);
+  EXPECT_EQ(graph.vertexCount(), 3u);
+  EXPECT_EQ(graph.weightBetween(0, 2), 5u);
+  EXPECT_EQ(*graph.vertexForLabel(4'100'000'000u), 1u);
+  EXPECT_LT(graph.memoryBytes(), 256u);
+}
+
+TEST(Graph, FromTripletsRejectsInputOutOfStrictAscent) {
+  using Triplets = std::vector<sparse::AdjacencyTriplet>;
+  const std::vector<Triplets> bad{
+      {{1, 3, 1}, {1, 2, 1}},  // j out of order
+      {{2, 3, 1}, {1, 4, 1}},  // i out of order
+      {{1, 2, 1}, {1, 2, 1}},  // duplicate
+      {{2, 2, 1}},             // i == j
+      {{3, 1, 1}},             // i > j
+  };
+  const std::vector<std::uint32_t> universe{1, 2, 3, 4};
+  for (const Triplets& triplets : bad) {
+    EXPECT_THROW(Graph::fromTriplets(triplets), std::invalid_argument);
+    EXPECT_THROW(Graph::fromTriplets(triplets, universe), std::invalid_argument);
+  }
+}
+
 TEST(Algorithms, DegreeSequence) {
   const Graph graph = triangleWithTail();
   EXPECT_EQ(degreeSequence(graph),

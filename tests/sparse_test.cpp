@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/sparse/collocation.hpp"
@@ -53,14 +54,18 @@ TEST(PairCountMap, MergeSumsCounts) {
   EXPECT_EQ(a.size(), 3u);
 }
 
-TEST(PairCountMap, EntriesReturnsEverything) {
+TEST(PairCountMap, ForEachVisitsEverything) {
   PairCountMap map;
   map.add(5, 1);
   map.add(9, 2);
-  auto entries = map.entries();
+  map.add(5, 4);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+  map.forEach([&entries](std::uint64_t key, std::uint64_t count) {
+    entries.emplace_back(key, count);
+  });
   std::sort(entries.begin(), entries.end());
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0], (std::pair<std::uint64_t, std::uint64_t>{5, 1}));
+  EXPECT_EQ(entries[0], (std::pair<std::uint64_t, std::uint64_t>{5, 5}));
   EXPECT_EQ(entries[1], (std::pair<std::uint64_t, std::uint64_t>{9, 2}));
 }
 
@@ -172,6 +177,39 @@ TEST(SymmetricAdjacency, TripletsSortedUpperTriangular) {
   EXPECT_TRUE(std::is_sorted(triplets.begin(), triplets.end()));
   for (const AdjacencyTriplet& triplet : triplets) {
     EXPECT_LT(triplet.i, triplet.j);
+  }
+}
+
+// toTriplets radix-sorts packed keys and skips byte positions that are
+// constant across all keys; std::sort over the same entries is the
+// reference. The id shapes cover keys whose high bytes are constant
+// (skipped passes), keys that share all but the low byte, ids straddling a
+// byte boundary, and ids spread over all 32 bits.
+TEST(SymmetricAdjacency, TripletsMatchComparisonSort) {
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> idShapes{
+      {0, 200}, {0, 70000}, {0x12345600u, 0x100}, {0, 0xFFFFFFFFu}};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const auto& [base, width] : idShapes) {
+      util::Rng rng(seed);
+      SymmetricAdjacency adjacency;
+      std::unordered_map<std::uint64_t, std::uint64_t> sums;
+      for (int n = 0; n < 3000; ++n) {
+        const auto i = static_cast<std::uint32_t>(base + rng.uniformBelow(width));
+        const auto j = static_cast<std::uint32_t>(base + rng.uniformBelow(width));
+        if (i != j) {
+          const std::uint64_t weight = 1 + rng.uniformBelow(1u << 20);
+          adjacency.add(i, j, weight);
+          sums[packPair(i, j)] += weight;
+        }
+      }
+      std::vector<AdjacencyTriplet> reference;
+      for (const auto& [key, weight] : sums) {
+        reference.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), weight});
+      }
+      std::sort(reference.begin(), reference.end());
+      EXPECT_EQ(adjacency.toTriplets(), reference)
+          << "seed " << seed << " base " << base << " width " << width;
+    }
   }
 }
 

@@ -251,6 +251,62 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(crc32(data), original);
 }
 
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition the
+/// table-driven crc32 must reproduce.
+std::uint32_t bitwiseCrc32(std::span<const std::byte> bytes,
+                           std::uint32_t seed = 0) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (const std::byte b : bytes) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::byte> randomBytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> bytes(size);
+  for (std::byte& b : bytes) {
+    b = static_cast<std::byte>(rng.uniformBelow(256));
+  }
+  return bytes;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // 8-byte blocks plus a bytewise tail: every length 0..64 at every start
+  // offset 0..7 exercises each block/tail split and each alignment.
+  const std::vector<std::byte> data = randomBytes(64 + 8, 11);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::span<const std::byte> piece(data.data() + offset, length);
+      EXPECT_EQ(crc32(piece), bitwiseCrc32(piece))
+          << "offset " << offset << " length " << length;
+      EXPECT_EQ(crc32(piece, 0x1234ABCDu), bitwiseCrc32(piece, 0x1234ABCDu))
+          << "seeded, offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, ChainsAcrossRandomSplits) {
+  const std::vector<std::byte> data = randomBytes(4099, 12);
+  const std::uint32_t whole = crc32(data);
+  EXPECT_EQ(whole, bitwiseCrc32(data));
+  Rng rng(13);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::uint32_t chained = 0;
+    std::size_t cursor = 0;
+    while (cursor < data.size()) {
+      const std::size_t piece =
+          std::min<std::size_t>(rng.uniformBelow(40), data.size() - cursor);
+      chained = crc32(std::span(data).subspan(cursor, piece), chained);
+      cursor += piece;
+    }
+    EXPECT_EQ(chained, whole) << "trial " << trial;
+  }
+}
+
 TEST(BinaryIo, U32RoundTrip) {
   std::stringstream stream;
   writeU32(stream, 0xDEADBEEFu);
