@@ -1,21 +1,22 @@
-/// ABM-STEP — simulation throughput: hourly core vs event-driven core
-/// (paper §II, §V).
+/// ABM-STEP — simulation throughput: the event-driven core vs the hourly
+/// oracle (paper §II, §V).
 ///
 /// Paper claims: a one-year, 2.9 M-agent chiSIM run takes only several
 /// minutes of wall time on a modest cluster (128 processes); the four-week
 /// §V run took ~1 minute on 256 processes; and the spatial partitioning of
 /// places minimizes cross-process agent movement.
 ///
-/// This bench contrasts the two simulation cores on identical workloads.
-/// The hourly core touches every resident every hour (cost follows
-/// person-hours, 24/person/day); the event-driven core wakes an agent only
-/// when its activity stint ends (cost follows activity changes,
-/// ~5/person/day — the same ratio that drives the paper's §III log-size
-/// arithmetic). Both cores produce byte-identical logs, so the comparison
-/// is pure mechanism.
+/// This bench contrasts the library's event-driven core with the hourly
+/// reference loop the tests keep as an oracle (tests/hourly_oracle.hpp) on
+/// identical workloads. The oracle touches every resident every hour (cost
+/// follows person-hours, 24/person/day) and runs its ranks one after
+/// another on one thread; the event-driven core wakes an agent only when
+/// its activity stint ends (cost follows activity changes, ~5/person/day —
+/// the same ratio that drives the paper's §III log-size arithmetic). Both
+/// produce byte-identical logs, so the comparison is pure mechanism.
 ///
 /// `--smoke` runs a reduced PR-sized pass and gates on the event core being
-/// >= 3x faster than the hourly core on the disease-enabled single-rank
+/// >= 3x faster than the oracle on the disease-enabled single-rank
 /// configuration (where per-hour epidemic scans dominate the hourly cost).
 /// The full run also writes BENCH_abm_step.json for CI archiving.
 
@@ -23,6 +24,7 @@
 #include <cstring>
 
 #include "bench_common.hpp"
+#include "hourly_oracle.hpp"
 
 namespace {
 
@@ -34,7 +36,9 @@ struct CoreRun {
   abm::DiseaseStats disease;
 };
 
-CoreRun runCore(const pop::SyntheticPopulation& population, abm::ModelCore core,
+enum class Core { kHourlyOracle, kEvent };
+
+CoreRun runCore(const pop::SyntheticPopulation& population, Core core,
                 int ranks, bool withDisease, std::uint32_t weeks = 1) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
@@ -44,13 +48,17 @@ CoreRun runCore(const pop::SyntheticPopulation& population, abm::ModelCore core,
   config.logDirectory = dir;
   config.rankCount = ranks;
   config.weeks = weeks;
-  config.core = core;
   CoreRun run;
-  if (withDisease) {
-    abm::DiseaseConfig disease;  // defaults: beta 0.002, 24h latent, 96h infectious
-    run.stats = abm::runModel(population, config, disease, run.disease);
+  // Disease defaults: beta 0.002, 24 h latent, 96 h infectious.
+  abm::DiseaseConfig disease;
+  if (core == Core::kHourlyOracle) {
+    run.stats = withDisease ? abm::runHourlyOracle(population, config, disease,
+                                                   run.disease)
+                            : abm::runHourlyOracle(population, config);
   } else {
-    run.stats = abm::runModel(population, config);
+    run.stats = withDisease
+                    ? abm::runModel(population, config, disease, run.disease)
+                    : abm::runModel(population, config);
   }
   std::error_code ignored;
   std::filesystem::remove_all(dir, ignored);
@@ -75,11 +83,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  printHeader("ABM-STEP hourly vs event-driven core",
+  printHeader("ABM-STEP event-driven core vs hourly oracle",
               "§II: 1 year @2.9M in minutes on 128 procs; cost should track "
               "~5 changes/day, not 24 h/day");
 
-  // The same population for smoke and full runs: the hourly core's per-hour
+  // The same population for smoke and full runs: the oracle's per-hour
   // scans degrade superlinearly with population (hash-map traversal), so a
   // smaller smoke workload would understate the gap the gate checks.
   // Smoke instead trims the grid to the single-rank columns.
@@ -101,9 +109,8 @@ int main(int argc, char** argv) {
   for (const bool disease : {false, true}) {
     for (const int ranks : smoke ? std::vector<int>{1}
                                  : std::vector<int>{1, 4}) {
-      for (const abm::ModelCore core :
-           {abm::ModelCore::kHourly, abm::ModelCore::kEventDriven}) {
-        const bool isEvent = core == abm::ModelCore::kEventDriven;
+      for (const Core core : {Core::kHourlyOracle, Core::kEvent}) {
+        const bool isEvent = core == Core::kEvent;
         const CoreRun run = runCore(population, core, ranks, disease);
         const std::string label = std::string(disease ? "disease" : "plain  ") +
                                   " r" + std::to_string(ranks);
@@ -132,12 +139,10 @@ int main(int argc, char** argv) {
   // two-week runs and take the minimum wall per core (the bench_spgemm
   // convention): single grid passes on a shared core are too noisy to gate
   // on, and the longer horizon both amortizes startup and grows the
-  // epidemic the hourly core has to keep scanning for.
+  // epidemic the oracle has to keep scanning for.
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const CoreRun hourly =
-        runCore(population, abm::ModelCore::kHourly, 1, true, 2);
-    const CoreRun event =
-        runCore(population, abm::ModelCore::kEventDriven, 1, true, 2);
+    const CoreRun hourly = runCore(population, Core::kHourlyOracle, 1, true, 2);
+    const CoreRun event = runCore(population, Core::kEvent, 1, true, 2);
     gateHourly = repeat == 0 ? hourly.stats.wallSeconds
                              : std::min(gateHourly, hourly.stats.wallSeconds);
     gateEvent = repeat == 0 ? event.stats.wallSeconds
@@ -145,8 +150,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- why it wins: events vs person-hours --------------------------------
-  const CoreRun probe =
-      runCore(population, abm::ModelCore::kEventDriven, 1, false);
+  const CoreRun probe = runCore(population, Core::kEvent, 1, false);
   const double changesPerPersonDay =
       static_cast<double>(probe.stats.eventsLogged) / (persons * 7.0);
   const double hourRatio = static_cast<double>(probe.stats.agentHours) /

@@ -55,10 +55,8 @@ std::uint64_t seedInfections(DiseaseShared& shared, std::size_t personCount) {
 
 DiseaseRank::DiseaseRank(DiseaseShared& shared, int rank,
                          const std::filesystem::path& directory,
-                         Hour totalHours, bool eventCore,
-                         std::uint64_t resumeWriterAtBytes)
-    : shared_(shared), rank_(rank), totalHours_(totalHours),
-      eventCore_(eventCore) {
+                         Hour totalHours, std::uint64_t resumeWriterAtBytes)
+    : shared_(shared), rank_(rank), totalHours_(totalHours) {
   char name[32];
   std::snprintf(name, sizeof(name), "rank_%04d.clx5", rank);
   if (resumeWriterAtBytes != 0) {
@@ -69,9 +67,7 @@ DiseaseRank::DiseaseRank(DiseaseShared& shared, int rank,
     writer_ = std::make_unique<elog::ExtendedLogWriter>(directory / name, 2);
   }
   occupantSlot_.resize(shared_.state.size());
-  if (eventCore_) {
-    progressionCalendar_.resize(totalHours_);
-  }
+  progressionCalendar_.resize(totalHours_);
 }
 
 void DiseaseRank::occupy(PersonId person, PlaceId place) {
@@ -137,8 +133,8 @@ void DiseaseRank::arrive(PersonId person, ActivityId activity, PlaceId place,
     ++infectiousResidents_;
     addInfectiousAt(place);
   }
-  if (eventCore_ && (state == raw(SeirState::kExposed) ||
-                     state == raw(SeirState::kInfectious))) {
+  if (state == raw(SeirState::kExposed) ||
+      state == raw(SeirState::kInfectious)) {
     scheduleProgression(person, std::max(progressionDue(person), now));
   }
 }
@@ -220,7 +216,7 @@ void DiseaseRank::collectExposures(Hour now,
     if (diseaseUniform(config.seed, person, now) >= infectionProbability) {
       continue;
     }
-    // Deterministic, rank- and core-invariant infector choice: the
+    // Deterministic, rank- and order-invariant infector choice: the
     // infectious occupant minimizing a pair hash, ties to the lower id.
     std::uint32_t infector = kNoInfector;
     double best = 2.0;
@@ -255,10 +251,8 @@ void DiseaseRank::applyProgressions(Hour now,
     if (transition.newState == SeirState::kInfectious) {
       ++infectiousResidents_;
       addInfectiousAt(place);
-      if (eventCore_) {
-        scheduleProgression(person,
-                            now + std::max<Hour>(config.infectiousHours, 1));
-      }
+      scheduleProgression(person,
+                          now + std::max<Hour>(config.infectiousHours, 1));
     } else {
       CHISIM_CHECK(infectiousResidents_ > 0, "infectious resident underflow");
       --infectiousResidents_;
@@ -279,9 +273,7 @@ void DiseaseRank::applyExposures(Hour now, std::vector<Transition>& exposures,
     const PersonId person = exposure.person;
     shared_.state[person] = raw(SeirState::kExposed);
     shared_.since[person] = now;
-    if (eventCore_) {
-      scheduleProgression(person, now + std::max<Hour>(config.latentHours, 1));
-    }
+    scheduleProgression(person, now + std::max<Hour>(config.latentHours, 1));
     logTransition(now, person, SeirState::kExposed, exposure.infector);
     if (exposure.infector != kNoInfector) {
       ++infections;
@@ -289,44 +281,11 @@ void DiseaseRank::applyExposures(Hour now, std::vector<Transition>& exposures,
   }
 }
 
-void DiseaseRank::stepHourly(Hour now, std::uint64_t& infections) {
-  const DiseaseConfig& config = *shared_.config;
-
-  // Progression: full scan over this rank's residents. A person entering a
-  // state this hour is not re-examined (the else-if), matching the
-  // one-transition-per-person-per-hour semantics of the scan.
-  std::vector<Transition> transitions;
-  for (const auto& [person, info] : residents_) {
-    const std::uint8_t state = stateOf(person);
-    if (state == raw(SeirState::kExposed) &&
-        now - shared_.since[person] >= config.latentHours) {
-      transitions.push_back(
-          Transition{person, SeirState::kInfectious, kNoInfector});
-    } else if (state == raw(SeirState::kInfectious) &&
-               now - shared_.since[person] >= config.infectiousHours) {
-      transitions.push_back(
-          Transition{person, SeirState::kRecovered, kNoInfector});
-    }
-  }
-  applyProgressions(now, transitions);
-  shared_.hourlyInfectious[static_cast<std::size_t>(rank_)][now] =
-      infectiousResidents_;
-
-  // Transmission per owned place. Exposures only flip S -> E, so collecting
-  // across places before applying cannot change any draw or infector set.
-  std::vector<Transition> exposures;
-  for (const auto& [place, persons] : occupants_) {
-    collectExposures(now, persons, exposures);
-  }
-  applyExposures(now, exposures, infections);
-}
-
 void DiseaseRank::stepEvent(Hour now, std::uint64_t& infections) {
-  CHISIM_CHECK(eventCore_, "stepEvent requires the progression calendar");
   const DiseaseConfig& config = *shared_.config;
 
   // Progression from the calendar. Entries are scheduled at the exact first
-  // hour the hourly scan would fire them, so validating the same scan
+  // hour a full per-hour scan would fire them, so validating the same scan
   // condition here yields the same transition set: stale entries (the
   // person migrated away, or a leave-and-return left duplicates) simply
   // fail the residency/state check and are skipped.
@@ -360,9 +319,9 @@ void DiseaseRank::stepEvent(Hour now, std::uint64_t& infections) {
   shared_.hourlyInfectious[static_cast<std::size_t>(rank_)][now] =
       infectiousResidents_;
 
-  // Transmission only where an infectious occupant actually is. The hourly
-  // scan visits every occupied place and skips those with zero infectious;
-  // the infectiousAt_ index names exactly the non-skipped ones.
+  // Transmission only where an infectious occupant actually is. A full
+  // hourly scan visits every occupied place and skips those with zero
+  // infectious; the infectiousAt_ index names exactly the non-skipped ones.
   std::vector<Transition> exposures;
   for (const auto& [place, count] : infectiousAt_) {
     collectExposures(now, occupants_.at(place), exposures);
@@ -371,9 +330,6 @@ void DiseaseRank::stepEvent(Hour now, std::uint64_t& infections) {
 }
 
 Hour DiseaseRank::conservativeNextEvent(Hour now, Hour limit) const {
-  if (!eventCore_) {
-    return limit;
-  }
   if (infectiousResidents_ > 0 ||
       (now < totalHours_ && !progressionCalendar_[now].empty())) {
     return std::min<Hour>(now + 1, limit);
@@ -431,7 +387,6 @@ void DiseaseRank::restoreResident(PersonId person, ActivityId activity,
 }
 
 void DiseaseRank::restoreCalendar(const CalendarBucket& bucket) {
-  CHISIM_REQUIRE(eventCore_, "restoreCalendar requires the event core");
   CHISIM_CHECK(bucket.hour < totalHours_,
                "checkpointed calendar bucket past the horizon");
   auto& target = progressionCalendar_[bucket.hour];

@@ -64,11 +64,11 @@ struct DiseaseStats {
 };
 
 // ---------------------------------------------------------------------------
-// Runtime machinery shared by the hourly and event-driven model cores. Both
-// cores drive the same DiseaseRank engine through the same hooks, and the
+// Runtime machinery driven by the event-driven model core. The DiseaseRank
 // engine emits transitions in a canonical order (within each hour:
 // progressions sorted by person id, then exposures sorted by person id), so
-// the per-rank CLX5 files are byte-identical across cores AND rank counts.
+// the per-rank CLX5 files are byte-identical across rank counts and to the
+// hourly full-scan oracle in tests/hourly_oracle.hpp.
 // ---------------------------------------------------------------------------
 
 /// Uniform double in [0, 1) from a hash of (seed, a, b) — rank-count
@@ -96,28 +96,26 @@ std::uint64_t seedInfections(DiseaseShared& shared, std::size_t personCount);
 /// place), per-place occupancy, and the infectious head-count, and writes
 /// state transitions to the rank's CLX5 log.
 ///
-/// The hourly core calls stepHourly() every hour: progression is a full
-/// scan over residents and transmission a scan over all occupied places —
-/// O(residents + occupied places) per hour regardless of epidemic size.
 /// The event-driven core calls stepEvent() only on *active* hours:
 /// progression comes from a calendar of pre-scheduled due hours (stale
 /// entries are skipped) and transmission visits only places that currently
 /// hold an infectious occupant — interval-based exposure accounting that
-/// costs nothing while the epidemic is quiet. Both orderings produce the
-/// same transitions; see stepEvent() for the equivalence argument.
+/// costs nothing while the epidemic is quiet. It produces the same
+/// transitions as a full per-hour scan over residents and occupied places;
+/// see stepEvent() for the equivalence argument.
 class DiseaseRank {
  public:
-  /// `eventCore` enables the progression calendar (sized totalHours + 1).
+  /// The progression calendar covers hours [0, totalHours).
   /// `resumeWriterAtBytes` nonzero reopens the rank's CLX5 file for
   /// appending at that checkpoint offset instead of truncating it.
   DiseaseRank(DiseaseShared& shared, int rank,
               const std::filesystem::path& directory, table::Hour totalHours,
-              bool eventCore, std::uint64_t resumeWriterAtBytes = 0);
+              std::uint64_t resumeWriterAtBytes = 0);
 
   // ---- residency hooks (called by the model core) ----
 
-  /// Initial adoption or migration arrival. In event mode also schedules
-  /// the person's pending progression (if any) on the calendar.
+  /// Initial adoption or migration arrival. Also schedules the person's
+  /// pending progression (if any) on the calendar.
   void arrive(table::PersonId person, table::ActivityId activity,
               table::PlaceId place, table::Hour now);
 
@@ -134,12 +132,8 @@ class DiseaseRank {
   /// person id. Call once before the hour-0 step.
   void logSeeds();
 
-  /// One epidemic hour in hourly mode: full progression scan, then
-  /// transmission over all occupied places.
-  void stepHourly(table::Hour now, std::uint64_t& infections);
-
-  /// One epidemic hour in event mode: progression from the calendar bucket
-  /// for `now`, then transmission over infectious places only.
+  /// One epidemic hour: progression from the calendar bucket for `now`,
+  /// then transmission over infectious places only.
   void stepEvent(table::Hour now, std::uint64_t& infections);
 
   // ---- event-core scheduling queries ----
@@ -198,7 +192,7 @@ class DiseaseRank {
   void restoreResident(table::PersonId person, table::ActivityId activity,
                        table::PlaceId place);
 
-  /// Reinstates one checkpointed calendar bucket (event core only).
+  /// Reinstates one checkpointed calendar bucket.
   void restoreCalendar(const CalendarBucket& bucket);
 
   /// Reinstates the unflushed CLX5 buffer.
@@ -230,9 +224,9 @@ class DiseaseRank {
   void vacate(table::PersonId person, table::PlaceId place);
   void addInfectiousAt(table::PlaceId place);
   void removeInfectiousAt(table::PlaceId place);
-  /// First hour this person's current state progresses, given the hourly
-  /// core's scan semantics (threshold floor of one hour for states entered
-  /// during a scan; exact threshold for hour-0 seeds).
+  /// First hour this person's current state progresses under full-scan
+  /// semantics (threshold floor of one hour for states entered during a
+  /// scan; exact threshold for hour-0 seeds).
   table::Hour progressionDue(table::PersonId person) const;
   void scheduleProgression(table::PersonId person, table::Hour due);
   void logTransition(table::Hour now, table::PersonId person,
@@ -250,7 +244,6 @@ class DiseaseRank {
   DiseaseShared& shared_;
   int rank_;
   table::Hour totalHours_;
-  bool eventCore_;
   std::unique_ptr<elog::ExtendedLogWriter> writer_;
   std::vector<elog::ExtendedEvent> buffer_;
   std::unordered_map<table::PersonId, StintInfo> residents_;
@@ -264,7 +257,7 @@ class DiseaseRank {
   /// Places with at least one infectious occupant -> infectious count.
   std::unordered_map<table::PlaceId, std::uint32_t> infectiousAt_;
   std::uint32_t infectiousResidents_ = 0;
-  /// Event mode: progressionCalendar_[hour] -> persons possibly due then.
+  /// progressionCalendar_[hour] -> persons possibly due then.
   std::vector<std::vector<table::PersonId>> progressionCalendar_;
   std::size_t pendingProgressions_ = 0;
 };

@@ -18,8 +18,8 @@ using pop::kHoursPerWeek;
 using table::Hour;
 using table::PersonId;
 
-/// Same tag window the hourly core uses, offset so the two schemes can
-/// never collide, plus a one-shot tag for the initial residency scatter.
+/// Per-hour migration tags (below the reserved collective tags), plus a
+/// one-shot tag for the initial residency scatter.
 constexpr int kEventMigrationTagBase = (1 << 20) + (1 << 19);
 constexpr int kInitScatterTag = (1 << 20) + (1 << 19) + (1 << 19);
 
@@ -81,7 +81,7 @@ void runEventCoreRank(runtime::RankHandle& rank,
   if (context.disease->enabled()) {
     epidemic = std::make_unique<DiseaseRank>(
         *context.disease, self, config.logDirectory, totalHours,
-        /*eventCore=*/true, resumePoint != nullptr ? resumePoint->clxBytes : 0);
+        resumePoint != nullptr ? resumePoint->clxBytes : 0);
   }
 
   // A rank failing (fault injection, I/O error, a peer's abort waking our
@@ -103,12 +103,11 @@ void runEventCoreRank(runtime::RankHandle& rank,
   Hour globalNext = 0;
   if (resumePoint == nullptr) {
     // ---- initial residency -----------------------------------------------
-    // The hourly core regenerates every person's week on every rank and
-    // keeps the owned ones. Here each rank generates only its 1/R slice of
-    // persons and scatters the packed cursors to the owning ranks; owners
-    // adopt the merged batches in ascending person id, which IS population
-    // order, so initial calendar and occupancy order match the hourly core
-    // exactly.
+    // Each rank generates only its 1/R slice of persons and scatters the
+    // packed cursors to the owning ranks; owners adopt the merged batches
+    // in ascending person id, which IS population order, so initial
+    // calendar and occupancy order match an hourly loop that adopts the
+    // population in order.
     const auto personCount =
         static_cast<PersonId>(context.population->persons().size());
     if (rankCount == 1) {
@@ -333,7 +332,7 @@ void runEventCoreRank(runtime::RankHandle& rank,
       batch.clear();
     }
 
-    // Movement phase: identical traversal to the hourly core's agenda.
+    // Movement phase: identical traversal to an hourly loop's agenda.
     auto& bucket = calendar.bucket(now);
     for (PersonId person : bucket) {
       auto it = residents.find(person);

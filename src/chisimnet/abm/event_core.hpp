@@ -10,7 +10,7 @@
 #include "chisimnet/runtime/comm.hpp"
 #include "chisimnet/table/event.hpp"
 
-/// The event-driven ABM core (ModelCore::kEventDriven).
+/// The event-driven ABM core, the one runModel runs.
 ///
 /// Instead of ticking every agent every hour, each rank keeps a calendar
 /// queue of activity-change events: an agent schedules its next stint end
@@ -20,14 +20,15 @@
 /// the timestamped migration exchange (abm/migration.hpp), so globally
 /// quiet hours cost nothing and no per-hour barrier is needed. Per-hour
 /// processing order (FIFO calendar buckets, arrival order by source rank)
-/// reproduces the hourly core's order exactly, which is what makes the
-/// CLG5/CLX5 output byte-identical between the two cores at any rank
-/// count; DESIGN.md §3.7 gives the full argument.
+/// reproduces the order of a plain hourly loop exactly, which is what
+/// makes the CLG5/CLX5 output byte-identical to the hourly oracle in
+/// tests/hourly_oracle.hpp at any rank count; DESIGN.md §3.7 gives the
+/// full argument.
 
 namespace chisimnet::abm {
 
 /// Per-hour FIFO buckets of agent activity-change events over a bounded
-/// horizon. Bucket order is push order, mirroring the hourly core's agenda.
+/// horizon. Bucket order is push order, mirroring an hourly loop's agenda.
 class CalendarQueue {
  public:
   explicit CalendarQueue(table::Hour totalHours)
@@ -54,7 +55,7 @@ class CalendarQueue {
   std::size_t pending_ = 0;
 };
 
-/// Per-rank totals a core run reports back to runModel.
+/// Per-rank totals a rank run reports back to runModel.
 struct RankOutcome {
   std::uint64_t events = 0;
   std::uint64_t migrationsOut = 0;

@@ -29,7 +29,7 @@ struct MigrantRecord {
   std::vector<pop::PackedStint> stints;  ///< the full current packed week
 };
 
-/// Control flags OR-combined across ranks via the hourly exchange (every
+/// Control flags OR-combined across ranks via the per-hour exchange (every
 /// rank receives every other rank's flags, so the OR is a free all-reduce).
 inline constexpr std::uint32_t kBatchFlagShutdown = 1u << 0;
 

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 
 #include "chisimnet/abm/event_core.hpp"
-#include "chisimnet/abm/migration.hpp"
 #include "chisimnet/abm/sim_checkpoint.hpp"
-#include "chisimnet/elog/log_directory.hpp"
 #include "chisimnet/runtime/comm.hpp"
-#include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/scheduler.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/timer.hpp"
 
@@ -21,50 +15,7 @@ namespace chisimnet::abm {
 namespace {
 
 using pop::kHoursPerWeek;
-using pop::PersonId;
-using pop::ScheduleEntry;
 using table::Hour;
-
-constexpr int kMigrationTagBase = 1 << 20;  // below the reserved collective tags
-
-/// A resident agent in the hourly core: its current week's schedule and
-/// position within it.
-struct AgentCursor {
-  PersonId person = 0;
-  std::uint32_t week = 0;
-  std::vector<ScheduleEntry> schedule;
-  std::size_t index = 0;
-
-  const ScheduleEntry& current() const { return schedule[index]; }
-};
-
-/// Loads the stint that covers hour `now` (regenerating the weekly schedule
-/// as needed). Cold loads binary-search to the covering stint instead of
-/// scanning from the start of the week.
-AgentCursor makeCursor(PersonId person, Hour now,
-                       const pop::ScheduleGenerator& generator) {
-  AgentCursor cursor;
-  cursor.person = person;
-  cursor.week = now / kHoursPerWeek;
-  cursor.schedule = generator.weeklySchedule(person, cursor.week);
-  cursor.index = pop::coveringStintIndex(cursor.schedule, now);
-  return cursor;
-}
-
-/// Advances past the stint ending at `now`; rolls into the next week when
-/// the week is exhausted. Returns the new current stint.
-const ScheduleEntry& advanceCursor(AgentCursor& cursor, Hour now,
-                                   const pop::ScheduleGenerator& generator) {
-  CHISIM_CHECK(cursor.current().end == now, "advance called off-boundary");
-  ++cursor.index;
-  if (cursor.index >= cursor.schedule.size()) {
-    ++cursor.week;
-    cursor.schedule = generator.weeklySchedule(cursor.person, cursor.week);
-    cursor.index = 0;
-  }
-  CHISIM_CHECK(cursor.current().start == now, "schedule has a gap");
-  return cursor.current();
-}
 
 /// Rejects unusable configurations up front, before any rank starts: a bad
 /// week count, rank count, or an unusable log directory should fail as
@@ -93,340 +44,6 @@ void validateModelConfig(const ModelConfig& config) {
                  "checkpointEveryHours requires checkpointDir");
   CHISIM_REQUIRE(!config.resume || !config.checkpointDir.empty(),
                  "resume requires checkpointDir");
-}
-
-/// One rank of the hourly (reference) core: tick every hour, agents in
-/// transition move, the epidemic layer scans every resident and occupied
-/// place each hour.
-void runHourlyRank(runtime::RankHandle& rank, const EventCoreContext& context,
-                   RankOutcome& outcome) {
-  const int self = rank.rank();
-  const ModelConfig& config = *context.config;
-  const pop::ScheduleGenerator& generator = *context.generator;
-  const std::vector<int>& placeRank = *context.placeRank;
-  const Hour totalHours = context.totalHours;
-
-  const RankCheckpoint* resumePoint =
-      context.resume != nullptr
-          ? &context.resume->ranks.at(static_cast<std::size_t>(self))
-          : nullptr;
-
-  auto writer =
-      resumePoint != nullptr
-          ? std::make_unique<elog::ChunkedLogWriter>(
-                elog::logFilePath(config.logDirectory, self),
-                config.logCompression,
-                elog::ChunkedLogWriter::ResumeAt{resumePoint->logBytes})
-          : std::make_unique<elog::ChunkedLogWriter>(
-                elog::logFilePath(config.logDirectory, self),
-                config.logCompression);
-  elog::EventLogger logger(std::move(writer), config.logCacheEntries);
-  logger.setFaultRank(self);
-
-  std::unique_ptr<DiseaseRank> epidemic;
-  if (context.disease->enabled()) {
-    epidemic = std::make_unique<DiseaseRank>(
-        *context.disease, self, config.logDirectory, totalHours,
-        /*eventCore=*/false,
-        resumePoint != nullptr ? resumePoint->clxBytes : 0);
-  }
-
-  // A failing rank (fault injection, I/O error, a peer's abort waking our
-  // recv) must leave crash-shaped logs — no footer — so readers treat them
-  // exactly like a SIGKILL's torn files.
-  try {
-  // Agents whose current place this rank owns, plus an agenda of stint
-  // end hours -> persons, so each step touches only agents in transition.
-  std::unordered_map<PersonId, AgentCursor> residents;
-  std::vector<std::vector<PersonId>> agenda(totalHours + 1);
-
-  const auto adopt = [&](AgentCursor cursor, Hour now) {
-    const Hour due = std::min<Hour>(cursor.current().end, totalHours);
-    agenda[due].push_back(cursor.person);
-    if (epidemic) {
-      epidemic->arrive(cursor.person, cursor.current().activity,
-                       cursor.current().place, now);
-    }
-    residents.emplace(cursor.person, std::move(cursor));
-  };
-
-  if (resumePoint == nullptr) {
-    // Initial residency from the first stint of week 0.
-    for (const pop::Person& person : context.population->persons()) {
-      AgentCursor cursor = makeCursor(person.id, 0, generator);
-      if (placeRank[cursor.current().place] == self) {
-        adopt(std::move(cursor), 0);
-      }
-    }
-    outcome.initialAgents = residents.size();
-
-    if (epidemic) {
-      // Record the seed infections owned by this rank, then run hour 0.
-      epidemic->logSeeds();
-      epidemic->stepHourly(0, outcome.infections);
-    }
-  } else {
-    // Resume: counters, cursors, agenda buckets and the unflushed log
-    // caches come from the checkpoint; weekly schedules regenerate exactly
-    // from (person, weekIndex). No seeding replay, no hour-0 step — the
-    // hours below the checkpoint are already on disk.
-    outcome = resumePoint->outcome;
-    logger.restoreCache(resumePoint->logCache, resumePoint->logEntries,
-                        resumePoint->logFlushCount);
-    for (const AgentSnapshot& agent : resumePoint->residents) {
-      AgentCursor cursor;
-      cursor.person = agent.person;
-      cursor.week = agent.weekIndex;
-      cursor.schedule = generator.weeklySchedule(agent.person, agent.weekIndex);
-      cursor.index = agent.stintIndex;
-      if (epidemic) {
-        epidemic->restoreResident(agent.person, cursor.current().activity,
-                                  cursor.current().place);
-      }
-      residents.emplace(agent.person, std::move(cursor));
-    }
-    for (const HourBucket& bucket : resumePoint->calendar) {
-      for (PersonId person : bucket.persons) {
-        agenda[bucket.hour].push_back(person);
-      }
-    }
-    if (epidemic) {
-      // The hourly engine has no progression calendar; only the unflushed
-      // CLX5 buffer needs reinstating.
-      epidemic->restoreBuffer(resumePoint->clxBuffer);
-      CHISIM_CHECK(epidemic->writerEntries() == resumePoint->clxEntries,
-                   "resumed CLX5 entry count does not match the checkpoint");
-    }
-  }
-
-  const bool checkpointing = !config.checkpointDir.empty();
-  Hour nextCheckpointDue = static_cast<Hour>(
-      (resumePoint != nullptr ? resumePoint->hour : 0) +
-      config.checkpointEveryHours);
-  bool shutdownAgreed = false;
-
-  const auto writeCheckpoint = [&](Hour now) {
-    // Buffered file bytes go to the OS so everything below the recorded
-    // offsets survives a kill right after the manifest commit; the
-    // unflushed caches travel inside the checkpoint (a flush here would
-    // move chunk boundaries vs an uninterrupted run).
-    logger.sync();
-    if (epidemic) {
-      epidemic->sync();
-    }
-    RankCheckpoint ckpt;
-    ckpt.hour = now;
-    ckpt.diseaseEnabled = epidemic != nullptr;
-    ckpt.outcome = outcome;
-    ckpt.residents.reserve(residents.size());
-    for (const auto& [person, cursor] : residents) {
-      AgentSnapshot agent;
-      agent.person = person;
-      agent.weekIndex = cursor.week;
-      agent.stintIndex = static_cast<std::uint32_t>(cursor.index);
-      if (epidemic) {
-        agent.state = context.disease->state[person];
-        agent.since = context.disease->since[person];
-      }
-      ckpt.residents.push_back(agent);
-    }
-    std::sort(ckpt.residents.begin(), ckpt.residents.end(),
-              [](const AgentSnapshot& a, const AgentSnapshot& b) {
-                return a.person < b.person;
-              });
-    for (Hour h = now; h <= totalHours; ++h) {
-      if (!agenda[h].empty()) {
-        ckpt.calendar.push_back(HourBucket{h, agenda[h]});
-      }
-    }
-    ckpt.logBytes = logger.writer().bytesWritten();
-    ckpt.logEntries = logger.entriesLogged();
-    ckpt.logFlushCount = logger.flushCount();
-    ckpt.logCache = logger.cacheSnapshot();
-    if (epidemic) {
-      ckpt.clxBytes = epidemic->writerBytes();
-      ckpt.clxEntries = epidemic->writerEntries();
-      ckpt.clxBuffer = epidemic->bufferSnapshot();
-      const std::vector<std::uint32_t>& rows =
-          context.disease->hourlyInfectious[static_cast<std::size_t>(self)];
-      ckpt.hourlyInfectious.assign(rows.begin(), rows.begin() + now);
-    }
-    saveRankCheckpoint(config.checkpointDir, self, ckpt);
-    ++outcome.checkpointsWritten;
-    rank.barrier();
-    if (self == 0) {
-      commitSimManifest(config.checkpointDir,
-                        SimManifest{now, rank.size(), context.configHash,
-                                    context.checkpointsBase +
-                                        outcome.checkpointsWritten});
-    }
-    rank.barrier();
-  };
-
-  std::vector<std::vector<std::uint32_t>> outbound(
-      static_cast<std::size_t>(rank.size()));
-
-  // Each rank drives its hour loop from a Repast-style tick schedule: the
-  // movement/logging action runs at normal priority each hour, the
-  // epidemic action late in the same tick (after migrants have arrived).
-  runtime::Scheduler scheduler;
-  const auto hourAction = [&](runtime::Tick tick) {
-    const Hour now = static_cast<Hour>(tick);
-    if (runtime::fault::armed()) {
-      runtime::FaultSite site;
-      site.rank = self;
-      site.ordinal = now;
-      runtime::fault::hit("abm.step", site);
-    }
-    // Checkpoint at the top of the hour, before this hour's movement and
-    // epidemic actions touch any state — exactly what the resumed loop
-    // will redo.
-    if (checkpointing && now < totalHours) {
-      const bool stopNow =
-          shutdownAgreed || (rank.size() == 1 && shutdownRequested());
-      if (stopNow ||
-          (config.checkpointEveryHours > 0 && now >= nextCheckpointDue)) {
-        writeCheckpoint(now);
-        if (stopNow) {
-          // Graceful shutdown: ordinary close. The footer lands above the
-          // checkpointed offsets; resume truncation removes it. stop()
-          // also cancels this tick's kLate epidemic action.
-          outcome.interrupted = true;
-          logger.close();
-          if (epidemic) {
-            epidemic->close();
-          }
-          outcome.logBytes = logger.writer().bytesWritten();
-          scheduler.stop();
-          return;
-        }
-        nextCheckpointDue =
-            static_cast<Hour>(now + config.checkpointEveryHours);
-      }
-    }
-    ++outcome.hoursProcessed;
-    for (auto& bucket : outbound) {
-      bucket.clear();
-    }
-
-    for (PersonId personId : agenda[now]) {
-      auto it = residents.find(personId);
-      CHISIM_CHECK(it != residents.end(), "agenda references missing agent");
-      AgentCursor& cursor = it->second;
-      const ScheduleEntry ending = cursor.current();
-      CHISIM_CHECK(ending.end == now || now == totalHours,
-                   "agenda hour mismatch");
-
-      // Event-based logging: the stint is recorded when it ends
-      // (clipped to the simulation horizon).
-      logger.log(table::Event{ending.start,
-                              std::min<Hour>(ending.end, totalHours),
-                              personId, ending.activity, ending.place});
-      ++outcome.events;
-
-      if (now == totalHours) {
-        residents.erase(it);
-        continue;  // simulation over; no further movement
-      }
-
-      const ScheduleEntry& next = advanceCursor(cursor, now, generator);
-      const int dest = placeRank[next.place];
-      if (dest == self) {
-        ++outcome.localMoves;
-        if (epidemic) {
-          epidemic->move(personId, next.activity, next.place);
-        }
-        agenda[std::min<Hour>(next.end, totalHours)].push_back(personId);
-      } else {
-        ++outcome.migrationsOut;
-        if (epidemic) {
-          epidemic->depart(personId);
-        }
-        outbound[static_cast<std::size_t>(dest)].push_back(personId);
-        residents.erase(it);
-      }
-    }
-
-    if (now == totalHours) {
-      scheduler.stop();  // simulation horizon: skip exchange and epidemic
-      return;
-    }
-
-    // Exchange migrants: every rank sends to every other rank each step
-    // (possibly empty), so receive counts are deterministic. Word 0 of the
-    // payload carries the shutdown-agreement flags (kBatchFlagShutdown);
-    // person ids follow. The flags OR together across ranks, so a signal
-    // on any rank makes EVERY rank checkpoint-and-exit at the top of the
-    // next hour.
-    const std::uint32_t flags =
-        checkpointing && shutdownRequested() ? kBatchFlagShutdown : 0;
-    const int tag = kMigrationTagBase + static_cast<int>(now % (1 << 19));
-    for (int dest = 0; dest < rank.size(); ++dest) {
-      if (dest != self) {
-        if (runtime::fault::armed()) {
-          runtime::FaultSite site;
-          site.rank = self;
-          site.ordinal = now;
-          runtime::fault::hit("abm.migrate.send", site);
-        }
-        std::vector<std::uint32_t> wire;
-        wire.reserve(1 + outbound[static_cast<std::size_t>(dest)].size());
-        wire.push_back(flags);
-        wire.insert(wire.end(),
-                    outbound[static_cast<std::size_t>(dest)].begin(),
-                    outbound[static_cast<std::size_t>(dest)].end());
-        rank.sendVector<std::uint32_t>(dest, tag, wire);
-      }
-    }
-    std::uint32_t combinedFlags = flags;
-    for (int source = 0; source < rank.size(); ++source) {
-      if (source == self) {
-        continue;
-      }
-      const runtime::Message message = rank.recv(source, tag);
-      const std::vector<std::uint32_t> wire = message.as<std::uint32_t>();
-      CHISIM_CHECK(!wire.empty(), "migration payload missing the flags word");
-      combinedFlags |= wire[0];
-      for (std::size_t i = 1; i < wire.size(); ++i) {
-        adopt(makeCursor(wire[i], now, generator), now);
-      }
-    }
-    if ((combinedFlags & kBatchFlagShutdown) != 0) {
-      shutdownAgreed = true;
-    }
-  };
-  // A fresh run ticks from hour 1; a resumed run from the checkpoint hour
-  // (hours below it are already on disk).
-  const runtime::Tick firstTick =
-      resumePoint != nullptr ? resumePoint->hour : 1;
-  scheduler.scheduleRepeating(firstTick, 1, hourAction,
-                              runtime::Scheduler::kNormal);
-  if (epidemic) {
-    scheduler.scheduleRepeating(
-        firstTick, 1,
-        [&](runtime::Tick tick) {
-          epidemic->stepHourly(static_cast<Hour>(tick), outcome.infections);
-        },
-        runtime::Scheduler::kLate);
-  }
-  scheduler.run(totalHours);
-
-  if (outcome.interrupted) {
-    return;  // checkpointed and closed inside the stopping hour action
-  }
-  CHISIM_CHECK(residents.empty(), "agents left after the final hour");
-  logger.close();
-  if (epidemic) {
-    epidemic->close();
-  }
-  outcome.logBytes = logger.writer().bytesWritten();
-  } catch (...) {
-    logger.abandon();
-    if (epidemic) {
-      epidemic->abandon();
-    }
-    throw;
-  }
 }
 
 ModelStats runModelImpl(const pop::SyntheticPopulation& population,
@@ -460,7 +77,8 @@ ModelStats runModelImpl(const pop::SyntheticPopulation& population,
   // --resume already set, or a run killed before its first checkpoint).
   std::optional<SimResume> resume;
   if (config.resume) {
-    resume = loadSimResume(config.checkpointDir, config.rankCount, configHash);
+    resume = loadSimResume(config.checkpointDir, config.rankCount, configHash,
+                           population.persons().size(), totalHours);
   }
   if (resume.has_value() && disease.enabled()) {
     // Seeding already ran (deterministically); overwrite with the
@@ -507,12 +125,8 @@ ModelStats runModelImpl(const pop::SyntheticPopulation& population,
   util::WallTimer wall;
 
   runtime::Communicator::run(config.rankCount, [&](runtime::RankHandle& rank) {
-    RankOutcome& outcome = outcomes[static_cast<std::size_t>(rank.rank())];
-    if (config.core == ModelCore::kEventDriven) {
-      runEventCoreRank(rank, context, outcome);
-    } else {
-      runHourlyRank(rank, context, outcome);
-    }
+    runEventCoreRank(rank, context,
+                     outcomes[static_cast<std::size_t>(rank.rank())]);
   });
 
   ModelStats stats;

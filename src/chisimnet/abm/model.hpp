@@ -14,29 +14,19 @@
 /// paper §II).
 ///
 /// Places are partitioned across ranks; an agent resides on the rank that
-/// owns its current location. At each one-hour step every agent whose
-/// activity stint ends decides its next activity from its schedule and
-/// moves to the new location — crossing ranks via a migration message when
-/// the new place lives elsewhere. Each rank runs its own event logger
-/// (paper §III), so a run with R ranks emits R CLG5 files whose union is
-/// the complete activity history of the population.
+/// owns its current location. When an agent's activity stint ends it takes
+/// its next activity from its schedule and moves to the new location —
+/// crossing ranks via a migration message when the new place lives
+/// elsewhere. Each rank runs its own event logger (paper §III), so a run
+/// with R ranks emits R CLG5 files whose union is the complete activity
+/// history of the population.
+///
+/// The ranks run the event-driven core (abm/event_core.hpp): a rank wakes
+/// an agent only when its stint ends and skips globally quiet hours. Its
+/// logs are byte-identical to the hourly reference loop the tests keep as
+/// an oracle (tests/hourly_oracle.hpp), which steps every hour.
 
 namespace chisimnet::abm {
-
-/// Which simulation core drives the run. Both cores produce byte-identical
-/// CLG5/CLX5 logs for the same (population, scheduleSeed, disease.seed) at
-/// any rank count (enforced by the differential grid in tests/abm_test.cpp);
-/// they differ only in how time advances.
-enum class ModelCore : std::uint8_t {
-  /// Tick every hour; each hour touches agents in transition plus a full
-  /// per-hour epidemic scan. The reference implementation.
-  kHourly = 0,
-  /// Calendar queue of activity-change events per rank; agents lie dormant
-  /// between events, epidemic work is interval-scheduled, and globally
-  /// quiet hours are skipped (abm/event_core.hpp). Scales with activity
-  /// changes (~5/day) instead of person-hours (24/day).
-  kEventDriven = 1,
-};
 
 struct ModelConfig {
   std::filesystem::path logDirectory;  ///< created if missing; must be writable
@@ -48,7 +38,6 @@ struct ModelConfig {
   elog::LogCompression logCompression = elog::LogCompression::kRaw;
   std::uint64_t scheduleSeed = 7;
   PartitionStrategy strategy = PartitionStrategy::kNeighborhood;
-  ModelCore core = ModelCore::kEventDriven;
   /// Non-empty enables crash-safe checkpointing (abm/sim_checkpoint.hpp):
   /// periodic rank-state snapshots land here, and a SIGTERM/SIGINT (when
   /// the caller installed ScopedShutdownHandler or called requestShutdown)
@@ -71,12 +60,11 @@ struct ModelStats {
   std::uint64_t localMoves = 0;        ///< location changes that stayed on-rank
   std::uint64_t agentHours = 0;        ///< persons x hours simulated
   std::uint64_t logBytes = 0;          ///< total CLG5 bytes written
-  /// Hours the step loop actually visited: always simulatedHours for the
-  /// hourly core; for the event core, the number of globally active hours
+  /// Hours the step loop actually visited: the globally active hours
   /// (quiet hours are skipped entirely).
   std::uint64_t hoursActive = 0;
   /// Max simultaneously pending calendar events (activity changes plus
-  /// scheduled disease progressions) on any rank; 0 for the hourly core.
+  /// scheduled disease progressions) on any rank.
   std::uint64_t peakQueueDepth = 0;
   /// Checkpoints committed over the campaign (cumulative across resumes).
   std::uint64_t checkpointsWritten = 0;

@@ -67,6 +67,10 @@ void putBuckets(std::vector<std::byte>& out,
 std::vector<HourBucket> takeBuckets(std::span<const std::byte> bytes,
                                     std::size_t& cursor) {
   const std::uint32_t count = take32(bytes, cursor);
+  // Each bucket takes at least 8 bytes (hour + person count).
+  CHISIM_CHECK(count <= (bytes.size() - cursor) / 8,
+               "rank checkpoint declares more calendar buckets than its "
+               "bytes can hold");
   std::vector<HourBucket> buckets;
   buckets.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -125,15 +129,45 @@ std::filesystem::path manifestPath(const std::filesystem::path& dir) {
   return dir / kSimManifestName;
 }
 
+/// A CRC only proves a rank file is the one that was written, not that it
+/// belongs to this run: every person id the cores index with and every
+/// calendar hour must lie inside the run being resumed.
+void checkResumeBounds(const RankCheckpoint& checkpoint, int rank,
+                       std::size_t personCount, Hour totalHours) {
+  const std::string where = "rank " + std::to_string(rank) + " checkpoint ";
+  const Hour weeks = totalHours / pop::kHoursPerWeek;
+  for (const AgentSnapshot& agent : checkpoint.residents) {
+    CHISIM_CHECK(agent.person < personCount,
+                 where + "names person " + std::to_string(agent.person) +
+                     " in a population of " + std::to_string(personCount));
+    CHISIM_CHECK(agent.weekIndex < weeks,
+                 where + "places person " + std::to_string(agent.person) +
+                     " in week " + std::to_string(agent.weekIndex) +
+                     " of a " + std::to_string(weeks) + "-week run");
+  }
+  for (const HourBucket& bucket : checkpoint.calendar) {
+    CHISIM_CHECK(bucket.hour >= checkpoint.hour && bucket.hour <= totalHours,
+                 where + "has an activity bucket at hour " +
+                     std::to_string(bucket.hour) + " outside [" +
+                     std::to_string(checkpoint.hour) + ", " +
+                     std::to_string(totalHours) + "]");
+  }
+  for (const HourBucket& bucket : checkpoint.progressions) {
+    CHISIM_CHECK(bucket.hour >= checkpoint.hour && bucket.hour < totalHours,
+                 where + "has a progression bucket at hour " +
+                     std::to_string(bucket.hour) + " outside [" +
+                     std::to_string(checkpoint.hour) + ", " +
+                     std::to_string(totalHours) + ")");
+  }
+}
+
 }  // namespace
 
 std::uint32_t simConfigHash(std::size_t personCount, std::size_t placeCount,
                             const ModelConfig& config,
                             const DiseaseConfig* disease) {
   // Everything that determines the log bytes and the checkpoint layout; a
-  // resume against a run with any of these changed must be rejected. The
-  // core is included even though both cores emit the same bytes — the
-  // checkpointed calendar shapes differ.
+  // resume against a run with any of these changed must be rejected.
   std::string text;
   text += std::to_string(personCount) + "|";
   text += std::to_string(placeCount) + "|";
@@ -141,7 +175,6 @@ std::uint32_t simConfigHash(std::size_t personCount, std::size_t placeCount,
   text += std::to_string(config.weeks) + "|";
   text += std::to_string(config.rankCount) + "|";
   text += std::to_string(static_cast<int>(config.strategy)) + "|";
-  text += std::to_string(static_cast<int>(config.core)) + "|";
   text += std::to_string(static_cast<int>(config.logCompression)) + "|";
   text += std::to_string(config.logCacheEntries) + "|";
   if (disease != nullptr) {
@@ -389,24 +422,30 @@ RankCheckpoint loadRankCheckpoint(const std::filesystem::path& dir, int rank,
 }
 
 std::optional<SimResume> loadSimResume(const std::filesystem::path& dir,
-                                       int rankCount,
-                                       std::uint32_t configHash) {
+                                       int rankCount, std::uint32_t configHash,
+                                       std::size_t personCount,
+                                       Hour totalHours) {
   std::optional<SimManifest> manifest = loadSimManifest(dir);
   if (!manifest.has_value()) {
     return std::nullopt;
   }
+  CHISIM_CHECK(manifest->hour <= totalHours,
+               "checkpoint hour " + std::to_string(manifest->hour) +
+                   " is past this run's horizon of " +
+                   std::to_string(totalHours) + " hours");
   CHISIM_CHECK(manifest->rankCount == rankCount,
                "checkpoint was written with " +
                    std::to_string(manifest->rankCount) +
                    " ranks; resume requested " + std::to_string(rankCount));
   CHISIM_CHECK(manifest->configHash == configHash,
                "checkpoint does not match this run's configuration "
-               "(population/seed/horizon/core/log settings changed)");
+               "(population/seed/horizon/log settings changed)");
   SimResume resume;
   resume.manifest = *manifest;
   resume.ranks.reserve(static_cast<std::size_t>(rankCount));
   for (int rank = 0; rank < rankCount; ++rank) {
     resume.ranks.push_back(loadRankCheckpoint(dir, rank, manifest->hour));
+    checkResumeBounds(resume.ranks.back(), rank, personCount, totalHours);
   }
   return resume;
 }

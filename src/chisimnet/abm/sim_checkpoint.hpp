@@ -24,19 +24,18 @@
 /// previous consistent checkpoint or the new one, and `--resume` replays
 /// from the manifest's hour with byte-identical CLG5/CLX5 output.
 ///
-/// The quiet-hour barrier: both cores agree on the sequence of active hours
-/// in lockstep (the hourly core trivially, the event core through the
-/// hint-piggybacked exchange of DESIGN.md §3.7), so "checkpoint at the
-/// first agreed hour >= N" evaluates identically on every rank with ZERO
-/// extra communication — and at the top of an hour every in-flight CMB2
-/// migration batch has already been adopted, so no wire state needs
-/// serializing. What a rank checkpoints:
+/// The quiet-hour barrier: the ranks agree on the sequence of active hours
+/// in lockstep (through the hint-piggybacked exchange of DESIGN.md §3.7),
+/// so "checkpoint at the first agreed hour >= N" evaluates identically on
+/// every rank with ZERO extra communication — and at the top of an hour
+/// every in-flight CMB2 migration batch has already been adopted, so no
+/// wire state needs serializing. What a rank checkpoints:
 ///
 ///   - its residents as (person, weekIndex, stintIndex[, state, since]):
 ///     schedules are deterministic in (person, week), so the packed week
 ///     regenerates exactly on resume — cursors travel as coordinates
-///   - its calendar/agenda buckets >= the checkpoint hour, FIFO order
-///     preserved verbatim (bucket order IS log order)
+///   - its calendar buckets >= the checkpoint hour, FIFO order preserved
+///     verbatim (bucket order IS log order)
 ///   - the CLG5 write offset, unflushed logger cache and flush counters —
 ///     the cache is checkpointed instead of flushed, so chunk boundaries
 ///     after a resume match the uninterrupted run byte for byte
@@ -47,13 +46,15 @@
 /// On resume the log files are truncated to the recorded offsets (torn
 /// tails, post-checkpoint chunks and any graceful-close footer all
 /// discarded), which is what makes the final bytes match a run that was
-/// never killed. Config/seed changes are rejected through simConfigHash.
+/// never killed. Config/seed changes are rejected through simConfigHash, and
+/// rank files whose person ids or hours fall outside the run are rejected
+/// before any rank starts.
 
 namespace chisimnet::abm {
 
 inline constexpr const char* kSimManifestName = "sim_manifest.chkp";
 
-/// One FIFO calendar/agenda bucket (activity changes or progressions).
+/// One FIFO calendar bucket (activity changes or progressions).
 struct HourBucket {
   table::Hour hour = 0;
   std::vector<table::PersonId> persons;
@@ -102,15 +103,15 @@ struct SimManifest {
   std::uint64_t checkpointsWritten = 0;
 };
 
-/// A loaded, validated checkpoint set handed to the cores.
+/// A loaded, validated checkpoint set handed to the ranks.
 struct SimResume {
   SimManifest manifest;
   std::vector<RankCheckpoint> ranks;  ///< indexed by rank
 };
 
 /// Hash of everything that determines the log bytes (and the checkpoint
-/// layout): population shape, schedule seed, horizon, rank count, core,
-/// log format knobs, and the full disease parameterization when enabled.
+/// layout): population shape, schedule seed, horizon, rank count, log
+/// format knobs, and the full disease parameterization when enabled.
 std::uint32_t simConfigHash(std::size_t personCount, std::size_t placeCount,
                             const ModelConfig& config,
                             const DiseaseConfig* disease);
@@ -140,15 +141,18 @@ RankCheckpoint loadRankCheckpoint(const std::filesystem::path& dir, int rank,
                                   table::Hour hour);
 
 /// Loads and validates the full checkpoint set: manifest present, rank
-/// count and config hash match, every rank file consistent with the
-/// manifest hour. nullopt when no manifest exists.
+/// count and config hash match, manifest hour within `totalHours`, every
+/// rank file consistent with the manifest hour, resident person ids below
+/// `personCount` (weeks inside the run), and calendar buckets within
+/// [hour, totalHours]. nullopt when no manifest exists.
 std::optional<SimResume> loadSimResume(const std::filesystem::path& dir,
-                                       int rankCount,
-                                       std::uint32_t configHash);
+                                       int rankCount, std::uint32_t configHash,
+                                       std::size_t personCount,
+                                       table::Hour totalHours);
 
 // ---------------------------------------------------------------------------
 // Graceful shutdown. A SIGTERM/SIGINT sets an async-signal-safe flag; the
-// rank loops OR the flag across ranks through the hourly exchange (see
+// rank loops OR the flag across ranks through the per-hour exchange (see
 // kBatchFlagShutdown) so every rank agrees to checkpoint-and-exit at the
 // top of the same hour.
 // ---------------------------------------------------------------------------

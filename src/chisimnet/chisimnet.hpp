@@ -38,7 +38,6 @@
 #include "chisimnet/runtime/cluster.hpp"
 #include "chisimnet/runtime/comm.hpp"
 #include "chisimnet/runtime/partition.hpp"
-#include "chisimnet/runtime/scheduler.hpp"
 #include "chisimnet/runtime/thread_pool.hpp"
 #include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"

@@ -44,8 +44,8 @@
 ///                       a crash mid-spill leaving only a .tmp orphan)
 ///   spill.merge         SpillingAccumulator compaction, before the k-way
 ///                       merge of live runs begins
-///   abm.step            ABM rank loop, top of each simulated hour (both
-///                       cores); ordinal = the simulated hour, so a spec's
+///   abm.step            ABM rank loop, top of each active simulated
+///                       hour; ordinal = the simulated hour, so a spec's
 ///                       exact hit means "at hour H" regardless of thread
 ///                       interleaving
 ///   abm.migrate.send    ABM rank loop, before each migration batch send;

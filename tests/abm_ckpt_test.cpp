@@ -19,16 +19,17 @@
 #include "chisimnet/elog/log_directory.hpp"
 #include "chisimnet/pop/schedule.hpp"
 #include "chisimnet/runtime/fault.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "support.hpp"
 
 /// Crash-safe simulation suite (label abm-ckpt): checkpoint codec round
 /// trips, cursor/RNG state reconstruction, manifest commit + garbage
 /// collection and validation failures, torn-log rejection and quarantine,
-/// graceful shutdown, and the acceptance grid — kill a run at an exact
-/// fault-site ordinal for every (core, rank count, disease) combination,
-/// resume it, and require the final CLG5/CLX5 bytes to match a run that
-/// was never interrupted.
+/// graceful shutdown, bounds checks on crafted resume input, and the
+/// acceptance grid — kill a run at an exact fault-site ordinal for every
+/// (rank count, disease) combination, resume it, and require the final
+/// CLG5/CLX5 bytes to match a run that was never interrupted.
 
 namespace chisimnet::abm {
 namespace {
@@ -56,14 +57,12 @@ class AbmCkptTest : public ::testing::Test {
   void SetUp() override { clearShutdownRequest(); }
   void TearDown() override { clearShutdownRequest(); }
 
-  ModelConfig baseConfig(ModelCore core, int ranks,
-                         const std::string& logs) const {
+  ModelConfig baseConfig(int ranks, const std::string& logs) const {
     ModelConfig config;
     config.logDirectory = root_ / logs;
     config.rankCount = ranks;
     config.weeks = 1;
     config.scheduleSeed = 777;
-    config.core = core;
     return config;
   }
 
@@ -256,19 +255,165 @@ TEST_F(AbmCkptTest, ManifestCommitGarbageCollectsSupersededFiles) {
 }
 
 TEST_F(AbmCkptTest, LoadSimResumeValidatesRankCountAndConfigHash) {
-  EXPECT_FALSE(loadSimResume(root_, 2, 7).has_value());  // no manifest yet
+  // sampleCheckpoint fits a 2000-person, two-week run.
+  const Hour hours = 2 * pop::kHoursPerWeek;
+  EXPECT_FALSE(loadSimResume(root_, 2, 7, 2000, hours).has_value());
 
   RankCheckpoint ckpt = sampleCheckpoint(false);
   saveRankCheckpoint(root_, 0, ckpt);
   saveRankCheckpoint(root_, 1, ckpt);
   commitSimManifest(root_, SimManifest{96, 2, 7, 1});
 
-  EXPECT_THROW(loadSimResume(root_, 4, 7), std::exception);   // rank count
-  EXPECT_THROW(loadSimResume(root_, 2, 8), std::exception);   // config hash
-  const auto resume = loadSimResume(root_, 2, 7);
+  EXPECT_THROW(loadSimResume(root_, 4, 7, 2000, hours), std::exception);
+  EXPECT_THROW(loadSimResume(root_, 2, 8, 2000, hours), std::exception);
+  const auto resume = loadSimResume(root_, 2, 7, 2000, hours);
   ASSERT_TRUE(resume.has_value());
   ASSERT_EQ(resume->ranks.size(), 2u);
   EXPECT_EQ(resume->ranks[0].hour, 96u);
+}
+
+// ---- crafted resume input ----
+//
+// Each case is a CRC-valid rank file whose contents do not fit the run it
+// is resumed into. Resume must fail with a typed error before any rank
+// starts (no log file is opened), with no crash and no allocation sized by
+// the bad field.
+
+class AbmCkptResumeInputTest : public AbmCkptTest {
+ protected:
+  static constexpr int kRanks = 2;
+
+  /// A checkpoint that fits the one-week, 2000-person run below.
+  static RankCheckpoint fittingCheckpoint() {
+    RankCheckpoint ckpt = sampleCheckpoint(false);
+    for (AgentSnapshot& agent : ckpt.residents) {
+      agent.weekIndex = 0;
+    }
+    return ckpt;
+  }
+
+  ModelConfig resumeConfig() const {
+    ModelConfig config = baseConfig(kRanks, "logs");
+    config.checkpointDir = root_ / "ckpt";
+    config.resume = true;
+    return config;
+  }
+
+  /// Commits `ckpt` as every rank's state under a manifest that matches
+  /// resumeConfig() in everything but `hour`.
+  void commit(const RankCheckpoint& ckpt, Hour hour) const {
+    const ModelConfig config = resumeConfig();
+    for (int rank = 0; rank < kRanks; ++rank) {
+      saveRankCheckpoint(config.checkpointDir, rank, ckpt);
+    }
+    commitSimManifest(
+        config.checkpointDir,
+        SimManifest{hour, kRanks,
+                    simConfigHash(population_->persons().size(),
+                                  population_->places().size(), config,
+                                  nullptr),
+                    1});
+  }
+
+  /// Resumes and requires a typed error mentioning `reason`, raised before
+  /// any rank opened its log.
+  void expectRejected(const std::string& reason) const {
+    const ModelConfig config = resumeConfig();
+    try {
+      runModel(*population_, config);
+      ADD_FAILURE() << "resume accepted a checkpoint with " << reason;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(reason), std::string::npos)
+          << error.what();
+    }
+    EXPECT_TRUE(elog::listLogFiles(config.logDirectory).empty());
+  }
+};
+
+TEST_F(AbmCkptResumeInputTest, RejectsPersonOutsideThePopulation) {
+  RankCheckpoint ckpt = fittingCheckpoint();
+  ckpt.residents.back().person = 2000;  // the population is 0..1999
+  commit(ckpt, 96);
+  expectRejected("names person 2000");
+}
+
+TEST_F(AbmCkptResumeInputTest, RejectsWeekOutsideTheRun) {
+  RankCheckpoint ckpt = fittingCheckpoint();
+  ckpt.residents.front().weekIndex = 1;  // a one-week run has week 0 only
+  commit(ckpt, 96);
+  expectRejected("in week 1 of a 1-week run");
+}
+
+TEST_F(AbmCkptResumeInputTest, RejectsBucketCountBeyondTheFileSize) {
+  // Body layout up to the activity calendar: hour u32, disease flag u32,
+  // eight u64 outcome counters, resident count u32, then 12 bytes per
+  // resident (disease off); the calendar's bucket count follows.
+  const RankCheckpoint ckpt = fittingCheckpoint();
+  std::vector<std::byte> body = encodeRankCheckpoint(ckpt);
+  const std::size_t countAt = 4 + 4 + 8 * 8 + 4 + 12 * ckpt.residents.size();
+  ASSERT_LT(countAt + 4, body.size());
+  ASSERT_EQ(static_cast<std::uint32_t>(body[countAt]), ckpt.calendar.size());
+  for (std::size_t i = 0; i < 4; ++i) {
+    body[countAt + i] = std::byte{0xFF};  // 2^32 - 1 buckets
+  }
+  commit(ckpt, 96);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "rank_%04d.96.abmc", rank);
+    std::ofstream out(resumeConfig().checkpointDir / name,
+                      std::ios::binary | std::ios::trunc);
+    util::writeU32(out, 0x434D4241u);  // "ABMC"
+    util::writeU32(out, 1);            // version
+    util::writeU32(out, util::crc32(body));
+    util::writeBytes(out, body);
+  }
+  EXPECT_THROW(decodeRankCheckpoint(body), std::runtime_error);
+  expectRejected("more calendar buckets");
+}
+
+TEST_F(AbmCkptResumeInputTest, RejectsBucketHourPastTheHorizon) {
+  RankCheckpoint ckpt = fittingCheckpoint();
+  ckpt.calendar.back().hour = pop::kHoursPerWeek + 1;
+  commit(ckpt, 96);
+  expectRejected("activity bucket at hour 169");
+}
+
+TEST_F(AbmCkptResumeInputTest, RejectsBucketHourBeforeTheCheckpoint) {
+  RankCheckpoint ckpt = fittingCheckpoint();
+  ckpt.calendar.front().hour = 95;
+  commit(ckpt, 96);
+  expectRejected("activity bucket at hour 95");
+}
+
+TEST_F(AbmCkptResumeInputTest, RejectsProgressionBucketAtTheHorizon) {
+  // Progressions fire at hours [checkpoint, horizon): the last epidemic
+  // step runs at horizon - 1.
+  RankCheckpoint ckpt = sampleCheckpoint(true);
+  for (AgentSnapshot& agent : ckpt.residents) {
+    agent.weekIndex = 0;
+  }
+  ckpt.progressions.back().hour = pop::kHoursPerWeek;
+  commit(ckpt, 96);
+  try {
+    loadSimResume(resumeConfig().checkpointDir, kRanks,
+                  simConfigHash(population_->persons().size(),
+                                population_->places().size(), resumeConfig(),
+                                nullptr),
+                  population_->persons().size(), pop::kHoursPerWeek);
+    ADD_FAILURE() << "resume accepted a progression at the horizon";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("progression bucket at hour 168"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(AbmCkptResumeInputTest, RejectsManifestHourPastTheHorizon) {
+  RankCheckpoint ckpt = fittingCheckpoint();
+  ckpt.hour = 500;
+  ckpt.calendar.clear();
+  commit(ckpt, 500);
+  expectRejected("past this run's horizon");
 }
 
 TEST_F(AbmCkptTest, StintCursorRebuildsFromCoordinates) {
@@ -361,32 +506,25 @@ TEST_F(AbmCkptTest, ResumeOffsetMustLandOnChunkBoundary) {
 // ---- the acceptance grid ----
 
 struct GridCell {
-  ModelCore core;
   int ranks;
   bool disease;
 };
 
 TEST_F(AbmCkptTest, KillAndResumeIsByteIdenticalAcrossGrid) {
   const std::vector<GridCell> grid = {
-      {ModelCore::kEventDriven, 1, false}, {ModelCore::kEventDriven, 2, false},
-      {ModelCore::kEventDriven, 4, false}, {ModelCore::kEventDriven, 1, true},
-      {ModelCore::kEventDriven, 2, true},  {ModelCore::kEventDriven, 4, true},
-      {ModelCore::kHourly, 1, false},      {ModelCore::kHourly, 2, false},
-      {ModelCore::kHourly, 4, false},      {ModelCore::kHourly, 1, true},
-      {ModelCore::kHourly, 2, true},       {ModelCore::kHourly, 4, true},
+      {1, false}, {2, false}, {4, false}, {1, true}, {2, true}, {4, true},
   };
   int cell = 0;
   for (const GridCell& g : grid) {
-    const std::string label =
-        "cell" + std::to_string(cell) + "_core" +
-        std::to_string(static_cast<int>(g.core)) + "_r" +
-        std::to_string(g.ranks) + (g.disease ? "_disease" : "");
+    const std::string label = "cell" + std::to_string(cell) + "_r" +
+                              std::to_string(g.ranks) +
+                              (g.disease ? "_disease" : "");
     ++cell;
     DiseaseConfig disease;
     DiseaseStats diseaseStats;
 
     // Uninterrupted reference run.
-    ModelConfig clean = baseConfig(g.core, g.ranks, label + "_clean");
+    ModelConfig clean = baseConfig(g.ranks, label + "_clean");
     if (g.disease) {
       runModel(*population_, clean, disease, diseaseStats);
     } else {
@@ -396,7 +534,7 @@ TEST_F(AbmCkptTest, KillAndResumeIsByteIdenticalAcrossGrid) {
     // Same run, checkpointing every 24 h, killed by an injected throw at
     // the exact simulated-hour ordinal 100 (abm.step fires once per rank
     // per hour with ordinal = the hour).
-    ModelConfig crash = baseConfig(g.core, g.ranks, label + "_crash");
+    ModelConfig crash = baseConfig(g.ranks, label + "_crash");
     crash.checkpointDir = root_ / (label + "_ckpt");
     crash.checkpointEveryHours = 24;
     {
@@ -444,41 +582,62 @@ TEST_F(AbmCkptTest, KillAndResumeIsByteIdenticalAcrossGrid) {
 }
 
 TEST_F(AbmCkptTest, KillInsideCheckpointWriteFallsBackToPreviousCheckpoint) {
-  // The hourly core visits every hour, so periodic checkpoints land at
-  // exactly 24, 48, 72 — which lets the fault ordinal target the hour-72
-  // write precisely. (The event core checkpoints at the first *active*
-  // hour past due, so its checkpoint hours depend on the activity
-  // pattern.)
-  ModelConfig clean = baseConfig(ModelCore::kHourly, 2, "clean");
+  // The event core checkpoints at the first *active* hour past due, so the
+  // checkpoint hours depend on the activity pattern; two probe runs find
+  // them. A clean checkpointed run ends with its last checkpoint in the
+  // manifest; a second run killed at the top of that hour, before it
+  // checkpoints, leaves the one before.
+  ModelConfig clean = baseConfig(2, "clean");
   runModel(*population_, clean);
 
-  // Throw inside the hour-72 checkpoint write: the hour-48 manifest must
+  ModelConfig probe = baseConfig(2, "probe");
+  probe.checkpointDir = root_ / "probe_ckpt";
+  probe.checkpointEveryHours = 24;
+  const ModelStats probed = runModel(*population_, probe);
+  ASSERT_GE(probed.checkpointsWritten, 2u);
+  const auto last = loadSimManifest(probe.checkpointDir);
+  ASSERT_TRUE(last.has_value());
+
+  std::filesystem::remove_all(probe.checkpointDir);
+  probe.logDirectory = root_ / "probe_killed";
+  {
+    FaultPlan plan;
+    plan.at("abm.step", FaultSpec{FaultAction::kThrow, last->hour});
+    runtime::fault::ScopedFaultPlan scoped(plan);
+    EXPECT_THROW(runModel(*population_, probe), std::exception);
+  }
+  const auto previous = loadSimManifest(probe.checkpointDir);
+  ASSERT_TRUE(previous.has_value());
+  ASSERT_LT(previous->hour, last->hour);
+
+  // Throw inside the last checkpoint's write: the previous manifest must
   // survive untouched and carry the resume.
-  ModelConfig crash = baseConfig(ModelCore::kHourly, 2, "crash");
+  ModelConfig crash = baseConfig(2, "crash");
   crash.checkpointDir = root_ / "ckpt";
   crash.checkpointEveryHours = 24;
   {
     FaultPlan plan;
-    plan.at("abm.ckpt.write", FaultSpec{FaultAction::kThrow, 72});
+    plan.at("abm.ckpt.write", FaultSpec{FaultAction::kThrow, last->hour});
     runtime::fault::ScopedFaultPlan scoped(plan);
     EXPECT_THROW(runModel(*population_, crash), std::exception);
   }
   const auto manifest = loadSimManifest(crash.checkpointDir);
   ASSERT_TRUE(manifest.has_value());
-  EXPECT_EQ(manifest->hour, 48u);
+  EXPECT_EQ(manifest->hour, previous->hour);
+  EXPECT_EQ(manifest->checkpointsWritten, previous->checkpointsWritten);
 
   crash.resume = true;
   const ModelStats stats = runModel(*population_, crash);
   EXPECT_TRUE(stats.resumed);
-  EXPECT_EQ(stats.hoursReplayed, 48u);
+  EXPECT_EQ(stats.hoursReplayed, previous->hour);
   expectSameBytes(crash.logDirectory, clean.logDirectory, "ckpt-write-kill");
 }
 
 TEST_F(AbmCkptTest, KillInsideMigrationSendResumesByteIdentical) {
-  ModelConfig clean = baseConfig(ModelCore::kEventDriven, 4, "clean");
+  ModelConfig clean = baseConfig(4, "clean");
   runModel(*population_, clean);
 
-  ModelConfig crash = baseConfig(ModelCore::kEventDriven, 4, "crash");
+  ModelConfig crash = baseConfig(4, "crash");
   crash.checkpointDir = root_ / "ckpt";
   crash.checkpointEveryHours = 24;
   {
@@ -494,7 +653,7 @@ TEST_F(AbmCkptTest, KillInsideMigrationSendResumesByteIdentical) {
 }
 
 TEST_F(AbmCkptTest, TornLogsFromKilledRunAreQuarantinedBySynthesis) {
-  ModelConfig crash = baseConfig(ModelCore::kEventDriven, 2, "crash");
+  ModelConfig crash = baseConfig(2, "crash");
   crash.checkpointDir = root_ / "ckpt";
   crash.checkpointEveryHours = 24;
   {
@@ -522,7 +681,7 @@ TEST_F(AbmCkptTest, TornLogsFromKilledRunAreQuarantinedBySynthesis) {
 }
 
 TEST_F(AbmCkptTest, GracefulShutdownCheckpointsAndResumes) {
-  ModelConfig clean = baseConfig(ModelCore::kEventDriven, 2, "clean");
+  ModelConfig clean = baseConfig(2, "clean");
   DiseaseConfig disease;
   DiseaseStats cleanDisease;
   runModel(*population_, clean, disease, cleanDisease);
@@ -530,7 +689,7 @@ TEST_F(AbmCkptTest, GracefulShutdownCheckpointsAndResumes) {
   // A shutdown request pending at the first hour: the ranks agree through
   // the migration-exchange flag, checkpoint, close cleanly, and report the
   // interruption instead of finishing the horizon.
-  ModelConfig stopped = baseConfig(ModelCore::kEventDriven, 2, "stopped");
+  ModelConfig stopped = baseConfig(2, "stopped");
   stopped.checkpointDir = root_ / "ckpt";
   stopped.checkpointEveryHours = 0;  // only on shutdown
   requestShutdown();
@@ -555,7 +714,7 @@ TEST_F(AbmCkptTest, GracefulShutdownCheckpointsAndResumes) {
 }
 
 TEST_F(AbmCkptTest, ResumeRejectsChangedConfig) {
-  ModelConfig crash = baseConfig(ModelCore::kEventDriven, 2, "crash");
+  ModelConfig crash = baseConfig(2, "crash");
   crash.checkpointDir = root_ / "ckpt";
   crash.checkpointEveryHours = 24;
   {
@@ -577,10 +736,10 @@ TEST_F(AbmCkptTest, ResumeRejectsChangedConfig) {
 }
 
 TEST_F(AbmCkptTest, ResumeWithEmptyCheckpointDirStartsFresh) {
-  ModelConfig clean = baseConfig(ModelCore::kEventDriven, 2, "clean");
+  ModelConfig clean = baseConfig(2, "clean");
   runModel(*population_, clean);
 
-  ModelConfig config = baseConfig(ModelCore::kEventDriven, 2, "fresh");
+  ModelConfig config = baseConfig(2, "fresh");
   config.checkpointDir = root_ / "ckpt_empty";
   config.resume = true;  // nothing there yet: falls back to a fresh start
   const ModelStats stats = runModel(*population_, config);
@@ -590,7 +749,7 @@ TEST_F(AbmCkptTest, ResumeWithEmptyCheckpointDirStartsFresh) {
 }
 
 TEST_F(AbmCkptTest, CheckpointConfigValidation) {
-  ModelConfig config = baseConfig(ModelCore::kEventDriven, 1, "logs");
+  ModelConfig config = baseConfig(1, "logs");
   config.checkpointEveryHours = 24;  // without a checkpointDir
   EXPECT_THROW(runModel(*population_, config), std::invalid_argument);
   config.checkpointEveryHours = 0;

@@ -11,6 +11,7 @@
 #include "chisimnet/abm/place_partition.hpp"
 #include "chisimnet/elog/log_directory.hpp"
 #include "chisimnet/pop/schedule.hpp"
+#include "hourly_oracle.hpp"
 #include "support.hpp"
 
 namespace chisimnet::abm {
@@ -213,48 +214,43 @@ TEST_F(AbmTest, InitialAgentsSumToPopulation) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential grid: hourly vs event-driven core. The hard invariant is
-// byte identity — for a given (population, scheduleSeed, disease.seed,
-// rankCount), every rank's CLG5 (and CLX5 when the disease layer is on)
-// file must be byte-for-byte identical between the two cores.
+// Differential grid: the event-driven core against the hourly oracle
+// (tests/hourly_oracle.hpp). The hard invariant is byte identity — for a
+// given (population, scheduleSeed, disease.seed, rankCount), every rank's
+// CLG5 (and CLX5 when the disease layer is on) file must be byte-for-byte
+// identical between the two.
 // ---------------------------------------------------------------------------
 
 TEST_F(AbmTest, DifferentialGridBytesIdenticalAcrossCores) {
   for (const std::uint64_t scheduleSeed : {777u, 31u}) {
     for (const int ranks : {1, 2, 4}) {
-      std::map<std::string, std::string> reference;
-      ModelStats referenceStats;
-      for (const ModelCore core : {ModelCore::kHourly, ModelCore::kEventDriven}) {
-        std::filesystem::remove_all(dir_);
-        ModelConfig config = modelConfig(ranks);
-        config.scheduleSeed = scheduleSeed;
-        config.core = core;
-        const ModelStats stats = runModel(*population_, config);
-        if (core == ModelCore::kHourly) {
-          reference = readRawFiles(dir_);
-          referenceStats = stats;
-          EXPECT_EQ(stats.hoursActive, stats.simulatedHours);
-          EXPECT_EQ(stats.peakQueueDepth, 0u);
-          continue;
-        }
-        const auto actual = readRawFiles(dir_);
-        ASSERT_EQ(actual.size(), reference.size())
-            << "ranks=" << ranks << " seed=" << scheduleSeed;
-        for (const auto& [name, bytes] : reference) {
-          const auto it = actual.find(name);
-          ASSERT_NE(it, actual.end()) << name;
-          EXPECT_EQ(it->second, bytes)
-              << name << " differs between cores at ranks=" << ranks
-              << " seed=" << scheduleSeed;
-        }
-        EXPECT_EQ(stats.eventsLogged, referenceStats.eventsLogged);
-        EXPECT_EQ(stats.migrations, referenceStats.migrations);
-        EXPECT_EQ(stats.localMoves, referenceStats.localMoves);
-        EXPECT_EQ(stats.agentHours, referenceStats.agentHours);
-        EXPECT_EQ(stats.logBytes, referenceStats.logBytes);
-        EXPECT_LE(stats.hoursActive, stats.simulatedHours);
-        EXPECT_GT(stats.peakQueueDepth, 0u);
+      ModelConfig config = modelConfig(ranks);
+      config.scheduleSeed = scheduleSeed;
+      std::filesystem::remove_all(dir_);
+      const ModelStats referenceStats = runHourlyOracle(*population_, config);
+      const auto reference = readRawFiles(dir_);
+      EXPECT_EQ(referenceStats.hoursActive, referenceStats.simulatedHours);
+      EXPECT_EQ(referenceStats.peakQueueDepth, 0u);
+
+      std::filesystem::remove_all(dir_);
+      const ModelStats stats = runModel(*population_, config);
+      const auto actual = readRawFiles(dir_);
+      ASSERT_EQ(actual.size(), reference.size())
+          << "ranks=" << ranks << " seed=" << scheduleSeed;
+      for (const auto& [name, bytes] : reference) {
+        const auto it = actual.find(name);
+        ASSERT_NE(it, actual.end()) << name;
+        EXPECT_EQ(it->second, bytes)
+            << name << " differs from the oracle at ranks=" << ranks
+            << " seed=" << scheduleSeed;
       }
+      EXPECT_EQ(stats.eventsLogged, referenceStats.eventsLogged);
+      EXPECT_EQ(stats.migrations, referenceStats.migrations);
+      EXPECT_EQ(stats.localMoves, referenceStats.localMoves);
+      EXPECT_EQ(stats.agentHours, referenceStats.agentHours);
+      EXPECT_EQ(stats.logBytes, referenceStats.logBytes);
+      EXPECT_LE(stats.hoursActive, stats.simulatedHours);
+      EXPECT_GT(stats.peakQueueDepth, 0u);
     }
   }
 }
@@ -267,48 +263,42 @@ TEST_F(AbmTest, DifferentialGridWithDiseaseBytesIdenticalAcrossCores) {
       disease.latentHours = 12;
       disease.infectiousHours = 48;
       disease.seed = diseaseSeed;
+      const ModelConfig config = modelConfig(ranks);
 
-      std::map<std::string, std::string> reference;
-      ModelStats referenceStats;
+      std::filesystem::remove_all(dir_);
       DiseaseStats referenceDisease;
-      for (const ModelCore core : {ModelCore::kHourly, ModelCore::kEventDriven}) {
-        std::filesystem::remove_all(dir_);
-        ModelConfig config = modelConfig(ranks);
-        config.core = core;
-        DiseaseStats diseaseStats;
-        const ModelStats stats =
-            runModel(*population_, config, disease, diseaseStats);
-        if (core == ModelCore::kHourly) {
-          reference = readRawFiles(dir_);
-          referenceStats = stats;
-          referenceDisease = diseaseStats;
-          EXPECT_GT(diseaseStats.infections, 0u)
-              << "grid config too mild to exercise transmission";
-          continue;
-        }
-        const auto actual = readRawFiles(dir_);
-        ASSERT_EQ(actual.size(), reference.size())
-            << "ranks=" << ranks << " diseaseSeed=" << diseaseSeed;
-        for (const auto& [name, bytes] : reference) {
-          const auto it = actual.find(name);
-          ASSERT_NE(it, actual.end()) << name;
-          EXPECT_EQ(it->second, bytes)
-              << name << " differs between cores at ranks=" << ranks
-              << " diseaseSeed=" << diseaseSeed;
-        }
-        EXPECT_EQ(stats.eventsLogged, referenceStats.eventsLogged);
-        EXPECT_EQ(stats.migrations, referenceStats.migrations);
-        EXPECT_EQ(stats.localMoves, referenceStats.localMoves);
-        EXPECT_EQ(stats.agentHours, referenceStats.agentHours);
-        EXPECT_EQ(diseaseStats.seeded, referenceDisease.seeded);
-        EXPECT_EQ(diseaseStats.infections, referenceDisease.infections);
-        EXPECT_EQ(diseaseStats.recovered, referenceDisease.recovered);
-        EXPECT_EQ(diseaseStats.peakInfectious, referenceDisease.peakInfectious);
-        EXPECT_EQ(diseaseStats.peakHour, referenceDisease.peakHour);
-        EXPECT_EQ(diseaseStats.hourlyInfectious,
-                  referenceDisease.hourlyInfectious);
-        EXPECT_EQ(diseaseStats.finalStates, referenceDisease.finalStates);
+      const ModelStats referenceStats =
+          runHourlyOracle(*population_, config, disease, referenceDisease);
+      const auto reference = readRawFiles(dir_);
+      EXPECT_GT(referenceDisease.infections, 0u)
+          << "grid config too mild to exercise transmission";
+
+      std::filesystem::remove_all(dir_);
+      DiseaseStats diseaseStats;
+      const ModelStats stats =
+          runModel(*population_, config, disease, diseaseStats);
+      const auto actual = readRawFiles(dir_);
+      ASSERT_EQ(actual.size(), reference.size())
+          << "ranks=" << ranks << " diseaseSeed=" << diseaseSeed;
+      for (const auto& [name, bytes] : reference) {
+        const auto it = actual.find(name);
+        ASSERT_NE(it, actual.end()) << name;
+        EXPECT_EQ(it->second, bytes)
+            << name << " differs from the oracle at ranks=" << ranks
+            << " diseaseSeed=" << diseaseSeed;
       }
+      EXPECT_EQ(stats.eventsLogged, referenceStats.eventsLogged);
+      EXPECT_EQ(stats.migrations, referenceStats.migrations);
+      EXPECT_EQ(stats.localMoves, referenceStats.localMoves);
+      EXPECT_EQ(stats.agentHours, referenceStats.agentHours);
+      EXPECT_EQ(diseaseStats.seeded, referenceDisease.seeded);
+      EXPECT_EQ(diseaseStats.infections, referenceDisease.infections);
+      EXPECT_EQ(diseaseStats.recovered, referenceDisease.recovered);
+      EXPECT_EQ(diseaseStats.peakInfectious, referenceDisease.peakInfectious);
+      EXPECT_EQ(diseaseStats.peakHour, referenceDisease.peakHour);
+      EXPECT_EQ(diseaseStats.hourlyInfectious,
+                referenceDisease.hourlyInfectious);
+      EXPECT_EQ(diseaseStats.finalStates, referenceDisease.finalStates);
     }
   }
 }
@@ -316,9 +306,7 @@ TEST_F(AbmTest, DifferentialGridWithDiseaseBytesIdenticalAcrossCores) {
 TEST_F(AbmTest, EventCoreSkipsQuietHoursWithoutDisease) {
   // With no epidemic, hours where no stint ends anywhere are skipped
   // outright; the active-hour count is what the step loop actually visited.
-  ModelConfig config = modelConfig(2);
-  config.core = ModelCore::kEventDriven;
-  const ModelStats stats = runModel(*population_, config);
+  const ModelStats stats = runModel(*population_, modelConfig(2));
   EXPECT_GT(stats.hoursActive, 0u);
   EXPECT_LE(stats.hoursActive, stats.simulatedHours);
   EXPECT_GT(stats.peakQueueDepth, 0u);

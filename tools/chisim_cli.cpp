@@ -65,6 +65,17 @@ class Args {
 
   bool has(const std::string& key) const { return find(key) != values_.end(); }
 
+  /// A boolean flag: present or absent. A value after it (--disease no) is
+  /// an error, not a silent "on".
+  bool flag(const std::string& key) const {
+    const auto it = find(key);
+    if (it != values_.end() && !it->second.empty()) {
+      throw std::invalid_argument("--" + key + " takes no value, got: " +
+                                  it->second);
+    }
+    return it != values_.end();
+  }
+
   std::string str(const std::string& key, const std::string& fallback) const {
     const auto it = find(key);
     return it == values_.end() ? fallback : it->second;
@@ -194,26 +205,21 @@ int cmdSimulate(const Args& args) {
   config.weeks = args.num<std::uint32_t>("weeks", 1);
   config.scheduleSeed = args.u64("schedule-seed", 7);
   config.logCacheEntries = args.u64("cache", elog::kDefaultCacheEntries);
-  if (args.str("partition", "neighborhood") == "round-robin") {
+  const std::string partition = args.str("partition", "neighborhood");
+  if (partition == "round-robin") {
     config.strategy = abm::PartitionStrategy::kRoundRobin;
+  } else if (partition != "neighborhood") {
+    throw std::invalid_argument(
+        "--partition expects neighborhood or round-robin, got: " + partition);
   }
-  if (args.has("compress")) {
+  if (args.flag("compress")) {
     config.logCompression = elog::LogCompression::kPacked;
-  }
-  const std::string core = args.str("abm-core", "event");
-  if (core == "hourly") {
-    config.core = abm::ModelCore::kHourly;
-  } else if (core == "event") {
-    config.core = abm::ModelCore::kEventDriven;
-  } else {
-    std::cerr << "unknown --abm-core '" << core << "' (hourly|event)\n";
-    return 2;
   }
   config.checkpointDir = args.str("checkpoint-dir", "");
   config.checkpointEveryHours =
       args.num<std::uint32_t>("sim-checkpoint-hours", 0);
-  config.resume = args.has("resume");
-  const bool withDisease = args.has("disease");
+  config.resume = args.flag("resume");
+  const bool withDisease = args.flag("disease");
   abm::DiseaseConfig disease;
   disease.beta = args.real("beta", 0.002);
   disease.seedCount = args.num<std::uint32_t>("seeds", 5);
@@ -245,7 +251,7 @@ int cmdSimulate(const Args& args) {
     stats = abm::runModel(population, config);
   }
   std::cout << "simulated " << stats.simulatedHours << " h ("
-            << stats.hoursActive << " active, " << core << " core) on "
+            << stats.hoursActive << " active) on "
             << config.rankCount << " ranks in " << stats.wallSeconds << " s; "
             << stats.eventsLogged << " events ("
             << stats.logBytes / 1024 / 1024 << " MiB), migration "
@@ -340,7 +346,7 @@ int cmdSynthesize(const Args& args) {
   config.reconnectGraceMs = args.u64("reconnect-grace-ms", 3000);
   config.tcpListen = args.str("tcp-listen", "");
   config.checkpointDir = args.str("checkpoint-dir", "");
-  config.resume = args.has("resume");
+  config.resume = args.flag("resume");
   config.memoryBudgetBytes = args.bytes("memory-budget", 0);
   config.spillDir = args.str("spill-dir", "");
   config.reduceShards = args.num<unsigned>("reduce-shards", 0);
@@ -443,8 +449,8 @@ int cmdSynthesize(const Args& args) {
 
 int cmdAnalyze(const Args& args) {
   const std::string net = args.requireStr("net");
-  const bool clustering = args.has("clustering");
-  const bool communities = args.has("communities");
+  const bool clustering = args.flag("clustering");
+  const bool communities = args.flag("communities");
   const std::uint64_t seed = args.u64("seed", 1);
   const std::string degreesOut =
       args.has("degrees-out") ? args.requireStr("degrees-out") : "";
@@ -590,7 +596,7 @@ void printUsage() {
       "commands:\n"
       "  simulate    --logs DIR [--persons N] [--seed S] [--weeks W]\n"
       "              [--ranks R] [--cache N] [--partition neighborhood|round-robin]\n"
-      "              [--compress] [--abm-core hourly|event]\n"
+      "              [--compress]\n"
       "              [--disease [--beta B] [--seeds K] [--disease-seed S]]\n"
       "              [--checkpoint-dir DIR [--sim-checkpoint-hours N] [--resume]]\n"
       "  info        --logs DIR\n"
