@@ -140,14 +140,14 @@ int main() {
     json.put(prefix + "seconds", report.totalSeconds);
     json.put(prefix + "identical", identical);
   }
-  // ---- sharded external merge: serial reduce vs owner-parallel reduce ----
-  // The stage-6 spill reduce assigns row-range shards to owners and merges
-  // them independently. On a box where the owners share cores the wall
-  // clock cannot show the parallelism, so the speedup gate uses the modeled
-  // parallel critical path: per-segment merge cost is measured in
-  // thread-CPU seconds, the critical path is the busiest owner's sum, and
-  // the speedup is total merge CPU over that path — the ratio a
-  // dedicated-core run realizes. Both sides are min-of-3.
+  // ---- sharded external merge: owner-parallel stage-6 reduce ----
+  // The stage-6 spill reduce assigns row-range shards to the worker
+  // owners and merges them independently. On a box where the owners share
+  // cores the wall clock cannot show the parallelism, so the speedup gate
+  // uses the modeled parallel critical path: per-segment merge cost is
+  // measured in thread-CPU seconds, the critical path is the busiest
+  // owner's sum, and the speedup is total merge CPU over that path — the
+  // ratio a dedicated-core run realizes. Both are min-of-3.
   // The cap is the unbounded accumulator size: the spill threshold (half
   // the budget) still forces an external merge over the full edge set, but
   // the flush count stays small — each flush writes one run per resident
@@ -156,18 +156,15 @@ int main() {
   // the merge.
   const std::uint64_t mergeCap = mapBytes;
   const unsigned mergeShards = 4;
-  net::SynthesisConfig serialCfg = config;
-  serialCfg.memoryBudgetBytes = mergeCap;
-  serialCfg.reduceShards = 1;
-  net::SynthesisConfig shardedCfg = serialCfg;
-  shardedCfg.reduceShards = mergeShards;
+  net::SynthesisConfig shardedCfg = config;
+  shardedCfg.memoryBudgetBytes = mergeCap;
+  shardedCfg.workers = mergeShards;  // the merge owners are the workers
   // Fine shards sized for ~4 segments per owner so round-robin ownership
   // load-balances the merge plan.
   shardedCfg.mergeRowsPerShard = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(population.persons().size()) /
              (4 * mergeShards));
 
-  double serialWall = std::numeric_limits<double>::max();
   double shardedWall = std::numeric_limits<double>::max();
   double mergeCpuSeconds = std::numeric_limits<double>::max();
   double mergeCriticalSeconds = std::numeric_limits<double>::max();
@@ -176,11 +173,6 @@ int main() {
   bool mergeUnderCap = true;
   const auto shardOut = resultsDir() / "network_size_sharded.cadj";
   for (int rep = 0; rep < 3; ++rep) {
-    net::NetworkSynthesizer serial(serialCfg);
-    serial.synthesizeToFile(logs.files, shardOut);
-    serialWall = std::min(serialWall, serial.report().totalSeconds);
-    std::filesystem::remove(shardOut);
-
     net::NetworkSynthesizer sharded(shardedCfg);
     const std::uint64_t got = sharded.synthesizeToFile(logs.files, shardOut);
     const net::SynthesisReport& report = sharded.report();
@@ -204,10 +196,9 @@ int main() {
       mergeCpuSeconds / std::max(mergeCriticalSeconds, 1e-9);
   const bool mergeOk = mergeIdentical && mergeUnderCap && mergeSpeedup >= 2.0;
 
-  std::cout << "\nsharded external merge (--reduce-shards " << mergeShards
-            << ", " << mergeSegments << " segments, min-of-3):\n"
-            << "  serial wall " << fmt(serialWall, 2) << " s, sharded wall "
-            << fmt(shardedWall, 2) << " s, merge CPU "
+  std::cout << "\nsharded external merge (" << mergeShards << " owners, "
+            << mergeSegments << " segments, min-of-3):\n"
+            << "  sharded wall " << fmt(shardedWall, 2) << " s, merge CPU "
             << fmt(mergeCpuSeconds, 3) << " s, critical path "
             << fmt(mergeCriticalSeconds, 3) << " s, modeled speedup "
             << fmt(mergeSpeedup, 2) << "x (gate >= 2x: "
@@ -217,7 +208,6 @@ int main() {
 
   json.put("merge_shards", std::uint64_t{mergeShards});
   json.put("merge_segments", mergeSegments);
-  json.put("merge_serial_wall_seconds", serialWall);
   json.put("merge_sharded_wall_seconds", shardedWall);
   json.put("merge_cpu_seconds", mergeCpuSeconds);
   json.put("merge_critical_seconds", mergeCriticalSeconds);

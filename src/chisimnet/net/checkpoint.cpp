@@ -1,13 +1,14 @@
 #include "chisimnet/net/checkpoint.hpp"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <set>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
-#include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/error.hpp"
 
@@ -15,7 +16,7 @@ namespace chisimnet::net {
 
 namespace {
 
-constexpr const char* kManifestMagic = "CHKP1";
+constexpr const char* kManifestMagic = "CHKP2";
 /// In-flight snapshot header: magic u32 "CINF" | version u32 | crc32 u32
 /// over the body | body.
 constexpr std::uint32_t kInflightMagic = 0x464E4943u;  // "CINF"
@@ -172,10 +173,11 @@ std::string writeInflightSnapshot(const std::filesystem::path& dir,
   return inflightName;
 }
 
-/// Writes the manifest via temp file + rename (atomic on POSIX).
+/// Writes the manifest via temp file + rename (atomic on POSIX). Every
+/// line is tab-separated with its record kind first; names carry no tabs,
+/// and the free-text quarantine reason goes last.
 void writeManifestFile(const std::filesystem::path& dir,
                        const CheckpointManifest& manifest,
-                       const std::string& adjacencyName,
                        const std::string& inflightName) {
   const std::filesystem::path tmp = dir / "manifest.tmp";
   {
@@ -183,32 +185,23 @@ void writeManifestFile(const std::filesystem::path& dir,
     CHISIM_CHECK(out.good(),
                  "cannot write checkpoint manifest: " + tmp.string());
     out << kManifestMagic << "\n";
-    out << "files_consumed " << manifest.filesConsumed << "\n";
-    out << "batches_done " << manifest.batchesDone << "\n";
-    out << "config_hash " << manifest.configHash << "\n";
-    if (manifest.spillMode) {
-      out << "spill_mode 1\n";
-      for (const SpillRunEntry& run : manifest.spillRuns) {
-        // Tab-separated like quarantine lines; run names carry no tabs.
-        // An inverted key range (1 > 0) encodes "range unknown" — a real
-        // range always has firstKey <= lastKey.
-        out << "spill\t" << run.file << "\t" << run.triplets << "\t"
-            << run.bytes << "\t" << (run.hasKeyRange ? run.firstKey : 1)
-            << "\t" << (run.hasKeyRange ? run.lastKey : 0) << "\n";
-      }
-      for (const MergeSegmentEntry& segment : manifest.mergeSegments) {
-        out << "mergeseg\t" << segment.shard << "\t" << segment.file << "\t"
-            << segment.triplets << "\t" << segment.bytes << "\t"
-            << segment.crc << "\n";
-      }
-    } else {
-      out << "adjacency " << adjacencyName << "\n";
+    out << "files_consumed\t" << manifest.filesConsumed << "\n";
+    out << "batches_done\t" << manifest.batchesDone << "\n";
+    out << "config_hash\t" << manifest.configHash << "\n";
+    for (const sparse::SpillRunInfo& run : manifest.spillRuns) {
+      out << "spill\t" << run.file.filename().string() << "\t"
+          << run.triplets << "\t" << run.bytes << "\t" << run.firstKey
+          << "\t" << run.lastKey << "\n";
+    }
+    for (const MergeSegmentEntry& segment : manifest.mergeSegments) {
+      out << "mergeseg\t" << segment.shard << "\t" << segment.file << "\t"
+          << segment.triplets << "\t" << segment.bytes << "\t"
+          << segment.crc << "\n";
     }
     if (!inflightName.empty()) {
-      out << "inflight " << inflightName << "\n";
+      out << "inflight\t" << inflightName << "\n";
     }
     for (const elog::QuarantinedFile& entry : manifest.quarantined) {
-      // Tab-separated; the free-text reason goes last.
       out << "quarantine\t" << entry.chunkIndex << "\t" << entry.byteOffset
           << "\t" << entry.file.string() << "\t" << entry.reason << "\n";
     }
@@ -219,86 +212,112 @@ void writeManifestFile(const std::filesystem::path& dir,
   std::filesystem::rename(tmp, manifestPath(dir));
 }
 
-/// Garbage-collects superseded adjacency and in-flight files after the
-/// manifest rename. An empty `adjacencyName` (spill mode) removes every
-/// .cadj — a spill manifest references none.
-void collectStaleSnapshots(const std::filesystem::path& dir,
-                           const std::string& adjacencyName,
-                           const std::string& inflightName) {
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    const bool staleAdjacency = name.starts_with("adjacency.") &&
-                                name.ends_with(".cadj") &&
-                                name != adjacencyName;
-    const bool staleInflight = name.starts_with("inflight.") &&
-                               name.ends_with(".evt") && name != inflightName;
-    if (staleAdjacency || staleInflight) {
-      std::error_code ignored;
-      std::filesystem::remove(entry.path(), ignored);
+/// One manifest line split at tabs (into at most `maxFields` fields; the
+/// last takes the rest of the line), with field parsers that name the
+/// manifest and the line in every failure.
+class ManifestLine {
+ public:
+  ManifestLine(const std::filesystem::path& path, std::size_t number,
+               std::string_view text, std::size_t maxFields)
+      : path_(path), number_(number) {
+    std::size_t begin = 0;
+    for (;;) {
+      const std::size_t tab = fields_.size() + 1 < maxFields
+                                  ? text.find('\t', begin)
+                                  : std::string_view::npos;
+      fields_.push_back(text.substr(begin, tab - begin));
+      if (tab == std::string_view::npos) {
+        break;
+      }
+      begin = tab + 1;
     }
   }
-}
+
+  std::string_view kind() const { return fields_[0]; }
+
+  void expectFields(std::size_t count) const {
+    if (fields_.size() != count) {
+      fail("a " + std::string(kind()) + " line needs " +
+           std::to_string(count) + " tab-separated fields, got " +
+           std::to_string(fields_.size()));
+    }
+  }
+
+  /// Field `at` as a T: the whole field must parse and fit in T.
+  template <typename T>
+  T number(std::size_t at) const {
+    const std::string_view field = fields_[at];
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(field.data(), field.data() + field.size(), value);
+    if (ec != std::errc{} || end != field.data() + field.size()) {
+      fail("field " + std::to_string(at + 1) + " '" + std::string(field) +
+           "' is not a number in range");
+    }
+    return value;
+  }
+
+  /// Field `at` as a plain file name: non-empty, no '/', not . or ..
+  std::string fileName(std::size_t at) const {
+    const std::string_view field = fields_[at];
+    if (field.empty() || field == "." || field == ".." ||
+        field.find('/') != std::string_view::npos) {
+      fail("field " + std::to_string(at + 1) + " '" + std::string(field) +
+           "' is not a plain file name");
+    }
+    return std::string(field);
+  }
+
+  std::string text(std::size_t at) const { return std::string(fields_[at]); }
+
+  [[noreturn]] void fail(const std::string& what) const {
+    CHISIM_CHECK(false, "checkpoint manifest " + path_.string() + " line " +
+                            std::to_string(number_) + ": " + what);
+  }
+
+ private:
+  const std::filesystem::path& path_;
+  std::size_t number_;
+  std::vector<std::string_view> fields_;
+};
 
 }  // namespace
 
 void saveCheckpoint(const std::filesystem::path& dir,
                     const CheckpointManifest& manifest,
-                    const sparse::SymmetricAdjacency& adjacency,
-                    const InflightBatch* inflight) {
-  CHISIM_REQUIRE(!manifest.spillMode,
-                 "spill-mode manifests go through saveSpillCheckpoint");
-  std::filesystem::create_directories(dir);
-
-  // 1. The adjacency (and in-flight snapshot), under cursor-stamped names
-  //    the manifest will point at. A crash mid-write leaves the old
-  //    manifest pointing at the old (complete) files.
-  const std::string adjacencyName =
-      "adjacency." + std::to_string(manifest.filesConsumed) + ".cadj";
-  sparse::saveAdjacency(adjacency, dir / adjacencyName);
-
-  std::string inflightName;
-  if (inflight != nullptr) {
-    inflightName =
-        writeInflightSnapshot(dir, manifest.filesConsumed, *inflight);
-  }
-
-  // 2. The manifest, via temp file + rename (atomic on POSIX).
-  writeManifestFile(dir, manifest, adjacencyName, inflightName);
-
-  // 3. Garbage-collect superseded adjacency and in-flight files.
-  collectStaleSnapshots(dir, adjacencyName, inflightName);
-}
-
-void saveSpillCheckpoint(const std::filesystem::path& dir,
-                         const CheckpointManifest& manifest,
-                         const std::filesystem::path& spillDir,
-                         const InflightBatch* inflight, bool gcSpillDir) {
-  CHISIM_REQUIRE(manifest.spillMode,
-                 "saveSpillCheckpoint needs a spill-mode manifest");
+                    const std::filesystem::path& spillDir,
+                    const InflightBatch* inflight, bool gcSpillDir) {
   std::filesystem::create_directories(dir);
 
   // The accumulated state needs no snapshot step: every run the manifest
-  // names already landed on disk via tmp+rename when it was spilled. Only
+  // names already landed on disk via tmp+rename when it was written. Only
   // the in-flight batch (if any) and the manifest itself get written here.
   std::string inflightName;
   if (inflight != nullptr) {
     inflightName =
         writeInflightSnapshot(dir, manifest.filesConsumed, *inflight);
   }
-  writeManifestFile(dir, manifest, /*adjacencyName=*/"", inflightName);
+  writeManifestFile(dir, manifest, inflightName);
 
-  // GC: snapshots the spill manifest supersedes (all .cadj, stale .evt),
-  // then spill files the new manifest does not reference — compaction
-  // inputs whose output run took their place, worker-run orphans of a
-  // crashed batch, and .tmp husks of interrupted spills. Safe only here,
-  // after the rename: until then the previous manifest may name them.
-  collectStaleSnapshots(dir, /*adjacencyName=*/"", inflightName);
+  // GC, safe only after the rename (until then the previous manifest may
+  // name these files): stale in-flight snapshots, then spill files the new
+  // manifest does not reference — superseded runs and compaction inputs,
+  // worker-run orphans of a crashed batch, and .tmp husks of interrupted
+  // spills.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("inflight.") && name.ends_with(".evt") &&
+        name != inflightName) {
+      std::error_code ignored;
+      std::filesystem::remove(entry.path(), ignored);
+    }
+  }
   if (!gcSpillDir) {
     return;
   }
   std::set<std::string> referenced;
-  for (const SpillRunEntry& run : manifest.spillRuns) {
-    referenced.insert(run.file);
+  for (const sparse::SpillRunInfo& run : manifest.spillRuns) {
+    referenced.insert(run.file.filename().string());
   }
   for (const MergeSegmentEntry& segment : manifest.mergeSegments) {
     referenced.insert(segment.file);
@@ -326,138 +345,69 @@ std::optional<CheckpointManifest> loadCheckpointManifest(
   }
   std::string magic;
   std::getline(in, magic);
+  CHISIM_CHECK(magic == kManifestMagic || !magic.starts_with("CHKP"),
+               "checkpoint manifest " + path.string() + " has format " +
+                   magic + ", but this build reads only " + kManifestMagic +
+                   "; checkpoints of older builds cannot be resumed");
   CHISIM_CHECK(magic == kManifestMagic,
                "not a checkpoint manifest: " + path.string());
   CheckpointManifest manifest;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
+  std::string text;
+  std::size_t number = 1;
+  while (std::getline(in, text)) {
+    ++number;
+    if (text.empty()) {
       continue;
     }
-    if (line.starts_with("spill\t")) {
-      // spill\t<file>\t<triplets>\t<bytes>[\t<firstKey>\t<lastKey>]
-      // The key-range tail is absent in manifests from older builds; an
-      // inverted range (first > last) means "unknown".
-      std::vector<std::string> fields;
-      std::size_t begin = 0;
-      while (begin <= line.size()) {
-        const std::size_t tab = line.find('\t', begin);
-        if (tab == std::string::npos) {
-          fields.push_back(line.substr(begin));
-          break;
-        }
-        fields.push_back(line.substr(begin, tab - begin));
-        begin = tab + 1;
+    const bool quarantine = text.starts_with("quarantine\t");
+    const ManifestLine line(path, number, text,
+                            quarantine ? 5 : std::string_view::npos);
+    if (line.kind() == "spill") {
+      line.expectFields(6);
+      sparse::SpillRunInfo run;
+      run.file = line.fileName(1);
+      run.triplets = line.number<std::uint64_t>(2);
+      run.bytes = line.number<std::uint64_t>(3);
+      run.firstKey = line.number<std::uint64_t>(4);
+      run.lastKey = line.number<std::uint64_t>(5);
+      if (run.triplets > 0 && run.firstKey > run.lastKey) {
+        line.fail("spill run key range is inverted");
       }
-      CHISIM_CHECK(fields.size() == 4 || fields.size() == 6,
-                   "malformed spill line in " + path.string());
-      SpillRunEntry run;
-      run.file = fields[1];
-      run.triplets = std::stoull(fields[2]);
-      run.bytes = std::stoull(fields[3]);
-      if (fields.size() == 6) {
-        const std::uint64_t first = std::stoull(fields[4]);
-        const std::uint64_t last = std::stoull(fields[5]);
-        if (first <= last) {
-          run.hasKeyRange = true;
-          run.firstKey = first;
-          run.lastKey = last;
-        }
-      }
-      CHISIM_CHECK(!run.file.empty(),
-                   "spill line names no file in " + path.string());
       manifest.spillRuns.push_back(std::move(run));
-      continue;
-    }
-    if (line.starts_with("mergeseg\t")) {
-      // mergeseg\t<shard>\t<file>\t<triplets>\t<bytes>\t<crc>
-      std::vector<std::string> fields;
-      std::size_t begin = 0;
-      while (begin <= line.size()) {
-        const std::size_t tab = line.find('\t', begin);
-        if (tab == std::string::npos) {
-          fields.push_back(line.substr(begin));
-          break;
-        }
-        fields.push_back(line.substr(begin, tab - begin));
-        begin = tab + 1;
-      }
-      CHISIM_CHECK(fields.size() == 6,
-                   "malformed mergeseg line in " + path.string());
+    } else if (line.kind() == "mergeseg") {
+      line.expectFields(6);
       MergeSegmentEntry segment;
-      segment.shard = static_cast<std::uint32_t>(std::stoul(fields[1]));
-      segment.file = fields[2];
-      segment.triplets = std::stoull(fields[3]);
-      segment.bytes = std::stoull(fields[4]);
-      segment.crc = static_cast<std::uint32_t>(std::stoul(fields[5]));
-      CHISIM_CHECK(!segment.file.empty(),
-                   "mergeseg line names no file in " + path.string());
+      segment.shard = line.number<std::uint32_t>(1);
+      segment.file = line.fileName(2);
+      segment.triplets = line.number<std::uint64_t>(3);
+      segment.bytes = line.number<std::uint64_t>(4);
+      segment.crc = line.number<std::uint32_t>(5);
       manifest.mergeSegments.push_back(std::move(segment));
-      continue;
-    }
-    if (line.starts_with("quarantine\t")) {
-      // quarantine\t<chunkIndex>\t<byteOffset>\t<path>\t<reason>
-      std::vector<std::string> fields;
-      std::size_t begin = 0;
-      while (fields.size() < 4) {
-        const std::size_t tab = line.find('\t', begin);
-        CHISIM_CHECK(tab != std::string::npos,
-                     "malformed quarantine line in " + path.string());
-        fields.push_back(line.substr(begin, tab - begin));
-        begin = tab + 1;
-      }
+    } else if (quarantine) {
+      line.expectFields(5);
       elog::QuarantinedFile entry;
-      entry.chunkIndex = std::stoll(fields[1]);
-      entry.byteOffset = std::stoull(fields[2]);
-      entry.file = fields[3];
-      entry.reason = line.substr(begin);
+      entry.chunkIndex = line.number<std::int64_t>(1);
+      entry.byteOffset = line.number<std::uint64_t>(2);
+      entry.file = line.text(3);
+      entry.reason = line.text(4);
       manifest.quarantined.push_back(std::move(entry));
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "files_consumed") {
-      fields >> manifest.filesConsumed;
-    } else if (key == "batches_done") {
-      fields >> manifest.batchesDone;
-    } else if (key == "config_hash") {
-      fields >> manifest.configHash;
-    } else if (key == "adjacency") {
-      fields >> manifest.adjacencyFile;
-    } else if (key == "spill_mode") {
-      int value = 0;
-      fields >> value;
-      manifest.spillMode = value != 0;
-    } else if (key == "inflight") {
-      fields >> manifest.inflightFile;
+    } else if (line.kind() == "files_consumed") {
+      line.expectFields(2);
+      manifest.filesConsumed = line.number<std::uint64_t>(1);
+    } else if (line.kind() == "batches_done") {
+      line.expectFields(2);
+      manifest.batchesDone = line.number<std::uint64_t>(1);
+    } else if (line.kind() == "config_hash") {
+      line.expectFields(2);
+      manifest.configHash = line.number<std::uint32_t>(1);
+    } else if (line.kind() == "inflight") {
+      line.expectFields(2);
+      manifest.inflightFile = line.fileName(1);
     } else {
-      CHISIM_CHECK(false, "unknown manifest key '" + key +
-                              "' in " + path.string());
+      line.fail("unknown record '" + std::string(line.kind()) + "'");
     }
-    CHISIM_CHECK(!fields.fail(),
-                 "malformed manifest line in " + path.string());
   }
-  // A spill-mode manifest carries its state as run files (possibly zero of
-  // them: an all-empty prefix of batches is legal); anything else must
-  // name a dense snapshot.
-  CHISIM_CHECK(manifest.spillMode || !manifest.adjacencyFile.empty(),
-               "manifest names no adjacency file: " + path.string());
-  CHISIM_CHECK(manifest.spillMode || manifest.spillRuns.empty(),
-               "manifest lists spill runs without spill_mode: " +
-                   path.string());
-  CHISIM_CHECK(manifest.spillMode || manifest.mergeSegments.empty(),
-               "manifest lists merge segments without spill_mode: " +
-                   path.string());
   return manifest;
-}
-
-sparse::SymmetricAdjacency loadCheckpointAdjacency(
-    const std::filesystem::path& dir, const CheckpointManifest& manifest) {
-  CHISIM_REQUIRE(!manifest.spillMode,
-                 "spill-mode checkpoints restore from run files, not a "
-                 ".cadj snapshot");
-  return sparse::loadAdjacency(dir / manifest.adjacencyFile);
 }
 
 std::optional<InflightBatch> loadCheckpointInflight(

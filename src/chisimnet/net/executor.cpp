@@ -73,12 +73,9 @@ void SharedMemoryExecutor::mapAdjacency(
                    "memory budget requires a spill directory");
     const std::uint64_t threshold = std::max<std::uint64_t>(
         config_.memoryBudgetBytes / (8 * std::max(1u, config_.workers)), 1);
-    // splitRows routes every flush to its reduce-shard owner at write
-    // time (shard-pure runs), unless the serial merge was requested —
-    // that path keeps the legacy one-run-per-flush layout.
-    const std::uint32_t splitRows = resolvedReduceShards(config_) > 1
-                                        ? resolvedMergeRowsPerShard(config_)
-                                        : 0;
+    // Every flush is split at the merge-shard boundaries, so each run is
+    // routed to its shard owner at write time (shard-pure runs).
+    const std::uint32_t splitRows = resolvedMergeRowsPerShard(config_);
     spillSums_.clear();
     for (unsigned w = 0; w < config_.workers; ++w) {
       spillSums_.push_back(std::make_unique<sparse::SpillingSum>(
@@ -145,7 +142,7 @@ std::vector<sparse::ShardSegment> SharedMemoryExecutor::mergeSpillShards(
   // merges its groups in ascending shard order. One cluster item per
   // owner, so the owners run concurrently while a shard's merge stays
   // single-threaded (segment bytes never depend on scheduling).
-  const unsigned owners = std::max(1u, resolvedReduceShards(config_));
+  const unsigned owners = config_.workers;
   std::vector<std::vector<std::size_t>> byOwner(owners);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     byOwner[g % owners].push_back(g);

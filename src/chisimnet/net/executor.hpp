@@ -161,9 +161,9 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
                     const runtime::Partition& partition) override;
   void reduce(sparse::SymmetricAdjacency& result) override;
   void reduceInto(sparse::SpillingAccumulator& sink) override;
-  /// Owners are worker threads: shard groups are assigned round-robin to
-  /// `resolvedReduceShards(config)` owners and each owner merges its
-  /// groups in ascending shard order on the cluster.
+  /// Owners are the worker threads: shard groups are assigned round-robin
+  /// to the `workers` owners and each owner merges its groups in ascending
+  /// shard order on the cluster.
   std::vector<sparse::ShardSegment> mergeSpillShards(
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment)

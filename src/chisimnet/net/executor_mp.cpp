@@ -40,29 +40,15 @@ mp::StageParams stageParamsOf(const SynthesisConfig& config) {
                 1)
           : 0;
   params.spillDir = config.spillDir.string();
-  // Shard-pure worker runs: each stage-5 flush splits at reduce-shard
+  // Shard-pure worker runs: each stage-5 flush splits at merge-shard
   // boundaries so the root's merge planner never has to rewrite a run.
-  // The serial merge (reduceShards == 1) keeps the legacy layout.
-  params.splitRows = resolvedReduceShards(config) > 1
-                         ? resolvedMergeRowsPerShard(config)
-                         : 0;
+  params.splitRows = resolvedMergeRowsPerShard(config);
   // TCP workers may live on other hosts: they spill into private local
   // directories and ship run bytes over the wire instead of returning
   // paths into a filesystem the root may not share. AF_UNIX workers are
   // local children and share it.
   params.shipRuns = config.transport == MpTransport::kTcp;
   return params;
-}
-
-sparse::SpillRunInfo runRefInfo(const mp::RunRef& ref) {
-  sparse::SpillRunInfo info;
-  info.file = ref.file;
-  info.triplets = ref.triplets;
-  info.bytes = ref.bytes;
-  info.hasKeyRange = ref.hasKeyRange;
-  info.firstKey = ref.firstKey;
-  info.lastKey = ref.lastKey;
-  return info;
 }
 
 }  // namespace
@@ -138,7 +124,7 @@ void MessagePassingExecutor::drainShippedRuns(int rank) {
 
 mp::RunRef MessagePassingExecutor::localizeRun(mp::RunRef ref) const {
   if (ref.shipped) {
-    ref.file = (config_.spillDir / ref.file).string();
+    ref.run.file = config_.spillDir / ref.run.file;
     ref.shipped = false;
   }
   return ref;
@@ -591,21 +577,21 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
   // kernel stats).
   try {
     util::ThreadCpuTimer timer;
-    for (const mp::RunRef& run : reduceRuns_) {
-      if (run.isFile()) {
-        result.reserve(result.edgeCount() + run.triplets);
-        runKernelStats_.mergeReservedEntries += run.triplets;
-        sparse::SpillRunReader reader(run.file);
+    for (const mp::RunRef& ref : reduceRuns_) {
+      if (ref.isFile()) {
+        result.reserve(result.edgeCount() + ref.run.triplets);
+        runKernelStats_.mergeReservedEntries += ref.run.triplets;
+        sparse::SpillRunReader reader(ref.run.file);
         sparse::AdjacencyTriplet triplet;
         while (reader.next(triplet)) {
           result.add(triplet.i, triplet.j, triplet.weight);
         }
         std::error_code ignored;
-        std::filesystem::remove(run.file, ignored);
+        std::filesystem::remove(ref.run.file, ignored);
       } else {
-        result.reserve(result.edgeCount() + run.inlineRun.size());
-        runKernelStats_.mergeReservedEntries += run.inlineRun.size();
-        for (const sparse::AdjacencyTriplet& triplet : run.inlineRun) {
+        result.reserve(result.edgeCount() + ref.inlineRun.size());
+        runKernelStats_.mergeReservedEntries += ref.inlineRun.size();
+        for (const sparse::AdjacencyTriplet& triplet : ref.inlineRun) {
           result.add(triplet.i, triplet.j, triplet.weight);
         }
       }
@@ -629,11 +615,11 @@ void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   sink.noteWorkerPeak(workerPeakBytes_);
   try {
     util::ThreadCpuTimer timer;
-    for (mp::RunRef& run : reduceRuns_) {
-      if (run.isFile()) {
-        sink.adoptRunFile(runRefInfo(run));  // ownership transfer, no copy
-      } else if (!run.inlineRun.empty()) {
-        sink.addSortedRun(run.inlineRun);
+    for (const mp::RunRef& ref : reduceRuns_) {
+      if (ref.isFile()) {
+        sink.adoptRunFile(ref.run);  // ownership transfer, no copy
+      } else if (!ref.inlineRun.empty()) {
+        sink.addSortedRun(ref.inlineRun);
       }
     }
     lastReduce_.criticalSeconds = timer.seconds();
@@ -683,12 +669,7 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
       mp::put32(body, static_cast<std::uint32_t>(group.runs.size()));
       for (const sparse::SpillRunInfo& run : group.runs) {
         mp::RunRef ref;
-        ref.file = run.file.string();
-        ref.triplets = run.triplets;
-        ref.bytes = run.bytes;
-        ref.hasKeyRange = run.hasKeyRange;
-        ref.firstKey = run.firstKey;
-        ref.lastKey = run.lastKey;
+        ref.run = run;
         mp::putRunRef(body, ref);
       }
     }

@@ -29,8 +29,8 @@ RunRef maybeShip(const StageParams& params, RunShipper* shipper, RunRef ref) {
       ref.shipped) {
     return ref;
   }
-  const std::filesystem::path local(ref.file);
-  ref.file = shipper->ship(local, ref.bytes);
+  const std::filesystem::path local = ref.run.file;
+  ref.run.file = shipper->ship(local, ref.run.bytes);
   ref.shipped = true;
   std::error_code ignored;
   std::filesystem::remove(local, ignored);
@@ -125,12 +125,11 @@ std::string takeString(std::span<const std::byte> bytes,
 void putRunRef(std::vector<std::byte>& out, const RunRef& ref) {
   if (ref.isFile()) {
     put32(out, ref.shipped ? 2 : 1);
-    putString(out, ref.file);
-    put64(out, ref.triplets);
-    put64(out, ref.bytes);
-    put32(out, ref.hasKeyRange ? 1 : 0);
-    put64(out, ref.firstKey);
-    put64(out, ref.lastKey);
+    putString(out, ref.run.file.string());
+    put64(out, ref.run.triplets);
+    put64(out, ref.run.bytes);
+    put64(out, ref.run.firstKey);
+    put64(out, ref.run.lastKey);
   } else {
     put32(out, 0);
     putTriplets(out, ref.inlineRun);
@@ -142,15 +141,14 @@ RunRef takeRunRef(std::span<const std::byte> bytes, std::size_t& cursor) {
   const std::uint32_t mode = take32(bytes, cursor);
   if (mode == 1 || mode == 2) {
     ref.shipped = mode == 2;
-    ref.file = takeString(bytes, cursor);
-    CHISIM_CHECK(!ref.file.empty(),
+    ref.run.file = takeString(bytes, cursor);
+    CHISIM_CHECK(!ref.run.file.empty(),
                  ref.shipped ? "shipped run ref with an empty name"
                              : "file run ref with an empty path");
-    ref.triplets = take64(bytes, cursor);
-    ref.bytes = take64(bytes, cursor);
-    ref.hasKeyRange = take32(bytes, cursor) != 0;
-    ref.firstKey = take64(bytes, cursor);
-    ref.lastKey = take64(bytes, cursor);
+    ref.run.triplets = take64(bytes, cursor);
+    ref.run.bytes = take64(bytes, cursor);
+    ref.run.firstKey = take64(bytes, cursor);
+    ref.run.lastKey = take64(bytes, cursor);
   } else {
     CHISIM_CHECK(mode == 0,
                  "unknown run ref mode " + std::to_string(mode));
@@ -329,57 +327,36 @@ std::vector<std::byte> executeSynthesisCommand(
       for (const sparse::CollocationMatrix& matrix : batch) {
         sum.addCollocation(matrix);
       }
+      // A remainder that would overflow the transport frame is flushed to
+      // run files like any budgeted flush and returned as paths — the
+      // scale-ceiling fix.
+      if (sum.residentTriplets() * sizeof(sparse::AdjacencyTriplet) +
+              kReplySlackBytes >
+          runtime::maxPayloadBytes()) {
+        CHISIM_CHECK(!params.spillDir.empty(),
+                     "adjacency reply exceeds the payload limit and no "
+                     "spill directory is configured");
+        sum.flushAll();
+      }
       std::vector<sparse::AdjacencyTriplet> remainder = sum.drainInMemory();
       const double busySeconds = busy.seconds();
       const sparse::AdjacencyKernelStats& stats = sum.kernelStats();
 
       std::vector<RunRef> refs;
-      for (const sparse::SpillRunInfo& info : sum.runs()) {
-        RunRef ref;
-        ref.file = info.file.string();
-        ref.triplets = info.triplets;
-        ref.bytes = info.bytes;
-        ref.hasKeyRange = info.hasKeyRange;
-        ref.firstKey = info.firstKey;
-        ref.lastKey = info.lastKey;
-        refs.push_back(maybeShip(params, shipper, std::move(ref)));
-      }
       WorkerSpillStats spill;
       spill.flushes = sum.flushes();
       spill.peakLocalBytes = sum.peakBytes();
       for (const sparse::SpillRunInfo& info : sum.runs()) {
         spill.spilledTriplets += info.triplets;
         spill.spilledBytes += info.bytes;
+        RunRef ref;
+        ref.run = info;
+        refs.push_back(maybeShip(params, shipper, std::move(ref)));
       }
       if (!remainder.empty()) {
-        const std::uint64_t inlineBytes =
-            remainder.size() * sizeof(sparse::AdjacencyTriplet);
-        if (inlineBytes + kReplySlackBytes <= runtime::maxPayloadBytes()) {
-          RunRef ref;
-          ref.inlineRun = std::move(remainder);
-          refs.push_back(std::move(ref));
-        } else {
-          // The remainder alone would overflow the transport frame: spill
-          // it and return the path — the scale-ceiling fix.
-          CHISIM_CHECK(!params.spillDir.empty(),
-                       "adjacency reply exceeds the payload limit and no "
-                       "spill directory is configured");
-          sparse::SpillRunWriter writer(
-              std::filesystem::path(params.spillDir) /
-              ("t" + std::to_string(token) + ".f.spl"));
-          writer.append(std::span<const sparse::AdjacencyTriplet>(remainder));
-          const sparse::SpillRunInfo info = writer.finish();
-          spill.spilledTriplets += info.triplets;
-          spill.spilledBytes += info.bytes;
-          RunRef ref;
-          ref.file = info.file.string();
-          ref.triplets = info.triplets;
-          ref.bytes = info.bytes;
-          ref.hasKeyRange = info.hasKeyRange;
-          ref.firstKey = info.firstKey;
-          ref.lastKey = info.lastKey;
-          refs.push_back(maybeShip(params, shipper, std::move(ref)));
-        }
+        RunRef ref;
+        ref.inlineRun = std::move(remainder);
+        refs.push_back(std::move(ref));
       }
 
       std::vector<std::byte> reply;
@@ -421,16 +398,9 @@ std::vector<std::byte> executeSynthesisCommand(
         std::vector<sparse::SpillRunInfo> runs;
         runs.reserve(runCount);
         for (std::uint32_t r = 0; r < runCount; ++r) {
-          const RunRef ref = takeRunRef(body, cursor);
+          RunRef ref = takeRunRef(body, cursor);
           CHISIM_CHECK(ref.isFile(), "shard merge inputs must be run files");
-          sparse::SpillRunInfo info;
-          info.file = ref.file;
-          info.triplets = ref.triplets;
-          info.bytes = ref.bytes;
-          info.hasKeyRange = ref.hasKeyRange;
-          info.firstKey = ref.firstKey;
-          info.lastKey = ref.lastKey;
-          runs.push_back(std::move(info));
+          runs.push_back(std::move(ref.run));
         }
         const std::filesystem::path segmentFile =
             std::filesystem::path(params.spillDir) /

@@ -9,6 +9,7 @@
 
 #include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/sparse/collocation.hpp"
+#include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/table/event.hpp"
 
 /// Wire protocol of the message-passing synthesis backend.
@@ -88,24 +89,19 @@ std::string takeString(std::span<const std::byte> bytes, std::size_t& cursor);
 /// would reject.
 struct RunRef {
   std::vector<sparse::AdjacencyTriplet> inlineRun;
-  std::string file;             ///< empty = inline; shipped mode: bare name
-  bool shipped = false;         ///< bytes travelled on kShipTag; `file` is
-                                ///< a name the root resolves into its own
-                                ///< spill directory
-  std::uint64_t triplets = 0;   ///< file mode: rows the file holds
-  std::uint64_t bytes = 0;      ///< file mode: file size on disk
-  /// Packed-key range of a file run, carried across the wire so the root's
-  /// sharded merge planner can tell shard-pure worker runs from straddlers
-  /// without re-reading the files.
-  bool hasKeyRange = false;
-  std::uint64_t firstKey = 0;
-  std::uint64_t lastKey = 0;
-  bool isFile() const noexcept { return !file.empty(); }
+  /// The bytes travelled on kShipTag; `run.file` is a bare name the root
+  /// resolves into its own spill directory.
+  bool shipped = false;
+  /// File and shipped modes: the run's record, key range included, so the
+  /// root's sharded merge planner can tell shard-pure worker runs from
+  /// straddlers without re-reading the files. Empty file = inline.
+  sparse::SpillRunInfo run;
+  bool isFile() const noexcept { return !run.file.empty(); }
 };
 
 /// [mode u32: 0 inline | 1 file | 2 shipped][inline: putTriplets |
-/// file/shipped: putString + triplets u64 + bytes u64 + hasRange u32 +
-/// firstKey u64 + lastKey u64]
+/// file/shipped: putString + triplets u64 + bytes u64 + firstKey u64 +
+/// lastKey u64]
 void putRunRef(std::vector<std::byte>& out, const RunRef& ref);
 RunRef takeRunRef(std::span<const std::byte> bytes, std::size_t& cursor);
 
@@ -172,10 +168,10 @@ struct StageParams {
   /// shared with the root (workers are local processes/threads). Empty
   /// only when no budget is set AND replies are guaranteed to fit inline.
   std::string spillDir;
-  /// Row-range width of one reduce shard. Non-zero makes workers partition
-  /// each stage-5 flush at shard boundaries, so every run they return is
-  /// shard-pure and the root's sharded merge never has to split it. 0 =
-  /// one run per flush (serial-merge runs, the legacy layout).
+  /// Row-range width of one merge shard (resolvedMergeRowsPerShard; must
+  /// be >= 1 for adjacency commands). Workers partition each stage-5 flush
+  /// at shard boundaries, so every run they return is shard-pure and the
+  /// root's sharded merge never has to split it.
   std::uint32_t splitRows = 0;
   /// True when the worker and root may not share a filesystem (the TCP
   /// transport). The worker then spills into a private local directory and

@@ -39,12 +39,9 @@ sparse::SpillingAccumulator::Options sinkOptions(
   // Checkpoint manifests reference live run files by name, so compaction
   // inputs must stay on disk until the next manifest stops naming them.
   options.deferDeletes = !config.checkpointDir.empty();
-  // Sharded merges align the sink's row-range shards with the reduce
-  // shards, so sink spills are shard-pure too. The serial merge keeps the
-  // legacy width (identical behavior to pre-shard builds).
-  if (config.mergeRowsPerShard != 0 || resolvedReduceShards(config) > 1) {
-    options.rowsPerShard = resolvedMergeRowsPerShard(config);
-  }
+  // The sink's row-range shards are the merge shards, so its spills are
+  // shard-pure too.
+  options.rowsPerShard = resolvedMergeRowsPerShard(config);
   return options;
 }
 
@@ -60,22 +57,17 @@ void foldSpillStats(SynthesisReport& report, const sparse::SpillStats& stats) {
 
 }  // namespace
 
-unsigned resolvedReduceShards(const SynthesisConfig& config) noexcept {
-  return config.reduceShards != 0 ? config.reduceShards
-                                  : std::max(1u, config.workers);
-}
-
 std::uint32_t resolvedMergeRowsPerShard(
     const SynthesisConfig& config) noexcept {
   if (config.mergeRowsPerShard != 0) {
     return config.mergeRowsPerShard;
   }
-  // The legacy shard width divided across the owners: every owner gets
-  // multiple fine shards to balance over once the population crosses one
-  // legacy shard, while small runs still collapse to a single shard.
-  constexpr std::uint32_t kLegacyRowsPerShard = 1u << 18;
+  // 2^18 rows divided across the merge owners: every owner gets multiple
+  // fine shards to balance over once the population crosses 2^18, while
+  // small runs still collapse to a single shard.
+  constexpr std::uint32_t kRowsPerOwnerShard = 1u << 18;
   return std::max<std::uint32_t>(
-      1, kLegacyRowsPerShard / std::max(1u, resolvedReduceShards(config)));
+      1, kRowsPerOwnerShard / std::max(1u, config.workers));
 }
 
 NetworkSynthesizer::NetworkSynthesizer(SynthesisConfig config)
@@ -230,20 +222,16 @@ void NetworkSynthesizer::runFilePipeline(
     const std::vector<std::filesystem::path>& logFiles,
     sparse::SymmetricAdjacency* dense, sparse::SpillingAccumulator* sink) {
   CHISIM_REQUIRE(!logFiles.empty(), "no log files given");
-  report_ = SynthesisReport{};
-  report_.backend = config_.backend;
-  report_.memoryBudgetBytes = config_.memoryBudgetBytes;
+  beginReport();
   restoredSegments_.clear();
-  executor_->resetTransferCounters();
 
   const bool checkpointing = !config_.checkpointDir.empty();
 
   std::uint64_t filesConsumed = 0;
   std::optional<InflightBatch> inflight;
   if (config_.resume) {
-    // Adjacency summation is order-independent u64 addition, and both
-    // snapshot forms round-trip exactly (CADJ is a lossless dump; spill
-    // runs are the accumulated state itself), so restoring the checkpoint
+    // Adjacency summation is order-independent u64 addition and the
+    // checkpointed runs are the accumulated sum itself, so restoring them
     // and replaying only the remaining batches reproduces the
     // uninterrupted run bit for bit — in either accumulation mode,
     // regardless of which mode wrote the checkpoint (the budget is a perf
@@ -258,50 +246,34 @@ void NetworkSynthesizer::runFilePipeline(
             "resume into a corrupted result");
     CHISIM_CHECK(manifest->filesConsumed <= logFiles.size(),
                  "checkpoint cursor is beyond the given file list");
-    if (manifest->spillMode) {
-      // The checkpointed sum is the manifest's set of live spill runs.
-      for (const SpillRunEntry& entry : manifest->spillRuns) {
-        sparse::SpillRunInfo info;
-        info.file = config_.spillDir / entry.file;
-        info.triplets = entry.triplets;
-        info.bytes = entry.bytes;
-        info.hasKeyRange = entry.hasKeyRange;
-        info.firstKey = entry.firstKey;
-        info.lastKey = entry.lastKey;
-        if (sink != nullptr) {
-          // Keep the manifest's file names: renaming would break a second
-          // resume if this run dies before its first checkpoint.
-          sink->restoreRunFile(info);
-        } else {
-          // Spill checkpoint resumed without a budget: fold the runs into
-          // the dense map (duplicate pairs across runs sum on add).
-          sparse::SpillRunReader reader(info.file);
-          sparse::AdjacencyTriplet triplet;
-          while (reader.next(triplet)) {
-            dense->add(triplet.i, triplet.j, triplet.weight);
-          }
-        }
-      }
-      // Merge segments completed by a previous life (killed during the
-      // sharded merge): remembered so synthesizeToFile can splice the
-      // validated segment instead of re-merging its shard. Processing any
-      // further batch invalidates them (finishBatch clears the list).
+    for (sparse::SpillRunInfo run : manifest->spillRuns) {
+      run.file = config_.spillDir / run.file;
       if (sink != nullptr) {
-        for (const MergeSegmentEntry& segment : manifest->mergeSegments) {
-          restoredSegments_.push_back(RestoredSegment{segment.shard,
-                                                      segment.file,
-                                                      segment.triplets,
-                                                      segment.bytes,
-                                                      segment.crc});
+        // Keep the manifest's file names: renaming would break a second
+        // resume if this run dies before its first checkpoint.
+        sink->restoreRunFile(run);
+      } else {
+        // Fold the runs into the dense map (duplicate pairs across runs
+        // sum on add).
+        sparse::SpillRunReader reader(run.file);
+        sparse::AdjacencyTriplet triplet;
+        while (reader.next(triplet)) {
+          dense->add(triplet.i, triplet.j, triplet.weight);
         }
       }
-    } else if (dense != nullptr) {
-      *dense = loadCheckpointAdjacency(config_.checkpointDir, *manifest);
-    } else {
-      // Dense checkpoint resumed under a budget: the snapshot is one
-      // sorted run (CADJ rows are written in packed-key order).
-      sink->addSortedRun(
-          sparse::loadTriplets(config_.checkpointDir / manifest->adjacencyFile));
+    }
+    // Merge segments completed by a previous life (killed during the
+    // sharded merge): remembered so synthesizeToFile can splice the
+    // validated segment instead of re-merging its shard. Processing any
+    // further batch invalidates them (finishBatch clears the list).
+    if (sink != nullptr) {
+      for (const MergeSegmentEntry& segment : manifest->mergeSegments) {
+        restoredSegments_.push_back(RestoredSegment{segment.shard,
+                                                    segment.file,
+                                                    segment.triplets,
+                                                    segment.bytes,
+                                                    segment.crc});
+      }
     }
     filesConsumed = manifest->filesConsumed;
     report_.batches = manifest->batchesDone;
@@ -371,40 +343,31 @@ void NetworkSynthesizer::runFilePipeline(
         std::to_string(report_.quarantined.size()) +
             " input files quarantined, more than the configured limit of " +
             std::to_string(config_.maxQuarantinedFiles));
-    for (FaultEvent& event : executor_->drainFaultEvents()) {
-      event.batch = report_.batches;
-      if (event.kind == FaultEvent::Kind::kCommandRetry) {
-        ++report_.commandRetries;
-      } else if (event.kind == FaultEvent::Kind::kRankLost) {
-        ++report_.ranksLost;
-      } else if (event.kind == FaultEvent::Kind::kWorkerRespawn) {
-        ++report_.workersRespawned;
-      } else if (event.kind == FaultEvent::Kind::kWorkerReconnect) {
-        ++report_.workersReconnected;
-      }
-      report_.faults.push_back(std::move(event));
-    }
+    foldExecutorFaults();
     if (checkpointing) {
       CheckpointManifest manifest;
       manifest.filesConsumed = filesConsumed;
       manifest.batchesDone = report_.batches;
       manifest.configHash = checkpointConfigHash(config_, logFiles);
       manifest.quarantined = report_.quarantined;
+      // Persist the accumulated sum as sorted run files, each durable via
+      // tmp+rename before the manifest naming them is written: the sink
+      // spills everything resident and names its live runs; the dense map
+      // is written as runs split at the merge-shard boundaries, so a
+      // budgeted resume adopts them shard-pure.
       if (sink != nullptr) {
-        // Persist the accumulated sum as the set of live run files: spill
-        // everything resident (each run lands via tmp+rename, so every
-        // file the manifest will name is already durable), then write the
-        // manifest naming them.
         sink->spillAll();
-        manifest.spillMode = true;
-        for (const sparse::SpillRunInfo& run : sink->liveRuns()) {
-          manifest.spillRuns.push_back(
-              SpillRunEntry{run.file.filename().string(), run.triplets,
-                            run.bytes, run.hasKeyRange, run.firstKey,
-                            run.lastKey});
-        }
-        saveSpillCheckpoint(config_.checkpointDir, manifest, config_.spillDir,
-                            nextInflight);
+        manifest.spillRuns = sink->liveRuns();
+      } else {
+        std::uint64_t index = 0;
+        sparse::writeShardRuns(
+            config_.spillDir, "dense." + std::to_string(filesConsumed) + ".",
+            index, dense->toTriplets(), resolvedMergeRowsPerShard(config_),
+            manifest.spillRuns);
+      }
+      saveCheckpoint(config_.checkpointDir, manifest, config_.spillDir,
+                     nextInflight);
+      if (sink != nullptr) {
         // Compaction inputs superseded by this manifest can go only now;
         // deleting them earlier would break resume from the previous one.
         for (const std::filesystem::path& retired :
@@ -412,8 +375,6 @@ void NetworkSynthesizer::runFilePipeline(
           std::error_code ignored;
           std::filesystem::remove(retired, ignored);
         }
-      } else {
-        saveCheckpoint(config_.checkpointDir, manifest, *dense, nextInflight);
       }
       ++report_.checkpointsWritten;
       FaultEvent event;
@@ -489,30 +450,83 @@ void NetworkSynthesizer::runFilePipeline(
 sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
     const std::vector<std::filesystem::path>& logFiles) {
   util::WallTimer total;
-  sparse::SymmetricAdjacency result(1024);
-  if (config_.memoryBudgetBytes == 0) {
-    runFilePipeline(logFiles, &result, nullptr);
-  } else {
-    // Budgeted accumulation with an in-memory materialization at the end:
-    // the convenient form for tests and modest inputs. City-scale runs
-    // should use synthesizeToFile, which streams the merge to disk.
-    sparse::SpillingAccumulator sink(sinkOptions(config_));
-    runFilePipeline(logFiles, nullptr, &sink);
-    const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-    // Pre-size the result from the summed run row counts (an upper bound:
-    // duplicate pairs across runs collapse) so the drain never rehashes.
-    result.reserve(result.edgeCount() + merged->sizeHint());
-    report_.mergeReservedEntries += merged->sizeHint();
-    sparse::AdjacencyTriplet triplet;
-    while (merged->next(triplet)) {
-      result.add(triplet.i, triplet.j, triplet.weight);
-    }
-    result.addKernelStats(sink.kernelStats());
-    foldSpillStats(report_, sink.stats());
-  }
+  sparse::SymmetricAdjacency result = accumulateInMemory(
+      [&](sparse::SymmetricAdjacency* dense,
+          sparse::SpillingAccumulator* sink) {
+        runFilePipeline(logFiles, dense, sink);
+      });
   report_.edges = result.edgeCount();
   report_.totalSeconds = total.seconds();
   return result;
+}
+
+sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
+    const table::EventTable& events) {
+  util::WallTimer total;
+  beginReport();
+  report_.logEntriesLoaded = events.size();
+  sparse::SymmetricAdjacency result = accumulateInMemory(
+      [&](sparse::SymmetricAdjacency* dense,
+          sparse::SpillingAccumulator* sink) {
+        processBatch(events, dense, sink);
+      });
+  report_.batches = 1;
+  foldExecutorFaults();
+  report_.edges = result.edgeCount();
+  report_.bytesScattered = executor_->bytesScattered();
+  report_.bytesReturned = executor_->bytesReturned();
+  report_.totalSeconds = total.seconds();
+  return result;
+}
+
+sparse::SymmetricAdjacency NetworkSynthesizer::accumulateInMemory(
+    const std::function<void(sparse::SymmetricAdjacency*,
+                             sparse::SpillingAccumulator*)>& accumulate) {
+  sparse::SymmetricAdjacency result(1024);
+  if (config_.memoryBudgetBytes == 0) {
+    accumulate(&result, nullptr);
+    return result;
+  }
+  // Budgeted accumulation with an in-memory materialization at the end:
+  // the convenient form for tests and modest inputs. City-scale runs
+  // should use synthesizeToFile, which streams the merge to disk.
+  sparse::SpillingAccumulator sink(sinkOptions(config_));
+  accumulate(nullptr, &sink);
+  const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
+  // Pre-size the result from the summed run row counts (an upper bound:
+  // duplicate pairs across runs collapse) so the drain never rehashes.
+  result.reserve(merged->sizeHint());
+  report_.mergeReservedEntries += merged->sizeHint();
+  sparse::AdjacencyTriplet triplet;
+  while (merged->next(triplet)) {
+    result.add(triplet.i, triplet.j, triplet.weight);
+  }
+  result.addKernelStats(sink.kernelStats());
+  foldSpillStats(report_, sink.stats());
+  return result;
+}
+
+void NetworkSynthesizer::beginReport() {
+  report_ = SynthesisReport{};
+  report_.backend = config_.backend;
+  report_.memoryBudgetBytes = config_.memoryBudgetBytes;
+  executor_->resetTransferCounters();
+}
+
+void NetworkSynthesizer::foldExecutorFaults() {
+  for (FaultEvent& event : executor_->drainFaultEvents()) {
+    event.batch = report_.batches;
+    if (event.kind == FaultEvent::Kind::kCommandRetry) {
+      ++report_.commandRetries;
+    } else if (event.kind == FaultEvent::Kind::kRankLost) {
+      ++report_.ranksLost;
+    } else if (event.kind == FaultEvent::Kind::kWorkerRespawn) {
+      ++report_.workersRespawned;
+    } else if (event.kind == FaultEvent::Kind::kWorkerReconnect) {
+      ++report_.workersReconnected;
+    }
+    report_.faults.push_back(std::move(event));
+  }
 }
 
 std::uint64_t NetworkSynthesizer::synthesizeToFile(
@@ -524,33 +538,10 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
   util::WallTimer total;
   sparse::SpillingAccumulator sink(sinkOptions(config_));
   runFilePipeline(logFiles, nullptr, &sink);
-  const unsigned owners = resolvedReduceShards(config_);
-  report_.reduceShardsUsed = owners;
-  std::uint64_t edges = 0;
-  if (owners <= 1) {
-    // Serial external finish: spill whatever is resident and k-way merge
-    // all runs straight into the CADJ writer. The writer's output is
-    // byte-identical to saveTriplets of the equivalent in-memory map
-    // because both emit the same sorted rows through the same framing.
-    const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-    sparse::StreamingTripletWriter writer(outPath);
-    sparse::AdjacencyTriplet triplet;
-    while (merged->next(triplet)) {
-      writer.append(triplet);
-    }
-    edges = writer.finish();
-  } else {
-    edges = mergeShardsToFile(logFiles, sink, outPath);
-  }
-  foldSpillStats(report_, sink.stats());
-  report_.edges = edges;
-  report_.totalSeconds = total.seconds();
-  return edges;
-}
-
-std::uint64_t NetworkSynthesizer::mergeShardsToFile(
-    const std::vector<std::filesystem::path>& logFiles,
-    sparse::SpillingAccumulator& sink, const std::filesystem::path& outPath) {
+  // Stage-6 tail: the live runs are merged shard by shard on the
+  // executor's owners (the `workers` threads or ranks) and the segments
+  // spliced into `outPath` in ascending shard order.
+  report_.reduceShardsUsed = config_.workers;
   const bool checkpointing = !config_.checkpointDir.empty();
   // The plan routes every live run to its row-range shard, splitting
   // straddlers; under deferDeletes the split inputs stay on disk so the
@@ -594,13 +585,7 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
     manifest.batchesDone = report_.batches;
     manifest.configHash = checkpointConfigHash(config_, logFiles);
     manifest.quarantined = report_.quarantined;
-    manifest.spillMode = true;
-    for (const sparse::SpillRunInfo& run : sink.liveRuns()) {
-      manifest.spillRuns.push_back(SpillRunEntry{run.file.filename().string(),
-                                                 run.triplets, run.bytes,
-                                                 run.hasKeyRange, run.firstKey,
-                                                 run.lastKey});
-    }
+    manifest.spillRuns = sink.liveRuns();
     for (const auto& [shard, done] : completed) {
       manifest.mergeSegments.push_back(
           MergeSegmentEntry{shard, done.file.filename().string(),
@@ -617,8 +602,7 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
   // (gcSpillDir=false): a GC there would delete other owners' in-flight
   // .cseg.tmp files and freshly renamed segments its manifest predates.
   if (checkpointing) {
-    saveSpillCheckpoint(config_.checkpointDir, buildManifest(),
-                        config_.spillDir);
+    saveCheckpoint(config_.checkpointDir, buildManifest(), config_.spillDir);
     ++report_.checkpointsWritten;
   }
   // The new manifest (or, without checkpointing, nothing) references the
@@ -639,8 +623,8 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
     ++report_.mergeSegmentsWritten;
     report_.mergeSeconds += segment.mergeSeconds;
     if (checkpointing) {
-      saveSpillCheckpoint(config_.checkpointDir, buildManifest(),
-                          config_.spillDir, nullptr, /*gcSpillDir=*/false);
+      saveCheckpoint(config_.checkpointDir, buildManifest(), config_.spillDir,
+                     nullptr, /*gcSpillDir=*/false);
       ++report_.checkpointsWritten;
     }
     runtime::fault::hit("spill.shard");
@@ -663,7 +647,7 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
 
   // Splice: ascending shard order over disjoint ascending key ranges is
   // the globally sorted stream, so the concatenation is byte-identical to
-  // the serial merge's CADJ (same rows, same framing). appendSegmentFile
+  // saveTriplets of the in-memory result (same rows, same framing). appendSegmentFile
   // re-verifies each segment's CRC as it copies.
   sparse::StreamingTripletWriter writer(outPath);
   for (const auto& [shard, segment] : completed) {
@@ -671,53 +655,11 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
                                           segment.crc};
     writer.appendSegmentFile(segment.file, info);
   }
-  return writer.finish();
-}
-
-sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
-    const table::EventTable& events) {
-  report_ = SynthesisReport{};
-  report_.backend = config_.backend;
-  report_.memoryBudgetBytes = config_.memoryBudgetBytes;
-  executor_->resetTransferCounters();
-  util::WallTimer total;
-  report_.logEntriesLoaded = events.size();
-
-  sparse::SymmetricAdjacency result(1024);
-  if (config_.memoryBudgetBytes == 0) {
-    processBatch(events, &result, nullptr);
-  } else {
-    sparse::SpillingAccumulator sink(sinkOptions(config_));
-    processBatch(events, nullptr, &sink);
-    const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-    result.reserve(result.edgeCount() + merged->sizeHint());
-    report_.mergeReservedEntries += merged->sizeHint();
-    sparse::AdjacencyTriplet triplet;
-    while (merged->next(triplet)) {
-      result.add(triplet.i, triplet.j, triplet.weight);
-    }
-    result.addKernelStats(sink.kernelStats());
-    foldSpillStats(report_, sink.stats());
-  }
-  report_.batches = 1;
-  for (FaultEvent& event : executor_->drainFaultEvents()) {
-    event.batch = 1;
-    if (event.kind == FaultEvent::Kind::kCommandRetry) {
-      ++report_.commandRetries;
-    } else if (event.kind == FaultEvent::Kind::kRankLost) {
-      ++report_.ranksLost;
-    } else if (event.kind == FaultEvent::Kind::kWorkerRespawn) {
-      ++report_.workersRespawned;
-    } else if (event.kind == FaultEvent::Kind::kWorkerReconnect) {
-      ++report_.workersReconnected;
-    }
-    report_.faults.push_back(std::move(event));
-  }
-  report_.edges = result.edgeCount();
-  report_.bytesScattered = executor_->bytesScattered();
-  report_.bytesReturned = executor_->bytesReturned();
+  const std::uint64_t edges = writer.finish();
+  foldSpillStats(report_, sink.stats());
+  report_.edges = edges;
   report_.totalSeconds = total.seconds();
-  return result;
+  return edges;
 }
 
 graph::Graph NetworkSynthesizer::synthesizeGraph(

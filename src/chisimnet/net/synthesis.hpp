@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -197,8 +198,9 @@ struct SynthesisConfig {
   /// (`chisim worker --connect`); nothing is spawned. Empty = 127.0.0.1 on
   /// an ephemeral port with workers spawned locally (loopback mode).
   std::string tcpListen;
-  /// When non-empty, persist a checkpoint (accumulated adjacency + cursor
-  /// manifest) into this directory after every file batch.
+  /// When non-empty, persist a checkpoint (the accumulated adjacency as
+  /// sorted spill runs + a cursor manifest) into this directory after
+  /// every file batch.
   std::filesystem::path checkpointDir;
   /// Resume from the checkpoint in checkpointDir instead of starting from
   /// scratch. Requires checkpointDir; a missing/mismatched checkpoint is a
@@ -233,29 +235,18 @@ struct SynthesisConfig {
 
   // ---- sharded external merge (stage-6 spill reduce) ----
 
-  /// Owners of the stage-6 external merge: the spill runs are grouped by
-  /// row-range shard and the shards distributed round-robin across this
-  /// many owners (worker threads on the shared backend, ranks on message
-  /// passing), each running an independent loser-tree merge. The final
-  /// CADJ is the byte-identical concatenation of the per-shard segments,
-  /// so the output does not depend on this knob (it stays outside the
-  /// checkpoint config hash). 0 = auto (= workers); 1 = the serial
-  /// single-merge baseline.
-  unsigned reduceShards = 0;
-  /// Row-range width of one merge shard (the granularity owners balance
-  /// over, and the unit the final concatenation is ordered by). 0 = auto:
-  /// 2^18 rows divided by the resolved owner count, floored at 1. Exposed
-  /// mainly so tests and benches can force multi-shard layouts on small
-  /// populations.
+  /// Row-range width of one merge shard (the granularity the merge owners
+  /// — the `workers` threads or ranks — balance over, and the unit the
+  /// final concatenation is ordered by). Stage-5 flushes, sink spills and
+  /// checkpoint runs are all split at these boundaries. The output does
+  /// not depend on it (it stays outside the checkpoint config hash). 0 =
+  /// auto: 2^18 rows divided by `workers`, floored at 1. Exposed mainly so
+  /// tests and benches can force multi-shard layouts on small populations.
   std::uint32_t mergeRowsPerShard = 0;
 };
 
-/// Resolved owner count of the sharded external merge (reduceShards,
-/// with 0 = the configured worker count).
-unsigned resolvedReduceShards(const SynthesisConfig& config) noexcept;
-
 /// Resolved row-range width of one merge shard (mergeRowsPerShard, with
-/// 0 = 2^18 / owners so each owner has work to balance).
+/// 0 = 2^18 / workers so each merge owner has work to balance).
 std::uint32_t resolvedMergeRowsPerShard(const SynthesisConfig& config) noexcept;
 
 /// Timing and size metrics of the last synthesis run. One report type
@@ -353,13 +344,13 @@ struct SynthesisReport {
 
   // ---- sharded external merge (synthesizeToFile under a budget) ----
 
-  unsigned reduceShardsUsed = 0;  ///< resolved merge owner count
+  unsigned reduceShardsUsed = 0;  ///< merge owner count (= workers)
   std::uint64_t mergeSegmentsWritten = 0;  ///< per-shard segments merged
   /// Segments restored intact from a checkpoint and spliced without
   /// re-merging (kill-during-merge resume).
   std::uint64_t mergeSegmentsReused = 0;
-  /// Straddling/unknown-range runs rewritten into shard-pure runs before
-  /// the merge (zero when every spill was routed at flush time).
+  /// Straddling runs rewritten into shard-pure runs before the merge (zero
+  /// when every spill was routed at flush time).
   std::uint64_t spillRunsSplit = 0;
   /// Output entries pre-reserved by merge sinks from summed per-run row
   /// counts (TripletMerger / PairCountMap reservations).
@@ -392,10 +383,11 @@ class NetworkSynthesizer {
   /// Synthesizes from an in-memory event table (single batch).
   sparse::SymmetricAdjacency synthesizeAdjacency(const table::EventTable& events);
 
-  /// Fully out-of-core synthesis: runs the batched pipeline, then streams
-  /// the external k-way merge of the spilled runs straight into a CADJ1
-  /// file at `outPath` (bytes identical to saveTriplets of the in-memory
-  /// result). Returns the edge count. Requires memoryBudgetBytes > 0.
+  /// Fully out-of-core synthesis: runs the batched pipeline, then merges
+  /// the spilled runs shard by shard on the `workers` owners and splices
+  /// the segments into a CADJ1 file at `outPath` (bytes identical to
+  /// saveTriplets of the in-memory result). Returns the edge count.
+  /// Requires memoryBudgetBytes > 0.
   std::uint64_t synthesizeToFile(
       const std::vector<std::filesystem::path>& logFiles,
       const std::filesystem::path& outPath);
@@ -422,14 +414,19 @@ class NetworkSynthesizer {
                        sparse::SymmetricAdjacency* dense,
                        sparse::SpillingAccumulator* sink);
 
-  /// Sharded tail of synthesizeToFile (resolvedReduceShards > 1): builds
-  /// the shard merge plan, reuses validated segments restored by a resume,
-  /// runs the remaining shards through the executor's owners (with a
-  /// per-segment checkpoint when checkpointing), and splices the segments
-  /// into `outPath` in ascending shard order. Returns the edge count.
-  std::uint64_t mergeShardsToFile(
-      const std::vector<std::filesystem::path>& logFiles,
-      sparse::SpillingAccumulator& sink, const std::filesystem::path& outPath);
+  /// The in-memory result of `accumulate`, run into a dense map or, under
+  /// a memory budget, into a spilling accumulator whose merged runs are
+  /// then materialized into the map.
+  sparse::SymmetricAdjacency accumulateInMemory(
+      const std::function<void(sparse::SymmetricAdjacency*,
+                               sparse::SpillingAccumulator*)>& accumulate);
+
+  /// Resets the report for a new run.
+  void beginReport();
+
+  /// Folds the executor's recovery events into the report, stamped with
+  /// the current batch count.
+  void foldExecutorFaults();
 
   SynthesisConfig config_;
   SynthesisReport report_;

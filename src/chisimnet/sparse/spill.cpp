@@ -123,7 +123,6 @@ SpillRunInfo SpillRunWriter::finish() {
   info.file = path_;
   info.triplets = total_;
   info.bytes = static_cast<std::uint64_t>(std::filesystem::file_size(path_));
-  info.hasKeyRange = any_;
   info.firstKey = firstKey_;
   info.lastKey = lastKey_;
   return info;
@@ -475,8 +474,8 @@ void SpillingAccumulator::maybeCompact() {
   // Compaction is per shard group: runs that cover a single reduce shard
   // only ever merge with runs of the same shard, so the shard-ownership
   // invariant survives compaction and a later sharded merge still sees
-  // shard-pure inputs. Runs without a known shard (legacy manifests,
-  // pre-split compactions) pool in a catch-all group.
+  // shard-pure inputs. Straddling and empty runs pool in a catch-all
+  // group.
   std::map<std::int64_t, std::vector<std::size_t>> groups;
   for (std::size_t at = 0; at < runs_.size(); ++at) {
     groups[runs_[at].shardOf(options_.rowsPerShard)].push_back(at);
@@ -487,8 +486,7 @@ void SpillingAccumulator::maybeCompact() {
   // makes compaction IO scale with the shard count for no fan-in benefit
   // (each cycle re-reads and re-writes nearly all spilled data). Compact
   // exactly the groups whose own member count exceeds maxLiveRuns and
-  // leave the rest untouched; with one group this is the legacy global
-  // trigger.
+  // leave the rest untouched.
   bool oversized = false;
   for (const auto& [shard, members] : groups) {
     if (members.size() > options_.maxLiveRuns) {
@@ -626,6 +624,7 @@ SpillingSum::SpillingSum(std::filesystem::path dir, std::string filePrefix,
       filePrefix_(std::move(filePrefix)),
       splitRows_(splitRows),
       sum_(1024) {
+  CHISIM_REQUIRE(splitRows_ >= 1, "splitRows must be >= 1");
   if (flushThresholdBytes > 0) {
     flushThreshold_ = std::max(flushThresholdBytes, kMinSpillThresholdBytes);
     CHISIM_REQUIRE(!dir_.empty(),
@@ -646,27 +645,29 @@ void SpillingSum::flush() {
     return;
   }
   const std::vector<AdjacencyTriplet> triplets = drainInMemory();
-  // With splitRows_ the sorted flush is partitioned at reduce-shard
-  // boundaries into shard-pure runs, so the sink can route each run
-  // straight to its shard owner without a split-and-rewrite pass.
+  writeShardRuns(dir_, filePrefix_, nextRunIndex_, triplets, splitRows_,
+                 runs_);
+  ++flushes_;
+}
+
+void writeShardRuns(const std::filesystem::path& dir,
+                    const std::string& filePrefix, std::uint64_t& nextIndex,
+                    std::span<const AdjacencyTriplet> sorted,
+                    std::uint32_t splitRows, std::vector<SpillRunInfo>& out) {
+  CHISIM_REQUIRE(splitRows >= 1, "splitRows must be >= 1");
   std::size_t begin = 0;
-  while (begin < triplets.size()) {
-    std::size_t end = triplets.size();
-    if (splitRows_ > 0) {
-      const std::uint32_t shard = triplets[begin].i / splitRows_;
-      end = begin + 1;
-      while (end < triplets.size() && triplets[end].i / splitRows_ == shard) {
-        ++end;
-      }
+  while (begin < sorted.size()) {
+    const std::uint32_t shard = sorted[begin].i / splitRows;
+    std::size_t end = begin + 1;
+    while (end < sorted.size() && sorted[end].i / splitRows == shard) {
+      ++end;
     }
-    SpillRunWriter writer(
-        dir_ / (filePrefix_ + std::to_string(nextRunIndex_++) + ".spl"));
-    writer.append(std::span<const AdjacencyTriplet>(triplets.data() + begin,
-                                                    end - begin));
-    runs_.push_back(writer.finish());
+    SpillRunWriter writer(dir /
+                          (filePrefix + std::to_string(nextIndex++) + ".spl"));
+    writer.append(sorted.subspan(begin, end - begin));
+    out.push_back(writer.finish());
     begin = end;
   }
-  ++flushes_;
 }
 
 const AdjacencyKernelStats& SpillingSum::kernelStats() const noexcept {

@@ -39,24 +39,23 @@
 
 namespace chisimnet::sparse {
 
-/// A completed on-disk sorted run.
+/// A completed on-disk sorted run: the one record of a run wherever it
+/// travels (accumulator live set, checkpoint manifest, mp wire). A
+/// manifest stores `file` as a bare name within the spill directory.
 struct SpillRunInfo {
   std::filesystem::path file;
   std::uint64_t triplets = 0;
   std::uint64_t bytes = 0;  ///< file size, for budget/IO accounting
-  /// Packed-key range the run covers, when known. Writer-produced runs
-  /// always know it; runs restored from a pre-range checkpoint manifest do
-  /// not (hasKeyRange = false) and are treated as potentially straddling
-  /// every shard boundary.
-  bool hasKeyRange = false;
+  /// Packed-key range the run covers (first and last row; meaningless when
+  /// triplets == 0).
   std::uint64_t firstKey = 0;
   std::uint64_t lastKey = 0;
 
-  /// The row-range shard this run is confined to, or -1 when the range is
-  /// unknown or crosses a shard boundary (such a run must be split before
-  /// a per-shard merge can own it).
+  /// The row-range shard this run is confined to, or -1 when it is empty
+  /// or crosses a shard boundary (such a run must be split before a
+  /// per-shard merge can own it).
   std::int64_t shardOf(std::uint32_t rowsPerShard) const noexcept {
-    if (!hasKeyRange || triplets == 0) {
+    if (triplets == 0) {
       return -1;
     }
     const std::uint32_t first =
@@ -164,8 +163,8 @@ struct SpillStats {
   std::uint64_t spilledTriplets = 0;  ///< triplet rows that went to disk
   std::uint64_t spilledBytes = 0;     ///< run file bytes written
   std::uint64_t compactions = 0;      ///< live-run merges (spill.merge)
-  /// Runs rewritten at shard boundaries because they straddled one (or had
-  /// no recorded key range) when a per-shard merge plan was built.
+  /// Runs rewritten at shard boundaries because they straddled one when a
+  /// per-shard merge plan was built.
   std::uint64_t runsSplit = 0;
   /// Max observed resident accumulator bytes: shard tables plus the sort
   /// transient during a spill. This is what the budget enforces
@@ -277,8 +276,7 @@ class SpillingAccumulator {
   };
 
   /// Spills residual shards, splits any live run that straddles a shard
-  /// boundary (or whose key range is unknown — e.g. restored from an older
-  /// manifest) into shard-pure runs, and returns the live set grouped per
+  /// boundary into shard-pure runs, and returns the live set grouped per
   /// shard in ascending shard order. Afterwards liveRuns() reflects the
   /// split set, so a checkpoint manifest written mid-merge references
   /// exactly the files an owner will read; superseded originals are
@@ -326,14 +324,14 @@ class SpillingAccumulator {
 /// stage-5 memory is capped at roughly the threshold per worker.
 class SpillingSum {
  public:
-  /// flushThresholdBytes 0 = never flush (plain in-memory sum).
-  /// splitRows > 0 routes spills to their reduce-shard owners at flush
-  /// time: each flush is partitioned at row-range boundaries (shard =
-  /// low id / splitRows) and written as one shard-pure run per touched
-  /// shard, so the sink can hand every run to its owner without a
-  /// split-and-rewrite pass before the parallel merge.
+  /// flushThresholdBytes 0 = never flush on its own (flushAll() still
+  /// writes runs). splitRows (>= 1) routes spills to their reduce-shard
+  /// owners at flush time: each flush is written by writeShardRuns as one
+  /// shard-pure run per touched shard (shard = low id / splitRows), so the
+  /// sink can hand every run to its owner without a split-and-rewrite pass
+  /// before the parallel merge.
   SpillingSum(std::filesystem::path dir, std::string filePrefix,
-              std::uint64_t flushThresholdBytes, std::uint32_t splitRows = 0);
+              std::uint64_t flushThresholdBytes, std::uint32_t splitRows);
 
   void addCollocation(const CollocationMatrix& matrix);
 
@@ -343,6 +341,8 @@ class SpillingSum {
   std::uint64_t flushes() const noexcept { return flushes_; }
 
   const std::vector<SpillRunInfo>& runs() const noexcept { return runs_; }
+  /// Distinct pairs not yet flushed.
+  std::uint64_t residentTriplets() const noexcept { return sum_.edgeCount(); }
   /// The not-yet-flushed remainder as a sorted run; resets the sum.
   std::vector<AdjacencyTriplet> drainInMemory();
   /// Flushes the remainder to disk too, leaving only run files.
@@ -361,6 +361,18 @@ class SpillingSum {
   std::uint64_t peakBytes_ = 0;
   std::uint64_t flushes_ = 0;
 };
+
+/// Writes a strictly key-ascending triplet list as shard-pure runs, one
+/// per touched row-range shard (shard = low id / splitRows, splitRows >= 1)
+/// in ascending shard order, named <dir>/<filePrefix><n>.spl with n taken
+/// from (and advancing) `nextIndex`, and appends their records to `out`.
+/// Each run lands via tmp+rename. This is the one writer of a sorted
+/// in-memory sum to disk: stage-5 worker flushes and the unbounded path's
+/// checkpoint both go through it.
+void writeShardRuns(const std::filesystem::path& dir,
+                    const std::string& filePrefix, std::uint64_t& nextIndex,
+                    std::span<const AdjacencyTriplet> sorted,
+                    std::uint32_t splitRows, std::vector<SpillRunInfo>& out);
 
 /// One finished per-shard merge: the shard's duplicate-summed sorted
 /// stream as a raw CADJ payload segment on disk (TripletSegmentWriter

@@ -572,16 +572,27 @@ TEST(RankLossTest, PermanentRankLossCompletesOnSurvivors) {
 
 TEST(CheckpointTest, ManifestRoundTrips) {
   ScratchDir scratch("chisimnet_fault_manifest");
-  sparse::SymmetricAdjacency adjacency(64);
-  adjacency.add(1, 2, 3);
-  adjacency.add(0, 5, 7);
+  const auto spillDir = scratch.path() / "spill";
+  const std::vector<sparse::AdjacencyTriplet> sum = {
+      sparse::AdjacencyTriplet{0, 5, 7}, sparse::AdjacencyTriplet{1, 2, 3}};
+  // The unbounded path's checkpoint form: the dense sum as runs split at
+  // row-shard boundaries (one row per shard here -> two runs).
+  const auto writeDenseRuns = [&](std::uint64_t filesConsumed) {
+    std::uint64_t index = 0;
+    std::vector<sparse::SpillRunInfo> runs;
+    sparse::writeShardRuns(spillDir,
+                           "dense." + std::to_string(filesConsumed) + ".",
+                           index, sum, 1, runs);
+    return runs;
+  };
   CheckpointManifest manifest;
   manifest.filesConsumed = 4;
   manifest.batchesDone = 2;
   manifest.configHash = 0xDEADBEEF;
+  manifest.spillRuns = writeDenseRuns(4);
   manifest.quarantined.push_back(elog::QuarantinedFile{
       "/logs/rank_0003.clg5", 7, 4096, "chunk crc mismatch, want 1 got 2"});
-  saveCheckpoint(scratch.path(), manifest, adjacency);
+  saveCheckpoint(scratch.path(), manifest, spillDir);
 
   const auto loaded = loadCheckpointManifest(scratch.path());
   ASSERT_TRUE(loaded.has_value());
@@ -594,19 +605,31 @@ TEST(CheckpointTest, ManifestRoundTrips) {
   EXPECT_EQ(loaded->quarantined[0].byteOffset, 4096u);
   EXPECT_EQ(loaded->quarantined[0].reason,
             "chunk crc mismatch, want 1 got 2");
-  const auto restored = loadCheckpointAdjacency(scratch.path(), *loaded);
-  EXPECT_EQ(restored.toTriplets(), adjacency.toTriplets());
-
-  // A second checkpoint supersedes the first and GCs its adjacency file.
-  manifest.filesConsumed = 6;
-  saveCheckpoint(scratch.path(), manifest, adjacency);
-  std::size_t adjacencyFiles = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(scratch.path())) {
-    adjacencyFiles +=
-        entry.path().filename().string().starts_with("adjacency.") ? 1 : 0;
+  ASSERT_EQ(loaded->spillRuns.size(), 2u);
+  std::vector<sparse::AdjacencyTriplet> restored;
+  for (const sparse::SpillRunInfo& run : loaded->spillRuns) {
+    EXPECT_EQ(run.file, run.file.filename()) << "manifest names are bare";
+    sparse::SpillRunReader reader(spillDir / run.file);
+    sparse::AdjacencyTriplet triplet;
+    while (reader.next(triplet)) {
+      restored.push_back(triplet);
+    }
   }
-  EXPECT_EQ(adjacencyFiles, 1u);
+  EXPECT_EQ(restored, sum);
+
+  // A second checkpoint supersedes the first and GCs its run files.
+  manifest.filesConsumed = 6;
+  manifest.spillRuns = writeDenseRuns(6);
+  saveCheckpoint(scratch.path(), manifest, spillDir);
+  std::size_t stale = 0;
+  std::size_t current = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(spillDir)) {
+    const std::string name = entry.path().filename().string();
+    stale += name.starts_with("dense.4.") ? 1 : 0;
+    current += name.starts_with("dense.6.") ? 1 : 0;
+  }
+  EXPECT_EQ(stale, 0u);
+  EXPECT_EQ(current, 2u);
   EXPECT_EQ(loadCheckpointManifest(scratch.path())->filesConsumed, 6u);
 }
 
@@ -730,38 +753,122 @@ TEST(CheckpointTest, SpillManifestRoundTrips) {
   }
 
   CheckpointManifest manifest;
-  manifest.spillMode = true;
   manifest.filesConsumed = 4;
   manifest.batchesDone = 2;
   manifest.configHash = 0xFEEDFACE;
-  for (const auto& run : runs) {
-    manifest.spillRuns.push_back(SpillRunEntry{
-        run.file.filename().string(), run.triplets, run.bytes});
-  }
-  saveSpillCheckpoint(scratch.path(), manifest, spillDir);
+  manifest.spillRuns = runs;
+  saveCheckpoint(scratch.path(), manifest, spillDir);
 
   const auto loaded = loadCheckpointManifest(scratch.path());
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(loaded->spillMode);
-  EXPECT_TRUE(loaded->adjacencyFile.empty());
   EXPECT_EQ(loaded->filesConsumed, 4u);
   EXPECT_EQ(loaded->batchesDone, 2u);
   EXPECT_EQ(loaded->configHash, 0xFEEDFACE);
   ASSERT_EQ(loaded->spillRuns.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(loaded->spillRuns[i].file, runs[i].file.filename().string());
+    EXPECT_EQ(loaded->spillRuns[i].file, runs[i].file.filename());
     EXPECT_EQ(loaded->spillRuns[i].triplets, runs[i].triplets);
     EXPECT_EQ(loaded->spillRuns[i].bytes, runs[i].bytes);
+    EXPECT_EQ(loaded->spillRuns[i].firstKey, runs[i].firstKey);
+    EXPECT_EQ(loaded->spillRuns[i].lastKey, runs[i].lastKey);
   }
-  // A spill-mode manifest has no dense snapshot to load.
-  EXPECT_THROW(loadCheckpointAdjacency(scratch.path(), *loaded),
-               std::exception);
 
   // GC: referenced runs survive, the orphan and the .tmp husk are gone.
   EXPECT_TRUE(std::filesystem::exists(runs[0].file));
   EXPECT_TRUE(std::filesystem::exists(runs[1].file));
   EXPECT_FALSE(std::filesystem::exists(spillDir / "run.9.spl"));
   EXPECT_FALSE(std::filesystem::exists(spillDir / "run.5.spl.tmp"));
+}
+
+// ---- untrusted manifest input ----
+
+/// Writes `body` as the manifest in `dir` after a valid CHKP2 preamble.
+void writeManifestText(const std::filesystem::path& dir,
+                       const std::string& body) {
+  std::ofstream out(dir / kCheckpointManifestName, std::ios::trunc);
+  out << "CHKP2\nfiles_consumed\t2\nbatches_done\t1\nconfig_hash\t7\n"
+      << body;
+}
+
+/// Requires loadCheckpointManifest to refuse the manifest with a
+/// std::runtime_error naming the manifest file and `where` (e.g. its line).
+void expectRefused(const std::filesystem::path& dir, const std::string& where,
+                   const std::string& label) {
+  try {
+    loadCheckpointManifest(dir);
+    ADD_FAILURE() << label << ": manifest was accepted";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find((dir / kCheckpointManifestName).string()),
+              std::string::npos)
+        << label << ": " << what;
+    EXPECT_NE(what.find(where), std::string::npos) << label << ": " << what;
+  }
+}
+
+TEST(CheckpointTest, ManifestRejectsANumberWithTrailingGarbage) {
+  ScratchDir scratch("chisimnet_fault_manifest_garbage");
+  writeManifestText(scratch.path(), "spill\trun.0.spl\t4x9770\t80\t1\t2\n");
+  expectRefused(scratch.path(), "line 5", "triplets 4x9770");
+}
+
+TEST(CheckpointTest, ManifestRejectsAnOutOfRangeNumberNamingTheLine) {
+  ScratchDir scratch("chisimnet_fault_manifest_range");
+  writeManifestText(scratch.path(),
+                    "spill\trun.0.spl\t1\t32\t99999999999999999999999\t"
+                    "99999999999999999999999\n");
+  expectRefused(scratch.path(), "line 5", "key above 2^64");
+}
+
+TEST(CheckpointTest, ManifestRejectsARunNameOutsideTheSpillDirectory) {
+  ScratchDir scratch("chisimnet_fault_manifest_traversal");
+  // A real run file at the traversal target: the refusal must come from
+  // the name alone, before anything could open it.
+  const auto outside = scratch.path() / "outside";
+  {
+    sparse::SpillRunWriter writer(outside / "evil.spl");
+    writer.append(sparse::AdjacencyTriplet{1, 2, 3});
+    writer.finish();
+  }
+  const auto checkpoint = scratch.path() / "a" / "b";
+  std::filesystem::create_directories(checkpoint);
+  for (const std::string name :
+       {"../../outside/evil.spl", "..", ".", "", "sub/run.0.spl"}) {
+    writeManifestText(checkpoint,
+                      "spill\t" + name + "\t1\t32\t4294967298\t4294967298\n");
+    expectRefused(checkpoint, "line 5", "spill name '" + name + "'");
+    writeManifestText(checkpoint,
+                      "mergeseg\t0\t" + name + "\t1\t24\t5\n");
+    expectRefused(checkpoint, "line 5", "mergeseg name '" + name + "'");
+    writeManifestText(checkpoint, "inflight\t" + name + "\n");
+    expectRefused(checkpoint, "line 5", "inflight name '" + name + "'");
+  }
+}
+
+TEST(CheckpointTest, ManifestRejectsAMergeShardAboveU32) {
+  ScratchDir scratch("chisimnet_fault_manifest_shard");
+  writeManifestText(scratch.path(),
+                    "mergeseg\t4294967296\tseg.0.cseg\t1\t24\t5\n");
+  expectRefused(scratch.path(), "line 5", "shard 2^32");
+}
+
+TEST(CheckpointTest, ManifestRejectsAnInvertedKeyRange) {
+  ScratchDir scratch("chisimnet_fault_manifest_inverted");
+  writeManifestText(scratch.path(), "spill\trun.0.spl\t3\t64\t9\t8\n");
+  expectRefused(scratch.path(), "line 5", "first key > last key");
+  // An empty run carries no range to check.
+  writeManifestText(scratch.path(), "spill\trun.0.spl\t0\t16\t9\t8\n");
+  EXPECT_EQ(loadCheckpointManifest(scratch.path())->spillRuns.size(), 1u);
+}
+
+TEST(CheckpointTest, OlderManifestFormatIsRefusedNamingItsVersion) {
+  ScratchDir scratch("chisimnet_fault_manifest_chkp1");
+  {
+    std::ofstream out(scratch.path() / kCheckpointManifestName);
+    out << "CHKP1\nfiles_consumed 2\nbatches_done 1\nconfig_hash 7\n"
+           "adjacency adjacency.2.cadj\n";
+  }
+  expectRefused(scratch.path(), "CHKP1", "CHKP1 manifest");
 }
 
 /// Acceptance: crash *inside a spill write* — after a spill-mode
@@ -804,11 +911,10 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
     }
     const auto manifest = loadCheckpointManifest(checkpoints.path());
     ASSERT_TRUE(manifest.has_value()) << label;
-    EXPECT_TRUE(manifest->spillMode) << label;
     EXPECT_EQ(manifest->filesConsumed, 2u) << label;
     EXPECT_EQ(manifest->batchesDone, 1u) << label;
     ASSERT_FALSE(manifest->spillRuns.empty()) << label;
-    for (const SpillRunEntry& run : manifest->spillRuns) {
+    for (const sparse::SpillRunInfo& run : manifest->spillRuns) {
       EXPECT_TRUE(std::filesystem::exists(checkpoints.path() / "spill" /
                                           run.file))
           << label << " " << run.file;

@@ -129,8 +129,8 @@ TEST(ShardMergePlanTest, StraddlingRunsAreSplitShardPure) {
   options.dir = scratch.path();
   options.rowsPerShard = 4;
   SpillingAccumulator accumulator(options);
-  // Adopted whole-space runs (the shape a stage-5 worker produces without
-  // splitRows routing) straddle many 4-row shards; plain add()+spillAll
+  // Adopted whole-space runs (e.g. written at a coarser shard width)
+  // straddle many 4-row shards; plain add()+spillAll
   // runs are shard-pure by construction. Mix both so the plan has to split
   // and regroup.
   const std::size_t slice = adds.size() / 5;
@@ -203,32 +203,6 @@ TEST(ShardMergePlanTest, EmptyAccumulatorYieldsEmptyPlan) {
   options.dir = scratch.path();
   SpillingAccumulator accumulator(options);
   EXPECT_TRUE(accumulator.buildShardMergePlan().empty());
-}
-
-TEST(ShardMergePlanTest, UnknownRangeRunIsSplit) {
-  ScratchDir scratch("chisimnet_shard_plan_unknown_range");
-  util::Rng rng(103);
-  // C(32,2) = 496 distinct pairs max; stay below so makeRun terminates.
-  const std::vector<AdjacencyTriplet> run = makeRun(rng, 400, 32);
-  SpillRunInfo info;
-  {
-    SpillRunWriter writer(scratch.path() / "run.0.spl");
-    writer.append(std::span<const AdjacencyTriplet>(run));
-    info = writer.finish();
-  }
-  // Model a pre-range manifest: the restored run has no recorded key range
-  // and must be treated as a potential straddler.
-  info.hasKeyRange = false;
-  info.firstKey = 0;
-  info.lastKey = 0;
-  SpillingAccumulator::Options options;
-  options.dir = scratch.path();
-  options.rowsPerShard = 8;
-  SpillingAccumulator accumulator(options);
-  accumulator.restoreRunFile(info);
-  const auto plan = accumulator.buildShardMergePlan();
-  EXPECT_GT(accumulator.stats().runsSplit, 0u);
-  EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), run);
 }
 
 // ---- segment concatenation vs the serial merge ----
@@ -391,9 +365,9 @@ std::string fileBytes(const std::filesystem::path& path) {
 
 // ---- byte identity across shard counts and backends ----
 
-/// Acceptance: the final CADJ must be byte-identical across reduce-shard
-/// counts, both backends and the serial baseline — and identical to
-/// saveAdjacency of the unbudgeted dense result.
+/// Acceptance: the final CADJ must be byte-identical across merge owner
+/// counts (the workers, a single owner included) and both backends — and
+/// identical to saveAdjacency of the unbudgeted dense result.
 TEST(ShardedSynthesisTest, ByteIdenticalAcrossShardCountsAndBackends) {
   const FuzzCase fuzz = makeCase(301);
   ScratchDir scratch("chisimnet_shard_synth_identity");
@@ -418,11 +392,11 @@ TEST(ShardedSynthesisTest, ByteIdenticalAcrossShardCountsAndBackends) {
   int variant = 0;
   for (const SynthesisBackend backend :
        {SynthesisBackend::kSharedMemory, SynthesisBackend::kMessagePassing}) {
-    for (const unsigned reduceShards : {1u, 3u, 5u}) {
+    for (const unsigned workers : {1u, 3u, 5u}) {
       const std::string label = std::string(backendName(backend)) +
-                                " shards " + std::to_string(reduceShards);
+                                " owners " + std::to_string(workers);
       config.backend = backend;
-      config.reduceShards = reduceShards;
+      config.workers = workers;
       ScratchDir spill("chisimnet_shard_synth_identity_spill_" +
                        std::to_string(variant));
       config.spillDir = spill.path();
@@ -433,11 +407,9 @@ TEST(ShardedSynthesisTest, ByteIdenticalAcrossShardCountsAndBackends) {
       synthesizer.synthesizeToFile(files, out);
       EXPECT_EQ(fileBytes(out), want) << label;
       const SynthesisReport& report = synthesizer.report();
-      EXPECT_EQ(report.reduceShardsUsed, reduceShards) << label;
-      if (reduceShards > 1) {
-        EXPECT_GT(report.mergeSegmentsWritten, 0u) << label;
-        EXPECT_GE(report.mergeSeconds, report.mergeCriticalSeconds) << label;
-      }
+      EXPECT_EQ(report.reduceShardsUsed, workers) << label;
+      EXPECT_GT(report.mergeSegmentsWritten, 0u) << label;
+      EXPECT_GE(report.mergeSeconds, report.mergeCriticalSeconds) << label;
     }
   }
 }
@@ -455,7 +427,6 @@ TEST(ShardedCheckpointTest, ManifestRoundTripsRangesAndMergeSegments) {
     writer.append(sparse::AdjacencyTriplet{7, 8, 2});
     run = writer.finish();
   }
-  ASSERT_TRUE(run.hasKeyRange);
   // A fake segment file the manifest references; only identity fields are
   // round-tripped here, content is irrelevant.
   {
@@ -466,22 +437,17 @@ TEST(ShardedCheckpointTest, ManifestRoundTripsRangesAndMergeSegments) {
   std::ofstream(spillDir / "seg.4.cseg.tmp") << "husk";    // GC target
 
   CheckpointManifest manifest;
-  manifest.spillMode = true;
   manifest.filesConsumed = 2;
   manifest.batchesDone = 1;
   manifest.configHash = 0xC0FFEE;
-  manifest.spillRuns.push_back(SpillRunEntry{run.file.filename().string(),
-                                             run.triplets, run.bytes,
-                                             run.hasKeyRange, run.firstKey,
-                                             run.lastKey});
+  manifest.spillRuns.push_back(run);
   manifest.mergeSegments.push_back(
       MergeSegmentEntry{0, "seg.0.cseg", 2, 32, 0xABCD1234});
-  saveSpillCheckpoint(scratch.path(), manifest, spillDir);
+  saveCheckpoint(scratch.path(), manifest, spillDir);
 
   const auto loaded = loadCheckpointManifest(scratch.path());
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->spillRuns.size(), 1u);
-  EXPECT_TRUE(loaded->spillRuns[0].hasKeyRange);
   EXPECT_EQ(loaded->spillRuns[0].firstKey, run.firstKey);
   EXPECT_EQ(loaded->spillRuns[0].lastKey, run.lastKey);
   ASSERT_EQ(loaded->mergeSegments.size(), 1u);
@@ -514,7 +480,6 @@ TEST(ShardedSynthesisTest, KillDuringMergeResumesOnlyUnfinishedShards) {
   config.workers = 2;
   config.filesPerBatch = 2;
   config.memoryBudgetBytes = std::uint64_t{32} << 20;
-  config.reduceShards = 3;
   config.mergeRowsPerShard = 8;
 
   // Reference: uninterrupted sharded run, no checkpointing.
@@ -552,7 +517,6 @@ TEST(ShardedSynthesisTest, KillDuringMergeResumesOnlyUnfinishedShards) {
   // checkpointed before the first throw, but not the full plan.
   const auto manifest = loadCheckpointManifest(checkpoints.path());
   ASSERT_TRUE(manifest.has_value());
-  EXPECT_TRUE(manifest->spillMode);
   const std::size_t finished = manifest->mergeSegments.size();
   ASSERT_GE(finished, 2u);
   ASSERT_LT(finished, totalSegments);
@@ -577,9 +541,9 @@ TEST(ShardedSynthesisTest, KillDuringMergeResumesOnlyUnfinishedShards) {
 
 // ---- cross-mode resume under the sharded merge ----
 
-/// A dense (unbudgeted) checkpoint resumed into a budgeted sharded-merge
-/// run, and a sharded spill checkpoint resumed into a dense run: both must
-/// reproduce the uninterrupted bytes. The budget and shard knobs stay
+/// An unbudgeted checkpoint resumed into a budgeted sharded-merge run, and
+/// a budgeted checkpoint resumed into an unbudgeted run: both must
+/// reproduce the uninterrupted bytes. The budget and shard width stay
 /// outside the config hash, so the cross-mode switch is legal.
 TEST(ShardedSynthesisTest, CrossModeResumeUnderShardedMerge) {
   const FuzzCase fuzz = makeCase(307);
@@ -616,7 +580,6 @@ TEST(ShardedSynthesisTest, CrossModeResumeUnderShardedMerge) {
     }
     config.resume = true;
     config.memoryBudgetBytes = std::uint64_t{32} << 20;
-    config.reduceShards = 3;
     config.mergeRowsPerShard = 8;
     const std::filesystem::path out = scratch.path() / "d2s.cadj";
     NetworkSynthesizer resumed(config);
@@ -625,14 +588,13 @@ TEST(ShardedSynthesisTest, CrossModeResumeUnderShardedMerge) {
     EXPECT_GT(resumed.report().mergeSegmentsWritten, 0u);
   }
 
-  // sharded spill checkpoint -> dense resume (the 6-field manifest entries
-  // must parse and fold into the dense map).
+  // sharded spill checkpoint -> dense resume (the runs must fold into the
+  // dense map).
   {
     ScratchDir checkpoints("chisimnet_shard_cross_mode_s2d");
     SynthesisConfig config = base;
     config.checkpointDir = checkpoints.path();
     config.memoryBudgetBytes = std::uint64_t{32} << 20;
-    config.reduceShards = 3;
     config.mergeRowsPerShard = 8;
     {
       FaultPlan plan;
@@ -646,13 +608,58 @@ TEST(ShardedSynthesisTest, CrossModeResumeUnderShardedMerge) {
     }
     config.resume = true;
     config.memoryBudgetBytes = 0;
-    config.reduceShards = 0;
     config.mergeRowsPerShard = 0;
     const std::filesystem::path out = scratch.path() / "s2d.cadj";
     NetworkSynthesizer resumed(config);
     sparse::saveAdjacency(resumed.synthesizeAdjacency(files), out);
     EXPECT_EQ(fileBytes(out), want) << "sharded spill -> dense";
   }
+}
+
+/// The unbudgeted checkpoint writes its dense sum as runs split at the
+/// merge-shard boundaries, so a budgeted resume with the same workers (and
+/// so the same shard width) adopts every run shard-pure: the merge plan
+/// splits nothing.
+TEST(ShardedSynthesisTest, BudgetedResumeOfUnboundedCheckpointSplitsNoRuns) {
+  const FuzzCase fuzz = makeCase(311);
+  ScratchDir scratch("chisimnet_shard_resume_no_split");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
+  ScratchDir checkpoints("chisimnet_shard_resume_no_split_ckpt");
+
+  SynthesisConfig config;
+  config.windowStart = fuzz.windowStart;
+  config.windowEnd = fuzz.windowEnd;
+  config.workers = 3;
+  config.filesPerBatch = 2;
+  config.mergeRowsPerShard = 8;  // several shards at fuzz-case sizes
+  const std::filesystem::path densePath = scratch.path() / "dense.cadj";
+  {
+    NetworkSynthesizer dense(config);
+    sparse::saveAdjacency(dense.synthesizeAdjacency(files), densePath);
+  }
+
+  config.checkpointDir = checkpoints.path();
+  {
+    FaultPlan plan;
+    plan.at("driver.batch",
+            FaultSpec{.action = FaultAction::kThrow, .hit = 2});
+    runtime::fault::ScopedFaultPlan scoped(plan);
+    NetworkSynthesizer interrupted(config);
+    EXPECT_THROW(interrupted.synthesizeAdjacency(files), FaultInjected);
+  }
+  const auto manifest = loadCheckpointManifest(checkpoints.path());
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_GT(manifest->spillRuns.size(), 1u) << "expected a multi-shard sum";
+
+  config.resume = true;
+  config.memoryBudgetBytes = std::uint64_t{32} << 20;
+  const std::filesystem::path out = scratch.path() / "resumed.cadj";
+  NetworkSynthesizer resumed(config);
+  resumed.synthesizeToFile(files, out);
+  EXPECT_EQ(fileBytes(out), fileBytes(densePath));
+  EXPECT_TRUE(resumed.report().resumed);
+  EXPECT_EQ(resumed.report().spillRunsSplit, 0u);
 }
 
 }  // namespace

@@ -332,10 +332,12 @@ TEST(TcpProtocolTest, ShipChunkRoundTripsAndOverrunIsRejected) {
 
 TEST(TcpProtocolTest, ShippedRunRefRoundTripsAsItsOwnMode) {
   mp::RunRef ref;
-  ref.file = "run_000007.spill";  // bare name: bytes travelled on kShipTag
+  ref.run.file = "run_000007.spill";  // bare name: bytes travelled on kShipTag
   ref.shipped = true;
-  ref.bytes = 123456;
-  ref.triplets = 789;
+  ref.run.bytes = 123456;
+  ref.run.triplets = 789;
+  ref.run.firstKey = 5;
+  ref.run.lastKey = 9;
   std::vector<std::byte> buffer;
   mp::putRunRef(buffer, ref);
   std::size_t cursor = 0;
@@ -343,15 +345,17 @@ TEST(TcpProtocolTest, ShippedRunRefRoundTripsAsItsOwnMode) {
   EXPECT_EQ(cursor, buffer.size());
   EXPECT_TRUE(back.shipped);
   EXPECT_TRUE(back.isFile());
-  EXPECT_EQ(back.file, ref.file);
-  EXPECT_EQ(back.bytes, ref.bytes);
-  EXPECT_EQ(back.triplets, ref.triplets);
+  EXPECT_EQ(back.run.file, ref.run.file);
+  EXPECT_EQ(back.run.bytes, ref.run.bytes);
+  EXPECT_EQ(back.run.triplets, ref.run.triplets);
+  EXPECT_EQ(back.run.firstKey, ref.run.firstKey);
+  EXPECT_EQ(back.run.lastKey, ref.run.lastKey);
 
   // A plain file ref must come back unshipped — the two file modes must
   // not alias.
   mp::RunRef plain;
-  plain.file = "/spill/run_000001.spill";
-  plain.bytes = 42;
+  plain.run.file = "/spill/run_000001.spill";
+  plain.run.bytes = 42;
   buffer.clear();
   mp::putRunRef(buffer, plain);
   cursor = 0;
@@ -379,8 +383,7 @@ TEST(InflightCheckpointTest, SnapshotRoundTripsExactly) {
   manifest.filesConsumed = 2;
   manifest.batchesDone = 1;
   manifest.configHash = 0x1234;
-  sparse::SymmetricAdjacency adjacency(32);
-  adjacency.add(1, 2, 3);
+  const auto spillDir = scratch.path() / "spill";
 
   InflightBatch inflight;
   for (const Event& event : rowsOf(fuzz.events)) {
@@ -390,7 +393,7 @@ TEST(InflightCheckpointTest, SnapshotRoundTripsExactly) {
   inflight.filesInBatch = 2;
   inflight.quarantined.push_back(elog::QuarantinedFile{
       "/logs/rank_0005.clg5", 3, 512, "chunk crc mismatch"});
-  saveCheckpoint(scratch.path(), manifest, adjacency, &inflight);
+  saveCheckpoint(scratch.path(), manifest, spillDir, &inflight);
 
   const auto loaded = loadCheckpointManifest(scratch.path());
   ASSERT_TRUE(loaded.has_value());
@@ -408,7 +411,7 @@ TEST(InflightCheckpointTest, SnapshotRoundTripsExactly) {
   EXPECT_EQ(restored->quarantined[0].reason, "chunk crc mismatch");
 
   // A checkpoint written without a snapshot restores to nullopt.
-  saveCheckpoint(scratch.path(), manifest, adjacency);
+  saveCheckpoint(scratch.path(), manifest, spillDir);
   const auto bare = loadCheckpointManifest(scratch.path());
   ASSERT_TRUE(bare.has_value());
   EXPECT_TRUE(bare->inflightFile.empty());
@@ -420,13 +423,13 @@ TEST(InflightCheckpointTest, CorruptSnapshotIsRejectedNotComputedOn) {
   const FuzzCase fuzz = makeCase(6);
   CheckpointManifest manifest;
   manifest.filesConsumed = 1;
-  sparse::SymmetricAdjacency adjacency(16);
   InflightBatch inflight;
   for (const Event& event : rowsOf(fuzz.events)) {
     inflight.events.append(event);
   }
   inflight.filesInBatch = 1;
-  saveCheckpoint(scratch.path(), manifest, adjacency, &inflight);
+  saveCheckpoint(scratch.path(), manifest, scratch.path() / "spill",
+                 &inflight);
   const auto loaded = loadCheckpointManifest(scratch.path());
   ASSERT_TRUE(loaded.has_value());
 
@@ -1006,7 +1009,7 @@ TEST(TcpSynthesisTest, DeadWorkerProcessIsLostAndItsWorkReassigned) {
 }
 
 /// Spill mode: the streamed CADJ file must be byte-identical to the
-/// shared-memory backend's, in both the single-owner and sharded merges.
+/// shared-memory backend's, for one-shard and multi-shard merge plans.
 /// Over TCP every worker spills into its own private local directory (no
 /// shared filesystem assumed) and ships run bytes to the root on kShipTag;
 /// over AF_UNIX the workers share the root's spill directory.
@@ -1017,25 +1020,25 @@ void expectSpillBitIdentical(MpTransport transport, std::uint64_t seed) {
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
   ScratchDir out("chisimnet_sock_spill_out");
 
-  for (const unsigned shards : {1u, 2u}) {
-    const std::string label = "reduce shards " + std::to_string(shards);
+  for (const std::uint32_t rows : {0u, 16u}) {
+    const std::string label = "merge rows " + std::to_string(rows);
     SynthesisConfig sharedConfig;
     sharedConfig.windowStart = fuzz.windowStart;
     sharedConfig.windowEnd = fuzz.windowEnd;
     sharedConfig.workers = 3;
     sharedConfig.memoryBudgetBytes = 32 << 10;  // force real spills
-    sharedConfig.reduceShards = shards;
+    sharedConfig.mergeRowsPerShard = rows;
     sharedConfig.spillDir = (out.path() / ("shared_spill" +
-                                           std::to_string(shards))).string();
+                                           std::to_string(rows))).string();
     NetworkSynthesizer shared(sharedConfig);
-    const auto sharedOut = out.path() / ("shared" + std::to_string(shards));
+    const auto sharedOut = out.path() / ("shared" + std::to_string(rows));
     const std::uint64_t sharedEdges = shared.synthesizeToFile(files, sharedOut);
 
     SynthesisConfig config = socketConfig(fuzz, transport);
     config.memoryBudgetBytes = 32 << 10;
-    config.reduceShards = shards;
+    config.mergeRowsPerShard = rows;
     NetworkSynthesizer synthesizer(config);
-    const auto mpOut = out.path() / ("mp" + std::to_string(shards));
+    const auto mpOut = out.path() / ("mp" + std::to_string(rows));
     const std::uint64_t mpEdges = synthesizer.synthesizeToFile(files, mpOut);
 
     EXPECT_EQ(mpEdges, sharedEdges) << label;

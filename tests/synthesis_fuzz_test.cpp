@@ -184,23 +184,20 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
           << label;
 
       // The streaming file writer must produce the same CADJ bytes as
-      // saving the equivalent in-memory result — across the reduce-shard
-      // axis. 1 takes the legacy serial k-way merge, 3 and 0 (auto =
-      // workers) take the owner-sharded parallel merge; the shard count is
-      // a perf knob only, never an output knob.
+      // saving the equivalent in-memory result — across the merge-shard
+      // width axis. 0 (auto) collapses fuzz-case person counts into one
+      // shard; 16 rows per shard exercises a multi-segment merge plan. The
+      // width is a perf knob only, never an output knob.
       const std::filesystem::path dense =
           scratch.path() / ("dense_" + label + ".cadj");
       sparse::saveAdjacency(reference, dense);
       std::ifstream b(dense, std::ios::binary);
       const std::string bytesB((std::istreambuf_iterator<char>(b)),
                                std::istreambuf_iterator<char>());
-      for (const unsigned reduceShards : {1u, 3u, 0u}) {
-        config.reduceShards = reduceShards;
-        // Small rows per shard so the sharded runs exercise a multi-segment
-        // merge plan even at fuzz-case person counts.
-        config.mergeRowsPerShard = reduceShards == 1 ? 0 : 16;
+      for (const std::uint32_t rowsPerShard : {0u, 16u}) {
+        config.mergeRowsPerShard = rowsPerShard;
         const std::string shardLabel =
-            label + " reduce-shards " + std::to_string(reduceShards);
+            label + " merge-rows " + std::to_string(rowsPerShard);
         const std::filesystem::path streamed =
             scratch.path() / ("streamed_" + shardLabel + ".cadj");
         NetworkSynthesizer streaming(config);
@@ -211,11 +208,9 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
         const std::string bytesA((std::istreambuf_iterator<char>(a)),
                                  std::istreambuf_iterator<char>());
         EXPECT_EQ(bytesA, bytesB) << shardLabel;
-        EXPECT_EQ(streaming.report().reduceShardsUsed,
-                  resolvedReduceShards(config))
+        EXPECT_EQ(streaming.report().reduceShardsUsed, config.workers)
             << shardLabel;
       }
-      config.reduceShards = 0;
       config.mergeRowsPerShard = 0;
     }
   }

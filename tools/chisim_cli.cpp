@@ -349,7 +349,6 @@ int cmdSynthesize(const Args& args) {
   config.resume = args.flag("resume");
   config.memoryBudgetBytes = args.bytes("memory-budget", 0);
   config.spillDir = args.str("spill-dir", "");
-  config.reduceShards = args.num<unsigned>("reduce-shards", 0);
   args.rejectUnknown();
 
   const auto files = elog::listLogFiles(logs);
@@ -433,14 +432,12 @@ int cmdSynthesize(const Args& args) {
               << report.spilledBytes / 1024 / 1024 << " MiB, "
               << report.spilledTriplets << " triplets), "
               << report.spillCompactions << " compactions\n";
-    if (report.reduceShardsUsed > 1) {
-      std::cout << "merge: " << report.reduceShardsUsed << " owners, "
-                << report.mergeSegmentsWritten << " segments ("
-                << report.mergeSegmentsReused << " reused, "
-                << report.spillRunsSplit << " runs split), "
-                << report.mergeSeconds << " s merge CPU, critical path "
-                << report.mergeCriticalSeconds << " s\n";
-    }
+    std::cout << "merge: " << report.reduceShardsUsed << " owners, "
+              << report.mergeSegmentsWritten << " segments ("
+              << report.mergeSegmentsReused << " reused, "
+              << report.spillRunsSplit << " runs split), "
+              << report.mergeSeconds << " s merge CPU, critical path "
+              << report.mergeCriticalSeconds << " s\n";
   }
   std::cout << "wrote " << out << " ("
             << std::filesystem::file_size(out) / 1024 / 1024 << " MiB)\n";
@@ -609,7 +606,6 @@ void printUsage() {
       "              [--connect-retries N] [--reconnect-grace-ms MS]\n"
       "              [--tcp-listen HOST:PORT]   (tcp: external workers)\n"
       "              [--memory-budget BYTES[K|M|G]] [--spill-dir DIR]\n"
-      "              [--reduce-shards N]\n"
       "  worker      --connect HOST:PORT --rank N --rank-count R\n"
       "              [--connect-timeout-ms MS] [--connect-retries N]\n"
       "              (join a --transport tcp synthesis root from another host)\n"
