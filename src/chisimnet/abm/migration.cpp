@@ -1,7 +1,6 @@
 #include "chisimnet/abm/migration.hpp"
 
-#include <cstring>
-
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/error.hpp"
 
 namespace chisimnet::abm {
@@ -12,24 +11,6 @@ namespace {
 // doubles as the version so a mixed-build mismatch fails loudly.
 constexpr std::uint32_t kBatchMagic = 0x32424D43;  // "CMB2"
 
-template <typename T>
-void appendRaw(std::vector<std::byte>& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* bytes = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), bytes, bytes + sizeof(T));
-}
-
-template <typename T>
-T readRaw(std::span<const std::byte> payload, std::size_t& offset) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  CHISIM_CHECK(offset + sizeof(T) <= payload.size(),
-               "migration batch truncated");
-  T value;
-  std::memcpy(&value, payload.data() + offset, sizeof(T));
-  offset += sizeof(T);
-  return value;
-}
-
 }  // namespace
 
 std::vector<std::byte> encodeMigrationBatch(const MigrationBatch& batch) {
@@ -38,57 +19,49 @@ std::vector<std::byte> encodeMigrationBatch(const MigrationBatch& batch) {
     bytes += 4 * sizeof(std::uint32_t) +
              record.stints.size() * sizeof(pop::PackedStint);
   }
-  std::vector<std::byte> out;
-  out.reserve(bytes);
-  appendRaw(out, kBatchMagic);
-  appendRaw(out, batch.hour);
-  appendRaw(out, batch.nextEventHint);
-  appendRaw(out, batch.flags);
-  appendRaw(out, static_cast<std::uint32_t>(batch.migrants.size()));
+  util::ByteWriter out(bytes);
+  out.u32(kBatchMagic);
+  out.u32(batch.hour);
+  out.u64(batch.nextEventHint);
+  out.u32(batch.flags);
+  out.u32(static_cast<std::uint32_t>(batch.migrants.size()));
   for (const MigrantRecord& record : batch.migrants) {
-    appendRaw(out, record.person);
-    appendRaw(out, record.weekIndex);
-    appendRaw(out, record.stintIndex);
-    appendRaw(out, static_cast<std::uint32_t>(record.stints.size()));
-    for (const pop::PackedStint& stint : record.stints) {
-      appendRaw(out, stint);
-    }
+    out.u32(record.person);
+    out.u32(record.weekIndex);
+    out.u32(record.stintIndex);
+    out.u32(static_cast<std::uint32_t>(record.stints.size()));
+    out.rows(record.stints);
   }
-  return out;
+  return out.take();
 }
 
 MigrationBatch decodeMigrationBatch(std::span<const std::byte> payload,
                                     table::Hour expectedHour) {
-  std::size_t offset = 0;
-  CHISIM_CHECK(readRaw<std::uint32_t>(payload, offset) == kBatchMagic,
-               "migration batch has a bad magic");
+  util::ByteReader in(payload, "migration batch");
+  CHISIM_CHECK(in.u32() == kBatchMagic, "migration batch has a bad magic");
   MigrationBatch batch;
-  batch.hour = readRaw<table::Hour>(payload, offset);
+  batch.hour = in.u32();
   CHISIM_CHECK(batch.hour == expectedHour,
                "migration batch timestamp does not match the current hour");
-  batch.nextEventHint = readRaw<std::uint64_t>(payload, offset);
-  batch.flags = readRaw<std::uint32_t>(payload, offset);
-  const auto count = readRaw<std::uint32_t>(payload, offset);
-  // Each record is at least 16 bytes of header plus one stint.
-  CHISIM_CHECK(count <= payload.size() / 16, "migration batch count implausible");
+  batch.nextEventHint = in.u64();
+  batch.flags = in.u32();
+  // Each record is at least 16 bytes of header plus one 8-byte stint.
+  const std::uint64_t count = in.count(in.u32(), 16 + 8, "migrants");
   batch.migrants.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::uint64_t i = 0; i < count; ++i) {
     MigrantRecord record;
-    record.person = readRaw<table::PersonId>(payload, offset);
-    record.weekIndex = readRaw<std::uint32_t>(payload, offset);
-    record.stintIndex = readRaw<std::uint32_t>(payload, offset);
-    const auto stintCount = readRaw<std::uint32_t>(payload, offset);
+    record.person = in.u32();
+    record.weekIndex = in.u32();
+    record.stintIndex = in.u32();
+    const std::uint32_t stintCount = in.u32();
     CHISIM_CHECK(stintCount >= 1 && stintCount <= pop::kHoursPerWeek,
                  "migrant stint count out of range");
     CHISIM_CHECK(record.stintIndex < stintCount,
                  "migrant stint index out of range");
-    record.stints.reserve(stintCount);
-    for (std::uint32_t s = 0; s < stintCount; ++s) {
-      record.stints.push_back(readRaw<pop::PackedStint>(payload, offset));
-    }
+    record.stints = in.rows<pop::PackedStint>(stintCount, "stints");
     batch.migrants.push_back(std::move(record));
   }
-  CHISIM_CHECK(offset == payload.size(), "migration batch has trailing bytes");
+  in.expectEnd();
   return batch;
 }
 

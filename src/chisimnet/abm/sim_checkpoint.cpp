@@ -24,98 +24,51 @@ constexpr std::uint32_t kRankMagic = 0x434D4241u;  // "ABMC"
 constexpr std::uint32_t kRankVersion = 1;
 constexpr const char* kManifestMagic = "SCKP1";
 
-void put32(std::vector<std::byte>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>(value >> shift));
-  }
-}
-
-void put64(std::vector<std::byte>& out, std::uint64_t value) {
-  put32(out, static_cast<std::uint32_t>(value));
-  put32(out, static_cast<std::uint32_t>(value >> 32));
-}
-
-std::uint32_t take32(std::span<const std::byte> bytes, std::size_t& cursor) {
-  CHISIM_CHECK(cursor + 4 <= bytes.size(), "truncated rank checkpoint");
-  const std::uint32_t value =
-      static_cast<std::uint32_t>(bytes[cursor]) |
-      (static_cast<std::uint32_t>(bytes[cursor + 1]) << 8) |
-      (static_cast<std::uint32_t>(bytes[cursor + 2]) << 16) |
-      (static_cast<std::uint32_t>(bytes[cursor + 3]) << 24);
-  cursor += 4;
-  return value;
-}
-
-std::uint64_t take64(std::span<const std::byte> bytes, std::size_t& cursor) {
-  const std::uint64_t low = take32(bytes, cursor);
-  const std::uint64_t high = take32(bytes, cursor);
-  return low | (high << 32);
-}
-
-void putBuckets(std::vector<std::byte>& out,
-                const std::vector<HourBucket>& buckets) {
-  put32(out, static_cast<std::uint32_t>(buckets.size()));
+void putBuckets(util::ByteWriter& out, const std::vector<HourBucket>& buckets) {
+  out.u32(static_cast<std::uint32_t>(buckets.size()));
   for (const HourBucket& bucket : buckets) {
-    put32(out, bucket.hour);
-    put32(out, static_cast<std::uint32_t>(bucket.persons.size()));
-    for (PersonId person : bucket.persons) {
-      put32(out, person);
-    }
+    out.u32(bucket.hour);
+    out.u32(static_cast<std::uint32_t>(bucket.persons.size()));
+    out.rows(bucket.persons);
   }
 }
 
-std::vector<HourBucket> takeBuckets(std::span<const std::byte> bytes,
-                                    std::size_t& cursor) {
-  const std::uint32_t count = take32(bytes, cursor);
+std::vector<HourBucket> takeBuckets(util::ByteReader& in) {
   // Each bucket takes at least 8 bytes (hour + person count).
-  CHISIM_CHECK(count <= (bytes.size() - cursor) / 8,
-               "rank checkpoint declares more calendar buckets than its "
-               "bytes can hold");
+  const std::uint64_t count = in.count(in.u32(), 8, "calendar buckets");
   std::vector<HourBucket> buckets;
   buckets.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
+  for (std::uint64_t i = 0; i < count; ++i) {
     HourBucket bucket;
-    bucket.hour = take32(bytes, cursor);
-    const std::uint32_t persons = take32(bytes, cursor);
-    CHISIM_CHECK(persons <= (bytes.size() - cursor) / 4,
-                 "rank checkpoint declares more bucket entries than its "
-                 "bytes can hold");
-    bucket.persons.reserve(persons);
-    for (std::uint32_t p = 0; p < persons; ++p) {
-      bucket.persons.push_back(take32(bytes, cursor));
-    }
+    bucket.hour = in.u32();
+    bucket.persons = in.rows<PersonId>(in.u32(), "bucket entries");
     buckets.push_back(std::move(bucket));
   }
   return buckets;
 }
 
-void putEvents(std::vector<std::byte>& out,
-               const std::vector<table::Event>& events) {
-  put32(out, static_cast<std::uint32_t>(events.size()));
-  for (const table::Event& event : events) {
-    put32(out, event.start);
-    put32(out, event.end);
-    put32(out, event.person);
-    put32(out, event.activity);
-    put32(out, event.place);
+/// Buffered CLX5 disease transitions: per entry the base log entry row and
+/// its two extra columns.
+void putTransitions(util::ByteWriter& out,
+                    const std::vector<elog::ExtendedEvent>& transitions) {
+  out.u32(static_cast<std::uint32_t>(transitions.size()));
+  for (const elog::ExtendedEvent& entry : transitions) {
+    CHISIM_CHECK(entry.extras.size() == 2,
+                 "disease buffer entry must carry two extras");
+    out.row(entry.base);
+    out.rows(entry.extras);
   }
 }
 
-std::vector<table::Event> takeEvents(std::span<const std::byte> bytes,
-                                     std::size_t& cursor) {
-  const std::uint32_t count = take32(bytes, cursor);
-  CHISIM_CHECK(count <= (bytes.size() - cursor) / 20,
-               "rank checkpoint declares more cached events than its bytes "
-               "can hold");
-  std::vector<table::Event> events(count);
-  for (table::Event& event : events) {
-    event.start = take32(bytes, cursor);
-    event.end = take32(bytes, cursor);
-    event.person = take32(bytes, cursor);
-    event.activity = take32(bytes, cursor);
-    event.place = take32(bytes, cursor);
+std::vector<elog::ExtendedEvent> takeTransitions(util::ByteReader& in) {
+  const std::uint64_t count = in.count(
+      in.u32(), sizeof(table::Event) + 2 * 4, "buffered transitions");
+  std::vector<elog::ExtendedEvent> transitions(count);
+  for (elog::ExtendedEvent& entry : transitions) {
+    entry.base = in.row<table::Event>();
+    entry.extras = in.rows<std::uint32_t>(2, "transition extras");
   }
-  return events;
+  return transitions;
 }
 
 std::string rankFileName(int rank, Hour hour) {
@@ -191,121 +144,85 @@ std::uint32_t simConfigHash(std::size_t personCount, std::size_t placeCount,
 }
 
 std::vector<std::byte> encodeRankCheckpoint(const RankCheckpoint& checkpoint) {
-  std::vector<std::byte> body;
-  body.reserve(64 + checkpoint.residents.size() * 20);
-  put32(body, checkpoint.hour);
-  put32(body, checkpoint.diseaseEnabled ? 1 : 0);
-  put64(body, checkpoint.outcome.events);
-  put64(body, checkpoint.outcome.migrationsOut);
-  put64(body, checkpoint.outcome.localMoves);
-  put64(body, checkpoint.outcome.initialAgents);
-  put64(body, checkpoint.outcome.logBytes);
-  put64(body, checkpoint.outcome.infections);
-  put64(body, checkpoint.outcome.hoursProcessed);
-  put64(body, checkpoint.outcome.peakQueueDepth);
-  put32(body, static_cast<std::uint32_t>(checkpoint.residents.size()));
+  util::ByteWriter body(64 + checkpoint.residents.size() * 20);
+  body.u32(checkpoint.hour);
+  body.u32(checkpoint.diseaseEnabled ? 1 : 0);
+  body.u64(checkpoint.outcome.events);
+  body.u64(checkpoint.outcome.migrationsOut);
+  body.u64(checkpoint.outcome.localMoves);
+  body.u64(checkpoint.outcome.initialAgents);
+  body.u64(checkpoint.outcome.logBytes);
+  body.u64(checkpoint.outcome.infections);
+  body.u64(checkpoint.outcome.hoursProcessed);
+  body.u64(checkpoint.outcome.peakQueueDepth);
+  body.u32(static_cast<std::uint32_t>(checkpoint.residents.size()));
   for (const AgentSnapshot& agent : checkpoint.residents) {
-    put32(body, agent.person);
-    put32(body, agent.weekIndex);
-    put32(body, agent.stintIndex);
+    body.u32(agent.person);
+    body.u32(agent.weekIndex);
+    body.u32(agent.stintIndex);
     if (checkpoint.diseaseEnabled) {
-      put32(body, agent.state);
-      put32(body, agent.since);
+      body.u32(agent.state);
+      body.u32(agent.since);
     }
   }
   putBuckets(body, checkpoint.calendar);
-  put64(body, checkpoint.logBytes);
-  put64(body, checkpoint.logEntries);
-  put64(body, checkpoint.logFlushCount);
-  putEvents(body, checkpoint.logCache);
+  body.u64(checkpoint.logBytes);
+  body.u64(checkpoint.logEntries);
+  body.u64(checkpoint.logFlushCount);
+  body.u32(static_cast<std::uint32_t>(checkpoint.logCache.size()));
+  body.rows(checkpoint.logCache);
   if (checkpoint.diseaseEnabled) {
-    put64(body, checkpoint.clxBytes);
-    put64(body, checkpoint.clxEntries);
-    put32(body, static_cast<std::uint32_t>(checkpoint.clxBuffer.size()));
-    for (const elog::ExtendedEvent& entry : checkpoint.clxBuffer) {
-      CHISIM_CHECK(entry.extras.size() == 2,
-                   "disease buffer entry must carry two extras");
-      put32(body, entry.base.start);
-      put32(body, entry.base.end);
-      put32(body, entry.base.person);
-      put32(body, entry.base.activity);
-      put32(body, entry.base.place);
-      put32(body, entry.extras[0]);
-      put32(body, entry.extras[1]);
-    }
+    body.u64(checkpoint.clxBytes);
+    body.u64(checkpoint.clxEntries);
+    putTransitions(body, checkpoint.clxBuffer);
     putBuckets(body, checkpoint.progressions);
-    put32(body, static_cast<std::uint32_t>(checkpoint.hourlyInfectious.size()));
-    for (std::uint32_t value : checkpoint.hourlyInfectious) {
-      put32(body, value);
-    }
+    body.u32(static_cast<std::uint32_t>(checkpoint.hourlyInfectious.size()));
+    body.rows(checkpoint.hourlyInfectious);
   }
-  return body;
+  return body.take();
 }
 
 RankCheckpoint decodeRankCheckpoint(std::span<const std::byte> bytes) {
-  std::size_t cursor = 0;
+  util::ByteReader in(bytes, "rank checkpoint");
   RankCheckpoint checkpoint;
-  checkpoint.hour = take32(bytes, cursor);
-  checkpoint.diseaseEnabled = take32(bytes, cursor) != 0;
-  checkpoint.outcome.events = take64(bytes, cursor);
-  checkpoint.outcome.migrationsOut = take64(bytes, cursor);
-  checkpoint.outcome.localMoves = take64(bytes, cursor);
-  checkpoint.outcome.initialAgents = take64(bytes, cursor);
-  checkpoint.outcome.logBytes = take64(bytes, cursor);
-  checkpoint.outcome.infections = take64(bytes, cursor);
-  checkpoint.outcome.hoursProcessed = take64(bytes, cursor);
-  checkpoint.outcome.peakQueueDepth = take64(bytes, cursor);
-  const std::uint32_t residents = take32(bytes, cursor);
-  const std::size_t residentBytes = checkpoint.diseaseEnabled ? 20 : 12;
-  CHISIM_CHECK(residents <= (bytes.size() - cursor) / residentBytes,
-               "rank checkpoint declares more residents than its bytes can "
-               "hold");
+  checkpoint.hour = in.u32();
+  checkpoint.diseaseEnabled = in.u32() != 0;
+  checkpoint.outcome.events = in.u64();
+  checkpoint.outcome.migrationsOut = in.u64();
+  checkpoint.outcome.localMoves = in.u64();
+  checkpoint.outcome.initialAgents = in.u64();
+  checkpoint.outcome.logBytes = in.u64();
+  checkpoint.outcome.infections = in.u64();
+  checkpoint.outcome.hoursProcessed = in.u64();
+  checkpoint.outcome.peakQueueDepth = in.u64();
+  const std::uint64_t residents =
+      in.count(in.u32(), checkpoint.diseaseEnabled ? 20 : 12, "residents");
   checkpoint.residents.reserve(residents);
-  for (std::uint32_t i = 0; i < residents; ++i) {
+  for (std::uint64_t i = 0; i < residents; ++i) {
     AgentSnapshot agent;
-    agent.person = take32(bytes, cursor);
-    agent.weekIndex = take32(bytes, cursor);
-    agent.stintIndex = take32(bytes, cursor);
+    agent.person = in.u32();
+    agent.weekIndex = in.u32();
+    agent.stintIndex = in.u32();
     if (checkpoint.diseaseEnabled) {
-      agent.state = take32(bytes, cursor);
-      agent.since = take32(bytes, cursor);
+      agent.state = in.u32();
+      agent.since = in.u32();
     }
     checkpoint.residents.push_back(agent);
   }
-  checkpoint.calendar = takeBuckets(bytes, cursor);
-  checkpoint.logBytes = take64(bytes, cursor);
-  checkpoint.logEntries = take64(bytes, cursor);
-  checkpoint.logFlushCount = take64(bytes, cursor);
-  checkpoint.logCache = takeEvents(bytes, cursor);
+  checkpoint.calendar = takeBuckets(in);
+  checkpoint.logBytes = in.u64();
+  checkpoint.logEntries = in.u64();
+  checkpoint.logFlushCount = in.u64();
+  checkpoint.logCache = in.rows<table::Event>(in.u32(), "cached events");
   if (checkpoint.diseaseEnabled) {
-    checkpoint.clxBytes = take64(bytes, cursor);
-    checkpoint.clxEntries = take64(bytes, cursor);
-    const std::uint32_t buffered = take32(bytes, cursor);
-    CHISIM_CHECK(buffered <= (bytes.size() - cursor) / 28,
-                 "rank checkpoint declares more buffered transitions than "
-                 "its bytes can hold");
-    checkpoint.clxBuffer.reserve(buffered);
-    for (std::uint32_t i = 0; i < buffered; ++i) {
-      elog::ExtendedEvent entry;
-      entry.base.start = take32(bytes, cursor);
-      entry.base.end = take32(bytes, cursor);
-      entry.base.person = take32(bytes, cursor);
-      entry.base.activity = take32(bytes, cursor);
-      entry.base.place = take32(bytes, cursor);
-      entry.extras = {take32(bytes, cursor), take32(bytes, cursor)};
-      checkpoint.clxBuffer.push_back(std::move(entry));
-    }
-    checkpoint.progressions = takeBuckets(bytes, cursor);
-    const std::uint32_t hours = take32(bytes, cursor);
-    CHISIM_CHECK(hours <= (bytes.size() - cursor) / 4,
-                 "rank checkpoint declares more prevalence rows than its "
-                 "bytes can hold");
-    checkpoint.hourlyInfectious.reserve(hours);
-    for (std::uint32_t h = 0; h < hours; ++h) {
-      checkpoint.hourlyInfectious.push_back(take32(bytes, cursor));
-    }
+    checkpoint.clxBytes = in.u64();
+    checkpoint.clxEntries = in.u64();
+    checkpoint.clxBuffer = takeTransitions(in);
+    checkpoint.progressions = takeBuckets(in);
+    checkpoint.hourlyInfectious =
+        in.rows<std::uint32_t>(in.u32(), "prevalence rows");
   }
-  CHISIM_CHECK(cursor == bytes.size(), "rank checkpoint has trailing bytes");
+  in.expectEnd();
   return checkpoint;
 }
 

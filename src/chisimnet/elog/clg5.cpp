@@ -14,46 +14,11 @@ constexpr char kMagic[4] = {'C', 'L', 'G', '5'};
 constexpr std::uint64_t kHeaderBytes = 4 + 4 + 4 + 8;
 constexpr std::uint64_t kChunkHeaderBytes = 4 * 6;
 
-std::vector<std::byte> serializeRaw(std::span<const table::Event> entries) {
-  std::vector<std::byte> payload(entries.size() * kEntryBytes);
-  std::size_t cursor = 0;
-  const auto put = [&payload, &cursor](std::uint32_t value) {
-    payload[cursor++] = static_cast<std::byte>(value);
-    payload[cursor++] = static_cast<std::byte>(value >> 8);
-    payload[cursor++] = static_cast<std::byte>(value >> 16);
-    payload[cursor++] = static_cast<std::byte>(value >> 24);
-  };
-  for (const table::Event& event : entries) {
-    put(event.start);
-    put(event.end);
-    put(event.person);
-    put(event.activity);
-    put(event.place);
-  }
-  return payload;
-}
-
+/// A raw chunk payload is the entries' util row block (20 bytes each).
 std::vector<table::Event> deserializeRaw(std::span<const std::byte> payload) {
   CHISIM_CHECK(payload.size() % kEntryBytes == 0, "corrupt chunk payload size");
-  std::vector<table::Event> entries(payload.size() / kEntryBytes);
-  std::size_t cursor = 0;
-  const auto take = [&payload, &cursor]() {
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(payload[cursor]) |
-        (static_cast<std::uint32_t>(payload[cursor + 1]) << 8) |
-        (static_cast<std::uint32_t>(payload[cursor + 2]) << 16) |
-        (static_cast<std::uint32_t>(payload[cursor + 3]) << 24);
-    cursor += 4;
-    return value;
-  };
-  for (table::Event& event : entries) {
-    event.start = take();
-    event.end = take();
-    event.person = take();
-    event.activity = take();
-    event.place = take();
-  }
-  return entries;
+  util::ByteReader in(payload, "CLG5 raw chunk");
+  return in.rows<table::Event>(payload.size() / kEntryBytes, "entries");
 }
 
 /// Column-split packed encoding: start/end as zigzag deltas (near-sorted in
@@ -90,6 +55,13 @@ std::vector<std::byte> serializePacked(std::span<const table::Event> entries) {
 
 std::vector<table::Event> deserializePacked(std::span<const std::byte> payload,
                                             std::uint32_t entryCount) {
+  // Every packed entry takes at least one varint byte in each of its five
+  // columns: bound the declared count by the payload before allocating.
+  CHISIM_CHECK(entryCount <= payload.size() / 5,
+               "packed chunk declares " + std::to_string(entryCount) +
+                   " entries, more than its " +
+                   std::to_string(payload.size()) +
+                   " payload bytes can hold (at least 5 bytes per entry)");
   std::vector<table::Event> entries(entryCount);
   std::size_t cursor = 0;
   std::int64_t previous = 0;
@@ -117,10 +89,6 @@ std::vector<table::Event> deserializePacked(std::span<const std::byte> payload,
   return entries;
 }
 
-}  // namespace
-
-namespace {
-
 std::string clg5ErrorMessage(const std::filesystem::path& file,
                              std::int64_t chunkIndex,
                              std::uint64_t firstRecord,
@@ -136,6 +104,50 @@ std::string clg5ErrorMessage(const std::filesystem::path& file,
 }
 
 }  // namespace
+
+void writeChunkFooter(std::ostream& out, std::span<const ChunkInfo> chunks) {
+  util::ByteWriter body(8 + chunks.size() * 20);
+  body.u64(chunks.size());
+  for (const ChunkInfo& chunk : chunks) {
+    body.u64(chunk.offset);
+    body.u32(chunk.entryCount);
+    body.u32(chunk.minStart);
+    body.u32(chunk.maxEnd);
+  }
+  const std::vector<std::byte> bytes = body.take();
+  util::writeBytes(out, bytes);
+  util::writeU32(out, util::crc32(bytes));
+}
+
+std::vector<ChunkInfo> readChunkFooter(std::istream& in,
+                                       const std::filesystem::path& path,
+                                       std::uint64_t footerOffset) {
+  in.seekg(static_cast<std::streamoff>(footerOffset));
+  const std::uint64_t chunkCount = util::readU64(in);
+  // Validate the declared footer size against the file before sizing the
+  // buffer off it: a corrupt count must not drive a blind allocation.
+  std::error_code sizeError;
+  const std::uintmax_t fileBytes = std::filesystem::file_size(path, sizeError);
+  CHISIM_CHECK(!sizeError && chunkCount <= fileBytes &&
+                   8 + chunkCount * 20 <= fileBytes,
+               "footer declares " + std::to_string(chunkCount) +
+                   " chunks, more than the file can hold: " + path.string());
+  std::vector<std::byte> body(8 + chunkCount * 20);
+  in.seekg(static_cast<std::streamoff>(footerOffset));
+  util::readBytes(in, body);
+  CHISIM_CHECK(util::readU32(in) == util::crc32(body),
+               "footer CRC mismatch: " + path.string());
+  util::ByteReader reader(body, "chunk footer");
+  reader.u64();  // the count, bounded above
+  std::vector<ChunkInfo> chunks(chunkCount);
+  for (ChunkInfo& chunk : chunks) {
+    chunk.offset = reader.u64();
+    chunk.entryCount = reader.u32();
+    chunk.minStart = reader.u32();
+    chunk.maxEnd = reader.u32();
+  }
+  return chunks;
+}
 
 Clg5Error::Clg5Error(std::filesystem::path file, std::int64_t chunkIndex,
                      std::uint64_t firstRecord, std::uint64_t byteOffset,
@@ -251,9 +263,12 @@ void ChunkedLogWriter::writeChunk(std::span<const table::Event> entries) {
     info.maxEnd = std::max(info.maxEnd, event.end);
   }
 
-  const std::vector<std::byte> payload = compression_ == LogCompression::kPacked
-                                             ? serializePacked(entries)
-                                             : serializeRaw(entries);
+  std::vector<std::byte> packed;
+  std::span<const std::byte> payload = util::rowBytes(entries);
+  if (compression_ == LogCompression::kPacked) {
+    packed = serializePacked(entries);
+    payload = packed;
+  }
   util::writeU32(out_, info.entryCount);
   util::writeU32(out_, info.minStart);
   util::writeU32(out_, info.maxEnd);
@@ -290,27 +305,7 @@ void ChunkedLogWriter::close() {
   closed_ = true;
 
   const std::uint64_t footerOffset = bytesWritten_;
-  // Footer body is also CRC-protected so truncation is detectable.
-  std::vector<std::byte> body;
-  body.reserve(8 + chunks_.size() * 20);
-  const auto putU32 = [&body](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      body.push_back(static_cast<std::byte>(value >> shift));
-    }
-  };
-  const auto putU64 = [&putU32](std::uint64_t value) {
-    putU32(static_cast<std::uint32_t>(value));
-    putU32(static_cast<std::uint32_t>(value >> 32));
-  };
-  putU64(chunks_.size());
-  for (const ChunkInfo& chunk : chunks_) {
-    putU64(chunk.offset);
-    putU32(chunk.entryCount);
-    putU32(chunk.minStart);
-    putU32(chunk.maxEnd);
-  }
-  util::writeBytes(out_, body);
-  util::writeU32(out_, util::crc32(body));
+  writeChunkFooter(out_, chunks_);
 
   out_.seekp(12);  // footerOffset slot in the header
   util::writeU64(out_, footerOffset);
@@ -336,9 +331,7 @@ ChunkedLogReader::ChunkedLogReader(const std::filesystem::path& path)
   if (in_.gcount() != 4 || !std::equal(magic, magic + 4, kMagic)) {
     fail(0, "not a CLG5 file (bad magic)");
   }
-  std::uint64_t chunkCount = 0;
   std::uint64_t footerOffset = 0;
-  std::vector<std::byte> body;
   try {
     const std::uint32_t version = util::readU32(in_);
     if (version != kClg5Version) {
@@ -354,52 +347,13 @@ ChunkedLogReader::ChunkedLogReader(const std::filesystem::path& path)
       fail(12, "CLG5 file was not closed (missing footer)");
     }
 
-    in_.seekg(static_cast<std::streamoff>(footerOffset));
-    chunkCount = util::readU64(in_);
-    // Validate the declared footer size against the file before sizing the
-    // buffer off it: a corrupt count must not drive a blind allocation.
-    std::error_code sizeError;
-    const std::uintmax_t fileBytes =
-        std::filesystem::file_size(path, sizeError);
-    if (!sizeError &&
-        (chunkCount > fileBytes || 8 + chunkCount * 20 > fileBytes)) {
-      fail(footerOffset, "footer declares " + std::to_string(chunkCount) +
-                             " chunks, more than the file can hold");
-    }
-    body.resize(8 + chunkCount * 20);
-    // Re-read the footer body for CRC validation.
-    in_.seekg(static_cast<std::streamoff>(footerOffset));
-    util::readBytes(in_, body);
-    const std::uint32_t storedCrc = util::readU32(in_);
-    if (storedCrc != util::crc32(body)) {
-      fail(footerOffset, "footer CRC mismatch");
-    }
+    chunks_ = readChunkFooter(in_, path, footerOffset);
   } catch (const Clg5Error&) {
     throw;
   } catch (const std::exception& error) {
-    // Truncation inside the reads above (readU32/readBytes) surfaces as a
-    // generic stream error; re-badge it with the file location.
+    // Truncation inside the reads above and every footer failure surface
+    // as generic errors; re-badge them with the file location.
     fail(footerOffset, error.what());
-  }
-
-  std::size_t cursor = 8;
-  const auto takeU32 = [&body, &cursor]() {
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(body[cursor]) |
-        (static_cast<std::uint32_t>(body[cursor + 1]) << 8) |
-        (static_cast<std::uint32_t>(body[cursor + 2]) << 16) |
-        (static_cast<std::uint32_t>(body[cursor + 3]) << 24);
-    cursor += 4;
-    return value;
-  };
-  chunks_.resize(chunkCount);
-  for (ChunkInfo& chunk : chunks_) {
-    const std::uint64_t low = takeU32();
-    const std::uint64_t high = takeU32();
-    chunk.offset = low | (high << 32);
-    chunk.entryCount = takeU32();
-    chunk.minStart = takeU32();
-    chunk.maxEnd = takeU32();
   }
 }
 

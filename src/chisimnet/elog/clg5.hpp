@@ -70,12 +70,26 @@ enum class LogCompression : std::uint32_t {
   kPacked = 1,
 };
 
+/// One chunk-index entry of a CLG5 or CLX5 footer.
 struct ChunkInfo {
   std::uint64_t offset = 0;   ///< file offset of the chunk header
   std::uint32_t entryCount = 0;
   table::Hour minStart = 0;
   table::Hour maxEnd = 0;
 };
+
+/// The chunk index both CLG5 and CLX5 end in: [count u64], then per chunk
+/// [offset u64, entryCount u32, minStart u32, maxEnd u32], then a crc32
+/// u32 over everything before it. Written at the stream's position.
+void writeChunkFooter(std::ostream& out, std::span<const ChunkInfo> chunks);
+
+/// Reads the footer at `footerOffset` of `path` through `in`. Throws
+/// std::runtime_error naming `path` when the declared count is more than
+/// the file can hold (checked before anything is allocated), when the
+/// footer is truncated, or when its CRC does not match.
+std::vector<ChunkInfo> readChunkFooter(std::istream& in,
+                                       const std::filesystem::path& path,
+                                       std::uint64_t footerOffset);
 
 /// Appends chunks of log entries to one CLG5 file. Single writer per file
 /// (each rank owns its own file, exactly as in the paper).

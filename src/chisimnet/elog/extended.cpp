@@ -15,22 +15,6 @@ constexpr std::uint64_t kHeaderBytes = 4 + 4 + 4 + 8;
 constexpr std::uint64_t kChunkHeaderBytes = 4 * 4;
 constexpr std::uint32_t kVersion = 1;
 
-void putU32(std::vector<std::byte>& buffer, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buffer.push_back(static_cast<std::byte>(value >> shift));
-  }
-}
-
-std::uint32_t takeU32(std::span<const std::byte> buffer, std::size_t& cursor) {
-  const std::uint32_t value =
-      static_cast<std::uint32_t>(buffer[cursor]) |
-      (static_cast<std::uint32_t>(buffer[cursor + 1]) << 8) |
-      (static_cast<std::uint32_t>(buffer[cursor + 2]) << 16) |
-      (static_cast<std::uint32_t>(buffer[cursor + 3]) << 24);
-  cursor += 4;
-  return value;
-}
-
 }  // namespace
 
 ExtendedLogWriter::ExtendedLogWriter(const std::filesystem::path& path,
@@ -77,7 +61,7 @@ ExtendedLogWriter::ExtendedLogWriter(const std::filesystem::path& path,
     std::uint64_t cursor = kHeaderBytes;
     while (cursor < resume.bytes) {
       in.seekg(static_cast<std::streamoff>(cursor));
-      ExtendedChunkInfo info;
+      ChunkInfo info;
       info.offset = cursor;
       info.entryCount = util::readU32(in);
       info.minStart = util::readU32(in);
@@ -119,28 +103,22 @@ void ExtendedLogWriter::writeChunk(std::span<const ExtendedEvent> entries) {
     return;
   }
 
-  ExtendedChunkInfo info;
+  ChunkInfo info;
   info.offset = bytesWritten_;
   info.entryCount = static_cast<std::uint32_t>(entries.size());
   info.minStart = std::numeric_limits<table::Hour>::max();
   info.maxEnd = 0;
 
-  std::vector<std::byte> payload;
-  payload.reserve(entries.size() * (5 + extraColumns_) * 4);
+  util::ByteWriter encoded(entries.size() * (5 + extraColumns_) * 4);
   for (const ExtendedEvent& entry : entries) {
     CHISIM_REQUIRE(entry.extras.size() == extraColumns_,
                    "entry extras do not match the configured column count");
     info.minStart = std::min(info.minStart, entry.base.start);
     info.maxEnd = std::max(info.maxEnd, entry.base.end);
-    putU32(payload, entry.base.start);
-    putU32(payload, entry.base.end);
-    putU32(payload, entry.base.person);
-    putU32(payload, entry.base.activity);
-    putU32(payload, entry.base.place);
-    for (std::uint32_t extra : entry.extras) {
-      putU32(payload, extra);
-    }
+    encoded.row(entry.base);
+    encoded.rows(entry.extras);
   }
+  const std::vector<std::byte> payload = encoded.take();
 
   util::writeU32(out_, info.entryCount);
   util::writeU32(out_, info.minStart);
@@ -176,18 +154,7 @@ void ExtendedLogWriter::close() {
   closed_ = true;
 
   const std::uint64_t footerOffset = bytesWritten_;
-  std::vector<std::byte> body;
-  putU32(body, static_cast<std::uint32_t>(chunks_.size()));
-  putU32(body, static_cast<std::uint32_t>(chunks_.size() >> 32));
-  for (const ExtendedChunkInfo& chunk : chunks_) {
-    putU32(body, static_cast<std::uint32_t>(chunk.offset));
-    putU32(body, static_cast<std::uint32_t>(chunk.offset >> 32));
-    putU32(body, chunk.entryCount);
-    putU32(body, chunk.minStart);
-    putU32(body, chunk.maxEnd);
-  }
-  util::writeBytes(out_, body);
-  util::writeU32(out_, util::crc32(body));
+  writeChunkFooter(out_, chunks_);
 
   out_.seekp(12);
   util::writeU64(out_, footerOffset);
@@ -212,30 +179,12 @@ ExtendedLogReader::ExtendedLogReader(const std::filesystem::path& path)
   CHISIM_CHECK(footerOffset >= kHeaderBytes,
                "CLX5 file was not closed (missing footer): " + path.string());
 
-  in_.seekg(static_cast<std::streamoff>(footerOffset));
-  const std::uint64_t chunkCount = util::readU64(in_);
-  std::vector<std::byte> body(8 + chunkCount * 20);
-  in_.seekg(static_cast<std::streamoff>(footerOffset));
-  util::readBytes(in_, body);
-  const std::uint32_t storedCrc = util::readU32(in_);
-  CHISIM_CHECK(storedCrc == util::crc32(body),
-               "CLX5 footer CRC mismatch: " + path.string());
-
-  std::size_t cursor = 8;
-  chunks_.resize(chunkCount);
-  for (ExtendedChunkInfo& chunk : chunks_) {
-    const std::uint64_t low = takeU32(body, cursor);
-    const std::uint64_t high = takeU32(body, cursor);
-    chunk.offset = low | (high << 32);
-    chunk.entryCount = takeU32(body, cursor);
-    chunk.minStart = takeU32(body, cursor);
-    chunk.maxEnd = takeU32(body, cursor);
-  }
+  chunks_ = readChunkFooter(in_, path, footerOffset);
 }
 
 std::uint64_t ExtendedLogReader::totalEntries() const noexcept {
   std::uint64_t total = 0;
-  for (const ExtendedChunkInfo& chunk : chunks_) {
+  for (const ChunkInfo& chunk : chunks_) {
     total += chunk.entryCount;
   }
   return total;
@@ -243,7 +192,7 @@ std::uint64_t ExtendedLogReader::totalEntries() const noexcept {
 
 std::vector<ExtendedEvent> ExtendedLogReader::readChunk(std::size_t index) {
   CHISIM_REQUIRE(index < chunks_.size(), "chunk index out of range");
-  const ExtendedChunkInfo& info = chunks_[index];
+  const ChunkInfo& info = chunks_[index];
   in_.clear();
   in_.seekg(static_cast<std::streamoff>(info.offset));
   const std::uint32_t entryCount = util::readU32(in_);
@@ -257,19 +206,13 @@ std::vector<ExtendedEvent> ExtendedLogReader::readChunk(std::size_t index) {
   CHISIM_CHECK(storedCrc == util::crc32(payload),
                "CLX5 chunk CRC mismatch: " + path_.string());
 
+  util::ByteReader in(payload, "CLX5 chunk");
   std::vector<ExtendedEvent> entries(entryCount);
-  std::size_t cursor = 0;
   for (ExtendedEvent& entry : entries) {
-    entry.base.start = takeU32(payload, cursor);
-    entry.base.end = takeU32(payload, cursor);
-    entry.base.person = takeU32(payload, cursor);
-    entry.base.activity = takeU32(payload, cursor);
-    entry.base.place = takeU32(payload, cursor);
-    entry.extras.resize(extraColumns_);
-    for (std::uint32_t& extra : entry.extras) {
-      extra = takeU32(payload, cursor);
-    }
+    entry.base = in.row<table::Event>();
+    entry.extras = in.rows<std::uint32_t>(extraColumns_, "extra columns");
   }
+  in.expectEnd();
   return entries;
 }
 
@@ -287,7 +230,7 @@ std::vector<ExtendedEvent> ExtendedLogReader::readOverlapping(
     table::Hour windowStart, table::Hour windowEnd) {
   std::vector<ExtendedEvent> selected;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ExtendedChunkInfo& info = chunks_[i];
+    const ChunkInfo& info = chunks_[i];
     if (info.minStart >= windowEnd || info.maxEnd <= windowStart) {
       continue;
     }

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "chisimnet/elog/clg5.hpp"
 #include "chisimnet/table/event.hpp"
 
 /// Extended log entries (paper §III): "Log entries can be extended by the
@@ -15,7 +16,8 @@
 ///
 /// CLX5 is the CLG5 format generalized to a configurable number of extra
 /// u32 columns per entry; the base five-field schema is unchanged, so base
-/// tooling concepts (chunk index, time pushdown, CRC) carry over. The
+/// tooling concepts (chunk index, time pushdown, CRC) carry over — the
+/// chunk-index footer is CLG5's own (writeChunkFooter/readChunkFooter). The
 /// disease layer (abm/disease.hpp) logs state transitions through this
 /// writer with one extra column holding the new disease state.
 
@@ -27,13 +29,6 @@ struct ExtendedEvent {
   std::vector<std::uint32_t> extras;
 
   friend bool operator==(const ExtendedEvent&, const ExtendedEvent&) = default;
-};
-
-struct ExtendedChunkInfo {
-  std::uint64_t offset = 0;
-  std::uint32_t entryCount = 0;
-  table::Hour minStart = 0;
-  table::Hour maxEnd = 0;
 };
 
 /// Writer for CLX5 files with a fixed number of extra columns.
@@ -86,7 +81,7 @@ class ExtendedLogWriter {
   std::filesystem::path path_;
   std::ofstream out_;
   std::uint32_t extraColumns_;
-  std::vector<ExtendedChunkInfo> chunks_;
+  std::vector<ChunkInfo> chunks_;
   std::uint64_t entriesWritten_ = 0;
   std::uint64_t bytesWritten_ = 0;
   bool closed_ = false;
@@ -98,7 +93,7 @@ class ExtendedLogReader {
   explicit ExtendedLogReader(const std::filesystem::path& path);
 
   std::uint32_t extraColumns() const noexcept { return extraColumns_; }
-  std::span<const ExtendedChunkInfo> chunks() const noexcept { return chunks_; }
+  std::span<const ChunkInfo> chunks() const noexcept { return chunks_; }
   std::uint64_t totalEntries() const noexcept;
 
   std::vector<ExtendedEvent> readChunk(std::size_t index);
@@ -112,7 +107,7 @@ class ExtendedLogReader {
   std::filesystem::path path_;
   std::ifstream in_;
   std::uint32_t extraColumns_ = 0;
-  std::vector<ExtendedChunkInfo> chunks_;
+  std::vector<ChunkInfo> chunks_;
 };
 
 }  // namespace chisimnet::elog

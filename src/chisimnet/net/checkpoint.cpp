@@ -1,7 +1,6 @@
 #include "chisimnet/net/checkpoint.hpp"
 
 #include <charconv>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -26,109 +25,53 @@ std::filesystem::path manifestPath(const std::filesystem::path& dir) {
   return dir / kCheckpointManifestName;
 }
 
-void put32(std::vector<std::byte>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>(value >> shift));
-  }
-}
-
-void put64(std::vector<std::byte>& out, std::uint64_t value) {
-  put32(out, static_cast<std::uint32_t>(value));
-  put32(out, static_cast<std::uint32_t>(value >> 32));
-}
-
-std::uint32_t take32(std::span<const std::byte> bytes, std::size_t& cursor) {
-  CHISIM_CHECK(cursor + 4 <= bytes.size(),
-               "truncated in-flight batch snapshot");
-  const std::uint32_t value =
-      static_cast<std::uint32_t>(bytes[cursor]) |
-      (static_cast<std::uint32_t>(bytes[cursor + 1]) << 8) |
-      (static_cast<std::uint32_t>(bytes[cursor + 2]) << 16) |
-      (static_cast<std::uint32_t>(bytes[cursor + 3]) << 24);
-  cursor += 4;
-  return value;
-}
-
-std::uint64_t take64(std::span<const std::byte> bytes, std::size_t& cursor) {
-  const std::uint64_t low = take32(bytes, cursor);
-  const std::uint64_t high = take32(bytes, cursor);
-  return low | (high << 32);
-}
-
-void putString(std::vector<std::byte>& out, const std::string& text) {
-  put32(out, static_cast<std::uint32_t>(text.size()));
-  const auto bytes =
-      std::as_bytes(std::span<const char>(text.data(), text.size()));
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-std::string takeString(std::span<const std::byte> bytes, std::size_t& cursor) {
-  const std::uint32_t length = take32(bytes, cursor);
-  CHISIM_CHECK(cursor + length <= bytes.size(),
-               "truncated in-flight batch snapshot");
-  std::string text(reinterpret_cast<const char*>(bytes.data() + cursor),
-                   length);
-  cursor += length;
-  return text;
-}
-
-/// Body: [filesInBatch u64][sorted u32][eventCount u64][events raw]
-///       [quarantineCount u32][per entry: chunkIndex u64 (two's
-///       complement), byteOffset u64, path string, reason string].
+/// Body: [filesInBatch u64][sorted u32][eventCount u64]
+///       [eventCount × Event rows][quarantineCount u32][per entry:
+///       chunkIndex u64 (two's complement), byteOffset u64, path string,
+///       reason string].
 std::vector<std::byte> encodeInflight(const InflightBatch& inflight) {
-  std::vector<std::byte> body;
   const std::uint64_t rows = inflight.events.size();
-  body.reserve(32 + rows * sizeof(table::Event));
-  put64(body, inflight.filesInBatch);
-  put32(body, inflight.events.isSortedByStart() ? 1 : 0);
-  put64(body, rows);
+  util::ByteWriter body(32 + rows * sizeof(table::Event));
+  body.u64(inflight.filesInBatch);
+  body.u32(inflight.events.isSortedByStart() ? 1 : 0);
+  body.u64(rows);
   for (table::RowIndex row = 0; row < rows; ++row) {
-    const table::Event event = inflight.events.row(row);
-    const auto bytes = std::as_bytes(std::span<const table::Event>(&event, 1));
-    body.insert(body.end(), bytes.begin(), bytes.end());
+    body.row(inflight.events.row(row));
   }
-  put32(body, static_cast<std::uint32_t>(inflight.quarantined.size()));
+  body.u32(static_cast<std::uint32_t>(inflight.quarantined.size()));
   for (const elog::QuarantinedFile& entry : inflight.quarantined) {
-    put64(body, static_cast<std::uint64_t>(entry.chunkIndex));
-    put64(body, entry.byteOffset);
-    putString(body, entry.file.string());
-    putString(body, entry.reason);
+    body.u64(static_cast<std::uint64_t>(entry.chunkIndex));
+    body.u64(entry.byteOffset);
+    body.string(entry.file.string());
+    body.string(entry.reason);
   }
-  return body;
+  return body.take();
 }
 
 InflightBatch decodeInflight(std::span<const std::byte> body) {
-  std::size_t cursor = 0;
+  util::ByteReader in(body, "in-flight batch snapshot");
   InflightBatch inflight;
-  inflight.filesInBatch = take64(body, cursor);
-  const bool sorted = take32(body, cursor) != 0;
-  const std::uint64_t rows = take64(body, cursor);
-  CHISIM_CHECK(rows <= (body.size() - cursor) / sizeof(table::Event),
-               "in-flight batch snapshot declares more events than its "
-               "bytes can hold");
-  std::vector<table::Event> events(static_cast<std::size_t>(rows));
-  if (rows > 0) {
-    std::memcpy(events.data(), body.data() + cursor,
-                rows * sizeof(table::Event));
-    cursor += rows * sizeof(table::Event);
-  }
-  inflight.events = table::EventTable(events);
+  inflight.filesInBatch = in.u64();
+  const bool sorted = in.u32() != 0;
+  inflight.events =
+      table::EventTable(in.rows<table::Event>(in.u64(), "events"));
   if (sorted) {
     // The snapshot preserved row order, so the stable re-sort reproduces
     // the exact pre-crash table.
     inflight.events.sortByStart();
   }
-  const std::uint32_t quarantineCount = take32(body, cursor);
-  for (std::uint32_t i = 0; i < quarantineCount; ++i) {
+  // Each entry takes at least its two u64s and two string lengths.
+  const std::uint64_t quarantineCount =
+      in.count(in.u32(), 24, "quarantine entries");
+  for (std::uint64_t i = 0; i < quarantineCount; ++i) {
     elog::QuarantinedFile entry;
-    entry.chunkIndex = static_cast<std::int64_t>(take64(body, cursor));
-    entry.byteOffset = take64(body, cursor);
-    entry.file = takeString(body, cursor);
-    entry.reason = takeString(body, cursor);
+    entry.chunkIndex = static_cast<std::int64_t>(in.u64());
+    entry.byteOffset = in.u64();
+    entry.file = in.string();
+    entry.reason = in.string();
     inflight.quarantined.push_back(std::move(entry));
   }
-  CHISIM_CHECK(cursor == body.size(),
-               "in-flight batch snapshot has trailing bytes");
+  in.expectEnd();
   return inflight;
 }
 
@@ -193,8 +136,9 @@ void writeManifestFile(const std::filesystem::path& dir,
           << run.triplets << "\t" << run.bytes << "\t" << run.firstKey
           << "\t" << run.lastKey << "\n";
     }
-    for (const MergeSegmentEntry& segment : manifest.mergeSegments) {
-      out << "mergeseg\t" << segment.shard << "\t" << segment.file << "\t"
+    for (const sparse::ShardSegment& segment : manifest.mergeSegments) {
+      out << "mergeseg\t" << segment.shard << "\t"
+          << segment.file.filename().string() << "\t"
           << segment.triplets << "\t" << segment.bytes << "\t"
           << segment.crc << "\n";
     }
@@ -319,8 +263,8 @@ void saveCheckpoint(const std::filesystem::path& dir,
   for (const sparse::SpillRunInfo& run : manifest.spillRuns) {
     referenced.insert(run.file.filename().string());
   }
-  for (const MergeSegmentEntry& segment : manifest.mergeSegments) {
-    referenced.insert(segment.file);
+  for (const sparse::ShardSegment& segment : manifest.mergeSegments) {
+    referenced.insert(segment.file.filename().string());
   }
   if (std::filesystem::exists(spillDir)) {
     for (const auto& entry : std::filesystem::directory_iterator(spillDir)) {
@@ -376,7 +320,7 @@ std::optional<CheckpointManifest> loadCheckpointManifest(
       manifest.spillRuns.push_back(std::move(run));
     } else if (line.kind() == "mergeseg") {
       line.expectFields(6);
-      MergeSegmentEntry segment;
+      sparse::ShardSegment segment;
       segment.shard = line.number<std::uint32_t>(1);
       segment.file = line.fileName(2);
       segment.triplets = line.number<std::uint64_t>(3);
@@ -427,10 +371,7 @@ std::optional<InflightBatch> loadCheckpointInflight(
   const std::uint32_t crc = util::readU32(in);
   const std::string raw((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-  std::vector<std::byte> body(raw.size());
-  if (!raw.empty()) {
-    std::memcpy(body.data(), raw.data(), raw.size());
-  }
+  const auto body = std::as_bytes(std::span<const char>(raw));
   CHISIM_CHECK(util::crc32(body) == crc,
                "in-flight batch snapshot is corrupt (CRC mismatch): " +
                    path.string());

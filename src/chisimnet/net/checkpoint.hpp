@@ -33,9 +33,11 @@
 /// batch k+1 fully decoded while the checkpoint after batch k is written.
 /// That decoded-but-unprocessed table is persisted beside the runs, so a
 /// resume hands it straight to the compute stages and skips one batch of
-/// file re-decode. The snapshot is integrity-checked (CRC32) and purely an
-/// accelerator: its contents equal what re-decoding those files would
-/// produce, so the resumed output is bit-identical either way.
+/// file re-decode. The snapshot (CINF) is integrity-checked (CRC32) and
+/// purely an accelerator: its contents equal what re-decoding those files
+/// would produce, so the resumed output is bit-identical either way. Its
+/// body goes through the util byte codec, the events as one table::Event
+/// row block, so a corrupt count is refused before it allocates.
 ///
 /// Manifest format CHKP2 (text): a magic line, then `files_consumed`,
 /// `batches_done`, `config_hash` and optional `inflight` key lines, and
@@ -46,19 +48,6 @@
 namespace chisimnet::net {
 
 inline constexpr const char* kCheckpointManifestName = "manifest.chkp";
-
-/// One completed per-shard merge segment recorded mid-merge. A resume that
-/// finds these re-merges only the shards without a segment; the recorded
-/// ones are spliced into the final CADJ as-is (their CRC is re-verified at
-/// splice time).
-struct MergeSegmentEntry {
-  std::uint32_t shard = 0;  ///< fine-shard index (lowId / rowsPerShard)
-  /// Segment file name within the spill directory.
-  std::string file;
-  std::uint64_t triplets = 0;
-  std::uint64_t bytes = 0;
-  std::uint32_t crc = 0;
-};
 
 struct CheckpointManifest {
   /// Input files fully consumed (attempted, including quarantined ones).
@@ -72,8 +61,11 @@ struct CheckpointManifest {
   std::vector<sparse::SpillRunInfo> spillRuns;
   /// Per-shard merge segments completed so far (populated by the
   /// checkpoints the driver writes between shard merges, so a kill
-  /// during the external merge resumes with only the unfinished shards).
-  std::vector<MergeSegmentEntry> mergeSegments;
+  /// during the external merge resumes with only the unfinished shards,
+  /// splicing the recorded ones as-is after a CRC re-check). Only each
+  /// segment's identity (shard, file name, triplets, bytes, crc) is
+  /// persisted; a loaded manifest holds bare names.
+  std::vector<sparse::ShardSegment> mergeSegments;
   /// In-flight batch snapshot file name; empty when the checkpoint carries
   /// none (the loader had nothing decoded yet).
   std::string inflightFile;

@@ -51,6 +51,29 @@ mp::StageParams stageParamsOf(const SynthesisConfig& config) {
   return params;
 }
 
+/// Body of a collocation command for place groups `items`:
+/// [groupCount u32][groupCount × eventCount u32][event rows, group order].
+std::vector<std::byte> encodePlaceScatter(const table::EventTable& events,
+                                          const table::PlaceIndex& index,
+                                          std::span<const std::size_t> items) {
+  std::uint64_t totalEvents = 0;
+  for (const std::size_t group : items) {
+    totalEvents += index.groupRows(group).size();
+  }
+  util::ByteWriter body(4 + 4 * items.size() +
+                        totalEvents * sizeof(table::Event));
+  body.u32(static_cast<std::uint32_t>(items.size()));
+  for (const std::size_t group : items) {
+    body.u32(static_cast<std::uint32_t>(index.groupRows(group).size()));
+  }
+  for (const std::size_t group : items) {
+    for (const table::RowIndex row : index.groupRows(group)) {
+      body.row(events.row(row));
+    }
+  }
+  return body.take();
+}
+
 }  // namespace
 
 /// Root-side assembler of in-flight kShipTag run files: chunks append to
@@ -279,12 +302,11 @@ std::optional<std::vector<std::byte>> MessagePassingExecutor::awaitReply(
       std::span<const std::byte> body;
       bool parsed = false;
       try {
-        std::size_t cursor = 0;
-        mp::take32(message->payload, cursor);  // command (diagnostic only)
-        status = mp::take32(message->payload, cursor);
-        epoch = mp::take64(message->payload, cursor);
-        body = std::span<const std::byte>(message->payload)
-                   .subspan(mp::kReplyHeaderBytes);
+        util::ByteReader in(message->payload, "reply frame");
+        in.u32();  // command (diagnostic only)
+        status = in.u32();
+        epoch = in.u64();
+        body = in.rest();
         parsed = true;
       } catch (const std::exception&) {
         failure = "malformed reply frame from rank " + std::to_string(rank);
@@ -409,34 +431,13 @@ void MessagePassingExecutor::scatterPlaces(const table::EventTable& events,
   for (std::size_t group = 0; group < index.placeIds.size(); ++group) {
     groups[group % live.size()].push_back(group);
   }
-  const auto buildBody = [&events,
-                          &index](std::span<const std::size_t> items) {
-    std::vector<std::byte> body;
-    mp::put32(body, static_cast<std::uint32_t>(items.size()));
-    std::uint64_t totalEvents = 0;
-    for (const std::size_t group : items) {
-      const auto rows = index.groupRows(group);
-      mp::put32(body, static_cast<std::uint32_t>(rows.size()));
-      totalEvents += rows.size();
-    }
-    body.reserve(body.size() + totalEvents * sizeof(table::Event));
-    for (const std::size_t group : items) {
-      for (const table::RowIndex row : index.groupRows(group)) {
-        const table::Event event = events.row(row);
-        const auto bytes =
-            std::as_bytes(std::span<const table::Event>(&event, 1));
-        body.insert(body.end(), bytes.begin(), bytes.end());
-      }
-    }
-    return body;
-  };
   for (std::size_t slot = 0; slot < live.size(); ++slot) {
     // Every live rank gets a command (even an empty one): the reply flow
     // and busy accounting stay uniform, and services start building while
     // the driver is still between stage calls.
     sendCommand(live[slot], mp::kCmdCollocation,
                 std::vector<std::size_t>(groups[slot]),
-                buildBody(groups[slot]));
+                encodePlaceScatter(events, index, groups[slot]));
   }
 }
 
@@ -451,21 +452,7 @@ MessagePassingExecutor::mapCollocation() {
     collectStage(
         mp::kCmdCollocation,
         [&events, &index](std::span<const std::size_t> items) {
-          std::vector<std::byte> body;
-          mp::put32(body, static_cast<std::uint32_t>(items.size()));
-          for (const std::size_t group : items) {
-            mp::put32(body, static_cast<std::uint32_t>(
-                                index.groupRows(group).size()));
-          }
-          for (const std::size_t group : items) {
-            for (const table::RowIndex row : index.groupRows(group)) {
-              const table::Event event = events.row(row);
-              const auto bytes =
-                  std::as_bytes(std::span<const table::Event>(&event, 1));
-              body.insert(body.end(), bytes.begin(), bytes.end());
-            }
-          }
-          return body;
+          return encodePlaceScatter(events, index, items);
         },
         [&all](std::span<const std::byte> reply) {
           for (sparse::CollocationMatrix& matrix : mp::unpackMatrices(reply)) {
@@ -508,11 +495,10 @@ void MessagePassingExecutor::mapAdjacency(
     for (const std::size_t item : items) {
       batch.push_back(matrices[item]);
     }
-    std::vector<std::byte> body;
-    mp::put64(body, nextRunToken_++);
-    const std::vector<std::byte> packed = mp::packMatrices(batch);
-    body.insert(body.end(), packed.begin(), packed.end());
-    return body;
+    util::ByteWriter body;
+    body.u64(nextRunToken_++);
+    body.bytes(mp::packMatrices(batch));
+    return body.take();
   };
   reduceRuns_.clear();
   runKernelStats_ = sparse::AdjacencyKernelStats{};
@@ -530,26 +516,23 @@ void MessagePassingExecutor::mapAdjacency(
     std::vector<double> busySeconds;
     collectStage(mp::kCmdAdjacency, buildBody,
                  [this, &busySeconds](std::span<const std::byte> reply) {
-                   std::size_t cursor = 0;
-                   busySeconds.push_back(mp::takeDouble(reply, cursor));
+                   util::ByteReader in(reply, "adjacency reply");
+                   busySeconds.push_back(in.f64());
                    sparse::AdjacencyKernelStats stats;
-                   stats.densePlaces = mp::take64(reply, cursor);
-                   stats.hashPlaces = mp::take64(reply, cursor);
-                   stats.pairHourUpdates = mp::take64(reply, cursor);
-                   stats.globalEmits = mp::take64(reply, cursor);
-                   stats.mergeReservedEntries = mp::take64(reply, cursor);
+                   stats.densePlaces = in.u64();
+                   stats.hashPlaces = in.u64();
+                   stats.pairHourUpdates = in.u64();
+                   stats.globalEmits = in.u64();
+                   stats.mergeReservedEntries = in.u64();
                    runKernelStats_.merge(stats);
-                   mp::take64(reply, cursor);  // flushes (in run adoption)
-                   mp::take64(reply, cursor);  // spilledTriplets (ditto)
-                   mp::take64(reply, cursor);  // spilledBytes (ditto)
-                   workerPeakBytes_ += mp::take64(reply, cursor);
-                   const std::uint32_t runCount = mp::take32(reply, cursor);
-                   for (std::uint32_t run = 0; run < runCount; ++run) {
-                     reduceRuns_.push_back(
-                         localizeRun(mp::takeRunRef(reply, cursor)));
+                   workerPeakBytes_ += in.u64();
+                   // Each run ref costs at least its mode word.
+                   const std::uint64_t runCount =
+                       in.count(in.u32(), 4, "run refs");
+                   for (std::uint64_t run = 0; run < runCount; ++run) {
+                     reduceRuns_.push_back(localizeRun(mp::takeRunRef(in)));
                    }
-                   CHISIM_CHECK(cursor == reply.size(),
-                                "malformed adjacency reply");
+                   in.expectEnd();
                  });
 
     double total = 0.0;
@@ -660,20 +643,20 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
     ownerOfShard[groups[g].shard] = static_cast<unsigned>(live[slot]);
   }
   const auto buildBody = [this, &groups](std::span<const std::size_t> items) {
-    std::vector<std::byte> body;
-    mp::put64(body, nextRunToken_++);
-    mp::put32(body, static_cast<std::uint32_t>(items.size()));
+    util::ByteWriter body;
+    body.u64(nextRunToken_++);
+    body.u32(static_cast<std::uint32_t>(items.size()));
     for (const std::size_t g : items) {
       const sparse::SpillingAccumulator::ShardRunGroup& group = groups[g];
-      mp::put32(body, group.shard);
-      mp::put32(body, static_cast<std::uint32_t>(group.runs.size()));
+      body.u32(group.shard);
+      body.u32(static_cast<std::uint32_t>(group.runs.size()));
       for (const sparse::SpillRunInfo& run : group.runs) {
         mp::RunRef ref;
         ref.run = run;
         mp::putRunRef(body, ref);
       }
     }
-    return body;
+    return body.take();
   };
   std::vector<sparse::ShardSegment> segments;
   segments.reserve(groups.size());
@@ -690,24 +673,18 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
         mp::kCmdMergeShard, buildBody,
         [&segments, &ownerOfShard,
          &onSegment](std::span<const std::byte> reply) {
-          std::size_t cursor = 0;
-          mp::takeDouble(reply, cursor);  // rank busy; per-shard is below
-          const std::uint32_t count = mp::take32(reply, cursor);
-          for (std::uint32_t s = 0; s < count; ++s) {
-            sparse::ShardSegment segment;
-            segment.shard = mp::take32(reply, cursor);
-            segment.mergeSeconds = mp::takeDouble(reply, cursor);
-            segment.file = mp::takeString(reply, cursor);
-            segment.triplets = mp::take64(reply, cursor);
-            segment.bytes = mp::take64(reply, cursor);
-            segment.crc = mp::take32(reply, cursor);
+          util::ByteReader in(reply, "merge-shard reply");
+          in.f64();  // rank busy; per-shard is below
+          // A segment takes at least its fixed fields (36 bytes).
+          const std::uint64_t count = in.count(in.u32(), 36, "segments");
+          for (std::uint64_t s = 0; s < count; ++s) {
+            sparse::ShardSegment segment = mp::takeShardSegment(in);
             const auto owner = ownerOfShard.find(segment.shard);
             segment.owner = owner != ownerOfShard.end() ? owner->second : 0;
             segments.push_back(segment);
             onSegment(segment);  // collectStage runs replies serially
           }
-          CHISIM_CHECK(cursor == reply.size(),
-                       "malformed merge-shard reply");
+          in.expectEnd();
         });
   } catch (...) {
     team_->rethrowServiceError();

@@ -1,6 +1,5 @@
 #include "chisimnet/net/mp_protocol.hpp"
 
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -39,145 +38,84 @@ RunRef maybeShip(const StageParams& params, RunShipper* shipper, RunRef ref) {
 
 }  // namespace
 
-void put32(std::vector<std::byte>& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>(value >> shift));
-  }
-}
-
-void put64(std::vector<std::byte>& out, std::uint64_t value) {
-  put32(out, static_cast<std::uint32_t>(value));
-  put32(out, static_cast<std::uint32_t>(value >> 32));
-}
-
-std::uint32_t take32(std::span<const std::byte> bytes, std::size_t& cursor) {
-  CHISIM_CHECK(cursor + 4 <= bytes.size(), "truncated frame");
-  const std::uint32_t value =
-      static_cast<std::uint32_t>(bytes[cursor]) |
-      (static_cast<std::uint32_t>(bytes[cursor + 1]) << 8) |
-      (static_cast<std::uint32_t>(bytes[cursor + 2]) << 16) |
-      (static_cast<std::uint32_t>(bytes[cursor + 3]) << 24);
-  cursor += 4;
-  return value;
-}
-
-std::uint64_t take64(std::span<const std::byte> bytes, std::size_t& cursor) {
-  const std::uint64_t low = take32(bytes, cursor);
-  const std::uint64_t high = take32(bytes, cursor);
-  return low | (high << 32);
-}
-
-void putDouble(std::vector<std::byte>& out, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  put64(out, bits);
-}
-
-double takeDouble(std::span<const std::byte> bytes, std::size_t& cursor) {
-  const std::uint64_t bits = take64(bytes, cursor);
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-void putTriplets(std::vector<std::byte>& out,
-                 std::span<const sparse::AdjacencyTriplet> triplets) {
-  put64(out, triplets.size());
-  const auto bytes = std::as_bytes(triplets);
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-std::vector<sparse::AdjacencyTriplet> takeTriplets(
-    std::span<const std::byte> bytes, std::size_t& cursor) {
-  const std::uint64_t count = take64(bytes, cursor);
-  CHISIM_CHECK(
-      count <= (bytes.size() - cursor) / sizeof(sparse::AdjacencyTriplet),
-      "triplet run declares more entries than its bytes can hold");
-  std::vector<sparse::AdjacencyTriplet> triplets(
-      static_cast<std::size_t>(count));
-  if (count > 0) {
-    std::memcpy(triplets.data(), bytes.data() + cursor,
-                count * sizeof(sparse::AdjacencyTriplet));
-    cursor += count * sizeof(sparse::AdjacencyTriplet);
-  }
-  return triplets;
-}
-
-void putString(std::vector<std::byte>& out, const std::string& text) {
-  put32(out, static_cast<std::uint32_t>(text.size()));
-  const auto bytes = stringBytes(text);
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-std::string takeString(std::span<const std::byte> bytes,
-                       std::size_t& cursor) {
-  const std::uint32_t length = take32(bytes, cursor);
-  CHISIM_CHECK(length <= bytes.size() - cursor,
-               "string declares more bytes than the frame holds");
-  std::string text(length, '\0');
-  if (length > 0) {
-    std::memcpy(text.data(), bytes.data() + cursor, length);
-    cursor += length;
-  }
-  return text;
-}
-
-void putRunRef(std::vector<std::byte>& out, const RunRef& ref) {
+void putRunRef(util::ByteWriter& out, const RunRef& ref) {
   if (ref.isFile()) {
-    put32(out, ref.shipped ? 2 : 1);
-    putString(out, ref.run.file.string());
-    put64(out, ref.run.triplets);
-    put64(out, ref.run.bytes);
-    put64(out, ref.run.firstKey);
-    put64(out, ref.run.lastKey);
+    out.u32(ref.shipped ? 2 : 1);
+    out.string(ref.run.file.string());
+    out.u64(ref.run.triplets);
+    out.u64(ref.run.bytes);
+    out.u64(ref.run.firstKey);
+    out.u64(ref.run.lastKey);
   } else {
-    put32(out, 0);
-    putTriplets(out, ref.inlineRun);
+    out.u32(0);
+    out.u64(ref.inlineRun.size());
+    out.rows(ref.inlineRun);
   }
 }
 
-RunRef takeRunRef(std::span<const std::byte> bytes, std::size_t& cursor) {
+RunRef takeRunRef(util::ByteReader& in) {
   RunRef ref;
-  const std::uint32_t mode = take32(bytes, cursor);
+  const std::uint32_t mode = in.u32();
   if (mode == 1 || mode == 2) {
     ref.shipped = mode == 2;
-    ref.run.file = takeString(bytes, cursor);
+    ref.run.file = in.string();
     CHISIM_CHECK(!ref.run.file.empty(),
                  ref.shipped ? "shipped run ref with an empty name"
                              : "file run ref with an empty path");
-    ref.run.triplets = take64(bytes, cursor);
-    ref.run.bytes = take64(bytes, cursor);
-    ref.run.firstKey = take64(bytes, cursor);
-    ref.run.lastKey = take64(bytes, cursor);
+    ref.run.triplets = in.u64();
+    ref.run.bytes = in.u64();
+    ref.run.firstKey = in.u64();
+    ref.run.lastKey = in.u64();
   } else {
     CHISIM_CHECK(mode == 0,
                  "unknown run ref mode " + std::to_string(mode));
-    ref.inlineRun = takeTriplets(bytes, cursor);
+    ref.inlineRun =
+        in.rows<sparse::AdjacencyTriplet>(in.u64(), "inline run triplets");
   }
   return ref;
+}
+
+void putShardSegment(util::ByteWriter& out,
+                     const sparse::ShardSegment& segment) {
+  out.u32(segment.shard);
+  out.f64(segment.mergeSeconds);
+  out.string(segment.file.string());
+  out.u64(segment.triplets);
+  out.u64(segment.bytes);
+  out.u32(segment.crc);
+}
+
+sparse::ShardSegment takeShardSegment(util::ByteReader& in) {
+  sparse::ShardSegment segment;
+  segment.shard = in.u32();
+  segment.mergeSeconds = in.f64();
+  segment.file = in.string();
+  segment.triplets = in.u64();
+  segment.bytes = in.u64();
+  segment.crc = in.u32();
+  return segment;
 }
 
 std::vector<std::byte> encodeShipChunk(const std::string& name,
                                        std::uint64_t offset,
                                        std::uint64_t total,
                                        std::span<const std::byte> data) {
-  std::vector<std::byte> chunk;
-  chunk.reserve(4 + name.size() + 16 + data.size());
-  putString(chunk, name);
-  put64(chunk, offset);
-  put64(chunk, total);
-  chunk.insert(chunk.end(), data.begin(), data.end());
-  return chunk;
+  util::ByteWriter chunk(4 + name.size() + 16 + data.size());
+  chunk.string(name);
+  chunk.u64(offset);
+  chunk.u64(total);
+  chunk.bytes(data);
+  return chunk.take();
 }
 
 ShipChunkView decodeShipChunk(std::span<const std::byte> bytes) {
-  std::size_t cursor = 0;
+  util::ByteReader in(bytes, "ship chunk");
   ShipChunkView view;
-  view.name = takeString(bytes, cursor);
+  view.name = in.string();
   CHISIM_CHECK(!view.name.empty(), "ship chunk with an empty run name");
-  view.offset = take64(bytes, cursor);
-  view.total = take64(bytes, cursor);
-  view.data = bytes.subspan(cursor);
+  view.offset = in.u64();
+  view.total = in.u64();
+  view.data = in.rest();
   CHISIM_CHECK(view.offset + view.data.size() <= view.total,
                "ship chunk overruns its declared total");
   return view;
@@ -186,85 +124,72 @@ ShipChunkView decodeShipChunk(std::span<const std::byte> bytes) {
 std::vector<std::byte> packMatrices(
     const std::vector<sparse::CollocationMatrix>& matrices) {
   // [count u32][per matrix: byteLength u32 + payload]
-  std::vector<std::byte> packed;
-  put32(packed, static_cast<std::uint32_t>(matrices.size()));
+  util::ByteWriter packed;
+  packed.u32(static_cast<std::uint32_t>(matrices.size()));
   for (const sparse::CollocationMatrix& matrix : matrices) {
     const std::vector<std::byte> bytes = matrix.toBytes();
-    put32(packed, static_cast<std::uint32_t>(bytes.size()));
-    packed.insert(packed.end(), bytes.begin(), bytes.end());
+    packed.u32(static_cast<std::uint32_t>(bytes.size()));
+    packed.bytes(bytes);
   }
-  return packed;
+  return packed.take();
 }
 
 std::vector<sparse::CollocationMatrix> unpackMatrices(
     std::span<const std::byte> packed) {
-  std::size_t cursor = 0;
-  const std::uint32_t count = take32(packed, cursor);
-  // Bound the declared count by what the remaining bytes could possibly
-  // hold (each matrix costs at least its 4-byte length prefix) before it
-  // drives any allocation or loop.
-  CHISIM_CHECK(count <= (packed.size() - cursor) / 4,
-               "matrix pack declares more matrices than its bytes can hold");
+  util::ByteReader in(packed, "matrix pack");
+  // Each matrix costs at least its 4-byte length prefix.
+  const std::uint64_t count = in.count(in.u32(), 4, "matrices");
   std::vector<sparse::CollocationMatrix> matrices;
   matrices.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t length = take32(packed, cursor);
-    CHISIM_CHECK(cursor + length <= packed.size(), "truncated matrix pack");
+  for (std::uint64_t i = 0; i < count; ++i) {
     matrices.push_back(
-        sparse::CollocationMatrix::fromBytes(packed.subspan(cursor, length)));
-    cursor += length;
+        sparse::CollocationMatrix::fromBytes(in.bytes(in.u32())));
   }
+  in.expectEnd();
   return matrices;
 }
 
 std::vector<std::byte> frameCommand(std::uint32_t command, std::uint64_t epoch,
                                     std::span<const std::byte> body) {
-  std::vector<std::byte> frame;
-  frame.reserve(kCommandHeaderBytes + body.size());
-  put32(frame, command);
-  put64(frame, epoch);
-  frame.insert(frame.end(), body.begin(), body.end());
-  return frame;
+  util::ByteWriter frame(kCommandHeaderBytes + body.size());
+  frame.u32(command);
+  frame.u64(epoch);
+  frame.bytes(body);
+  return frame.take();
 }
 
 std::vector<std::byte> frameReply(std::uint32_t command, std::uint32_t status,
                                   std::uint64_t epoch,
                                   std::span<const std::byte> body) {
-  std::vector<std::byte> frame;
-  frame.reserve(kReplyHeaderBytes + body.size());
-  put32(frame, command);
-  put32(frame, status);
-  put64(frame, epoch);
-  frame.insert(frame.end(), body.begin(), body.end());
-  return frame;
-}
-
-std::span<const std::byte> stringBytes(const std::string& text) {
-  return std::as_bytes(std::span<const char>(text.data(), text.size()));
+  util::ByteWriter frame(kReplyHeaderBytes + body.size());
+  frame.u32(command);
+  frame.u32(status);
+  frame.u64(epoch);
+  frame.bytes(body);
+  return frame.take();
 }
 
 std::vector<std::byte> encodeStageParams(const StageParams& params) {
-  std::vector<std::byte> bytes;
-  bytes.reserve(28 + params.spillDir.size());
-  put32(bytes, params.windowStart);
-  put32(bytes, params.windowEnd);
-  put64(bytes, params.spillThresholdBytes);
-  putString(bytes, params.spillDir);
-  put32(bytes, params.splitRows);
-  put32(bytes, params.shipRuns ? 1 : 0);
-  return bytes;
+  util::ByteWriter bytes(28 + params.spillDir.size());
+  bytes.u32(params.windowStart);
+  bytes.u32(params.windowEnd);
+  bytes.u64(params.spillThresholdBytes);
+  bytes.string(params.spillDir);
+  bytes.u32(params.splitRows);
+  bytes.u32(params.shipRuns ? 1 : 0);
+  return bytes.take();
 }
 
 StageParams decodeStageParams(std::span<const std::byte> bytes) {
-  std::size_t cursor = 0;
+  util::ByteReader in(bytes, "stage parameter payload");
   StageParams params;
-  params.windowStart = take32(bytes, cursor);
-  params.windowEnd = take32(bytes, cursor);
-  params.spillThresholdBytes = take64(bytes, cursor);
-  params.spillDir = takeString(bytes, cursor);
-  params.splitRows = take32(bytes, cursor);
-  params.shipRuns = take32(bytes, cursor) != 0;
-  CHISIM_CHECK(cursor == bytes.size(), "malformed stage parameter payload");
+  params.windowStart = in.u32();
+  params.windowEnd = in.u32();
+  params.spillThresholdBytes = in.u64();
+  params.spillDir = in.string();
+  params.splitRows = in.u32();
+  params.shipRuns = in.u32() != 0;
+  in.expectEnd();
   return params;
 }
 
@@ -273,24 +198,17 @@ std::vector<std::byte> executeSynthesisCommand(
     std::span<const std::byte> body, RunShipper* shipper) {
   switch (command) {
     case kCmdCollocation: {
-      // Body: [groupCount u32][per group: eventCount u32][events].
-      std::size_t cursor = 0;
-      const std::uint32_t groupCount = take32(body, cursor);
-      CHISIM_CHECK(groupCount <= (body.size() - cursor) / 4,
-                   "event scatter declares more groups than its bytes hold");
-      std::vector<std::uint32_t> groupSizes(groupCount);
+      // Body: [groupCount u32][groupCount × eventCount u32][event rows].
+      util::ByteReader in(body, "event scatter");
+      const std::vector<std::uint32_t> groupSizes =
+          in.rows<std::uint32_t>(in.u32(), "place groups");
       std::uint64_t totalEvents = 0;
-      for (std::uint32_t& size : groupSizes) {
-        size = take32(body, cursor);
+      for (const std::uint32_t size : groupSizes) {
         totalEvents += size;
       }
-      CHISIM_CHECK(cursor + totalEvents * sizeof(table::Event) == body.size(),
-                   "event scatter size mismatch");
-      std::vector<table::Event> events(totalEvents);
-      if (totalEvents > 0) {
-        std::memcpy(events.data(), body.data() + cursor,
-                    totalEvents * sizeof(table::Event));
-      }
+      const std::vector<table::Event> events =
+          in.rows<table::Event>(totalEvents, "events");
+      in.expectEnd();
       std::vector<sparse::CollocationMatrix> built;
       std::size_t eventCursor = 0;
       for (std::uint32_t groupSize : groupSizes) {
@@ -315,11 +233,11 @@ std::vector<std::byte> executeSynthesisCommand(
       // the same files (deterministic content, tmp+rename) while a
       // reassigned body — which gets a fresh token — never collides with a
       // half-dead rank still executing the old one.
-      // Reply: [busySeconds f64][kernel stats 5×u64][spill stats 4×u64]
+      // Reply: [busySeconds f64][kernel stats 5×u64][peakLocalBytes u64]
       //        [runCount u32][RunRef × runCount].
-      std::size_t cursor = 0;
-      const std::uint64_t token = take64(body, cursor);
-      const auto batch = unpackMatrices(body.subspan(cursor));
+      util::ByteReader in(body, "adjacency command");
+      const std::uint64_t token = in.u64();
+      const auto batch = unpackMatrices(in.rest());
       util::WallTimer busy;
       sparse::SpillingSum sum(params.spillDir,
                               "t" + std::to_string(token) + ".",
@@ -336,19 +254,14 @@ std::vector<std::byte> executeSynthesisCommand(
         CHISIM_CHECK(!params.spillDir.empty(),
                      "adjacency reply exceeds the payload limit and no "
                      "spill directory is configured");
-        sum.flushAll();
+        sum.flush();
       }
       std::vector<sparse::AdjacencyTriplet> remainder = sum.drainInMemory();
       const double busySeconds = busy.seconds();
       const sparse::AdjacencyKernelStats& stats = sum.kernelStats();
 
       std::vector<RunRef> refs;
-      WorkerSpillStats spill;
-      spill.flushes = sum.flushes();
-      spill.peakLocalBytes = sum.peakBytes();
       for (const sparse::SpillRunInfo& info : sum.runs()) {
-        spill.spilledTriplets += info.triplets;
-        spill.spilledBytes += info.bytes;
         RunRef ref;
         ref.run = info;
         refs.push_back(maybeShip(params, shipper, std::move(ref)));
@@ -359,46 +272,44 @@ std::vector<std::byte> executeSynthesisCommand(
         refs.push_back(std::move(ref));
       }
 
-      std::vector<std::byte> reply;
-      putDouble(reply, busySeconds);
-      put64(reply, stats.densePlaces);
-      put64(reply, stats.hashPlaces);
-      put64(reply, stats.pairHourUpdates);
-      put64(reply, stats.globalEmits);
-      put64(reply, stats.mergeReservedEntries);
-      put64(reply, spill.flushes);
-      put64(reply, spill.spilledTriplets);
-      put64(reply, spill.spilledBytes);
-      put64(reply, spill.peakLocalBytes);
-      put32(reply, static_cast<std::uint32_t>(refs.size()));
+      util::ByteWriter reply;
+      reply.f64(busySeconds);
+      reply.u64(stats.densePlaces);
+      reply.u64(stats.hashPlaces);
+      reply.u64(stats.pairHourUpdates);
+      reply.u64(stats.globalEmits);
+      reply.u64(stats.mergeReservedEntries);
+      reply.u64(sum.peakBytes());
+      reply.u32(static_cast<std::uint32_t>(refs.size()));
       for (const RunRef& ref : refs) {
         putRunRef(reply, ref);
       }
-      return reply;
+      return reply.take();
     }
     case kCmdMergeShard: {
       // Body: [runToken u64][shardCount u32][per shard:
       // shard u32, runCount u32, RunRef × runCount (file runs, shard-pure)].
-      // Reply: [busySeconds f64][shardCount u32][per shard: shard u32,
-      // mergeSeconds f64, segment file string, triplets u64, bytes u64,
-      // crc u32]. Segment names carry the token, so a retried body rewrites
-      // its own files (deterministic content, tmp+rename) while a
+      // Reply: [busySeconds f64][shardCount u32][shardCount ×
+      // putShardSegment]. Segment names carry the token, so a retried body
+      // rewrites its own files (deterministic content, tmp+rename) while a
       // reassigned body — fresh token — never collides with a half-dead
       // rank still merging the old one.
-      std::size_t cursor = 0;
-      const std::uint64_t token = take64(body, cursor);
-      const std::uint32_t shardCount = take32(body, cursor);
+      util::ByteReader in(body, "merge-shard command");
+      const std::uint64_t token = in.u64();
+      // Each shard costs at least its shard and run-count words.
+      const std::uint64_t shardCount = in.count(in.u32(), 8, "shards");
       CHISIM_CHECK(!params.spillDir.empty(),
                    "shard merge needs a spill directory");
       util::ThreadCpuTimer busy;
-      std::vector<std::byte> segments;
-      for (std::uint32_t s = 0; s < shardCount; ++s) {
-        const std::uint32_t shard = take32(body, cursor);
-        const std::uint32_t runCount = take32(body, cursor);
+      util::ByteWriter segments;
+      for (std::uint64_t s = 0; s < shardCount; ++s) {
+        const std::uint32_t shard = in.u32();
+        // Each run ref costs at least its mode word.
+        const std::uint64_t runCount = in.count(in.u32(), 4, "run refs");
         std::vector<sparse::SpillRunInfo> runs;
         runs.reserve(runCount);
-        for (std::uint32_t r = 0; r < runCount; ++r) {
-          RunRef ref = takeRunRef(body, cursor);
+        for (std::uint64_t r = 0; r < runCount; ++r) {
+          RunRef ref = takeRunRef(in);
           CHISIM_CHECK(ref.isFile(), "shard merge inputs must be run files");
           runs.push_back(std::move(ref.run));
         }
@@ -406,22 +317,15 @@ std::vector<std::byte> executeSynthesisCommand(
             std::filesystem::path(params.spillDir) /
             ("seg." + std::to_string(shard) + ".t" + std::to_string(token) +
              ".cseg");
-        const sparse::ShardSegment segment =
-            sparse::mergeShardRuns(shard, runs, segmentFile);
-        put32(segments, shard);
-        putDouble(segments, segment.mergeSeconds);
-        putString(segments, segment.file.string());
-        put64(segments, segment.triplets);
-        put64(segments, segment.bytes);
-        put32(segments, segment.crc);
+        putShardSegment(segments,
+                        sparse::mergeShardRuns(shard, runs, segmentFile));
       }
-      CHISIM_CHECK(cursor == body.size(), "merge-shard body size mismatch");
-      std::vector<std::byte> reply;
-      reply.reserve(8 + 4 + segments.size());
-      putDouble(reply, busy.seconds());
-      put32(reply, shardCount);
-      reply.insert(reply.end(), segments.begin(), segments.end());
-      return reply;
+      in.expectEnd();
+      util::ByteWriter reply(8 + 4 + segments.size());
+      reply.f64(busy.seconds());
+      reply.u32(static_cast<std::uint32_t>(shardCount));
+      reply.bytes(segments.take());
+      return reply.take();
     }
     default:
       CHISIM_CHECK(false, "unknown synthesis executor command " +
@@ -438,9 +342,9 @@ ServiceOutcome serviceSynthesisCommand(const StageParams& params, int rank,
   std::uint64_t epoch = 0;
   bool headerOk = false;
   try {
-    std::size_t cursor = 0;
-    command = take32(frame, cursor);
-    epoch = take64(frame, cursor);
+    util::ByteReader in(frame, "command frame");
+    command = in.u32();
+    epoch = in.u64();
     headerOk = true;
   } catch (const std::exception&) {
     // Truncated below even the header: reply failed with epoch 0, which
@@ -463,7 +367,8 @@ ServiceOutcome serviceSynthesisCommand(const StageParams& params, int rank,
     // Recoverable worker failure: report it and stay in the loop so the
     // root can retry.
     const std::string what = error.what();
-    reply = frameReply(command, kStatusFailed, epoch, stringBytes(what));
+    reply = frameReply(command, kStatusFailed, epoch,
+                       std::as_bytes(std::span<const char>(what)));
   }
   return ServiceOutcome::kReply;
 }

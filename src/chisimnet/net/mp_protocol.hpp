@@ -11,6 +11,7 @@
 #include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/table/event.hpp"
+#include "chisimnet/util/binary_io.hpp"
 
 /// Wire protocol of the message-passing synthesis backend.
 ///
@@ -23,7 +24,8 @@
 /// replies — which is what makes `--transport process|tcp` transparent to
 /// the driver.
 ///
-/// Frames (all integers little-endian):
+/// Frames (all integers little-endian, encoded with util::ByteWriter and
+/// decoded with the bounded util::ByteReader):
 ///   command  [command u32][epoch u64][stage body]
 ///   reply    [command u32][status u32][epoch u64][body or error text]
 ///
@@ -59,25 +61,6 @@ inline constexpr std::size_t kCommandHeaderBytes = 4 + 8;
 /// Reply frame: [command u32][status u32][epoch u64][body or error text].
 inline constexpr std::size_t kReplyHeaderBytes = 4 + 4 + 8;
 
-// ---- byte codec ----
-
-void put32(std::vector<std::byte>& out, std::uint32_t value);
-void put64(std::vector<std::byte>& out, std::uint64_t value);
-std::uint32_t take32(std::span<const std::byte> bytes, std::size_t& cursor);
-std::uint64_t take64(std::span<const std::byte> bytes, std::size_t& cursor);
-void putDouble(std::vector<std::byte>& out, double value);
-double takeDouble(std::span<const std::byte> bytes, std::size_t& cursor);
-
-/// Length-prefixed triplet run: [count u64][count × AdjacencyTriplet].
-void putTriplets(std::vector<std::byte>& out,
-                 std::span<const sparse::AdjacencyTriplet> triplets);
-std::vector<sparse::AdjacencyTriplet> takeTriplets(
-    std::span<const std::byte> bytes, std::size_t& cursor);
-
-/// Length-prefixed UTF-8 string: [length u32][bytes].
-void putString(std::vector<std::byte>& out, const std::string& text);
-std::string takeString(std::span<const std::byte> bytes, std::size_t& cursor);
-
 /// A sorted triplet run: inline in the frame, a CSPL1 spill file on a
 /// filesystem shared with the root, or — when the transport spans hosts
 /// with no shared filesystem — a *shipped* file whose bytes were streamed
@@ -99,11 +82,18 @@ struct RunRef {
   bool isFile() const noexcept { return !run.file.empty(); }
 };
 
-/// [mode u32: 0 inline | 1 file | 2 shipped][inline: putTriplets |
-/// file/shipped: putString + triplets u64 + bytes u64 + firstKey u64 +
-/// lastKey u64]
-void putRunRef(std::vector<std::byte>& out, const RunRef& ref);
-RunRef takeRunRef(std::span<const std::byte> bytes, std::size_t& cursor);
+/// [mode u32: 0 inline | 1 file | 2 shipped][inline: count u64 + count ×
+/// AdjacencyTriplet rows | file/shipped: name string + triplets u64 +
+/// bytes u64 + firstKey u64 + lastKey u64]
+void putRunRef(util::ByteWriter& out, const RunRef& ref);
+RunRef takeRunRef(util::ByteReader& in);
+
+/// A finished shard segment in a merge-shard reply: [shard u32]
+/// [mergeSeconds f64][file string][triplets u64][bytes u64][crc u32].
+/// The owner is not on the wire; the root knows whom it asked.
+void putShardSegment(util::ByteWriter& out,
+                     const sparse::ShardSegment& segment);
+sparse::ShardSegment takeShardSegment(util::ByteReader& in);
 
 /// One kShipTag frame: [name string][offset u64][total u64][raw bytes].
 /// Chunks of one file arrive in order on one connection; offset 0 restarts
@@ -132,14 +122,6 @@ class RunShipper {
                            std::uint64_t bytes) = 0;
 };
 
-/// Worker-side spill activity returned beside each adjacency reply.
-struct WorkerSpillStats {
-  std::uint64_t flushes = 0;          ///< in-memory sum flushes to disk
-  std::uint64_t spilledTriplets = 0;  ///< rows written to run files
-  std::uint64_t spilledBytes = 0;     ///< run-file bytes written
-  std::uint64_t peakLocalBytes = 0;   ///< worker's max in-memory footprint
-};
-
 /// [count u32][per matrix: byteLength u32 + payload]
 std::vector<std::byte> packMatrices(
     const std::vector<sparse::CollocationMatrix>& matrices);
@@ -151,7 +133,6 @@ std::vector<std::byte> frameCommand(std::uint32_t command, std::uint64_t epoch,
 std::vector<std::byte> frameReply(std::uint32_t command, std::uint32_t status,
                                   std::uint64_t epoch,
                                   std::span<const std::byte> body);
-std::span<const std::byte> stringBytes(const std::string& text);
 
 // ---- stage parameters ----
 

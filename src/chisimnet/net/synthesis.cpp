@@ -267,13 +267,7 @@ void NetworkSynthesizer::runFilePipeline(
     // validated segment instead of re-merging its shard. Processing any
     // further batch invalidates them (finishBatch clears the list).
     if (sink != nullptr) {
-      for (const MergeSegmentEntry& segment : manifest->mergeSegments) {
-        restoredSegments_.push_back(RestoredSegment{segment.shard,
-                                                    segment.file,
-                                                    segment.triplets,
-                                                    segment.bytes,
-                                                    segment.crc});
-      }
+      restoredSegments_ = manifest->mergeSegments;
     }
     filesConsumed = manifest->filesConsumed;
     report_.batches = manifest->batchesDone;
@@ -553,20 +547,14 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
   // re-merging their shards. Validation here is existence plus recorded
   // size; content integrity is re-verified by CRC at splice time.
   std::map<std::uint32_t, sparse::ShardSegment> completed;
-  for (const RestoredSegment& restored : restoredSegments_) {
-    const std::filesystem::path file = config_.spillDir / restored.file;
+  for (sparse::ShardSegment& segment : restoredSegments_) {
+    segment.file = config_.spillDir / segment.file;
     std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(file, ec);
-    if (ec || size != restored.bytes) {
+    const std::uintmax_t size = std::filesystem::file_size(segment.file, ec);
+    if (ec || size != segment.bytes) {
       continue;  // half-written husk: its shard re-merges from the runs
     }
-    sparse::ShardSegment segment;
-    segment.shard = restored.shard;
-    segment.file = file;
-    segment.triplets = restored.triplets;
-    segment.bytes = restored.bytes;
-    segment.crc = restored.crc;
-    completed.emplace(restored.shard, std::move(segment));
+    completed.emplace(segment.shard, std::move(segment));
   }
   report_.mergeSegmentsReused = completed.size();
   restoredSegments_.clear();
@@ -587,9 +575,7 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
     manifest.quarantined = report_.quarantined;
     manifest.spillRuns = sink.liveRuns();
     for (const auto& [shard, done] : completed) {
-      manifest.mergeSegments.push_back(
-          MergeSegmentEntry{shard, done.file.filename().string(),
-                            done.triplets, done.bytes, done.crc});
+      manifest.mergeSegments.push_back(done);
     }
     return manifest;
   };
@@ -651,9 +637,7 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
   // re-verifies each segment's CRC as it copies.
   sparse::StreamingTripletWriter writer(outPath);
   for (const auto& [shard, segment] : completed) {
-    const sparse::TripletSegmentInfo info{segment.triplets, segment.bytes,
-                                          segment.crc};
-    writer.appendSegmentFile(segment.file, info);
+    writer.appendSegmentFile(segment);
   }
   const std::uint64_t edges = writer.finish();
   foldSpillStats(report_, sink.stats());

@@ -434,17 +434,10 @@ class NetworkSynthesizer {
   /// Set when spillDir was auto-resolved to a temp dir this instance owns
   /// (and removes on destruction).
   std::filesystem::path ownedSpillDir_;
-  /// Merge segments restored by a resume (shard, file name, identity) for
+  /// Merge segments restored by a resume (bare file names) for
   /// synthesizeToFile to splice without re-merging; cleared per pipeline
-  /// run. Kept as opaque tuples to avoid a checkpoint.hpp dependency here.
-  struct RestoredSegment {
-    std::uint32_t shard = 0;
-    std::string file;
-    std::uint64_t triplets = 0;
-    std::uint64_t bytes = 0;
-    std::uint32_t crc = 0;
-  };
-  std::vector<RestoredSegment> restoredSegments_;
+  /// run.
+  std::vector<sparse::ShardSegment> restoredSegments_;
 };
 
 /// Reference implementation for correctness tests: computes pairwise

@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include "chisimnet/runtime/fault.hpp"
+#include "chisimnet/util/binary_io.hpp"
 
 extern char** environ;
 
@@ -418,11 +419,11 @@ void StreamTransport::acceptLoop() {
       wire::FrameReader reader(wire::deadlineReadFn(fd, deadline));
       auto frame = reader.next();
       CHISIM_CHECK(frame.has_value() &&
-                       frame->kind == wire::FrameKind::kHello &&
-                       frame->payload.size() == sizeof(std::uint64_t),
+                       frame->kind == wire::FrameKind::kHello,
                    "malformed worker hello");
-      std::uint64_t claimed = 0;
-      std::memcpy(&claimed, frame->payload.data(), sizeof(claimed));
+      util::ByteReader hello(frame->payload, "worker hello");
+      const std::uint64_t claimed = hello.u64();
+      hello.expectEnd();
       if (fault::armed()) {
         FaultSite ctx;
         ctx.rank = frame->tag;
@@ -876,9 +877,9 @@ std::vector<std::byte> StreamWorkerLink::dialAndHello() {
     try {
       fd = dialOnce(address_, std::chrono::milliseconds(connectTimeoutMs_),
                     rank_);
-      wire::Frame hello{wire::FrameKind::kHello, rank_, {}};
-      hello.payload.resize(sizeof(epoch_));
-      std::memcpy(hello.payload.data(), &epoch_, sizeof(epoch_));
+      util::ByteWriter epoch;
+      epoch.u64(epoch_);
+      const wire::Frame hello{wire::FrameKind::kHello, rank_, epoch.take()};
       CHISIM_CHECK(wire::writeAllFd(fd, wire::encodeFrame(hello)),
                    "failed to send worker hello");
       wire::FrameReader reader(wire::deadlineReadFn(

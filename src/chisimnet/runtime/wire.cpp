@@ -12,37 +12,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "chisimnet/util/binary_io.hpp"
+
 namespace chisimnet::runtime::wire {
 
-namespace {
-
-template <typename T>
-void putScalar(std::vector<std::byte>& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t offset = out.size();
-  out.resize(offset + sizeof(T));
-  std::memcpy(out.data() + offset, &value, sizeof(T));
-}
-
-template <typename T>
-T takeAt(std::span<const std::byte> bytes, std::size_t offset) {
-  T value;
-  std::memcpy(&value, bytes.data() + offset, sizeof(T));
-  return value;
-}
-
-}  // namespace
-
 std::vector<std::byte> encodeFrame(const Frame& frame) {
-  std::vector<std::byte> out;
-  out.reserve(kFrameHeaderBytes + frame.payload.size());
-  putScalar<std::uint32_t>(out, kFrameMagic);
-  putScalar<std::uint32_t>(out, static_cast<std::uint32_t>(frame.kind));
-  putScalar<std::int32_t>(out, frame.tag);
-  putScalar<std::uint64_t>(out,
-                           static_cast<std::uint64_t>(frame.payload.size()));
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  return out;
+  util::ByteWriter out(kFrameHeaderBytes + frame.payload.size());
+  out.u32(kFrameMagic);
+  out.u32(static_cast<std::uint32_t>(frame.kind));
+  out.u32(static_cast<std::uint32_t>(frame.tag));
+  out.u64(static_cast<std::uint64_t>(frame.payload.size()));
+  out.bytes(frame.payload);
+  return out.take();
 }
 
 FrameReader::FrameReader(ReadFn read) : read_(std::move(read)) {}
@@ -70,19 +51,19 @@ std::optional<Frame> FrameReader::next() {
                  /*eofAllowedAtStart=*/true)) {
     return std::nullopt;  // clean EOF at a frame boundary
   }
-  const std::span<const std::byte> view(header, kFrameHeaderBytes);
-  const std::uint32_t magic = takeAt<std::uint32_t>(view, 0);
+  util::ByteReader in(header, "wire frame header");
+  const std::uint32_t magic = in.u32();
   CHISIM_CHECK(magic == kFrameMagic,
                "bad wire frame magic 0x" + std::to_string(magic) +
                    " (corrupt or desynchronized stream)");
-  const std::uint32_t kind = takeAt<std::uint32_t>(view, 4);
+  const std::uint32_t kind = in.u32();
   CHISIM_CHECK(kind >= static_cast<std::uint32_t>(FrameKind::kData) &&
                    kind <= static_cast<std::uint32_t>(FrameKind::kHelloAck),
                "unknown wire frame kind " + std::to_string(kind));
   Frame frame;
   frame.kind = static_cast<FrameKind>(kind);
-  frame.tag = takeAt<std::int32_t>(view, 8);
-  const std::uint64_t length = takeAt<std::uint64_t>(view, 12);
+  frame.tag = static_cast<std::int32_t>(in.u32());
+  const std::uint64_t length = in.u64();
   // Validate the declared length BEFORE sizing the allocation: a corrupt
   // header must not be able to OOM the receiver.
   validatePayloadLength(static_cast<std::int64_t>(length));

@@ -1,7 +1,6 @@
 #include "chisimnet/sparse/adjacency_io.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <fstream>
 #include <system_error>
@@ -20,12 +19,10 @@ constexpr std::uint64_t kRowBytes = 4 + 4 + 8;
 constexpr std::uint64_t kFooterBytes = 4;
 constexpr std::size_t kBufferRows = 4096;
 
-// The CADJ row codec. A row is (u32 i, u32 j, u64 weight), little-endian,
-// which is exactly AdjacencyTriplet's object representation on the hosts
-// this builds for, so rows are encoded and decoded a whole row (or a whole
-// payload) at a time as a view of the triplets' bytes.
-static_assert(std::endian::native == std::endian::little,
-              "CADJ rows are little-endian AdjacencyTriplet bytes");
+// The CADJ row is (u32 i, u32 j, u64 weight), little-endian: exactly
+// AdjacencyTriplet's object representation, so rows are encoded and
+// decoded as util row blocks (a view of the triplets' bytes).
+static_assert(util::ByteRow<AdjacencyTriplet>);
 static_assert(sizeof(AdjacencyTriplet) == kRowBytes);
 static_assert(offsetof(AdjacencyTriplet, i) == 0);
 static_assert(offsetof(AdjacencyTriplet, j) == 4);
@@ -38,13 +35,13 @@ std::span<const std::byte> encodeRows(
   for (const AdjacencyTriplet& row : rows) {
     CHISIM_REQUIRE(row.i < row.j, "triplets must be upper-triangular (i < j)");
   }
-  return std::as_bytes(rows);
+  return util::rowBytes(rows);
 }
 
 /// Reads `rows.size()` payload rows from `in` in place and returns the
 /// payload CRC. Row order is checked by the caller once the CRC holds.
 std::uint32_t decodeRows(std::istream& in, std::span<AdjacencyTriplet> rows) {
-  const std::span<std::byte> bytes = std::as_writable_bytes(rows);
+  const std::span<std::byte> bytes = util::writableRowBytes(rows);
   util::readBytes(in, bytes);
   return util::crc32(bytes);
 }
@@ -144,14 +141,15 @@ void TripletSegmentWriter::flushBuffer() {
   if (buffer_.empty()) {
     return;
   }
-  const std::span<const std::byte> bytes = std::as_bytes(std::span(buffer_));
+  const std::span<const std::byte> bytes =
+      util::rowBytes(std::span<const AdjacencyTriplet>(buffer_));
   crc_ = util::crc32(bytes, crc_);
   bytes_ += bytes.size();
   util::writeBytes(out_, bytes);
   buffer_.clear();
 }
 
-TripletSegmentInfo TripletSegmentWriter::finish() {
+ShardSegment TripletSegmentWriter::finish() {
   CHISIM_REQUIRE(!finished_, "segment already finished");
   flushBuffer();
   out_.flush();
@@ -159,7 +157,12 @@ TripletSegmentInfo TripletSegmentWriter::finish() {
   out_.close();
   std::filesystem::rename(tmp_, path_);
   finished_ = true;
-  return TripletSegmentInfo{count_, bytes_, crc_};
+  ShardSegment segment;
+  segment.file = path_;
+  segment.triplets = count_;
+  segment.bytes = bytes_;
+  segment.crc = crc_;
+  return segment;
 }
 
 StreamingTripletWriter::StreamingTripletWriter(
@@ -170,58 +173,37 @@ StreamingTripletWriter::StreamingTripletWriter(
   out_.write(kMagic, 4);
   util::writeU32(out_, kVersion);
   util::writeU64(out_, 0);  // edge count, patched by finish()
-  buffer_.reserve(kBufferRows);
 }
 
-void StreamingTripletWriter::append(const AdjacencyTriplet& triplet) {
-  encodeRows({&triplet, 1});  // checks the row now; flushBuffer writes it
-  buffer_.push_back(triplet);
-  ++count_;
-  if (buffer_.size() >= kBufferRows) {
-    flushBuffer();
-  }
-}
-
-void StreamingTripletWriter::flushBuffer() {
-  if (buffer_.empty()) {
-    return;
-  }
-  const std::span<const std::byte> bytes = std::as_bytes(std::span(buffer_));
-  crc_ = util::crc32(bytes, crc_);  // chained: equals crc32(whole payload)
-  util::writeBytes(out_, bytes);
-  buffer_.clear();
-}
-
-void StreamingTripletWriter::appendSegmentFile(
-    const std::filesystem::path& segment, const TripletSegmentInfo& info) {
+void StreamingTripletWriter::appendSegmentFile(const ShardSegment& segment) {
   CHISIM_REQUIRE(!finished_, "adjacency stream already finished");
-  flushBuffer();  // everything appended so far must precede the segment
-  std::ifstream in(segment, std::ios::binary);
-  CHISIM_CHECK(in.good(), "cannot open segment file: " + segment.string());
+  std::ifstream in(segment.file, std::ios::binary);
+  CHISIM_CHECK(in.good(),
+               "cannot open segment file: " + segment.file.string());
   std::vector<std::byte> chunk(kRowBytes * kBufferRows);
   std::uint64_t copied = 0;
   std::uint32_t segmentCrc = 0;
-  while (copied < info.bytes) {
+  while (copied < segment.bytes) {
     const std::uint64_t want = std::min<std::uint64_t>(
-        chunk.size(), info.bytes - copied);
+        chunk.size(), segment.bytes - copied);
     in.read(reinterpret_cast<char*>(chunk.data()),
             static_cast<std::streamsize>(want));
     CHISIM_CHECK(in.gcount() == static_cast<std::streamsize>(want),
-                 "segment file truncated: " + segment.string());
+                 "segment file truncated: " + segment.file.string());
     const std::span<const std::byte> bytes(chunk.data(), want);
     segmentCrc = util::crc32(bytes, segmentCrc);
     crc_ = util::crc32(bytes, crc_);  // chained: composes across segments
     util::writeBytes(out_, bytes);
     copied += want;
   }
-  CHISIM_CHECK(segmentCrc == info.crc,
-               "segment CRC mismatch (corrupt or stale): " + segment.string());
-  count_ += info.triplets;
+  CHISIM_CHECK(segmentCrc == segment.crc,
+               "segment CRC mismatch (corrupt or stale): " +
+                   segment.file.string());
+  count_ += segment.triplets;
 }
 
 std::uint64_t StreamingTripletWriter::finish() {
   CHISIM_REQUIRE(!finished_, "adjacency stream already finished");
-  flushBuffer();
   util::writeU32(out_, crc_);
   out_.seekp(8);
   util::writeU64(out_, count_);

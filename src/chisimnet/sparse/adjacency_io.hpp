@@ -15,8 +15,10 @@
 /// upper-triangular triplets: header (magic, version, edge count), payload
 /// of (i, j, weight) rows with u32 ids and u64 weights, and a CRC32 footer
 /// over the payload so a truncated transfer is detected at load. A row is
-/// the little-endian AdjacencyTriplet itself, so the payload is written
-/// and read as one block, never field by field.
+/// the little-endian AdjacencyTriplet itself (a util::ByteRow), so the
+/// payload is written and read as one util row block, never field by
+/// field — the same row encoding CSPL1 spill frames and inline mp runs
+/// use.
 
 namespace chisimnet::sparse {
 
@@ -42,14 +44,23 @@ std::vector<AdjacencyTriplet> loadTriplets(const std::filesystem::path& path);
 /// Loads into an accumulator (e.g. to sum stored partial matrices).
 SymmetricAdjacency loadAdjacency(const std::filesystem::path& path);
 
-/// Identity of a finished CADJ payload segment: a headerless file of
-/// LE-encoded (i, j, weight) rows covering one sorted key range, produced
-/// by a per-shard external merge and later concatenated into the final
-/// CADJ via StreamingTripletWriter::appendSegmentFile.
-struct TripletSegmentInfo {
+/// A finished CADJ payload segment: a headerless file of CADJ rows
+/// covering one sorted key range, produced by a per-shard external merge
+/// (mergeShardRuns) and later concatenated into the final CADJ via
+/// StreamingTripletWriter::appendSegmentFile. This is the one record of a
+/// segment wherever it travels (merge-shard reply, checkpoint manifest,
+/// splice); a manifest stores `file` as a bare name within the spill
+/// directory.
+struct ShardSegment {
+  std::uint32_t shard = 0;  ///< fine-shard index (lowId / rowsPerShard)
+  std::filesystem::path file;
   std::uint64_t triplets = 0;
   std::uint64_t bytes = 0;  ///< file size = 16 × triplets
   std::uint32_t crc = 0;    ///< crc32 over the segment's bytes
+  /// Thread-CPU seconds of this shard's merge. Per-owner sums of these
+  /// model the parallel critical path on one-core hosts.
+  double mergeSeconds = 0.0;
+  unsigned owner = 0;  ///< worker index / rank that ran the merge
 };
 
 /// Streams sorted triplets into a raw payload-segment file (tmp+rename, so
@@ -68,8 +79,9 @@ class TripletSegmentWriter {
   /// Rows must arrive upper-triangular (i < j) and in final sorted order.
   void append(const AdjacencyTriplet& triplet);
 
-  /// Flushes and renames the .tmp into place.
-  TripletSegmentInfo finish();
+  /// Flushes and renames the .tmp into place; returns the segment's file
+  /// and identity (shard, timing and owner are the caller's to fill).
+  ShardSegment finish();
 
  private:
   void flushBuffer();
@@ -84,37 +96,30 @@ class TripletSegmentWriter {
   bool finished_ = false;
 };
 
-/// Streams triplets into a CADJ1 file without materializing them: the
-/// header count is patched and the payload CRC chained incrementally at
-/// finish(), producing bytes identical to saveTriplets() on the same
-/// sequence. This is how a memory-budgeted synthesis writes its final
-/// external-merge stream straight to disk.
+/// Writes a CADJ1 file as the concatenation of payload segments, without
+/// materializing the triplets: the header count is patched and the
+/// payload CRC chained across segments at finish(), producing bytes
+/// identical to saveTriplets() on the concatenated rows. This is how a
+/// memory-budgeted synthesis writes its sharded external merge straight
+/// to disk.
 class StreamingTripletWriter {
  public:
   explicit StreamingTripletWriter(const std::filesystem::path& path);
 
-  /// Rows must arrive upper-triangular (i < j) and in the final order.
-  void append(const AdjacencyTriplet& triplet);
-
   /// Splices a finished payload segment (TripletSegmentWriter output) into
   /// the stream by raw byte copy: no decode, no re-encode. The chained
   /// payload CRC composes across the copy, and the copied bytes are
-  /// re-CRCed against `info.crc` so a segment corrupted at rest (or a
+  /// re-CRCed against `segment.crc` so a segment corrupted at rest (or a
   /// stale resume artifact) fails loudly instead of poisoning the output.
-  /// Segments must be appended in ascending key order relative to every
-  /// other append.
-  void appendSegmentFile(const std::filesystem::path& segment,
-                         const TripletSegmentInfo& info);
+  /// Segments must be appended in ascending key order.
+  void appendSegmentFile(const ShardSegment& segment);
 
   /// Writes the CRC footer, patches the header count; returns the count.
   std::uint64_t finish();
 
  private:
-  void flushBuffer();
-
   std::filesystem::path path_;
   std::ofstream out_;
-  std::vector<AdjacencyTriplet> buffer_;  ///< rows not yet written
   std::uint32_t crc_ = 0;
   std::uint64_t count_ = 0;
   bool finished_ = false;

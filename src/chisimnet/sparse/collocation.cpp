@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/error.hpp"
 
 namespace chisimnet::sparse {
@@ -80,72 +81,33 @@ bool CollocationMatrix::present(std::size_t row, std::uint32_t hour) const noexc
 }
 
 std::vector<std::byte> CollocationMatrix::toBytes() const {
-  // Layout: place u32, sliceHours u32, personCount u64, nnz u64,
-  //         persons (u32 each), offsets (u64 each), hours (u32 each).
-  std::vector<std::byte> bytes;
-  bytes.reserve(24 + persons_.size() * 4 + offsets_.size() * 8 +
-                hours_.size() * 4);
-  const auto put32 = [&bytes](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      bytes.push_back(static_cast<std::byte>(value >> shift));
-    }
-  };
-  const auto put64 = [&put32](std::uint64_t value) {
-    put32(static_cast<std::uint32_t>(value));
-    put32(static_cast<std::uint32_t>(value >> 32));
-  };
-  put32(place_);
-  put32(sliceHours_);
-  put64(persons_.size());
-  put64(hours_.size());
-  for (table::PersonId person : persons_) {
-    put32(person);
-  }
-  for (std::uint64_t offset : offsets_) {
-    put64(offset);
-  }
-  for (std::uint32_t hour : hours_) {
-    put32(hour);
-  }
-  return bytes;
+  // Layout: place u32, sliceHours u32, personCount u64, nnz u64, then the
+  // persons (u32), offsets (u64) and hours (u32) as row blocks.
+  util::ByteWriter bytes(24 + persons_.size() * 4 + offsets_.size() * 8 +
+                         hours_.size() * 4);
+  bytes.u32(place_);
+  bytes.u32(sliceHours_);
+  bytes.u64(persons_.size());
+  bytes.u64(hours_.size());
+  bytes.rows(persons_);
+  bytes.rows(offsets_);
+  bytes.rows(hours_);
+  return bytes.take();
 }
 
 CollocationMatrix CollocationMatrix::fromBytes(std::span<const std::byte> bytes) {
-  std::size_t cursor = 0;
-  const auto take32 = [&bytes, &cursor]() {
-    CHISIM_CHECK(cursor + 4 <= bytes.size(), "truncated collocation matrix");
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(bytes[cursor]) |
-        (static_cast<std::uint32_t>(bytes[cursor + 1]) << 8) |
-        (static_cast<std::uint32_t>(bytes[cursor + 2]) << 16) |
-        (static_cast<std::uint32_t>(bytes[cursor + 3]) << 24);
-    cursor += 4;
-    return value;
-  };
-  const auto take64 = [&take32]() {
-    const std::uint64_t low = take32();
-    const std::uint64_t high = take32();
-    return low | (high << 32);
-  };
-
+  // The frame arrives over the mp wire: every declared count is bounded by
+  // the bytes that follow it before it sizes a vector.
+  util::ByteReader in(bytes, "collocation matrix");
   CollocationMatrix matrix;
-  matrix.place_ = take32();
-  matrix.sliceHours_ = take32();
-  const std::uint64_t personCount = take64();
-  const std::uint64_t nnz = take64();
-  matrix.persons_.resize(personCount);
-  for (table::PersonId& person : matrix.persons_) {
-    person = take32();
-  }
-  matrix.offsets_.resize(personCount + 1);
-  for (std::uint64_t& offset : matrix.offsets_) {
-    offset = take64();
-  }
-  matrix.hours_.resize(nnz);
-  for (std::uint32_t& hour : matrix.hours_) {
-    hour = take32();
-  }
-  CHISIM_CHECK(cursor == bytes.size(), "trailing bytes in collocation matrix");
+  matrix.place_ = in.u32();
+  matrix.sliceHours_ = in.u32();
+  const std::uint64_t personCount = in.u64();
+  const std::uint64_t nnz = in.u64();
+  matrix.persons_ = in.rows<table::PersonId>(personCount, "persons");
+  matrix.offsets_ = in.rows<std::uint64_t>(personCount + 1, "offsets");
+  matrix.hours_ = in.rows<std::uint32_t>(nnz, "hours");
+  in.expectEnd();
   CHISIM_CHECK(matrix.offsets_.front() == 0 && matrix.offsets_.back() == nnz,
                "corrupt collocation matrix offsets");
   return matrix;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <map>
 #include <system_error>
 #include <utility>
@@ -28,23 +27,6 @@ static_assert(sizeof(AdjacencyTriplet) == 16,
 /// terminate: a threshold below one minimal hash table would spill on
 /// every insert.
 constexpr std::uint64_t kMinSpillThresholdBytes = 4096;
-
-std::vector<std::byte> encodeFrame(std::span<const AdjacencyTriplet> rows) {
-  std::vector<std::byte> payload(rows.size() * kTripletBytes);
-  std::byte* out = payload.data();
-  const auto put32 = [&out](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      *out++ = static_cast<std::byte>(value >> shift);
-    }
-  };
-  for (const AdjacencyTriplet& row : rows) {
-    put32(row.i);
-    put32(row.j);
-    put32(static_cast<std::uint32_t>(row.weight));
-    put32(static_cast<std::uint32_t>(row.weight >> 32));
-  }
-  return payload;
-}
 
 }  // namespace
 
@@ -98,7 +80,8 @@ void SpillRunWriter::flushFrame() {
   if (frame_.empty()) {
     return;
   }
-  const std::vector<std::byte> payload = encodeFrame(frame_);
+  const std::span<const std::byte> payload =
+      util::rowBytes(std::span<const AdjacencyTriplet>(frame_));
   util::writeU32(out_, static_cast<std::uint32_t>(frame_.size()));
   util::writeU32(out_, util::crc32(payload));
   util::writeBytes(out_, payload);
@@ -171,7 +154,7 @@ void SpillRunReader::fail(const std::string& what,
 bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
   const std::uint64_t frameOffset =
       static_cast<std::uint64_t>(in_.tellg());
-  unsigned char header[8];
+  std::byte header[8];
   in_.read(reinterpret_cast<char*>(header), 8);
   if (in_.gcount() == 0 && in_.eof()) {
     // Clean end of file at a frame boundary: the header count must agree.
@@ -186,20 +169,19 @@ bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
   if (in_.gcount() != 8) {
     fail("truncated frame header", frameOffset);
   }
-  const auto get32 = [&header](int at) {
-    return static_cast<std::uint32_t>(header[at]) |
-           (static_cast<std::uint32_t>(header[at + 1]) << 8) |
-           (static_cast<std::uint32_t>(header[at + 2]) << 16) |
-           (static_cast<std::uint32_t>(header[at + 3]) << 24);
-  };
-  const std::uint32_t count = get32(0);
-  const std::uint32_t storedCrc = get32(4);
+  util::ByteReader fields(header, "spill frame header");
+  const std::uint32_t count = fields.u32();
+  const std::uint32_t storedCrc = fields.u32();
   if (count == 0 || count > kSpillFrameTriplets) {
     fail("corrupt frame header: implausible row count " +
              std::to_string(count),
          frameOffset);
   }
-  std::vector<std::byte> payload(count * kTripletBytes);
+  // The payload is the frame's AdjacencyTriplet row block: read it in
+  // place, then check its CRC.
+  dest.resize(count);
+  const std::span<std::byte> payload =
+      util::writableRowBytes(std::span<AdjacencyTriplet>(dest));
   in_.read(reinterpret_cast<char*>(payload.data()),
            static_cast<std::streamsize>(payload.size()));
   if (in_.gcount() != static_cast<std::streamsize>(payload.size())) {
@@ -218,24 +200,6 @@ bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
     fail("more triplets than the header declares (" + std::to_string(total_) +
              ")",
          frameOffset);
-  }
-  dest.resize(count);
-  std::size_t cursor = 0;
-  const auto take32 = [&payload, &cursor]() {
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(payload[cursor]) |
-        (static_cast<std::uint32_t>(payload[cursor + 1]) << 8) |
-        (static_cast<std::uint32_t>(payload[cursor + 2]) << 16) |
-        (static_cast<std::uint32_t>(payload[cursor + 3]) << 24);
-    cursor += 4;
-    return value;
-  };
-  for (AdjacencyTriplet& row : dest) {
-    row.i = take32();
-    row.j = take32();
-    const std::uint64_t low = take32();
-    const std::uint64_t high = take32();
-    row.weight = low | (high << 32);
   }
   return true;
 }
@@ -647,7 +611,6 @@ void SpillingSum::flush() {
   const std::vector<AdjacencyTriplet> triplets = drainInMemory();
   writeShardRuns(dir_, filePrefix_, nextRunIndex_, triplets, splitRows_,
                  runs_);
-  ++flushes_;
 }
 
 void writeShardRuns(const std::filesystem::path& dir,
@@ -684,10 +647,6 @@ std::vector<AdjacencyTriplet> SpillingSum::drainInMemory() {
   return triplets;
 }
 
-void SpillingSum::flushAll() {
-  flush();
-}
-
 // -------------------------------------------------------- shard merge
 
 ShardSegment mergeShardRuns(std::uint32_t shard,
@@ -706,13 +665,8 @@ ShardSegment mergeShardRuns(std::uint32_t shard,
   while (merger.next(triplet)) {
     writer.append(triplet);
   }
-  const TripletSegmentInfo info = writer.finish();
-  ShardSegment segment;
+  ShardSegment segment = writer.finish();
   segment.shard = shard;
-  segment.file = segmentFile;
-  segment.triplets = info.triplets;
-  segment.bytes = info.bytes;
-  segment.crc = info.crc;
   segment.mergeSeconds = timer.seconds();
   return segment;
 }

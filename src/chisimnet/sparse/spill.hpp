@@ -26,6 +26,9 @@
 /// Spill-run container (CSPL1):
 ///   header  magic "CSPL" | version u32 | tripletCount u64 (patched last)
 ///   frames  [count u32][crc32 u32][count × 16-byte triplet rows]*
+/// A frame payload is a util row block of AdjacencyTriplet — the CADJ row
+/// encoding (adjacency_io.hpp) — written from and read into the frame
+/// buffer in place.
 /// Runs are written to `<path>.tmp` and renamed into place when complete —
 /// the same crash-safe tmp+rename idiom as the checkpoint manifest — so a
 /// run file that exists under its real name is always whole. Each frame
@@ -324,7 +327,7 @@ class SpillingAccumulator {
 /// stage-5 memory is capped at roughly the threshold per worker.
 class SpillingSum {
  public:
-  /// flushThresholdBytes 0 = never flush on its own (flushAll() still
+  /// flushThresholdBytes 0 = never flush on its own (flush() still
   /// writes runs). splitRows (>= 1) routes spills to their reduce-shard
   /// owners at flush time: each flush is written by writeShardRuns as one
   /// shard-pure run per touched shard (shard = low id / splitRows), so the
@@ -338,18 +341,17 @@ class SpillingSum {
   const AdjacencyKernelStats& kernelStats() const noexcept;
   /// Max in-memory bytes observed (map plus flush-sort transient).
   std::uint64_t peakBytes() const noexcept { return peakBytes_; }
-  std::uint64_t flushes() const noexcept { return flushes_; }
 
   const std::vector<SpillRunInfo>& runs() const noexcept { return runs_; }
   /// Distinct pairs not yet flushed.
   std::uint64_t residentTriplets() const noexcept { return sum_.edgeCount(); }
   /// The not-yet-flushed remainder as a sorted run; resets the sum.
   std::vector<AdjacencyTriplet> drainInMemory();
-  /// Flushes the remainder to disk too, leaving only run files.
-  void flushAll();
+  /// Writes the in-memory sum to disk as shard-pure runs (no-op when it
+  /// is empty), leaving only run files.
+  void flush();
 
  private:
-  void flush();
 
   std::filesystem::path dir_;
   std::string filePrefix_;
@@ -359,7 +361,6 @@ class SpillingSum {
   std::vector<SpillRunInfo> runs_;
   std::uint64_t nextRunIndex_ = 0;
   std::uint64_t peakBytes_ = 0;
-  std::uint64_t flushes_ = 0;
 };
 
 /// Writes a strictly key-ascending triplet list as shard-pure runs, one
@@ -373,21 +374,6 @@ void writeShardRuns(const std::filesystem::path& dir,
                     const std::string& filePrefix, std::uint64_t& nextIndex,
                     std::span<const AdjacencyTriplet> sorted,
                     std::uint32_t splitRows, std::vector<SpillRunInfo>& out);
-
-/// One finished per-shard merge: the shard's duplicate-summed sorted
-/// stream as a raw CADJ payload segment on disk (TripletSegmentWriter
-/// format), plus the timing the shard-scaling bench and report aggregate.
-struct ShardSegment {
-  std::uint32_t shard = 0;
-  std::filesystem::path file;
-  std::uint64_t triplets = 0;
-  std::uint64_t bytes = 0;
-  std::uint32_t crc = 0;
-  /// Thread-CPU seconds of this shard's merge. Per-owner sums of these
-  /// model the parallel critical path on one-core hosts.
-  double mergeSeconds = 0.0;
-  unsigned owner = 0;  ///< worker index / rank that ran the merge
-};
 
 /// Runs one shard's independent loser-tree merge over its (shard-pure)
 /// runs, read double-buffered, streaming the result into `segmentFile`

@@ -60,4 +60,52 @@ std::uint32_t crc32(std::span<const std::byte> bytes, std::uint32_t seed) noexce
   return crc ^ 0xFFFFFFFFu;
 }
 
+void ByteWriter::string(std::string_view text) {
+  CHISIM_CHECK(text.size() <= UINT32_MAX,
+               "string of " + std::to_string(text.size()) +
+                   " bytes does not fit a u32 length prefix");
+  u32(static_cast<std::uint32_t>(text.size()));
+  bytes(std::as_bytes(std::span<const char>(text.data(), text.size())));
+}
+
+std::span<const std::byte> ByteReader::bytes(std::uint64_t count) {
+  CHISIM_CHECK(count <= remaining(),
+               "truncated " + std::string(format_) + ": " +
+                   std::to_string(count) + " bytes needed at offset " +
+                   std::to_string(cursor_) + ", " +
+                   std::to_string(remaining()) + " left");
+  const std::span<const std::byte> view =
+      bytes_.subspan(cursor_, static_cast<std::size_t>(count));
+  cursor_ += view.size();
+  return view;
+}
+
+std::span<const std::byte> ByteReader::rest() noexcept {
+  const std::span<const std::byte> view = bytes_.subspan(cursor_);
+  cursor_ = bytes_.size();
+  return view;
+}
+
+std::string ByteReader::string() {
+  const std::span<const std::byte> text =
+      bytes(count(u32(), 1, "string bytes"));
+  return std::string(reinterpret_cast<const char*>(text.data()), text.size());
+}
+
+std::uint64_t ByteReader::count(std::uint64_t declared,
+                                std::size_t minBytesEach,
+                                std::string_view what) const {
+  CHISIM_CHECK(minBytesEach > 0 && declared <= remaining() / minBytesEach,
+               std::string(format_) + " declares more " + std::string(what) +
+                   " (" + std::to_string(declared) + ") than its remaining " +
+                   std::to_string(remaining()) + " bytes can hold");
+  return declared;
+}
+
+void ByteReader::expectEnd() const {
+  CHISIM_CHECK(remaining() == 0, std::string(format_) + " has " +
+                                     std::to_string(remaining()) +
+                                     " trailing bytes");
+}
+
 }  // namespace chisimnet::util

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "chisimnet/abm/disease.hpp"
+#include "chisimnet/abm/migration.hpp"
 #include "chisimnet/abm/model.hpp"
 #include "chisimnet/abm/place_partition.hpp"
 #include "chisimnet/elog/log_directory.hpp"
@@ -75,6 +76,49 @@ class AbmTest : public ::testing::Test {
 };
 
 pop::SyntheticPopulation* AbmTest::population_ = nullptr;
+
+TEST(MigrationBatchCodec, Cmb2BatchBytesArePinned) {
+  // One batch with one migrant carrying a two-stint week: magic "CMB2",
+  // hour, next-event hint, flags, migrant count, then per migrant its
+  // cursor words and stint count followed by the 8-byte stint rows.
+  MigrationBatch batch;
+  batch.hour = 7;
+  batch.nextEventHint = 9;
+  batch.flags = kBatchFlagShutdown;
+  MigrantRecord record;
+  record.person = 42;
+  record.weekIndex = 0;
+  record.stintIndex = 1;
+  record.stints.resize(2);
+  record.stints[0].startHour = 0;
+  record.stints[0].endHour = 8;
+  record.stints[0].activity = 1;
+  record.stints[0].place = 100;
+  record.stints[1].startHour = 8;
+  record.stints[1].endHour = 168;
+  record.stints[1].activity = 2;
+  record.stints[1].place = 200;
+  batch.migrants.push_back(record);
+  const std::vector<unsigned char> want{
+      0x43, 0x4D, 0x42, 0x32, 0x07, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x08, 0x01, 0x00, 0x64, 0x00, 0x00, 0x00,
+      0x08, 0xA8, 0x02, 0x00, 0xC8, 0x00, 0x00, 0x00};
+  const std::vector<std::byte> bytes = encodeMigrationBatch(batch);
+  ASSERT_EQ(bytes.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(static_cast<unsigned char>(bytes[i]), want[i]) << "byte " << i;
+  }
+  const MigrationBatch back = decodeMigrationBatch(bytes, 7);
+  EXPECT_EQ(back.nextEventHint, 9u);
+  EXPECT_EQ(back.flags, kBatchFlagShutdown);
+  ASSERT_EQ(back.migrants.size(), 1u);
+  EXPECT_EQ(back.migrants[0].person, 42u);
+  EXPECT_EQ(back.migrants[0].stintIndex, 1u);
+  EXPECT_EQ(back.migrants[0].stints, record.stints);
+  EXPECT_THROW(decodeMigrationBatch(bytes, 8), std::runtime_error);
+}
 
 TEST_F(AbmTest, PlacePartitionCoversAllPlaces) {
   for (const PartitionStrategy strategy :

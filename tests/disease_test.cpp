@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <unordered_map>
 
 #include "chisimnet/abm/disease.hpp"
 #include "chisimnet/abm/model.hpp"
 #include "chisimnet/elog/extended.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "support.hpp"
 
@@ -108,6 +110,32 @@ TEST_F(ExtendedLogTest, TruncationDetected) {
   const auto size = std::filesystem::file_size(dir_ / "e.clx5");
   std::filesystem::resize_file(dir_ / "e.clx5", size - 4);
   EXPECT_THROW(ExtendedLogReader{dir_ / "e.clx5"}, std::runtime_error);
+}
+
+TEST_F(ExtendedLogTest, InflatedFooterCountIsRejectedNamingTheFile) {
+  // CLX5 shares CLG5's footer reader, so a footer count the file cannot
+  // hold is refused before it sizes the chunk index.
+  const std::filesystem::path path = dir_ / "f.clx5";
+  {
+    ExtendedLogWriter writer(path, 1);
+    writer.writeChunk(randomExtended(7, 20, 1));
+    writer.close();
+  }
+  {
+    std::fstream stream(path, std::ios::binary | std::ios::in | std::ios::out);
+    stream.seekg(12);  // header footerOffset slot
+    const std::uint64_t footerOffset = util::readU64(stream);
+    stream.seekp(static_cast<std::streamoff>(footerOffset));
+    util::writeU64(stream, std::uint64_t{1} << 36);
+  }
+  try {
+    ExtendedLogReader reader(path);
+    FAIL() << "an inflated CLX5 footer count was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(path.string()),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // ---- in-model SEIR ---------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "chisimnet/elog/clg5.hpp"
 #include "chisimnet/elog/event_logger.hpp"
 #include "chisimnet/elog/log_directory.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "support.hpp"
 
@@ -263,6 +264,74 @@ TEST_F(ElogTest, PackedCorruptionDetected) {
   }
   ChunkedLogReader reader(file("pc.clg5"));
   EXPECT_THROW(reader.readChunk(0), std::runtime_error);
+}
+
+/// Overwrites the entry count of the first chunk in a closed CLG5 file,
+/// in its chunk header and in the footer index, and re-CRCs the footer so
+/// only the count is wrong.
+void inflateFirstChunkCount(const std::filesystem::path& path,
+                            std::uint32_t entryCount) {
+  std::fstream stream(path, std::ios::binary | std::ios::in | std::ios::out);
+  stream.seekg(12);  // header footerOffset slot
+  const std::uint64_t footerOffset = util::readU64(stream);
+  stream.seekp(20);  // first chunk header: entryCount
+  util::writeU32(stream, entryCount);
+  // Footer: [count u64][offset u64, entryCount u32, ...], then its CRC.
+  stream.seekg(static_cast<std::streamoff>(footerOffset));
+  const std::uint64_t chunkCount = util::readU64(stream);
+  stream.seekp(static_cast<std::streamoff>(footerOffset + 16));
+  util::writeU32(stream, entryCount);
+  std::vector<std::byte> footer(8 + chunkCount * 20);
+  stream.seekg(static_cast<std::streamoff>(footerOffset));
+  util::readBytes(stream, footer);
+  stream.seekp(static_cast<std::streamoff>(footerOffset + footer.size()));
+  util::writeU32(stream, util::crc32(footer));
+}
+
+TEST_F(ElogTest, PackedChunkCountBeyondItsPayloadIsRejected) {
+  // 2^31 declared entries would be a 40 GiB allocation; every packed entry
+  // takes at least 5 varint bytes, so the payload bounds the count first.
+  {
+    ChunkedLogWriter writer(file("inflated.clg5"), LogCompression::kPacked);
+    writer.writeChunk(randomEvents(31, 50));
+    writer.close();
+  }
+  inflateFirstChunkCount(file("inflated.clg5"), 1u << 31);
+  ChunkedLogReader reader(file("inflated.clg5"));
+  ASSERT_EQ(reader.chunks()[0].entryCount, 1u << 31);
+  try {
+    reader.readChunk(0);
+    FAIL() << "an inflated packed chunk count was accepted";
+  } catch (const Clg5Error& error) {
+    EXPECT_NE(error.reason().find("at least 5 bytes per entry"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(ElogTest, FooterCountBeyondTheFileIsRejected) {
+  {
+    ChunkedLogWriter writer(file("footer.clg5"));
+    writer.writeChunk(randomEvents(32, 50));
+    writer.close();
+  }
+  {
+    std::fstream stream(file("footer.clg5"),
+                        std::ios::binary | std::ios::in | std::ios::out);
+    stream.seekg(12);
+    const std::uint64_t footerOffset = util::readU64(stream);
+    stream.seekp(static_cast<std::streamoff>(footerOffset));
+    util::writeU64(stream, std::uint64_t{1} << 40);
+  }
+  try {
+    ChunkedLogReader reader(file("footer.clg5"));
+    FAIL() << "an inflated footer count was accepted";
+  } catch (const Clg5Error& error) {
+    EXPECT_EQ(error.chunkIndex(), -1);
+    EXPECT_NE(error.reason().find("more than the file can hold"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST_F(ElogTest, ChunkIndexRecordsTimeRanges) {

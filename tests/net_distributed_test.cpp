@@ -9,6 +9,7 @@
 #include "chisimnet/net/executor.hpp"
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/sparse/collocation.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "support.hpp"
 
@@ -90,6 +91,19 @@ TEST(CollocationSerialization, TruncationDetected) {
   const sparse::CollocationMatrix matrix(7, events, 0, 8);
   auto bytes = matrix.toBytes();
   bytes.pop_back();
+  EXPECT_THROW(sparse::CollocationMatrix::fromBytes(bytes), std::runtime_error);
+}
+
+TEST(CollocationSerialization, InflatedCountIsRejected) {
+  // A 24-byte frame declaring 2^40 persons must be refused by the bound on
+  // the bytes that follow, before any vector is sized from the count.
+  util::ByteWriter frame;
+  frame.u32(7);   // place
+  frame.u32(8);   // slice hours
+  frame.u64(std::uint64_t{1} << 40);  // persons
+  frame.u64(0);   // nnz
+  const std::vector<std::byte> bytes = frame.take();
+  ASSERT_EQ(bytes.size(), 24u);
   EXPECT_THROW(sparse::CollocationMatrix::fromBytes(bytes), std::runtime_error);
 }
 
@@ -227,9 +241,10 @@ TEST(MpProtocol, RetiredMergeRunsCommandIsRejected) {
   // Command id 4 once ran a reduce-tree level. A stray frame carrying it
   // (say, from an older root) must fail the CHISIM_CHECK on unknown
   // commands, not be misread as another stage's body.
-  std::vector<std::byte> body;
-  mp::put64(body, 1);  // the retired body's run token
-  mp::put32(body, 0);  // and its pair count
+  util::ByteWriter writer;
+  writer.u64(1);  // the retired body's run token
+  writer.u32(0);  // and its pair count
+  const std::vector<std::byte> body = writer.take();
   static_assert(mp::kCmdMergeShard == 5, "command ids are never renumbered");
   try {
     mp::executeSynthesisCommand(mp::StageParams{}, 4, body);

@@ -232,12 +232,12 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
     SpillingAccumulator accumulator(options);
     feed(accumulator);
     const auto merged = accumulator.finishMerge();
-    StreamingTripletWriter writer(serialOut);
+    std::vector<AdjacencyTriplet> rows;
     AdjacencyTriplet triplet;
     while (merged->next(triplet)) {
-      writer.append(triplet);
+      rows.push_back(triplet);
     }
-    writer.finish();
+    saveTriplets(rows, serialOut);
   }
   const std::string serialBytes = fileBytes(serialOut);
 
@@ -255,9 +255,7 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
     const ShardSegment segment = mergeShardRuns(
         group.shard, group.runs,
         options.dir / ("seg." + std::to_string(group.shard) + ".cseg"));
-    writer.appendSegmentFile(segment.file,
-                             TripletSegmentInfo{segment.triplets,
-                                                segment.bytes, segment.crc});
+    writer.appendSegmentFile(segment);
   }
   writer.finish();
   EXPECT_EQ(fileBytes(out), serialBytes);
@@ -442,7 +440,7 @@ TEST(ShardedCheckpointTest, ManifestRoundTripsRangesAndMergeSegments) {
   manifest.configHash = 0xC0FFEE;
   manifest.spillRuns.push_back(run);
   manifest.mergeSegments.push_back(
-      MergeSegmentEntry{0, "seg.0.cseg", 2, 32, 0xABCD1234});
+      sparse::ShardSegment{0, "seg.0.cseg", 2, 32, 0xABCD1234});
   saveCheckpoint(scratch.path(), manifest, spillDir);
 
   const auto loaded = loadCheckpointManifest(scratch.path());
@@ -520,7 +518,7 @@ TEST(ShardedSynthesisTest, KillDuringMergeResumesOnlyUnfinishedShards) {
   const std::size_t finished = manifest->mergeSegments.size();
   ASSERT_GE(finished, 2u);
   ASSERT_LT(finished, totalSegments);
-  for (const MergeSegmentEntry& segment : manifest->mergeSegments) {
+  for (const sparse::ShardSegment& segment : manifest->mergeSegments) {
     EXPECT_TRUE(std::filesystem::exists(checkpoints.path() / "spill" /
                                         segment.file))
         << segment.file;

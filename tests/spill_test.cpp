@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <span>
 #include <string>
@@ -171,6 +172,31 @@ TEST(SpillRunTest, EmptyRunRoundTrips) {
   EXPECT_EQ(info.triplets, 0u);
   SpillRunReader reader(path);
   EXPECT_TRUE(drain(reader).empty());
+}
+
+TEST(SpillRunTest, TwoRowRunFileBytesArePinned) {
+  // The whole CSPL1 file: header (magic, version, count), one frame
+  // (count, CRC32 of the payload) and the two 16-byte triplet rows.
+  ScratchDir scratch("chisimnet_spill_pinned");
+  const std::filesystem::path path = scratch.path() / "run.0.spl";
+  const std::vector<AdjacencyTriplet> run{{1, 2, 3}, {1, 5, 0x100000000ull}};
+  {
+    SpillRunWriter writer(path);
+    writer.append(std::span<const AdjacencyTriplet>(run));
+    writer.finish();
+  }
+  const std::vector<unsigned char> want{
+      0x43, 0x53, 0x50, 0x4C, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0xF1, 0x82, 0xD2, 0x3D,
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00};
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<unsigned char> got((std::istreambuf_iterator<char>(in)),
+                                       std::istreambuf_iterator<char>());
+  EXPECT_EQ(got, want);
+  SpillRunReader reader(path);
+  EXPECT_EQ(drain(reader), run);
 }
 
 TEST(SpillRunTest, WriterRejectsMisorderedAppend) {

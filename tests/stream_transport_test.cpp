@@ -338,11 +338,12 @@ TEST(TcpProtocolTest, ShippedRunRefRoundTripsAsItsOwnMode) {
   ref.run.triplets = 789;
   ref.run.firstKey = 5;
   ref.run.lastKey = 9;
-  std::vector<std::byte> buffer;
-  mp::putRunRef(buffer, ref);
-  std::size_t cursor = 0;
-  const mp::RunRef back = mp::takeRunRef(buffer, cursor);
-  EXPECT_EQ(cursor, buffer.size());
+  util::ByteWriter writer;
+  mp::putRunRef(writer, ref);
+  const std::vector<std::byte> buffer = writer.take();
+  util::ByteReader reader(buffer, "run ref");
+  const mp::RunRef back = mp::takeRunRef(reader);
+  EXPECT_EQ(reader.offset(), buffer.size());
   EXPECT_TRUE(back.shipped);
   EXPECT_TRUE(back.isFile());
   EXPECT_EQ(back.run.file, ref.run.file);
@@ -356,10 +357,10 @@ TEST(TcpProtocolTest, ShippedRunRefRoundTripsAsItsOwnMode) {
   mp::RunRef plain;
   plain.run.file = "/spill/run_000001.spill";
   plain.run.bytes = 42;
-  buffer.clear();
-  mp::putRunRef(buffer, plain);
-  cursor = 0;
-  EXPECT_FALSE(mp::takeRunRef(buffer, cursor).shipped);
+  mp::putRunRef(writer, plain);
+  const std::vector<std::byte> plainBuffer = writer.take();
+  util::ByteReader plainReader(plainBuffer, "run ref");
+  EXPECT_FALSE(mp::takeRunRef(plainReader).shipped);
 }
 
 TEST(TcpProtocolTest, StageParamsCarryTheShipRunsFlag) {

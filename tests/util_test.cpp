@@ -4,8 +4,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <span>
 #include <sstream>
+#include <vector>
 
+#include "chisimnet/pop/schedule.hpp"
+#include "chisimnet/sparse/adjacency.hpp"
+#include "chisimnet/table/event.hpp"
 #include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/env.hpp"
 #include "chisimnet/util/error.hpp"
@@ -382,6 +387,170 @@ TEST(BinaryIo, ShortReadThrows) {
   std::stringstream stream;
   stream << "ab";
   EXPECT_THROW(readU32(stream), std::runtime_error);
+}
+
+std::vector<std::byte> bytesOf(std::initializer_list<unsigned> values) {
+  std::vector<std::byte> bytes;
+  for (const unsigned value : values) {
+    bytes.push_back(static_cast<std::byte>(value));
+  }
+  return bytes;
+}
+
+TEST(BinaryIo, ByteWriterRoundTripsEveryCall) {
+  const std::vector<std::uint32_t> block{7, 8, 0xFFFFFFFFu};
+  const std::vector<std::byte> raw = bytesOf({1, 2, 3});
+  ByteWriter writer;
+  writer.u32(0xDEADBEEFu);
+  writer.u64(0x0123456789ABCDEFull);
+  writer.f64(-1.5e300);
+  writer.string("chisim");
+  writer.string("");
+  writer.bytes(raw);
+  writer.rows(block);
+  writer.row(std::uint64_t{42});
+  writer.bytes(raw);
+  EXPECT_EQ(writer.size(), 4u + 8 + 8 + (4 + 6) + 4 + 3 + 12 + 8 + 3);
+  const std::vector<std::byte> bytes = writer.take();
+  EXPECT_EQ(writer.size(), 0u);
+  // Integers are little-endian.
+  EXPECT_EQ(std::vector<std::byte>(bytes.begin(), bytes.begin() + 4),
+            bytesOf({0xEF, 0xBE, 0xAD, 0xDE}));
+
+  ByteReader reader(bytes, "round trip");
+  EXPECT_EQ(reader.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(reader.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(reader.f64(), -1.5e300);
+  EXPECT_EQ(reader.string(), "chisim");
+  EXPECT_EQ(reader.string(), "");
+  const std::span<const std::byte> view = reader.bytes(3);
+  EXPECT_TRUE(std::equal(view.begin(), view.end(), raw.begin(), raw.end()));
+  EXPECT_EQ(reader.rows<std::uint32_t>(3), block);
+  EXPECT_EQ(reader.row<std::uint64_t>(), 42u);
+  EXPECT_EQ(reader.offset(), bytes.size() - 3);
+  const std::span<const std::byte> rest = reader.rest();
+  EXPECT_TRUE(std::equal(rest.begin(), rest.end(), raw.begin(), raw.end()));
+  EXPECT_EQ(reader.remaining(), 0u);
+  EXPECT_NO_THROW(reader.expectEnd());
+}
+
+TEST(BinaryIo, ReadCutAtEveryByteThrowsNamingTheFormat) {
+  ByteWriter writer;
+  writer.u32(1);
+  writer.u64(2);
+  writer.string("abc");
+  writer.u32(2);
+  writer.rows(std::vector<std::uint32_t>{4, 5});
+  const std::vector<std::byte> bytes = writer.take();
+  const auto readAll = [](ByteReader& reader) {
+    reader.u32();
+    reader.u64();
+    reader.string();
+    reader.rows<std::uint32_t>(reader.u32());
+    reader.expectEnd();
+  };
+  ByteReader whole(bytes, "test record");
+  EXPECT_NO_THROW(readAll(whole));
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    ByteReader reader(std::span<const std::byte>(bytes).first(cut),
+                      "test record");
+    try {
+      readAll(reader);
+      ADD_FAILURE() << "a record cut at byte " << cut << " was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("test record"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(BinaryIo, CountRejectsOneElementMoreThanTheBytesHold) {
+  const std::vector<std::byte> bytes(24);
+  ByteReader reader(bytes, "counted block");
+  EXPECT_EQ(reader.count(3, 8), 3u);
+  EXPECT_EQ(reader.count(0, 8), 0u);
+  try {
+    reader.count(4, 8, "widgets");
+    ADD_FAILURE() << "a count one past the bytes was accepted";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("counted block declares more widgets (4)"),
+              std::string::npos)
+        << what;
+  }
+  // Declared counts that would overflow a byte product are still refused.
+  EXPECT_THROW(reader.count(UINT64_MAX, 16), std::runtime_error);
+  EXPECT_THROW(reader.rows<std::uint64_t>(4), std::runtime_error);
+  EXPECT_EQ(reader.offset(), 0u);  // a refused count consumes nothing
+  EXPECT_EQ(reader.rows<std::uint64_t>(3).size(), 3u);
+  EXPECT_EQ(reader.count(0, 1), 0u);
+  EXPECT_THROW(reader.count(1, 1), std::runtime_error);
+}
+
+TEST(BinaryIo, TrailingBytesAreRejected) {
+  ByteWriter writer;
+  writer.u32(5);
+  writer.u32(6);
+  const std::vector<std::byte> bytes = writer.take();
+  ByteReader reader(bytes, "short record");
+  EXPECT_EQ(reader.u32(), 5u);
+  try {
+    reader.expectEnd();
+    ADD_FAILURE() << "trailing bytes were accepted";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("short record has 4 trailing bytes"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(reader.u32(), 6u);
+  EXPECT_NO_THROW(reader.expectEnd());
+}
+
+// Row layout pins: each fixed-layout row is written as one block of its
+// object bytes, so these literals are the on-disk and on-wire encodings.
+// A layout change fails here by name, not only through a digest.
+
+TEST(BinaryIo, EventRowBytesArePinned) {
+  const table::Event event{0x01020304u, 0x05060708u, 0x0A0B0C0Du, 0x11u,
+                           0x22334455u};
+  const std::vector<std::byte> want =
+      bytesOf({0x04, 0x03, 0x02, 0x01, 0x08, 0x07, 0x06, 0x05, 0x0D, 0x0C,
+               0x0B, 0x0A, 0x11, 0x00, 0x00, 0x00, 0x55, 0x44, 0x33, 0x22});
+  ByteWriter writer;
+  writer.row(event);
+  EXPECT_EQ(writer.take(), want);
+  ByteReader reader(want, "event row");
+  EXPECT_EQ(reader.row<table::Event>(), event);
+}
+
+TEST(BinaryIo, AdjacencyTripletRowBytesArePinned) {
+  const sparse::AdjacencyTriplet triplet{0x01020304u, 0x05060708u,
+                                         0x1122334455667788ull};
+  const std::vector<std::byte> want =
+      bytesOf({0x04, 0x03, 0x02, 0x01, 0x08, 0x07, 0x06, 0x05, 0x88, 0x77,
+               0x66, 0x55, 0x44, 0x33, 0x22, 0x11});
+  ByteWriter writer;
+  writer.row(triplet);
+  EXPECT_EQ(writer.take(), want);
+  ByteReader reader(want, "triplet row");
+  EXPECT_EQ(reader.row<sparse::AdjacencyTriplet>(), triplet);
+}
+
+TEST(BinaryIo, PackedStintRowBytesArePinned) {
+  pop::PackedStint stint;
+  stint.startHour = 3;
+  stint.endHour = 168;
+  stint.activity = 2;
+  stint.place = 0x0A0B0C0Du;
+  const std::vector<std::byte> want =
+      bytesOf({0x03, 0xA8, 0x02, 0x00, 0x0D, 0x0C, 0x0B, 0x0A});
+  ByteWriter writer;
+  writer.row(stint);
+  EXPECT_EQ(writer.take(), want);
+  ByteReader reader(want, "stint row");
+  EXPECT_EQ(reader.row<pop::PackedStint>(), stint);
 }
 
 TEST(Env, ParsesAndFallsBack) {
