@@ -79,8 +79,7 @@ const char* columnName(Column column) {
 void makePlan(FaultPlan& plan, Column column, util::Rng& rng) {
   // Stragglers are survivable everywhere: short probabilistic delays on
   // the driver stages and the prefetch producer.
-  for (const char* site :
-       {"driver.collocation", "driver.adjacency", "prefetch.decode"}) {
+  for (const char* site : {"driver.adjacency", "prefetch.decode"}) {
     if (rng.bernoulli(0.5)) {
       plan.at(site,
               FaultSpec{.action = FaultAction::kDelay,

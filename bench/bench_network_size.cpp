@@ -223,7 +223,7 @@ int main() {
 
   const auto& report = synthesizer.report();
   std::cout << "\nsynthesis cost (unbounded): " << fmt(report.totalSeconds, 1)
-            << " s total (load " << fmt(report.loadSeconds, 1) << ", colloc "
+            << " s total (load " << fmt(report.loadSeconds, 1) << ", weigh "
             << fmt(report.collocationSeconds, 1) << ", adjacency "
             << fmt(report.adjacencySeconds, 1) << ", reduce "
             << fmt(report.reduceSeconds, 1) << ")\n";

@@ -7,7 +7,8 @@
 /// from a single individual to tens of thousands of individuals."
 ///
 /// This bench runs the adjacency stage with (a) greedy-LPT-by-nnz (the
-/// paper's scheme), (b) contiguous equal-count lists, and (c) round-robin,
+/// paper's scheme), (b) contiguous equal-count lists, (c) round-robin and
+/// (d) greedy LPT by the pipeline's own stage-4 weight (net::weighPlaces),
 /// and reports weight imbalance, observed worker busy-time imbalance, and
 /// stage wall time.
 
@@ -25,24 +26,23 @@ int main() {
   const table::EventTable events =
       elog::loadEvents(logs.files, 0, pop::kHoursPerWeek);
 
-  // Build the collocation matrices once; the ablation varies only the
-  // partitioning of the adjacency stage.
-  const auto matrices =
-      sparse::buildCollocationMatrices(events, 0, pop::kHoursPerWeek);
+  // Weigh the places as the pipeline does, then build their collocation
+  // matrices once; the ablation varies only the partitioning of the
+  // adjacency stage.
+  const table::PlaceIndex index = events.buildPlaceIndex();
+  const net::PlaceWeights pipeline =
+      net::weighPlaces(events, index, 0, pop::kHoursPerWeek);
+  std::vector<sparse::CollocationMatrix> matrices;
   std::vector<std::uint64_t> weights;
-  std::vector<std::uint64_t> occupancyWeights;
-  weights.reserve(matrices.size());
-  occupancyWeights.reserve(matrices.size());
+  matrices.reserve(pipeline.groups.size());
+  weights.reserve(pipeline.groups.size());
   std::uint64_t maxNnz = 0;
   std::uint64_t minNnz = ~0ull;
-  for (const auto& matrix : matrices) {
+  for (const std::size_t group : pipeline.groups) {
+    const sparse::CollocationMatrix& matrix =
+        matrices.emplace_back(sparse::buildCollocationMatrix(
+            events, index, group, 0, pop::kHoursPerWeek));
     weights.push_back(matrix.nnz());
-    // The pipeline's stage-4 cost model: nnz scaled by mean
-    // simultaneous occupancy (nnz / occupied hours), tracking the pairwise
-    // x-xT work of hub places better than raw person-hours.
-    occupancyWeights.push_back(std::max<std::uint64_t>(
-        1, matrix.nnz() * matrix.nnz() /
-               std::max<std::uint64_t>(1, matrix.occupiedHours())));
     maxNnz = std::max(maxNnz, matrix.nnz());
     minNnz = std::min(minNnz, matrix.nnz());
   }
@@ -65,7 +65,8 @@ int main() {
            {"lpt-by-nnz (paper)", runtime::partitionGreedyLpt(weights, workers)},
            {"contiguous (naive)", runtime::partitionContiguous(weights, workers)},
            {"round-robin (naive)", runtime::partitionRoundRobin(weights, workers)},
-           {"lpt-by-occupancy", runtime::partitionGreedyLpt(occupancyWeights, workers)},
+           {"lpt-by-pipeline-weight",
+            runtime::partitionGreedyLpt(pipeline.weights, workers)},
        }) {
     runtime::Cluster cluster(workers);
     std::vector<sparse::SymmetricAdjacency> sums;
@@ -91,20 +92,21 @@ int main() {
               << " s\n";
   }
 
-  std::cout << "\n(single-core host: wall time reflects total work; the "
-               "idle-worker effect shows in weight/busy imbalance — on a real "
-               "cluster stage wall time tracks the max-loaded worker)\n\n";
-
   const Result& lpt = results[0];
   const Result& contiguous = results[1];
-  const Result& occupancy = results[3];
+  const Result& weighed = results[3];
+  std::cout << "\nmeasured busy imbalance (" << workers
+            << " workers, max / mean thread busy seconds): nnz-LPT "
+            << fmt(lpt.busyImbalance, 2) << ", pipeline-weight LPT "
+            << fmt(weighed.busyImbalance, 2) << ", contiguous "
+            << fmt(contiguous.busyImbalance, 2) << "\n\n";
   printRow("LPT weight imbalance", "~1.0 (even)", fmt(lpt.weightImbalance, 2));
   printRow("naive weight imbalance", ">> 1 (idle workers)",
            fmt(contiguous.weightImbalance, 2));
-  printRow("occupancy-LPT busy imbalance",
+  printRow("weight-LPT busy imbalance",
            "vs nnz-LPT " + fmt(lpt.busyImbalance, 2),
-           fmt(occupancy.busyImbalance, 2),
-           "why the pipeline weighs by occupancy, not plain nnz");
+           fmt(weighed.busyImbalance, 2),
+           "nnz² / occupied hours, the pipeline's stage-4 weight");
   const bool crucial =
       contiguous.weightImbalance > 1.5 * lpt.weightImbalance;
   std::cout << "\nshape check: balancing step materially evens the load: "

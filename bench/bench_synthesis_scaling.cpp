@@ -34,7 +34,7 @@ int main() {
 
   std::cout << "worker sweep (single-core host: expect flat wall time; the "
                "decomposition itself is what scales on a cluster):\n";
-  std::cout << "  workers  total(s)  load(s)  colloc(s)  adjacency(s)  "
+  std::cout << "  workers  total(s)  load(s)  weigh(s)   adjacency(s)  "
                "reduce(s)  busy-imbalance\n";
   std::uint64_t referenceEdges = 0;
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
@@ -60,7 +60,7 @@ int main() {
       json.put("edges", report.edges);
       json.put("load_seconds", report.loadSeconds);
       json.put("subset_seconds", report.subsetSeconds);
-      json.put("collocation_seconds", report.collocationSeconds);
+      json.put("weigh_seconds", report.collocationSeconds);
       json.put("partition_seconds", report.partitionSeconds);
       json.put("adjacency_seconds", report.adjacencySeconds);
       json.put("reduce_seconds", report.reduceSeconds);
@@ -79,7 +79,7 @@ int main() {
   // (paper §IV.A ran both; message passing pays serialization for the
   // ability to leave one address space).
   std::cout << "\nbackend comparison (4 workers, same logs):\n"
-            << "  backend  total(s)  colloc(s)  adjacency(s)  "
+            << "  backend  total(s)  weigh(s)   adjacency(s)  "
                "scattered(MiB)  returned(MiB)  busy-imbalance\n";
   bool backendsAgree = true;
   {

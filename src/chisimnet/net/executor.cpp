@@ -34,36 +34,11 @@ void SynthesisExecutor::reduceSums(
 SharedMemoryExecutor::SharedMemoryExecutor(const SynthesisConfig& config)
     : SynthesisExecutor(config), cluster_(config.workers) {}
 
-void SharedMemoryExecutor::scatterPlaces(const table::EventTable& events,
-                                         const table::PlaceIndex& index) {
-  // Workers share the address space; "scattering" is pinning the slice.
-  events_ = &events;
-  index_ = &index;
-}
-
-std::vector<sparse::CollocationMatrix> SharedMemoryExecutor::mapCollocation() {
-  CHISIM_REQUIRE(events_ != nullptr && index_ != nullptr,
-                 "mapCollocation before scatterPlaces");
-  // Workers pull places dynamically (matches SNOW's dispatch of place-id
-  // subsets).
-  std::vector<sparse::CollocationMatrix> matrices(index_->placeIds.size());
-  cluster_.applyDynamic(
-      index_->placeIds.size(), [&](std::size_t group, unsigned) {
-        matrices[group] = sparse::buildCollocationMatrix(
-            *events_, *index_, group, config_.windowStart, config_.windowEnd);
-      });
-  events_ = nullptr;
-  index_ = nullptr;
-  // Drop empty matrices (places with no presence inside the window).
-  std::erase_if(matrices,
-                [](const sparse::CollocationMatrix& m) { return m.nnz() == 0; });
-  return matrices;
-}
-
-void SharedMemoryExecutor::mapAdjacency(
-    const std::vector<sparse::CollocationMatrix>& matrices,
-    const runtime::Partition& partition) {
-  if (config_.memoryBudgetBytes > 0) {
+CollocationCounts SharedMemoryExecutor::mapAdjacency(
+    const table::EventTable& events, const table::PlaceIndex& index,
+    std::span<const std::size_t> groups, const runtime::Partition& partition) {
+  const bool budgeted = config_.memoryBudgetBytes > 0;
+  if (budgeted) {
     // Budgeted stage 5: each worker sums into a flushing SpillingSum whose
     // threshold is an eighth of its budget share — the sink keeps the other
     // half of the budget for the cross-batch shards and their spill-sort
@@ -85,20 +60,32 @@ void SharedMemoryExecutor::mapAdjacency(
           threshold, splitRows));
     }
     ++batchCounter_;
-    cluster_.applyPartitioned(
-        partition, [&](std::size_t item, unsigned worker) {
-          spillSums_[worker]->addCollocation(matrices[item]);
-        });
-    return;
+  } else {
+    workerSums_.clear();
+    workerSums_.reserve(config_.workers);
+    for (unsigned w = 0; w < config_.workers; ++w) {
+      workerSums_.emplace_back(1024);
+    }
   }
-  workerSums_.clear();
-  workerSums_.reserve(config_.workers);
-  for (unsigned w = 0; w < config_.workers; ++w) {
-    workerSums_.emplace_back(1024);
-  }
+  std::vector<CollocationCounts> counts(config_.workers);
+  // Each matrix is multiplied as soon as its worker has built it.
   cluster_.applyPartitioned(partition, [&](std::size_t item, unsigned worker) {
-    workerSums_[worker].addCollocation(matrices[item]);
+    const sparse::CollocationMatrix matrix = sparse::buildCollocationMatrix(
+        events, index, groups[item], config_.windowStart, config_.windowEnd);
+    ++counts[worker].places;
+    counts[worker].nnz += matrix.nnz();
+    if (budgeted) {
+      spillSums_[worker]->addCollocation(matrix);
+    } else {
+      workerSums_[worker].addCollocation(matrix);
+    }
   });
+  CollocationCounts total;
+  for (const CollocationCounts& worker : counts) {
+    total.places += worker.places;
+    total.nnz += worker.nnz;
+  }
+  return total;
 }
 
 void SharedMemoryExecutor::reduce(sparse::SymmetricAdjacency& result) {

@@ -13,7 +13,6 @@
 #include "chisimnet/runtime/comm.hpp"
 #include "chisimnet/runtime/partition.hpp"
 #include "chisimnet/sparse/adjacency.hpp"
-#include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/table/event_table.hpp"
 
@@ -28,23 +27,25 @@
 /// batching, prefetch, and per-stage timing from the driver instead of
 /// reimplementing the pipeline.
 ///
-/// Stage protocol, called by the driver once per batch, in order:
-///   scatterPlaces   stage 2 tail: hand the place-grouped slice to workers
-///   mapCollocation  stage 3: per-place collocation matrices, returned to
-///                   the driver (the paper's "returned to the root")
-///   repartition     stage 4: weight-based partition of the matrix list
-///   mapAdjacency    stage 5: per-worker adjacency sums A_l = x·xᵀ
-///   reduce          stage 6: fold the worker sums into the running result
-///
-/// Lifetimes: the events/index passed to scatterPlaces must stay alive
-/// through the following mapCollocation call; matrices passed to
-/// mapAdjacency must stay alive for its duration.
+/// Stage protocol, called by the driver once per batch, in order, after it
+/// has grouped the rows by place (stage 2) and weighed the groups (stage 3):
+///   repartition   stage 4: weight-based partition of the place groups
+///   mapAdjacency  stage 5: each worker gets the event rows of its place
+///                 groups, builds each collocation matrix x and adds
+///                 A_l = x·xᵀ to its sum; matrices never leave the worker
+///   reduce        stage 6: fold the worker sums into the running result
 
 namespace chisimnet::runtime {
 class StreamTransport;
 }  // namespace chisimnet::runtime
 
 namespace chisimnet::net {
+
+/// What the workers of one mapAdjacency built.
+struct CollocationCounts {
+  std::uint64_t places = 0;  ///< collocation matrices built
+  std::uint64_t nnz = 0;     ///< their summed person-hours
+};
 
 /// Size and timing of one stage-6 reduce.
 struct ReduceStats {
@@ -63,28 +64,22 @@ class SynthesisExecutor {
 
   virtual SynthesisBackend backend() const noexcept = 0;
 
-  /// Stage 2 (dispatch tail): make the window-filtered events of each place
-  /// group available to the workers that will build its matrix. Message
-  /// passing ships the groups; shared memory only pins references.
-  virtual void scatterPlaces(const table::EventTable& events,
-                             const table::PlaceIndex& index) = 0;
-
-  /// Stage 3: build one collocation matrix per scattered place group and
-  /// return the non-empty ones to the driver.
-  virtual std::vector<sparse::CollocationMatrix> mapCollocation() = 0;
-
-  /// Stage 4: partition matrices (by the driver-computed weights) across
-  /// workers. Identical for both substrates — the partition is computed
-  /// where the matrix list lives (the root).
+  /// Stage 4: partition the weighed place groups across workers. The
+  /// root computes it before any event row leaves it.
   virtual runtime::Partition repartition(
       std::span<const std::uint64_t> weights) const;
 
-  /// Stage 5: compute per-worker adjacency sums for the partition. The
-  /// sums stay inside the executor — in-memory at the root (shared) or as
-  /// sorted triplet runs returned by the ranks (message passing) — until
-  /// the following reduce() folds them.
-  virtual void mapAdjacency(
-      const std::vector<sparse::CollocationMatrix>& matrices,
+  /// Stage 5: partition item k is place group groups[k] of `index`. Each
+  /// worker builds the collocation matrix of every group in its bin from
+  /// the group's rows of `events` and adds its x·xᵀ to the worker's sum
+  /// right away. Message passing ships each group's rows once, to its
+  /// owner; shared memory reads them in place. The sums stay inside the
+  /// executor — in memory (shared) or as sorted triplet runs returned by
+  /// the ranks (message passing) — until the following reduce() folds
+  /// them. Returns what the workers built.
+  virtual CollocationCounts mapAdjacency(
+      const table::EventTable& events, const table::PlaceIndex& index,
+      std::span<const std::size_t> groups,
       const runtime::Partition& partition) = 0;
 
   /// Stage 6: fold the worker sums held since mapAdjacency into `result`,
@@ -144,9 +139,8 @@ class SynthesisExecutor {
   ReduceStats lastReduce_;
 };
 
-/// Worker threads over shared memory — the paper's SNOW fork cluster.
-/// Collocation work is pulled dynamically (SNOW's own load balancing);
-/// the adjacency stage follows the explicit nnz partition. No bytes move.
+/// Worker threads over shared memory — the paper's SNOW fork cluster. The
+/// adjacency stage follows the explicit weight partition. No bytes move.
 class SharedMemoryExecutor final : public SynthesisExecutor {
  public:
   explicit SharedMemoryExecutor(const SynthesisConfig& config);
@@ -154,11 +148,10 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
   SynthesisBackend backend() const noexcept override {
     return SynthesisBackend::kSharedMemory;
   }
-  void scatterPlaces(const table::EventTable& events,
-                     const table::PlaceIndex& index) override;
-  std::vector<sparse::CollocationMatrix> mapCollocation() override;
-  void mapAdjacency(const std::vector<sparse::CollocationMatrix>& matrices,
-                    const runtime::Partition& partition) override;
+  CollocationCounts mapAdjacency(const table::EventTable& events,
+                                 const table::PlaceIndex& index,
+                                 std::span<const std::size_t> groups,
+                                 const runtime::Partition& partition) override;
   void reduce(sparse::SymmetricAdjacency& result) override;
   void reduceInto(sparse::SpillingAccumulator& sink) override;
   /// Owners are the worker threads: shard groups are assigned round-robin
@@ -172,8 +165,6 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
 
  private:
   runtime::Cluster cluster_;
-  const table::EventTable* events_ = nullptr;
-  const table::PlaceIndex* index_ = nullptr;
   std::vector<sparse::SymmetricAdjacency> workerSums_;  ///< stage 5 → 6
   /// Budgeted stage 5: each worker sums into its own flushing SpillingSum
   /// (threshold ≈ budget/(8·workers)) instead of an unbounded map.
@@ -183,10 +174,11 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
   std::uint64_t batchCounter_ = 0;
 };
 
-/// Message-passing ranks — the paper's Rmpi path, with its exact data
-/// flow: the root scatters place event groups, workers build collocation
-/// matrices and return them serialized, the root re-partitions and
-/// re-scatters the matrix list, workers sum adjacencies and return them.
+/// Message-passing ranks — the paper's Rmpi path with one scatter: the root
+/// partitions the weighed place groups, sends each rank the event rows of
+/// the places it owns, and each rank builds their matrices, sums their
+/// adjacencies and returns the sum. (The paper returns the matrices to the
+/// root and re-scatters them; DESIGN.md §2 records the deviation.)
 /// Rank 0 is the driver thread; ranks 1..workers-1 are a persistent
 /// runtime::RankTeam command loop, so the same ranks serve every batch.
 /// All payloads (including rank 0's self-delivery) go through the sparse
@@ -225,15 +217,16 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   SynthesisBackend backend() const noexcept override {
     return SynthesisBackend::kMessagePassing;
   }
-  void scatterPlaces(const table::EventTable& events,
-                     const table::PlaceIndex& index) override;
-  std::vector<sparse::CollocationMatrix> mapCollocation() override;
   /// Partitions across the live ranks only, so a batch after a rank loss
   /// spreads stage-5 work over exactly the ranks that can still take it.
   runtime::Partition repartition(
       std::span<const std::uint64_t> weights) const override;
-  void mapAdjacency(const std::vector<sparse::CollocationMatrix>& matrices,
-                    const runtime::Partition& partition) override;
+  /// One kCmdAdjacency per live rank, its body the rank's place groups;
+  /// the reply carries the rank's sum and its CollocationCounts.
+  CollocationCounts mapAdjacency(const table::EventTable& events,
+                                 const table::PlaceIndex& index,
+                                 std::span<const std::size_t> groups,
+                                 const runtime::Partition& partition) override;
   /// Inserts the sorted triplet runs the adjacency stage returned into
   /// `result` one rank at a time. Runs too large to cross the wire inline
   /// arrive as spill files (mp::RunRef); they are streamed, never rebuilt
@@ -312,8 +305,6 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   std::uint64_t nextEpoch_ = 1;
   std::vector<Pending> pending_;
   std::vector<FaultEvent> faultEvents_;
-  const table::EventTable* events_ = nullptr;
-  const table::PlaceIndex* index_ = nullptr;
   /// Sorted triplet runs returned by the adjacency stage — inline or as
   /// spill-file references — consumed by reduce()/reduceInto(); plus the
   /// kernel counters that traveled beside them.

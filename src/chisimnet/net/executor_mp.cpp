@@ -51,23 +51,26 @@ mp::StageParams stageParamsOf(const SynthesisConfig& config) {
   return params;
 }
 
-/// Body of a collocation command for place groups `items`:
-/// [groupCount u32][groupCount × eventCount u32][event rows, group order].
-std::vector<std::byte> encodePlaceScatter(const table::EventTable& events,
-                                          const table::PlaceIndex& index,
-                                          std::span<const std::size_t> items) {
+/// Body of an adjacency command for partition items `items` (positions in
+/// `groups`): [runToken u64][groupCount u32][groupCount × eventCount u32]
+/// [event rows, group order].
+std::vector<std::byte> encodeAdjacencyBody(
+    std::uint64_t runToken, const table::EventTable& events,
+    const table::PlaceIndex& index, std::span<const std::size_t> groups,
+    std::span<const std::size_t> items) {
   std::uint64_t totalEvents = 0;
-  for (const std::size_t group : items) {
-    totalEvents += index.groupRows(group).size();
+  for (const std::size_t item : items) {
+    totalEvents += index.groupRows(groups[item]).size();
   }
-  util::ByteWriter body(4 + 4 * items.size() +
+  util::ByteWriter body(8 + 4 + 4 * items.size() +
                         totalEvents * sizeof(table::Event));
+  body.u64(runToken);
   body.u32(static_cast<std::uint32_t>(items.size()));
-  for (const std::size_t group : items) {
-    body.u32(static_cast<std::uint32_t>(index.groupRows(group).size()));
+  for (const std::size_t item : items) {
+    body.u32(static_cast<std::uint32_t>(index.groupRows(groups[item]).size()));
   }
-  for (const std::size_t group : items) {
-    for (const table::RowIndex row : index.groupRows(group)) {
+  for (const std::size_t item : items) {
+    for (const table::RowIndex row : index.groupRows(groups[item])) {
       body.row(events.row(row));
     }
   }
@@ -419,68 +422,15 @@ void MessagePassingExecutor::collectStage(
   }
 }
 
-void MessagePassingExecutor::scatterPlaces(const table::EventTable& events,
-                                           const table::PlaceIndex& index) {
-  events_ = &events;
-  index_ = &index;
-  // Round-robin place groups across the live ranks: the collocation stage
-  // is roughly uniform per event row, and the nnz balancing happens at
-  // repartition.
-  const std::vector<int> live = liveRanks();
-  std::vector<std::vector<std::size_t>> groups(live.size());
-  for (std::size_t group = 0; group < index.placeIds.size(); ++group) {
-    groups[group % live.size()].push_back(group);
-  }
-  for (std::size_t slot = 0; slot < live.size(); ++slot) {
-    // Every live rank gets a command (even an empty one): the reply flow
-    // and busy accounting stay uniform, and services start building while
-    // the driver is still between stage calls.
-    sendCommand(live[slot], mp::kCmdCollocation,
-                std::vector<std::size_t>(groups[slot]),
-                encodePlaceScatter(events, index, groups[slot]));
-  }
-}
-
-std::vector<sparse::CollocationMatrix>
-MessagePassingExecutor::mapCollocation() {
-  CHISIM_REQUIRE(events_ != nullptr && index_ != nullptr,
-                 "mapCollocation before scatterPlaces");
-  const table::EventTable& events = *events_;
-  const table::PlaceIndex& index = *index_;
-  try {
-    std::vector<sparse::CollocationMatrix> all;
-    collectStage(
-        mp::kCmdCollocation,
-        [&events, &index](std::span<const std::size_t> items) {
-          return encodePlaceScatter(events, index, items);
-        },
-        [&all](std::span<const std::byte> reply) {
-          for (sparse::CollocationMatrix& matrix : mp::unpackMatrices(reply)) {
-            all.push_back(std::move(matrix));
-          }
-        });
-    events_ = nullptr;
-    index_ = nullptr;
-    return all;
-  } catch (...) {
-    // A service failure aborts the communicator and surfaces here as a
-    // generic "aborted" error; prefer the originating exception.
-    events_ = nullptr;
-    index_ = nullptr;
-    team_->rethrowServiceError();
-    throw;
-  }
-}
-
 runtime::Partition MessagePassingExecutor::repartition(
     std::span<const std::uint64_t> weights) const {
   const std::size_t bins = static_cast<std::size_t>(team_->liveCount());
   return runtime::partitionGreedyLpt(weights, bins);
 }
 
-void MessagePassingExecutor::mapAdjacency(
-    const std::vector<sparse::CollocationMatrix>& matrices,
-    const runtime::Partition& partition) {
+CollocationCounts MessagePassingExecutor::mapAdjacency(
+    const table::EventTable& events, const table::PlaceIndex& index,
+    std::span<const std::size_t> groups, const runtime::Partition& partition) {
   const std::vector<int> live = liveRanks();
   CHISIM_REQUIRE(partition.assignment.size() == live.size(),
                  "partition bin count must equal live rank count");
@@ -488,18 +438,10 @@ void MessagePassingExecutor::mapAdjacency(
   // unique: retries resend the same body (same token, deterministic
   // rewrite); reassignments build a new body and never collide with files
   // a half-dead rank may still be writing.
-  const auto buildBody = [this,
-                          &matrices](std::span<const std::size_t> items) {
-    std::vector<sparse::CollocationMatrix> batch;
-    batch.reserve(items.size());
-    for (const std::size_t item : items) {
-      batch.push_back(matrices[item]);
-    }
-    util::ByteWriter body;
-    body.u64(nextRunToken_++);
-    body.bytes(mp::packMatrices(batch));
-    return body.take();
+  const auto buildBody = [&](std::span<const std::size_t> items) {
+    return encodeAdjacencyBody(nextRunToken_++, events, index, groups, items);
   };
+  CollocationCounts built;
   reduceRuns_.clear();
   runKernelStats_ = sparse::AdjacencyKernelStats{};
   workerPeakBytes_ = 0;
@@ -515,9 +457,12 @@ void MessagePassingExecutor::mapAdjacency(
     // merge — no per-rank hash rebuild at the root.
     std::vector<double> busySeconds;
     collectStage(mp::kCmdAdjacency, buildBody,
-                 [this, &busySeconds](std::span<const std::byte> reply) {
+                 [this, &busySeconds,
+                  &built](std::span<const std::byte> reply) {
                    util::ByteReader in(reply, "adjacency reply");
                    busySeconds.push_back(in.f64());
+                   built.places += in.u64();
+                   built.nnz += in.u64();
                    sparse::AdjacencyKernelStats stats;
                    stats.densePlaces = in.u64();
                    stats.hashPlaces = in.u64();
@@ -546,9 +491,12 @@ void MessagePassingExecutor::mapAdjacency(
             ? peak / (total / static_cast<double>(busySeconds.size()))
             : 1.0;
   } catch (...) {
+    // A service failure aborts the communicator and surfaces here as a
+    // generic "aborted" error; prefer the originating exception.
     team_->rethrowServiceError();
     throw;
   }
+  return built;
 }
 
 void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {

@@ -7,6 +7,7 @@
 
 #include "chisimnet/runtime/comm.hpp"
 #include "chisimnet/runtime/fault.hpp"
+#include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/timer.hpp"
@@ -121,34 +122,6 @@ ShipChunkView decodeShipChunk(std::span<const std::byte> bytes) {
   return view;
 }
 
-std::vector<std::byte> packMatrices(
-    const std::vector<sparse::CollocationMatrix>& matrices) {
-  // [count u32][per matrix: byteLength u32 + payload]
-  util::ByteWriter packed;
-  packed.u32(static_cast<std::uint32_t>(matrices.size()));
-  for (const sparse::CollocationMatrix& matrix : matrices) {
-    const std::vector<std::byte> bytes = matrix.toBytes();
-    packed.u32(static_cast<std::uint32_t>(bytes.size()));
-    packed.bytes(bytes);
-  }
-  return packed.take();
-}
-
-std::vector<sparse::CollocationMatrix> unpackMatrices(
-    std::span<const std::byte> packed) {
-  util::ByteReader in(packed, "matrix pack");
-  // Each matrix costs at least its 4-byte length prefix.
-  const std::uint64_t count = in.count(in.u32(), 4, "matrices");
-  std::vector<sparse::CollocationMatrix> matrices;
-  matrices.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    matrices.push_back(
-        sparse::CollocationMatrix::fromBytes(in.bytes(in.u32())));
-  }
-  in.expectEnd();
-  return matrices;
-}
-
 std::vector<std::byte> frameCommand(std::uint32_t command, std::uint64_t epoch,
                                     std::span<const std::byte> body) {
   util::ByteWriter frame(kCommandHeaderBytes + body.size());
@@ -197,9 +170,17 @@ std::vector<std::byte> executeSynthesisCommand(
     const StageParams& params, std::uint32_t command,
     std::span<const std::byte> body, RunShipper* shipper) {
   switch (command) {
-    case kCmdCollocation: {
-      // Body: [groupCount u32][groupCount × eventCount u32][event rows].
-      util::ByteReader in(body, "event scatter");
+    case kCmdAdjacency: {
+      // Body: [runToken u64][groupCount u32][groupCount × eventCount u32]
+      // [event rows, group order]. The token makes this rank's spill-file
+      // names unique per command body, so retries rewrite the same files
+      // (deterministic content, tmp+rename) while a reassigned body —
+      // which gets a fresh token — never collides with a half-dead rank
+      // still executing the old one.
+      // Reply: [busySeconds f64][places u64][nnz u64][kernel stats 5×u64]
+      //        [peakLocalBytes u64][runCount u32][RunRef × runCount].
+      util::ByteReader in(body, "adjacency command");
+      const std::uint64_t token = in.u64();
       const std::vector<std::uint32_t> groupSizes =
           in.rows<std::uint32_t>(in.u32(), "place groups");
       std::uint64_t totalEvents = 0;
@@ -209,40 +190,24 @@ std::vector<std::byte> executeSynthesisCommand(
       const std::vector<table::Event> events =
           in.rows<table::Event>(totalEvents, "events");
       in.expectEnd();
-      std::vector<sparse::CollocationMatrix> built;
-      std::size_t eventCursor = 0;
-      for (std::uint32_t groupSize : groupSizes) {
-        const std::span<const table::Event> groupEvents(
-            events.data() + eventCursor, groupSize);
-        eventCursor += groupSize;
-        CHISIM_CHECK(!groupEvents.empty(), "empty place group scattered");
-        sparse::CollocationMatrix matrix(groupEvents.front().place,
-                                         groupEvents, params.windowStart,
-                                         params.windowEnd);
-        if (matrix.nnz() > 0) {
-          built.push_back(std::move(matrix));
-        }
-      }
-      // Return the matrix list to the root (paper: "saved in a list and
-      // returned to the root process").
-      return packMatrices(built);
-    }
-    case kCmdAdjacency: {
-      // Body: [runToken u64][packed matrix batch]. The token makes this
-      // rank's spill-file names unique per command body, so retries rewrite
-      // the same files (deterministic content, tmp+rename) while a
-      // reassigned body — which gets a fresh token — never collides with a
-      // half-dead rank still executing the old one.
-      // Reply: [busySeconds f64][kernel stats 5×u64][peakLocalBytes u64]
-      //        [runCount u32][RunRef × runCount].
-      util::ByteReader in(body, "adjacency command");
-      const std::uint64_t token = in.u64();
-      const auto batch = unpackMatrices(in.rest());
       util::WallTimer busy;
       sparse::SpillingSum sum(params.spillDir,
                               "t" + std::to_string(token) + ".",
                               params.spillThresholdBytes, params.splitRows);
-      for (const sparse::CollocationMatrix& matrix : batch) {
+      // Each matrix is multiplied as soon as it is built; none is kept.
+      std::uint64_t places = 0;
+      std::uint64_t nnz = 0;
+      std::size_t eventCursor = 0;
+      for (const std::uint32_t groupSize : groupSizes) {
+        const std::span<const table::Event> groupEvents(
+            events.data() + eventCursor, groupSize);
+        eventCursor += groupSize;
+        CHISIM_CHECK(!groupEvents.empty(), "empty place group scattered");
+        const sparse::CollocationMatrix matrix(
+            groupEvents.front().place, groupEvents, params.windowStart,
+            params.windowEnd);
+        ++places;
+        nnz += matrix.nnz();
         sum.addCollocation(matrix);
       }
       // A remainder that would overflow the transport frame is flushed to
@@ -274,6 +239,8 @@ std::vector<std::byte> executeSynthesisCommand(
 
       util::ByteWriter reply;
       reply.f64(busySeconds);
+      reply.u64(places);
+      reply.u64(nnz);
       reply.u64(stats.densePlaces);
       reply.u64(stats.hashPlaces);
       reply.u64(stats.pairHourUpdates);

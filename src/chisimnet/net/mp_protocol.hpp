@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "chisimnet/sparse/adjacency.hpp"
-#include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/table/event.hpp"
 #include "chisimnet/util/binary_io.hpp"
@@ -45,10 +44,11 @@ inline constexpr int kShipTag = 101;    ///< worker -> root run-file chunks,
                                         ///< commit point)
 
 enum Command : std::uint32_t {
-  kCmdCollocation = 1,
-  kCmdAdjacency = 2,
+  // 1 and 4 are retired (a collocation-only stage whose matrices returned
+  // to the root, and a reduce-tree level); workers reject them as unknown.
+  kCmdAdjacency = 2,   ///< build the collocation matrices of place event
+                       ///< groups and sum their x·xᵀ (stage 5)
   kCmdStop = 3,
-  // 4 is retired (a reduce-tree level); workers reject it as unknown.
   kCmdMergeShard = 5,  ///< merge the spill runs of row-range shards into
                        ///< CADJ payload segments (stage-6 external merge)
 };
@@ -121,12 +121,6 @@ class RunShipper {
   virtual std::string ship(const std::filesystem::path& file,
                            std::uint64_t bytes) = 0;
 };
-
-/// [count u32][per matrix: byteLength u32 + payload]
-std::vector<std::byte> packMatrices(
-    const std::vector<sparse::CollocationMatrix>& matrices);
-std::vector<sparse::CollocationMatrix> unpackMatrices(
-    std::span<const std::byte> packed);
 
 std::vector<std::byte> frameCommand(std::uint32_t command, std::uint64_t epoch,
                                     std::span<const std::byte> body);

@@ -5,7 +5,9 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <system_error>
+#include <utility>
 
 #include <unistd.h>
 
@@ -141,54 +143,39 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
                  "processBatch needs exactly one accumulation target");
   util::WallTimer timer;
 
-  // Stage 2: subset the slice, index places, and hand the groups to the
-  // executor's workers. The input table has already been window-filtered on
-  // load; the place index is the per-place grouping workers consume.
+  // Stage 2: subset the slice and group its rows by place. The input table
+  // has already been window-filtered on load.
   runtime::fault::hit("driver.subset");
   const table::PlaceIndex placeIndex = events.buildPlaceIndex();
-  executor_->scatterPlaces(events, placeIndex);
   report_.subsetSeconds += timer.seconds();
   timer.reset();
 
-  // Stage 3: per-place collocation matrices, returned to the driver (the
-  // paper's "returned to the root process").
-  runtime::fault::hit("driver.collocation");
-  const std::vector<sparse::CollocationMatrix> matrices =
-      executor_->mapCollocation();
+  // Stage 3: the root weighs every place group from its event rows, so the
+  // partition exists before any matrix does and nothing returns to the
+  // root between building a matrix and multiplying it.
+  const PlaceWeights weighed = weighPlaces(
+      events, placeIndex, config_.windowStart, config_.windowEnd);
   report_.collocationSeconds += timer.seconds();
   timer.reset();
 
-  report_.placesProcessed += matrices.size();
-  for (const sparse::CollocationMatrix& matrix : matrices) {
-    report_.collocationNnz += matrix.nnz();
-  }
-
-  // Stage 4: re-partition the matrix list across workers by adjacency-cost
-  // weight — the step §IV.A.3 calls crucial for even load balance. The
-  // weight is nnz times mean simultaneous occupancy (nnz² / occupied
-  // hours): the x·xᵀ cost of a hub place grows with how many people
-  // overlap per hour, which the paper's plain nnz underestimates, and
-  // dividing by occupied rather than slice hours keeps sparse-attendance
-  // places from being undercounted (EXPERIMENTS.md BALANCE).
+  // Stage 4: partition the place groups across workers by weight — the
+  // step §IV.A.3 calls crucial for even load balance.
   runtime::fault::hit("driver.partition");
-  std::vector<std::uint64_t> weights;
-  weights.reserve(matrices.size());
-  for (const sparse::CollocationMatrix& matrix : matrices) {
-    const std::uint64_t occupied =
-        std::max<std::uint64_t>(1, matrix.occupiedHours());
-    weights.push_back(
-        std::max<std::uint64_t>(1, matrix.nnz() * matrix.nnz() / occupied));
-  }
-  const runtime::Partition partition = executor_->repartition(weights);
+  const runtime::Partition partition =
+      executor_->repartition(weighed.weights);
   report_.partitionSeconds += timer.seconds();
   report_.partitionImbalance = partition.imbalance();
   report_.partitionLoads = partition.loads;
   timer.reset();
 
-  // Stage 5: per-worker adjacency accumulation (no shared state); the
-  // sums stay inside the executor until the reduce.
+  // Stage 5: each worker builds the collocation matrices of its place
+  // groups and adds each x·xᵀ to its own sum; the sums stay inside the
+  // executor until the reduce.
   runtime::fault::hit("driver.adjacency");
-  executor_->mapAdjacency(matrices, partition);
+  const CollocationCounts built = executor_->mapAdjacency(
+      events, placeIndex, weighed.groups, partition);
+  report_.placesProcessed += built.places;
+  report_.collocationNnz += built.nnz;
   report_.adjacencySeconds += timer.seconds();
   report_.adjacencyBusyImbalance = executor_->adjacencyBusyImbalance();
   timer.reset();
@@ -656,6 +643,44 @@ graph::Graph NetworkSynthesizer::synthesizeGraph(
     const table::EventTable& events) {
   const sparse::SymmetricAdjacency adjacency = synthesizeAdjacency(events);
   return graph::Graph::fromTriplets(adjacency.toTriplets());
+}
+
+PlaceWeights weighPlaces(const table::EventTable& events,
+                         const table::PlaceIndex& index,
+                         table::Hour windowStart, table::Hour windowEnd) {
+  const std::span<const table::Hour> start = events.startColumn();
+  const std::span<const table::Hour> end = events.endColumn();
+  PlaceWeights weighed;
+  std::vector<std::pair<table::Hour, table::Hour>> spans;
+  for (std::size_t group = 0; group < index.placeIds.size(); ++group) {
+    spans.clear();
+    std::uint64_t nnz = 0;
+    for (const table::RowIndex row : index.groupRows(group)) {
+      const table::Hour from = std::max(start[row], windowStart);
+      const table::Hour to = std::min(end[row], windowEnd);
+      if (from < to) {
+        spans.emplace_back(from, to);
+        nnz += to - from;
+      }
+    }
+    if (nnz == 0) {
+      continue;  // no presence inside the window: no matrix, no work
+    }
+    // Occupied hours (head count > 0) are the union of the spans.
+    std::sort(spans.begin(), spans.end());
+    std::uint64_t occupied = 0;
+    table::Hour covered = 0;
+    for (const auto& [from, to] : spans) {
+      const table::Hour first = std::max(from, covered);
+      if (first < to) {
+        occupied += to - first;
+        covered = to;
+      }
+    }
+    weighed.groups.push_back(group);
+    weighed.weights.push_back(std::max<std::uint64_t>(1, nnz * nnz / occupied));
+  }
+  return weighed;
 }
 
 sparse::SymmetricAdjacency bruteForceAdjacency(const table::EventTable& events,

@@ -22,14 +22,23 @@
 ///   1. the log files are decoded into an event table on a background
 ///      prefetcher that loads batch k+1 while batch k is in stages 2-6,
 ///      taking file I/O off the compute critical path,
-///   2. the time slice is subset, unique place ids extracted, and place
-///      groups handed to the executor's workers,
-///   3. workers build one sparse p×t collocation matrix per place,
-///   4. the matrix list is re-partitioned (LPT) by a nonzero-based cost
-///      weight for even load balance — the step §IV.A.3 calls crucial,
-///   5. workers compute per-place adjacencies A_l = x·xᵀ and sum their set,
+///   2. the time slice is subset and its rows grouped by place,
+///   3. the root weighs each place group from its event rows (the
+///      collocation matrix's nnz and occupied hours, before the matrix
+///      exists),
+///   4. the place groups are partitioned (LPT) by that weight for even
+///      load balance — the step §IV.A.3 calls crucial,
+///   5. each worker receives the event groups of the places it owns,
+///      builds each sparse p×t collocation matrix x and adds its
+///      adjacency A_l = x·xᵀ to its sum at once; matrices never leave the
+///      worker,
 ///   6. worker sums are reduced into a single sparse upper-triangular
 ///      adjacency, and batches are summed into the final network.
+///
+/// The paper builds the matrices first and returns them to the root,
+/// which only then learns their nnz to re-partition and re-scatter them;
+/// computing the weight from the rows removes that round trip (DESIGN.md
+/// §2).
 ///
 /// Stages 2-6 are dispatched through a pluggable SynthesisExecutor
 /// (executor.hpp), with one implementation per dispatch substrate of the
@@ -46,9 +55,9 @@ enum class SynthesisBackend {
   /// Worker threads over shared memory (runtime::Cluster) — the SNOW fork
   /// cluster of the paper, no serialization between stages.
   kSharedMemory,
-  /// Message-passing ranks (runtime::comm) with the paper's root-scatter /
-  /// return / re-scatter / reduce data flow; collocation matrices travel as
-  /// serialized bytes and the report carries the byte accounting.
+  /// Message-passing ranks (runtime::comm): the root scatters each place's
+  /// event rows once to the rank that owns it, and the ranks return their
+  /// adjacency sums; the report carries the byte accounting.
   kMessagePassing,
 };
 
@@ -270,10 +279,11 @@ struct SynthesisReport {
   double loadOverlappedSeconds = 0.0;
   double prefetchMeanOccupancy = 0.0;   ///< ready-buffer fill at each take
   std::uint64_t prefetchPeakOccupancy = 0;
-  double subsetSeconds = 0.0;     ///< stage 2: slice + place index + scatter
-  double collocationSeconds = 0.0;///< stage 3: collocation matrices
+  double subsetSeconds = 0.0;     ///< stage 2: slice + place index
+  double collocationSeconds = 0.0;///< stage 3: the root's weight pass
   double partitionSeconds = 0.0;  ///< stage 4: weight partitioning
-  double adjacencySeconds = 0.0;  ///< stage 5: x·xᵀ products
+  /// Stage 5: scatter, collocation matrices and x·xᵀ products.
+  double adjacencySeconds = 0.0;
   double reduceSeconds = 0.0;     ///< stage 6: worker-sum reduction
   double totalSeconds = 0.0;
 
@@ -283,8 +293,8 @@ struct SynthesisReport {
   double adjacencyBusyImbalance = 1.0;
   std::vector<std::uint64_t> partitionLoads;
 
-  /// Payload bytes the root shipped to workers (event groups + matrix
-  /// batches) and workers shipped back (matrix lists + adjacency sums).
+  /// Payload bytes the root shipped to workers (event groups) and workers
+  /// shipped back (adjacency sums).
   /// Counts every scatter/return payload including rank 0's self-delivery,
   /// so the figure tracks serialization volume, not NIC traffic. Zero on
   /// backends with no wire (shared memory).
@@ -439,6 +449,23 @@ class NetworkSynthesizer {
   /// run.
   std::vector<sparse::ShardSegment> restoredSegments_;
 };
+
+/// Stage-4 input: the place groups with at least one presence inside the
+/// window, and the weight of each.
+struct PlaceWeights {
+  std::vector<std::size_t> groups;     ///< PlaceIndex group positions
+  std::vector<std::uint64_t> weights;  ///< aligned with groups
+};
+
+/// The root's weight pass (stage 3). A place's weight is nnz² / occupied
+/// hours — nnz times its mean head count per occupied hour, since the x·xᵀ
+/// cost of a hub grows with how many people overlap each hour — where nnz
+/// sums the per-hour head counts of the window-clipped event rows. A
+/// person's duplicate presences count twice here but once in the matrix;
+/// the weight only steers the partition, never the result.
+PlaceWeights weighPlaces(const table::EventTable& events,
+                         const table::PlaceIndex& index,
+                         table::Hour windowStart, table::Hour windowEnd);
 
 /// Reference implementation for correctness tests: computes pairwise
 /// collocation weights by brute force — for every hour and place, every

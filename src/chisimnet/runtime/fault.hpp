@@ -19,10 +19,9 @@
 /// named injection points — sites — that are compiled in permanently:
 ///
 ///   prefetch.decode     PrefetchingLoader producer, before each batch decode
-///   driver.subset       driver stage 2 (slice + place index + scatter)
-///   driver.collocation  driver stage 3
+///   driver.subset       driver stage 2 (slice + place index)
 ///   driver.partition    driver stage 4
-///   driver.adjacency    driver stage 5
+///   driver.adjacency    driver stage 5 (scatter, matrices, x·xᵀ)
 ///   driver.reduce       driver stage 6
 ///   driver.batch        after a batch completes (post-checkpoint)
 ///   mp.service.command  RankTeam service loop, on each received command

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/error.hpp"
 
 namespace chisimnet::sparse {
@@ -63,54 +62,9 @@ CollocationMatrix::CollocationMatrix(table::PlaceId place,
   }
 }
 
-std::uint32_t CollocationMatrix::occupiedHours() const noexcept {
-  std::vector<bool> seen(sliceHours_, false);
-  std::uint32_t count = 0;
-  for (std::uint32_t hour : hours_) {
-    if (!seen[hour]) {
-      seen[hour] = true;
-      ++count;
-    }
-  }
-  return count;
-}
-
 bool CollocationMatrix::present(std::size_t row, std::uint32_t hour) const noexcept {
   const auto span = hoursAt(row);
   return std::binary_search(span.begin(), span.end(), hour);
-}
-
-std::vector<std::byte> CollocationMatrix::toBytes() const {
-  // Layout: place u32, sliceHours u32, personCount u64, nnz u64, then the
-  // persons (u32), offsets (u64) and hours (u32) as row blocks.
-  util::ByteWriter bytes(24 + persons_.size() * 4 + offsets_.size() * 8 +
-                         hours_.size() * 4);
-  bytes.u32(place_);
-  bytes.u32(sliceHours_);
-  bytes.u64(persons_.size());
-  bytes.u64(hours_.size());
-  bytes.rows(persons_);
-  bytes.rows(offsets_);
-  bytes.rows(hours_);
-  return bytes.take();
-}
-
-CollocationMatrix CollocationMatrix::fromBytes(std::span<const std::byte> bytes) {
-  // The frame arrives over the mp wire: every declared count is bounded by
-  // the bytes that follow it before it sizes a vector.
-  util::ByteReader in(bytes, "collocation matrix");
-  CollocationMatrix matrix;
-  matrix.place_ = in.u32();
-  matrix.sliceHours_ = in.u32();
-  const std::uint64_t personCount = in.u64();
-  const std::uint64_t nnz = in.u64();
-  matrix.persons_ = in.rows<table::PersonId>(personCount, "persons");
-  matrix.offsets_ = in.rows<std::uint64_t>(personCount + 1, "offsets");
-  matrix.hours_ = in.rows<std::uint32_t>(nnz, "hours");
-  in.expectEnd();
-  CHISIM_CHECK(matrix.offsets_.front() == 0 && matrix.offsets_.back() == nnz,
-               "corrupt collocation matrix offsets");
-  return matrix;
 }
 
 std::size_t CollocationMatrix::memoryBytes() const noexcept {

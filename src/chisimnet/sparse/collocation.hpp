@@ -32,8 +32,9 @@ class CollocationMatrix {
   /// Number of distinct persons with at least one presence (local rows).
   std::size_t personCount() const noexcept { return persons_.size(); }
 
-  /// Number of nonzero entries (person-hours). This is the weight used for
-  /// load balancing the adjacency stage (paper §IV.A.3).
+  /// Number of nonzero entries (person-hours). The paper balances the
+  /// adjacency stage by it (§IV.A.3); the pipeline weighs a place from its
+  /// event rows before the matrix exists (net::weighPlaces).
   std::uint64_t nnz() const noexcept { return hours_.size(); }
 
   /// Global person id for local row `row`.
@@ -47,22 +48,11 @@ class CollocationMatrix {
   /// Width of the time slice in hours.
   std::uint32_t sliceHours() const noexcept { return sliceHours_; }
 
-  /// Number of distinct slice hours with at least one person present.
-  /// nnz() / occupiedHours() is the mean simultaneous occupancy, the basis
-  /// of the occupancy-scaled stage-4 partition weight.
-  std::uint32_t occupiedHours() const noexcept;
-
   /// True when person `row` was present during relative hour `hour`.
   bool present(std::size_t row, std::uint32_t hour) const noexcept;
 
   /// Approximate heap bytes held.
   std::size_t memoryBytes() const noexcept;
-
-  /// Compact binary serialization (for shipping matrices between ranks in
-  /// the message-passing synthesis backend, mirroring the paper's
-  /// return-to-root / re-scatter data flow).
-  std::vector<std::byte> toBytes() const;
-  static CollocationMatrix fromBytes(std::span<const std::byte> bytes);
 
  private:
   table::PlaceId place_ = 0;

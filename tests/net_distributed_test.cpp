@@ -59,61 +59,22 @@ class DistributedSynthesisTest : public ::testing::Test {
   testsupport::ScratchDir scratch_{"chisimnet_dist"};
 };
 
-TEST(CollocationSerialization, RoundTrip) {
-  util::Rng rng(5);
-  std::vector<Event> events;
-  for (int i = 0; i < 60; ++i) {
-    const auto start = static_cast<table::Hour>(rng.uniformBelow(48));
-    events.push_back(Event{start,
-                           start + 1 + static_cast<table::Hour>(rng.uniformBelow(5)),
-                           static_cast<table::PersonId>(rng.uniformBelow(15)),
-                           0, 7});
-  }
-  const sparse::CollocationMatrix original(7, events, 0, 48);
-  const auto bytes = original.toBytes();
-  const sparse::CollocationMatrix copy =
-      sparse::CollocationMatrix::fromBytes(bytes);
-  ASSERT_EQ(copy.place(), original.place());
-  ASSERT_EQ(copy.personCount(), original.personCount());
-  ASSERT_EQ(copy.nnz(), original.nnz());
-  ASSERT_EQ(copy.sliceHours(), original.sliceHours());
-  ASSERT_EQ(copy.occupiedHours(), original.occupiedHours());
-  for (std::size_t row = 0; row < original.personCount(); ++row) {
-    EXPECT_EQ(copy.personAt(row), original.personAt(row));
-    const auto a = original.hoursAt(row);
-    const auto b = copy.hoursAt(row);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-  }
-}
-
-TEST(CollocationSerialization, TruncationDetected) {
-  const std::vector<Event> events{{0, 3, 1, 0, 7}, {1, 4, 2, 0, 7}};
-  const sparse::CollocationMatrix matrix(7, events, 0, 8);
-  auto bytes = matrix.toBytes();
-  bytes.pop_back();
-  EXPECT_THROW(sparse::CollocationMatrix::fromBytes(bytes), std::runtime_error);
-}
-
-TEST(CollocationSerialization, InflatedCountIsRejected) {
-  // A 24-byte frame declaring 2^40 persons must be refused by the bound on
-  // the bytes that follow, before any vector is sized from the count.
-  util::ByteWriter frame;
-  frame.u32(7);   // place
-  frame.u32(8);   // slice hours
-  frame.u64(std::uint64_t{1} << 40);  // persons
-  frame.u64(0);   // nnz
-  const std::vector<std::byte> bytes = frame.take();
-  ASSERT_EQ(bytes.size(), 24u);
-  EXPECT_THROW(sparse::CollocationMatrix::fromBytes(bytes), std::runtime_error);
-}
-
-TEST(CollocationOccupancy, OccupiedHoursCountsDistinctHours) {
-  // Persons 1 and 2 overlap hours [0,3); person 3 alone at hour 5.
-  const std::vector<Event> events{{0, 3, 1, 0, 7}, {0, 3, 2, 0, 7},
-                                  {5, 6, 3, 0, 7}};
-  const sparse::CollocationMatrix matrix(7, events, 0, 8);
-  EXPECT_EQ(matrix.nnz(), 7u);
-  EXPECT_EQ(matrix.occupiedHours(), 4u);  // hours 0,1,2,5
+TEST(PlaceWeights, WeighsByNnzOverOccupiedHours) {
+  // Place 7: persons 1 and 2 overlap hours [0,3) and person 3 is alone at
+  // hour 5, so nnz 7 over 4 occupied hours (0,1,2,5). Place 8: person 5's
+  // two rows overlap at hour 1; head counts 1,2,1 give nnz 4 over 3 hours,
+  // one more than the matrix, which counts the duplicate presence once.
+  // Place 9 lies outside the window and gets no weight.
+  const std::vector<Event> rows{{0, 3, 1, 0, 7}, {0, 3, 2, 0, 7},
+                                {5, 6, 3, 0, 7}, {0, 2, 5, 0, 8},
+                                {1, 3, 5, 0, 8}, {9, 12, 4, 0, 9}};
+  const table::EventTable events(rows);
+  const table::PlaceIndex index = events.buildPlaceIndex();
+  const PlaceWeights weighed = weighPlaces(events, index, 0, 8);
+  EXPECT_EQ(weighed.groups, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(weighed.weights, (std::vector<std::uint64_t>{7 * 7 / 4, 4 * 4 / 3}));
+  EXPECT_EQ(sparse::buildCollocationMatrix(events, index, 0, 0, 8).nnz(), 7u);
+  EXPECT_EQ(sparse::buildCollocationMatrix(events, index, 1, 0, 8).nnz(), 3u);
 }
 
 class ExecutorRankSweep
@@ -238,25 +199,163 @@ TEST_F(DistributedSynthesisTest, AllAdjacencyMethodsAgree) {
 }
 
 TEST(MpProtocol, RetiredMergeRunsCommandIsRejected) {
-  // Command id 4 once ran a reduce-tree level. A stray frame carrying it
-  // (say, from an older root) must fail the CHISIM_CHECK on unknown
+  // Command id 4 once ran a reduce-tree level and id 1 a collocation-only
+  // stage whose matrices returned to the root. A stray frame carrying
+  // either (say, from an older root) must fail the CHISIM_CHECK on unknown
   // commands, not be misread as another stage's body.
   util::ByteWriter writer;
   writer.u64(1);  // the retired body's run token
   writer.u32(0);  // and its pair count
   const std::vector<std::byte> body = writer.take();
-  static_assert(mp::kCmdMergeShard == 5, "command ids are never renumbered");
-  try {
-    mp::executeSynthesisCommand(mp::StageParams{}, 4, body);
-    FAIL() << "retired command 4 was accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("CHISIM_CHECK"),
-              std::string::npos)
-        << error.what();
-    EXPECT_NE(std::string(error.what()).find("unknown synthesis executor "
-                                             "command 4"),
-              std::string::npos)
-        << error.what();
+  static_assert(mp::kCmdAdjacency == 2 && mp::kCmdStop == 3 &&
+                    mp::kCmdMergeShard == 5,
+                "command ids are never renumbered");
+  for (const std::uint32_t retired : {1u, 4u}) {
+    try {
+      mp::executeSynthesisCommand(mp::StageParams{}, retired, body);
+      FAIL() << "retired command " << retired << " was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("CHISIM_CHECK"),
+                std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what())
+                    .find("unknown synthesis executor command " +
+                          std::to_string(retired)),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+/// A fused adjacency body as the root scatters it: [runToken u64]
+/// [groupCount u32][groupCount × eventCount u32][event rows, group order].
+std::vector<std::byte> fusedAdjacencyBody(
+    const std::vector<std::vector<Event>>& groups) {
+  util::ByteWriter writer;
+  writer.u64(1);
+  writer.u32(static_cast<std::uint32_t>(groups.size()));
+  for (const std::vector<Event>& group : groups) {
+    writer.u32(static_cast<std::uint32_t>(group.size()));
+  }
+  for (const std::vector<Event>& group : groups) {
+    writer.rows(group);
+  }
+  return writer.take();
+}
+
+mp::StageParams fusedParams(table::Hour windowEnd) {
+  mp::StageParams params;
+  params.windowEnd = windowEnd;
+  params.splitRows = 1;
+  return params;
+}
+
+TEST(CollocationSerialization, RoundTrip) {
+  // Event rows leave the root and come back only as the counts of the
+  // matrices the worker built and their summed x·xᵀ, which must match a
+  // local build of the same places.
+  util::Rng rng(5);
+  std::vector<std::vector<Event>> groups(2);
+  for (int i = 0; i < 60; ++i) {
+    const auto start = static_cast<table::Hour>(rng.uniformBelow(48));
+    const table::PlaceId place = i % 3 == 0 ? 9 : 7;
+    groups[place == 9].push_back(Event{
+        start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(5)),
+        static_cast<table::PersonId>(rng.uniformBelow(15)), 0, place});
+  }
+  std::vector<Event> all;
+  std::uint64_t expectedNnz = 0;
+  for (const std::vector<Event>& group : groups) {
+    expectedNnz +=
+        sparse::CollocationMatrix(group.front().place, group, 0, 48).nnz();
+    all.insert(all.end(), group.begin(), group.end());
+  }
+
+  const std::vector<std::byte> reply = mp::executeSynthesisCommand(
+      fusedParams(48), mp::kCmdAdjacency, fusedAdjacencyBody(groups));
+  util::ByteReader in(reply, "adjacency reply");
+  in.f64();  // busy seconds
+  EXPECT_EQ(in.u64(), 2u);
+  EXPECT_EQ(in.u64(), expectedNnz);
+  for (int stat = 0; stat < 6; ++stat) {
+    in.u64();  // kernel stats and peak local bytes
+  }
+  ASSERT_EQ(in.u32(), 1u);
+  const mp::RunRef run = mp::takeRunRef(in);
+  in.expectEnd();
+  EXPECT_FALSE(run.isFile());
+  EXPECT_EQ(run.inlineRun,
+            bruteForceAdjacency(table::EventTable(all), 0, 48).toTriplets());
+}
+
+TEST(CollocationSerialization, TruncationDetected) {
+  // Place 7 with persons 1 and 2, place 9 with person 3: 2 places, 3 + 3 +
+  // 2 nnz. Every cut of the body is a typed error from the bounded reader.
+  const std::vector<std::byte> body =
+      fusedAdjacencyBody({{{0, 3, 1, 0, 7}, {1, 4, 2, 0, 7}}, {{0, 2, 3, 0, 9}}});
+  const mp::StageParams params = fusedParams(8);
+  const std::vector<std::byte> reply =
+      mp::executeSynthesisCommand(params, mp::kCmdAdjacency, body);
+  util::ByteReader in(reply, "adjacency reply");
+  in.f64();  // busy seconds
+  EXPECT_EQ(in.u64(), 2u);
+  EXPECT_EQ(in.u64(), 8u);
+  const std::span<const std::byte> whole(body);
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    EXPECT_THROW(mp::executeSynthesisCommand(params, mp::kCmdAdjacency,
+                                             whole.first(cut)),
+                 std::runtime_error)
+        << "cut at byte " << cut;
+  }
+}
+
+TEST(CollocationSerialization, InflatedCountIsRejected) {
+  // A group or event count of 2^32-1 must be refused by the bound on the
+  // bytes that follow, before any vector is sized from the count.
+  const std::vector<std::byte> body =
+      fusedAdjacencyBody({{{0, 3, 1, 0, 7}, {1, 4, 2, 0, 7}}, {{0, 2, 3, 0, 9}}});
+  const auto inflated = [&body](std::size_t offset) {
+    std::vector<std::byte> copy = body;
+    std::fill_n(copy.begin() + static_cast<std::ptrdiff_t>(offset), 4,
+                std::byte{0xFF});
+    return copy;
+  };
+  const mp::StageParams params = fusedParams(8);
+  EXPECT_THROW(mp::executeSynthesisCommand(params, mp::kCmdAdjacency,
+                                           inflated(8)),
+               std::runtime_error)
+      << "group count 2^32-1";
+  EXPECT_THROW(mp::executeSynthesisCommand(params, mp::kCmdAdjacency,
+                                           inflated(12)),
+               std::runtime_error)
+      << "event count 2^32-1";
+}
+
+TEST(MpTraffic, EachEventRowIsScatteredOnce) {
+  // The root sends each place's rows once, to the rank that owns the
+  // place; no matrix crosses the wire in either direction.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const testsupport::FuzzCase fuzz = testsupport::makeCase(seed);
+    SynthesisConfig config;
+    config.windowStart = fuzz.windowStart;
+    config.windowEnd = fuzz.windowEnd;
+    config.workers = 3;
+    config.backend = SynthesisBackend::kMessagePassing;
+    NetworkSynthesizer mp(config);
+    EXPECT_EQ(mp.synthesizeAdjacency(fuzz.events).toTriplets(),
+              bruteForceAdjacency(fuzz.events, fuzz.windowStart,
+                                  fuzz.windowEnd)
+                  .toTriplets())
+        << "seed " << seed;
+    const SynthesisReport& report = mp.report();
+    // One command per rank: frame header, run token and group count; one
+    // event count per place.
+    const std::uint64_t framing =
+        config.workers * (mp::kCommandHeaderBytes + 8 + 4) +
+        4 * report.placesProcessed;
+    EXPECT_LE(report.bytesScattered,
+              fuzz.events.size() * sizeof(table::Event) + framing)
+        << "seed " << seed;
   }
 }
 

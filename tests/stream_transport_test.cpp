@@ -869,7 +869,7 @@ TEST(ProcessTransportSynthesisTest, KillMidBatchResumeRestoresInflight) {
       // Slow the compute side so the producer is decoded ahead, then die
       // right after the second batch's checkpoint hits disk.
       FaultPlan plan;
-      plan.at("driver.collocation",
+      plan.at("driver.adjacency",
               FaultSpec{.action = FaultAction::kDelay, .delayMs = 40});
       plan.at("driver.batch",
               FaultSpec{.action = FaultAction::kThrow, .hit = 2});
@@ -919,7 +919,7 @@ TEST(ProcessTransportSynthesisTest, SerialResumeConsumesAPrefetchSnapshot) {
   config.checkpointDir = checkpoints.path();
   {
     FaultPlan plan;
-    plan.at("driver.collocation",
+    plan.at("driver.adjacency",
             FaultSpec{.action = FaultAction::kDelay, .delayMs = 40});
     plan.at("driver.batch",
             FaultSpec{.action = FaultAction::kThrow, .hit = 2});
