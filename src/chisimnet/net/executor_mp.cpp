@@ -623,8 +623,8 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
          &onSegment](std::span<const std::byte> reply) {
           util::ByteReader in(reply, "merge-shard reply");
           in.f64();  // rank busy; per-shard is below
-          // A segment takes at least its fixed fields (36 bytes).
-          const std::uint64_t count = in.count(in.u32(), 36, "segments");
+          // A segment takes at least its fixed fields (52 bytes).
+          const std::uint64_t count = in.count(in.u32(), 52, "segments");
           for (std::uint64_t s = 0; s < count; ++s) {
             sparse::ShardSegment segment = mp::takeShardSegment(in);
             const auto owner = ownerOfShard.find(segment.shard);

@@ -84,6 +84,8 @@ void putShardSegment(util::ByteWriter& out,
   out.u64(segment.triplets);
   out.u64(segment.bytes);
   out.u32(segment.crc);
+  out.u64(segment.mergePasses);
+  out.u64(segment.mergePassBytes);
 }
 
 sparse::ShardSegment takeShardSegment(util::ByteReader& in) {
@@ -94,6 +96,8 @@ sparse::ShardSegment takeShardSegment(util::ByteReader& in) {
   segment.triplets = in.u64();
   segment.bytes = in.u64();
   segment.crc = in.u32();
+  segment.mergePasses = in.u64();
+  segment.mergePassBytes = in.u64();
   return segment;
 }
 
@@ -257,10 +261,11 @@ std::vector<std::byte> executeSynthesisCommand(
       // Body: [runToken u64][shardCount u32][per shard:
       // shard u32, runCount u32, RunRef × runCount (file runs, shard-pure)].
       // Reply: [busySeconds f64][shardCount u32][shardCount ×
-      // putShardSegment]. Segment names carry the token, so a retried body
-      // rewrites its own files (deterministic content, tmp+rename) while a
-      // reassigned body — fresh token — never collides with a half-dead
-      // rank still merging the old one.
+      // putShardSegment]. Segment names carry the token, and so do the
+      // merge-pass files named after them, so a retried body rewrites its
+      // own files (deterministic content, tmp+rename) while a reassigned
+      // body — fresh token — never collides with a half-dead rank still
+      // merging the old one.
       util::ByteReader in(body, "merge-shard command");
       const std::uint64_t token = in.u64();
       // Each shard costs at least its shard and run-count words.

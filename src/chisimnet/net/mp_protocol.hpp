@@ -89,7 +89,8 @@ void putRunRef(util::ByteWriter& out, const RunRef& ref);
 RunRef takeRunRef(util::ByteReader& in);
 
 /// A finished shard segment in a merge-shard reply: [shard u32]
-/// [mergeSeconds f64][file string][triplets u64][bytes u64][crc u32].
+/// [mergeSeconds f64][file string][triplets u64][bytes u64][crc u32]
+/// [mergePasses u64][mergePassBytes u64].
 /// The owner is not on the wire; the root knows whom it asked.
 void putShardSegment(util::ByteWriter& out,
                      const sparse::ShardSegment& segment);

@@ -38,8 +38,9 @@ sparse::SpillingAccumulator::Options sinkOptions(
   sparse::SpillingAccumulator::Options options;
   options.dir = config.spillDir;
   options.budgetBytes = config.memoryBudgetBytes;
-  // Checkpoint manifests reference live run files by name, so compaction
-  // inputs must stay on disk until the next manifest stops naming them.
+  // Checkpoint manifests reference live run files by name, so superseded
+  // runs (split straddlers, merge-pass inputs) must stay on disk until the
+  // next manifest stops naming them.
   options.deferDeletes = !config.checkpointDir.empty();
   // The sink's row-range shards are the merge shards, so its spills are
   // shard-pure too.
@@ -584,6 +585,9 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
     std::error_code ignored;
     std::filesystem::remove(retired, ignored);
   }
+  // The sink's counters are final here; the owners' merge passes add to
+  // them as segments land.
+  foldSpillStats(report_, sink.stats());
 
   // Per-segment checkpoint: after each shard lands, persist the manifest
   // so a killed merge resumes with only the unfinished shards. The runs
@@ -595,6 +599,8 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
     completed.emplace(segment.shard, segment);
     ++report_.mergeSegmentsWritten;
     report_.mergeSeconds += segment.mergeSeconds;
+    report_.spillCompactions += segment.mergePasses;
+    report_.spilledBytes += segment.mergePassBytes;
     if (checkpointing) {
       saveCheckpoint(config_.checkpointDir, buildManifest(), config_.spillDir,
                      nullptr, /*gcSpillDir=*/false);
@@ -603,9 +609,12 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
     runtime::fault::hit("spill.shard");
   };
 
+  util::WallTimer mergeWall;
   std::vector<sparse::ShardSegment> merged;
   if (!todo.empty()) {
     merged = executor_->mergeSpillShards(todo, onSegment);
+    // Retries and respawns during the merge belong in the report too.
+    foldExecutorFaults();
   }
   // Modeled parallel merge time: the busiest owner's summed thread-CPU
   // seconds (reused segments cost nothing this run, so they don't count).
@@ -627,7 +636,7 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
     writer.appendSegmentFile(segment);
   }
   const std::uint64_t edges = writer.finish();
-  foldSpillStats(report_, sink.stats());
+  report_.mergeWallSeconds = mergeWall.seconds();
   report_.edges = edges;
   report_.totalSeconds = total.seconds();
   return edges;

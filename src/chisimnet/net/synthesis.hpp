@@ -339,8 +339,10 @@ struct SynthesisReport {
   std::uint64_t memoryBudgetBytes = 0;  ///< the configured cap (0 = off)
   std::uint64_t spillRunsWritten = 0;   ///< sorted run files produced
   std::uint64_t spilledTriplets = 0;    ///< triplet rows that went to disk
-  std::uint64_t spilledBytes = 0;       ///< run-file bytes written
-  std::uint64_t spillCompactions = 0;   ///< live-run k-way compactions
+  std::uint64_t spilledBytes = 0;  ///< run-file bytes written, passes too
+  /// Intermediate merge passes: the sharded finish's owner passes (or
+  /// finishMerge's) that bring a shard's runs down to the merge fan-in.
+  std::uint64_t spillCompactions = 0;
   /// Max observed resident accumulator bytes (cross-batch shards + the
   /// spill-sort transient). The budget guarantee the tests assert:
   /// peakAccumulatorBytes ≤ memoryBudgetBytes.
@@ -370,8 +372,10 @@ struct SynthesisReport {
   double mergeSeconds = 0.0;
   /// Modeled parallel merge time: max per-owner sum of shard merge
   /// seconds — what the external merge costs when every owner runs
-  /// concurrently (single-core wall time cannot show the win).
+  /// concurrently.
   double mergeCriticalSeconds = 0.0;
+  /// Measured wall time of the sharded merge and the segment splice.
+  double mergeWallSeconds = 0.0;
 };
 
 class NetworkSynthesizer {

@@ -41,8 +41,9 @@
 ///   spill.write         SpillRunWriter::finish, after the run body is on
 ///                       disk but BEFORE the tmp→final rename (kThrow models
 ///                       a crash mid-spill leaving only a .tmp orphan)
-///   spill.merge         SpillingAccumulator compaction, before the k-way
-///                       merge of live runs begins
+///   spill.merge         bounded merge (mergeShardRuns on a shard owner,
+///                       SpillingAccumulator::finishMerge), before each
+///                       intermediate pass; input runs are never touched
 ///   abm.step            ABM rank loop, top of each active simulated
 ///                       hour; ordinal = the simulated hour, so a spec's
 ///                       exact hit means "at hour H" regardless of thread

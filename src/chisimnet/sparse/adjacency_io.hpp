@@ -60,6 +60,11 @@ struct ShardSegment {
   /// Thread-CPU seconds of this shard's merge. Per-owner sums of these
   /// model the parallel critical path on one-core hosts.
   double mergeSeconds = 0.0;
+  /// Intermediate passes the merge needed to bring the shard's runs down
+  /// to its fan-in bound, and the run bytes they wrote (0 for a one-pass
+  /// merge and for a segment reused from a checkpoint).
+  std::uint64_t mergePasses = 0;
+  std::uint64_t mergePassBytes = 0;
   unsigned owner = 0;  ///< worker index / rank that ran the merge
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <functional>
 #include <map>
+#include <set>
 #include <system_error>
 #include <utility>
 
@@ -268,6 +270,98 @@ bool SpillRunReader::next(AdjacencyTriplet& out) {
   return true;
 }
 
+// --------------------------------------------------------- bounded merge
+
+namespace {
+
+/// The k-way merge over at most kMergeFanIn runs.
+std::unique_ptr<TripletMerger> mergeRuns(std::span<const SpillRunInfo> runs,
+                                         SpillReadahead readahead) {
+  CHISIM_REQUIRE(runs.size() <= kMergeFanIn,
+                 "a merge opens at most kMergeFanIn runs");
+  std::vector<std::unique_ptr<TripletSource>> readers;
+  readers.reserve(runs.size());
+  for (const SpillRunInfo& run : runs) {
+    readers.push_back(std::make_unique<SpillRunReader>(run.file, readahead));
+  }
+  return std::make_unique<TripletMerger>(std::move(readers));
+}
+
+/// The intermediate passes of one bounded merge: their count, the run
+/// bytes they wrote, and the pass outputs still on disk, which are deleted
+/// when this goes out of scope unless keep() hands them to the caller.
+struct PassFiles {
+  std::uint64_t count = 0;
+  std::uint64_t bytes = 0;
+  std::vector<std::filesystem::path> files;
+
+  PassFiles() = default;
+  PassFiles(const PassFiles&) = delete;
+  PassFiles& operator=(const PassFiles&) = delete;
+  ~PassFiles() {
+    for (const std::filesystem::path& file : files) {
+      std::error_code ignored;
+      std::filesystem::remove(file, ignored);
+    }
+  }
+  void keep() noexcept { files.clear(); }
+};
+
+/// Merges the smallest of `runs` in passes of at most kMergeFanIn until no
+/// more than kMergeFanIn remain, and returns those. Pass n writes
+/// passPath(n); a pass output that a later pass consumes is deleted at
+/// once, so `passes.files` ends up naming the pass outputs among the
+/// returned runs. Input runs are only read.
+std::vector<SpillRunInfo> mergeToFanIn(
+    std::vector<SpillRunInfo> runs,
+    const std::function<std::filesystem::path(std::uint64_t)>& passPath,
+    PassFiles& passes) {
+  if (runs.size() <= kMergeFanIn) {
+    return runs;
+  }
+  const auto smaller = [](const SpillRunInfo& a, const SpillRunInfo& b) {
+    return a.bytes < b.bytes;
+  };
+  std::stable_sort(runs.begin(), runs.end(), smaller);
+  // Each pass turns `take` runs into one. The first pass takes just enough
+  // that every later pass, the final merge included, is a full
+  // kMergeFanIn-way merge.
+  std::size_t take = 2 + (runs.size() - 2) % (kMergeFanIn - 1);
+  while (runs.size() > kMergeFanIn) {
+    runtime::fault::hit("spill.merge");
+    const std::span<const SpillRunInfo> inputs(runs.data(), take);
+    SpillRunWriter writer(passPath(passes.count));
+    {
+      const std::unique_ptr<TripletMerger> merger =
+          mergeRuns(inputs, SpillReadahead::kNone);
+      AdjacencyTriplet triplet;
+      while (merger->next(triplet)) {
+        writer.append(triplet);
+      }
+    }
+    SpillRunInfo merged = writer.finish();
+    passes.files.push_back(merged.file);
+    ++passes.count;
+    passes.bytes += merged.bytes;
+    for (const SpillRunInfo& input : inputs) {
+      const auto own =
+          std::find(passes.files.begin(), passes.files.end(), input.file);
+      if (own != passes.files.end()) {
+        std::error_code ignored;
+        std::filesystem::remove(*own, ignored);
+        passes.files.erase(own);
+      }
+    }
+    runs.erase(runs.begin(), runs.begin() + static_cast<std::ptrdiff_t>(take));
+    runs.insert(std::upper_bound(runs.begin(), runs.end(), merged, smaller),
+                std::move(merged));
+    take = kMergeFanIn;
+  }
+  return runs;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------- accumulator
 
 SpillingAccumulator::SpillingAccumulator(Options options)
@@ -275,7 +369,6 @@ SpillingAccumulator::SpillingAccumulator(Options options)
   CHISIM_REQUIRE(!options_.dir.empty(),
                  "a spilling accumulator needs a run directory");
   CHISIM_REQUIRE(options_.rowsPerShard >= 1, "rowsPerShard must be >= 1");
-  CHISIM_REQUIRE(options_.maxLiveRuns >= 2, "maxLiveRuns must be >= 2");
   std::filesystem::create_directories(options_.dir);
   if (options_.budgetBytes > 0) {
     spillThreshold_ =
@@ -370,7 +463,6 @@ void SpillingAccumulator::adoptRunFile(const SpillRunInfo& info) {
   ++stats_.runsWritten;
   stats_.spilledTriplets += info.triplets;
   stats_.spilledBytes += info.bytes;
-  maybeCompact();
 }
 
 void SpillingAccumulator::restoreRunFile(const SpillRunInfo& info) {
@@ -380,7 +472,6 @@ void SpillingAccumulator::restoreRunFile(const SpillRunInfo& info) {
   // Restored runs are prior-life state, not this run's spill activity:
   // they count toward the live set but not the written/spilled counters.
   runs_.push_back(info);
-  maybeCompact();
 }
 
 void SpillingAccumulator::spillShard(std::uint32_t shard,
@@ -422,7 +513,6 @@ void SpillingAccumulator::spillAll() {
     residentBytes_ -= pairs.memoryBytes();
   }
   shards_.clear();
-  maybeCompact();
 }
 
 void SpillingAccumulator::retireRunFile(std::filesystem::path file) {
@@ -434,77 +524,29 @@ void SpillingAccumulator::retireRunFile(std::filesystem::path file) {
   }
 }
 
-void SpillingAccumulator::maybeCompact() {
-  // Compaction is per shard group: runs that cover a single reduce shard
-  // only ever merge with runs of the same shard, so the shard-ownership
-  // invariant survives compaction and a later sharded merge still sees
-  // shard-pure inputs. Straddling and empty runs pool in a catch-all
-  // group.
-  std::map<std::int64_t, std::vector<std::size_t>> groups;
-  for (std::size_t at = 0; at < runs_.size(); ++at) {
-    groups[runs_[at].shardOf(options_.rowsPerShard)].push_back(at);
-  }
-  // The bound compaction enforces is per-group merge fan-in, not global
-  // file count: a sharded merge opens one group at a time, so a global
-  // trigger that rewrites every group whenever the total run count trips
-  // makes compaction IO scale with the shard count for no fan-in benefit
-  // (each cycle re-reads and re-writes nearly all spilled data). Compact
-  // exactly the groups whose own member count exceeds maxLiveRuns and
-  // leave the rest untouched.
-  bool oversized = false;
-  for (const auto& [shard, members] : groups) {
-    if (members.size() > options_.maxLiveRuns) {
-      oversized = true;
-      break;
-    }
-  }
-  if (!oversized) {
-    return;
-  }
-  runtime::fault::hit("spill.merge");
-  ++stats_.compactions;
-  std::vector<SpillRunInfo> survivors;
-  survivors.reserve(runs_.size());
-  for (auto& [shard, members] : groups) {
-    if (members.size() <= options_.maxLiveRuns) {
-      for (const std::size_t at : members) {
-        survivors.push_back(std::move(runs_[at]));
-      }
-      continue;
-    }
-    std::vector<std::unique_ptr<TripletSource>> readers;
-    readers.reserve(members.size());
-    for (const std::size_t at : members) {
-      readers.push_back(std::make_unique<SpillRunReader>(runs_[at].file));
-    }
-    TripletMerger merger(std::move(readers));
-    SpillRunWriter writer(nextRunPath());
-    AdjacencyTriplet triplet;
-    while (merger.next(triplet)) {
-      writer.append(triplet);
-    }
-    const SpillRunInfo compacted = writer.finish();
-    // The inputs are superseded; under deferDeletes they stay on disk until
-    // the caller's next checkpoint manifest no longer references them.
-    for (const std::size_t at : members) {
-      retireRunFile(std::move(runs_[at].file));
-    }
-    survivors.push_back(compacted);
-    ++stats_.runsWritten;
-    stats_.spilledTriplets += compacted.triplets;
-    stats_.spilledBytes += compacted.bytes;
-  }
-  runs_ = std::move(survivors);
-}
-
 std::unique_ptr<TripletSource> SpillingAccumulator::finishMerge() {
   spillAll();
-  std::vector<std::unique_ptr<TripletSource>> readers;
-  readers.reserve(runs_.size());
-  for (const SpillRunInfo& run : runs_) {
-    readers.push_back(std::make_unique<SpillRunReader>(run.file));
+  if (runs_.size() > kMergeFanIn) {
+    PassFiles passes;
+    std::vector<SpillRunInfo> left = mergeToFanIn(
+        runs_, [this](std::uint64_t) { return nextRunPath(); }, passes);
+    // The surviving pass outputs become live runs; every original input a
+    // pass consumed is superseded.
+    std::set<std::filesystem::path> kept;
+    for (const SpillRunInfo& run : left) {
+      kept.insert(run.file);
+    }
+    for (SpillRunInfo& run : runs_) {
+      if (!kept.contains(run.file)) {
+        retireRunFile(std::move(run.file));
+      }
+    }
+    runs_ = std::move(left);
+    stats_.compactions += passes.count;
+    stats_.spilledBytes += passes.bytes;
+    passes.keep();
   }
-  return std::make_unique<TripletMerger>(std::move(readers));
+  return mergeRuns(runs_, SpillReadahead::kNone);
 }
 
 void SpillingAccumulator::splitRun(const SpillRunInfo& run,
@@ -653,22 +695,31 @@ ShardSegment mergeShardRuns(std::uint32_t shard,
                             std::span<const SpillRunInfo> runs,
                             const std::filesystem::path& segmentFile) {
   util::ThreadCpuTimer timer;
-  std::vector<std::unique_ptr<TripletSource>> readers;
-  readers.reserve(runs.size());
-  for (const SpillRunInfo& run : runs) {
-    readers.push_back(std::make_unique<SpillRunReader>(
-        run.file, SpillReadahead::kDoubleBuffer));
-  }
-  TripletMerger merger(std::move(readers));
+  // Pass files are named after the segment: seg.<shard>[.t<token>].p<n>.spl.
+  const std::string stem =
+      (segmentFile.parent_path() / segmentFile.stem()).string();
+  PassFiles passes;
+  const std::vector<SpillRunInfo> left = mergeToFanIn(
+      {runs.begin(), runs.end()},
+      [&stem](std::uint64_t pass) {
+        return stem + ".p" + std::to_string(pass) + ".spl";
+      },
+      passes);
   TripletSegmentWriter writer(segmentFile);
-  AdjacencyTriplet triplet;
-  while (merger.next(triplet)) {
-    writer.append(triplet);
+  {
+    const std::unique_ptr<TripletMerger> merger =
+        mergeRuns(left, SpillReadahead::kDoubleBuffer);
+    AdjacencyTriplet triplet;
+    while (merger->next(triplet)) {
+      writer.append(triplet);
+    }
   }
   ShardSegment segment = writer.finish();
   segment.shard = shard;
+  segment.mergePasses = passes.count;
+  segment.mergePassBytes = passes.bytes;
   segment.mergeSeconds = timer.seconds();
-  return segment;
+  return segment;  // the segment is in place: `passes` deletes its files
 }
 
 }  // namespace chisimnet::sparse

@@ -38,7 +38,8 @@
 ///
 /// Fault sites: "spill.write" fires in SpillRunWriter::finish() before the
 /// rename (a kThrow models a crash mid-spill, leaving the .tmp orphan);
-/// "spill.merge" fires when SpillingAccumulator compacts its live runs.
+/// "spill.merge" fires before each intermediate pass of a bounded merge
+/// (mergeShardRuns, finishMerge), when no pass has touched its inputs.
 
 namespace chisimnet::sparse {
 
@@ -82,6 +83,12 @@ enum class SpillReadahead {
 /// Triplets per CRC frame (64 Ki rows = 1 MiB payload): the unit of both
 /// the writer's buffering and the reader's resident window.
 inline constexpr std::size_t kSpillFrameTriplets = std::size_t{1} << 16;
+
+/// The most runs one k-way merge opens at once. A merge over more runs
+/// first merges the smallest ones in intermediate passes until this many
+/// remain, so the open files and resident reader frames stay bounded
+/// however many runs a budget produced.
+inline constexpr std::size_t kMergeFanIn = 32;
 
 /// Streams a strictly key-ascending triplet run into a CSPL1 file.
 class SpillRunWriter {
@@ -165,7 +172,7 @@ struct SpillStats {
   std::uint64_t runsWritten = 0;      ///< run files produced (incl. adopted)
   std::uint64_t spilledTriplets = 0;  ///< triplet rows that went to disk
   std::uint64_t spilledBytes = 0;     ///< run file bytes written
-  std::uint64_t compactions = 0;      ///< live-run merges (spill.merge)
+  std::uint64_t compactions = 0;      ///< finishMerge's merge passes
   /// Runs rewritten at shard boundaries because they straddled one when a
   /// per-shard merge plan was built.
   std::uint64_t runsSplit = 0;
@@ -215,14 +222,13 @@ class SpillingAccumulator {
     std::uint64_t budgetBytes = 0;
     /// Global rows (low person ids) per shard.
     std::uint32_t rowsPerShard = std::uint32_t{1} << 18;
-    /// Compact (k-way merge all live runs into one) above this many runs.
-    std::size_t maxLiveRuns = 32;
     /// Run files are named <runPrefix><n>.spl; numbering resumes above any
     /// existing files with this prefix in dir.
     std::string runPrefix = "run.";
-    /// true: superseded compaction inputs are retired (takeRetiredFiles)
-    /// instead of deleted, so a checkpoint manifest that still references
-    /// them stays valid until the next manifest rename.
+    /// true: superseded runs (split straddlers, finishMerge pass inputs)
+    /// are retired (takeRetiredFiles) instead of deleted, so a checkpoint
+    /// manifest that still references them stays valid until the next
+    /// manifest rename.
     bool deferDeletes = false;
   };
 
@@ -233,6 +239,10 @@ class SpillingAccumulator {
 
   void add(std::uint32_t i, std::uint32_t j, std::uint64_t weight);
   void addSortedRun(std::span<const AdjacencyTriplet> run);
+  /// Adoption and restore only record a run: they never read or rewrite
+  /// one, so stage 6 costs O(1) per worker run. The fan-in bound is the
+  /// merge's business (kMergeFanIn), not the live set's.
+  ///
   /// Takes ownership of an existing run file (a stage-5 worker spill) by
   /// renaming it into this accumulator's own <runPrefix><n>.spl namespace.
   /// The rename matters for checkpointing: worker file names restart from
@@ -264,9 +274,11 @@ class SpillingAccumulator {
   /// checkpoint persists and what finishMerge() streams.
   void spillAll();
 
-  /// Spills residual shards, then returns the external-memory k-way merge
-  /// over all live runs: the final sorted, duplicate-summed stream. The
-  /// accumulator must not be modified while the stream is being drained.
+  /// Spills residual shards, merges the smallest live runs in bounded
+  /// passes until at most kMergeFanIn remain (the pass outputs replace
+  /// their inputs in liveRuns()), then returns the k-way merge over them:
+  /// the final sorted, duplicate-summed stream. The accumulator must not
+  /// be modified while the stream is being drained.
   std::unique_ptr<TripletSource> finishMerge();
 
   /// One row-range shard's slice of the merge plan: every live run whose
@@ -288,7 +300,7 @@ class SpillingAccumulator {
   std::vector<ShardRunGroup> buildShardMergePlan();
 
   const std::vector<SpillRunInfo>& liveRuns() const noexcept { return runs_; }
-  /// Compaction inputs superseded since the last call (deferDeletes mode);
+  /// Runs superseded since the last call (deferDeletes mode);
   /// the caller deletes them once its manifest no longer references them.
   std::vector<std::filesystem::path> takeRetiredFiles();
 
@@ -297,7 +309,6 @@ class SpillingAccumulator {
 
  private:
   void spillShard(std::uint32_t shard, PairCountMap& pairs);
-  void maybeCompact();
   /// Rewrites one run as shard-pure runs (appended to `out`); retires or
   /// deletes the original.
   void splitRun(const SpillRunInfo& run, std::vector<SpillRunInfo>& out);
@@ -376,10 +387,20 @@ void writeShardRuns(const std::filesystem::path& dir,
                     std::uint32_t splitRows, std::vector<SpillRunInfo>& out);
 
 /// Runs one shard's independent loser-tree merge over its (shard-pure)
-/// runs, read double-buffered, streaming the result into `segmentFile`
-/// (tmp+rename). This is the unit of work a shard owner — worker thread or
-/// rank — executes; the final CADJ is the byte-identical concatenation of
-/// the resulting segments in ascending shard order.
+/// runs, streaming the result into `segmentFile` (tmp+rename). This is the
+/// unit of work a shard owner — worker thread or rank — executes; the
+/// final CADJ is the byte-identical concatenation of the resulting
+/// segments in ascending shard order.
+///
+/// Over more than kMergeFanIn runs the owner first merges the smallest
+/// ones in intermediate passes (read synchronously), the first pass sized
+/// so that every later one is a full kMergeFanIn-way merge. Pass n writes
+/// `<segment stem>.p<n>.spl` beside the segment, so a retried command
+/// rewrites its own files and a reassigned one (new token in the segment
+/// name) never collides with them; every pass file is gone once the
+/// segment is in place, and the input runs are never touched. The final
+/// pass reads double-buffered. The segment reports the pass count and the
+/// bytes the passes wrote.
 ShardSegment mergeShardRuns(std::uint32_t shard,
                             std::span<const SpillRunInfo> runs,
                             const std::filesystem::path& segmentFile);

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -932,64 +933,83 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
   }
 }
 
-/// Kill during run compaction (the spill.merge site): the crash happens
-/// before any compacted output replaces the inputs, so every input run is
-/// still on disk, and an accumulator rebuilt over those runs — the resume
-/// path's restoreRunFile — merges to exactly the pre-crash totals.
+/// Kill inside an owner's intermediate merge pass (the spill.merge site):
+/// the second pass dies after the first wrote its output. The passes only
+/// read their inputs, so every input run is still on disk byte for byte,
+/// no pass file or segment is left behind, and re-running the same merge
+/// command — a retry rewrites its own files — produces a segment
+/// byte-identical to an undisturbed merge.
 TEST(SpillFaultTest, KillDuringCompactionLeavesRunsRestorable) {
   ScratchDir scratch("chisimnet_fault_spill_merge");
   util::Rng rng(7);
   sparse::SymmetricAdjacency expected(64);
-
-  sparse::SpillingAccumulator::Options options;
-  options.dir = scratch.path();
-  options.maxLiveRuns = 2;
-  options.deferDeletes = true;
-  sparse::SpillingAccumulator victim(options);
-
-  FaultPlan plan;
-  plan.at("spill.merge", FaultSpec{.action = FaultAction::kThrow, .hit = 1});
-  runtime::fault::ScopedFaultPlan scoped(plan);
-
-  // Three spills of overlapping keys; the third pushes the live-run count
-  // past maxLiveRuns and the injected fault kills the compaction.
-  bool threw = false;
-  for (int slice = 0; slice < 3; ++slice) {
-    for (int n = 0; n < 400; ++n) {
+  std::vector<sparse::SpillRunInfo> runs;
+  for (int n = 0; n < 40; ++n) {
+    sparse::SymmetricAdjacency slice(64);
+    for (int add = 0; add < 30; ++add) {
       const auto i = static_cast<std::uint32_t>(rng.uniformBelow(40));
       auto j = static_cast<std::uint32_t>(rng.uniformBelow(40));
       if (i == j) j = (j + 1) % 40;
       const std::uint64_t weight = 1 + rng.uniformBelow(9);
-      victim.add(i, j, weight);
+      slice.add(i, j, weight);
       expected.add(i, j, weight);
     }
-    try {
-      victim.spillAll();
-    } catch (const FaultInjected&) {
-      threw = true;
-    }
+    sparse::SpillRunWriter writer(scratch.path() /
+                                  ("run." + std::to_string(n) + ".spl"));
+    writer.append(std::span<const sparse::AdjacencyTriplet>(
+        slice.toTriplets()));
+    runs.push_back(writer.finish());
   }
-  ASSERT_TRUE(threw);
-  ASSERT_EQ(victim.liveRuns().size(), 3u);
-  std::vector<sparse::SpillRunInfo> survivors = victim.liveRuns();
-  for (const auto& run : survivors) {
-    EXPECT_TRUE(std::filesystem::exists(run.file)) << run.file;
+  const auto readAll = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  std::vector<std::string> inputBytes;
+  for (const auto& run : runs) {
+    inputBytes.push_back(readAll(run.file));
   }
 
-  // "Resume": a fresh accumulator restores the surviving runs by name
-  // (compaction now succeeds — the plan's single shot is spent) and the
-  // merged stream matches the unbounded reference bit for bit.
-  sparse::SpillingAccumulator resumed(options);
-  for (const auto& run : survivors) {
-    resumed.restoreRunFile(run);
+  // Undisturbed reference (40 runs: a 9-way pass, then the final merge).
+  const sparse::ShardSegment clean =
+      sparse::mergeShardRuns(0, runs, scratch.path() / "seg.0.t1.cseg");
+  ASSERT_EQ(clean.mergePasses, 1u);
+  EXPECT_EQ(clean.triplets, expected.edgeCount());
+
+  // 80 runs need two intermediate passes; the second one dies.
+  std::vector<sparse::SpillRunInfo> doubled = runs;
+  doubled.insert(doubled.end(), runs.begin(), runs.end());
+  const std::filesystem::path victimFile = scratch.path() / "seg.0.t2.cseg";
+  {
+    FaultPlan plan;
+    plan.at("spill.merge",
+            FaultSpec{.action = FaultAction::kThrow, .hit = 2});
+    runtime::fault::ScopedFaultPlan scoped(plan);
+    EXPECT_THROW(sparse::mergeShardRuns(0, doubled, victimFile),
+                 FaultInjected);
+    EXPECT_EQ(plan.actedCount("spill.merge"), 1u);
   }
-  const auto merged = resumed.finishMerge();
-  std::vector<sparse::AdjacencyTriplet> drained;
-  sparse::AdjacencyTriplet triplet;
-  while (merged->next(triplet)) {
-    drained.push_back(triplet);
+  for (std::size_t n = 0; n < runs.size(); ++n) {
+    ASSERT_TRUE(std::filesystem::exists(runs[n].file)) << runs[n].file;
+    EXPECT_EQ(readAll(runs[n].file), inputBytes[n]) << runs[n].file;
   }
-  EXPECT_EQ(drained, expected.toTriplets());
+  for (const auto& entry :
+       std::filesystem::directory_iterator(scratch.path())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name.starts_with("run.") || name == "seg.0.t1.cseg")
+        << "left behind: " << name;
+  }
+
+  // The retry: the same command over the same runs (each pair now counts
+  // twice) against the undisturbed merge of the doubled run list.
+  const sparse::ShardSegment retried =
+      sparse::mergeShardRuns(0, doubled, victimFile);
+  EXPECT_EQ(retried.mergePasses, 2u);
+  const sparse::ShardSegment reference =
+      sparse::mergeShardRuns(0, doubled, scratch.path() / "seg.0.t3.cseg");
+  EXPECT_EQ(readAll(retried.file), readAll(reference.file));
+  EXPECT_EQ(retried.crc, reference.crc);
+  EXPECT_EQ(retried.triplets, clean.triplets);
 }
 
 // ---- payload-cap regression ----

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -85,6 +86,27 @@ std::string fileBytes(const std::filesystem::path& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Appends a segment's rows to `out`. A segment is a raw CADJ payload,
+/// not a CSPL1 run — read it directly.
+void appendSegmentRows(const ShardSegment& segment,
+                       std::vector<AdjacencyTriplet>& out) {
+  std::ifstream in(segment.file, std::ios::binary);
+  std::vector<char> bytes(static_cast<std::size_t>(segment.bytes));
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_EQ(static_cast<std::uint64_t>(in.gcount()), segment.bytes);
+  for (std::uint64_t row = 0; row < segment.triplets; ++row) {
+    const char* base = bytes.data() + row * 16;
+    auto load32 = [&](std::size_t at) {
+      std::uint32_t v = 0;
+      std::memcpy(&v, base + at, 4);
+      return v;
+    };
+    std::uint64_t weight = 0;
+    std::memcpy(&weight, base + 8, 8);
+    out.push_back(AdjacencyTriplet{load32(0), load32(4), weight});
+  }
+}
+
 /// Merges every group serially through mergeShardRuns and splices the
 /// segments ascending — the driver's sharded tail, minus the executor.
 std::vector<AdjacencyTriplet> mergePlanToTriplets(
@@ -92,25 +114,10 @@ std::vector<AdjacencyTriplet> mergePlanToTriplets(
     const std::filesystem::path& dir) {
   std::vector<AdjacencyTriplet> out;
   for (const auto& group : plan) {
-    const ShardSegment segment = mergeShardRuns(
-        group.shard, group.runs,
-        dir / ("seg." + std::to_string(group.shard) + ".cseg"));
-    // A segment is a raw CADJ payload, not a CSPL1 run — read it directly.
-    std::ifstream in(segment.file, std::ios::binary);
-    std::vector<char> bytes(static_cast<std::size_t>(segment.bytes));
-    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    EXPECT_EQ(static_cast<std::uint64_t>(in.gcount()), segment.bytes);
-    for (std::uint64_t row = 0; row < segment.triplets; ++row) {
-      const char* base = bytes.data() + row * 16;
-      auto load32 = [&](std::size_t at) {
-        std::uint32_t v = 0;
-        std::memcpy(&v, base + at, 4);
-        return v;
-      };
-      std::uint64_t weight = 0;
-      std::memcpy(&weight, base + 8, 8);
-      out.push_back(AdjacencyTriplet{load32(0), load32(4), weight});
-    }
+    appendSegmentRows(
+        mergeShardRuns(group.shard, group.runs,
+                       dir / ("seg." + std::to_string(group.shard) + ".cseg")),
+        out);
   }
   return out;
 }
@@ -282,6 +289,63 @@ TEST(ShardMergeTest, ReadaheadReaderDetectsTruncation) {
     const std::string what = error.what();
     EXPECT_NE(what.find(path.string()), std::string::npos) << what;
     EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  }
+}
+
+/// 70 tiny one-shard runs with overlapping keys: the owner merges them in
+/// bounded passes (never more than kMergeFanIn readers plus one writer
+/// open), the segment equals the brute-force sum and one loser tree over
+/// all 70 runs, the inputs are untouched, and no pass file is left.
+TEST(ShardMergeTest, BoundedPassesMatchOneWideMerge) {
+  ScratchDir scratch("chisimnet_shard_bounded_passes");
+  util::Rng rng(113);
+  std::vector<std::vector<AdjacencyTriplet>> rows;
+  std::vector<SpillRunInfo> runs;
+  for (int n = 0; n < 70; ++n) {
+    rows.push_back(makeRun(rng, 1 + rng.uniformBelow(40), 30));
+    SpillRunWriter writer(scratch.path() /
+                          ("run." + std::to_string(n) + ".spl"));
+    writer.append(std::span<const AdjacencyTriplet>(rows.back()));
+    runs.push_back(writer.finish());
+  }
+  std::map<std::string, std::string> inputBytes;
+  for (const SpillRunInfo& run : runs) {
+    inputBytes[run.file.string()] = fileBytes(run.file);
+  }
+  std::vector<AdjacencyTriplet> wide;
+  {
+    std::vector<std::unique_ptr<TripletSource>> readers;
+    for (const SpillRunInfo& run : runs) {
+      readers.push_back(std::make_unique<SpillRunReader>(run.file));
+    }
+    TripletMerger merger(std::move(readers));
+    wide = drain(merger);
+  }
+  EXPECT_EQ(wide, bruteForceSum(rows));
+
+  ShardSegment segment;
+  {
+    const testsupport::OpenFileHeadroom headroom(
+        static_cast<int>(kMergeFanIn) + 1);
+    segment = mergeShardRuns(0, runs, scratch.path() / "seg.0.t9.cseg");
+  }
+  std::vector<AdjacencyTriplet> merged;
+  appendSegmentRows(segment, merged);
+  EXPECT_EQ(merged, wide);
+  // A first pass of 8 leaves 63 runs, one full pass leaves 32.
+  EXPECT_EQ(segment.mergePasses, 2u);
+  EXPECT_GT(segment.mergePassBytes, 0u);
+
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(scratch.path())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_EQ(name.find(".p"), std::string::npos) << name;
+    ++files;
+  }
+  EXPECT_EQ(files, runs.size() + 1);  // the inputs and the segment
+  for (const auto& [file, bytes] : inputBytes) {
+    EXPECT_EQ(fileBytes(file), bytes) << file;
   }
 }
 

@@ -366,28 +366,82 @@ TEST(SpillingAccumulatorTest, PeakNeverExceedsTheBudget) {
   EXPECT_LE(accumulator.stats().peakResidentBytes, budget);
 }
 
+/// The bound is on the merge, not the live set: 70 live runs stay 70
+/// until finishMerge, whose passes bring them down to kMergeFanIn. The
+/// whole merge runs with room for only kMergeFanIn readers plus one pass
+/// writer, so a merge that opened more runs at once would fail to open.
 TEST(SpillingAccumulatorTest, CompactionBoundsLiveRuns) {
   ScratchDir scratch("chisimnet_spill_acc_compact");
   util::Rng rng(47);
-  const std::vector<AdjacencyTriplet> adds = makeRun(rng, 6000, 500);
+  const std::vector<AdjacencyTriplet> adds = makeRun(rng, 7000, 500);
 
   SpillingAccumulator::Options options;
   options.dir = scratch.path();
-  options.maxLiveRuns = 3;
   SpillingAccumulator accumulator(options);
-  // Force many runs via explicit spillAll between slices.
-  const std::size_t slice = adds.size() / 10;
+  // Force 70 runs via explicit spillAll between slices.
+  const std::size_t slice = adds.size() / 70;
   for (std::size_t begin = 0; begin < adds.size(); begin += slice) {
     const std::size_t end = std::min(adds.size(), begin + slice);
     for (std::size_t i = begin; i < end; ++i) {
       accumulator.add(adds[i].i, adds[i].j, adds[i].weight);
     }
     accumulator.spillAll();
-    EXPECT_LE(accumulator.liveRuns().size(), options.maxLiveRuns);
   }
-  EXPECT_GT(accumulator.stats().compactions, 0u);
-  const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged), adds);
+  ASSERT_EQ(accumulator.liveRuns().size(), 70u);
+  EXPECT_EQ(accumulator.stats().compactions, 0u);
+
+  std::vector<AdjacencyTriplet> drained;
+  {
+    const testsupport::OpenFileHeadroom headroom(
+        static_cast<int>(kMergeFanIn) + 1);
+    const auto merged = accumulator.finishMerge();
+    drained = drain(*merged);
+  }
+  EXPECT_EQ(drained, adds);
+  // 70 runs: a first pass of 8 leaves 63, one full pass leaves 32.
+  EXPECT_EQ(accumulator.stats().compactions, 2u);
+  EXPECT_EQ(accumulator.liveRuns().size(), kMergeFanIn);
+}
+
+/// Adoption only records a run: 100 adoptions read and write nothing, so
+/// the counters are exactly the adopted runs and the directory holds only
+/// the renamed inputs.
+TEST(SpillingAccumulatorTest, AdoptionNeverRewritesRuns) {
+  ScratchDir scratch("chisimnet_spill_acc_adopt_only");
+  util::Rng rng(53);
+  SpillingAccumulator::Options options;
+  options.dir = scratch.path();
+  options.budgetBytes = 1 << 20;
+  SpillingAccumulator accumulator(options);
+  std::uint64_t triplets = 0;
+  std::uint64_t bytes = 0;
+  for (int n = 0; n < 100; ++n) {
+    const std::vector<AdjacencyTriplet> run = makeRun(rng, 20, 60);
+    SpillRunWriter writer(scratch.path() / ("w0.t" + std::to_string(n) +
+                                            ".0.spl"));
+    writer.append(std::span<const AdjacencyTriplet>(run));
+    const SpillRunInfo info = writer.finish();
+    triplets += info.triplets;
+    bytes += info.bytes;
+    accumulator.adoptRunFile(info);
+  }
+  EXPECT_EQ(accumulator.stats().runsWritten, 100u);
+  EXPECT_EQ(accumulator.stats().spilledTriplets, triplets);
+  EXPECT_EQ(accumulator.stats().spilledBytes, bytes);
+  EXPECT_EQ(accumulator.stats().compactions, 0u);
+  ASSERT_EQ(accumulator.liveRuns().size(), 100u);
+  std::vector<std::string> onDisk;
+  for (const auto& entry : std::filesystem::directory_iterator(scratch.path())) {
+    onDisk.push_back(entry.path().filename().string());
+  }
+  std::vector<std::string> adopted;
+  for (const SpillRunInfo& run : accumulator.liveRuns()) {
+    adopted.push_back(run.file.filename().string());
+    EXPECT_TRUE(adopted.back().starts_with("run.")) << adopted.back();
+  }
+  std::sort(onDisk.begin(), onDisk.end());
+  std::sort(adopted.begin(), adopted.end());
+  EXPECT_EQ(onDisk, adopted);
 }
 
 TEST(SpillingAccumulatorTest, AdoptRenamesIntoOwnNamespace) {

@@ -1058,6 +1058,88 @@ TEST(ProcessTransportSynthesisTest, SpillModeSharesRunFilesBitIdentical) {
   expectSpillBitIdentical(MpTransport::kProcess, 186);
 }
 
+/// Multi-pass shard merges on worker processes, under faults. A tight
+/// budget over 40 one-file batches leaves each of two merge shards with
+/// more than kMergeFanIn runs, so each owner merges in intermediate passes
+/// before it writes its segment; shard 1 belongs to worker rank 1. Its
+/// merge command is (a) thrown on inside the worker and retried with the
+/// same body, which rewrites its own pass files, and (b) lost with its
+/// worker (SIGKILL as the frame is sent) and replayed on the respawned
+/// process. Both CADJ files must equal the shared backend's byte for byte.
+TEST(ProcessTransportSynthesisTest, MultiPassShardMergeSurvivesRetryAndRespawn) {
+  constexpr int kFiles = 40;
+  FuzzCase fuzz;
+  fuzz.windowStart = 0;
+  fuzz.windowEnd = 48;
+  util::Rng rng(977);
+  for (int n = 0; n < 4000; ++n) {
+    const auto start = static_cast<table::Hour>(rng.uniformBelow(48));
+    fuzz.events.append(Event{
+        start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(6)),
+        static_cast<table::PersonId>(rng.uniformBelow(160)), 0,
+        static_cast<table::PlaceId>(rng.uniformBelow(kFiles))});
+  }
+  ScratchDir scratch("chisimnet_proc_multipass");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), kFiles);
+  ScratchDir out("chisimnet_proc_multipass_out");
+  const auto budgeted = [&](SynthesisConfig config) {
+    config.memoryBudgetBytes = 8 << 10;
+    config.mergeRowsPerShard = 80;  // persons 0-159: shards 0 and 1
+    config.filesPerBatch = 1;
+    return config;
+  };
+
+  SynthesisConfig sharedConfig;
+  sharedConfig.windowStart = fuzz.windowStart;
+  sharedConfig.windowEnd = fuzz.windowEnd;
+  sharedConfig.workers = 3;
+  sharedConfig.spillDir = (out.path() / "shared_spill").string();
+  NetworkSynthesizer shared(budgeted(sharedConfig));
+  const auto sharedOut = out.path() / "shared.cadj";
+  shared.synthesizeToFile(files, sharedOut);
+  // 80 runs over two shards, one pass each: both shards hold more than
+  // kMergeFanIn runs (a shard at or under it would leave the other over
+  // 2·kMergeFanIn - 1, which takes two passes).
+  ASSERT_EQ(shared.report().spillRunsWritten, 80u);
+  ASSERT_EQ(shared.report().spillCompactions, 2u);
+  const std::vector<std::byte> want = fileBytes(sharedOut);
+
+  struct Case {
+    const char* label;
+    const char* site;
+    FaultSpec spec;
+    FaultEvent::Kind recovery;
+  };
+  const Case cases[] = {
+      // Rank 1's process sees one adjacency command per batch, then its
+      // merge command.
+      {"worker throw, retried", "mp.service.command",
+       FaultSpec{.action = FaultAction::kThrow, .hit = kFiles + 1, .rank = 1},
+       FaultEvent::Kind::kCommandRetry},
+      // The root sends ranks 1 and 2 one adjacency frame per batch; the
+      // next frame is rank 1's merge command.
+      {"worker killed, respawned", "sock.send",
+       FaultSpec{.action = FaultAction::kKillRank, .hit = 2 * kFiles + 1},
+       FaultEvent::Kind::kWorkerRespawn},
+  };
+  for (const Case& fault : cases) {
+    FaultPlan plan;
+    plan.at(fault.site, fault.spec);
+    runtime::fault::ScopedFaultPlan scoped(plan);
+    NetworkSynthesizer synthesizer(
+        budgeted(socketConfig(fuzz, MpTransport::kProcess)));
+    const auto mpOut = out.path() / "mp.cadj";
+    synthesizer.synthesizeToFile(files, mpOut);
+    EXPECT_EQ(fileBytes(mpOut), want) << fault.label;
+    const SynthesisReport& report = synthesizer.report();
+    EXPECT_EQ(report.mergeSegmentsWritten, 2u) << fault.label;
+    EXPECT_EQ(report.spillCompactions, 2u) << fault.label;
+    EXPECT_EQ(report.ranksLost, 0) << fault.label;
+    EXPECT_TRUE(hasFault(report, fault.recovery)) << fault.label;
+  }
+}
+
 // ---- adversarial handshakes against the root's accept loop ----
 
 /// A bare 2-rank TCP transport with a listen address, so it spawns

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -49,6 +51,32 @@ class ScratchDir {
 
  private:
   std::filesystem::path dir_;
+};
+
+/// Lowers this process's open-file limit so that exactly `extra` more
+/// descriptors can be opened than are open now: the limit is set just past
+/// the `extra`-th free descriptor number. Restores the old limit on
+/// destruction. A test wraps a merge in one to bound the files it opens.
+class OpenFileHeadroom {
+ public:
+  explicit OpenFileHeadroom(int extra) {
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &old_), 0);
+    int fd = 0;
+    for (int free = 0;; ++fd) {
+      if (::fcntl(fd, F_GETFD) == -1 && ++free == extra) {
+        break;
+      }
+    }
+    rlimit lowered = old_;
+    lowered.rlim_cur = static_cast<rlim_t>(fd + 1);
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  }
+  ~OpenFileHeadroom() { ::setrlimit(RLIMIT_NOFILE, &old_); }
+  OpenFileHeadroom(const OpenFileHeadroom&) = delete;
+  OpenFileHeadroom& operator=(const OpenFileHeadroom&) = delete;
+
+ private:
+  rlimit old_{};
 };
 
 struct FuzzCase {

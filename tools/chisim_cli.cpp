@@ -431,13 +431,14 @@ int cmdSynthesize(const Args& args) {
               << report.spillRunsWritten << " runs ("
               << report.spilledBytes / 1024 / 1024 << " MiB, "
               << report.spilledTriplets << " triplets), "
-              << report.spillCompactions << " compactions\n";
+              << report.spillCompactions << " owner merge passes\n";
     std::cout << "merge: " << report.reduceShardsUsed << " owners, "
               << report.mergeSegmentsWritten << " segments ("
               << report.mergeSegmentsReused << " reused, "
               << report.spillRunsSplit << " runs split), "
               << report.mergeSeconds << " s merge CPU, critical path "
-              << report.mergeCriticalSeconds << " s\n";
+              << report.mergeCriticalSeconds << " s (modeled), wall "
+              << report.mergeWallSeconds << " s\n";
   }
   std::cout << "wrote " << out << " ("
             << std::filesystem::file_size(out) / 1024 / 1024 << " MiB)\n";
