@@ -15,58 +15,35 @@ runtime::Partition SynthesisExecutor::repartition(
   return runtime::partitionGreedyLpt(weights, config_.workers);
 }
 
-void SynthesisExecutor::reduceSums(
-    std::vector<sparse::SymmetricAdjacency>& workerSums,
-    sparse::SymmetricAdjacency& result) {
-  // Paper §IV.A step 6: the root adds the worker sums into the result one
-  // after another, releasing each table as soon as it has been folded.
-  lastReduce_ = ReduceStats{};
-  lastReduce_.mergedSums = workerSums.size();
-  util::ThreadCpuTimer timer;
-  for (sparse::SymmetricAdjacency& workerSum : workerSums) {
-    result.merge(workerSum);
-    workerSum = sparse::SymmetricAdjacency(0);
-  }
-  lastReduce_.criticalSeconds = timer.seconds();
-  workerSums.clear();
-}
-
 SharedMemoryExecutor::SharedMemoryExecutor(const SynthesisConfig& config)
     : SynthesisExecutor(config), cluster_(config.workers) {}
 
 CollocationCounts SharedMemoryExecutor::mapAdjacency(
     const table::EventTable& events, const table::PlaceIndex& index,
     std::span<const std::size_t> groups, const runtime::Partition& partition) {
-  const bool budgeted = config_.memoryBudgetBytes > 0;
-  if (budgeted) {
-    // Budgeted stage 5: each worker sums into a flushing SpillingSum whose
-    // threshold is an eighth of its budget share — the sink keeps the other
-    // half of the budget for the cross-batch shards and their spill-sort
-    // transient. Run-file names carry worker and batch indices so adopted
-    // files from earlier batches are never overwritten.
+  // Each worker sums into its own SpillingSum. Under a budget it flushes
+  // at an eighth of its budget share — the sink keeps the other half of
+  // the budget for the runs it holds in memory — and each flush is split
+  // at the merge-shard boundaries, so every run is routed to its shard
+  // owner at write time. Run-file names carry worker and batch indices so
+  // adopted files from earlier batches are never overwritten. Unbudgeted,
+  // the threshold is 0 and reduce() folds the maps.
+  std::uint64_t threshold = 0;
+  if (config_.memoryBudgetBytes > 0) {
     CHISIM_REQUIRE(!config_.spillDir.empty(),
                    "memory budget requires a spill directory");
-    const std::uint64_t threshold = std::max<std::uint64_t>(
+    threshold = std::max<std::uint64_t>(
         config_.memoryBudgetBytes / (8 * std::max(1u, config_.workers)), 1);
-    // Every flush is split at the merge-shard boundaries, so each run is
-    // routed to its shard owner at write time (shard-pure runs).
-    const std::uint32_t splitRows = resolvedMergeRowsPerShard(config_);
-    spillSums_.clear();
-    for (unsigned w = 0; w < config_.workers; ++w) {
-      spillSums_.push_back(std::make_unique<sparse::SpillingSum>(
-          config_.spillDir,
-          "w" + std::to_string(w) + ".b" + std::to_string(batchCounter_) +
-              ".",
-          threshold, splitRows));
-    }
-    ++batchCounter_;
-  } else {
-    workerSums_.clear();
-    workerSums_.reserve(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w) {
-      workerSums_.emplace_back(1024);
-    }
   }
+  const std::uint32_t splitRows = resolvedMergeRowsPerShard(config_);
+  spillSums_.clear();
+  for (unsigned w = 0; w < config_.workers; ++w) {
+    spillSums_.push_back(std::make_unique<sparse::SpillingSum>(
+        config_.spillDir,
+        "w" + std::to_string(w) + ".b" + std::to_string(batchCounter_) + ".",
+        threshold, splitRows));
+  }
+  ++batchCounter_;
   std::vector<CollocationCounts> counts(config_.workers);
   // Each matrix is multiplied as soon as its worker has built it.
   cluster_.applyPartitioned(partition, [&](std::size_t item, unsigned worker) {
@@ -74,11 +51,7 @@ CollocationCounts SharedMemoryExecutor::mapAdjacency(
         events, index, groups[item], config_.windowStart, config_.windowEnd);
     ++counts[worker].places;
     counts[worker].nnz += matrix.nnz();
-    if (budgeted) {
-      spillSums_[worker]->addCollocation(matrix);
-    } else {
-      workerSums_[worker].addCollocation(matrix);
-    }
+    spillSums_[worker]->addCollocation(matrix);
   });
   CollocationCounts total;
   for (const CollocationCounts& worker : counts) {
@@ -89,17 +62,27 @@ CollocationCounts SharedMemoryExecutor::mapAdjacency(
 }
 
 void SharedMemoryExecutor::reduce(sparse::SymmetricAdjacency& result) {
-  CHISIM_REQUIRE(spillSums_.empty(),
+  CHISIM_REQUIRE(config_.memoryBudgetBytes == 0,
                  "budgeted stage 5 must reduce into a spilling accumulator");
-  reduceSums(workerSums_, result);
+  // Paper §IV.A step 6: the root adds the worker sums into the result one
+  // after another, releasing each map as soon as it has been folded.
+  lastReduce_ = ReduceStats{};
+  lastReduce_.mergedSums = spillSums_.size();
+  util::ThreadCpuTimer timer;
+  for (std::unique_ptr<sparse::SpillingSum>& sum : spillSums_) {
+    result.merge(sum->inMemory());
+    sum.reset();
+  }
+  lastReduce_.criticalSeconds = timer.seconds();
+  spillSums_.clear();
 }
 
 void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
-  CHISIM_REQUIRE(!spillSums_.empty(),
-                 "reduceInto without a budgeted mapAdjacency");
+  CHISIM_REQUIRE(config_.memoryBudgetBytes > 0,
+                 "reduceInto requires a memory budget");
   lastReduce_ = ReduceStats{};
   lastReduce_.mergedSums = spillSums_.size();
-  // The worker maps lived beside the sink's resident shards; their summed
+  // The worker maps lived beside the sink's kept runs; their summed
   // historical peaks are reported as the (pessimistic) stage-5 transient.
   std::uint64_t workerPeak = 0;
   for (const auto& sum : spillSums_) {
@@ -111,9 +94,7 @@ void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
     for (const sparse::SpillRunInfo& run : sum->runs()) {
       sink.adoptRunFile(run);  // already on disk: ownership moves, no copy
     }
-    const std::vector<sparse::AdjacencyTriplet> remainder =
-        sum->drainInMemory();
-    sink.addSortedRun(remainder);
+    sink.addSortedRun(sum->drainInMemory());  // kept as it is, no hash
     sink.addKernelStats(sum->kernelStats());
   }
   lastReduce_.criticalSeconds = timer.seconds();

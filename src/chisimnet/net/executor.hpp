@@ -86,12 +86,13 @@ class SynthesisExecutor {
   /// one after another at the root (paper §IV.A step 6).
   virtual void reduce(sparse::SymmetricAdjacency& result) = 0;
 
-  /// Stage 6 under a memory budget: fold the worker sums into the
+  /// Stage 6 under a memory budget: hand the worker sums to the
   /// disk-spilling cross-batch accumulator instead of a dense map. Worker
   /// spill runs transfer as files (adopted by the sink, never rebuilt in
-  /// memory) and in-memory remainders as sorted runs; each backend also
-  /// reports its stage-5 worker peak bytes through sink.noteWorkerPeak(),
-  /// surfaced separately from the budget-enforced accumulator peak.
+  /// memory) and in-memory remainders as sorted runs the sink keeps; each
+  /// backend also reports its stage-5 worker peak bytes through
+  /// sink.noteWorkerPeak(), surfaced separately from the budget-enforced
+  /// accumulator peak.
   virtual void reduceInto(sparse::SpillingAccumulator& sink) = 0;
 
   /// Stage-6 tail under a budget: merge each row-range shard's spill runs
@@ -129,12 +130,6 @@ class SynthesisExecutor {
   }
 
  protected:
-  /// Serial fold over root-held worker sums — the shared path for
-  /// backends whose sums are already in memory at the root. Consumes the
-  /// sums and records lastReduce_.
-  void reduceSums(std::vector<sparse::SymmetricAdjacency>& workerSums,
-                  sparse::SymmetricAdjacency& result);
-
   const SynthesisConfig config_;
   ReduceStats lastReduce_;
 };
@@ -165,9 +160,8 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
 
  private:
   runtime::Cluster cluster_;
-  std::vector<sparse::SymmetricAdjacency> workerSums_;  ///< stage 5 → 6
-  /// Budgeted stage 5: each worker sums into its own flushing SpillingSum
-  /// (threshold ≈ budget/(8·workers)) instead of an unbounded map.
+  /// Stage 5 → 6: each worker's own sum, flushing at ≈ budget/(8·workers)
+  /// under a budget and never without one.
   std::vector<std::unique_ptr<sparse::SpillingSum>> spillSums_;
   /// Distinguishes run-file names across batches (adopted files outlive
   /// the mapAdjacency that wrote them).
@@ -234,7 +228,8 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   void reduce(sparse::SymmetricAdjacency& result) override;
   /// Budgeted stage 6: worker run files are adopted by the sink directly
   /// (a rename-scoped ownership transfer — zero copy), inline runs are
-  /// inserted, and the workers' peak bytes reported via noteWorkerPeak().
+  /// moved into the sink, which keeps them, and the workers' peak bytes
+  /// reported via noteWorkerPeak().
   void reduceInto(sparse::SpillingAccumulator& sink) override;
   /// Owners are live ranks: shard groups travel round-robin as
   /// kCmdMergeShard commands (rank 0 executes its share inline), with the

@@ -542,15 +542,15 @@ void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   lastReduce_ = ReduceStats{};
   lastReduce_.mergedSums = reduceRuns_.size();
   // The workers' stage-5 maps were alive concurrently with the sink's
-  // resident shards — the budget guarantee must account for both.
+  // kept runs — the budget guarantee must account for both.
   sink.noteWorkerPeak(workerPeakBytes_);
   try {
     util::ThreadCpuTimer timer;
-    for (const mp::RunRef& ref : reduceRuns_) {
+    for (mp::RunRef& ref : reduceRuns_) {
       if (ref.isFile()) {
         sink.adoptRunFile(ref.run);  // ownership transfer, no copy
-      } else if (!ref.inlineRun.empty()) {
-        sink.addSortedRun(ref.inlineRun);
+      } else {
+        sink.addSortedRun(std::move(ref.inlineRun));
       }
     }
     lastReduce_.criticalSeconds = timer.seconds();

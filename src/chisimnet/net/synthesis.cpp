@@ -183,7 +183,8 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
 
   // Stage 6: fold the worker sums into the running result — one after
   // another into the dense map, or under a memory budget into the spilling
-  // accumulator, which adopts worker run files in place of merging maps.
+  // accumulator, which adopts worker run files and keeps their sorted
+  // remainders in place of merging maps.
   runtime::fault::hit("driver.reduce");
   if (dense != nullptr) {
     executor_->reduce(*dense);
@@ -334,9 +335,9 @@ void NetworkSynthesizer::runFilePipeline(
       manifest.quarantined = report_.quarantined;
       // Persist the accumulated sum as sorted run files, each durable via
       // tmp+rename before the manifest naming them is written: the sink
-      // spills everything resident and names its live runs; the dense map
-      // is written as runs split at the merge-shard boundaries, so a
-      // budgeted resume adopts them shard-pure.
+      // writes the runs it kept in memory and names its live runs; the
+      // dense map is written as runs split at the merge-shard boundaries,
+      // so a budgeted resume adopts them shard-pure.
       if (sink != nullptr) {
         sink->spillAll();
         manifest.spillRuns = sink->liveRuns();

@@ -218,12 +218,12 @@ struct SynthesisConfig {
 
   // ---- memory budget (out-of-core accumulation) ----
 
-  /// When > 0, bound the accumulator memory of the run: the cross-batch
-  /// adjacency accumulates in a row-range-sharded SpillingAccumulator that
-  /// spills CRC-framed sorted runs to spillDir whenever resident bytes
-  /// approach the budget, and stage 5 workers flush their partial sums the
-  /// same way; the final network is an external-memory k-way merge of the
-  /// live runs. Output is bit-identical to the unbounded path (u64 adds
+  /// When > 0, bound the accumulator memory of the run: stage 5 workers
+  /// flush their partial sums as CRC-framed sorted runs to spillDir, the
+  /// cross-batch SpillingAccumulator collects those runs and keeps the
+  /// workers' sorted remainders until they would pass half the budget,
+  /// then writes them as runs too; the final network is an external-memory
+  /// k-way merge of the live runs. Output is bit-identical to the unbounded path (u64 adds
   /// are order-independent and the merge sums duplicates), so the budget
   /// is a perf/footprint knob and not part of the checkpoint config hash —
   /// a run checkpointed unbounded can resume bounded and vice versa.
@@ -343,9 +343,9 @@ struct SynthesisReport {
   /// Intermediate merge passes: the sharded finish's owner passes (or
   /// finishMerge's) that bring a shard's runs down to the merge fan-in.
   std::uint64_t spillCompactions = 0;
-  /// Max observed resident accumulator bytes (cross-batch shards + the
-  /// spill-sort transient). The budget guarantee the tests assert:
-  /// peakAccumulatorBytes ≤ memoryBudgetBytes.
+  /// Max bytes of sorted runs the cross-batch accumulator kept in memory
+  /// (worker remainders, mp inline runs) before writing them. The budget
+  /// guarantee the tests assert: peakAccumulatorBytes ≤ memoryBudgetBytes.
   std::uint64_t peakAccumulatorBytes = 0;
   /// Max concurrent stage-5 worker bytes (summed per-worker historical
   /// peaks — pessimistic). Bounded by each worker's flush threshold

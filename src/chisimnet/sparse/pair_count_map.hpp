@@ -49,13 +49,6 @@ class PairCountMap {
     }
   }
 
-  /// True when the next insert of a new key would rehash (double) the
-  /// table — a budgeted accumulator checks this to spill BEFORE the growth
-  /// instead of discovering the overshoot after it.
-  bool growthImminent() const noexcept {
-    return (size_ + 1) * 10 > slots_.size() * 7;
-  }
-
   /// Approximate heap bytes held by the table.
   std::size_t memoryBytes() const noexcept {
     return slots_.size() * sizeof(Slot);

@@ -409,48 +409,40 @@ std::filesystem::path SpillingAccumulator::nextRunPath() {
          (options_.runPrefix + std::to_string(nextRunIndex_++) + ".spl");
 }
 
-void SpillingAccumulator::notePeak(std::uint64_t extraBytes) noexcept {
-  stats_.peakResidentBytes =
-      std::max(stats_.peakResidentBytes, residentBytes_ + extraBytes);
-}
-
 void SpillingAccumulator::noteWorkerPeak(std::uint64_t extraBytes) noexcept {
   stats_.peakWorkerBytes = std::max(stats_.peakWorkerBytes, extraBytes);
 }
 
-void SpillingAccumulator::add(std::uint32_t i, std::uint32_t j,
-                              std::uint64_t weight) {
-  CHISIM_REQUIRE(i != j, "self-collocation is not an edge");
-  if (weight == 0) {
+void SpillingAccumulator::addSortedRun(std::vector<AdjacencyTriplet>&& run) {
+  // Inline runs come off the mp wire: check every row before keeping it.
+  std::uint64_t lastKey = 0;
+  for (std::size_t row = 0; row < run.size(); ++row) {
+    const AdjacencyTriplet& triplet = run[row];
+    CHISIM_CHECK(triplet.i < triplet.j,
+                 "sorted run row " + std::to_string(row) + " (" +
+                     std::to_string(triplet.i) + ", " +
+                     std::to_string(triplet.j) + ") is not upper-triangular");
+    const std::uint64_t key = packPair(triplet.i, triplet.j);
+    CHISIM_CHECK(row == 0 || key > lastKey,
+                 "sorted run row " + std::to_string(row) +
+                     " does not strictly ascend");
+    lastKey = key;
+  }
+  if (run.empty()) {
     return;
   }
-  const std::uint32_t lo = i < j ? i : j;
-  const std::uint32_t shard = lo / options_.rowsPerShard;
-  auto found = shards_.find(shard);
-  if (found == shards_.end()) {
-    found = shards_.emplace(shard, PairCountMap(16)).first;
-    residentBytes_ += found->second.memoryBytes();
-  }
-  PairCountMap* pairs = &found->second;
-  if (spillThreshold_ > 0 && pairs->growthImminent() &&
-      residentBytes_ + pairs->memoryBytes() > spillThreshold_) {
-    // The next insert would double this shard past the budget line: spill
-    // everything resident first, then insert into a fresh minimal shard.
+  const std::uint64_t bytes = run.capacity() * kTripletBytes;
+  if (spillThreshold_ > 0 && residentBytes_ + bytes > spillThreshold_) {
     spillAll();
-    found = shards_.emplace(shard, PairCountMap(16)).first;
-    residentBytes_ += found->second.memoryBytes();
-    pairs = &found->second;
+    if (bytes > spillThreshold_) {
+      writeRun(run);
+      return;
+    }
   }
-  const std::size_t before = pairs->memoryBytes();
-  pairs->add(packPair(i, j), weight);
-  residentBytes_ += pairs->memoryBytes() - before;
-  notePeak(0);
-}
-
-void SpillingAccumulator::addSortedRun(std::span<const AdjacencyTriplet> run) {
-  for (const AdjacencyTriplet& triplet : run) {
-    add(triplet.i, triplet.j, triplet.weight);
-  }
+  residentBytes_ += bytes;
+  kept_.push_back(std::move(run));
+  stats_.peakResidentBytes =
+      std::max(stats_.peakResidentBytes, residentBytes_);
 }
 
 void SpillingAccumulator::adoptRunFile(const SpillRunInfo& info) {
@@ -474,45 +466,23 @@ void SpillingAccumulator::restoreRunFile(const SpillRunInfo& info) {
   runs_.push_back(info);
 }
 
-void SpillingAccumulator::spillShard(std::uint32_t shard,
-                                     PairCountMap& pairs) {
-  if (pairs.empty()) {
-    return;
+void SpillingAccumulator::writeRun(std::span<const AdjacencyTriplet> run) {
+  const std::size_t first = runs_.size();
+  writeShardRuns(options_.dir, options_.runPrefix, nextRunIndex_, run,
+                 options_.rowsPerShard, runs_);
+  for (std::size_t r = first; r < runs_.size(); ++r) {
+    ++stats_.runsWritten;
+    stats_.spilledTriplets += runs_[r].triplets;
+    stats_.spilledBytes += runs_[r].bytes;
   }
-  std::vector<AdjacencyTriplet> triplets;
-  triplets.reserve(pairs.size());
-  pairs.forEach([&triplets](std::uint64_t key, std::uint64_t count) {
-    triplets.push_back(
-        AdjacencyTriplet{pairLow(key), pairHigh(key), count});
-  });
-  std::sort(triplets.begin(), triplets.end());
-  // The sort buffer is the spill transient: it lives beside the resident
-  // shards, which is why the spill threshold is half the budget.
-  notePeak(triplets.size() * kTripletBytes);
-  // Release the shard table before the file write so the transient and the
-  // table never both count twice against the budget.
-  residentBytes_ -= pairs.memoryBytes();
-  pairs = PairCountMap(16);
-  residentBytes_ += pairs.memoryBytes();
-
-  SpillRunWriter writer(nextRunPath());
-  writer.append(std::span<const AdjacencyTriplet>(triplets));
-  const SpillRunInfo info = writer.finish();
-  (void)shard;
-  runs_.push_back(info);
-  ++stats_.runsWritten;
-  stats_.spilledTriplets += info.triplets;
-  stats_.spilledBytes += info.bytes;
 }
 
 void SpillingAccumulator::spillAll() {
-  for (auto& [shard, pairs] : shards_) {
-    spillShard(shard, pairs);
+  for (const std::vector<AdjacencyTriplet>& run : kept_) {
+    writeRun(run);
   }
-  for (const auto& [shard, pairs] : shards_) {
-    residentBytes_ -= pairs.memoryBytes();
-  }
-  shards_.clear();
+  kept_.clear();
+  residentBytes_ = 0;
 }
 
 void SpillingAccumulator::retireRunFile(std::filesystem::path file) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -14,14 +13,13 @@
 
 #include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"
-#include "chisimnet/sparse/pair_count_map.hpp"
 
 /// Memory-bounded adjacency accumulation: disk-spilled sorted runs and the
-/// row-range-sharded accumulator that produces them (paper-scale unlock —
-/// the full 2.9 M-person Chicago week needs more accumulator memory than a
-/// single box has, so the accumulator spills CRC-framed sorted runs and
-/// stage 6 finishes with an external k-way merge, sparse/adjacency.hpp's
-/// TripletMerger).
+/// run ledger that collects them (paper-scale unlock — the full 2.9 M-person
+/// Chicago week needs more accumulator memory than a single box has, so the
+/// workers' sums arrive as CRC-framed sorted runs, the way the paper's
+/// workers return sorted compressed matrices (§IV.A), and stage 6 finishes
+/// with an external k-way merge, sparse/adjacency.hpp's TripletMerger).
 ///
 /// Spill-run container (CSPL1):
 ///   header  magic "CSPL" | version u32 | tripletCount u64 (patched last)
@@ -176,9 +174,9 @@ struct SpillStats {
   /// Runs rewritten at shard boundaries because they straddled one when a
   /// per-shard merge plan was built.
   std::uint64_t runsSplit = 0;
-  /// Max observed resident accumulator bytes: shard tables plus the sort
-  /// transient during a spill. This is what the budget enforces
-  /// (peakResidentBytes <= budgetBytes).
+  /// Max bytes of sorted runs the accumulator kept in memory at once. This
+  /// is what the budget enforces: it stays within the spill threshold,
+  /// half the budget.
   std::uint64_t peakResidentBytes = 0;
   /// Max concurrent stage-5 worker bytes the caller reported via
   /// noteWorkerPeak(): a pessimistic sum of per-worker historical peaks,
@@ -201,26 +199,25 @@ struct SpillStats {
   }
 };
 
-/// The memory-bounded cross-batch accumulator: pair counts are sharded by
-/// global row range (shard = lowId / rowsPerShard), resident bytes are
-/// tracked against the budget, and when the next insert would grow a shard
-/// past the spill threshold every shard is sorted and spilled as one run
-/// per shard. Spilled runs cover disjoint key ranges within one flush and
-/// overlapping ranges across flushes; the final merge (TripletMerger over
-/// SpillRunReaders) sums duplicates, so the drained stream equals the
-/// unbounded accumulator's sorted triplets bit for bit.
+/// The memory-bounded cross-batch accumulator: a ledger of sorted runs.
+/// It holds the run files it adopted (stage-5 worker spills) or restored
+/// (a checkpoint's), plus the in-memory sorted runs it was handed and
+/// keeps (worker remainders, mp inline runs). Nothing is hashed or
+/// re-sorted: kept runs are written as they are, shard-pure, through
+/// writeShardRuns. Runs overlap in key range; the final merge
+/// (TripletMerger over SpillRunReaders) sums duplicates, so the drained
+/// stream equals the unbounded accumulator's sorted triplets bit for bit.
 class SpillingAccumulator {
  public:
   struct Options {
     std::filesystem::path dir;  ///< run-file directory (required)
-    /// Total budget this accumulator enforces; resident bytes are kept
-    /// under budgetBytes/2 so the spill-sort transient fits in the other
-    /// half. 0 = never auto-spill (spillAll() on demand only). Enforcement
-    /// granularity is one insert: a single shard-table doubling can
-    /// overshoot the threshold by that shard's size, which the floor of
-    /// kMinSpillThresholdBytes makes irrelevant for budgets ≥ a few MiB.
+    /// Total budget this accumulator enforces: kept runs are written once
+    /// their bytes would pass budgetBytes/2, since the other half is stage
+    /// 5's share (the workers' flushing sums and their drains). 0 = never
+    /// auto-spill (spillAll() on demand only).
     std::uint64_t budgetBytes = 0;
-    /// Global rows (low person ids) per shard.
+    /// Global rows (low person ids) per shard: kept runs are written as one
+    /// shard-pure run per touched shard.
     std::uint32_t rowsPerShard = std::uint32_t{1} << 18;
     /// Run files are named <runPrefix><n>.spl; numbering resumes above any
     /// existing files with this prefix in dir.
@@ -237,8 +234,13 @@ class SpillingAccumulator {
   SpillingAccumulator(const SpillingAccumulator&) = delete;
   SpillingAccumulator& operator=(const SpillingAccumulator&) = delete;
 
-  void add(std::uint32_t i, std::uint32_t j, std::uint64_t weight);
-  void addSortedRun(std::span<const AdjacencyTriplet> run);
+  /// Keeps a sorted run: a worker's in-memory remainder or an mp inline
+  /// run off the wire. Every row must be upper-triangular (i < j) with
+  /// keys strictly ascending; anything else throws std::runtime_error
+  /// before the run is kept. When the kept bytes would pass the spill
+  /// threshold the runs kept so far are written first, and a run that
+  /// alone passes it is written at once.
+  void addSortedRun(std::vector<AdjacencyTriplet>&& run);
   /// Adoption and restore only record a run: they never read or rewrite
   /// one, so stage 6 costs O(1) per worker run. The fan-in bound is the
   /// merge's business (kMergeFanIn), not the live set's.
@@ -263,18 +265,18 @@ class SpillingAccumulator {
     return kernelStats_;
   }
 
-  /// Records that `extraBytes` lived beside the resident shards (e.g. the
-  /// sum of concurrent stage-5 worker peaks) for peak accounting. Worker
-  /// bytes are tracked as stats().peakWorkerBytes, separate from the
+  /// Records that `extraBytes` lived beside the kept runs (e.g. the sum of
+  /// concurrent stage-5 worker peaks) for peak accounting. Worker bytes
+  /// are tracked as stats().peakWorkerBytes, separate from the
   /// budget-enforced peakResidentBytes.
   void noteWorkerPeak(std::uint64_t extraBytes) noexcept;
 
-  /// Spills every resident shard to disk (one sorted run per shard).
-  /// Afterwards the full accumulated state is the live run files — what a
-  /// checkpoint persists and what finishMerge() streams.
+  /// Writes every kept run to disk (writeShardRuns: one run per touched
+  /// shard). Afterwards the full accumulated state is the live run files —
+  /// what a checkpoint persists and what finishMerge() streams.
   void spillAll();
 
-  /// Spills residual shards, merges the smallest live runs in bounded
+  /// Writes the kept runs, merges the smallest live runs in bounded
   /// passes until at most kMergeFanIn remain (the pass outputs replace
   /// their inputs in liveRuns()), then returns the k-way merge over them:
   /// the final sorted, duplicate-summed stream. The accumulator must not
@@ -290,13 +292,13 @@ class SpillingAccumulator {
     std::vector<SpillRunInfo> runs;
   };
 
-  /// Spills residual shards, splits any live run that straddles a shard
-  /// boundary into shard-pure runs, and returns the live set grouped per
-  /// shard in ascending shard order. Afterwards liveRuns() reflects the
-  /// split set, so a checkpoint manifest written mid-merge references
-  /// exactly the files an owner will read; superseded originals are
-  /// retired under deferDeletes as usual. Each group can then be merged
-  /// independently (mergeShardRuns) by its owner.
+  /// Writes the kept runs, splits any live run that straddles a shard
+  /// boundary (one written at another shard width) into shard-pure runs,
+  /// and returns the live set grouped per shard in ascending shard order.
+  /// Afterwards liveRuns() reflects the split set, so a checkpoint manifest
+  /// written mid-merge references exactly the files an owner will read;
+  /// superseded originals are retired under deferDeletes as usual. Each
+  /// group can then be merged independently (mergeShardRuns) by its owner.
   std::vector<ShardRunGroup> buildShardMergePlan();
 
   const std::vector<SpillRunInfo>& liveRuns() const noexcept { return runs_; }
@@ -304,11 +306,13 @@ class SpillingAccumulator {
   /// the caller deletes them once its manifest no longer references them.
   std::vector<std::filesystem::path> takeRetiredFiles();
 
+  /// Bytes of the sorted runs kept in memory.
   std::uint64_t residentBytes() const noexcept { return residentBytes_; }
   const SpillStats& stats() const noexcept { return stats_; }
 
  private:
-  void spillShard(std::uint32_t shard, PairCountMap& pairs);
+  /// Writes one sorted run as shard-pure run files and records them.
+  void writeRun(std::span<const AdjacencyTriplet> run);
   /// Rewrites one run as shard-pure runs (appended to `out`); retires or
   /// deletes the original.
   void splitRun(const SpillRunInfo& run, std::vector<SpillRunInfo>& out);
@@ -316,13 +320,10 @@ class SpillingAccumulator {
   /// deferDeletes.
   void retireRunFile(std::filesystem::path file);
   std::filesystem::path nextRunPath();
-  /// Folds `extraBytes` beside the current resident shards into the
-  /// budget-enforced peak (the spill-sort transient).
-  void notePeak(std::uint64_t extraBytes) noexcept;
 
   Options options_;
   std::uint64_t spillThreshold_ = 0;  ///< 0 = unbounded
-  std::map<std::uint32_t, PairCountMap> shards_;
+  std::vector<std::vector<AdjacencyTriplet>> kept_;
   std::uint64_t residentBytes_ = 0;
   std::vector<SpillRunInfo> runs_;
   std::vector<std::filesystem::path> retired_;
@@ -333,9 +334,10 @@ class SpillingAccumulator {
 
 /// Stage-5 worker-local sum that bounds its own footprint: collocation
 /// contributions accumulate into an in-memory map, and whenever the map
-/// outgrows `flushThresholdBytes` it is sorted and flushed as a spill run.
-/// Both backends' workers use this under a memory budget, so per-batch
-/// stage-5 memory is capped at roughly the threshold per worker.
+/// outgrows `flushThresholdBytes` it is sorted and flushed as a spill run,
+/// so per-batch stage-5 memory is capped at roughly the threshold per
+/// worker. It is every worker's sum: shared-memory workers and mp ranks
+/// alike. Unbudgeted, the threshold is 0 and the map is the whole sum.
 class SpillingSum {
  public:
   /// flushThresholdBytes 0 = never flush on its own (flush() still
@@ -350,6 +352,8 @@ class SpillingSum {
   void addCollocation(const CollocationMatrix& matrix);
 
   const AdjacencyKernelStats& kernelStats() const noexcept;
+  /// The not-yet-flushed sum, for a root that folds maps (unbudgeted).
+  const SymmetricAdjacency& inMemory() const noexcept { return sum_; }
   /// Max in-memory bytes observed (map plus flush-sort transient).
   std::uint64_t peakBytes() const noexcept { return peakBytes_; }
 
@@ -379,8 +383,8 @@ class SpillingSum {
 /// in ascending shard order, named <dir>/<filePrefix><n>.spl with n taken
 /// from (and advancing) `nextIndex`, and appends their records to `out`.
 /// Each run lands via tmp+rename. This is the one writer of a sorted
-/// in-memory sum to disk: stage-5 worker flushes and the unbounded path's
-/// checkpoint both go through it.
+/// in-memory run to disk: stage-5 worker flushes, the accumulator's kept
+/// runs and the unbounded path's checkpoint all go through it.
 void writeShardRuns(const std::filesystem::path& dir,
                     const std::string& filePrefix, std::uint64_t& nextIndex,
                     std::span<const AdjacencyTriplet> sorted,

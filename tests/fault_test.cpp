@@ -875,10 +875,12 @@ TEST(CheckpointTest, OlderManifestFormatIsRefusedNamingItsVersion) {
 /// Acceptance: crash *inside a spill write* — after a spill-mode
 /// checkpoint is durable — then resume, and require the resumed
 /// memory-bounded run to be bit-identical to the unbounded dense path.
-/// The budget is large so the only spill.write hits are the one-run-per-
-/// batch checkpoint spills, which makes hit 2 land deterministically in
-/// batch 2 on both backends: the crash tears batch 2's run file (the
-/// writer unwinds its .tmp) while batch 1's manifest still resolves.
+/// The budget is large so the only spill.write hits are the checkpoint
+/// writes of the runs the sink kept, one per non-empty worker remainder:
+/// batch 1's checkpoint writes 2 on shared and 1 on mp, and batch 2's at
+/// least 2, which makes hit 3 land deterministically in batch 2 on both
+/// backends: the crash tears one of batch 2's run files (the writer unwinds
+/// its .tmp) while batch 1's manifest still resolves.
 TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
   const FuzzCase fuzz = makeCase(83);
   ScratchDir scratch("chisimnet_fault_spill_resume");
@@ -903,7 +905,7 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
     {
       FaultPlan plan;
       plan.at("spill.write",
-              FaultSpec{.action = FaultAction::kThrow, .hit = 2});
+              FaultSpec{.action = FaultAction::kThrow, .hit = 3});
       runtime::fault::ScopedFaultPlan scoped(plan);
       NetworkSynthesizer interrupted(config);
       EXPECT_THROW(interrupted.synthesizeAdjacency(files), FaultInjected)

@@ -137,22 +137,19 @@ TEST(ShardMergePlanTest, StraddlingRunsAreSplitShardPure) {
   options.rowsPerShard = 4;
   SpillingAccumulator accumulator(options);
   // Adopted whole-space runs (e.g. written at a coarser shard width)
-  // straddle many 4-row shards; plain add()+spillAll
-  // runs are shard-pure by construction. Mix both so the plan has to split
-  // and regroup.
-  const std::size_t slice = adds.size() / 5;
-  for (std::size_t begin = 0; begin < adds.size(); begin += slice) {
-    const std::size_t end = std::min(adds.size(), begin + slice);
-    if ((begin / slice) % 2 == 0) {
+  // straddle many 4-row shards; kept runs written by spillAll are
+  // shard-pure by construction. Mix both so the plan has to split and
+  // regroup.
+  std::vector<std::vector<AdjacencyTriplet>> slices =
+      testsupport::sortedSlices(adds, adds.size() / 5);
+  for (std::size_t n = 0; n < slices.size(); ++n) {
+    if (n % 2 == 0) {
       SpillRunWriter writer(scratch.path() /
-                            ("w0.x" + std::to_string(begin) + ".spl"));
-      writer.append(std::span<const AdjacencyTriplet>(adds.data() + begin,
-                                                      end - begin));
+                            ("w0.x" + std::to_string(n) + ".spl"));
+      writer.append(std::span<const AdjacencyTriplet>(slices[n]));
       accumulator.adoptRunFile(writer.finish());
     } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        accumulator.add(adds[i].i, adds[i].j, adds[i].weight);
-      }
+      accumulator.addSortedRun(std::move(slices[n]));
       accumulator.spillAll();
     }
   }
@@ -188,19 +185,16 @@ TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
   options.rowsPerShard = 1;  // every row its own shard
   SpillingAccumulator accumulator(options);
   // Rows 2, 7 and 40 only: shards in between stay empty and absent.
-  accumulator.add(2, 90, 1);
-  accumulator.add(7, 8, 2);
-  accumulator.add(7, 9, 3);
-  accumulator.add(40, 41, 4);
+  const std::vector<AdjacencyTriplet> want = {
+      AdjacencyTriplet{2, 90, 1}, AdjacencyTriplet{7, 8, 2},
+      AdjacencyTriplet{7, 9, 3}, AdjacencyTriplet{40, 41, 4}};
+  accumulator.addSortedRun(std::vector<AdjacencyTriplet>(want));
   accumulator.spillAll();
   const auto plan = accumulator.buildShardMergePlan();
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_EQ(plan[0].shard, 2u);
   EXPECT_EQ(plan[1].shard, 7u);
   EXPECT_EQ(plan[2].shard, 40u);
-  const std::vector<AdjacencyTriplet> want = {
-      AdjacencyTriplet{2, 90, 1}, AdjacencyTriplet{7, 8, 2},
-      AdjacencyTriplet{7, 9, 3}, AdjacencyTriplet{40, 41, 4}};
   EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), want);
 }
 
@@ -221,12 +215,9 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
   const std::vector<AdjacencyTriplet> adds = makeRun(rng, 3000, 96);
 
   const auto feed = [&](SpillingAccumulator& accumulator) {
-    const std::size_t slice = adds.size() / 7;
-    for (std::size_t begin = 0; begin < adds.size(); begin += slice) {
-      const std::size_t end = std::min(adds.size(), begin + slice);
-      for (std::size_t i = begin; i < end; ++i) {
-        accumulator.add(adds[i].i, adds[i].j, adds[i].weight);
-      }
+    for (std::vector<AdjacencyTriplet>& slice :
+         testsupport::sortedSlices(adds, adds.size() / 7)) {
+      accumulator.addSortedRun(std::move(slice));
       accumulator.spillAll();
     }
   };
@@ -373,7 +364,7 @@ TEST(SpillGcTest, FreshStartSweepsOrphanedTmpRuns) {
   EXPECT_FALSE(std::filesystem::exists(orphan));
   EXPECT_TRUE(std::filesystem::exists(foreign));
   // The sweep must not disturb numbering of real runs.
-  accumulator.add(1, 2, 3);
+  accumulator.addSortedRun({AdjacencyTriplet{1, 2, 3}});
   accumulator.spillAll();
   ASSERT_EQ(accumulator.liveRuns().size(), 1u);
   EXPECT_EQ(drain(*accumulator.finishMerge()),

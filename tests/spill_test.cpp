@@ -18,9 +18,9 @@
 /// Disk-spilling accumulation suite: the k-way loser-tree merge against a
 /// brute-force sum, the CSPL1 run container (round trip, truncation and
 /// bit-flip rejection with file + byte-offset context), and the
-/// SpillingAccumulator's budget guarantee — peak resident bytes must never
-/// exceed the configured cap, asserted here as a test, not just observed
-/// in a bench.
+/// SpillingAccumulator's budget guarantee — the bytes of the sorted runs
+/// it keeps in memory must never exceed the configured cap, asserted here
+/// as a test, not just observed in a bench.
 
 namespace chisimnet::sparse {
 namespace {
@@ -306,33 +306,40 @@ TEST(SpillRunTest, BitFlipIsRejectedWithCrcContext) {
 
 // ---- SpillingAccumulator ----
 
+/// Overlapping runs under a tiny budget spill many times; the merge equals
+/// the brute-force sum whatever order the runs arrive in.
 TEST(SpillingAccumulatorTest, MatchesBruteForceAcrossSpills) {
   ScratchDir scratch("chisimnet_spill_acc_bruteforce");
   util::Rng rng(41);
-  const std::vector<AdjacencyTriplet> adds = makeRun(rng, 20000, 2000);
+  std::vector<std::vector<AdjacencyTriplet>> runs;
+  for (int n = 0; n < 40; ++n) {
+    runs.push_back(makeRun(rng, 500, 2000));
+  }
+  const std::vector<AdjacencyTriplet> want = bruteForceSum(runs);
 
-  SpillingAccumulator::Options options;
-  options.dir = scratch.path();
-  options.budgetBytes = 64 * 1024;  // tiny: forces many spills
-  SpillingAccumulator accumulator(options);
-  // Shuffled insert order must not matter.
-  std::vector<AdjacencyTriplet> shuffled = adds;
+  std::vector<std::vector<AdjacencyTriplet>> shuffled = runs;
   for (std::size_t i = shuffled.size(); i > 1; --i) {
     std::swap(shuffled[i - 1], shuffled[rng.uniformBelow(i)]);
   }
-  for (const AdjacencyTriplet& triplet : shuffled) {
-    accumulator.add(triplet.i, triplet.j, triplet.weight);
+  for (const bool inOrder : {true, false}) {
+    SpillingAccumulator::Options options;
+    options.dir = scratch.path() / (inOrder ? "in-order" : "shuffled");
+    options.budgetBytes = 64 * 1024;  // tiny: forces many spills
+    SpillingAccumulator accumulator(options);
+    for (std::vector<AdjacencyTriplet> run : inOrder ? runs : shuffled) {
+      accumulator.addSortedRun(std::move(run));
+    }
+    EXPECT_GT(accumulator.stats().runsWritten, 0u);
+    const auto merged = accumulator.finishMerge();
+    EXPECT_EQ(drain(*merged), want);
   }
-  EXPECT_GT(accumulator.stats().runsWritten, 0u);
-  const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged), bruteForceSum({adds}));
 }
 
 TEST(SpillingAccumulatorTest, PeakNeverExceedsTheBudget) {
   // The tested guarantee, not a bench observation: with a budget of at
-  // least a few MiB (above the 4 KiB threshold floor), the accumulator's
-  // peak resident bytes — shard tables plus the spill-sort transient —
-  // stay at or below the cap.
+  // least a few KiB (above the 4 KiB threshold floor), the bytes of the
+  // runs the accumulator keeps in memory stay at or below the cap,
+  // including when a single run alone is larger than the spill threshold.
   ScratchDir scratch("chisimnet_spill_acc_budget");
   util::Rng rng(43);
   const std::uint64_t budget = 1 << 20;  // 1 MiB
@@ -341,29 +348,72 @@ TEST(SpillingAccumulatorTest, PeakNeverExceedsTheBudget) {
   options.dir = scratch.path();
   options.budgetBytes = budget;
   SpillingAccumulator accumulator(options);
-  std::map<std::uint64_t, std::uint64_t> reference;
-  for (std::size_t i = 0; i < 300000; ++i) {
-    const auto a = static_cast<std::uint32_t>(rng.uniformBelow(1u << 20));
-    const auto b = static_cast<std::uint32_t>(rng.uniformBelow(1u << 20));
-    if (a == b) {
-      continue;
-    }
-    accumulator.add(a, b, 1);
-    reference[packPair(a, b)] += 1;
+  std::vector<std::vector<AdjacencyTriplet>> runs;
+  for (int n = 0; n < 200; ++n) {
+    // Every 50th run is 640 KiB, over the 512 KiB spill threshold.
+    const std::size_t size = n % 50 == 49 ? 40000 : 1500;
+    runs.push_back(makeRun(rng, size, 1u << 20));
+    accumulator.addSortedRun(std::vector<AdjacencyTriplet>(runs.back()));
     ASSERT_LE(accumulator.residentBytes(), budget);
   }
   EXPECT_GT(accumulator.stats().runsWritten, 0u);
+  EXPECT_GT(accumulator.stats().peakResidentBytes, 0u);
   EXPECT_LE(accumulator.stats().peakResidentBytes, budget);
 
-  std::vector<AdjacencyTriplet> want;
-  want.reserve(reference.size());
-  for (const auto& [key, weight] : reference) {
-    want.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), weight});
-  }
   const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged), want);
-  // The merge-time spill counts toward the same peak guarantee.
+  EXPECT_EQ(drain(*merged), bruteForceSum(runs));
+  EXPECT_EQ(accumulator.residentBytes(), 0u);
   EXPECT_LE(accumulator.stats().peakResidentBytes, budget);
+}
+
+/// Kept runs are written as they are, one shard-pure run per touched
+/// shard, so a merge plan at the same shard width splits nothing.
+TEST(SpillingAccumulatorTest, KeptRunsSpillShardPure) {
+  ScratchDir scratch("chisimnet_spill_acc_shard_pure");
+  util::Rng rng(59);
+  SpillingAccumulator::Options options;
+  options.dir = scratch.path();
+  options.rowsPerShard = 16;  // a 96-row space spans 6 shards
+  options.budgetBytes = 16 * 1024;
+  SpillingAccumulator accumulator(options);
+  std::vector<std::vector<AdjacencyTriplet>> runs;
+  for (int n = 0; n < 12; ++n) {
+    runs.push_back(makeRun(rng, 300, 96));
+    accumulator.addSortedRun(std::vector<AdjacencyTriplet>(runs.back()));
+  }
+  const auto plan = accumulator.buildShardMergePlan();
+  EXPECT_EQ(accumulator.stats().runsSplit, 0u);
+  EXPECT_GT(plan.size(), 1u);
+  std::vector<std::vector<AdjacencyTriplet>> merged;
+  for (const SpillRunInfo& run : accumulator.liveRuns()) {
+    EXPECT_GE(run.shardOf(options.rowsPerShard), 0) << run.file;
+    SpillRunReader reader(run.file);
+    merged.push_back(drain(reader));
+  }
+  EXPECT_EQ(bruteForceSum(merged), bruteForceSum(runs));
+}
+
+/// Inline runs come off the wire, so a row off the upper triangle or a
+/// key that does not strictly ascend is a typed error, and nothing of the
+/// bad run is kept.
+TEST(SpillingAccumulatorTest, AddSortedRunRejectsMalformedRuns) {
+  ScratchDir scratch("chisimnet_spill_acc_malformed");
+  SpillingAccumulator::Options options;
+  options.dir = scratch.path();
+  SpillingAccumulator accumulator(options);
+  const std::vector<std::vector<AdjacencyTriplet>> bad = {
+      {AdjacencyTriplet{1, 2, 1}, AdjacencyTriplet{5, 5, 1}},  // i == j
+      {AdjacencyTriplet{7, 3, 1}},                             // i > j
+      {AdjacencyTriplet{1, 3, 1}, AdjacencyTriplet{1, 2, 1}},  // descends
+      {AdjacencyTriplet{1, 2, 1}, AdjacencyTriplet{1, 2, 4}},  // repeats
+  };
+  for (const std::vector<AdjacencyTriplet>& run : bad) {
+    EXPECT_THROW(accumulator.addSortedRun(std::vector<AdjacencyTriplet>(run)),
+                 std::runtime_error);
+  }
+  EXPECT_EQ(accumulator.residentBytes(), 0u);
+  accumulator.spillAll();
+  EXPECT_TRUE(accumulator.liveRuns().empty());
 }
 
 /// The bound is on the merge, not the live set: 70 live runs stay 70
@@ -379,12 +429,9 @@ TEST(SpillingAccumulatorTest, CompactionBoundsLiveRuns) {
   options.dir = scratch.path();
   SpillingAccumulator accumulator(options);
   // Force 70 runs via explicit spillAll between slices.
-  const std::size_t slice = adds.size() / 70;
-  for (std::size_t begin = 0; begin < adds.size(); begin += slice) {
-    const std::size_t end = std::min(adds.size(), begin + slice);
-    for (std::size_t i = begin; i < end; ++i) {
-      accumulator.add(adds[i].i, adds[i].j, adds[i].weight);
-    }
+  for (std::vector<AdjacencyTriplet>& slice :
+       testsupport::sortedSlices(adds, adds.size() / 70)) {
+    accumulator.addSortedRun(std::move(slice));
     accumulator.spillAll();
   }
   ASSERT_EQ(accumulator.liveRuns().size(), 70u);
@@ -485,7 +532,7 @@ TEST(SpillingAccumulatorTest, RestoreKeepsTheManifestName) {
   // Name preserved (the current manifest references it), and new runs
   // number above it instead of colliding.
   EXPECT_TRUE(std::filesystem::exists(runFile));
-  accumulator.add(1, 2, 1);
+  accumulator.addSortedRun({AdjacencyTriplet{1, 2, 1}});
   accumulator.spillAll();
   ASSERT_EQ(accumulator.liveRuns().size(), 2u);
   EXPECT_EQ(accumulator.liveRuns()[1].file.filename().string(), "run.4.spl");

@@ -79,6 +79,20 @@ class OpenFileHeadroom {
   rlimit old_{};
 };
 
+/// Cuts a sorted run into consecutive slices of `width` rows (the last may
+/// be shorter); each slice is itself a sorted run, the form a spilling
+/// accumulator is fed in.
+inline std::vector<std::vector<sparse::AdjacencyTriplet>> sortedSlices(
+    std::span<const sparse::AdjacencyTriplet> rows, std::size_t width) {
+  std::vector<std::vector<sparse::AdjacencyTriplet>> slices;
+  for (std::size_t begin = 0; begin < rows.size(); begin += width) {
+    const std::size_t end = std::min(rows.size(), begin + width);
+    slices.emplace_back(rows.begin() + static_cast<std::ptrdiff_t>(begin),
+                        rows.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  return slices;
+}
+
 struct FuzzCase {
   table::EventTable events;
   table::Hour windowStart = 0;

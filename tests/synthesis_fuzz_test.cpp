@@ -177,8 +177,8 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
       EXPECT_EQ(report.memoryBudgetBytes, budget) << label;
       EXPECT_GT(report.spillRunsWritten, 0u) << label;
       // Budget ceiling, floor-aware: sub-threshold budgets are clamped to
-      // the 4 KiB spill-threshold floor (plus its sort transient), so the
-      // enforceable cap is max(budget, a few multiples of the floor).
+      // the 4 KiB spill-threshold floor, so the enforceable cap is
+      // max(budget, a few multiples of the floor).
       EXPECT_LE(report.peakAccumulatorBytes,
                 std::max<std::uint64_t>(budget, 16 * 1024))
           << label;

@@ -306,6 +306,13 @@ int cmdInfo(const Args& args) {
   return 0;
 }
 
+/// A byte count in whole MiB, or in whole KiB below 1 MiB.
+std::string memorySize(std::uint64_t bytes) {
+  return bytes < (std::uint64_t{1} << 20)
+             ? std::to_string(bytes / 1024) + " KiB"
+             : std::to_string(bytes / 1024 / 1024) + " MiB";
+}
+
 int cmdSynthesize(const Args& args) {
   const std::string logs = args.requireStr("logs");
   const std::string out = args.requireStr("out");
@@ -423,11 +430,11 @@ int cmdSynthesize(const Args& args) {
               << " ranks lost (work reassigned to survivors)\n";
   }
   if (report.memoryBudgetBytes > 0) {
-    std::cout << "spill: budget " << report.memoryBudgetBytes / 1024 / 1024
-              << " MiB, peak accumulator "
-              << report.peakAccumulatorBytes / 1024 / 1024
-              << " MiB, stage-5 transient "
-              << report.peakStage5Bytes / 1024 / 1024 << " MiB, "
+    std::cout << "spill: budget " << memorySize(report.memoryBudgetBytes)
+              << ", peak accumulator "
+              << memorySize(report.peakAccumulatorBytes)
+              << ", stage-5 transient " << memorySize(report.peakStage5Bytes)
+              << ", "
               << report.spillRunsWritten << " runs ("
               << report.spilledBytes / 1024 / 1024 << " MiB, "
               << report.spilledTriplets << " triplets), "
