@@ -468,7 +468,6 @@ CollocationCounts MessagePassingExecutor::mapAdjacency(
                    stats.hashPlaces = in.u64();
                    stats.pairHourUpdates = in.u64();
                    stats.globalEmits = in.u64();
-                   stats.mergeReservedEntries = in.u64();
                    runKernelStats_.merge(stats);
                    workerPeakBytes_ += in.u64();
                    // Each run ref costs at least its mode word.
@@ -503,15 +502,13 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
   lastReduce_ = ReduceStats{};
   lastReduce_.mergedSums = reduceRuns_.size();
   // Inserts each run — inline or streamed off its spill file — into the
-  // running result, consuming (deleting) file-backed runs. The reserve is
-  // the summed-row-count pre-size (sized from run metadata, counted in the
-  // kernel stats).
+  // running result, consuming (deleting) file-backed runs. Each run's row
+  // count (from its metadata) pre-sizes the result before it is inserted.
   try {
     util::ThreadCpuTimer timer;
     for (const mp::RunRef& ref : reduceRuns_) {
       if (ref.isFile()) {
         result.reserve(result.edgeCount() + ref.run.triplets);
-        runKernelStats_.mergeReservedEntries += ref.run.triplets;
         sparse::SpillRunReader reader(ref.run.file);
         sparse::AdjacencyTriplet triplet;
         while (reader.next(triplet)) {
@@ -521,7 +518,6 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
         std::filesystem::remove(ref.run.file, ignored);
       } else {
         result.reserve(result.edgeCount() + ref.inlineRun.size());
-        runKernelStats_.mergeReservedEntries += ref.inlineRun.size();
         for (const sparse::AdjacencyTriplet& triplet : ref.inlineRun) {
           result.add(triplet.i, triplet.j, triplet.weight);
         }

@@ -181,7 +181,7 @@ std::vector<std::byte> executeSynthesisCommand(
       // (deterministic content, tmp+rename) while a reassigned body —
       // which gets a fresh token — never collides with a half-dead rank
       // still executing the old one.
-      // Reply: [busySeconds f64][places u64][nnz u64][kernel stats 5×u64]
+      // Reply: [busySeconds f64][places u64][nnz u64][kernel stats 4×u64]
       //        [peakLocalBytes u64][runCount u32][RunRef × runCount].
       util::ByteReader in(body, "adjacency command");
       const std::uint64_t token = in.u64();
@@ -249,7 +249,6 @@ std::vector<std::byte> executeSynthesisCommand(
       reply.u64(stats.hashPlaces);
       reply.u64(stats.pairHourUpdates);
       reply.u64(stats.globalEmits);
-      reply.u64(stats.mergeReservedEntries);
       reply.u64(sum.peakBytes());
       reply.u32(static_cast<std::uint32_t>(refs.size()));
       for (const RunRef& ref : refs) {

@@ -48,11 +48,19 @@ sparse::SpillingAccumulator::Options sinkOptions(
   return options;
 }
 
+/// synthesizeAdjacency holds the whole result in memory, so a budget has
+/// nothing to bound there: a budgeted run finishes on disk.
+void requireUnbudgeted(const SynthesisConfig& config) {
+  CHISIM_REQUIRE(config.memoryBudgetBytes == 0,
+                 "a memory-budgeted run finishes on disk: call "
+                 "synthesizeToFile, not synthesizeAdjacency or "
+                 "synthesizeGraph");
+}
+
 void foldSpillStats(SynthesisReport& report, const sparse::SpillStats& stats) {
   report.spillRunsWritten = stats.runsWritten;
   report.spilledTriplets = stats.spilledTriplets;
   report.spilledBytes = stats.spilledBytes;
-  report.spillCompactions = stats.compactions;
   report.peakAccumulatorBytes = stats.peakResidentBytes;
   report.peakStage5Bytes = stats.peakWorkerBytes;
   report.spillRunsSplit = stats.runsSplit;
@@ -204,7 +212,6 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
   report_.kernelHashPlaces = kernel.hashPlaces;
   report_.kernelPairHourUpdates = kernel.pairHourUpdates;
   report_.kernelGlobalEmits = kernel.globalEmits;
-  report_.mergeReservedEntries = kernel.mergeReservedEntries;
 }
 
 void NetworkSynthesizer::runFilePipeline(
@@ -432,12 +439,10 @@ void NetworkSynthesizer::runFilePipeline(
 
 sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
     const std::vector<std::filesystem::path>& logFiles) {
+  requireUnbudgeted(config_);
   util::WallTimer total;
-  sparse::SymmetricAdjacency result = accumulateInMemory(
-      [&](sparse::SymmetricAdjacency* dense,
-          sparse::SpillingAccumulator* sink) {
-        runFilePipeline(logFiles, dense, sink);
-      });
+  sparse::SymmetricAdjacency result(1024);
+  runFilePipeline(logFiles, &result, nullptr);
   report_.edges = result.edgeCount();
   report_.totalSeconds = total.seconds();
   return result;
@@ -445,47 +450,18 @@ sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
 
 sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
     const table::EventTable& events) {
+  requireUnbudgeted(config_);
   util::WallTimer total;
   beginReport();
   report_.logEntriesLoaded = events.size();
-  sparse::SymmetricAdjacency result = accumulateInMemory(
-      [&](sparse::SymmetricAdjacency* dense,
-          sparse::SpillingAccumulator* sink) {
-        processBatch(events, dense, sink);
-      });
+  sparse::SymmetricAdjacency result(1024);
+  processBatch(events, &result, nullptr);
   report_.batches = 1;
   foldExecutorFaults();
   report_.edges = result.edgeCount();
   report_.bytesScattered = executor_->bytesScattered();
   report_.bytesReturned = executor_->bytesReturned();
   report_.totalSeconds = total.seconds();
-  return result;
-}
-
-sparse::SymmetricAdjacency NetworkSynthesizer::accumulateInMemory(
-    const std::function<void(sparse::SymmetricAdjacency*,
-                             sparse::SpillingAccumulator*)>& accumulate) {
-  sparse::SymmetricAdjacency result(1024);
-  if (config_.memoryBudgetBytes == 0) {
-    accumulate(&result, nullptr);
-    return result;
-  }
-  // Budgeted accumulation with an in-memory materialization at the end:
-  // the convenient form for tests and modest inputs. City-scale runs
-  // should use synthesizeToFile, which streams the merge to disk.
-  sparse::SpillingAccumulator sink(sinkOptions(config_));
-  accumulate(nullptr, &sink);
-  const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-  // Pre-size the result from the summed run row counts (an upper bound:
-  // duplicate pairs across runs collapse) so the drain never rehashes.
-  result.reserve(merged->sizeHint());
-  report_.mergeReservedEntries += merged->sizeHint();
-  sparse::AdjacencyTriplet triplet;
-  while (merged->next(triplet)) {
-    result.add(triplet.i, triplet.j, triplet.weight);
-  }
-  result.addKernelStats(sink.kernelStats());
-  foldSpillStats(report_, sink.stats());
   return result;
 }
 

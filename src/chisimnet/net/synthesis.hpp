@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -222,12 +221,14 @@ struct SynthesisConfig {
   /// flush their partial sums as CRC-framed sorted runs to spillDir, the
   /// cross-batch SpillingAccumulator collects those runs and keeps the
   /// workers' sorted remainders until they would pass half the budget,
-  /// then writes them as runs too; the final network is an external-memory
-  /// k-way merge of the live runs. Output is bit-identical to the unbounded path (u64 adds
-  /// are order-independent and the merge sums duplicates), so the budget
-  /// is a perf/footprint knob and not part of the checkpoint config hash —
-  /// a run checkpointed unbounded can resume bounded and vice versa.
-  /// 0 = unbounded (the original all-in-memory accumulator).
+  /// then writes them as runs too; the final network is merged shard by
+  /// shard on the merge owners and spliced into a CADJ file, so a budgeted
+  /// run goes through synthesizeToFile. Output is bit-identical to the
+  /// unbounded path (u64 adds are order-independent and the merge sums
+  /// duplicates), so the budget is a perf/footprint knob and not part of
+  /// the checkpoint config hash — a run checkpointed unbounded can resume
+  /// bounded and vice versa. 0 = unbounded (the all-in-memory accumulator
+  /// of synthesizeAdjacency).
   std::uint64_t memoryBudgetBytes = 0;
   /// Run-file directory for the budgeted path and for oversized
   /// message-passing replies (which spill to disk and cross the wire as a
@@ -340,8 +341,8 @@ struct SynthesisReport {
   std::uint64_t spillRunsWritten = 0;   ///< sorted run files produced
   std::uint64_t spilledTriplets = 0;    ///< triplet rows that went to disk
   std::uint64_t spilledBytes = 0;  ///< run-file bytes written, passes too
-  /// Intermediate merge passes: the sharded finish's owner passes (or
-  /// finishMerge's) that bring a shard's runs down to the merge fan-in.
+  /// Intermediate merge passes: the shard owners' passes that bring a
+  /// shard's runs down to the merge fan-in.
   std::uint64_t spillCompactions = 0;
   /// Max bytes of sorted runs the cross-batch accumulator kept in memory
   /// (worker remainders, mp inline runs) before writing them. The budget
@@ -364,9 +365,6 @@ struct SynthesisReport {
   /// Straddling runs rewritten into shard-pure runs before the merge (zero
   /// when every spill was routed at flush time).
   std::uint64_t spillRunsSplit = 0;
-  /// Output entries pre-reserved by merge sinks from summed per-run row
-  /// counts (TripletMerger / PairCountMap reservations).
-  std::uint64_t mergeReservedEntries = 0;
   /// Σ thread-CPU seconds across all shard merges (the serial-equivalent
   /// merge work).
   double mergeSeconds = 0.0;
@@ -387,14 +385,14 @@ class NetworkSynthesizer {
   NetworkSynthesizer& operator=(const NetworkSynthesizer&) = delete;
 
   /// Synthesizes the collocation adjacency from per-rank log files,
-  /// batch by batch. Under a memory budget the pipeline accumulates
-  /// out-of-core and this materializes the merged result in memory at the
-  /// end — use synthesizeToFile() when even the final triplet list must
-  /// stay off the heap.
+  /// batch by batch, into one in-memory map. Requires memoryBudgetBytes
+  /// == 0 (std::invalid_argument otherwise): a budgeted run finishes on
+  /// disk through synthesizeToFile().
   sparse::SymmetricAdjacency synthesizeAdjacency(
       const std::vector<std::filesystem::path>& logFiles);
 
-  /// Synthesizes from an in-memory event table (single batch).
+  /// Synthesizes from an in-memory event table (single batch). Requires
+  /// memoryBudgetBytes == 0, as above.
   sparse::SymmetricAdjacency synthesizeAdjacency(const table::EventTable& events);
 
   /// Fully out-of-core synthesis: runs the batched pipeline, then merges
@@ -406,7 +404,7 @@ class NetworkSynthesizer {
       const std::vector<std::filesystem::path>& logFiles,
       const std::filesystem::path& outPath);
 
-  /// Convenience: adjacency -> graph.
+  /// Convenience: adjacency -> graph (unbudgeted, as synthesizeAdjacency).
   graph::Graph synthesizeGraph(
       const std::vector<std::filesystem::path>& logFiles);
   graph::Graph synthesizeGraph(const table::EventTable& events);
@@ -422,18 +420,11 @@ class NetworkSynthesizer {
                     sparse::SpillingAccumulator* sink);
 
   /// Runs the full batched file pipeline (resume, prefetch, checkpoints)
-  /// into the chosen accumulator; shared by the in-memory and to-file
-  /// entry points.
+  /// into the chosen accumulator: the dense map of synthesizeAdjacency or
+  /// the sink of synthesizeToFile.
   void runFilePipeline(const std::vector<std::filesystem::path>& logFiles,
                        sparse::SymmetricAdjacency* dense,
                        sparse::SpillingAccumulator* sink);
-
-  /// The in-memory result of `accumulate`, run into a dense map or, under
-  /// a memory budget, into a spilling accumulator whose merged runs are
-  /// then materialized into the map.
-  sparse::SymmetricAdjacency accumulateInMemory(
-      const std::function<void(sparse::SymmetricAdjacency*,
-                               sparse::SpillingAccumulator*)>& accumulate);
 
   /// Resets the report for a new run.
   void beginReport();

@@ -41,8 +41,7 @@
 ///   spill.write         SpillRunWriter::finish, after the run body is on
 ///                       disk but BEFORE the tmp→final rename (kThrow models
 ///                       a crash mid-spill leaving only a .tmp orphan)
-///   spill.merge         bounded merge (mergeShardRuns on a shard owner,
-///                       SpillingAccumulator::finishMerge), before each
+///   spill.merge         mergeShardRuns on a shard owner, before each
 ///                       intermediate pass; input runs are never touched
 ///   abm.step            ABM rank loop, top of each active simulated
 ///                       hour; ordinal = the simulated hour, so a spec's

@@ -189,9 +189,6 @@ constexpr std::uint64_t kExhaustedKey = ~std::uint64_t{0};
 
 TripletMerger::TripletMerger(std::vector<TripletSource*> sources)
     : sources_(std::move(sources)) {
-  for (const TripletSource* source : sources_) {
-    expected_ += source->sizeHint();
-  }
   start(sources_.size());
 }
 
@@ -201,7 +198,6 @@ TripletMerger::TripletMerger(
   sources_.reserve(owned_.size());
   for (const std::unique_ptr<TripletSource>& source : owned_) {
     sources_.push_back(source.get());
-    expected_ += source->sizeHint();
   }
   start(sources_.size());
 }

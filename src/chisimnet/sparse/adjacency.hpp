@@ -25,17 +25,12 @@ struct AdjacencyKernelStats {
   std::uint64_t hashPlaces = 0;      ///< places on the local-hash path
   std::uint64_t pairHourUpdates = 0; ///< local increments performed
   std::uint64_t globalEmits = 0;     ///< distinct pairs pushed to the map
-  /// Entries pre-reserved in merge-fed containers from the summed per-run
-  /// row counts (TripletMerger::expectedTriplets), so the hot merge loop
-  /// never pays rehash/regrow churn.
-  std::uint64_t mergeReservedEntries = 0;
 
   void merge(const AdjacencyKernelStats& other) noexcept {
     densePlaces += other.densePlaces;
     hashPlaces += other.hashPlaces;
     pairHourUpdates += other.pairHourUpdates;
     globalEmits += other.globalEmits;
-    mergeReservedEntries += other.mergeReservedEntries;
   }
 };
 
@@ -108,11 +103,6 @@ class TripletSource {
   /// Fills `out` with the next triplet; false once the stream is exhausted
   /// (and on every call after that).
   virtual bool next(AdjacencyTriplet& out) = 0;
-
-  /// Upper bound on the rows this source will deliver, when cheaply known
-  /// (an in-memory run's size, a spill run's header count); 0 = unknown.
-  /// Consumers use the summed hints to pre-reserve output capacity.
-  virtual std::uint64_t sizeHint() const noexcept { return 0; }
 };
 
 /// TripletSource over an in-memory sorted run (non-owning view).
@@ -127,7 +117,6 @@ class SpanTripletSource final : public TripletSource {
     out = run_[cursor_++];
     return true;
   }
-  std::uint64_t sizeHint() const noexcept override { return run_.size(); }
 
  private:
   std::span<const AdjacencyTriplet> run_;
@@ -151,12 +140,6 @@ class TripletMerger final : public TripletSource {
 
   bool next(AdjacencyTriplet& out) override;
 
-  /// Sum of the sources' sizeHint()s: an upper bound on the merged row
-  /// count (duplicate keys collapse), taken before any rows are pulled.
-  /// Callers reserve output capacity from it instead of regrowing.
-  std::uint64_t expectedTriplets() const noexcept { return expected_; }
-  std::uint64_t sizeHint() const noexcept override { return expected_; }
-
  private:
   void start(std::size_t sourceCount);
   void advance(std::size_t leaf);
@@ -170,7 +153,6 @@ class TripletMerger final : public TripletSource {
   std::vector<std::size_t> losers_;      ///< internal tournament nodes
   std::size_t leafCount_ = 0;            ///< sources padded to a power of two
   std::size_t winner_ = 0;
-  std::uint64_t expected_ = 0;           ///< Σ source sizeHint() at start
 };
 
 /// Convenience for tests and in-memory reductions: k-way merge of sorted

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
-#include <functional>
 #include <map>
-#include <set>
+#include <memory>
 #include <system_error>
 #include <utility>
 
@@ -115,11 +114,8 @@ SpillRunInfo SpillRunWriter::finish() {
 
 // ---------------------------------------------------------------- reader
 
-SpillRunReader::SpillRunReader(std::filesystem::path path,
-                               SpillReadahead readahead)
-    : path_(std::move(path)),
-      in_(path_, std::ios::binary),
-      readahead_(readahead) {
+SpillRunReader::SpillRunReader(std::filesystem::path path)
+    : path_(std::move(path)), in_(path_, std::ios::binary) {
   CHISIM_CHECK(in_.good(), "cannot open spill run: " + path_.string());
   char magic[4];
   in_.read(magic, 4);
@@ -129,22 +125,6 @@ SpillRunReader::SpillRunReader(std::filesystem::path path,
                "unsupported spill run version: " + path_.string());
   total_ = util::readU64(in_);
   frame_.reserve(kSpillFrameTriplets);
-  if (readahead_ == SpillReadahead::kDoubleBuffer) {
-    staged_.reserve(kSpillFrameTriplets);
-    // After this point only the prefetcher touches in_.
-    prefetcher_ = std::thread([this] { prefetchLoop(); });
-  }
-}
-
-SpillRunReader::~SpillRunReader() {
-  if (prefetcher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    frameTaken_.notify_all();
-    prefetcher_.join();
-  }
 }
 
 void SpillRunReader::fail(const std::string& what,
@@ -153,7 +133,7 @@ void SpillRunReader::fail(const std::string& what,
                           std::to_string(offset) + ": " + what);
 }
 
-bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
+bool SpillRunReader::readFrame() {
   const std::uint64_t frameOffset =
       static_cast<std::uint64_t>(in_.tellg());
   std::byte header[8];
@@ -181,9 +161,9 @@ bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
   }
   // The payload is the frame's AdjacencyTriplet row block: read it in
   // place, then check its CRC.
-  dest.resize(count);
+  frame_.resize(count);
   const std::span<std::byte> payload =
-      util::writableRowBytes(std::span<AdjacencyTriplet>(dest));
+      util::writableRowBytes(std::span<AdjacencyTriplet>(frame_));
   in_.read(reinterpret_cast<char*>(payload.data()),
            static_cast<std::streamsize>(payload.size()));
   if (in_.gcount() != static_cast<std::streamsize>(payload.size())) {
@@ -206,65 +186,14 @@ bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
   return true;
 }
 
-void SpillRunReader::prefetchLoop() {
-  try {
-    std::vector<AdjacencyTriplet> local;
-    local.reserve(kSpillFrameTriplets);
-    for (;;) {
-      local.clear();
-      if (!decodeFrame(local)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        producerDone_ = true;
-        frameReady_.notify_all();
-        return;
-      }
-      std::unique_lock<std::mutex> lock(mutex_);
-      frameTaken_.wait(lock, [this] { return !stagedFull_ || stop_; });
-      if (stop_) {
-        return;
-      }
-      staged_.swap(local);
-      stagedFull_ = true;
-      frameReady_.notify_all();
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    producerError_ = std::current_exception();
-    producerDone_ = true;
-    frameReady_.notify_all();
-  }
-}
-
 bool SpillRunReader::next(AdjacencyTriplet& out) {
-  while (cursor_ >= frame_.size()) {
-    if (readahead_ == SpillReadahead::kNone) {
-      if (exhausted_) {
-        return false;
-      }
-      frame_.clear();
-      cursor_ = 0;
-      if (!decodeFrame(frame_)) {
-        exhausted_ = true;
-        return false;
-      }
-      continue;
+  if (cursor_ == frame_.size()) {
+    // A frame holds at least one row, so a fresh one always has a next.
+    if (exhausted_ || !readFrame()) {
+      exhausted_ = true;
+      return false;
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    frameReady_.wait(lock, [this] { return stagedFull_ || producerDone_; });
-    if (stagedFull_) {
-      frame_.swap(staged_);
-      staged_.clear();
-      stagedFull_ = false;
-      cursor_ = 0;
-      frameTaken_.notify_all();
-      continue;
-    }
-    // Producer finished: surface its error on the consumer thread, or a
-    // clean end of stream.
-    if (producerError_) {
-      std::rethrow_exception(producerError_);
-    }
-    return false;
+    cursor_ = 0;
   }
   out = frame_[cursor_++];
   return true;
@@ -274,22 +203,26 @@ bool SpillRunReader::next(AdjacencyTriplet& out) {
 
 namespace {
 
-/// The k-way merge over at most kMergeFanIn runs.
-std::unique_ptr<TripletMerger> mergeRuns(std::span<const SpillRunInfo> runs,
-                                         SpillReadahead readahead) {
+/// Streams the k-way merge over at most kMergeFanIn runs into `sink`.
+template <typename Sink>
+void mergeRuns(std::span<const SpillRunInfo> runs, Sink& sink) {
   CHISIM_REQUIRE(runs.size() <= kMergeFanIn,
                  "a merge opens at most kMergeFanIn runs");
   std::vector<std::unique_ptr<TripletSource>> readers;
   readers.reserve(runs.size());
   for (const SpillRunInfo& run : runs) {
-    readers.push_back(std::make_unique<SpillRunReader>(run.file, readahead));
+    readers.push_back(std::make_unique<SpillRunReader>(run.file));
   }
-  return std::make_unique<TripletMerger>(std::move(readers));
+  TripletMerger merger(std::move(readers));
+  AdjacencyTriplet triplet;
+  while (merger.next(triplet)) {
+    sink.append(triplet);
+  }
 }
 
 /// The intermediate passes of one bounded merge: their count, the run
 /// bytes they wrote, and the pass outputs still on disk, which are deleted
-/// when this goes out of scope unless keep() hands them to the caller.
+/// when this goes out of scope.
 struct PassFiles {
   std::uint64_t count = 0;
   std::uint64_t bytes = 0;
@@ -304,18 +237,16 @@ struct PassFiles {
       std::filesystem::remove(file, ignored);
     }
   }
-  void keep() noexcept { files.clear(); }
 };
 
 /// Merges the smallest of `runs` in passes of at most kMergeFanIn until no
 /// more than kMergeFanIn remain, and returns those. Pass n writes
-/// passPath(n); a pass output that a later pass consumes is deleted at
-/// once, so `passes.files` ends up naming the pass outputs among the
+/// `<stem>.p<n>.spl`; a pass output that a later pass consumes is deleted
+/// at once, so `passes.files` ends up naming the pass outputs among the
 /// returned runs. Input runs are only read.
-std::vector<SpillRunInfo> mergeToFanIn(
-    std::vector<SpillRunInfo> runs,
-    const std::function<std::filesystem::path(std::uint64_t)>& passPath,
-    PassFiles& passes) {
+std::vector<SpillRunInfo> mergeToFanIn(std::vector<SpillRunInfo> runs,
+                                       const std::string& stem,
+                                       PassFiles& passes) {
   if (runs.size() <= kMergeFanIn) {
     return runs;
   }
@@ -330,15 +261,9 @@ std::vector<SpillRunInfo> mergeToFanIn(
   while (runs.size() > kMergeFanIn) {
     runtime::fault::hit("spill.merge");
     const std::span<const SpillRunInfo> inputs(runs.data(), take);
-    SpillRunWriter writer(passPath(passes.count));
-    {
-      const std::unique_ptr<TripletMerger> merger =
-          mergeRuns(inputs, SpillReadahead::kNone);
-      AdjacencyTriplet triplet;
-      while (merger->next(triplet)) {
-        writer.append(triplet);
-      }
-    }
+    SpillRunWriter writer(stem + ".p" + std::to_string(passes.count) +
+                          ".spl");
+    mergeRuns(inputs, writer);
     SpillRunInfo merged = writer.finish();
     passes.files.push_back(merged.file);
     ++passes.count;
@@ -494,31 +419,6 @@ void SpillingAccumulator::retireRunFile(std::filesystem::path file) {
   }
 }
 
-std::unique_ptr<TripletSource> SpillingAccumulator::finishMerge() {
-  spillAll();
-  if (runs_.size() > kMergeFanIn) {
-    PassFiles passes;
-    std::vector<SpillRunInfo> left = mergeToFanIn(
-        runs_, [this](std::uint64_t) { return nextRunPath(); }, passes);
-    // The surviving pass outputs become live runs; every original input a
-    // pass consumed is superseded.
-    std::set<std::filesystem::path> kept;
-    for (const SpillRunInfo& run : left) {
-      kept.insert(run.file);
-    }
-    for (SpillRunInfo& run : runs_) {
-      if (!kept.contains(run.file)) {
-        retireRunFile(std::move(run.file));
-      }
-    }
-    runs_ = std::move(left);
-    stats_.compactions += passes.count;
-    stats_.spilledBytes += passes.bytes;
-    passes.keep();
-  }
-  return mergeRuns(runs_, SpillReadahead::kNone);
-}
-
 void SpillingAccumulator::splitRun(const SpillRunInfo& run,
                                    std::vector<SpillRunInfo>& out) {
   SpillRunReader reader(run.file);
@@ -669,21 +569,10 @@ ShardSegment mergeShardRuns(std::uint32_t shard,
   const std::string stem =
       (segmentFile.parent_path() / segmentFile.stem()).string();
   PassFiles passes;
-  const std::vector<SpillRunInfo> left = mergeToFanIn(
-      {runs.begin(), runs.end()},
-      [&stem](std::uint64_t pass) {
-        return stem + ".p" + std::to_string(pass) + ".spl";
-      },
-      passes);
+  const std::vector<SpillRunInfo> left =
+      mergeToFanIn({runs.begin(), runs.end()}, stem, passes);
   TripletSegmentWriter writer(segmentFile);
-  {
-    const std::unique_ptr<TripletMerger> merger =
-        mergeRuns(left, SpillReadahead::kDoubleBuffer);
-    AdjacencyTriplet triplet;
-    while (merger->next(triplet)) {
-      writer.append(triplet);
-    }
-  }
+  mergeRuns(left, writer);
   ShardSegment segment = writer.finish();
   segment.shard = shard;
   segment.mergePasses = passes.count;

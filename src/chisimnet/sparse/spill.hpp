@@ -1,14 +1,10 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chisimnet/sparse/adjacency.hpp"
@@ -19,7 +15,8 @@
 /// Chicago week needs more accumulator memory than a single box has, so the
 /// workers' sums arrive as CRC-framed sorted runs, the way the paper's
 /// workers return sorted compressed matrices (§IV.A), and stage 6 finishes
-/// with an external k-way merge, sparse/adjacency.hpp's TripletMerger).
+/// with one external k-way merge per row-range shard, mergeShardRuns over
+/// sparse/adjacency.hpp's TripletMerger, run by the shard's owner).
 ///
 /// Spill-run container (CSPL1):
 ///   header  magic "CSPL" | version u32 | tripletCount u64 (patched last)
@@ -36,8 +33,8 @@
 ///
 /// Fault sites: "spill.write" fires in SpillRunWriter::finish() before the
 /// rename (a kThrow models a crash mid-spill, leaving the .tmp orphan);
-/// "spill.merge" fires before each intermediate pass of a bounded merge
-/// (mergeShardRuns, finishMerge), when no pass has touched its inputs.
+/// "spill.merge" fires before each intermediate pass of mergeShardRuns,
+/// when no pass has touched its inputs.
 
 namespace chisimnet::sparse {
 
@@ -66,16 +63,6 @@ struct SpillRunInfo {
         static_cast<std::uint32_t>(lastKey >> 32) / rowsPerShard;
     return first == last ? static_cast<std::int64_t>(first) : -1;
   }
-};
-
-/// Read mode of a SpillRunReader.
-enum class SpillReadahead {
-  /// Synchronous single-frame reads on the consumer thread.
-  kNone,
-  /// Double-buffered: a background thread decodes and CRC-checks the next
-  /// frame while the merge drains the current one, so merge wall-time
-  /// tracks disk bandwidth instead of single-frame latency.
-  kDoubleBuffer,
 };
 
 /// Triplets per CRC frame (64 Ki rows = 1 MiB payload): the unit of both
@@ -117,31 +104,23 @@ class SpillRunWriter {
   bool finished_ = false;
 };
 
-/// Streams a CSPL1 run back, one CRC-checked frame resident at a time.
-/// Double-buffered, a background prefetcher decodes the *next* frame into
-/// a standby buffer while the consumer drains the current one (exactly one
-/// frame in flight), so a k-way merge's per-run stalls overlap instead of
-/// serializing. The shard merge reads double-buffered; every other reader
-/// is synchronous.
+/// Streams a CSPL1 run back, one CRC-checked frame resident at a time,
+/// read synchronously on the caller's thread. Every reader is this one:
+/// worker and checkpoint runs folded into a dense map, straddler splits,
+/// and each input of an owner's merge passes and final merge.
 class SpillRunReader final : public TripletSource {
  public:
-  explicit SpillRunReader(std::filesystem::path path,
-                          SpillReadahead readahead = SpillReadahead::kNone);
-  ~SpillRunReader() override;
+  explicit SpillRunReader(std::filesystem::path path);
 
   bool next(AdjacencyTriplet& out) override;
 
   /// Total triplets the header declares.
   std::uint64_t tripletCount() const noexcept { return total_; }
-  std::uint64_t sizeHint() const noexcept override { return total_; }
 
  private:
-  /// Reads, CRC-checks and decodes one frame into `dest`; false on a clean
-  /// end of file (after validating the header count). Called only by the
-  /// owning read context: the consumer in kNone mode, the prefetcher
-  /// thread otherwise.
-  bool decodeFrame(std::vector<AdjacencyTriplet>& dest);
-  void prefetchLoop();
+  /// Reads, CRC-checks and decodes the next frame into frame_; false on a
+  /// clean end of file (after validating the header count).
+  bool readFrame();
   [[noreturn]] void fail(const std::string& what, std::uint64_t offset) const;
 
   std::filesystem::path path_;
@@ -151,18 +130,6 @@ class SpillRunReader final : public TripletSource {
   std::uint64_t total_ = 0;
   std::uint64_t decoded_ = 0;
   bool exhausted_ = false;
-
-  // Double-buffer machinery (kDoubleBuffer only).
-  SpillReadahead readahead_ = SpillReadahead::kNone;
-  std::thread prefetcher_;
-  std::mutex mutex_;
-  std::condition_variable frameReady_;
-  std::condition_variable frameTaken_;
-  std::vector<AdjacencyTriplet> staged_;
-  bool stagedFull_ = false;
-  bool producerDone_ = false;
-  bool stop_ = false;
-  std::exception_ptr producerError_;
 };
 
 /// Spill activity counters, folded into SynthesisReport.
@@ -170,7 +137,6 @@ struct SpillStats {
   std::uint64_t runsWritten = 0;      ///< run files produced (incl. adopted)
   std::uint64_t spilledTriplets = 0;  ///< triplet rows that went to disk
   std::uint64_t spilledBytes = 0;     ///< run file bytes written
-  std::uint64_t compactions = 0;      ///< finishMerge's merge passes
   /// Runs rewritten at shard boundaries because they straddled one when a
   /// per-shard merge plan was built.
   std::uint64_t runsSplit = 0;
@@ -183,20 +149,6 @@ struct SpillStats {
   /// bounded by each worker's flush threshold plus the largest single
   /// place's pair block (per-place kernels cannot flush mid-place).
   std::uint64_t peakWorkerBytes = 0;
-
-  void merge(const SpillStats& other) noexcept {
-    runsWritten += other.runsWritten;
-    spilledTriplets += other.spilledTriplets;
-    spilledBytes += other.spilledBytes;
-    compactions += other.compactions;
-    runsSplit += other.runsSplit;
-    peakResidentBytes = peakResidentBytes > other.peakResidentBytes
-                            ? peakResidentBytes
-                            : other.peakResidentBytes;
-    peakWorkerBytes = peakWorkerBytes > other.peakWorkerBytes
-                          ? peakWorkerBytes
-                          : other.peakWorkerBytes;
-  }
 };
 
 /// The memory-bounded cross-batch accumulator: a ledger of sorted runs.
@@ -204,9 +156,10 @@ struct SpillStats {
 /// (a checkpoint's), plus the in-memory sorted runs it was handed and
 /// keeps (worker remainders, mp inline runs). Nothing is hashed or
 /// re-sorted: kept runs are written as they are, shard-pure, through
-/// writeShardRuns. Runs overlap in key range; the final merge
-/// (TripletMerger over SpillRunReaders) sums duplicates, so the drained
-/// stream equals the unbounded accumulator's sorted triplets bit for bit.
+/// writeShardRuns. Runs overlap in key range; the accumulator's one finish
+/// is buildShardMergePlan, whose groups the shard owners merge with
+/// mergeShardRuns, summing duplicates, so the spliced segments equal the
+/// unbounded accumulator's sorted triplets bit for bit.
 class SpillingAccumulator {
  public:
   struct Options {
@@ -222,8 +175,7 @@ class SpillingAccumulator {
     /// Run files are named <runPrefix><n>.spl; numbering resumes above any
     /// existing files with this prefix in dir.
     std::string runPrefix = "run.";
-    /// true: superseded runs (split straddlers, finishMerge pass inputs)
-    /// are retired (takeRetiredFiles) instead of deleted, so a checkpoint
+    /// true: superseded runs (split straddlers, emptied runs) are retired (takeRetiredFiles) instead of deleted, so a checkpoint
     /// manifest that still references them stays valid until the next
     /// manifest rename.
     bool deferDeletes = false;
@@ -273,15 +225,8 @@ class SpillingAccumulator {
 
   /// Writes every kept run to disk (writeShardRuns: one run per touched
   /// shard). Afterwards the full accumulated state is the live run files —
-  /// what a checkpoint persists and what finishMerge() streams.
+  /// what a checkpoint persists and what the merge plan groups.
   void spillAll();
-
-  /// Writes the kept runs, merges the smallest live runs in bounded
-  /// passes until at most kMergeFanIn remain (the pass outputs replace
-  /// their inputs in liveRuns()), then returns the k-way merge over them:
-  /// the final sorted, duplicate-summed stream. The accumulator must not
-  /// be modified while the stream is being drained.
-  std::unique_ptr<TripletSource> finishMerge();
 
   /// One row-range shard's slice of the merge plan: every live run whose
   /// keys fall in that shard. Groups come back in ascending shard order,
@@ -397,14 +342,13 @@ void writeShardRuns(const std::filesystem::path& dir,
 /// segments in ascending shard order.
 ///
 /// Over more than kMergeFanIn runs the owner first merges the smallest
-/// ones in intermediate passes (read synchronously), the first pass sized
+/// ones in intermediate passes, the first pass sized
 /// so that every later one is a full kMergeFanIn-way merge. Pass n writes
 /// `<segment stem>.p<n>.spl` beside the segment, so a retried command
 /// rewrites its own files and a reassigned one (new token in the segment
 /// name) never collides with them; every pass file is gone once the
-/// segment is in place, and the input runs are never touched. The final
-/// pass reads double-buffered. The segment reports the pass count and the
-/// bytes the passes wrote.
+/// segment is in place, and the input runs are never touched. The segment
+/// reports the pass count and the bytes the passes wrote.
 ShardSegment mergeShardRuns(std::uint32_t shard,
                             std::span<const SpillRunInfo> runs,
                             const std::filesystem::path& segmentFile);

@@ -908,7 +908,9 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
               FaultSpec{.action = FaultAction::kThrow, .hit = 3});
       runtime::fault::ScopedFaultPlan scoped(plan);
       NetworkSynthesizer interrupted(config);
-      EXPECT_THROW(interrupted.synthesizeAdjacency(files), FaultInjected)
+      EXPECT_THROW(interrupted.synthesizeToFile(
+                       files, scratch.path() / ("dead_" + label + ".cadj")),
+                   FaultInjected)
           << label;
       EXPECT_GE(interrupted.report().checkpointsWritten, 1u) << label;
     }
@@ -925,8 +927,12 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
 
     config.resume = true;
     NetworkSynthesizer resumed(config);
-    const auto adjacency = resumed.synthesizeAdjacency(files);
-    expectEqualAdjacency(adjacency, reference, label + " spill resume");
+    const std::filesystem::path out =
+        scratch.path() / ("resumed_" + label + ".cadj");
+    EXPECT_EQ(resumed.synthesizeToFile(files, out), reference.edgeCount())
+        << label;
+    EXPECT_EQ(sparse::loadTriplets(out), reference.toTriplets())
+        << label << " spill resume";
     const SynthesisReport& report = resumed.report();
     EXPECT_TRUE(report.resumed) << label;
     EXPECT_EQ(report.filesSkippedByResume, 2u) << label;
@@ -1038,17 +1044,22 @@ TEST(PayloadCapTest, OversizedStageFiveReplySpillsInsteadOfAborting) {
   ScratchDir scratch("chisimnet_fault_payload_cap");
   const auto files = writePlacePartitionedFiles(events, scratch.path(), 2);
 
-  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{1}}) {
-    SynthesisConfig config;
-    config.windowStart = 0;
-    config.windowEnd = 8;
-    config.workers = 2;
-    config.backend = SynthesisBackend::kMessagePassing;
-    config.memoryBudgetBytes = budget;
+  SynthesisConfig config;
+  config.windowStart = 0;
+  config.windowEnd = 8;
+  config.workers = 2;
+  config.backend = SynthesisBackend::kMessagePassing;
+  {
     NetworkSynthesizer synthesizer(config);
     expectEqualAdjacency(synthesizer.synthesizeAdjacency(files), reference,
-                         "payload cap, budget " + std::to_string(budget));
+                         "payload cap, unbudgeted");
   }
+  config.memoryBudgetBytes = 1;
+  NetworkSynthesizer synthesizer(config);
+  const std::filesystem::path out = scratch.path() / "budgeted.cadj";
+  EXPECT_EQ(synthesizer.synthesizeToFile(files, out), reference.edgeCount());
+  EXPECT_EQ(sparse::loadTriplets(out), reference.toTriplets())
+      << "payload cap, budget 1";
 }
 
 }  // namespace

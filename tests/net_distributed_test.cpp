@@ -277,7 +277,7 @@ TEST(CollocationSerialization, RoundTrip) {
   in.f64();  // busy seconds
   EXPECT_EQ(in.u64(), 2u);
   EXPECT_EQ(in.u64(), expectedNnz);
-  for (int stat = 0; stat < 6; ++stat) {
+  for (int stat = 0; stat < 5; ++stat) {
     in.u64();  // kernel stats and peak local bytes
   }
   ASSERT_EQ(in.u32(), 1u);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "chisimnet/elog/clg5.hpp"
 #include "chisimnet/elog/log_directory.hpp"
@@ -221,6 +223,49 @@ TEST_F(SynthesisFileTest, MultiBatchFileProcessingMatchesWholeRun) {
   expectEqualAdjacency(batched.synthesizeAdjacency(files),
                        whole.synthesizeAdjacency(files));
   EXPECT_EQ(batched.report().batches, 1u);
+}
+
+/// True when `call` throws std::invalid_argument naming synthesizeToFile.
+template <typename Call>
+bool refusedTowardToFile(Call call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& error) {
+    return std::string(error.what()).find("synthesizeToFile") !=
+           std::string::npos;
+  }
+  return false;
+}
+
+/// A budgeted run finishes on disk: the in-memory entry points refuse a
+/// budget, naming synthesizeToFile, and the synthesizer still runs the
+/// budgeted finish afterwards.
+TEST_F(SynthesisFileTest, BudgetedAdjacencyFromFilesNamesSynthesizeToFile) {
+  const table::EventTable events = randomEvents(14, 300);
+  const auto files = writeFiles(events, 3);
+  SynthesisConfig config = baseConfig();
+  config.memoryBudgetBytes = std::uint64_t{16} << 20;
+  NetworkSynthesizer synthesizer(config);
+  EXPECT_TRUE(
+      refusedTowardToFile([&] { synthesizer.synthesizeAdjacency(files); }));
+  EXPECT_TRUE(refusedTowardToFile([&] { synthesizer.synthesizeGraph(files); }));
+
+  NetworkSynthesizer unbudgeted(baseConfig());
+  const sparse::SymmetricAdjacency want = unbudgeted.synthesizeAdjacency(files);
+  const std::filesystem::path out = scratch_.path() / "budgeted.cadj";
+  EXPECT_EQ(synthesizer.synthesizeToFile(files, out), want.edgeCount());
+  EXPECT_EQ(sparse::loadTriplets(out), want.toTriplets());
+}
+
+TEST(Synthesis, BudgetedAdjacencyFromTableNamesSynthesizeToFile) {
+  const table::EventTable events = randomEvents(15, 300);
+  SynthesisConfig config = baseConfig();
+  config.memoryBudgetBytes = 1;
+  NetworkSynthesizer synthesizer(config);
+  EXPECT_TRUE(
+      refusedTowardToFile([&] { synthesizer.synthesizeAdjacency(events); }));
+  EXPECT_TRUE(
+      refusedTowardToFile([&] { synthesizer.synthesizeGraph(events); }));
 }
 
 TEST(Synthesis, RejectsBadConfig) {

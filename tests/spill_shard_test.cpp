@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -23,12 +22,12 @@
 
 /// Sharded external-merge suite: the shard merge plan (straddler splitting,
 /// empty and single-row shards, unknown-range runs), per-shard segment
-/// merges whose concatenation must be byte-identical to the serial
-/// loser-tree CADJ across readahead modes, the orphaned-.tmp fresh-start
-/// sweep, end-to-end byte identity across shard counts and backends, the
-/// extended checkpoint manifest (key ranges + merge segments), cross-mode
-/// resume under a sharded merge, and kill-during-merge resume that re-merges
-/// only the unfinished shards.
+/// merges whose concatenation must be byte-identical to a one-shard
+/// loser-tree CADJ, a torn run inside an owner's merge, the orphaned-.tmp
+/// fresh-start sweep, end-to-end byte identity across shard counts and
+/// backends, the extended checkpoint manifest (key ranges + merge
+/// segments), cross-mode resume under a sharded merge, and
+/// kill-during-merge resume that re-merges only the unfinished shards.
 
 namespace chisimnet::sparse {
 namespace {
@@ -86,42 +85,6 @@ std::string fileBytes(const std::filesystem::path& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// Appends a segment's rows to `out`. A segment is a raw CADJ payload,
-/// not a CSPL1 run — read it directly.
-void appendSegmentRows(const ShardSegment& segment,
-                       std::vector<AdjacencyTriplet>& out) {
-  std::ifstream in(segment.file, std::ios::binary);
-  std::vector<char> bytes(static_cast<std::size_t>(segment.bytes));
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_EQ(static_cast<std::uint64_t>(in.gcount()), segment.bytes);
-  for (std::uint64_t row = 0; row < segment.triplets; ++row) {
-    const char* base = bytes.data() + row * 16;
-    auto load32 = [&](std::size_t at) {
-      std::uint32_t v = 0;
-      std::memcpy(&v, base + at, 4);
-      return v;
-    };
-    std::uint64_t weight = 0;
-    std::memcpy(&weight, base + 8, 8);
-    out.push_back(AdjacencyTriplet{load32(0), load32(4), weight});
-  }
-}
-
-/// Merges every group serially through mergeShardRuns and splices the
-/// segments ascending — the driver's sharded tail, minus the executor.
-std::vector<AdjacencyTriplet> mergePlanToTriplets(
-    const std::vector<SpillingAccumulator::ShardRunGroup>& plan,
-    const std::filesystem::path& dir) {
-  std::vector<AdjacencyTriplet> out;
-  for (const auto& group : plan) {
-    appendSegmentRows(
-        mergeShardRuns(group.shard, group.runs,
-                       dir / ("seg." + std::to_string(group.shard) + ".cseg")),
-        out);
-  }
-  return out;
-}
-
 // ---- shard merge plan ----
 
 TEST(ShardMergePlanTest, StraddlingRunsAreSplitShardPure) {
@@ -175,7 +138,8 @@ TEST(ShardMergePlanTest, StraddlingRunsAreSplitShardPure) {
   }
   EXPECT_EQ(planned, accumulator.liveRuns().size());
 
-  EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), bruteForceSum({adds}));
+  EXPECT_EQ(testsupport::mergePlanRows(plan, scratch.path()),
+            bruteForceSum({adds}));
 }
 
 TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
@@ -195,7 +159,7 @@ TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
   EXPECT_EQ(plan[0].shard, 2u);
   EXPECT_EQ(plan[1].shard, 7u);
   EXPECT_EQ(plan[2].shard, 40u);
-  EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), want);
+  EXPECT_EQ(testsupport::mergePlanRows(plan, scratch.path()), want);
 }
 
 TEST(ShardMergePlanTest, EmptyAccumulatorYieldsEmptyPlan) {
@@ -222,24 +186,22 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
     }
   };
 
-  // Serial reference: one loser tree over all runs into a CADJ.
+  // Serial reference: at the default shard width every run falls in one
+  // shard, so one loser tree merges them all; its rows go into a CADJ.
   const std::filesystem::path serialOut = scratch.path() / "serial.cadj";
   {
     SpillingAccumulator::Options options;
     options.dir = scratch.path() / "serial";
     SpillingAccumulator accumulator(options);
     feed(accumulator);
-    const auto merged = accumulator.finishMerge();
-    std::vector<AdjacencyTriplet> rows;
-    AdjacencyTriplet triplet;
-    while (merged->next(triplet)) {
-      rows.push_back(triplet);
-    }
-    saveTriplets(rows, serialOut);
+    std::vector<ShardSegment> segments;
+    saveTriplets(
+        testsupport::drainAccumulator(accumulator, options.dir, &segments),
+        serialOut);
+    ASSERT_EQ(segments.size(), 1u);
   }
   const std::string serialBytes = fileBytes(serialOut);
 
-  // The shard merge reads its runs double-buffered.
   SpillingAccumulator::Options options;
   options.dir = scratch.path() / "sharded";
   options.rowsPerShard = 16;  // 96-row space -> several shards
@@ -259,28 +221,35 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
   EXPECT_EQ(fileBytes(out), serialBytes);
 }
 
-TEST(ShardMergeTest, ReadaheadReaderDetectsTruncation) {
-  ScratchDir scratch("chisimnet_shard_readahead_trunc");
+/// A run torn at rest fails its owner's merge with the run's file and
+/// byte offset in the error, not a short segment. The tear is in the
+/// second frame, so the merge has already streamed a whole frame of rows
+/// when it finds it; no segment is left under its real name.
+TEST(ShardMergeTest, TruncatedRunFailsTheOwnerMerge) {
+  ScratchDir scratch("chisimnet_shard_merge_trunc");
   util::Rng rng(109);
-  const std::vector<AdjacencyTriplet> run = makeRun(rng, 5000, 1u << 16);
-  const std::filesystem::path path = scratch.path() / "run.0.spl";
-  {
-    SpillRunWriter writer(path);
+  std::vector<SpillRunInfo> runs;
+  for (int n = 0; n < 3; ++n) {
+    const std::vector<AdjacencyTriplet> run =
+        makeRun(rng, n == 1 ? kSpillFrameTriplets + 5000 : 500, 1u << 16);
+    SpillRunWriter writer(scratch.path() /
+                          ("run." + std::to_string(n) + ".spl"));
     writer.append(std::span<const AdjacencyTriplet>(run));
-    writer.finish();
+    runs.push_back(writer.finish());
   }
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
-  // The corruption is found on the prefetcher thread; the error must
-  // surface on the consumer with the same file-and-offset context.
-  SpillRunReader reader(path, SpillReadahead::kDoubleBuffer);
+  const std::filesystem::path torn = runs[1].file;
+  std::filesystem::resize_file(torn, std::filesystem::file_size(torn) - 1000);
+  const std::filesystem::path segmentFile = scratch.path() / "seg.0.cseg";
   try {
-    drain(reader);
-    FAIL() << "truncated run should be rejected through the prefetcher";
+    mergeShardRuns(0, runs, segmentFile);
+    FAIL() << "a truncated run should fail the shard merge";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
-    EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+    EXPECT_NE(what.find(torn.string()), std::string::npos) << what;
     EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+    EXPECT_NE(what.find("byte offset"), std::string::npos) << what;
   }
+  EXPECT_FALSE(std::filesystem::exists(segmentFile));
 }
 
 /// 70 tiny one-shard runs with overlapping keys: the owner merges them in
@@ -320,9 +289,7 @@ TEST(ShardMergeTest, BoundedPassesMatchOneWideMerge) {
         static_cast<int>(kMergeFanIn) + 1);
     segment = mergeShardRuns(0, runs, scratch.path() / "seg.0.t9.cseg");
   }
-  std::vector<AdjacencyTriplet> merged;
-  appendSegmentRows(segment, merged);
-  EXPECT_EQ(merged, wide);
+  EXPECT_EQ(testsupport::segmentRows(segment), wide);
   // A first pass of 8 leaves 63 runs, one full pass leaves 32.
   EXPECT_EQ(segment.mergePasses, 2u);
   EXPECT_GT(segment.mergePassBytes, 0u);
@@ -367,7 +334,7 @@ TEST(SpillGcTest, FreshStartSweepsOrphanedTmpRuns) {
   accumulator.addSortedRun({AdjacencyTriplet{1, 2, 3}});
   accumulator.spillAll();
   ASSERT_EQ(accumulator.liveRuns().size(), 1u);
-  EXPECT_EQ(drain(*accumulator.finishMerge()),
+  EXPECT_EQ(testsupport::drainAccumulator(accumulator, scratch.path()),
             (std::vector<AdjacencyTriplet>{AdjacencyTriplet{1, 2, 3}}));
 }
 

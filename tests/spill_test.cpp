@@ -330,8 +330,7 @@ TEST(SpillingAccumulatorTest, MatchesBruteForceAcrossSpills) {
       accumulator.addSortedRun(std::move(run));
     }
     EXPECT_GT(accumulator.stats().runsWritten, 0u);
-    const auto merged = accumulator.finishMerge();
-    EXPECT_EQ(drain(*merged), want);
+    EXPECT_EQ(testsupport::drainAccumulator(accumulator, options.dir), want);
   }
 }
 
@@ -360,8 +359,8 @@ TEST(SpillingAccumulatorTest, PeakNeverExceedsTheBudget) {
   EXPECT_GT(accumulator.stats().peakResidentBytes, 0u);
   EXPECT_LE(accumulator.stats().peakResidentBytes, budget);
 
-  const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged), bruteForceSum(runs));
+  EXPECT_EQ(testsupport::drainAccumulator(accumulator, scratch.path()),
+            bruteForceSum(runs));
   EXPECT_EQ(accumulator.residentBytes(), 0u);
   EXPECT_LE(accumulator.stats().peakResidentBytes, budget);
 }
@@ -417,9 +416,10 @@ TEST(SpillingAccumulatorTest, AddSortedRunRejectsMalformedRuns) {
 }
 
 /// The bound is on the merge, not the live set: 70 live runs stay 70
-/// until finishMerge, whose passes bring them down to kMergeFanIn. The
-/// whole merge runs with room for only kMergeFanIn readers plus one pass
-/// writer, so a merge that opened more runs at once would fail to open.
+/// through the merge plan, and the shard owner's passes bring them down to
+/// kMergeFanIn. The whole merge runs with room for only kMergeFanIn
+/// readers plus one writer, so a merge that opened more runs at once would
+/// fail to open.
 TEST(SpillingAccumulatorTest, CompactionBoundsLiveRuns) {
   ScratchDir scratch("chisimnet_spill_acc_compact");
   util::Rng rng(47);
@@ -435,19 +435,21 @@ TEST(SpillingAccumulatorTest, CompactionBoundsLiveRuns) {
     accumulator.spillAll();
   }
   ASSERT_EQ(accumulator.liveRuns().size(), 70u);
-  EXPECT_EQ(accumulator.stats().compactions, 0u);
 
   std::vector<AdjacencyTriplet> drained;
+  std::vector<ShardSegment> segments;
   {
     const testsupport::OpenFileHeadroom headroom(
         static_cast<int>(kMergeFanIn) + 1);
-    const auto merged = accumulator.finishMerge();
-    drained = drain(*merged);
+    drained =
+        testsupport::drainAccumulator(accumulator, scratch.path(), &segments);
   }
   EXPECT_EQ(drained, adds);
+  // The passes are the owner's: the live set is never compacted.
+  EXPECT_EQ(accumulator.liveRuns().size(), 70u);
   // 70 runs: a first pass of 8 leaves 63, one full pass leaves 32.
-  EXPECT_EQ(accumulator.stats().compactions, 2u);
-  EXPECT_EQ(accumulator.liveRuns().size(), kMergeFanIn);
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_EQ(segments[0].mergePasses, 2u);
 }
 
 /// Adoption only records a run: 100 adoptions read and write nothing, so
@@ -475,7 +477,6 @@ TEST(SpillingAccumulatorTest, AdoptionNeverRewritesRuns) {
   EXPECT_EQ(accumulator.stats().runsWritten, 100u);
   EXPECT_EQ(accumulator.stats().spilledTriplets, triplets);
   EXPECT_EQ(accumulator.stats().spilledBytes, bytes);
-  EXPECT_EQ(accumulator.stats().compactions, 0u);
   ASSERT_EQ(accumulator.liveRuns().size(), 100u);
   std::vector<std::string> onDisk;
   for (const auto& entry : std::filesystem::directory_iterator(scratch.path())) {
@@ -511,8 +512,7 @@ TEST(SpillingAccumulatorTest, AdoptRenamesIntoOwnNamespace) {
   const std::string adopted =
       accumulator.liveRuns()[0].file.filename().string();
   EXPECT_TRUE(adopted.starts_with("run.")) << adopted;
-  const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged),
+  EXPECT_EQ(testsupport::drainAccumulator(accumulator, scratch.path()),
             (std::vector<AdjacencyTriplet>{AdjacencyTriplet{1, 2, 5}}));
 }
 

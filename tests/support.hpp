@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <string>
 #include <system_error>
@@ -17,6 +18,9 @@
 #include "chisimnet/elog/log_directory.hpp"
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/sparse/adjacency.hpp"
+#include "chisimnet/sparse/adjacency_io.hpp"
+#include "chisimnet/sparse/spill.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 
 /// Fixtures shared by the test binaries: a hermetic scratch directory and
@@ -91,6 +95,55 @@ inline std::vector<std::vector<sparse::AdjacencyTriplet>> sortedSlices(
                         rows.begin() + static_cast<std::ptrdiff_t>(end));
   }
   return slices;
+}
+
+/// The rows of a finished merge segment. A segment is a headerless CADJ
+/// payload, not a CSPL1 run: it is read in place as one row block.
+inline std::vector<sparse::AdjacencyTriplet> segmentRows(
+    const sparse::ShardSegment& segment) {
+  std::vector<sparse::AdjacencyTriplet> rows(
+      static_cast<std::size_t>(segment.triplets));
+  const std::span<std::byte> bytes =
+      util::writableRowBytes(std::span<sparse::AdjacencyTriplet>(rows));
+  std::ifstream in(segment.file, std::ios::binary);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  EXPECT_EQ(static_cast<std::uint64_t>(in.gcount()), segment.bytes)
+      << segment.file;
+  return rows;
+}
+
+/// Merges every group of a shard merge plan through mergeShardRuns, one
+/// segment per shard written into `segmentDir`, and returns the segments'
+/// rows in ascending shard order: synthesizeToFile's sharded tail, minus
+/// the executor. `segments`, when given, receives each group's segment.
+inline std::vector<sparse::AdjacencyTriplet> mergePlanRows(
+    const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& plan,
+    const std::filesystem::path& segmentDir,
+    std::vector<sparse::ShardSegment>* segments = nullptr) {
+  std::vector<sparse::AdjacencyTriplet> rows;
+  for (const auto& group : plan) {
+    const sparse::ShardSegment segment = sparse::mergeShardRuns(
+        group.shard, group.runs,
+        segmentDir / ("seg." + std::to_string(group.shard) + ".cseg"));
+    const std::vector<sparse::AdjacencyTriplet> part = segmentRows(segment);
+    rows.insert(rows.end(), part.begin(), part.end());
+    if (segments != nullptr) {
+      segments->push_back(segment);
+    }
+  }
+  return rows;
+}
+
+/// A spilling accumulator's one finish: buildShardMergePlan, then
+/// mergePlanRows over the plan. The result is the sorted,
+/// duplicate-summed triplets of everything the accumulator was given.
+inline std::vector<sparse::AdjacencyTriplet> drainAccumulator(
+    sparse::SpillingAccumulator& accumulator,
+    const std::filesystem::path& segmentDir,
+    std::vector<sparse::ShardSegment>* segments = nullptr) {
+  return mergePlanRows(accumulator.buildShardMergePlan(), segmentDir,
+                       segments);
 }
 
 struct FuzzCase {

@@ -158,7 +158,16 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
   // knob, never an output knob. A tight budget (forces spills every few
   // batches) and a pathological one (the 4 KiB threshold floor: spill on
   // practically every batch) must both stay bit-identical to the brute
-  // force, per backend.
+  // force, per backend. A budgeted run finishes on disk: the streaming
+  // file writer must produce the same CADJ bytes as saving the reference —
+  // across the merge-shard width axis. 0 (auto) collapses fuzz-case person
+  // counts into one shard; 16 rows per shard exercises a multi-segment
+  // merge plan. The width is a perf knob only, never an output knob.
+  const std::filesystem::path dense = scratch.path() / "dense.cadj";
+  sparse::saveAdjacency(reference, dense);
+  std::ifstream b(dense, std::ios::binary);
+  const std::string bytesB((std::istreambuf_iterator<char>(b)),
+                           std::istreambuf_iterator<char>());
   for (const std::uint64_t budget : {std::uint64_t{32} * 1024,
                                      std::uint64_t{1}}) {
     for (const SynthesisBackend backend :
@@ -170,30 +179,6 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
       const std::string label = "seed " + std::to_string(seed) + " " +
                                 backendName(backend) + " budget " +
                                 std::to_string(budget);
-      NetworkSynthesizer synthesizer(config);
-      expectEqualAdjacency(synthesizer.synthesizeAdjacency(files), reference,
-                           label);
-      const SynthesisReport& report = synthesizer.report();
-      EXPECT_EQ(report.memoryBudgetBytes, budget) << label;
-      EXPECT_GT(report.spillRunsWritten, 0u) << label;
-      // Budget ceiling, floor-aware: sub-threshold budgets are clamped to
-      // the 4 KiB spill-threshold floor, so the enforceable cap is
-      // max(budget, a few multiples of the floor).
-      EXPECT_LE(report.peakAccumulatorBytes,
-                std::max<std::uint64_t>(budget, 16 * 1024))
-          << label;
-
-      // The streaming file writer must produce the same CADJ bytes as
-      // saving the equivalent in-memory result — across the merge-shard
-      // width axis. 0 (auto) collapses fuzz-case person counts into one
-      // shard; 16 rows per shard exercises a multi-segment merge plan. The
-      // width is a perf knob only, never an output knob.
-      const std::filesystem::path dense =
-          scratch.path() / ("dense_" + label + ".cadj");
-      sparse::saveAdjacency(reference, dense);
-      std::ifstream b(dense, std::ios::binary);
-      const std::string bytesB((std::istreambuf_iterator<char>(b)),
-                               std::istreambuf_iterator<char>());
       for (const std::uint32_t rowsPerShard : {0u, 16u}) {
         config.mergeRowsPerShard = rowsPerShard;
         const std::string shardLabel =
@@ -204,11 +189,21 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
         const std::uint64_t edges =
             streaming.synthesizeToFile(files, streamed);
         EXPECT_EQ(edges, reference.edgeCount()) << shardLabel;
+        expectEqualAdjacency(sparse::loadAdjacency(streamed), reference,
+                             shardLabel);
         std::ifstream a(streamed, std::ios::binary);
         const std::string bytesA((std::istreambuf_iterator<char>(a)),
                                  std::istreambuf_iterator<char>());
         EXPECT_EQ(bytesA, bytesB) << shardLabel;
-        EXPECT_EQ(streaming.report().reduceShardsUsed, config.workers)
+        const SynthesisReport& report = streaming.report();
+        EXPECT_EQ(report.reduceShardsUsed, config.workers) << shardLabel;
+        EXPECT_EQ(report.memoryBudgetBytes, budget) << shardLabel;
+        EXPECT_GT(report.spillRunsWritten, 0u) << shardLabel;
+        // Budget ceiling, floor-aware: sub-threshold budgets are clamped
+        // to the 4 KiB spill-threshold floor, so the enforceable cap is
+        // max(budget, a few multiples of the floor).
+        EXPECT_LE(report.peakAccumulatorBytes,
+                  std::max<std::uint64_t>(budget, 16 * 1024))
             << shardLabel;
       }
       config.mergeRowsPerShard = 0;

@@ -194,6 +194,13 @@ class Args {
   mutable std::set<std::string> read_;
 };
 
+/// A byte count in whole MiB, or in whole KiB below 1 MiB.
+std::string memorySize(std::uint64_t bytes) {
+  return bytes < (std::uint64_t{1} << 20)
+             ? std::to_string(bytes / 1024) + " KiB"
+             : std::to_string(bytes / 1024 / 1024) + " MiB";
+}
+
 int cmdSimulate(const Args& args) {
   pop::PopulationConfig popConfig;
   popConfig.personCount = args.num<std::uint32_t>("persons", 20000);
@@ -254,7 +261,7 @@ int cmdSimulate(const Args& args) {
             << stats.hoursActive << " active) on "
             << config.rankCount << " ranks in " << stats.wallSeconds << " s; "
             << stats.eventsLogged << " events ("
-            << stats.logBytes / 1024 / 1024 << " MiB), migration "
+            << memorySize(stats.logBytes) << "), migration "
             << 100.0 * stats.migrationFraction() << "%\n";
   if (stats.checkpointsWritten > 0 || stats.resumed) {
     std::cout << "checkpoint: " << stats.checkpointsWritten << " written to "
@@ -301,16 +308,9 @@ int cmdInfo(const Args& args) {
     totalEntries += reader.totalEntries();
   }
   std::cout << "total: " << files.size() << " files, " << totalEntries
-            << " entries, " << elog::totalFileBytes(files) / 1024 / 1024
-            << " MiB\n";
+            << " entries, " << memorySize(elog::totalFileBytes(files))
+            << "\n";
   return 0;
-}
-
-/// A byte count in whole MiB, or in whole KiB below 1 MiB.
-std::string memorySize(std::uint64_t bytes) {
-  return bytes < (std::uint64_t{1} << 20)
-             ? std::to_string(bytes / 1024) + " KiB"
-             : std::to_string(bytes / 1024 / 1024) + " MiB";
 }
 
 int cmdSynthesize(const Args& args) {
@@ -436,7 +436,7 @@ int cmdSynthesize(const Args& args) {
               << ", stage-5 transient " << memorySize(report.peakStage5Bytes)
               << ", "
               << report.spillRunsWritten << " runs ("
-              << report.spilledBytes / 1024 / 1024 << " MiB, "
+              << memorySize(report.spilledBytes) << ", "
               << report.spilledTriplets << " triplets), "
               << report.spillCompactions << " owner merge passes\n";
     std::cout << "merge: " << report.reduceShardsUsed << " owners, "
@@ -448,7 +448,7 @@ int cmdSynthesize(const Args& args) {
               << report.mergeWallSeconds << " s\n";
   }
   std::cout << "wrote " << out << " ("
-            << std::filesystem::file_size(out) / 1024 / 1024 << " MiB)\n";
+            << memorySize(std::filesystem::file_size(out)) << ")\n";
   return 0;
 }
 
@@ -500,10 +500,18 @@ int cmdAnalyze(const Args& args) {
   }
   if (!degreesOut.empty()) {
     std::ofstream out(degreesOut);
+    if (!out) {
+      throw std::runtime_error("cannot open for writing: " + degreesOut);
+    }
     out << "degree\tcount\tfraction\n";
     for (const auto& point : distribution) {
       out << point.value << '\t' << point.count << '\t' << point.fraction
           << '\n';
+    }
+    out.flush();
+    if (!out) {
+      throw std::runtime_error("degree distribution write failed: " +
+                               degreesOut);
     }
     std::cout << "wrote degree distribution to " << degreesOut << "\n";
   }
@@ -600,7 +608,8 @@ void printUsage() {
       "\n"
       "commands:\n"
       "  simulate    --logs DIR [--persons N] [--seed S] [--weeks W]\n"
-      "              [--ranks R] [--cache N] [--partition neighborhood|round-robin]\n"
+      "              [--schedule-seed S] [--ranks R] [--cache N]\n"
+      "              [--partition neighborhood|round-robin]\n"
       "              [--compress]\n"
       "              [--disease [--beta B] [--seeds K] [--disease-seed S]]\n"
       "              [--checkpoint-dir DIR [--sim-checkpoint-hours N] [--resume]]\n"
@@ -618,8 +627,9 @@ void printUsage() {
       "              [--connect-timeout-ms MS] [--connect-retries N]\n"
       "              (join a --transport tcp synthesis root from another host)\n"
       "  analyze     --net FILE.cadj [--clustering] [--communities]\n"
-      "              [--degrees-out FILE.tsv]\n"
+      "              [--seed S] [--degrees-out FILE.tsv]\n"
       "  ego         --net FILE.cadj --out PREFIX [--person P] [--radius R]\n"
+      "              [--layout-limit N] [--iterations N]\n"
       "  export      --logs DIR --out FILE.tsv [--window-start H]\n"
       "              [--window-end H]   (events as TSV for R/data.table)\n";
 }
