@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "chisimnet/util/error.hpp"
+#include "chisimnet/util/label_index.hpp"
 #include "chisimnet/util/radix_sort.hpp"
 
 namespace chisimnet::graph {
@@ -42,46 +43,6 @@ std::vector<std::uint32_t> checkedEndpointIds(
   return ids;
 }
 
-/// Maps labels back to vertices without a table sized by the ids: the
-/// sorted labels are bucketed on `id >> shift`, with the shift chosen so
-/// there are at most 2V buckets (2V+1 bucket starts). Dense ids get one
-/// label per bucket; a skewed id set degrades to a binary search within a
-/// bucket, never to an allocation in the id range.
-class LabelIndex {
- public:
-  explicit LabelIndex(std::span<const std::uint32_t> labels) : labels_(labels) {
-    if (labels.empty()) {
-      return;
-    }
-    const std::uint64_t limit = 2 * static_cast<std::uint64_t>(labels.size());
-    while ((static_cast<std::uint64_t>(labels.back()) >> shift_) >= limit) {
-      ++shift_;
-    }
-    const std::size_t buckets = (labels.back() >> shift_) + 1;
-    starts_.assign(buckets + 1, 0);
-    for (const std::uint32_t label : labels) {
-      ++starts_[(label >> shift_) + 1];
-    }
-    for (std::size_t b = 1; b <= buckets; ++b) {
-      starts_[b] += starts_[b - 1];
-    }
-  }
-
-  /// The vertex labelled `id`, which must be one of the labels.
-  Vertex vertexOf(std::uint32_t id) const noexcept {
-    const std::size_t bucket = id >> shift_;
-    const auto first = labels_.begin() + starts_[bucket];
-    const auto last = labels_.begin() + starts_[bucket + 1];
-    return static_cast<Vertex>(std::lower_bound(first, last, id) -
-                               labels_.begin());
-  }
-
- private:
-  std::span<const std::uint32_t> labels_;
-  std::vector<Vertex> starts_;  ///< bucket b holds labels[starts_[b], starts_[b+1])
-  unsigned shift_ = 0;
-};
-
 }  // namespace
 
 Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets) {
@@ -109,14 +70,14 @@ Graph Graph::assemble(std::span<const sparse::AdjacencyTriplet> triplets,
   // Degree pass. Rows arrive in ascending i, so the row vertex advances
   // with a cursor over the labels; columns go through the bucket index
   // once and are kept for the fill pass.
-  const LabelIndex index(graph.labels_);
+  const util::LabelIndex index(graph.labels_);
   std::vector<Vertex> columns(triplets.size());
   Vertex u = 0;
   for (std::size_t e = 0; e < triplets.size(); ++e) {
     while (graph.labels_[u] != triplets[e].i) {
       ++u;
     }
-    columns[e] = index.vertexOf(triplets[e].j);
+    columns[e] = index.positionOf(triplets[e].j);
     ++graph.offsets_[u + 1];
     ++graph.offsets_[columns[e] + 1];
   }

@@ -61,6 +61,7 @@ void foldSpillStats(SynthesisReport& report, const sparse::SpillStats& stats) {
   report.spillRunsWritten = stats.runsWritten;
   report.spilledTriplets = stats.spilledTriplets;
   report.spilledBytes = stats.spilledBytes;
+  report.spillRunsRestored = stats.runsRestored;
   report.peakAccumulatorBytes = stats.peakResidentBytes;
   report.peakStage5Bytes = stats.peakWorkerBytes;
   report.spillRunsSplit = stats.runsSplit;
@@ -578,6 +579,7 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
     report_.mergeSeconds += segment.mergeSeconds;
     report_.spillCompactions += segment.mergePasses;
     report_.spilledBytes += segment.mergePassBytes;
+    report_.mergePassBytes += segment.mergePassBytes;
     if (checkpointing) {
       saveCheckpoint(config_.checkpointDir, buildManifest(), config_.spillDir,
                      nullptr, /*gcSpillDir=*/false);
@@ -606,13 +608,15 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
 
   // Splice: ascending shard order over disjoint ascending key ranges is
   // the globally sorted stream, so the concatenation is byte-identical to
-  // saveTriplets of the in-memory result (same rows, same framing). appendSegmentFile
-  // re-verifies each segment's CRC as it copies.
+  // saveTriplets of the in-memory result (same rows, same framing).
+  // appendSegmentFile re-verifies each segment's CRC as it copies.
+  util::WallTimer splice;
   sparse::StreamingTripletWriter writer(outPath);
   for (const auto& [shard, segment] : completed) {
     writer.appendSegmentFile(segment);
   }
   const std::uint64_t edges = writer.finish();
+  report_.spliceSeconds = splice.seconds();
   report_.mergeWallSeconds = mergeWall.seconds();
   report_.edges = edges;
   report_.totalSeconds = total.seconds();

@@ -341,9 +341,14 @@ struct SynthesisReport {
   std::uint64_t spillRunsWritten = 0;   ///< sorted run files produced
   std::uint64_t spilledTriplets = 0;    ///< triplet rows that went to disk
   std::uint64_t spilledBytes = 0;  ///< run-file bytes written, passes too
+  /// Runs a resume restored from the checkpoint manifest: prior-life
+  /// spills, counted in none of the written/spilled fields above.
+  std::uint64_t spillRunsRestored = 0;
   /// Intermediate merge passes: the shard owners' passes that bring a
   /// shard's runs down to the merge fan-in.
   std::uint64_t spillCompactions = 0;
+  /// The run bytes those passes wrote (included in spilledBytes).
+  std::uint64_t mergePassBytes = 0;
   /// Max bytes of sorted runs the cross-batch accumulator kept in memory
   /// (worker remainders, mp inline runs) before writing them. The budget
   /// guarantee the tests assert: peakAccumulatorBytes ≤ memoryBudgetBytes.
@@ -374,6 +379,9 @@ struct SynthesisReport {
   double mergeCriticalSeconds = 0.0;
   /// Measured wall time of the sharded merge and the segment splice.
   double mergeWallSeconds = 0.0;
+  /// The root's serial splice of the segments into the CADJ (part of
+  /// mergeWallSeconds).
+  double spliceSeconds = 0.0;
 };
 
 class NetworkSynthesizer {

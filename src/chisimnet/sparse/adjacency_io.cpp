@@ -192,13 +192,14 @@ void StreamingTripletWriter::appendSegmentFile(const ShardSegment& segment) {
                  "segment file truncated: " + segment.file.string());
     const std::span<const std::byte> bytes(chunk.data(), want);
     segmentCrc = util::crc32(bytes, segmentCrc);
-    crc_ = util::crc32(bytes, crc_);  // chained: composes across segments
     util::writeBytes(out_, bytes);
     copied += want;
   }
   CHISIM_CHECK(segmentCrc == segment.crc,
                "segment CRC mismatch (corrupt or stale): " +
                    segment.file.string());
+  // The verified segment CRC extends the stream's: one pass per byte.
+  crc_ = util::crc32Combine(crc_, segment.crc, segment.bytes);
   count_ += segment.triplets;
 }
 

@@ -112,10 +112,11 @@ class StreamingTripletWriter {
   explicit StreamingTripletWriter(const std::filesystem::path& path);
 
   /// Splices a finished payload segment (TripletSegmentWriter output) into
-  /// the stream by raw byte copy: no decode, no re-encode. The chained
-  /// payload CRC composes across the copy, and the copied bytes are
-  /// re-CRCed against `segment.crc` so a segment corrupted at rest (or a
-  /// stale resume artifact) fails loudly instead of poisoning the output.
+  /// the stream by raw byte copy: no decode, no re-encode. The copied
+  /// bytes are CRCed against `segment.crc` so a segment corrupted at rest
+  /// (or a stale resume artifact) fails loudly instead of poisoning the
+  /// output; only then is the verified CRC combined into the payload CRC
+  /// (util::crc32Combine), so each byte is CRCed once.
   /// Segments must be appended in ascending key order.
   void appendSegmentFile(const ShardSegment& segment);
 

@@ -8,31 +8,12 @@ namespace chisimnet::sparse {
 
 namespace {
 
-struct Presence {
-  table::PersonId person;
-  std::uint32_t hour;
-
-  friend auto operator<=>(const Presence&, const Presence&) = default;
+/// One event's window-clipped span at the place, keyed person << 32 | from
+/// so that sorting the keys orders the stays by (person, start).
+struct Stay {
+  std::uint64_t key;
+  table::Hour to;
 };
-
-/// Expands events at one place into deduplicated (person, relative hour)
-/// presences clipped to the window.
-std::vector<Presence> expandPresences(std::span<const table::Event> events,
-                                      table::Hour windowStart,
-                                      table::Hour windowEnd) {
-  std::vector<Presence> presences;
-  for (const table::Event& event : events) {
-    const table::Hour from = std::max(event.start, windowStart);
-    const table::Hour to = std::min(event.end, windowEnd);
-    for (table::Hour hour = from; hour < to; ++hour) {
-      presences.push_back(Presence{event.person, hour - windowStart});
-    }
-  }
-  std::sort(presences.begin(), presences.end());
-  presences.erase(std::unique(presences.begin(), presences.end()),
-                  presences.end());
-  return presences;
-}
 
 }  // namespace
 
@@ -44,21 +25,41 @@ CollocationMatrix::CollocationMatrix(table::PlaceId place,
   CHISIM_REQUIRE(windowStart <= windowEnd, "window must be non-empty or empty");
   sliceHours_ = windowEnd - windowStart;
 
-  const std::vector<Presence> presences =
-      expandPresences(events, windowStart, windowEnd);
-
-  offsets_.push_back(0);
-  hours_.reserve(presences.size());
-  for (const Presence& presence : presences) {
-    if (persons_.empty() || persons_.back() != presence.person) {
-      persons_.push_back(presence.person);
-      offsets_.push_back(hours_.size());
+  // Sort the events, not their presence-hours: there are about ten times
+  // fewer of them.
+  std::vector<Stay> stays;
+  stays.reserve(events.size());
+  std::uint64_t spanHours = 0;
+  for (const table::Event& event : events) {
+    const table::Hour from = std::max(event.start, windowStart);
+    const table::Hour to = std::min(event.end, windowEnd);
+    if (from < to) {
+      stays.push_back(Stay{(std::uint64_t{event.person} << 32) | from, to});
+      spanHours += to - from;
     }
-    hours_.push_back(presence.hour);
-    offsets_.back() = hours_.size();
   }
-  if (persons_.empty()) {
-    offsets_.assign(1, 0);
+  std::sort(stays.begin(), stays.end(),
+            [](const Stay& a, const Stay& b) { return a.key < b.key; });
+
+  // A person's stays arrive by ascending start, so every hour below
+  // `covered` (the furthest end so far) is already listed: expanding each
+  // stay from max(from, covered) yields ascending, distinct hours.
+  offsets_.push_back(0);
+  hours_.reserve(spanHours);
+  table::Hour covered = 0;
+  for (const Stay& stay : stays) {
+    const auto person = static_cast<table::PersonId>(stay.key >> 32);
+    if (persons_.empty() || persons_.back() != person) {
+      persons_.push_back(person);
+      offsets_.push_back(hours_.size());
+      covered = 0;
+    }
+    const auto from = static_cast<table::Hour>(stay.key);
+    for (table::Hour hour = std::max(from, covered); hour < stay.to; ++hour) {
+      hours_.push_back(hour - windowStart);
+    }
+    covered = std::max(covered, stay.to);
+    offsets_.back() = hours_.size();
   }
 }
 

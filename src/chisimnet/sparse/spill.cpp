@@ -389,6 +389,7 @@ void SpillingAccumulator::restoreRunFile(const SpillRunInfo& info) {
   // Restored runs are prior-life state, not this run's spill activity:
   // they count toward the live set but not the written/spilled counters.
   runs_.push_back(info);
+  ++stats_.runsRestored;
 }
 
 void SpillingAccumulator::writeRun(std::span<const AdjacencyTriplet> run) {

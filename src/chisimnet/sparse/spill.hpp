@@ -137,6 +137,9 @@ struct SpillStats {
   std::uint64_t runsWritten = 0;      ///< run files produced (incl. adopted)
   std::uint64_t spilledTriplets = 0;  ///< triplet rows that went to disk
   std::uint64_t spilledBytes = 0;     ///< run file bytes written
+  /// Runs restored from a checkpoint (restoreRunFile): prior-life spills,
+  /// counted in none of the fields above.
+  std::uint64_t runsRestored = 0;
   /// Runs rewritten at shard boundaries because they straddled one when a
   /// per-shard merge plan was built.
   std::uint64_t runsSplit = 0;

@@ -4,16 +4,10 @@
 #include <numeric>
 
 #include "chisimnet/util/error.hpp"
+#include "chisimnet/util/label_index.hpp"
+#include "chisimnet/util/radix_sort.hpp"
 
 namespace chisimnet::table {
-
-std::size_t PlaceIndex::find(PlaceId place) const noexcept {
-  const auto it = std::lower_bound(placeIds.begin(), placeIds.end(), place);
-  if (it == placeIds.end() || *it != place) {
-    return npos;
-  }
-  return static_cast<std::size_t>(it - placeIds.begin());
-}
 
 EventTable::EventTable(std::span<const Event> events) { appendAll(events); }
 
@@ -155,32 +149,35 @@ EventTable EventTable::filter(
 
 namespace {
 
-template <typename T>
-std::vector<T> sortedUnique(std::vector<T> values) {
-  std::sort(values.begin(), values.end());
+/// The distinct values of a u32 column, ascending, in an exact-capacity
+/// vector (the radix sort's copy and scratch are freed on return).
+std::vector<std::uint32_t> sortedUnique(std::span<const std::uint32_t> column) {
+  std::vector<std::uint32_t> values(column.begin(), column.end());
+  util::radixSort(values, [](std::uint32_t value) { return value; });
   values.erase(std::unique(values.begin(), values.end()), values.end());
-  return values;
+  return {values.begin(), values.end()};
 }
 
 }  // namespace
 
 std::vector<PlaceId> EventTable::uniquePlaces() const {
-  return sortedUnique(std::vector<PlaceId>(place_.begin(), place_.end()));
+  return sortedUnique(place_);
 }
 
 std::vector<PersonId> EventTable::uniquePersons() const {
-  return sortedUnique(std::vector<PersonId>(person_.begin(), person_.end()));
+  return sortedUnique(person_);
 }
 
 PlaceIndex EventTable::buildPlaceIndex() const {
   PlaceIndex index;
   index.placeIds = uniquePlaces();
   index.offsets.assign(index.placeIds.size() + 1, 0);
+  const util::LabelIndex groupOf(index.placeIds);
 
-  // Counting sort of row indices into place groups.
+  // Stable counting sort of row indices into place groups: rows stay
+  // ascending within a group.
   for (PlaceId place : place_) {
-    const std::size_t group = index.find(place);
-    ++index.offsets[group + 1];
+    ++index.offsets[groupOf.positionOf(place) + 1];
   }
   for (std::size_t g = 1; g <= index.placeIds.size(); ++g) {
     index.offsets[g] += index.offsets[g - 1];
@@ -189,8 +186,7 @@ PlaceIndex EventTable::buildPlaceIndex() const {
   std::vector<std::uint64_t> cursor(index.offsets.begin(),
                                     index.offsets.end() - 1);
   for (std::uint64_t i = 0; i < size(); ++i) {
-    const std::size_t group = index.find(place_[i]);
-    index.rows[cursor[group]++] = i;
+    index.rows[cursor[groupOf.positionOf(place_[i])]++] = i;
   }
   return index;
 }

@@ -29,10 +29,6 @@ struct PlaceIndex {
   std::span<const RowIndex> groupRows(std::size_t group) const {
     return {rows.data() + offsets[group], rows.data() + offsets[group + 1]};
   }
-
-  /// Locates a place id via binary search; returns npos when absent.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t find(PlaceId place) const noexcept;
 };
 
 class EventTable {

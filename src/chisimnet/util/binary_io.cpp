@@ -39,7 +39,47 @@ std::uint32_t loadLe32(const std::byte* bytes) noexcept {
          (static_cast<std::uint32_t>(bytes[3]) << 24);
 }
 
+/// A 32×32 GF(2) matrix, one u32 column per bit of the input vector.
+using Gf2Matrix = std::array<std::uint32_t, 32>;
+
+std::uint32_t gf2Times(const Gf2Matrix& matrix, std::uint32_t vector) noexcept {
+  std::uint32_t sum = 0;
+  for (std::size_t bit = 0; vector != 0; vector >>= 1, ++bit) {
+    if ((vector & 1u) != 0) {
+      sum ^= matrix[bit];
+    }
+  }
+  return sum;
+}
+
+Gf2Matrix gf2Square(const Gf2Matrix& matrix) noexcept {
+  Gf2Matrix square{};
+  for (std::size_t bit = 0; bit < 32; ++bit) {
+    square[bit] = gf2Times(matrix, matrix[bit]);
+  }
+  return square;
+}
+
 }  // namespace
+
+std::uint32_t crc32Combine(std::uint32_t crcA, std::uint32_t crcB,
+                           std::uint64_t lengthB) noexcept {
+  // The operator that feeds one zero bit through the CRC register, squared
+  // three times: one zero byte. Each further squaring doubles the bytes it
+  // feeds, so the set bits of lengthB pick the powers to apply.
+  Gf2Matrix op{};
+  op[0] = 0xEDB88320u;
+  for (std::size_t bit = 1; bit < 32; ++bit) {
+    op[bit] = std::uint32_t{1} << (bit - 1);
+  }
+  op = gf2Square(gf2Square(gf2Square(op)));
+  for (; lengthB != 0; lengthB >>= 1, op = gf2Square(op)) {
+    if ((lengthB & 1u) != 0) {
+      crcA = gf2Times(op, crcA);
+    }
+  }
+  return crcA ^ crcB;
+}
 
 std::uint32_t crc32(std::span<const std::byte> bytes, std::uint32_t seed) noexcept {
   const CrcTables& t = kCrcTables;

@@ -161,6 +161,12 @@ class ByteReader {
 /// optionally chained via the seed parameter.
 std::uint32_t crc32(std::span<const std::byte> bytes, std::uint32_t seed = 0) noexcept;
 
+/// The crc32 of A followed by B, from crc32(A), crc32(B) and B's length,
+/// without reading either (zlib's crc32_combine: B's length in zero bits is
+/// applied to crcA as a GF(2) matrix power, O(log lengthB) 32×32 squarings).
+std::uint32_t crc32Combine(std::uint32_t crcA, std::uint32_t crcB,
+                           std::uint64_t lengthB) noexcept;
+
 /// LEB128-style unsigned varint append (1-5 bytes for u32 values).
 inline void putVarint(std::vector<std::byte>& out, std::uint32_t value) {
   while (value >= 0x80) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <set>
+#include <span>
+#include <utility>
 #include <unordered_map>
 
 #include "chisimnet/sparse/adjacency.hpp"
@@ -144,6 +148,62 @@ TEST(CollocationMatrix, EmptyWindowYieldsEmptyMatrix) {
   const CollocationMatrix matrix(1, events, 5, 5);
   EXPECT_EQ(matrix.nnz(), 0u);
   EXPECT_EQ(matrix.personCount(), 0u);
+}
+
+/// The matrix as (person, relative hour) pairs, checked row by row: rows in
+/// ascending person order, hours strictly ascending within a row.
+std::set<std::pair<table::PersonId, std::uint32_t>> presencesOf(
+    const CollocationMatrix& matrix) {
+  std::set<std::pair<table::PersonId, std::uint32_t>> presences;
+  for (std::size_t row = 0; row < matrix.personCount(); ++row) {
+    if (row > 0) {
+      EXPECT_LT(matrix.personAt(row - 1), matrix.personAt(row));
+    }
+    const std::span<const std::uint32_t> hours = matrix.hoursAt(row);
+    EXPECT_FALSE(hours.empty());
+    EXPECT_TRUE(std::adjacent_find(hours.begin(), hours.end(),
+                                   std::greater_equal<>()) == hours.end())
+        << "row " << row << " hours not strictly ascending";
+    for (const std::uint32_t hour : hours) {
+      EXPECT_LT(hour, matrix.sliceHours());
+      presences.emplace(matrix.personAt(row), hour);
+    }
+  }
+  return presences;
+}
+
+TEST(CollocationMatrix, MatchesPresenceSetOracleInAnyEventOrder) {
+  constexpr table::Hour kWindowStart = 10;
+  constexpr table::Hour kWindowEnd = 40;
+  // Person 5's events: nested, overlapping, duplicated, zero-length,
+  // touching, and wholly or partly outside the window. Person 2 and 9
+  // interleave with a few of their own.
+  std::vector<Event> events{
+      {12, 30, 5, 0, 4}, {14, 18, 5, 1, 4},  // nested
+      {16, 24, 5, 2, 4}, {28, 35, 5, 3, 4},  // overlapping, then past 30
+      {28, 35, 5, 4, 4},                     // duplicate
+      {20, 20, 5, 0, 4}, {33, 33, 5, 0, 4},  // zero-length
+      {35, 37, 5, 0, 4},                     // touching the previous end
+      {0, 8, 5, 0, 4},   {41, 50, 5, 0, 4},  // outside the window
+      {5, 11, 5, 0, 4},  {38, 60, 5, 0, 4},  // straddling each edge
+      {0, 100, 2, 0, 4}, {10, 11, 9, 0, 4},  {39, 40, 9, 0, 4},
+      {25, 27, 2, 0, 4}};
+  std::set<std::pair<table::PersonId, std::uint32_t>> oracle;
+  for (const Event& event : events) {
+    for (table::Hour hour = event.start; hour < event.end; ++hour) {
+      if (hour >= kWindowStart && hour < kWindowEnd) {
+        oracle.emplace(event.person, hour - kWindowStart);
+      }
+    }
+  }
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 50; ++trial) {
+    rng.shuffle(events);
+    const CollocationMatrix matrix(4, events, kWindowStart, kWindowEnd);
+    EXPECT_EQ(presencesOf(matrix), oracle) << "trial " << trial;
+    EXPECT_EQ(matrix.nnz(), oracle.size()) << "trial " << trial;
+    EXPECT_EQ(matrix.personCount(), 3u);
+  }
 }
 
 TEST(SymmetricAdjacency, AddAndWeightSymmetric) {

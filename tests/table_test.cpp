@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <span>
+#include <vector>
 
 #include "chisimnet/table/event_table.hpp"
 #include "chisimnet/util/rng.hpp"
@@ -213,14 +216,82 @@ TEST(EventTable, PlaceIndexGroupsAllRows) {
   EXPECT_EQ(total, table.size());
 }
 
-TEST(EventTable, PlaceIndexFind) {
+TEST(EventTable, PlaceIndexGroupPositions) {
   EventTable table;
-  table.append(makeEvent(0, 1, 0, 10));
   table.append(makeEvent(0, 1, 0, 30));
+  table.append(makeEvent(0, 1, 0, 10));
+  table.append(makeEvent(0, 1, 1, 30));
   const PlaceIndex index = table.buildPlaceIndex();
-  EXPECT_EQ(index.find(10), 0u);
-  EXPECT_EQ(index.find(30), 1u);
-  EXPECT_EQ(index.find(20), PlaceIndex::npos);
+  EXPECT_EQ(index.placeIds, (std::vector<PlaceId>{10, 30}));
+  EXPECT_EQ(std::vector<RowIndex>(index.groupRows(0).begin(),
+                                  index.groupRows(0).end()),
+            (std::vector<RowIndex>{1}));
+  EXPECT_EQ(std::vector<RowIndex>(index.groupRows(1).begin(),
+                                  index.groupRows(1).end()),
+            (std::vector<RowIndex>{0, 2}));
+}
+
+/// buildPlaceIndex against an ordered-map oracle: groups in ascending place
+/// order, each holding its rows in ascending row order.
+void expectPlaceIndexMatchesOracle(const EventTable& table) {
+  std::map<PlaceId, std::vector<RowIndex>> oracle;
+  for (RowIndex row = 0; row < table.size(); ++row) {
+    oracle[table.placeColumn()[row]].push_back(row);
+  }
+  const PlaceIndex index = table.buildPlaceIndex();
+  ASSERT_EQ(index.placeIds.size(), oracle.size());
+  ASSERT_EQ(index.offsets.size(), oracle.size() + 1);
+  EXPECT_EQ(index.rows.size(), table.size());
+  EXPECT_EQ(index.placeIds.capacity(), index.placeIds.size());
+  std::size_t group = 0;
+  for (const auto& [place, rows] : oracle) {
+    EXPECT_EQ(index.placeIds[group], place);
+    const std::span<const RowIndex> got = index.groupRows(group);
+    EXPECT_EQ(std::vector<RowIndex>(got.begin(), got.end()), rows)
+        << "place " << place;
+    ++group;
+  }
+}
+
+TEST(EventTable, PlaceIndexMatchesMapOracle) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    expectPlaceIndexMatchesOracle(
+        randomTable(seed, 50 + 300 * seed, 100, 40,
+                    static_cast<PlaceId>(1 + 7 * seed * seed)));
+  }
+  expectPlaceIndexMatchesOracle(EventTable{});
+
+  // The extreme ids, alone and together.
+  for (const std::vector<PlaceId>& ids :
+       {std::vector<PlaceId>{0}, std::vector<PlaceId>{UINT32_MAX},
+        std::vector<PlaceId>{UINT32_MAX, 0, UINT32_MAX, 1, 0}}) {
+    EventTable table;
+    for (const PlaceId id : ids) {
+      table.append(makeEvent(0, 1, 0, id));
+    }
+    expectPlaceIndexMatchesOracle(table);
+  }
+
+  // Skewed id sets: a dense cluster of low ids plus a few ids spread up to
+  // UINT32_MAX (many places share one bucket of the lookup), and ids that
+  // are all multiples of a large stride.
+  util::Rng rng(77);
+  for (int trial = 0; trial < 6; ++trial) {
+    std::vector<PlaceId> pool;
+    for (int k = 0; k < 200; ++k) {
+      pool.push_back(static_cast<PlaceId>(
+          trial % 2 == 0
+              ? (k < 190 ? rng.uniformBelow(300)
+                         : rng.uniformBelow(std::uint64_t{UINT32_MAX} + 1))
+              : (rng.uniformBelow(200) * 21'474'836u)));
+    }
+    EventTable table;
+    for (int row = 0; row < 3000; ++row) {
+      table.append(makeEvent(0, 1, static_cast<PersonId>(row),
+                             pool[rng.uniformBelow(pool.size())]));
+    }
+    expectPlaceIndexMatchesOracle(table);
+  }
 }
 
 TEST(EventTable, MaxEnd) {

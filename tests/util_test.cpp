@@ -14,6 +14,7 @@
 #include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/env.hpp"
 #include "chisimnet/util/error.hpp"
+#include "chisimnet/util/label_index.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "chisimnet/util/timer.hpp"
 
@@ -309,6 +310,71 @@ TEST(Crc32, ChainsAcrossRandomSplits) {
       cursor += piece;
     }
     EXPECT_EQ(chained, whole) << "trial " << trial;
+  }
+}
+
+TEST(Crc32, CombineEqualsChainedCrcOverRandomSplits) {
+  const std::vector<std::byte> data = randomBytes(5000, 14);
+  const std::span<const std::byte> all(data);
+  Rng rng(15);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Split points anywhere, both ends included: empty A, empty B, both.
+    std::size_t a = rng.uniformBelow(data.size() + 1);
+    std::size_t b = rng.uniformBelow(data.size() + 1);
+    if (trial % 10 == 0) {
+      b = a;
+    }
+    if (a > b) {
+      std::swap(a, b);
+    }
+    const std::span<const std::byte> left = all.subspan(0, a);
+    const std::span<const std::byte> right = all.subspan(a, b - a);
+    EXPECT_EQ(crc32Combine(crc32(left), crc32(right), right.size()),
+              crc32(right, crc32(left)))
+        << "split " << a << "/" << b;
+  }
+  EXPECT_EQ(crc32Combine(0x1234ABCDu, crc32({}), 0), 0x1234ABCDu);
+  EXPECT_EQ(crc32Combine(crc32({}), crc32(all), all.size()), crc32(all));
+  // Three parts folded left to right, as the CADJ splice folds segments.
+  const std::span<const std::byte> first = all.subspan(0, 1000);
+  const std::span<const std::byte> second = all.subspan(1000, 0);
+  const std::span<const std::byte> third = all.subspan(1000);
+  std::uint32_t folded = crc32(first);
+  folded = crc32Combine(folded, crc32(second), second.size());
+  folded = crc32Combine(folded, crc32(third), third.size());
+  EXPECT_EQ(folded, crc32(all));
+}
+
+TEST(LabelIndex, FindsEveryLabelOnDenseSparseAndSkewedIds) {
+  Rng rng(16);
+  const std::vector<std::vector<std::uint32_t>> sets{
+      {},
+      {0},
+      {UINT32_MAX},
+      {0, UINT32_MAX},
+      {0, 1, 2, 3, 4, 5, 6, 7},
+      {0xFFFFFFF0u, 0xFFFFFFF1u, 0xFFFFFFFFu},
+  };
+  std::vector<std::vector<std::uint32_t>> cases = sets;
+  for (int trial = 0; trial < 8; ++trial) {
+    // A dense cluster plus ids spread up to UINT32_MAX: the cluster shares
+    // one bucket and is searched within it.
+    std::vector<std::uint32_t> ids;
+    for (int k = 0; k < 500; ++k) {
+      ids.push_back(static_cast<std::uint32_t>(
+          k < 450 ? rng.uniformBelow(trial % 2 == 0 ? 600 : 100'000)
+                  : rng.uniformBelow(std::uint64_t{UINT32_MAX} + 1)));
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    cases.push_back(std::move(ids));
+  }
+  for (const std::vector<std::uint32_t>& labels : cases) {
+    const LabelIndex index(labels);
+    for (std::size_t position = 0; position < labels.size(); ++position) {
+      ASSERT_EQ(index.positionOf(labels[position]), position)
+          << "label " << labels[position] << " of " << labels.size();
+    }
   }
 }
 

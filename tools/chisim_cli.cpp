@@ -436,16 +436,19 @@ int cmdSynthesize(const Args& args) {
               << ", stage-5 transient " << memorySize(report.peakStage5Bytes)
               << ", "
               << report.spillRunsWritten << " runs ("
-              << memorySize(report.spilledBytes) << ", "
-              << report.spilledTriplets << " triplets), "
-              << report.spillCompactions << " owner merge passes\n";
+              << memorySize(report.spilledBytes - report.mergePassBytes)
+              << ", " << report.spilledTriplets << " triplets), "
+              << report.spillRunsRestored << " restored, "
+              << report.spillCompactions << " owner merge passes ("
+              << memorySize(report.mergePassBytes) << ")\n";
     std::cout << "merge: " << report.reduceShardsUsed << " owners, "
               << report.mergeSegmentsWritten << " segments ("
               << report.mergeSegmentsReused << " reused, "
               << report.spillRunsSplit << " runs split), "
               << report.mergeSeconds << " s merge CPU, critical path "
               << report.mergeCriticalSeconds << " s (modeled), wall "
-              << report.mergeWallSeconds << " s\n";
+              << report.mergeWallSeconds << " s (splice "
+              << report.spliceSeconds << " s)\n";
   }
   std::cout << "wrote " << out << " ("
             << memorySize(std::filesystem::file_size(out)) << ")\n";
