@@ -121,16 +121,6 @@ std::optional<LoadedBatch> PrefetchingLoader::next() {
   return std::move(slot.batch);
 }
 
-std::optional<LoadedBatch> PrefetchingLoader::peekReady() const {
-  // Deep copy under the lock: deque references are unstable once the
-  // producer pushes again, so handing out a pointer would race.
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ready_.empty() || ready_.front().error) {
-    return std::nullopt;
-  }
-  return ready_.front().batch;
-}
-
 PrefetchStats PrefetchingLoader::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;

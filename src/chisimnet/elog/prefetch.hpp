@@ -79,14 +79,6 @@ class PrefetchingLoader {
   /// error on the consumer thread (unless quarantineCorrupt).
   std::optional<LoadedBatch> next();
 
-  /// Non-blocking copy of the batch the following next() would return, if
-  /// the producer has already finished decoding it; nullopt when the ready
-  /// buffer is empty or its head carries a decode error. Used by the
-  /// checkpointer to persist the in-flight batch so a resume skips its
-  /// re-decode; a copy (not a take) because the pipeline still consumes
-  /// the batch normally when the run survives.
-  std::optional<LoadedBatch> peekReady() const;
-
   /// Stats so far; stable once next() has returned nullopt.
   PrefetchStats stats() const;
 

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <fstream>
-#include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
@@ -12,70 +11,6 @@
 #include "chisimnet/util/error.hpp"
 
 namespace chisimnet::net {
-
-namespace {
-
-constexpr const char* kManifestMagic = "CHKP2";
-/// In-flight snapshot header: magic u32 "CINF" | version u32 | crc32 u32
-/// over the body | body.
-constexpr std::uint32_t kInflightMagic = 0x464E4943u;  // "CINF"
-constexpr std::uint32_t kInflightVersion = 1;
-
-std::filesystem::path manifestPath(const std::filesystem::path& dir) {
-  return dir / kCheckpointManifestName;
-}
-
-/// Body: [filesInBatch u64][sorted u32][eventCount u64]
-///       [eventCount × Event rows][quarantineCount u32][per entry:
-///       chunkIndex u64 (two's complement), byteOffset u64, path string,
-///       reason string].
-std::vector<std::byte> encodeInflight(const InflightBatch& inflight) {
-  const std::uint64_t rows = inflight.events.size();
-  util::ByteWriter body(32 + rows * sizeof(table::Event));
-  body.u64(inflight.filesInBatch);
-  body.u32(inflight.events.isSortedByStart() ? 1 : 0);
-  body.u64(rows);
-  for (table::RowIndex row = 0; row < rows; ++row) {
-    body.row(inflight.events.row(row));
-  }
-  body.u32(static_cast<std::uint32_t>(inflight.quarantined.size()));
-  for (const elog::QuarantinedFile& entry : inflight.quarantined) {
-    body.u64(static_cast<std::uint64_t>(entry.chunkIndex));
-    body.u64(entry.byteOffset);
-    body.string(entry.file.string());
-    body.string(entry.reason);
-  }
-  return body.take();
-}
-
-InflightBatch decodeInflight(std::span<const std::byte> body) {
-  util::ByteReader in(body, "in-flight batch snapshot");
-  InflightBatch inflight;
-  inflight.filesInBatch = in.u64();
-  const bool sorted = in.u32() != 0;
-  inflight.events =
-      table::EventTable(in.rows<table::Event>(in.u64(), "events"));
-  if (sorted) {
-    // The snapshot preserved row order, so the stable re-sort reproduces
-    // the exact pre-crash table.
-    inflight.events.sortByStart();
-  }
-  // Each entry takes at least its two u64s and two string lengths.
-  const std::uint64_t quarantineCount =
-      in.count(in.u32(), 24, "quarantine entries");
-  for (std::uint64_t i = 0; i < quarantineCount; ++i) {
-    elog::QuarantinedFile entry;
-    entry.chunkIndex = static_cast<std::int64_t>(in.u64());
-    entry.byteOffset = in.u64();
-    entry.file = in.string();
-    entry.reason = in.string();
-    inflight.quarantined.push_back(std::move(entry));
-  }
-  in.expectEnd();
-  return inflight;
-}
-
-}  // namespace
 
 std::uint32_t checkpointConfigHash(
     const SynthesisConfig& config,
@@ -96,32 +31,17 @@ std::uint32_t checkpointConfigHash(
 
 namespace {
 
-std::string writeInflightSnapshot(const std::filesystem::path& dir,
-                                  std::uint64_t filesConsumed,
-                                  const InflightBatch& inflight) {
-  const std::string inflightName =
-      "inflight." + std::to_string(filesConsumed) + ".evt";
-  const std::vector<std::byte> body = encodeInflight(inflight);
-  const std::filesystem::path path = dir / inflightName;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CHISIM_CHECK(out.good(),
-               "cannot write in-flight batch snapshot: " + path.string());
-  util::writeU32(out, kInflightMagic);
-  util::writeU32(out, kInflightVersion);
-  util::writeU32(out, util::crc32(body));
-  util::writeBytes(out, body);
-  out.flush();
-  CHISIM_CHECK(out.good(),
-               "in-flight batch snapshot write failed: " + path.string());
-  return inflightName;
+constexpr const char* kManifestMagic = "CHKP2";
+
+std::filesystem::path manifestPath(const std::filesystem::path& dir) {
+  return dir / kCheckpointManifestName;
 }
 
 /// Writes the manifest via temp file + rename (atomic on POSIX). Every
 /// line is tab-separated with its record kind first; names carry no tabs,
 /// and the free-text quarantine reason goes last.
 void writeManifestFile(const std::filesystem::path& dir,
-                       const CheckpointManifest& manifest,
-                       const std::string& inflightName) {
+                       const CheckpointManifest& manifest) {
   const std::filesystem::path tmp = dir / "manifest.tmp";
   {
     std::ofstream out(tmp, std::ios::trunc);
@@ -141,9 +61,6 @@ void writeManifestFile(const std::filesystem::path& dir,
           << segment.file.filename().string() << "\t"
           << segment.triplets << "\t" << segment.bytes << "\t"
           << segment.crc << "\n";
-    }
-    if (!inflightName.empty()) {
-      out << "inflight\t" << inflightName << "\n";
     }
     for (const elog::QuarantinedFile& entry : manifest.quarantined) {
       out << "quarantine\t" << entry.chunkIndex << "\t" << entry.byteOffset
@@ -229,33 +146,18 @@ class ManifestLine {
 
 void saveCheckpoint(const std::filesystem::path& dir,
                     const CheckpointManifest& manifest,
-                    const std::filesystem::path& spillDir,
-                    const InflightBatch* inflight, bool gcSpillDir) {
+                    const std::filesystem::path& spillDir, bool gcSpillDir) {
   std::filesystem::create_directories(dir);
 
   // The accumulated state needs no snapshot step: every run the manifest
   // names already landed on disk via tmp+rename when it was written. Only
-  // the in-flight batch (if any) and the manifest itself get written here.
-  std::string inflightName;
-  if (inflight != nullptr) {
-    inflightName =
-        writeInflightSnapshot(dir, manifest.filesConsumed, *inflight);
-  }
-  writeManifestFile(dir, manifest, inflightName);
+  // the manifest itself gets written here.
+  writeManifestFile(dir, manifest);
 
   // GC, safe only after the rename (until then the previous manifest may
-  // name these files): stale in-flight snapshots, then spill files the new
-  // manifest does not reference — superseded runs and compaction inputs,
-  // worker-run orphans of a crashed batch, and .tmp husks of interrupted
-  // spills.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("inflight.") && name.ends_with(".evt") &&
-        name != inflightName) {
-      std::error_code ignored;
-      std::filesystem::remove(entry.path(), ignored);
-    }
-  }
+  // name these files): spill files the new manifest does not reference —
+  // superseded runs and compaction inputs, worker-run orphans of a crashed
+  // batch, and .tmp husks of interrupted spills.
   if (!gcSpillDir) {
     return;
   }
@@ -344,38 +246,11 @@ std::optional<CheckpointManifest> loadCheckpointManifest(
     } else if (line.kind() == "config_hash") {
       line.expectFields(2);
       manifest.configHash = line.number<std::uint32_t>(1);
-    } else if (line.kind() == "inflight") {
-      line.expectFields(2);
-      manifest.inflightFile = line.fileName(1);
     } else {
       line.fail("unknown record '" + std::string(line.kind()) + "'");
     }
   }
   return manifest;
-}
-
-std::optional<InflightBatch> loadCheckpointInflight(
-    const std::filesystem::path& dir, const CheckpointManifest& manifest) {
-  if (manifest.inflightFile.empty()) {
-    return std::nullopt;
-  }
-  const std::filesystem::path path = dir / manifest.inflightFile;
-  std::ifstream in(path, std::ios::binary);
-  CHISIM_CHECK(in.good(), "manifest names a missing in-flight batch "
-                          "snapshot: " + path.string());
-  CHISIM_CHECK(util::readU32(in) == kInflightMagic,
-               "not an in-flight batch snapshot: " + path.string());
-  CHISIM_CHECK(util::readU32(in) == kInflightVersion,
-               "unsupported in-flight batch snapshot version: " +
-                   path.string());
-  const std::uint32_t crc = util::readU32(in);
-  const std::string raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  const auto body = std::as_bytes(std::span<const char>(raw));
-  CHISIM_CHECK(util::crc32(body) == crc,
-               "in-flight batch snapshot is corrupt (CRC mismatch): " +
-                   path.string());
-  return decodeInflight(body);
 }
 
 }  // namespace chisimnet::net

@@ -22,28 +22,18 @@
 /// checkpoint — is bit-identical to an uninterrupted one.
 ///
 /// Crash safety: every run the manifest names is already durable (runs
-/// land via tmp+rename), the in-flight batch snapshot is written under a
-/// cursor-stamped name (inflight.<filesConsumed>.evt), then the manifest
-/// referencing them is written to a temp file and atomically renamed over
-/// manifest.chkp, then stale files are deleted. A crash at any point
-/// leaves either the previous consistent checkpoint or the new one — never
-/// a manifest pointing at a half-written file.
-///
-/// In-flight batch: the background loader typically has
-/// batch k+1 fully decoded while the checkpoint after batch k is written.
-/// That decoded-but-unprocessed table is persisted beside the runs, so a
-/// resume hands it straight to the compute stages and skips one batch of
-/// file re-decode. The snapshot (CINF) is integrity-checked (CRC32) and
-/// purely an accelerator: its contents equal what re-decoding those files
-/// would produce, so the resumed output is bit-identical either way. Its
-/// body goes through the util byte codec, the events as one table::Event
-/// row block, so a corrupt count is refused before it allocates.
+/// land via tmp+rename), then the manifest referencing them is written to
+/// a temp file and atomically renamed over manifest.chkp, then stale files
+/// are deleted. A crash at any point leaves either the previous consistent
+/// checkpoint or the new one — never a manifest pointing at a half-written
+/// file. A resume decodes every batch after the cursor from its log files,
+/// which the config hash pins by name.
 ///
 /// Manifest format CHKP2 (text): a magic line, then `files_consumed`,
-/// `batches_done`, `config_hash` and optional `inflight` key lines, and
-/// tab-separated `spill`, `mergeseg` and `quarantine` lines. A manifest of
-/// an older format (CHKP1: dense .cadj snapshots, range-less runs) is
-/// refused with an error naming its version.
+/// `batches_done` and `config_hash` key lines, and tab-separated `spill`,
+/// `mergeseg` and `quarantine` lines. A manifest of an older format
+/// (CHKP1: dense .cadj snapshots, range-less runs) is refused with an
+/// error naming its version.
 
 namespace chisimnet::net {
 
@@ -66,22 +56,9 @@ struct CheckpointManifest {
   /// segment's identity (shard, file name, triplets, bytes, crc) is
   /// persisted; a loaded manifest holds bare names.
   std::vector<sparse::ShardSegment> mergeSegments;
-  /// In-flight batch snapshot file name; empty when the checkpoint carries
-  /// none (the loader had nothing decoded yet).
-  std::string inflightFile;
   /// Quarantine list accumulated so far (degrade mode), carried across the
   /// resume so the final report still names every excluded input.
   std::vector<elog::QuarantinedFile> quarantined;
-};
-
-/// A decoded-but-unprocessed batch: the next batch the run would have
-/// computed on when it died. Restoring it on resume skips its re-decode.
-struct InflightBatch {
-  table::EventTable events;
-  /// Files of this batch that failed to decode (degrade mode).
-  std::vector<elog::QuarantinedFile> quarantined;
-  /// Input files this batch spans (cursor advance when it completes).
-  std::uint64_t filesInBatch = 0;
 };
 
 /// Hash of the fields that determine the output for a given file list.
@@ -91,10 +68,7 @@ std::uint32_t checkpointConfigHash(
 
 /// Persists `manifest` into `dir` (created if missing) with the crash-safe
 /// ordering described above. `manifest.spillRuns` must already name
-/// durable run files in `spillDir`. When `inflight` is non-null, its
-/// snapshot is persisted and referenced by the manifest; the manifest's
-/// own inflightFile field is ignored (the name is derived from the
-/// cursor). After the manifest rename, stale `.evt` files in `dir` and
+/// durable run files in `spillDir`. After the manifest rename, the
 /// `.spl`/`.spl.tmp`/`.cseg`/`.cseg.tmp` files in `spillDir` the new
 /// manifest does not reference (superseded runs, orphans of crashed
 /// spills, husks of killed shard merges) are deleted. Pass `gcSpillDir =
@@ -105,22 +79,15 @@ std::uint32_t checkpointConfigHash(
 void saveCheckpoint(const std::filesystem::path& dir,
                     const CheckpointManifest& manifest,
                     const std::filesystem::path& spillDir,
-                    const InflightBatch* inflight = nullptr,
                     bool gcSpillDir = true);
 
 /// Reads the manifest in `dir`; nullopt when none exists. Throws
 /// std::runtime_error naming the manifest and line on anything malformed:
 /// an unknown version or key, a numeric field that does not parse whole
-/// or is out of range, a run, segment or in-flight name that is not a
-/// plain file name, or a non-empty run whose key range is inverted. No
-/// referenced file is read.
+/// or is out of range, a run or segment name that is not a plain file
+/// name, or a non-empty run whose key range is inverted. No referenced
+/// file is read.
 std::optional<CheckpointManifest> loadCheckpointManifest(
     const std::filesystem::path& dir);
-
-/// Loads the in-flight batch snapshot a manifest points at; nullopt when
-/// the checkpoint carries none. Throws on a corrupt snapshot (CRC or
-/// structure mismatch) — a resume must not silently compute on torn data.
-std::optional<InflightBatch> loadCheckpointInflight(
-    const std::filesystem::path& dir, const CheckpointManifest& manifest);
 
 }  // namespace chisimnet::net

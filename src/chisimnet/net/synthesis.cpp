@@ -225,7 +225,6 @@ void NetworkSynthesizer::runFilePipeline(
   const bool checkpointing = !config_.checkpointDir.empty();
 
   std::uint64_t filesConsumed = 0;
-  std::optional<InflightBatch> inflight;
   if (config_.resume) {
     // Adjacency summation is order-independent u64 addition and the
     // checkpointed runs are the accumulated sum itself, so restoring them
@@ -277,50 +276,37 @@ void NetworkSynthesizer::runFilePipeline(
     event.detail = "resumed after file " + std::to_string(filesConsumed) +
                    " of " + std::to_string(logFiles.size());
     report_.faults.push_back(std::move(event));
-    // The checkpoint may carry the batch that was decoded but unprocessed
-    // when the run died; restoring it skips one batch of re-decode. Its
-    // contents equal what re-decoding those files would produce, so the
-    // output is bit-identical either way.
-    inflight = loadCheckpointInflight(config_.checkpointDir, *manifest);
-    if (inflight) {
-      CHISIM_CHECK(
-          filesConsumed + inflight->filesInBatch <= logFiles.size(),
-          "checkpoint in-flight batch is beyond the given file list");
-      report_.inflightRestored = true;
-      FaultEvent restored;
-      restored.kind = FaultEvent::Kind::kResume;
-      restored.batch = manifest->batchesDone;
-      restored.detail = "restored in-flight batch of " +
-                        std::to_string(inflight->filesInBatch) +
-                        " files (decode skipped)";
-      report_.faults.push_back(std::move(restored));
-    }
   }
-  // The restored in-flight batch covers the first files after the cursor;
-  // the loader takes over from just past it.
-  const std::size_t skipFiles =
-      static_cast<std::size_t>(filesConsumed) +
-      static_cast<std::size_t>(inflight ? inflight->filesInBatch : 0);
+  // Every batch after the cursor is decoded from its log files, which the
+  // config hash pins by name.
   const std::vector<std::filesystem::path> remaining(
-      logFiles.begin() + static_cast<std::ptrdiff_t>(skipFiles),
+      logFiles.begin() + static_cast<std::ptrdiff_t>(filesConsumed),
       logFiles.end());
 
-  // Bookkeeping run after each batch: fold in quarantine entries and
-  // executor recovery events, enforce the quarantine limit, and persist
-  // the checkpoint. The driver.batch fault site fires last, i.e. after the
-  // checkpoint — a kThrow there models a crash between batches, which the
-  // kill-and-resume test exploits.
-  const auto finishBatch = [this, &logFiles, &filesConsumed, dense, sink,
-                            checkpointing](
-                               std::vector<elog::QuarantinedFile> quarantined,
-                               std::size_t filesInBatch,
-                               const InflightBatch* nextInflight) {
-    filesConsumed += filesInBatch;
+  // Two-stage pipeline: a background loader decodes batch k+1 while this
+  // thread runs stages 2-6 on batch k.
+  elog::PrefetchingLoader::Options options;
+  options.windowStart = config_.windowStart;
+  options.windowEnd = config_.windowEnd;
+  options.filesPerBatch = config_.filesPerBatch;
+  options.decodeThreads = config_.workers;
+  options.quarantineCorrupt = config_.faultPolicy == FaultPolicy::kDegrade;
+  elog::PrefetchingLoader loader(remaining, options);
+  while (std::optional<elog::LoadedBatch> batch = loader.next()) {
+    report_.logEntriesLoaded += batch->table.size();
+    processBatch(batch->table, dense, sink);
+
+    // Bookkeeping: fold in quarantine entries and executor recovery
+    // events, enforce the quarantine limit, and persist the checkpoint. The
+    // driver.batch fault site fires last, i.e. after the checkpoint — a
+    // kThrow there models a crash between batches, which the
+    // kill-and-resume tests exploit.
+    filesConsumed += batch->filesInBatch;
     ++report_.batches;
     // New data supersedes any merge segments restored from a checkpoint:
     // their shards' run sets just changed.
     restoredSegments_.clear();
-    for (elog::QuarantinedFile& entry : quarantined) {
+    for (elog::QuarantinedFile& entry : batch->quarantined) {
       FaultEvent event;
       event.kind = FaultEvent::Kind::kFileQuarantined;
       event.batch = report_.batches;
@@ -356,8 +342,7 @@ void NetworkSynthesizer::runFilePipeline(
             index, dense->toTriplets(), resolvedMergeRowsPerShard(config_),
             manifest.spillRuns);
       }
-      saveCheckpoint(config_.checkpointDir, manifest, config_.spillDir,
-                     nextInflight);
+      saveCheckpoint(config_.checkpointDir, manifest, config_.spillDir);
       if (sink != nullptr) {
         // Compaction inputs superseded by this manifest can go only now;
         // deleting them earlier would break resume from the previous one.
@@ -373,59 +358,9 @@ void NetworkSynthesizer::runFilePipeline(
       event.batch = report_.batches;
       event.detail =
           "checkpoint after file " + std::to_string(filesConsumed);
-      if (nextInflight != nullptr) {
-        event.detail += " with in-flight batch of " +
-                        std::to_string(nextInflight->filesInBatch) + " files";
-      }
       report_.faults.push_back(std::move(event));
     }
     runtime::fault::hit("driver.batch");
-  };
-
-  // Two-stage pipeline: a background loader decodes batch k+1 while this
-  // thread runs stages 2-6 on batch k.
-  elog::PrefetchingLoader::Options options;
-  options.windowStart = config_.windowStart;
-  options.windowEnd = config_.windowEnd;
-  options.filesPerBatch = config_.filesPerBatch;
-  options.decodeThreads = config_.workers;
-  options.quarantineCorrupt = config_.faultPolicy == FaultPolicy::kDegrade;
-  elog::PrefetchingLoader loader(remaining, options);
-  // Checkpointing captures the loader's head batch (decoded, not yet
-  // processed) so a killed run resumes without re-decoding it.
-  const auto peekInflight = [&loader,
-                             checkpointing]() -> std::optional<InflightBatch> {
-    if (!checkpointing) {
-      return std::nullopt;
-    }
-    std::optional<elog::LoadedBatch> peeked = loader.peekReady();
-    if (!peeked) {
-      return std::nullopt;
-    }
-    InflightBatch next;
-    next.events = std::move(peeked->table);
-    next.quarantined = std::move(peeked->quarantined);
-    next.filesInBatch = peeked->filesInBatch;
-    return next;
-  };
-  const auto runBatch = [&](const table::EventTable& events,
-                            std::vector<elog::QuarantinedFile> quarantined,
-                            std::size_t filesInBatch) {
-    report_.logEntriesLoaded += events.size();
-    processBatch(events, dense, sink);
-    const std::optional<InflightBatch> next = peekInflight();
-    finishBatch(std::move(quarantined), filesInBatch,
-                next ? &*next : nullptr);
-  };
-  if (inflight) {
-    // The batch restored from the checkpoint runs first, before any disk
-    // load: its decode already happened in the previous life.
-    runBatch(inflight->events, std::move(inflight->quarantined),
-             static_cast<std::size_t>(inflight->filesInBatch));
-    inflight.reset();
-  }
-  while (std::optional<elog::LoadedBatch> batch = loader.next()) {
-    runBatch(batch->table, std::move(batch->quarantined), batch->filesInBatch);
   }
   const elog::PrefetchStats stats = loader.stats();
   report_.loadSeconds = stats.decodeSeconds;
@@ -582,7 +517,7 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
     report_.mergePassBytes += segment.mergePassBytes;
     if (checkpointing) {
       saveCheckpoint(config_.checkpointDir, buildManifest(), config_.spillDir,
-                     nullptr, /*gcSpillDir=*/false);
+                     /*gcSpillDir=*/false);
       ++report_.checkpointsWritten;
     }
     runtime::fault::hit("spill.shard");

@@ -331,9 +331,6 @@ struct SynthesisReport {
   bool resumed = false;              ///< run started from a checkpoint
   std::uint64_t checkpointsWritten = 0;
   std::uint64_t filesSkippedByResume = 0;
-  /// Resume restored a checkpointed in-flight batch (decoded events that
-  /// had not been processed when the run died), skipping its re-decode.
-  bool inflightRestored = false;
 
   // ---- memory budget / spill section (memoryBudgetBytes > 0) ----
 

@@ -126,15 +126,6 @@ std::vector<RowIndex> EventTable::rowsOverlapping(Hour windowStart,
   return rows;
 }
 
-EventTable EventTable::selectRows(std::span<const RowIndex> rowIndices) const {
-  EventTable result;
-  result.reserve(rowIndices.size());
-  for (RowIndex index : rowIndices) {
-    result.append(row(index));
-  }
-  return result;
-}
-
 EventTable EventTable::filter(
     const std::function<bool(const Event&)>& predicate) const {
   EventTable result;
@@ -162,10 +153,6 @@ std::vector<std::uint32_t> sortedUnique(std::span<const std::uint32_t> column) {
 
 std::vector<PlaceId> EventTable::uniquePlaces() const {
   return sortedUnique(place_);
-}
-
-std::vector<PersonId> EventTable::uniquePersons() const {
-  return sortedUnique(person_);
 }
 
 PlaceIndex EventTable::buildPlaceIndex() const {

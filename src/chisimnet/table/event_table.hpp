@@ -71,17 +71,11 @@ class EventTable {
   /// to the last row starting before windowEnd.
   std::vector<RowIndex> rowsOverlapping(Hour windowStart, Hour windowEnd) const;
 
-  /// A new table holding copies of the given rows (order preserved).
-  EventTable selectRows(std::span<const RowIndex> rowIndices) const;
-
   /// A new table holding the rows matching a predicate.
   EventTable filter(const std::function<bool(const Event&)>& predicate) const;
 
   /// Sorted unique place ids over the whole table.
   std::vector<PlaceId> uniquePlaces() const;
-
-  /// Sorted unique person ids over the whole table.
-  std::vector<PersonId> uniquePersons() const;
 
   /// Groups all rows by place id.
   PlaceIndex buildPlaceIndex() const;

@@ -34,13 +34,13 @@
 
 /// Socket transport suite: the wire frame decoder against adversarial byte
 /// streams, the liveness primitives, the mp protocol and run-shipping
-/// codecs, the in-flight checkpoint snapshot, strict address and bootstrap
-/// parsing, end-to-end synthesis over real worker processes on both
-/// address families — clean runs, command retries, SIGKILLed workers
-/// (respawn, budget exhaustion, raw external kills), scripted connection
-/// drops (reconnect), lost ranks (reassignment) and spill-run shipping, all
-/// bit-identical to brute force or shared memory — and adversarial
-/// handshakes thrown at the root's accept loop from raw client sockets.
+/// codecs, strict address and bootstrap parsing, end-to-end synthesis over
+/// real worker processes on both address families — clean runs, command
+/// retries, SIGKILLed workers (respawn, budget exhaustion, raw external
+/// kills), scripted connection drops (reconnect), lost ranks (reassignment),
+/// spill-run shipping and kill-mid-batch resumes, all bit-identical to
+/// brute force or shared memory — and adversarial handshakes thrown at the
+/// root's accept loop from raw client sockets.
 
 namespace chisimnet::net {
 namespace {
@@ -61,15 +61,6 @@ using testsupport::hasFault;
 using testsupport::makeCase;
 using testsupport::ScratchDir;
 using testsupport::writePlacePartitionedFiles;
-
-std::vector<Event> rowsOf(const table::EventTable& table) {
-  std::vector<Event> rows;
-  rows.reserve(table.size());
-  for (std::uint64_t row = 0; row < table.size(); ++row) {
-    rows.push_back(table.row(row));
-  }
-  return rows;
-}
 
 std::vector<std::byte> fileBytes(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -372,82 +363,6 @@ TEST(TcpProtocolTest, StageParamsCarryTheShipRunsFlag) {
   EXPECT_TRUE(back.shipRuns);
   params.shipRuns = false;
   EXPECT_FALSE(mp::decodeStageParams(mp::encodeStageParams(params)).shipRuns);
-}
-
-// ---- in-flight batch checkpoint snapshot ----
-
-TEST(InflightCheckpointTest, SnapshotRoundTripsExactly) {
-  ScratchDir scratch("chisimnet_proc_inflight");
-  const FuzzCase fuzz = makeCase(5);
-
-  CheckpointManifest manifest;
-  manifest.filesConsumed = 2;
-  manifest.batchesDone = 1;
-  manifest.configHash = 0x1234;
-  const auto spillDir = scratch.path() / "spill";
-
-  InflightBatch inflight;
-  for (const Event& event : rowsOf(fuzz.events)) {
-    inflight.events.append(event);
-  }
-  inflight.events.sortByStart();
-  inflight.filesInBatch = 2;
-  inflight.quarantined.push_back(elog::QuarantinedFile{
-      "/logs/rank_0005.clg5", 3, 512, "chunk crc mismatch"});
-  saveCheckpoint(scratch.path(), manifest, spillDir, &inflight);
-
-  const auto loaded = loadCheckpointManifest(scratch.path());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_FALSE(loaded->inflightFile.empty());
-  const auto restored = loadCheckpointInflight(scratch.path(), *loaded);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->filesInBatch, 2u);
-  EXPECT_EQ(rowsOf(restored->events), rowsOf(inflight.events));
-  EXPECT_EQ(restored->events.isSortedByStart(),
-            inflight.events.isSortedByStart());
-  ASSERT_EQ(restored->quarantined.size(), 1u);
-  EXPECT_EQ(restored->quarantined[0].file, "/logs/rank_0005.clg5");
-  EXPECT_EQ(restored->quarantined[0].chunkIndex, 3);
-  EXPECT_EQ(restored->quarantined[0].byteOffset, 512u);
-  EXPECT_EQ(restored->quarantined[0].reason, "chunk crc mismatch");
-
-  // A checkpoint written without a snapshot restores to nullopt.
-  saveCheckpoint(scratch.path(), manifest, spillDir);
-  const auto bare = loadCheckpointManifest(scratch.path());
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_TRUE(bare->inflightFile.empty());
-  EXPECT_FALSE(loadCheckpointInflight(scratch.path(), *bare).has_value());
-}
-
-TEST(InflightCheckpointTest, CorruptSnapshotIsRejectedNotComputedOn) {
-  ScratchDir scratch("chisimnet_proc_inflight_corrupt");
-  const FuzzCase fuzz = makeCase(6);
-  CheckpointManifest manifest;
-  manifest.filesConsumed = 1;
-  InflightBatch inflight;
-  for (const Event& event : rowsOf(fuzz.events)) {
-    inflight.events.append(event);
-  }
-  inflight.filesInBatch = 1;
-  saveCheckpoint(scratch.path(), manifest, scratch.path() / "spill",
-                 &inflight);
-  const auto loaded = loadCheckpointManifest(scratch.path());
-  ASSERT_TRUE(loaded.has_value());
-
-  // Flip one payload byte: the CRC must catch it.
-  const auto path = scratch.path() / loaded->inflightFile;
-  {
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(20);
-    char byte = 0;
-    file.seekg(20);
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    file.seekp(20);
-    file.write(&byte, 1);
-  }
-  EXPECT_THROW(loadCheckpointInflight(scratch.path(), *loaded),
-               std::exception);
 }
 
 // ---- strict address and bootstrap parsing ----
@@ -834,20 +749,19 @@ TEST(ProcessTransportSynthesisTest, RawExternalSigkillMidRunSurvives) {
       << "the kill must show up as a respawn or a lost rank";
 }
 
-/// Kill-mid-batch checkpoint/resume with the in-flight snapshot: the
-/// prefetcher has the next batch decoded when the driver dies, the
-/// checkpoint carries it, and the resumed run restores it instead of
-/// re-decoding — with bit-identical output.
-TEST(ProcessTransportSynthesisTest, KillMidBatchResumeRestoresInflight) {
+/// Kill-mid-batch checkpoint/resume: the driver dies right after the
+/// second batch's checkpoint, and the resumed run decodes the remaining
+/// batch from its log files — with bit-identical output.
+TEST(ProcessTransportSynthesisTest, KillMidBatchResumeIsBitIdentical) {
   const FuzzCase fuzz = makeCase(97);
-  ScratchDir scratch("chisimnet_proc_inflight_resume");
+  ScratchDir scratch("chisimnet_proc_kill_resume");
   const auto files =
       writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
 
   for (const bool processTransport : {false, true}) {
     const std::string label =
         processTransport ? "mp-process" : "mp-inproc";
-    ScratchDir checkpoints("chisimnet_proc_inflight_ckpt_" + label);
+    ScratchDir checkpoints("chisimnet_proc_kill_resume_ckpt_" + label);
 
     SynthesisConfig config;
     config.windowStart = fuzz.windowStart;
@@ -866,11 +780,8 @@ TEST(ProcessTransportSynthesisTest, KillMidBatchResumeRestoresInflight) {
 
     config.checkpointDir = checkpoints.path();
     {
-      // Slow the compute side so the producer is decoded ahead, then die
-      // right after the second batch's checkpoint hits disk.
+      // Die right after the second batch's checkpoint hits disk.
       FaultPlan plan;
-      plan.at("driver.adjacency",
-              FaultSpec{.action = FaultAction::kDelay, .delayMs = 40});
       plan.at("driver.batch",
               FaultSpec{.action = FaultAction::kThrow, .hit = 2});
       runtime::fault::ScopedFaultPlan scoped(plan);
@@ -882,8 +793,6 @@ TEST(ProcessTransportSynthesisTest, KillMidBatchResumeRestoresInflight) {
     const auto manifest = loadCheckpointManifest(checkpoints.path());
     ASSERT_TRUE(manifest.has_value()) << label;
     EXPECT_EQ(manifest->filesConsumed, 4u) << label;
-    ASSERT_FALSE(manifest->inflightFile.empty())
-        << label << ": the checkpoint must carry the decoded batch 3";
 
     config.resume = true;
     NetworkSynthesizer resumed(config);
@@ -891,16 +800,15 @@ TEST(ProcessTransportSynthesisTest, KillMidBatchResumeRestoresInflight) {
     EXPECT_EQ(adjacency.toTriplets(), reference.toTriplets()) << label;
     const SynthesisReport& report = resumed.report();
     EXPECT_TRUE(report.resumed) << label;
-    EXPECT_TRUE(report.inflightRestored) << label;
     EXPECT_EQ(report.batches, 3u) << label;
     EXPECT_EQ(report.filesSkippedByResume, 4u) << label;
   }
 }
 
 /// A resume with a different worker count (a perf knob outside the config
-/// hash) must accept and correctly consume the in-flight snapshot a run
-/// wrote before dying.
-TEST(ProcessTransportSynthesisTest, SerialResumeConsumesAPrefetchSnapshot) {
+/// hash) must accept the checkpoint a run wrote before dying mid-way and
+/// finish it bit-identically.
+TEST(ProcessTransportSynthesisTest, SerialResumeAtAnotherWorkerCount) {
   const FuzzCase fuzz = makeCase(98);
   ScratchDir scratch("chisimnet_proc_serial_resume");
   const auto files =
@@ -919,8 +827,6 @@ TEST(ProcessTransportSynthesisTest, SerialResumeConsumesAPrefetchSnapshot) {
   config.checkpointDir = checkpoints.path();
   {
     FaultPlan plan;
-    plan.at("driver.adjacency",
-            FaultSpec{.action = FaultAction::kDelay, .delayMs = 40});
     plan.at("driver.batch",
             FaultSpec{.action = FaultAction::kThrow, .hit = 2});
     runtime::fault::ScopedFaultPlan scoped(plan);
@@ -930,14 +836,12 @@ TEST(ProcessTransportSynthesisTest, SerialResumeConsumesAPrefetchSnapshot) {
   }
   const auto manifest = loadCheckpointManifest(checkpoints.path());
   ASSERT_TRUE(manifest.has_value());
-  ASSERT_FALSE(manifest->inflightFile.empty());
 
   config.resume = true;
   config.workers = 1;  // resume with a different worker count
   NetworkSynthesizer resumed(config);
   const auto adjacency = resumed.synthesizeAdjacency(files);
   EXPECT_EQ(adjacency.toTriplets(), reference.toTriplets());
-  EXPECT_TRUE(resumed.report().inflightRestored);
 }
 
 /// Acceptance (reconnect path): the first root->worker data frame is

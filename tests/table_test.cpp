@@ -164,16 +164,6 @@ TEST(EventTable, RowsOverlappingCatchesLongStraddlers) {
   EXPECT_EQ(table.row(rows[0]).person, 1u);
 }
 
-TEST(EventTable, SelectRowsPreservesOrder) {
-  EventTable table = randomTable(7, 50, 30, 10, 5);
-  const std::vector<RowIndex> picks{9, 3, 27};
-  const EventTable subset = table.selectRows(picks);
-  ASSERT_EQ(subset.size(), 3u);
-  EXPECT_EQ(subset.row(0), table.row(9));
-  EXPECT_EQ(subset.row(1), table.row(3));
-  EXPECT_EQ(subset.row(2), table.row(27));
-}
-
 TEST(EventTable, FilterKeepsMatching) {
   EventTable table = randomTable(8, 400, 100, 20, 10);
   const EventTable filtered =
@@ -194,9 +184,7 @@ TEST(EventTable, UniquePlacesAndPersonsSortedDistinct) {
   table.append(makeEvent(1, 2, 5, 3));
   table.append(makeEvent(2, 3, 2, 9));
   const auto places = table.uniquePlaces();
-  const auto persons = table.uniquePersons();
   EXPECT_EQ(places, (std::vector<PlaceId>{3, 9}));
-  EXPECT_EQ(persons, (std::vector<PersonId>{2, 5}));
 }
 
 TEST(EventTable, PlaceIndexGroupsAllRows) {

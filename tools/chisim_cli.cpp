@@ -403,11 +403,7 @@ int cmdSynthesize(const Args& args) {
             << report.prefetchPeakOccupancy << ")\n";
   if (report.resumed) {
     std::cout << "resumed from checkpoint: skipped "
-              << report.filesSkippedByResume << " already-consumed files";
-    if (report.inflightRestored) {
-      std::cout << " (in-flight batch restored, re-decode skipped)";
-    }
-    std::cout << "\n";
+              << report.filesSkippedByResume << " already-consumed files\n";
   }
   if (report.checkpointsWritten > 0) {
     std::cout << "checkpoints: " << report.checkpointsWritten << " written to "
