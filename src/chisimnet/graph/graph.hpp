@@ -3,10 +3,12 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "chisimnet/sparse/adjacency.hpp"
+#include "chisimnet/util/default_init_vector.hpp"
 
 /// Undirected weighted graph in CSR form (the iGraph substitute).
 ///
@@ -14,8 +16,10 @@
 /// matrix (paper §IV-V): vertices are persons, edge weights are collocated
 /// person-hours. Vertex ids are compacted to [0, n); the original person ids
 /// are retained as labels so analyses can join back to demographic data.
-/// Neighbor lists are sorted by vertex id (both builds fill rows in (i, j)
-/// edge order, which yields that without a per-row sort);
+/// Neighbor lists are sorted by vertex id without a per-row sort: the
+/// sort-and-merge build fills rows in (i, j) edge order, and the triplet
+/// build's owner threads fill each row with its lower neighbours in
+/// ascending order, then its own ascending row;
 /// hasEdge/weightBetween binary-search a row and subgraph extraction relies
 /// on it. The triangle kernel behind the clustering analyses does not: it
 /// builds its own rank-oriented lists.
@@ -42,15 +46,20 @@ class Graph {
   /// anything else (unsorted, duplicate or i >= j rows) throws
   /// std::invalid_argument. That makes the build linear: no sort of the
   /// edges, no merge copy, and an id-to-vertex index bounded by the vertex
-  /// count, never by the id values.
-  static Graph fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets);
+  /// count, never by the id values. The CSR fill runs on up to `threads`
+  /// threads (fewer on small inputs); the graph is the same for any count.
+  static Graph fromTriplets(
+      std::span<const sparse::AdjacencyTriplet> triplets,
+      unsigned threads = std::thread::hardware_concurrency());
 
   /// Same, but over an explicit vertex universe: `vertexLabels` lists every
   /// vertex (by original id) that must exist, including isolated ones, in
   /// any order; every triplet endpoint must be in the list
   /// (std::invalid_argument otherwise).
-  static Graph fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets,
-                            std::span<const std::uint32_t> vertexLabels);
+  static Graph fromTriplets(
+      std::span<const sparse::AdjacencyTriplet> triplets,
+      std::span<const std::uint32_t> vertexLabels,
+      unsigned threads = std::thread::hardware_concurrency());
 
   /// Builds from explicit edges over compact vertex ids [0, vertexCount),
   /// in any order. Parallel edges are merged by summing weights; self-loops
@@ -94,13 +103,17 @@ class Graph {
  private:
   static Graph build(std::vector<Edge> edges, std::vector<std::uint32_t> labels);
   /// The linear CSR fill behind fromTriplets: `triplets` already checked,
-  /// `labels` sorted, unique and covering every endpoint.
+  /// `labels` sorted, unique and covering every endpoint. Edge chunks map
+  /// columns to vertices, then owner threads over vertex ranges count
+  /// degrees and fill their own rows.
   static Graph assemble(std::span<const sparse::AdjacencyTriplet> triplets,
-                        std::vector<std::uint32_t> labels);
+                        std::vector<std::uint32_t> labels, unsigned threads);
 
   std::vector<std::uint64_t> offsets_;  ///< size n+1
-  std::vector<Vertex> neighbors_;       ///< both directions, sorted per row
-  std::vector<Weight> weights_;
+  /// Both directions, sorted per row. Every slot is written by the fill,
+  /// so the buffers are sized without zeroing them first.
+  util::DefaultInitVector<Vertex> neighbors_;
+  util::DefaultInitVector<Weight> weights_;
   std::vector<std::uint32_t> labels_;   ///< compact vertex -> original id (sorted)
 };
 

@@ -65,12 +65,15 @@ void SharedMemoryExecutor::reduce(sparse::SymmetricAdjacency& result) {
   CHISIM_REQUIRE(config_.memoryBudgetBytes == 0,
                  "budgeted stage 5 must reduce into a spilling accumulator");
   // Paper §IV.A step 6: the root adds the worker sums into the result one
-  // after another, releasing each map as soon as it has been folded.
+  // after another, releasing each map as soon as it has been folded. Each
+  // fold grows the result for the union and then inserts on every worker
+  // thread; only one worker map is released per fold, as in the serial
+  // fold, so the peak stays the result plus the maps not yet folded.
   lastReduce_ = ReduceStats{};
   lastReduce_.mergedSums = spillSums_.size();
-  util::ThreadCpuTimer timer;
+  util::WallTimer timer;
   for (std::unique_ptr<sparse::SpillingSum>& sum : spillSums_) {
-    result.merge(sum->inMemory());
+    result.merge(sum->inMemory(), config_.workers);
     sum.reset();
   }
   lastReduce_.criticalSeconds = timer.seconds();
@@ -89,12 +92,15 @@ void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
     workerPeak += sum->peakBytes();
   }
   sink.noteWorkerPeak(workerPeak);
-  util::ThreadCpuTimer timer;
+  // One sum is drained at a time, on every worker thread: draining several
+  // at once would hold several sorted copies beside their maps.
+  util::WallTimer timer;
   for (const auto& sum : spillSums_) {
     for (const sparse::SpillRunInfo& run : sum->runs()) {
       sink.adoptRunFile(run);  // already on disk: ownership moves, no copy
     }
-    sink.addSortedRun(sum->drainInMemory());  // kept as it is, no hash
+    // Kept as it is, no hash.
+    sink.addSortedRun(sum->drainInMemory(config_.workers));
     sink.addKernelStats(sum->kernelStats());
   }
   lastReduce_.criticalSeconds = timer.seconds();

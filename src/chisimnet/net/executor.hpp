@@ -50,7 +50,9 @@ struct CollocationCounts {
 /// Size and timing of one stage-6 reduce.
 struct ReduceStats {
   std::uint64_t mergedSums = 0;  ///< worker sums folded into the result
-  double criticalSeconds = 0.0;  ///< thread-CPU seconds of the root fold
+  /// Wall seconds of the root fold: a fold on several threads is timed by
+  /// the clock the batch waits on, not by one thread's CPU.
+  double criticalSeconds = 0.0;
 };
 
 class SynthesisExecutor {
@@ -147,7 +149,11 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
                                  const table::PlaceIndex& index,
                                  std::span<const std::size_t> groups,
                                  const runtime::Partition& partition) override;
+  /// Folds the worker maps one after another, each on `workers` threads
+  /// inserting disjoint slot ranges of the map (PairCountMap::merge).
   void reduce(sparse::SymmetricAdjacency& result) override;
+  /// Drains the worker sums one after another, each sorted on `workers`
+  /// threads (SpillingSum::drainInMemory).
   void reduceInto(sparse::SpillingAccumulator& sink) override;
   /// Owners are the worker threads: shard groups are assigned round-robin
   /// to the `workers` owners and each owner merges its groups in ascending

@@ -505,7 +505,7 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
   // running result, consuming (deleting) file-backed runs. Each run's row
   // count (from its metadata) pre-sizes the result before it is inserted.
   try {
-    util::ThreadCpuTimer timer;
+    util::WallTimer timer;
     for (const mp::RunRef& ref : reduceRuns_) {
       if (ref.isFile()) {
         result.reserve(result.edgeCount() + ref.run.triplets);
@@ -541,7 +541,7 @@ void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   // kept runs — the budget guarantee must account for both.
   sink.noteWorkerPeak(workerPeakBytes_);
   try {
-    util::ThreadCpuTimer timer;
+    util::WallTimer timer;
     for (mp::RunRef& ref : reduceRuns_) {
       if (ref.isFile()) {
         sink.adoptRunFile(ref.run);  // ownership transfer, no copy

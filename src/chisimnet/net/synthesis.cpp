@@ -339,7 +339,8 @@ void NetworkSynthesizer::runFilePipeline(
         std::uint64_t index = 0;
         sparse::writeShardRuns(
             config_.spillDir, "dense." + std::to_string(filesConsumed) + ".",
-            index, dense->toTriplets(), resolvedMergeRowsPerShard(config_),
+            index, dense->toTriplets(config_.workers),
+            resolvedMergeRowsPerShard(config_),
             manifest.spillRuns);
       }
       saveCheckpoint(config_.checkpointDir, manifest, config_.spillDir);
@@ -561,13 +562,13 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
 graph::Graph NetworkSynthesizer::synthesizeGraph(
     const std::vector<std::filesystem::path>& logFiles) {
   const sparse::SymmetricAdjacency adjacency = synthesizeAdjacency(logFiles);
-  return graph::Graph::fromTriplets(adjacency.toTriplets());
+  return graph::Graph::fromTriplets(adjacency.toTriplets(config_.workers));
 }
 
 graph::Graph NetworkSynthesizer::synthesizeGraph(
     const table::EventTable& events) {
   const sparse::SymmetricAdjacency adjacency = synthesizeAdjacency(events);
-  return graph::Graph::fromTriplets(adjacency.toTriplets());
+  return graph::Graph::fromTriplets(adjacency.toTriplets(config_.workers));
 }
 
 PlaceWeights weighPlaces(const table::EventTable& events,

@@ -312,7 +312,7 @@ struct SynthesisReport {
   // ---- stage-6 reduce ----
 
   std::uint64_t reduceMergedSums = 0;   ///< worker sums folded, all batches
-  double reduceCriticalSeconds = 0.0;   ///< thread-CPU seconds of the root fold
+  double reduceCriticalSeconds = 0.0;   ///< wall seconds of the root fold
 
   // ---- fault section: every recovery action of the run ----
 

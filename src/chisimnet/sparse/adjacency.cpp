@@ -4,6 +4,8 @@
 #include <bit>
 #include <utility>
 
+#include "chisimnet/runtime/thread_pool.hpp"
+#include "chisimnet/util/default_init_vector.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/radix_sort.hpp"
 
@@ -166,16 +168,94 @@ void SymmetricAdjacency::addCollocation(const CollocationMatrix& matrix) {
   addViaLocalAccumulate(matrix, pairs_, kernelStats_);
 }
 
-std::vector<AdjacencyTriplet> SymmetricAdjacency::toTriplets() const {
-  std::vector<AdjacencyTriplet> triplets;
-  triplets.reserve(pairs_.size());
-  pairs_.forEach([&triplets](std::uint64_t key, std::uint64_t count) {
-    triplets.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), count});
-  });
-  // Keys are unique, so sorting by the packed key is the (i, j) order.
-  util::radixSort(triplets, [](const AdjacencyTriplet& triplet) {
+std::vector<AdjacencyTriplet> SymmetricAdjacency::toTriplets(
+    unsigned threads) const {
+  const auto packedKey = [](const AdjacencyTriplet& triplet) {
     return packPair(triplet.i, triplet.j);
+  };
+  if (threads <= 1) {
+    std::vector<AdjacencyTriplet> triplets;
+    triplets.reserve(pairs_.size());
+    pairs_.forEach([&triplets](std::uint64_t key, std::uint64_t count) {
+      triplets.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), count});
+    });
+    // Keys are unique, so sorting by the packed key is the (i, j) order.
+    util::radixSort(triplets, packedKey);
+    return triplets;
+  }
+  // Each thread walks one contiguous slot range (chunk) three times: for
+  // the highest row, for its per-bucket counts and to scatter. Bucket b
+  // holds rows [b << shift, (b + 1) << shift), so sorting every bucket
+  // sorts the whole run.
+  const std::size_t slots = pairs_.slotCount();
+  const auto slotBegin = [slots, threads](std::uint64_t chunk) {
+    return static_cast<std::size_t>(slots * chunk / threads);
+  };
+  std::vector<std::uint64_t> highestRow(threads, 0);
+  runtime::parallelFor(threads, threads, [&](std::uint64_t chunk) {
+    std::uint64_t highest = 0;
+    pairs_.forEachInSlots(slotBegin(chunk), slotBegin(chunk + 1),
+                          [&highest](std::uint64_t key, std::uint64_t) {
+                            highest = std::max<std::uint64_t>(highest,
+                                                              pairLow(key));
+                          });
+    highestRow[chunk] = highest;
   });
+  // Eight buckets per thread: rows low in the id range hold more pairs
+  // (j > i), so dynamic scheduling over smaller buckets levels the sorts.
+  const std::uint64_t top =
+      *std::max_element(highestRow.begin(), highestRow.end());
+  unsigned shift = 0;
+  while ((top >> shift) >= std::uint64_t{8} * threads) {
+    ++shift;
+  }
+  const std::size_t buckets = static_cast<std::size_t>(top >> shift) + 1;
+  // cursors[chunk * buckets + b]: first the chunk's count in bucket b, then
+  // where its next entry of bucket b goes (buckets in order, chunks in
+  // order within a bucket).
+  std::vector<std::size_t> cursors(threads * buckets, 0);
+  runtime::parallelFor(threads, threads, [&](std::uint64_t chunk) {
+    std::size_t* counts = cursors.data() + chunk * buckets;
+    pairs_.forEachInSlots(slotBegin(chunk), slotBegin(chunk + 1),
+                          [&](std::uint64_t key, std::uint64_t) {
+                            ++counts[pairLow(key) >> shift];
+                          });
+  });
+  std::vector<std::size_t> bucketStart(buckets + 1, 0);
+  std::size_t placed = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    bucketStart[b] = placed;
+    for (std::size_t chunk = 0; chunk < threads; ++chunk) {
+      const std::size_t count = cursors[chunk * buckets + b];
+      cursors[chunk * buckets + b] = placed;
+      placed += count;
+    }
+  }
+  bucketStart[buckets] = placed;
+  std::vector<AdjacencyTriplet> triplets(placed);
+  runtime::parallelFor(threads, threads, [&](std::uint64_t chunk) {
+    std::size_t* cursor = cursors.data() + chunk * buckets;
+    pairs_.forEachInSlots(
+        slotBegin(chunk), slotBegin(chunk + 1),
+        [&](std::uint64_t key, std::uint64_t count) {
+          triplets[cursor[pairLow(key) >> shift]++] =
+              AdjacencyTriplet{pairLow(key), pairHigh(key), count};
+        });
+  });
+  // One scratch span per thread, as long as the largest bucket, allocated
+  // here so no memory is left behind in the threads' malloc arenas.
+  std::size_t largest = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    largest = std::max(largest, bucketStart[b + 1] - bucketStart[b]);
+  }
+  util::DefaultInitVector<AdjacencyTriplet> scratch(largest * threads);
+  runtime::parallelFor(
+      buckets, threads, [&](std::uint64_t b, unsigned worker) {
+        util::radixSort(
+            std::span(triplets).subspan(bucketStart[b],
+                                        bucketStart[b + 1] - bucketStart[b]),
+            std::span(scratch).subspan(largest * worker, largest), packedKey);
+      });
   return triplets;
 }
 

@@ -15,6 +15,15 @@
 /// triangle (i < j), exactly as the paper stores the triangular sparse
 /// matrix in R, via a pair-count hash map while accumulating and as sorted
 /// triplets once finalized.
+///
+/// The dense stage-6 tail runs on every core the caller grants: merge()
+/// folds a worker sum with concurrent inserts, and toTriplets() buckets the
+/// table by row range and radix-sorts the buckets concurrently. Weights are
+/// integer sums and the triplets fully sorted, so neither output depends on
+/// the thread count. One thread runs the serial code: one insert loop, or
+/// one extraction pass and one radix sort over the whole table — the form
+/// stage-5 flushes on shared workers and mp ranks use, since their threads
+/// are already busy.
 
 namespace chisimnet::sparse {
 
@@ -58,9 +67,10 @@ class SymmetricAdjacency {
   /// distinct pair instead of once per pair-hour.
   void addCollocation(const CollocationMatrix& matrix);
 
-  /// Sums another adjacency into this one (matrix addition).
-  void merge(const SymmetricAdjacency& other) {
-    pairs_.merge(other.pairs_);
+  /// Sums another adjacency into this one (matrix addition), inserting on
+  /// `threads` threads (see PairCountMap::merge).
+  void merge(const SymmetricAdjacency& other, unsigned threads = 1) {
+    pairs_.merge(other.pairs_, threads);
     kernelStats_.merge(other.kernelStats_);
   }
 
@@ -85,8 +95,11 @@ class SymmetricAdjacency {
     kernelStats_.merge(stats);
   }
 
-  /// Upper-triangular triplets sorted by (i, j); deterministic output.
-  std::vector<AdjacencyTriplet> toTriplets() const;
+  /// Upper-triangular triplets sorted by (i, j); the same output for any
+  /// thread count. threads <= 1 makes one pass over the table and one
+  /// radix sort of the whole run; more threads bucket the entries by row
+  /// range and sort the buckets concurrently.
+  std::vector<AdjacencyTriplet> toTriplets(unsigned threads = 1) const;
 
  private:
   PairCountMap pairs_;

@@ -550,8 +550,8 @@ const AdjacencyKernelStats& SpillingSum::kernelStats() const noexcept {
   return sum_.kernelStats();
 }
 
-std::vector<AdjacencyTriplet> SpillingSum::drainInMemory() {
-  std::vector<AdjacencyTriplet> triplets = sum_.toTriplets();
+std::vector<AdjacencyTriplet> SpillingSum::drainInMemory(unsigned threads) {
+  std::vector<AdjacencyTriplet> triplets = sum_.toTriplets(threads);
   peakBytes_ = std::max<std::uint64_t>(
       peakBytes_, sum_.memoryBytes() + triplets.size() * kTripletBytes);
   const AdjacencyKernelStats stats = sum_.kernelStats();

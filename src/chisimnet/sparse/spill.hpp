@@ -308,8 +308,10 @@ class SpillingSum {
   const std::vector<SpillRunInfo>& runs() const noexcept { return runs_; }
   /// Distinct pairs not yet flushed.
   std::uint64_t residentTriplets() const noexcept { return sum_.edgeCount(); }
-  /// The not-yet-flushed remainder as a sorted run; resets the sum.
-  std::vector<AdjacencyTriplet> drainInMemory();
+  /// The not-yet-flushed remainder as a sorted run; resets the sum. The
+  /// extraction runs on `threads` threads (SymmetricAdjacency::toTriplets):
+  /// the root's drains take every core, flushes on a busy worker one.
+  std::vector<AdjacencyTriplet> drainInMemory(unsigned threads = 1);
   /// Writes the in-memory sum to disk as shard-pure runs (no-op when it
   /// is empty), leaving only run files.
   void flush();

@@ -1,10 +1,14 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
+
+#include "chisimnet/util/error.hpp"
 
 /// LSD radix sort on an unsigned integer key, one byte per pass.
 ///
@@ -17,15 +21,19 @@
 
 namespace chisimnet::util {
 
-/// Sorts `items` ascending by `keyOf(item)`, an unsigned integer.
-template <typename T, typename KeyFn>
-void radixSort(std::vector<T>& items, KeyFn keyOf) {
+namespace detail {
+
+/// Sorts `items` by ping-ponging between it and the buffer `scratchFor()`
+/// returns (room for items.size(); asked for once, on the first pass that
+/// is not skipped). Returns true when the sorted items ended in scratch.
+template <typename T, typename KeyFn, typename ScratchFn>
+bool radixSortPasses(std::span<T> items, KeyFn& keyOf, ScratchFn&& scratchFor) {
   using Key = std::invoke_result_t<KeyFn&, const T&>;
   static_assert(std::is_unsigned_v<Key>, "radix key must be unsigned");
   constexpr std::size_t kBytes = sizeof(Key);
   const std::size_t n = items.size();
   if (n < 2) {
-    return;
+    return false;
   }
   std::array<std::array<std::size_t, 256>, kBytes> counts{};
   for (const T& item : items) {
@@ -34,7 +42,9 @@ void radixSort(std::vector<T>& items, KeyFn keyOf) {
       ++counts[b][(key >> (8 * b)) & 0xFF];
     }
   }
-  std::vector<T> scratch;
+  T* from = items.data();
+  T* to = nullptr;
+  bool inScratch = false;
   for (std::size_t b = 0; b < kBytes; ++b) {
     std::array<std::size_t, 256>& next = counts[b];
     // Every key shares this byte: the pass would be the identity.
@@ -47,13 +57,44 @@ void radixSort(std::vector<T>& items, KeyFn keyOf) {
       slot = sum;
       sum += count;
     }
-    if (scratch.empty()) {
-      scratch.resize(n);
+    if (to == nullptr) {
+      to = scratchFor();
     }
-    for (const T& item : items) {
-      scratch[next[(keyOf(item) >> (8 * b)) & 0xFF]++] = item;
+    for (std::size_t k = 0; k < n; ++k) {
+      to[next[(keyOf(from[k]) >> (8 * b)) & 0xFF]++] = from[k];
     }
+    std::swap(from, to);
+    inScratch = !inScratch;
+  }
+  return inScratch;
+}
+
+}  // namespace detail
+
+/// Sorts `items` ascending by `keyOf(item)`, an unsigned integer.
+template <typename T, typename KeyFn>
+void radixSort(std::vector<T>& items, KeyFn keyOf) {
+  std::vector<T> scratch;
+  if (detail::radixSortPasses(std::span<T>(items), keyOf, [&] {
+        scratch.resize(items.size());
+        return scratch.data();
+      })) {
     items.swap(scratch);
+  }
+}
+
+/// Sorts the span in place, with `scratch` (at least as long as `items`;
+/// its contents are overwritten) for the passes. Callers sorting many
+/// spans on one thread, or sizing buffers before threads start, pass one
+/// buffer for all of them.
+template <typename T, typename KeyFn>
+void radixSort(std::span<T> items, std::span<T> scratch, KeyFn keyOf) {
+  CHISIM_REQUIRE(scratch.size() >= items.size(),
+                 "radix sort scratch is shorter than the items");
+  if (detail::radixSortPasses(items, keyOf, [&] { return scratch.data(); })) {
+    std::copy(scratch.begin(),
+              scratch.begin() + static_cast<std::ptrdiff_t>(items.size()),
+              items.begin());
   }
 }
 

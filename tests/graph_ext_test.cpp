@@ -332,6 +332,62 @@ TEST_F(AdjacencyIoTest, RowsOutOfOrderRejected) {
   EXPECT_THROW(sparse::loadTriplets(path), std::runtime_error);
 }
 
+// A payload of several 1 MiB chunks: the CRC is computed per chunk and
+// joined, and each chunk checks its first row against the row before it.
+TEST_F(AdjacencyIoTest, ChunkedPayloadChecksEveryChunkBoundary) {
+  constexpr std::size_t kRows = 5 * (std::size_t{1} << 16);
+  std::vector<sparse::AdjacencyTriplet> triplets(kRows);
+  for (std::size_t k = 0; k < kRows; ++k) {
+    const auto i = static_cast<std::uint32_t>(k / 64);
+    triplets[k] = {i, i + 1 + static_cast<std::uint32_t>(k % 64), k + 1};
+  }
+  const auto path = dir_ / "chunked.cadj";
+  sparse::saveTriplets(triplets, path);
+  const std::vector<std::byte> saved = readFile(path);
+  std::uint32_t footer = 0;
+  std::memcpy(&footer, saved.data() + saved.size() - 4, 4);
+  EXPECT_EQ(footer, util::crc32(std::span<const std::byte>(
+                        saved.data() + 16, saved.size() - 20)));
+  EXPECT_EQ(sparse::loadTriplets(path), triplets);
+
+  // A row equal to its predecessor on a chunk boundary of 2 to 5 chunks.
+  for (const std::size_t row :
+       {kRows / 2, kRows / 3, 2 * kRows / 3, kRows / 4, 3 * kRows / 4,
+        kRows / 5, kRows - 1}) {
+    std::vector<std::byte> bytes = saved;
+    std::copy(bytes.begin() + static_cast<std::ptrdiff_t>(16 * row),
+              bytes.begin() + static_cast<std::ptrdiff_t>(16 * row + 16),
+              bytes.begin() + static_cast<std::ptrdiff_t>(16 * row + 16));
+    writeWithFreshCrc(path, bytes);
+    try {
+      sparse::loadTriplets(path);
+      ADD_FAILURE() << "duplicate row " << row << " was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("CADJ row " + std::to_string(row) + " is not"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+
+  // A flipped bit in the last chunk fails the joined CRC.
+  std::vector<std::byte> bytes = saved;
+  bytes[bytes.size() - 30] ^= std::byte{0x01};
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    sparse::loadTriplets(path);
+    ADD_FAILURE() << "corrupt payload was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("adjacency CRC mismatch"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST_F(AdjacencyIoTest, DiagonalRowRejected) {
   const auto path = dir_ / "diagonal.cadj";
   const std::vector<sparse::AdjacencyTriplet> triplets{{1, 2, 1}, {3, 4, 1}};

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "chisimnet/graph/algorithms.hpp"
 #include "chisimnet/graph/generators.hpp"
@@ -151,10 +152,12 @@ void expectSameCsr(const Graph& actual, const Graph& expected) {
   }
 }
 
-/// fromTriplets against the sort-and-merge oracle fromEdges: random edges
-/// among `ids` (plus `isolated` universe-only ids when non-empty) are
-/// summed into an adjacency, and fromEdges gets the same edges shuffled,
-/// re-oriented and compacted by a binary search over the labels.
+/// fromTriplets against the sort-and-merge oracle fromEdges, whose build
+/// is a serial fill in (u, v) order: random edges among `ids` (plus
+/// `isolated` universe-only ids when non-empty) are summed into an
+/// adjacency, and fromEdges gets the same edges shuffled, re-oriented and
+/// compacted by a binary search over the labels. fromTriplets runs its fill
+/// on 1, 2, 3, 4 and 7 threads (fewer below 1024 edges per thread).
 void checkAgainstFromEdges(std::vector<std::uint32_t> ids,
                            std::vector<std::uint32_t> isolated,
                            std::size_t edgeDraws, util::Rng& rng) {
@@ -194,11 +197,15 @@ void checkAgainstFromEdges(std::vector<std::uint32_t> ids,
 
   std::vector<std::uint32_t> universe = labels;
   rng.shuffle(universe);
-  const Graph graph = isolated.empty() ? Graph::fromTriplets(triplets)
-                                       : Graph::fromTriplets(triplets, universe);
-  expectSameCsr(graph, oracle);
-  EXPECT_TRUE(std::equal(graph.labels().begin(), graph.labels().end(),
-                         labels.begin(), labels.end()));
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const Graph graph =
+        isolated.empty() ? Graph::fromTriplets(triplets, threads)
+                         : Graph::fromTriplets(triplets, universe, threads);
+    expectSameCsr(graph, oracle);
+    EXPECT_TRUE(std::equal(graph.labels().begin(), graph.labels().end(),
+                           labels.begin(), labels.end()));
+  }
 }
 
 TEST(Graph, FromTripletsMatchesFromEdgesOnDenseIds) {
@@ -237,6 +244,45 @@ TEST(Graph, FromTripletsMatchesFromEdgesWithIsolatedUniverse) {
     }
     checkAgainstFromEdges(ids, isolated, 1500, rng);
   }
+}
+
+// Shapes large enough for every thread count to fill: hubs (a few ids in
+// most edges, so one owner's rows hold most entries), isolated labels
+// between and around the edges, and a uniform spread.
+TEST(Graph, ThreadedFillMatchesSerialFill) {
+  util::Rng rng(44);
+  std::vector<std::uint32_t> ids(3000);
+  std::iota(ids.begin(), ids.end(), 0u);
+  checkAgainstFromEdges(ids, {}, 60000, rng);
+  std::vector<std::uint32_t> connected;
+  std::vector<std::uint32_t> isolated;
+  for (std::uint32_t id = 0; id < 6000; ++id) {
+    (id % 3 == 1 || id >= 5500 ? isolated : connected).push_back(id * 13u);
+  }
+  checkAgainstFromEdges(connected, isolated, 40000, rng);
+  sparse::SymmetricAdjacency star;
+  for (std::uint32_t id = 100; id < 9000; ++id) {
+    star.add(7, id, id);
+    star.add(id, 9, 1);
+  }
+  // A matching has twice as many vertices as edges: the chunks' id lists
+  // together outgrow the edge count.
+  sparse::SymmetricAdjacency matching;
+  for (std::uint32_t id = 0; id < 20000; id += 2) {
+    matching.add(id, id + 1, 1 + id);
+  }
+  for (const sparse::SymmetricAdjacency* shape : {&star, &matching}) {
+    const std::vector<sparse::AdjacencyTriplet> triplets = shape->toTriplets();
+    const Graph serial = Graph::fromTriplets(triplets, 1);
+    for (const unsigned threads : {2u, 4u, 7u}) {
+      expectSameCsr(Graph::fromTriplets(triplets, threads), serial);
+      EXPECT_TRUE(std::ranges::equal(
+          Graph::fromTriplets(triplets, threads).labels(), serial.labels()));
+    }
+  }
+  const Graph hub = Graph::fromTriplets(star.toTriplets());
+  EXPECT_EQ(hub.degree(*hub.vertexForLabel(7)), 8900u);
+  EXPECT_EQ(Graph::fromTriplets(matching.toTriplets()).vertexCount(), 20000u);
 }
 
 TEST(Graph, FromTripletsEmptyInput) {

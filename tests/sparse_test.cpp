@@ -112,6 +112,87 @@ TEST(PairCountMap, MergePreReservesForTheUnion) {
   EXPECT_GE(a.memoryBytes(), sizedForUnion.memoryBytes());
 }
 
+/// (key, count) entries of `map`, sorted: the map's value whatever its
+/// slot layout.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> sortedEntries(
+    const PairCountMap& map) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+  map.forEach([&entries](std::uint64_t key, std::uint64_t count) {
+    entries.emplace_back(key, count);
+  });
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+/// Seeded parts whose keys overlap across parts: keys are drawn from a
+/// range only a few times wider than a part, and part 2 is empty.
+std::vector<PairCountMap> overlappingParts(std::uint64_t seed,
+                                           std::uint64_t keyRange) {
+  util::Rng rng(seed);
+  std::vector<PairCountMap> parts(4);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    if (p == 2) {
+      continue;
+    }
+    for (std::uint64_t n = 0; n < keyRange / 2; ++n) {
+      parts[p].add(rng.uniformBelow(keyRange), 1 + rng.uniformBelow(1000));
+    }
+  }
+  return parts;
+}
+
+// The fold a shared-memory root runs: each part merged into one result on
+// `threads` threads. Small key ranges keep the tables small and loaded to
+// 0.7, so probe chains often run past the last slot and wrap to slot 0.
+TEST(PairCountMap, ParallelFoldEqualsSequentialMerge) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const std::uint64_t keyRange : {40u, 700u, 20000u}) {
+      const std::vector<PairCountMap> parts = overlappingParts(seed, keyRange);
+      PairCountMap sequential(16);
+      for (const PairCountMap& part : parts) {
+        sequential.merge(part);
+      }
+      for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+        PairCountMap folded(16);
+        for (const PairCountMap& part : parts) {
+          folded.merge(part, threads);
+        }
+        EXPECT_EQ(folded.size(), sequential.size());
+        EXPECT_EQ(sortedEntries(folded), sortedEntries(sequential))
+            << "seed " << seed << " range " << keyRange << " threads "
+            << threads;
+        // Lookups still find every key after the concurrent inserts.
+        for (const auto& [key, count] : sortedEntries(sequential)) {
+          ASSERT_EQ(folded.get(key), count) << key;
+        }
+      }
+    }
+  }
+}
+
+// Concurrent inserts into one table: eight threads fold a large map into
+// a target that already holds half its keys, whose table must grow first
+// (a concurrent rehash) and whose probe chains the threads race to claim.
+// Run under ThreadSanitizer by the CI's sanitizer job.
+TEST(PairCountMap, ConcurrentInsertStress) {
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    PairCountMap target(16);
+    PairCountMap source(16);
+    for (std::uint64_t key = 0; key < 30000; ++key) {
+      if (key % 2 == 0) {
+        target.add(key * 7919 + round, 3);
+      }
+      source.add(key * 7919 + round, key + 1);
+    }
+    target.merge(source, 8);
+    ASSERT_EQ(target.size(), 30000u);
+    for (std::uint64_t key = 0; key < 30000; ++key) {
+      ASSERT_EQ(target.get(key * 7919 + round),
+                key + 1 + (key % 2 == 0 ? 3 : 0));
+    }
+  }
+}
+
 TEST(CollocationMatrix, BuildsFromEventsWithClipping) {
   // Person 1 at place during [0, 5); window is [2, 4) -> hours {0,1} rel.
   const std::vector<Event> events{{0, 5, 1, 0, 9}};
@@ -269,6 +350,40 @@ TEST(SymmetricAdjacency, TripletsMatchComparisonSort) {
       std::sort(reference.begin(), reference.end());
       EXPECT_EQ(adjacency.toTriplets(), reference)
           << "seed " << seed << " base " << base << " width " << width;
+    }
+  }
+}
+
+// The bucketed extraction against the one-thread pass and sort. Shapes: an
+// empty map; one entry; every key in one row (all in one bucket); ids
+// near UINT32_MAX (the bucket shift at its widest); a random map.
+TEST(SymmetricAdjacency, ThreadedTripletsEqualSerial) {
+  std::vector<SymmetricAdjacency> shapes(5);
+  shapes[1].add(3, 9, 4);
+  for (std::uint32_t j = 6; j < 5000; ++j) {
+    shapes[2].add(5, j, j);
+  }
+  util::Rng rng(7);
+  for (int n = 0; n < 4000; ++n) {
+    const auto i = static_cast<std::uint32_t>(0xFFFFFFFFu - rng.uniformBelow(300));
+    const auto j = static_cast<std::uint32_t>(0xFFFFFFFFu - rng.uniformBelow(300));
+    if (i != j) {
+      shapes[3].add(i, j, 1 + rng.uniformBelow(50));
+    }
+  }
+  for (int n = 0; n < 40000; ++n) {
+    const auto i = static_cast<std::uint32_t>(rng.uniformBelow(70000));
+    const auto j = static_cast<std::uint32_t>(rng.uniformBelow(70000));
+    if (i != j) {
+      shapes[4].add(i, j, 1 + rng.uniformBelow(1u << 20));
+    }
+  }
+  for (std::size_t shape = 0; shape < shapes.size(); ++shape) {
+    const std::vector<AdjacencyTriplet> serial = shapes[shape].toTriplets(1);
+    EXPECT_EQ(serial.size(), shapes[shape].edgeCount());
+    for (const unsigned threads : {2u, 3u, 4u, 7u}) {
+      EXPECT_EQ(shapes[shape].toTriplets(threads), serial)
+          << "shape " << shape << " threads " << threads;
     }
   }
 }

@@ -393,8 +393,8 @@ int cmdSynthesize(const Args& args) {
             << report.kernelPairHourUpdates << " local updates -> "
             << report.kernelGlobalEmits << " global emits\n";
   std::cout << "reduce: " << report.reduceMergedSums
-            << " worker sums folded at the root in "
-            << report.reduceCriticalSeconds << " s CPU\n";
+            << " worker sums folded in " << report.reduceCriticalSeconds
+            << " s\n";
   std::cout << "load: " << report.loadSeconds << " s total, "
             << report.loadExposedSeconds
             << " s exposed on the compute path (prefetch hid "
