@@ -31,7 +31,7 @@ std::uint32_t checkpointConfigHash(
 
 namespace {
 
-constexpr const char* kManifestMagic = "CHKP2";
+constexpr const char* kManifestMagic = "CHKP3";
 
 std::filesystem::path manifestPath(const std::filesystem::path& dir) {
   return dir / kCheckpointManifestName;
@@ -53,7 +53,7 @@ void writeManifestFile(const std::filesystem::path& dir,
     out << "config_hash\t" << manifest.configHash << "\n";
     for (const sparse::SpillRunInfo& run : manifest.spillRuns) {
       out << "spill\t" << run.file.filename().string() << "\t"
-          << run.triplets << "\t" << run.bytes << "\t" << run.firstKey
+          << run.offset << "\t" << run.triplets << "\t" << run.bytes << "\t" << run.firstKey
           << "\t" << run.lastKey << "\n";
     }
     for (const sparse::ShardSegment& segment : manifest.mergeSegments) {
@@ -209,13 +209,14 @@ std::optional<CheckpointManifest> loadCheckpointManifest(
     const ManifestLine line(path, number, text,
                             quarantine ? 5 : std::string_view::npos);
     if (line.kind() == "spill") {
-      line.expectFields(6);
+      line.expectFields(7);
       sparse::SpillRunInfo run;
       run.file = line.fileName(1);
-      run.triplets = line.number<std::uint64_t>(2);
-      run.bytes = line.number<std::uint64_t>(3);
-      run.firstKey = line.number<std::uint64_t>(4);
-      run.lastKey = line.number<std::uint64_t>(5);
+      run.offset = line.number<std::uint64_t>(2);
+      run.triplets = line.number<std::uint64_t>(3);
+      run.bytes = line.number<std::uint64_t>(4);
+      run.firstKey = line.number<std::uint64_t>(5);
+      run.lastKey = line.number<std::uint64_t>(6);
       if (run.triplets > 0 && run.firstKey > run.lastKey) {
         line.fail("spill run key range is inverted");
       }

@@ -16,10 +16,11 @@
 /// sorted CSPL1 spill runs in the spill directory, named by the manifest.
 /// Under a memory budget they are the accumulator's live runs; the
 /// unbounded path writes its dense sum as runs split at row-shard
-/// boundaries (dense.<filesConsumed>.<n>.spl). Adjacency accumulation is
-/// order-independent u64 addition and runs round-trip triplets exactly, so
-/// a resumed run — in either accumulation mode, whichever mode wrote the
-/// checkpoint — is bit-identical to an uninterrupted one.
+/// boundaries, all in one file (dense.<filesConsumed>.0.spl). Adjacency
+/// accumulation is order-independent u64 addition and runs round-trip
+/// triplets exactly, so a resumed run — in either accumulation mode,
+/// whichever mode wrote the checkpoint — is bit-identical to an
+/// uninterrupted one.
 ///
 /// Crash safety: every run the manifest names is already durable (runs
 /// land via tmp+rename), then the manifest referencing them is written to
@@ -29,11 +30,13 @@
 /// file. A resume decodes every batch after the cursor from its log files,
 /// which the config hash pins by name.
 ///
-/// Manifest format CHKP2 (text): a magic line, then `files_consumed`,
-/// `batches_done` and `config_hash` key lines, and tab-separated `spill`,
-/// `mergeseg` and `quarantine` lines. A manifest of an older format
-/// (CHKP1: dense .cadj snapshots, range-less runs) is refused with an
-/// error naming its version.
+/// Manifest format CHKP3 (text): a magic line, then `files_consumed`,
+/// `batches_done` and `config_hash` key lines, and tab-separated `spill`
+/// (name, offset, triplets, bytes, first key, last key: one line per run,
+/// and runs may share a file), `mergeseg` and `quarantine` lines. A
+/// manifest of an older format (CHKP2: a run is a whole file, no offset;
+/// CHKP1: dense .cadj snapshots, range-less runs) is refused with an error
+/// naming its version.
 
 namespace chisimnet::net {
 
@@ -46,8 +49,8 @@ struct CheckpointManifest {
   /// Hash over the output-relevant config fields and the full input file
   /// list; a resume against a different run is rejected.
   std::uint32_t configHash = 0;
-  /// The accumulated sum: sorted runs in the spill directory. Only each
-  /// run's file name is persisted; a loaded manifest holds bare names.
+  /// The accumulated sum: sorted runs in the spill directory. Each run's
+  /// file is persisted by name only; a loaded manifest holds bare names.
   std::vector<sparse::SpillRunInfo> spillRuns;
   /// Per-shard merge segments completed so far (populated by the
   /// checkpoints the driver writes between shard merges, so a kill

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "chisimnet/runtime/partition.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/timer.hpp"
 
@@ -25,9 +26,10 @@ CollocationCounts SharedMemoryExecutor::mapAdjacency(
   // at an eighth of its budget share — the sink keeps the other half of
   // the budget for the runs it holds in memory — and each flush is split
   // at the merge-shard boundaries, so every run is routed to its shard
-  // owner at write time. Run-file names carry worker and batch indices so
-  // adopted files from earlier batches are never overwritten. Unbudgeted,
-  // the threshold is 0 and reduce() folds the maps.
+  // owner at write time. All of a worker's flushes in a batch go to one
+  // run file, whose name carries worker and batch indices so adopted files
+  // from earlier batches are never overwritten. Unbudgeted, the threshold
+  // is 0 and reduce() folds the maps.
   std::uint64_t threshold = 0;
   if (config_.memoryBudgetBytes > 0) {
     CHISIM_REQUIRE(!config_.spillDir.empty(),
@@ -96,7 +98,7 @@ void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   // at once would hold several sorted copies beside their maps.
   util::WallTimer timer;
   for (const auto& sum : spillSums_) {
-    for (const sparse::SpillRunInfo& run : sum->runs()) {
+    for (const sparse::SpillRunInfo& run : sum->takeRuns()) {
       sink.adoptRunFile(run);  // already on disk: ownership moves, no copy
     }
     // Kept as it is, no hash.
@@ -112,15 +114,13 @@ std::vector<sparse::ShardSegment> SharedMemoryExecutor::mergeSpillShards(
     const std::function<void(const sparse::ShardSegment&)>& onSegment) {
   CHISIM_REQUIRE(!config_.spillDir.empty(),
                  "sharded merge requires a spill directory");
-  // Stable ownership: group g belongs to owner g % owners, and each owner
-  // merges its groups in ascending shard order. One cluster item per
-  // owner, so the owners run concurrently while a shard's merge stays
-  // single-threaded (segment bytes never depend on scheduling).
+  // Stable ownership by weight (assignMergeOwners); each owner merges its
+  // groups in ascending shard order. One cluster item per owner, so the
+  // owners run concurrently while a shard's merge stays single-threaded
+  // (segment bytes never depend on scheduling).
   const unsigned owners = config_.workers;
-  std::vector<std::vector<std::size_t>> byOwner(owners);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    byOwner[g % owners].push_back(g);
-  }
+  const std::vector<std::vector<std::size_t>> byOwner =
+      assignMergeOwners(groups, owners);
   std::vector<sparse::ShardSegment> segments(groups.size());
   std::mutex mutex;
   cluster_.applyDynamic(owners, [&](std::size_t owner, unsigned) {
@@ -141,6 +141,25 @@ std::vector<sparse::ShardSegment> SharedMemoryExecutor::mergeSpillShards(
 
 double SharedMemoryExecutor::adjacencyBusyImbalance() const noexcept {
   return cluster_.busyImbalance();
+}
+
+std::vector<std::vector<std::size_t>> assignMergeOwners(
+    const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
+    std::size_t owners) {
+  std::vector<std::uint64_t> weights(groups.size(), 0);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (const sparse::SpillRunInfo& run : groups[g].runs) {
+      weights[g] += run.triplets;
+    }
+  }
+  // Groups come in ascending shard order and the LPT sort is stable, so
+  // equal weights go to the lower shard first.
+  std::vector<std::vector<std::size_t>> byOwner =
+      runtime::partitionGreedyLpt(weights, owners).assignment;
+  for (std::vector<std::size_t>& mine : byOwner) {
+    std::sort(mine.begin(), mine.end());
+  }
+  return byOwner;
 }
 
 std::unique_ptr<SynthesisExecutor> makeExecutor(const SynthesisConfig& config) {

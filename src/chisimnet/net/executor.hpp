@@ -99,8 +99,8 @@ class SynthesisExecutor {
 
   /// Stage-6 tail under a budget: merge each row-range shard's spill runs
   /// into a sorted CADJ payload segment, the shards distributed across
-  /// this substrate's workers/ranks by stable round-robin ownership so
-  /// no single thread funnels the external merge. `onSegment` fires once
+  /// this substrate's workers/ranks by assignMergeOwners so no single
+  /// thread funnels the external merge. `onSegment` fires once
   /// per completed segment, never concurrently — the driver checkpoints
   /// from it mid-merge. Returns one segment per group, in unspecified
   /// order (callers sort by shard before concatenating).
@@ -336,6 +336,15 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   /// Must be constructed last: service threads read config_/ranks_.
   std::unique_ptr<runtime::RankTeam> team_;
 };
+
+/// Stage-6 merge ownership: greedy LPT over each shard group's summed run
+/// triplets (ties to the lower shard), so the busiest owner carries no
+/// more than its share; round robin would give low shards, whose
+/// upper-triangular rows are heavy, to the same owners. Returns, per
+/// owner, its group indices in ascending shard order.
+std::vector<std::vector<std::size_t>> assignMergeOwners(
+    const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
+    std::size_t owners);
 
 /// Builds the executor for config.backend.
 std::unique_ptr<SynthesisExecutor> makeExecutor(const SynthesisConfig& config);

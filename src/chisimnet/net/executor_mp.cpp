@@ -502,20 +502,29 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
   lastReduce_ = ReduceStats{};
   lastReduce_.mergedSums = reduceRuns_.size();
   // Inserts each run — inline or streamed off its spill file — into the
-  // running result, consuming (deleting) file-backed runs. Each run's row
-  // count (from its metadata) pre-sizes the result before it is inserted.
+  // running result, deleting a run file once its last run is read. Each
+  // run's row count (from its metadata) pre-sizes the result before it is
+  // inserted.
   try {
     util::WallTimer timer;
+    std::unordered_map<std::string, std::size_t> unread;
+    for (const mp::RunRef& ref : reduceRuns_) {
+      if (ref.isFile()) {
+        ++unread[ref.run.file.string()];
+      }
+    }
     for (const mp::RunRef& ref : reduceRuns_) {
       if (ref.isFile()) {
         result.reserve(result.edgeCount() + ref.run.triplets);
-        sparse::SpillRunReader reader(ref.run.file);
+        sparse::SpillRunReader reader(ref.run);
         sparse::AdjacencyTriplet triplet;
         while (reader.next(triplet)) {
           result.add(triplet.i, triplet.j, triplet.weight);
         }
-        std::error_code ignored;
-        std::filesystem::remove(ref.run.file, ignored);
+        if (--unread[ref.run.file.string()] == 0) {
+          std::error_code ignored;
+          std::filesystem::remove(ref.run.file, ignored);
+        }
       } else {
         result.reserve(result.edgeCount() + ref.inlineRun.size());
         for (const sparse::AdjacencyTriplet& triplet : ref.inlineRun) {
@@ -565,26 +574,29 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
     const std::function<void(const sparse::ShardSegment&)>& onSegment) {
   CHISIM_REQUIRE(!config_.spillDir.empty(),
                  "sharded merge requires a spill directory");
-  // Work items are group indices; shard groups spread round-robin over the
-  // live ranks (rank 0 executes its share inline). Each body carries every
-  // shard of its rank plus the run references — the files themselves stay
-  // on the shared filesystem. A reassigned body gets a fresh token, so a
-  // half-dead rank still merging the old body writes different segment
-  // names and never corrupts the survivor's output.
+  // Work items are group indices; shard groups spread over the live ranks
+  // by weight (assignMergeOwners; rank 0 executes its share inline). Each
+  // body carries every shard of its rank plus the run references — the
+  // files themselves stay on the shared filesystem. A reassigned body gets
+  // a fresh token, so a half-dead rank still merging the old body writes
+  // different segment names and never corrupts the survivor's output.
   const std::vector<int> live = liveRanks();
-  std::vector<std::vector<std::size_t>> shares(live.size());
+  // Under run shipping the spill runs live only in the root's spill
+  // directory, so every shard merge is pinned to rank 0 (live[0]) and
+  // executes inline — distributing the shard merge without a shared
+  // filesystem would require shipping run files root->worker (see ROADMAP
+  // follow-up).
+  std::vector<std::vector<std::size_t>> shares =
+      assignMergeOwners(groups, shipRuns_ ? 1 : live.size());
+  shares.resize(live.size());
   std::unordered_map<std::uint32_t, unsigned> ownerOfShard;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    // Under run shipping the spill runs live only in the root's spill
-    // directory, so every shard merge is pinned to rank 0 (live[0]) and
-    // executes inline — distributing the shard merge without a shared
-    // filesystem would require shipping run files root->worker (see
-    // ROADMAP follow-up).
-    const std::size_t slot = shipRuns_ ? 0 : g % shares.size();
-    shares[slot].push_back(g);
-    // Modeled owner = the initial assignment; a fault-driven reassignment
-    // shifts real work elsewhere but the model keeps the healthy-run shape.
-    ownerOfShard[groups[g].shard] = static_cast<unsigned>(live[slot]);
+  for (std::size_t slot = 0; slot < shares.size(); ++slot) {
+    for (const std::size_t g : shares[slot]) {
+      // Modeled owner = the initial assignment; a fault-driven reassignment
+      // shifts real work elsewhere but the model keeps the healthy-run
+      // shape.
+      ownerOfShard[groups[g].shard] = static_cast<unsigned>(live[slot]);
+    }
   }
   const auto buildBody = [this, &groups](std::span<const std::size_t> items) {
     util::ByteWriter body;

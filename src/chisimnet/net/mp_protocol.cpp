@@ -1,5 +1,6 @@
 #include "chisimnet/net/mp_protocol.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -20,21 +21,29 @@ namespace {
 /// run still fits inline in a reply (frame headers, stats, refs).
 constexpr std::uint64_t kReplySlackBytes = 4096;
 
-/// Under run shipping, converts a local file ref into a shipped ref: the
-/// bytes stream to the root on kShipTag, the reply carries the bare name,
-/// and the local file is deleted (a retried command re-executes the pure
-/// body and re-ships). A no-op for inline refs or without a shipper.
-RunRef maybeShip(const StageParams& params, RunShipper* shipper, RunRef ref) {
-  if (!params.shipRuns || shipper == nullptr || !ref.isFile() ||
-      ref.shipped) {
-    return ref;
+/// Under run shipping, converts the refs of one local run file into
+/// shipped refs: the file's bytes stream to the root on kShipTag once, the
+/// refs carry its bare name, and the local file is deleted (a retried
+/// command re-executes the pure body and re-ships). A no-op without runs
+/// or without a shipper.
+void maybeShip(const StageParams& params, RunShipper* shipper,
+               std::vector<RunRef>& refs) {
+  if (!params.shipRuns || shipper == nullptr || refs.empty()) {
+    return;
   }
-  const std::filesystem::path local = ref.run.file;
-  ref.run.file = shipper->ship(local, ref.run.bytes);
-  ref.shipped = true;
+  const std::filesystem::path local = refs.front().run.file;
+  std::uint64_t fileBytes = 0;
+  for (const RunRef& ref : refs) {
+    CHISIM_REQUIRE(ref.run.file == local, "shipped runs share one file");
+    fileBytes = std::max(fileBytes, ref.run.offset + ref.run.bytes);
+  }
+  const std::string name = shipper->ship(local, fileBytes);
+  for (RunRef& ref : refs) {
+    ref.run.file = name;
+    ref.shipped = true;
+  }
   std::error_code ignored;
   std::filesystem::remove(local, ignored);
-  return ref;
 }
 
 }  // namespace
@@ -43,6 +52,7 @@ void putRunRef(util::ByteWriter& out, const RunRef& ref) {
   if (ref.isFile()) {
     out.u32(ref.shipped ? 2 : 1);
     out.string(ref.run.file.string());
+    out.u64(ref.run.offset);
     out.u64(ref.run.triplets);
     out.u64(ref.run.bytes);
     out.u64(ref.run.firstKey);
@@ -63,6 +73,7 @@ RunRef takeRunRef(util::ByteReader& in) {
     CHISIM_CHECK(!ref.run.file.empty(),
                  ref.shipped ? "shipped run ref with an empty name"
                              : "file run ref with an empty path");
+    ref.run.offset = in.u64();
     ref.run.triplets = in.u64();
     ref.run.bytes = in.u64();
     ref.run.firstKey = in.u64();
@@ -172,15 +183,16 @@ StageParams decodeStageParams(std::span<const std::byte> bytes) {
 
 std::vector<std::byte> executeSynthesisCommand(
     const StageParams& params, std::uint32_t command,
-    std::span<const std::byte> body, RunShipper* shipper) {
+    std::span<const std::byte> body, RunShipper* shipper, int rank) {
   switch (command) {
     case kCmdAdjacency: {
       // Body: [runToken u64][groupCount u32][groupCount × eventCount u32]
       // [event rows, group order]. The token makes this rank's spill-file
-      // names unique per command body, so retries rewrite the same files
+      // name unique per command body, so retries rewrite the same file
       // (deterministic content, tmp+rename) while a reassigned body —
       // which gets a fresh token — never collides with a half-dead rank
-      // still executing the old one.
+      // still executing the old one. Every flush of the command goes to
+      // that one file.
       // Reply: [busySeconds f64][places u64][nnz u64][kernel stats 4×u64]
       //        [peakLocalBytes u64][runCount u32][RunRef × runCount].
       util::ByteReader in(body, "adjacency command");
@@ -212,7 +224,12 @@ std::vector<std::byte> executeSynthesisCommand(
             params.windowEnd);
         ++places;
         nnz += matrix.nnz();
-        sum.addCollocation(matrix);
+        if (sum.addCollocation(matrix)) {
+          // Between two flushes: a kill here leaves the command's run file
+          // as a multi-run .tmp husk.
+          runtime::FaultSite site{rank, nullptr};
+          runtime::fault::hit("spill.flush", site);
+        }
       }
       // A remainder that would overflow the transport frame is flushed to
       // run files like any budgeted flush and returned as paths — the
@@ -230,11 +247,12 @@ std::vector<std::byte> executeSynthesisCommand(
       const sparse::AdjacencyKernelStats& stats = sum.kernelStats();
 
       std::vector<RunRef> refs;
-      for (const sparse::SpillRunInfo& info : sum.runs()) {
+      for (sparse::SpillRunInfo& info : sum.takeRuns()) {
         RunRef ref;
-        ref.run = info;
-        refs.push_back(maybeShip(params, shipper, std::move(ref)));
+        ref.run = std::move(info);
+        refs.push_back(std::move(ref));
       }
+      maybeShip(params, shipper, refs);
       if (!remainder.empty()) {
         RunRef ref;
         ref.inlineRun = std::move(remainder);
@@ -332,7 +350,7 @@ ServiceOutcome serviceSynthesisCommand(const StageParams& params, int rank,
       return ServiceOutcome::kDie;  // simulate a rank dying silently mid-run
     }
     const std::vector<std::byte> body = executeSynthesisCommand(
-        params, command, frame.subspan(kCommandHeaderBytes), shipper);
+        params, command, frame.subspan(kCommandHeaderBytes), shipper, rank);
     reply = frameReply(command, kStatusOk, epoch, body);
   } catch (const std::exception& error) {
     // Recoverable worker failure: report it and stay in the loop so the

@@ -83,8 +83,8 @@ struct RunRef {
 };
 
 /// [mode u32: 0 inline | 1 file | 2 shipped][inline: count u64 + count ×
-/// AdjacencyTriplet rows | file/shipped: name string + triplets u64 +
-/// bytes u64 + firstKey u64 + lastKey u64]
+/// AdjacencyTriplet rows | file/shipped: name string + offset u64 +
+/// triplets u64 + bytes u64 + firstKey u64 + lastKey u64]
 void putRunRef(util::ByteWriter& out, const RunRef& ref);
 RunRef takeRunRef(util::ByteReader& in);
 
@@ -115,7 +115,8 @@ ShipChunkView decodeShipChunk(std::span<const std::byte> bytes);
 
 /// Worker-side hook that moves a run file's bytes to the root when the
 /// filesystems are not shared. ship() streams the file on kShipTag and
-/// returns the bare name the reply's shipped RunRef should carry.
+/// returns the bare name the reply's shipped RunRefs should carry; a file
+/// holding many runs ships once.
 class RunShipper {
  public:
   virtual ~RunShipper() = default;
@@ -168,10 +169,12 @@ StageParams decodeStageParams(std::span<const std::byte> bytes);
 /// set and a shipper is given, file runs are streamed through it and the
 /// reply carries shipped refs (the local files are deleted after shipping,
 /// so a retried command re-executes and re-ships deterministically).
+/// `rank` is the executing rank, reported to the spill.flush fault site.
 std::vector<std::byte> executeSynthesisCommand(const StageParams& params,
                                                std::uint32_t command,
                                                std::span<const std::byte> body,
-                                               RunShipper* shipper = nullptr);
+                                               RunShipper* shipper = nullptr,
+                                               int rank = kRoot);
 
 enum class ServiceOutcome {
   kReply,  ///< `reply` holds a framed reply to send to the root

@@ -38,9 +38,14 @@
 ///   sock.connect        worker, per dial attempt (kThrow = failed dial)
 ///   sock.worker.send    StreamWorkerLink, per outgoing wire frame in the
 ///                       worker process (kTruncate = torn write)
-///   spill.write         SpillRunWriter::finish, after the run body is on
-///                       disk but BEFORE the tmp→final rename (kThrow models
-///                       a crash mid-spill leaving only a .tmp orphan)
+///   spill.write         SpillRunWriter::commit, once per run file, after
+///                       its runs are on disk but BEFORE the tmp→final
+///                       rename (kThrow models a crash mid-spill leaving
+///                       only a .tmp orphan)
+///   spill.flush         mp adjacency command, after each flush of the
+///                       command's sum appended runs to its still-unrenamed
+///                       file (rank = the executing rank; kKillProcess in a
+///                       worker leaves a multi-run .tmp husk)
 ///   spill.merge         mergeShardRuns on a shard owner, before each
 ///                       intermediate pass; input runs are never touched
 ///   abm.step            ABM rank loop, top of each active simulated

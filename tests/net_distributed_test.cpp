@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 
 #include "chisimnet/elog/clg5.hpp"
 #include "chisimnet/elog/log_directory.hpp"
@@ -75,6 +77,95 @@ TEST(PlaceWeights, WeighsByNnzOverOccupiedHours) {
   EXPECT_EQ(weighed.weights, (std::vector<std::uint64_t>{7 * 7 / 4, 4 * 4 / 3}));
   EXPECT_EQ(sparse::buildCollocationMatrix(events, index, 0, 0, 8).nnz(), 7u);
   EXPECT_EQ(sparse::buildCollocationMatrix(events, index, 1, 0, 8).nnz(), 3u);
+}
+
+/// Stage 5 under a budget: each worker sum writes at most one run file per
+/// batch (shared) or per command (mp), however often it flushes, and the
+/// sink adopts every run of a file under that file's one new name.
+TEST(SpillFiles, EachWorkerSumWritesOneRunFile) {
+  util::Rng rng(8);
+  std::vector<Event> rows;
+  for (int i = 0; i < 900; ++i) {
+    const auto start = static_cast<table::Hour>(rng.uniformBelow(40));
+    rows.push_back(Event{
+        start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(6)),
+        static_cast<table::PersonId>(rng.uniformBelow(200)), 0,
+        static_cast<table::PlaceId>(rng.uniformBelow(30))});
+  }
+  const table::EventTable events(rows);
+  const table::PlaceIndex index = events.buildPlaceIndex();
+  const PlaceWeights weighed = weighPlaces(events, index, 0, 48);
+  for (const SynthesisBackend backend :
+       {SynthesisBackend::kSharedMemory, SynthesisBackend::kMessagePassing}) {
+    const std::string label(backendName(backend));
+    testsupport::ScratchDir spill("chisimnet_dist_sum_files_" + label);
+    SynthesisConfig config;
+    config.windowEnd = 48;
+    config.workers = 3;
+    config.backend = backend;
+    config.memoryBudgetBytes = 32 << 10;  // flush after (nearly) every place
+    config.spillDir = spill.path();
+    config.mergeRowsPerShard = 16;
+    // The sink comes first, as in a run: its startup sweep would take the
+    // sums' unrenamed files for husks.
+    sparse::SpillingAccumulator::Options options;
+    options.dir = spill.path();
+    options.rowsPerShard = 16;
+    sparse::SpillingAccumulator sink(options);
+    const std::unique_ptr<SynthesisExecutor> executor = makeExecutor(config);
+    executor->mapAdjacency(events, index, weighed.groups,
+                           executor->repartition(weighed.weights));
+    std::size_t sumFiles = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(spill.path())) {
+      EXPECT_TRUE(entry.path().filename().string().starts_with("sum."))
+          << label << " " << entry.path();
+      ++sumFiles;
+    }
+    EXPECT_GE(sumFiles, 1u) << label;
+    EXPECT_LE(sumFiles, config.workers) << label;
+    executor->reduceInto(sink);
+    std::set<std::filesystem::path> adopted;
+    for (const sparse::SpillRunInfo& run : sink.liveRuns()) {
+      adopted.insert(run.file);
+    }
+    EXPECT_EQ(adopted.size(), sumFiles) << label;
+    EXPECT_GT(sink.liveRuns().size(), 2 * sumFiles) << label;
+  }
+}
+
+/// Merge owners by weight: eight shards whose run triplets fall like
+/// upper-triangular rows (15, 13, ..., 1). Round robin over four owners
+/// would load them 22:18:14:10; LPT gives each 16. Equal weights go to the
+/// lower shard first, and each owner's list ascends.
+TEST(MergeOwners, LptBalancesUpperTriangularShards) {
+  std::vector<sparse::SpillingAccumulator::ShardRunGroup> groups;
+  for (std::uint32_t shard = 0; shard < 8; ++shard) {
+    sparse::SpillRunInfo run;
+    run.triplets = 15 - 2 * shard;
+    groups.push_back({shard, {run, sparse::SpillRunInfo{}}});
+  }
+  const auto owners = assignMergeOwners(groups, 4);
+  ASSERT_EQ(owners.size(), 4u);
+  for (const std::vector<std::size_t>& mine : owners) {
+    std::uint64_t load = 0;
+    for (const std::size_t g : mine) {
+      load += groups[g].runs.front().triplets;
+    }
+    EXPECT_EQ(load, 16u);
+    EXPECT_TRUE(std::is_sorted(mine.begin(), mine.end()));
+  }
+  EXPECT_EQ(owners[0], (std::vector<std::size_t>{0, 7}));
+
+  // Ties: three equal groups over two owners; shard 0 goes first.
+  groups.resize(3);
+  for (auto& group : groups) {
+    group.runs = {sparse::SpillRunInfo{}};
+    group.runs.front().triplets = 5;
+  }
+  EXPECT_EQ(assignMergeOwners(groups, 2),
+            (std::vector<std::vector<std::size_t>>{{0, 2}, {1}}));
+  // More owners than groups: the rest idle.
+  EXPECT_EQ(assignMergeOwners(groups, 5).size(), 5u);
 }
 
 class ExecutorRankSweep
@@ -285,6 +376,71 @@ TEST(CollocationSerialization, RoundTrip) {
   in.expectEnd();
   EXPECT_FALSE(run.isFile());
   EXPECT_EQ(run.inlineRun,
+            bruteForceAdjacency(table::EventTable(all), 0, 48).toTriplets());
+}
+
+/// A budgeted adjacency command flushes its sum many times, and every
+/// flush goes to the command's one run file: the reply's file runs are
+/// extents of it, back to back, and it is the only file the command left.
+TEST(CollocationSerialization, AnAdjacencyCommandWritesOneRunFile) {
+  testsupport::ScratchDir scratch("chisimnet_dist_one_run_file");
+  util::Rng rng(6);
+  std::vector<std::vector<Event>> groups(10);
+  std::vector<Event> all;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (int i = 0; i < 25; ++i) {
+      const auto start = static_cast<table::Hour>(rng.uniformBelow(24));
+      groups[g].push_back(Event{
+          start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(6)),
+          static_cast<table::PersonId>(rng.uniformBelow(40)), 0,
+          static_cast<table::PlaceId>(g)});
+    }
+    all.insert(all.end(), groups[g].begin(), groups[g].end());
+  }
+  mp::StageParams params = fusedParams(48);
+  params.spillThresholdBytes = 1;  // flush after every place
+  params.spillDir = scratch.path().string();
+  params.splitRows = 8;
+  const std::vector<std::byte> reply = mp::executeSynthesisCommand(
+      params, mp::kCmdAdjacency, fusedAdjacencyBody(groups));
+  util::ByteReader in(reply, "adjacency reply");
+  for (int field = 0; field < 8; ++field) {
+    in.u64();  // busy seconds, counts, kernel stats, peak local bytes
+  }
+  const std::uint32_t refs = in.u32();
+  std::vector<sparse::SpillRunInfo> runs;
+  std::vector<sparse::AdjacencyTriplet> rows;
+  for (std::uint32_t r = 0; r < refs; ++r) {
+    const mp::RunRef ref = mp::takeRunRef(in);
+    ASSERT_TRUE(ref.isFile());
+    runs.push_back(ref.run);
+    sparse::SpillRunReader reader(ref.run);
+    sparse::AdjacencyTriplet triplet;
+    while (reader.next(triplet)) {
+      rows.push_back(triplet);
+    }
+  }
+  in.expectEnd();
+  ASSERT_GT(runs.size(), groups.size());
+  std::uint64_t end = 0;
+  for (const sparse::SpillRunInfo& run : runs) {
+    EXPECT_EQ(run.file, scratch.path() / "sum.t1.0.spl");
+    EXPECT_EQ(run.offset, end);
+    end += run.bytes;
+  }
+  EXPECT_EQ(end, std::filesystem::file_size(runs.front().file));
+  std::size_t files = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator(scratch.path())) {
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  // Summed over the runs, the rows are the command's whole x·xᵀ.
+  sparse::SymmetricAdjacency sum(64);
+  for (const sparse::AdjacencyTriplet& triplet : rows) {
+    sum.add(triplet.i, triplet.j, triplet.weight);
+  }
+  EXPECT_EQ(sum.toTriplets(),
             bruteForceAdjacency(table::EventTable(all), 0, 48).toTriplets());
 }
 

@@ -223,8 +223,9 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
 
 /// A run torn at rest fails its owner's merge with the run's file and
 /// byte offset in the error, not a short segment. The tear is in the
-/// second frame, so the merge has already streamed a whole frame of rows
-/// when it finds it; no segment is left under its real name.
+/// second frame, so the run's recorded extent now ends past the file and
+/// its reader refuses it before the merge streams a row; no segment is
+/// left under its real name.
 TEST(ShardMergeTest, TruncatedRunFailsTheOwnerMerge) {
   ScratchDir scratch("chisimnet_shard_merge_trunc");
   util::Rng rng(109);

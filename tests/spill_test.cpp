@@ -2,22 +2,93 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
+#include <new>
+#include <numeric>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "chisimnet/sparse/adjacency.hpp"
+#include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/sparse/spill.hpp"
+#include "chisimnet/table/event.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "support.hpp"
 
+namespace {
+
+/// The largest single heap allocation this thread made while
+/// gTrackAllocations was set: how the extent tests bound a reader's
+/// memory without a hook in the reader.
+thread_local bool gTrackAllocations = false;
+thread_local std::size_t gLargestAllocation = 0;
+
+}  // namespace
+
+// Every unaligned form is replaced, so no block crosses between these and
+// a sanitizer runtime's own; out of line, so the compiler never pairs an
+// inlined free() with a new.
+namespace {
+
+void* trackedAlloc(std::size_t size) noexcept {
+  if (gTrackAllocations) {
+    gLargestAllocation = std::max(gLargestAllocation, size);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* block = trackedAlloc(size)) {
+    return block;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  return trackedAlloc(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t&) noexcept {
+  return trackedAlloc(size);
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete[](void* block) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete[](void* block, std::size_t) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete(void* block,
+                                       const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+[[gnu::noinline]] void operator delete[](void* block,
+                                         const std::nothrow_t&) noexcept {
+  std::free(block);
+}
+
 /// Disk-spilling accumulation suite: the k-way loser-tree merge against a
 /// brute-force sum, the CSPL1 run container (round trip, truncation and
-/// bit-flip rejection with file + byte-offset context), and the
+/// bit-flip rejection with file + byte-offset context, runs as extents of
+/// one file, each reader bounded to one frame), the stage-5 sum's one run
+/// file, and the
 /// SpillingAccumulator's budget guarantee — the bytes of the sorted runs
 /// it keeps in memory must never exceed the configured cap, asserted here
 /// as a test, not just observed in a bench.
@@ -304,6 +375,177 @@ TEST(SpillRunTest, BitFlipIsRejectedWithCrcContext) {
   }
 }
 
+// ---- runs as extents of one file ----
+
+/// Writes `runs` into one file, whole runs and streamed ones alternating,
+/// and returns their records.
+std::vector<SpillRunInfo> writeOneFile(
+    const std::filesystem::path& path,
+    const std::vector<std::vector<AdjacencyTriplet>>& runs) {
+  SpillRunWriter writer(path);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (r % 2 == 0) {
+      writer.appendRun(runs[r]);
+    } else {
+      writer.append(std::span<const AdjacencyTriplet>(runs[r]));
+      writer.endRun();
+    }
+  }
+  return writer.commit();
+}
+
+TEST(SpillExtentTest, RunsInOneFileReadBackIndependentlyInAnyOrder) {
+  ScratchDir scratch("chisimnet_spill_extents");
+  util::Rng rng(41);
+  for (const std::size_t count : {std::size_t{2}, std::size_t{3}}) {
+    // The middle run spans two frames; the others are small.
+    std::vector<std::vector<AdjacencyTriplet>> runs;
+    for (std::size_t r = 0; r < count; ++r) {
+      runs.push_back(makeRun(rng, r == 1 ? kSpillFrameTriplets + 77 : 300 + r,
+                             1u << 20));
+    }
+    const std::filesystem::path path =
+        scratch.path() / ("multi." + std::to_string(count) + ".spl");
+    const std::vector<SpillRunInfo> infos = writeOneFile(path, runs);
+    ASSERT_EQ(infos.size(), count);
+    EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+    std::uint64_t end = 0;
+    for (std::size_t r = 0; r < count; ++r) {
+      EXPECT_EQ(infos[r].file, path);
+      EXPECT_EQ(infos[r].offset, end) << "run " << r;
+      EXPECT_EQ(infos[r].triplets, runs[r].size());
+      EXPECT_EQ(infos[r].firstKey,
+                packPair(runs[r].front().i, runs[r].front().j));
+      EXPECT_EQ(infos[r].lastKey,
+                packPair(runs[r].back().i, runs[r].back().j));
+      end += infos[r].bytes;
+    }
+    EXPECT_EQ(end, std::filesystem::file_size(path));
+
+    // Every read order gives every run back on its own.
+    std::vector<std::size_t> order(count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    do {
+      for (const std::size_t r : order) {
+        SpillRunReader reader(infos[r]);
+        EXPECT_EQ(reader.tripletCount(), runs[r].size());
+        EXPECT_EQ(drain(reader), runs[r]) << "run " << r;
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+    // All open at once, drained a row at a time in turn.
+    std::vector<std::unique_ptr<SpillRunReader>> readers;
+    for (const SpillRunInfo& info : infos) {
+      readers.push_back(std::make_unique<SpillRunReader>(info));
+    }
+    std::vector<std::vector<AdjacencyTriplet>> interleaved(count);
+    for (bool any = true; any;) {
+      any = false;
+      for (std::size_t r = count; r-- > 0;) {
+        AdjacencyTriplet triplet;
+        if (readers[r]->next(triplet)) {
+          interleaved[r].push_back(triplet);
+          any = true;
+        }
+      }
+    }
+    EXPECT_EQ(interleaved, runs);
+  }
+}
+
+/// Reading `run` must fail with a typed error that names the file and
+/// the byte offset, and says `why`.
+void expectExtentRefused(const SpillRunInfo& run, std::uint64_t offset,
+                         const std::string& why) {
+  try {
+    SpillRunReader reader(run);
+    drain(reader);
+    ADD_FAILURE() << why << ": the extent was accepted";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(run.file.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("at byte offset " + std::to_string(offset) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+}
+
+TEST(SpillExtentTest, ExtentsThatDoNotFitTheirRunAreRefused) {
+  ScratchDir scratch("chisimnet_spill_extent_refused");
+  util::Rng rng(43);
+  const std::filesystem::path path = scratch.path() / "two.spl";
+  const std::vector<SpillRunInfo> infos = writeOneFile(
+      path, {makeRun(rng, 300, 1u << 16), makeRun(rng, 200, 1u << 16)});
+  ASSERT_EQ(infos.size(), 2u);
+  const std::uint64_t size = std::filesystem::file_size(path);
+
+  // The frames end before the extent does: it reaches into the next run.
+  SpillRunInfo longer = infos[0];
+  longer.bytes += 16;
+  expectExtentRefused(longer, infos[0].bytes, "before its extent does");
+
+  // The frames end after the extent does: the last frame runs past it.
+  // (Eight bytes short still holds the header's 300 rows; the frame's own
+  // header is what no longer fits.)
+  SpillRunInfo shorter = infos[0];
+  shorter.bytes -= 8;
+  expectExtentRefused(shorter, 16, "past the run's extent");
+
+  // An extent that starts, or ends, past the end of the file.
+  SpillRunInfo beyond = infos[1];
+  beyond.offset = size + 64;
+  expectExtentRefused(beyond, size + 64, "past the end of the file");
+  SpillRunInfo overhang = infos[1];
+  overhang.bytes += 1;
+  expectExtentRefused(overhang, infos[1].offset, "past the end of the file");
+
+  // A header count the extent cannot hold is refused before anything is
+  // sized from it.
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(static_cast<std::streamoff>(infos[1].offset + 8));
+    const std::uint64_t inflated = std::uint64_t{1} << 40;
+    file.write(reinterpret_cast<const char*>(&inflated), 8);
+  }
+  gLargestAllocation = 0;
+  gTrackAllocations = true;
+  expectExtentRefused(infos[1], infos[1].offset + 16, "declares 1099511627776");
+  gTrackAllocations = false;
+  EXPECT_LT(gLargestAllocation, kSpillFrameTriplets * sizeof(AdjacencyTriplet));
+  // The first run, untouched, still reads.
+  SpillRunReader first(infos[0]);
+  EXPECT_EQ(first.tripletCount(), 300u);
+}
+
+TEST(SpillExtentTest, NoReadAllocatesMoreThanOneFrame) {
+  ScratchDir scratch("chisimnet_spill_extent_frame");
+  util::Rng rng(47);
+  // A small run and one of two frames, both in one file.
+  const std::vector<std::vector<AdjacencyTriplet>> runs = {
+      makeRun(rng, 1000, 1u << 20),
+      makeRun(rng, kSpillFrameTriplets + 5000, 1u << 20)};
+  const std::vector<SpillRunInfo> infos =
+      writeOneFile(scratch.path() / "frames.spl", runs);
+  for (std::size_t r = 0; r < infos.size(); ++r) {
+    const std::size_t frameBytes =
+        std::min<std::size_t>(runs[r].size(), kSpillFrameTriplets) *
+        sizeof(AdjacencyTriplet);
+    std::uint64_t rows = 0;
+    gLargestAllocation = 0;
+    gTrackAllocations = true;
+    {
+      SpillRunReader reader(infos[r]);
+      AdjacencyTriplet triplet;
+      while (reader.next(triplet)) {
+        ++rows;
+      }
+    }
+    gTrackAllocations = false;
+    EXPECT_EQ(rows, runs[r].size());
+    EXPECT_LE(gLargestAllocation, frameBytes) << "run " << r;
+  }
+}
+
 // ---- SpillingAccumulator ----
 
 /// Overlapping runs under a tiny budget spill many times; the merge equals
@@ -386,7 +628,7 @@ TEST(SpillingAccumulatorTest, KeptRunsSpillShardPure) {
   std::vector<std::vector<AdjacencyTriplet>> merged;
   for (const SpillRunInfo& run : accumulator.liveRuns()) {
     EXPECT_GE(run.shardOf(options.rowsPerShard), 0) << run.file;
-    SpillRunReader reader(run.file);
+    SpillRunReader reader(run);
     merged.push_back(drain(reader));
   }
   EXPECT_EQ(bruteForceSum(merged), bruteForceSum(runs));
@@ -536,6 +778,141 @@ TEST(SpillingAccumulatorTest, RestoreKeepsTheManifestName) {
   accumulator.spillAll();
   ASSERT_EQ(accumulator.liveRuns().size(), 2u);
   EXPECT_EQ(accumulator.liveRuns()[1].file.filename().string(), "run.4.spl");
+}
+
+/// A worker file holding many runs is renamed once, by its first run's
+/// adoption; the others follow it into the accumulator's namespace.
+TEST(SpillingAccumulatorTest, AdoptingAMultiRunFileRenamesItOnce) {
+  ScratchDir scratch("chisimnet_spill_acc_adopt_multi");
+  util::Rng rng(61);
+  std::vector<std::vector<AdjacencyTriplet>> runs;
+  for (int n = 0; n < 3; ++n) {
+    runs.push_back(makeRun(rng, 50, 40));
+  }
+  const std::filesystem::path workerFile = scratch.path() / "sum.w0.b0.0.spl";
+  const std::vector<SpillRunInfo> infos = writeOneFile(workerFile, runs);
+  SpillingAccumulator::Options options;
+  options.dir = scratch.path();
+  SpillingAccumulator accumulator(options);
+  for (const SpillRunInfo& info : infos) {
+    accumulator.adoptRunFile(info);
+  }
+  EXPECT_FALSE(std::filesystem::exists(workerFile));
+  ASSERT_EQ(accumulator.liveRuns().size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(accumulator.liveRuns()[r].file, scratch.path() / "run.0.spl");
+    EXPECT_EQ(accumulator.liveRuns()[r].offset, infos[r].offset);
+  }
+  EXPECT_EQ(accumulator.stats().runsWritten, 3u);
+  EXPECT_EQ(testsupport::drainAccumulator(accumulator, scratch.path()),
+            bruteForceSum(runs));
+}
+
+/// Splitting a straddler never deletes a file that still holds a live
+/// run; a file whose runs were all split goes (here: is retired).
+TEST(SpillingAccumulatorTest, SplitRetiresAFileOnlyOnceNoRunOfItIsLive) {
+  ScratchDir scratch("chisimnet_spill_acc_split_shared");
+  SpillingAccumulator::Options options;
+  options.dir = scratch.path();
+  options.rowsPerShard = 10;
+  options.deferDeletes = true;
+  // mixed.spl: a shard-0 run and a straddler; split.spl: two straddlers.
+  const std::vector<AdjacencyTriplet> pure = {{1, 2, 1}, {3, 4, 1}};
+  const std::vector<AdjacencyTriplet> straddler = {{2, 5, 1}, {12, 13, 1}};
+  const std::vector<AdjacencyTriplet> other = {{5, 9, 2}, {25, 30, 2}};
+  const std::vector<SpillRunInfo> mixed =
+      writeOneFile(scratch.path() / "mixed.spl", {pure, straddler});
+  const std::vector<SpillRunInfo> split =
+      writeOneFile(scratch.path() / "split.spl", {straddler, other});
+  SpillingAccumulator accumulator(options);
+  for (const SpillRunInfo& run : mixed) {
+    accumulator.restoreRunFile(run);
+  }
+  for (const SpillRunInfo& run : split) {
+    accumulator.restoreRunFile(run);
+  }
+  const auto plan = accumulator.buildShardMergePlan();
+  EXPECT_EQ(accumulator.stats().runsSplit, 3u);
+  // Six parts, all in one new file, plus the pure run left in mixed.spl.
+  std::set<std::filesystem::path> files;
+  for (const SpillRunInfo& run : accumulator.liveRuns()) {
+    files.insert(run.file);
+  }
+  EXPECT_EQ(accumulator.liveRuns().size(), 7u);
+  EXPECT_EQ(files.size(), 2u);
+  EXPECT_TRUE(files.contains(scratch.path() / "mixed.spl"));
+  EXPECT_EQ(accumulator.takeRetiredFiles(),
+            (std::vector<std::filesystem::path>{scratch.path() / "split.spl"}));
+  EXPECT_EQ(testsupport::mergePlanRows(plan, scratch.path()),
+            bruteForceSum({pure, straddler, straddler, other}));
+}
+
+// ---- SpillingSum ----
+
+/// Every flush of a worker sum appends to one .tmp file, renamed once when
+/// the sum is drained: many runs, one file.
+TEST(SpillingSumTest, EveryFlushGoesToOneFileRenamedOnce) {
+  ScratchDir scratch("chisimnet_spill_sum_one_file");
+  util::Rng rng(67);
+  SpillingSum sum(scratch.path(), "w0.b0.", 1, 8);
+  SymmetricAdjacency reference(64);
+  const auto listDir = [&scratch] {
+    std::vector<std::string> names;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(scratch.path())) {
+      names.push_back(entry.path().filename().string());
+    }
+    return names;
+  };
+  int flushes = 0;
+  for (table::PlaceId place = 0; place < 12; ++place) {
+    std::vector<table::Event> events;
+    for (int e = 0; e < 20; ++e) {
+      const auto start = static_cast<table::Hour>(rng.uniformBelow(24));
+      events.push_back(table::Event{
+          start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(6)),
+          static_cast<table::PersonId>(rng.uniformBelow(40)), 0, place});
+    }
+    const CollocationMatrix matrix(place, events, 0, 48);
+    reference.addCollocation(matrix);
+    flushes += sum.addCollocation(matrix) ? 1 : 0;
+    if (flushes > 0) {
+      EXPECT_EQ(listDir(), std::vector<std::string>{"sum.w0.b0.0.spl.tmp"});
+    }
+  }
+  sum.flush();
+  ASSERT_GE(flushes, 2);
+  const std::vector<SpillRunInfo> runs = sum.takeRuns();
+  EXPECT_EQ(listDir(), std::vector<std::string>{"sum.w0.b0.0.spl"});
+  EXPECT_GT(runs.size(), static_cast<std::size_t>(flushes));
+  std::vector<std::vector<AdjacencyTriplet>> read;
+  for (const SpillRunInfo& run : runs) {
+    EXPECT_EQ(run.file, scratch.path() / "sum.w0.b0.0.spl");
+    EXPECT_GE(run.shardOf(8), 0);
+    SpillRunReader reader(run);
+    read.push_back(drain(reader));
+  }
+  EXPECT_EQ(bruteForceSum(read), reference.toTriplets());
+  EXPECT_TRUE(sum.takeRuns().empty());
+}
+
+/// A killed writer's husk: the next accumulator over the directory sweeps
+/// the .tmp of its own runs and of stage-5 sums, and nothing else.
+TEST(SpillingSumTest, AccumulatorStartupSweepsSumHusks) {
+  ScratchDir scratch("chisimnet_spill_sum_husk");
+  for (const char* name : {"sum.t7.0.spl.tmp", "sum.w1.b0.0.spl.tmp"}) {
+    std::ofstream(scratch.path() / name) << "killed between two flushes";
+  }
+  std::ofstream(scratch.path() / "other.1.spl.tmp") << "not ours";
+  std::ofstream(scratch.path() / "sum.t7.0.spl") << "a committed file";
+  SpillingAccumulator::Options options;
+  options.dir = scratch.path();
+  SpillingAccumulator accumulator(options);
+  EXPECT_FALSE(std::filesystem::exists(scratch.path() / "sum.t7.0.spl.tmp"));
+  EXPECT_FALSE(
+      std::filesystem::exists(scratch.path() / "sum.w1.b0.0.spl.tmp"));
+  EXPECT_TRUE(std::filesystem::exists(scratch.path() / "other.1.spl.tmp"));
+  EXPECT_TRUE(std::filesystem::exists(scratch.path() / "sum.t7.0.spl"));
 }
 
 }  // namespace

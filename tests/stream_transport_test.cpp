@@ -962,6 +962,69 @@ TEST(ProcessTransportSynthesisTest, SpillModeSharesRunFilesBitIdentical) {
   expectSpillBitIdentical(MpTransport::kProcess, 186);
 }
 
+/// Kill between two flushes: worker rank 2 SIGKILLs itself right after the
+/// second flush of its adjacency command, leaving the command's one run
+/// file as a multi-run .tmp husk. The respawn re-executes the same body
+/// (same token) and rewrites that file — and, the plan being replayed into
+/// it, dies at the same point; with the respawn budget spent the rank is
+/// lost and its places go to the survivors under fresh tokens. The CADJ is
+/// still the brute-force sum, the husk is on disk, and the next run over
+/// the same spill directory sweeps it at startup and writes the same bytes.
+TEST(ProcessTransportSynthesisTest, KillBetweenFlushesLeavesAHuskTheNextRunSweeps) {
+  util::Rng rng(97);
+  FuzzCase fuzz;
+  fuzz.windowEnd = 48;
+  for (int i = 0; i < 600; ++i) {
+    const auto start = static_cast<table::Hour>(rng.uniformBelow(40));
+    fuzz.events.append(table::Event{
+        start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(6)),
+        static_cast<table::PersonId>(rng.uniformBelow(60)), 0,
+        static_cast<table::PlaceId>(rng.uniformBelow(24))});
+  }
+  const auto reference =
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
+  ScratchDir scratch("chisimnet_proc_flush_kill");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 2);
+  const auto husks = [&scratch] {
+    std::vector<std::string> names;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(scratch.path() / "spill")) {
+      const std::string name = entry.path().filename().string();
+      if (name.starts_with("sum.t") && name.ends_with(".spl.tmp")) {
+        names.push_back(name);
+      }
+    }
+    return names;
+  };
+
+  SynthesisConfig config = socketConfig(fuzz, MpTransport::kProcess);
+  config.maxRespawns = 1;
+  config.memoryBudgetBytes = 32 << 10;  // flush after (nearly) every place
+  config.spillDir = scratch.path() / "spill";
+  {
+    FaultPlan plan;
+    plan.at("spill.flush", FaultSpec{.action = FaultAction::kKillProcess,
+                                     .hit = 2,
+                                     .rank = 2});
+    runtime::fault::ScopedFaultPlan scoped(plan);
+    NetworkSynthesizer synthesizer(config);
+    const auto out = scratch.path() / "killed.cadj";
+    EXPECT_EQ(synthesizer.synthesizeToFile(files, out), reference.edgeCount());
+    EXPECT_EQ(sparse::loadTriplets(out), reference.toTriplets());
+    const SynthesisReport& report = synthesizer.report();
+    EXPECT_GE(report.workersRespawned, 1u);
+    EXPECT_EQ(report.ranksLost, 1);
+  }
+  EXPECT_EQ(husks().size(), 1u);
+
+  NetworkSynthesizer clean(config);
+  const auto out = scratch.path() / "clean.cadj";
+  clean.synthesizeToFile(files, out);
+  EXPECT_TRUE(husks().empty());
+  EXPECT_EQ(fileBytes(out), fileBytes(scratch.path() / "killed.cadj"));
+}
+
 /// Multi-pass shard merges on worker processes, under faults. A tight
 /// budget over 40 one-file batches leaves each of two merge shards with
 /// more than kMergeFanIn runs, so each owner merges in intermediate passes
