@@ -22,28 +22,34 @@ SharedMemoryExecutor::SharedMemoryExecutor(const SynthesisConfig& config)
 CollocationCounts SharedMemoryExecutor::mapAdjacency(
     const table::EventTable& events, const table::PlaceIndex& index,
     std::span<const std::size_t> groups, const runtime::Partition& partition) {
-  // Each worker sums into its own SpillingSum. Under a budget it flushes
-  // at an eighth of its budget share — the sink keeps the other half of
-  // the budget for the runs it holds in memory — and each flush is split
-  // at the merge-shard boundaries, so every run is routed to its shard
-  // owner at write time. All of a worker's flushes in a batch go to one
-  // run file, whose name carries worker and batch indices so adopted files
-  // from earlier batches are never overwritten. Unbudgeted, the threshold
-  // is 0 and reduce() folds the maps.
-  std::uint64_t threshold = 0;
-  if (config_.memoryBudgetBytes > 0) {
+  // Unbudgeted, each worker sums into its own map and reduce() folds the
+  // maps. Under a budget each worker sums into its own SpillingSum, which
+  // flushes at an eighth of its budget share — the sink keeps the other
+  // half of the budget for the runs it holds in memory — and each flush is
+  // split at the merge-shard boundaries, so every run is routed to its
+  // shard owner at write time. All of a worker's flushes in a batch go to
+  // one run file, whose name carries worker and batch indices so adopted
+  // files from earlier batches are never overwritten.
+  const bool budgeted = config_.memoryBudgetBytes > 0;
+  mapSums_.clear();
+  spillSums_.clear();
+  if (budgeted) {
     CHISIM_REQUIRE(!config_.spillDir.empty(),
                    "memory budget requires a spill directory");
-    threshold = std::max<std::uint64_t>(
+    const std::uint64_t threshold = std::max<std::uint64_t>(
         config_.memoryBudgetBytes / (8 * std::max(1u, config_.workers)), 1);
-  }
-  const std::uint32_t splitRows = resolvedMergeRowsPerShard(config_);
-  spillSums_.clear();
-  for (unsigned w = 0; w < config_.workers; ++w) {
-    spillSums_.push_back(std::make_unique<sparse::SpillingSum>(
-        config_.spillDir,
-        "w" + std::to_string(w) + ".b" + std::to_string(batchCounter_) + ".",
-        threshold, splitRows));
+    const std::uint32_t splitRows = resolvedMergeRowsPerShard(config_);
+    for (unsigned w = 0; w < config_.workers; ++w) {
+      spillSums_.push_back(std::make_unique<sparse::SpillingSum>(
+          config_.spillDir,
+          "w" + std::to_string(w) + ".b" + std::to_string(batchCounter_) +
+              ".",
+          threshold, splitRows));
+    }
+  } else {
+    for (unsigned w = 0; w < config_.workers; ++w) {
+      mapSums_.push_back(std::make_unique<sparse::SymmetricAdjacency>(1024));
+    }
   }
   ++batchCounter_;
   std::vector<CollocationCounts> counts(config_.workers);
@@ -53,8 +59,21 @@ CollocationCounts SharedMemoryExecutor::mapAdjacency(
         events, index, groups[item], config_.windowStart, config_.windowEnd);
     ++counts[worker].places;
     counts[worker].nnz += matrix.nnz();
-    spillSums_[worker]->addCollocation(matrix);
+    if (budgeted) {
+      spillSums_[worker]->addCollocation(matrix);
+    } else {
+      mapSums_[worker]->addCollocation(matrix);
+    }
   });
+  busyImbalance_ = cluster_.busyImbalance();
+  if (budgeted) {
+    // Each worker sorts its own remainder, as an mp rank does, so the
+    // root's drain is no serial sort per worker.
+    remainders_.assign(config_.workers, {});
+    cluster_.applyDynamic(config_.workers, [&](std::size_t w, unsigned) {
+      remainders_[w] = spillSums_[w]->drainInMemory();
+    });
+  }
   CollocationCounts total;
   for (const CollocationCounts& worker : counts) {
     total.places += worker.places;
@@ -72,14 +91,14 @@ void SharedMemoryExecutor::reduce(sparse::SymmetricAdjacency& result) {
   // thread; only one worker map is released per fold, as in the serial
   // fold, so the peak stays the result plus the maps not yet folded.
   lastReduce_ = ReduceStats{};
-  lastReduce_.mergedSums = spillSums_.size();
+  lastReduce_.mergedSums = mapSums_.size();
   util::WallTimer timer;
-  for (std::unique_ptr<sparse::SpillingSum>& sum : spillSums_) {
-    result.merge(sum->inMemory(), config_.workers);
+  for (std::unique_ptr<sparse::SymmetricAdjacency>& sum : mapSums_) {
+    result.merge(*sum, config_.workers);
     sum.reset();
   }
   lastReduce_.criticalSeconds = timer.seconds();
-  spillSums_.clear();
+  mapSums_.clear();
 }
 
 void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
@@ -87,26 +106,23 @@ void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
                  "reduceInto requires a memory budget");
   lastReduce_ = ReduceStats{};
   lastReduce_.mergedSums = spillSums_.size();
-  // The worker maps lived beside the sink's kept runs; their summed
+  // The worker buffers lived beside the sink's kept runs; their summed
   // historical peaks are reported as the (pessimistic) stage-5 transient.
   std::uint64_t workerPeak = 0;
-  for (const auto& sum : spillSums_) {
-    workerPeak += sum->peakBytes();
-  }
-  sink.noteWorkerPeak(workerPeak);
-  // One sum is drained at a time, on every worker thread: draining several
-  // at once would hold several sorted copies beside their maps.
   util::WallTimer timer;
-  for (const auto& sum : spillSums_) {
-    for (const sparse::SpillRunInfo& run : sum->takeRuns()) {
+  for (std::size_t w = 0; w < spillSums_.size(); ++w) {
+    sparse::SpillingSum& sum = *spillSums_[w];
+    for (const sparse::SpillRunInfo& run : sum.takeRuns()) {
       sink.adoptRunFile(run);  // already on disk: ownership moves, no copy
     }
-    // Kept as it is, no hash.
-    sink.addSortedRun(sum->drainInMemory(config_.workers));
-    sink.addKernelStats(sum->kernelStats());
+    sink.addSortedRun(std::move(remainders_[w]));  // kept as it is, no hash
+    sink.addKernelStats(sum.kernelStats());
+    workerPeak += sum.peakBytes();
   }
   lastReduce_.criticalSeconds = timer.seconds();
+  sink.noteWorkerPeak(workerPeak);
   spillSums_.clear();
+  remainders_.clear();
 }
 
 std::vector<sparse::ShardSegment> SharedMemoryExecutor::mergeSpillShards(
@@ -140,7 +156,7 @@ std::vector<sparse::ShardSegment> SharedMemoryExecutor::mergeSpillShards(
 }
 
 double SharedMemoryExecutor::adjacencyBusyImbalance() const noexcept {
-  return cluster_.busyImbalance();
+  return busyImbalance_;
 }
 
 std::vector<std::vector<std::size_t>> assignMergeOwners(

@@ -152,12 +152,12 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
   /// Folds the worker maps one after another, each on `workers` threads
   /// inserting disjoint slot ranges of the map (PairCountMap::merge).
   void reduce(sparse::SymmetricAdjacency& result) override;
-  /// Drains the worker sums one after another, each sorted on `workers`
-  /// threads (SpillingSum::drainInMemory).
+  /// Adopts each worker sum's run file and keeps the sorted remainder the
+  /// worker drained at the end of mapAdjacency.
   void reduceInto(sparse::SpillingAccumulator& sink) override;
-  /// Owners are the worker threads: shard groups are assigned round-robin
-  /// to the `workers` owners and each owner merges its groups in ascending
-  /// shard order on the cluster.
+  /// Owners are the worker threads: shard groups go to the `workers`
+  /// owners by assignMergeOwners and each owner merges its groups in
+  /// ascending shard order on the cluster.
   std::vector<sparse::ShardSegment> mergeSpillShards(
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment)
@@ -166,9 +166,15 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
 
  private:
   runtime::Cluster cluster_;
-  /// Stage 5 → 6: each worker's own sum, flushing at ≈ budget/(8·workers)
-  /// under a budget and never without one.
+  /// Stage 5 → 6: each worker's own sum. Unbudgeted it is a map, for the
+  /// fold in reduce(); under a budget a SpillingSum flushing at
+  /// ≈ budget/(8·workers).
+  std::vector<std::unique_ptr<sparse::SymmetricAdjacency>> mapSums_;
   std::vector<std::unique_ptr<sparse::SpillingSum>> spillSums_;
+  /// Each budgeted worker's drained remainder, sorted on its own thread.
+  std::vector<std::vector<sparse::AdjacencyTriplet>> remainders_;
+  /// Busy imbalance of the last mapAdjacency's place loop.
+  double busyImbalance_ = 1.0;
   /// Distinguishes run-file names across batches (adopted files outlive
   /// the mapAdjacency that wrote them).
   std::uint64_t batchCounter_ = 0;
@@ -237,11 +243,12 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   /// moved into the sink, which keeps them, and the workers' peak bytes
   /// reported via noteWorkerPeak().
   void reduceInto(sparse::SpillingAccumulator& sink) override;
-  /// Owners are live ranks: shard groups travel round-robin as
-  /// kCmdMergeShard commands (rank 0 executes its share inline), with the
-  /// stage-level retry and lost-rank reassignment semantics of every
-  /// other command. Segments come back as file references; run files are
-  /// read directly off the shared filesystem, never shipped.
+  /// Owners are live ranks: shard groups go to them by assignMergeOwners
+  /// and travel as kCmdMergeShard commands (rank 0 executes its share
+  /// inline), with the stage-level retry and lost-rank reassignment
+  /// semantics of every other command. Segments come back as file
+  /// references; run files are read directly off the shared filesystem,
+  /// never shipped.
   std::vector<sparse::ShardSegment> mergeSpillShards(
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment)
@@ -312,7 +319,7 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   std::vector<mp::RunRef> reduceRuns_;
   sparse::AdjacencyKernelStats runKernelStats_;
   /// Σ of worker peakLocalBytes from the last mapAdjacency (budget
-  /// accounting: these maps were alive concurrently with the sink).
+  /// accounting: these sums were alive concurrently with the sink).
   std::uint64_t workerPeakBytes_ = 0;
   /// Uniquifies worker-side spill-file names per command body.
   std::uint64_t nextRunToken_ = 0;

@@ -31,8 +31,8 @@ mp::StageParams stageParamsOf(const SynthesisConfig& config) {
   params.windowStart = config.windowStart;
   params.windowEnd = config.windowEnd;
   // Each stage-5 worker gets an eighth of its budget share: the cross-batch
-  // sink keeps resident bytes under budget/2, and the per-batch worker maps
-  // (all live at once) plus their drain transients fit in the rest.
+  // sink keeps resident bytes under budget/2, and the per-batch worker
+  // buffers (all live at once) plus their sort scratch fit in the rest.
   params.spillThresholdBytes =
       config.memoryBudgetBytes > 0
           ? std::max<std::uint64_t>(
@@ -546,7 +546,7 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
 void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   lastReduce_ = ReduceStats{};
   lastReduce_.mergedSums = reduceRuns_.size();
-  // The workers' stage-5 maps were alive concurrently with the sink's
+  // The workers' stage-5 sums were alive concurrently with the sink's
   // kept runs — the budget guarantee must account for both.
   sink.noteWorkerPeak(workerPeakBytes_);
   try {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "chisimnet/runtime/thread_pool.hpp"
+#include "chisimnet/sparse/local_kernel.hpp"
 #include "chisimnet/util/default_init_vector.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/radix_sort.hpp"
@@ -28,17 +29,7 @@ std::uint64_t SymmetricAdjacency::weight(std::uint32_t i,
   return pairs_.get(packPair(i, j));
 }
 
-namespace {
-
-/// Counting-sort transpose of the per-person CSR into per-hour row lists.
-/// Rows within a column come out ascending (rows are visited in order),
-/// which the local-coordinate kernel relies on to keep pairs (a,b) with
-/// a < b without re-sorting.
-struct ColumnIndex {
-  std::vector<std::uint64_t> offsets;  ///< sliceHours+1 prefix sums
-  std::vector<std::uint32_t> rows;     ///< local rows, ascending per column
-  std::uint64_t pairHours = 0;         ///< Σ_h c_h(c_h-1)/2, exact
-};
+namespace detail {
 
 ColumnIndex buildColumnIndex(const CollocationMatrix& matrix) {
   ColumnIndex index;
@@ -65,107 +56,21 @@ ColumnIndex buildColumnIndex(const CollocationMatrix& matrix) {
   return index;
 }
 
-// Dense/hash crossover for the local-coordinate kernel. The flat triangular
-// array is used only when it fits the thread-local scratch buffer AND the
-// emit scan over every slot is bounded by a small multiple of the update
-// work actually done (pairSlots can dwarf pairHours at short slices).
-// The choice is a pure function of the matrix, so results stay
-// deterministic across partitions, workers and backends.
-constexpr std::uint64_t kDenseMaxPairs = std::uint64_t{1} << 22;
-constexpr std::uint64_t kDenseScanFactor = 8;
-constexpr std::size_t kLocalHashMaxReserve = std::size_t{1} << 20;
-
-bool useDenseLocalPath(std::uint64_t pairSlots,
-                       std::uint64_t pairHours) noexcept {
-  return pairSlots <= kDenseMaxPairs &&
-         pairSlots <= kDenseScanFactor * pairHours;
+std::vector<std::uint32_t>& denseScratch(std::uint64_t pairSlots) {
+  // One per thread, shared by every emit target, persisting across places.
+  thread_local std::vector<std::uint32_t> scratch;
+  if (scratch.size() < pairSlots) {
+    scratch.assign(static_cast<std::size_t>(pairSlots), 0);
+  }
+  return scratch;
 }
 
-/// Local-coordinate path: accumulate this place's pairs keyed by local row
-/// indices, then emit each distinct pair into the global map exactly once.
-/// The inner loop becomes an array increment (dense) or a probe of a
-/// cache-resident local table (hash) instead of a global hash insert per
-/// pair-hour.
-void addViaLocalAccumulate(const CollocationMatrix& matrix,
-                           PairCountMap& pairs, AdjacencyKernelStats& stats) {
-  const std::uint64_t p = matrix.personCount();
-  if (p < 2) {
-    return;
-  }
-  const ColumnIndex index = buildColumnIndex(matrix);
-  if (index.pairHours == 0) {
-    return;
-  }
-  stats.pairHourUpdates += index.pairHours;
-  const std::uint64_t pairSlots = p * (p - 1) / 2;
-  if (useDenseLocalPath(pairSlots, index.pairHours)) {
-    ++stats.densePlaces;
-    // Scratch persists across places; invariant: all-zero outside this
-    // scope (the emit loop clears every slot it touched, and assign()
-    // zero-fills on growth).
-    thread_local std::vector<std::uint32_t> scratch;
-    if (scratch.size() < pairSlots) {
-      scratch.assign(static_cast<std::size_t>(pairSlots), 0);
-    }
-    for (std::uint32_t hour = 0; hour < matrix.sliceHours(); ++hour) {
-      const std::uint64_t begin = index.offsets[hour];
-      const std::uint64_t end = index.offsets[hour + 1];
-      for (std::uint64_t a = begin; a < end; ++a) {
-        const std::uint64_t ra = index.rows[a];
-        // Upper-triangular flattening: slot(ra,rb) = rowBase + rb for
-        // ra < rb, with rows ascending within the column. Counts cannot
-        // overflow uint32: each hour contributes at most 1 and the slice
-        // hour count is itself a uint32.
-        const std::uint64_t rowBase = ra * (2 * p - ra - 1) / 2 - ra - 1;
-        for (std::uint64_t b = a + 1; b < end; ++b) {
-          ++scratch[static_cast<std::size_t>(rowBase + index.rows[b])];
-        }
-      }
-    }
-    for (std::uint64_t ra = 0; ra + 1 < p; ++ra) {
-      const std::uint64_t rowBase = ra * (2 * p - ra - 1) / 2 - ra - 1;
-      const table::PersonId personA =
-          matrix.personAt(static_cast<std::size_t>(ra));
-      for (std::uint64_t rb = ra + 1; rb < p; ++rb) {
-        std::uint32_t& slot = scratch[static_cast<std::size_t>(rowBase + rb)];
-        if (slot != 0) {
-          pairs.add(packPair(personA,
-                             matrix.personAt(static_cast<std::size_t>(rb))),
-                    slot);
-          slot = 0;
-          ++stats.globalEmits;
-        }
-      }
-    }
-  } else {
-    ++stats.hashPlaces;
-    PairCountMap local(static_cast<std::size_t>(
-        std::min({index.pairHours, pairSlots,
-                  static_cast<std::uint64_t>(kLocalHashMaxReserve)})));
-    for (std::uint32_t hour = 0; hour < matrix.sliceHours(); ++hour) {
-      const std::uint64_t begin = index.offsets[hour];
-      const std::uint64_t end = index.offsets[hour + 1];
-      for (std::uint64_t a = begin; a < end; ++a) {
-        const std::uint64_t ra = index.rows[a];
-        for (std::uint64_t b = a + 1; b < end; ++b) {
-          // ra < rows[b] within a column, so the key is already canonical.
-          local.add((ra << 32) | index.rows[b], 1);
-        }
-      }
-    }
-    local.forEach([&pairs, &matrix](std::uint64_t key, std::uint64_t count) {
-      pairs.add(packPair(matrix.personAt(pairLow(key)),
-                         matrix.personAt(pairHigh(key))),
-                count);
-    });
-    stats.globalEmits += local.size();
-  }
-}
-
-}  // namespace
+}  // namespace detail
 
 void SymmetricAdjacency::addCollocation(const CollocationMatrix& matrix) {
-  addViaLocalAccumulate(matrix, pairs_, kernelStats_);
+  detail::addViaLocalAccumulate(
+      matrix, kernelStats_,
+      [this](std::uint64_t key, std::uint64_t count) { pairs_.add(key, count); });
 }
 
 std::vector<AdjacencyTriplet> SymmetricAdjacency::toTriplets(
@@ -401,7 +306,7 @@ SymmetricAdjacency spGemmAdjacency(const CollocationMatrix& matrix) {
   if (matrix.personCount() < 2) {
     return adjacency;
   }
-  const ColumnIndex index = buildColumnIndex(matrix);
+  const detail::ColumnIndex index = detail::buildColumnIndex(matrix);
   for (std::uint32_t hour = 0; hour < matrix.sliceHours(); ++hour) {
     const std::uint64_t begin = index.offsets[hour];
     const std::uint64_t end = index.offsets[hour + 1];

@@ -16,14 +16,16 @@
 /// matrix in R, via a pair-count hash map while accumulating and as sorted
 /// triplets once finalized.
 ///
-/// The dense stage-6 tail runs on every core the caller grants: merge()
-/// folds a worker sum with concurrent inserts, and toTriplets() buckets the
-/// table by row range and radix-sorts the buckets concurrently. Weights are
-/// integer sums and the triplets fully sorted, so neither output depends on
-/// the thread count. One thread runs the serial code: one insert loop, or
-/// one extraction pass and one radix sort over the whole table — the form
-/// stage-5 flushes on shared workers and mp ranks use, since their threads
-/// are already busy.
+/// The map is the unbounded shared-memory path's sum: each worker adds its
+/// places into one, and the dense stage-6 tail runs on every core the
+/// caller grants: merge() folds a worker sum with concurrent inserts, and
+/// toTriplets() buckets the table by row range and radix-sorts the buckets
+/// concurrently. Weights are integer sums and the triplets fully sorted, so
+/// neither output depends on the thread count. One thread runs the serial
+/// code: one insert loop, or one extraction pass and one radix sort over
+/// the whole table. Stage-5 sums that end in sorted runs (budgeted workers,
+/// mp ranks) hold no map: they append each place's pairs and sort at flush
+/// (SpillingSum, sparse/spill.hpp).
 
 namespace chisimnet::sparse {
 
@@ -33,7 +35,8 @@ struct AdjacencyKernelStats {
   std::uint64_t densePlaces = 0;     ///< places on the triangular-array path
   std::uint64_t hashPlaces = 0;      ///< places on the local-hash path
   std::uint64_t pairHourUpdates = 0; ///< local increments performed
-  std::uint64_t globalEmits = 0;     ///< distinct pairs pushed to the map
+  std::uint64_t globalEmits = 0;     ///< distinct per-place pairs emitted
+                                     ///< into the worker's sum
 
   void merge(const AdjacencyKernelStats& other) noexcept {
     densePlaces += other.densePlaces;

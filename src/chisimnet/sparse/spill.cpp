@@ -9,8 +9,10 @@
 #include <utility>
 
 #include "chisimnet/runtime/fault.hpp"
+#include "chisimnet/sparse/local_kernel.hpp"
 #include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/error.hpp"
+#include "chisimnet/util/radix_sort.hpp"
 #include "chisimnet/util/timer.hpp"
 
 namespace chisimnet::sparse {
@@ -28,8 +30,7 @@ static_assert(sizeof(AdjacencyTriplet) == 16,
               "spill frames assume 16-byte packed triplets");
 
 /// Floor for spill/flush thresholds so pathological tiny budgets still
-/// terminate: a threshold below one minimal hash table would spill on
-/// every insert.
+/// write runs of a few hundred rows instead of one per place or kept run.
 constexpr std::uint64_t kMinSpillThresholdBytes = 4096;
 
 }  // namespace
@@ -629,8 +630,7 @@ SpillingSum::SpillingSum(std::filesystem::path dir, std::string filePrefix,
                          std::uint32_t splitRows)
     : dir_(std::move(dir)),
       filePrefix_(std::move(filePrefix)),
-      splitRows_(splitRows),
-      sum_(1024) {
+      splitRows_(splitRows) {
   CHISIM_REQUIRE(splitRows_ >= 1, "splitRows must be >= 1");
   if (flushThresholdBytes > 0) {
     flushThreshold_ = std::max(flushThresholdBytes, kMinSpillThresholdBytes);
@@ -640,27 +640,48 @@ SpillingSum::SpillingSum(std::filesystem::path dir, std::string filePrefix,
 }
 
 bool SpillingSum::addCollocation(const CollocationMatrix& matrix) {
-  sum_.addCollocation(matrix);
-  peakBytes_ = std::max<std::uint64_t>(peakBytes_, sum_.memoryBytes());
-  if (flushThreshold_ > 0 && sum_.memoryBytes() > flushThreshold_ &&
-      sum_.edgeCount() > 0) {
+  detail::addViaLocalAccumulate(
+      matrix, kernelStats_, [this](std::uint64_t key, std::uint64_t count) {
+        pairs_.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), count});
+      });
+  if (flushThreshold_ > 0 && pairs_.size() * kTripletBytes > flushThreshold_) {
     flush();
     return true;
   }
   return false;
 }
 
+void SpillingSum::sortAndSum() {
+  pairs_.resize(sortAndSumTriplets(pairs_, sortScratch_));
+  peakBytes_ = peakBytes();
+}
+
 void SpillingSum::flush() {
-  if (sum_.edgeCount() == 0) {
+  if (pairs_.empty()) {
     return;
   }
-  const std::vector<AdjacencyTriplet> triplets = drainInMemory();
+  sortAndSum();
   if (!writer_) {
     writer_ = std::make_unique<SpillRunWriter>(
         dir_ / (std::string(kSumFilePrefix) + filePrefix_ +
                 std::to_string(nextFileIndex_++) + ".spl"));
   }
-  appendShardRuns(*writer_, triplets, splitRows_);
+  appendShardRuns(*writer_, pairs_, splitRows_);
+  pairs_.clear();
+}
+
+std::vector<AdjacencyTriplet> SpillingSum::drainInMemory() {
+  sortAndSum();
+  sortScratch_ = {};
+  // A buffer that flushed keeps the capacity it filled: copy its small
+  // remainder out instead of handing that capacity to the sink. An
+  // unflushed buffer is handed over whole, so no drain holds two copies.
+  if (pairs_.capacity() > 2 * pairs_.size()) {
+    std::vector<AdjacencyTriplet> run(pairs_.begin(), pairs_.end());
+    pairs_ = {};
+    return run;
+  }
+  return std::exchange(pairs_, {});
 }
 
 std::vector<SpillRunInfo> SpillingSum::takeRuns() {
@@ -670,6 +691,27 @@ std::vector<SpillRunInfo> SpillingSum::takeRuns() {
   std::vector<SpillRunInfo> runs = writer_->commit();
   writer_.reset();
   return runs;
+}
+
+std::size_t sortAndSumTriplets(
+    std::span<AdjacencyTriplet> triplets,
+    util::DefaultInitVector<AdjacencyTriplet>& scratch) {
+  util::radixSortInPlace(triplets, scratch, [](const AdjacencyTriplet& triplet) {
+    return (std::uint64_t{triplet.i} << 32) | triplet.j;
+  });
+  if (triplets.empty()) {
+    return 0;
+  }
+  std::size_t last = 0;
+  for (std::size_t k = 1; k < triplets.size(); ++k) {
+    AdjacencyTriplet& kept = triplets[last];
+    if (triplets[k].i == kept.i && triplets[k].j == kept.j) {
+      kept.weight += triplets[k].weight;
+    } else {
+      triplets[++last] = triplets[k];
+    }
+  }
+  return last + 1;
 }
 
 void appendShardRuns(SpillRunWriter& writer,
@@ -697,20 +739,6 @@ std::vector<SpillRunInfo> writeShardRuns(
   SpillRunWriter writer(file);
   appendShardRuns(writer, sorted, splitRows);
   return writer.commit();
-}
-
-const AdjacencyKernelStats& SpillingSum::kernelStats() const noexcept {
-  return sum_.kernelStats();
-}
-
-std::vector<AdjacencyTriplet> SpillingSum::drainInMemory(unsigned threads) {
-  std::vector<AdjacencyTriplet> triplets = sum_.toTriplets(threads);
-  peakBytes_ = std::max<std::uint64_t>(
-      peakBytes_, sum_.memoryBytes() + triplets.size() * kTripletBytes);
-  const AdjacencyKernelStats stats = sum_.kernelStats();
-  sum_ = SymmetricAdjacency(1024);
-  sum_.addKernelStats(stats);  // counters survive the drain
-  return triplets;
 }
 
 // -------------------------------------------------------- shard merge

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +12,7 @@
 
 #include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"
+#include "chisimnet/util/default_init_vector.hpp"
 
 /// Memory-bounded adjacency accumulation: disk-spilled sorted runs and the
 /// run ledger that collects them (paper-scale unlock — the full 2.9 M-person
@@ -335,14 +337,18 @@ class SpillingAccumulator {
 /// files.
 inline constexpr std::string_view kSumFilePrefix = "sum.";
 
-/// Stage-5 worker-local sum that bounds its own footprint: collocation
-/// contributions accumulate into an in-memory map, and whenever the map
-/// outgrows `flushThresholdBytes` it is sorted and flushed as spill runs,
-/// so per-batch stage-5 memory is capped at roughly the threshold per
-/// worker. It is every worker's sum: shared-memory workers and mp ranks
-/// alike. Unbudgeted, the threshold is 0 and the map is the whole sum.
-/// Every flush appends to one run file, which takeRuns() renames into
-/// place once, when the sum is drained.
+/// Stage-5 worker-local sum that bounds its own footprint: each place's
+/// distinct pairs are appended to a flat triplet buffer, and whenever the
+/// buffer outgrows `flushThresholdBytes` it is radix-sorted, equal pairs
+/// are added up in one pass, and the result is flushed as spill runs, so
+/// per-batch stage-5 memory is capped at roughly the threshold (plus its
+/// sort scratch) per worker. Nothing is hashed: a place's pairs rarely
+/// meet another place's before the sort, so a map would merge almost
+/// nothing. It is the sum of every stage 5 that ends in sorted runs: the
+/// budgeted shared-memory workers and every mp rank. Unbudgeted, the
+/// threshold is 0 and the buffer is the whole sum. Every flush appends to
+/// one run file, which takeRuns() renames into place once, when the sum is
+/// drained.
 class SpillingSum {
  public:
   /// flushThresholdBytes 0 = never flush on its own (flush() still
@@ -357,18 +363,22 @@ class SpillingSum {
   /// Adds x·xᵀ of `matrix`; true when the sum then flushed.
   bool addCollocation(const CollocationMatrix& matrix);
 
-  const AdjacencyKernelStats& kernelStats() const noexcept;
-  /// The not-yet-flushed sum, for a root that folds maps (unbudgeted).
-  const SymmetricAdjacency& inMemory() const noexcept { return sum_; }
-  /// Max in-memory bytes observed (map plus flush-sort transient).
-  std::uint64_t peakBytes() const noexcept { return peakBytes_; }
+  const AdjacencyKernelStats& kernelStats() const noexcept {
+    return kernelStats_;
+  }
+  /// Max in-memory bytes so far: the buffer plus its sort scratch.
+  std::uint64_t peakBytes() const noexcept {
+    return std::max<std::uint64_t>(
+        peakBytes_, (pairs_.capacity() + sortScratch_.capacity()) *
+                        sizeof(AdjacencyTriplet));
+  }
 
-  /// Distinct pairs not yet flushed.
-  std::uint64_t residentTriplets() const noexcept { return sum_.edgeCount(); }
-  /// The not-yet-flushed remainder as a sorted run; resets the sum. The
-  /// extraction runs on `threads` threads (SymmetricAdjacency::toTriplets):
-  /// the root's drains take every core, flushes on a busy worker one.
-  std::vector<AdjacencyTriplet> drainInMemory(unsigned threads = 1);
+  /// Pairs appended since the last flush, repeats included: an upper
+  /// bound on the rows drainInMemory() returns.
+  std::uint64_t residentTriplets() const noexcept { return pairs_.size(); }
+  /// The not-yet-flushed remainder as a sorted run; releases the buffer.
+  /// A buffer at least half full is the run itself, handed over.
+  std::vector<AdjacencyTriplet> drainInMemory();
   /// Appends the in-memory sum to this sum's run file as shard-pure runs
   /// (no-op when it is empty), leaving only runs on disk.
   void flush();
@@ -377,15 +387,29 @@ class SpillingSum {
   std::vector<SpillRunInfo> takeRuns();
 
  private:
+  /// sortAndSumTriplets on the buffer, noting the peak bytes.
+  void sortAndSum();
+
   std::filesystem::path dir_;
   std::string filePrefix_;
   std::uint64_t flushThreshold_ = 0;
   std::uint32_t splitRows_ = 0;
-  SymmetricAdjacency sum_;
+  std::vector<AdjacencyTriplet> pairs_;
+  util::DefaultInitVector<AdjacencyTriplet> sortScratch_;
+  AdjacencyKernelStats kernelStats_;
   std::unique_ptr<SpillRunWriter> writer_;  ///< open from the first flush
   std::uint64_t nextFileIndex_ = 0;
   std::uint64_t peakBytes_ = 0;
 };
+
+/// Sorts upper-triangular triplets by (i, j) in place and adds up the
+/// weights of equal pairs in one pass: a stage-5 sum's flush. Returns the
+/// number of distinct pairs, which are then the first rows, strictly
+/// ascending. `scratch` is the sort's bucket buffer
+/// (util::radixSortInPlace), kept by the caller across calls.
+std::size_t sortAndSumTriplets(
+    std::span<AdjacencyTriplet> triplets,
+    util::DefaultInitVector<AdjacencyTriplet>& scratch);
 
 /// Appends a strictly key-ascending triplet list to `writer` as shard-pure
 /// runs, one per touched row-range shard (shard = low id / splitRows,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -18,6 +19,8 @@
 /// histogram pass counts every byte position up front and any position
 /// that is constant across all keys costs no pass at all. Stable, so a
 /// byte pass never disturbs the order the earlier passes established.
+/// Stage-5 sums sort their pair buffers with radixSortInPlace, which
+/// needs a scratch of one bucket instead of one of the whole buffer.
 
 namespace chisimnet::util {
 
@@ -95,6 +98,70 @@ void radixSort(std::span<T> items, std::span<T> scratch, KeyFn keyOf) {
     std::copy(scratch.begin(),
               scratch.begin() + static_cast<std::ptrdiff_t>(items.size()),
               items.begin());
+  }
+}
+
+/// Spans up to this long skip radixSortInPlace's bucketing pass: their
+/// scratch is small anyway.
+inline constexpr std::size_t kInPlaceMinItems = std::size_t{1} << 16;
+
+/// Sorts `items` by `keyOf(item)` with a scratch far smaller than the
+/// items: one in-place MSD pass (American flag sort) on the highest eight
+/// bits where the keys differ deals them into 256 buckets, then the LSD
+/// passes sort each bucket through `scratch`, grown to the largest bucket,
+/// in cache. Not stable: for items whose equal keys are interchangeable.
+template <typename T, typename Alloc, typename KeyFn>
+void radixSortInPlace(std::span<T> items, std::vector<T, Alloc>& scratch,
+                      KeyFn keyOf) {
+  using Key = std::invoke_result_t<KeyFn&, const T&>;
+  const std::size_t n = items.size();
+  if (n <= kInPlaceMinItems) {
+    scratch.resize(std::max(scratch.size(), n));
+    radixSort(items, std::span<T>(scratch), keyOf);
+    return;
+  }
+  const Key first = keyOf(items.front());
+  Key differ = 0;
+  for (const T& item : items) {
+    differ |= keyOf(item) ^ first;
+  }
+  if (differ == 0) {
+    return;
+  }
+  const int top = std::bit_width(differ) - 1;
+  const int shift = std::max(top - 7, 0);
+  const auto bucketOf = [&keyOf, shift](const T& item) {
+    return static_cast<std::size_t>((keyOf(item) >> shift) & 0xFF);
+  };
+  std::array<std::size_t, 257> start{};
+  for (const T& item : items) {
+    ++start[bucketOf(item) + 1];
+  }
+  for (std::size_t b = 0; b < 256; ++b) {
+    start[b + 1] += start[b];
+  }
+  // Each item is swapped straight into the next free slot of its bucket
+  // until the slot being filled receives one of its own bucket.
+  std::array<std::size_t, 256> next{};
+  std::copy(start.begin(), start.end() - 1, next.begin());
+  for (std::size_t b = 0; b < 256; ++b) {
+    while (next[b] < start[b + 1]) {
+      T item = items[next[b]];
+      for (std::size_t home = bucketOf(item); home != b;
+           home = bucketOf(item)) {
+        std::swap(item, items[next[home]++]);
+      }
+      items[next[b]++] = item;
+    }
+  }
+  std::size_t largest = 0;
+  for (std::size_t b = 0; b < 256; ++b) {
+    largest = std::max(largest, start[b + 1] - start[b]);
+  }
+  scratch.resize(std::max(scratch.size(), largest));
+  for (std::size_t b = 0; b < 256; ++b) {
+    radixSort(items.subspan(start[b], start[b + 1] - start[b]),
+              std::span<T>(scratch), keyOf);
   }
 }
 

@@ -387,13 +387,15 @@ TEST(CollocationSerialization, AnAdjacencyCommandWritesOneRunFile) {
   util::Rng rng(6);
   std::vector<std::vector<Event>> groups(10);
   std::vector<Event> all;
+  // 25 of 40 persons together for at least 17 hours: a place's 300 pairs
+  // alone pass the 4 KiB (256-row) floor of the flush threshold.
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (int i = 0; i < 25; ++i) {
-      const auto start = static_cast<table::Hour>(rng.uniformBelow(24));
+    const auto first = static_cast<table::PersonId>(rng.uniformBelow(40));
+    for (table::PersonId i = 0; i < 25; ++i) {
+      const auto start = static_cast<table::Hour>(rng.uniformBelow(4));
       groups[g].push_back(Event{
-          start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(6)),
-          static_cast<table::PersonId>(rng.uniformBelow(40)), 0,
-          static_cast<table::PlaceId>(g)});
+          start, start + 20 + static_cast<table::Hour>(rng.uniformBelow(6)),
+          (first + i) % 40, 0, static_cast<table::PlaceId>(g)});
     }
     all.insert(all.end(), groups[g].begin(), groups[g].end());
   }

@@ -19,6 +19,7 @@
 #include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/table/event.hpp"
+#include "chisimnet/util/radix_sort.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "support.hpp"
 
@@ -850,7 +851,10 @@ TEST(SpillingAccumulatorTest, SplitRetiresAFileOnlyOnceNoRunOfItIsLive) {
 // ---- SpillingSum ----
 
 /// Every flush of a worker sum appends to one .tmp file, renamed once when
-/// the sum is drained: many runs, one file.
+/// the sum is drained: many runs, one file. Each place puts 30 of 40
+/// persons together for at least 17 hours, so its 435 pairs alone pass the
+/// 4 KiB (256-row) floor the threshold of 1 is raised to: every place
+/// flushes.
 TEST(SpillingSumTest, EveryFlushGoesToOneFileRenamedOnce) {
   ScratchDir scratch("chisimnet_spill_sum_one_file");
   util::Rng rng(67);
@@ -867,11 +871,12 @@ TEST(SpillingSumTest, EveryFlushGoesToOneFileRenamedOnce) {
   int flushes = 0;
   for (table::PlaceId place = 0; place < 12; ++place) {
     std::vector<table::Event> events;
-    for (int e = 0; e < 20; ++e) {
-      const auto start = static_cast<table::Hour>(rng.uniformBelow(24));
+    const auto first = static_cast<table::PersonId>(rng.uniformBelow(40));
+    for (table::PersonId e = 0; e < 30; ++e) {
+      const auto start = static_cast<table::Hour>(rng.uniformBelow(4));
       events.push_back(table::Event{
-          start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(6)),
-          static_cast<table::PersonId>(rng.uniformBelow(40)), 0, place});
+          start, start + 20 + static_cast<table::Hour>(rng.uniformBelow(6)),
+          (first + e) % 40, 0, place});
     }
     const CollocationMatrix matrix(place, events, 0, 48);
     reference.addCollocation(matrix);
@@ -882,6 +887,7 @@ TEST(SpillingSumTest, EveryFlushGoesToOneFileRenamedOnce) {
   }
   sum.flush();
   ASSERT_GE(flushes, 2);
+  EXPECT_EQ(flushes, 12);
   const std::vector<SpillRunInfo> runs = sum.takeRuns();
   EXPECT_EQ(listDir(), std::vector<std::string>{"sum.w0.b0.0.spl"});
   EXPECT_GT(runs.size(), static_cast<std::size_t>(flushes));
@@ -894,6 +900,146 @@ TEST(SpillingSumTest, EveryFlushGoesToOneFileRenamedOnce) {
   }
   EXPECT_EQ(bruteForceSum(read), reference.toTriplets());
   EXPECT_TRUE(sum.takeRuns().empty());
+}
+
+/// Dense-path places (20 visits of 1-6 hours by 60 persons) and, every
+/// fourth, a hash-path one (300 one-hour visits spread over 150 hours, so
+/// its pair slots dwarf its pair-hours). Persons recur across places, so
+/// pairs repeat within a flush and across flushes.
+std::vector<CollocationMatrix> mixedPlaces(util::Rng& rng, std::size_t count) {
+  std::vector<CollocationMatrix> places;
+  for (table::PlaceId place = 0; place < count; ++place) {
+    std::vector<table::Event> events;
+    const bool hub = place % 4 == 3;
+    for (int e = 0; e < (hub ? 300 : 20); ++e) {
+      const auto start =
+          static_cast<table::Hour>(rng.uniformBelow(hub ? 150 : 24));
+      const auto hours =
+          hub ? 1 : 1 + static_cast<table::Hour>(rng.uniformBelow(6));
+      events.push_back(table::Event{
+          start, start + hours,
+          static_cast<table::PersonId>(rng.uniformBelow(hub ? 400 : 60)), 0,
+          place});
+    }
+    places.emplace_back(place, events, 0, 168);
+  }
+  return places;
+}
+
+/// Every row of `run` is upper-triangular and its keys strictly ascend.
+bool strictlyAscending(std::span<const AdjacencyTriplet> run) {
+  for (std::size_t row = 0; row < run.size(); ++row) {
+    if (run[row].i >= run[row].j ||
+        (row > 0 && packPair(run[row - 1].i, run[row - 1].j) >=
+                        packPair(run[row].i, run[row].j))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The sorted runs a sum ends in — its flushed runs and its drained
+/// remainder — add up to the map sum of the same places, whatever the
+/// threshold: 0 and one that never fills keep everything in memory, the
+/// 4 KiB floor (threshold 1) and a mid value flush many times.
+TEST(SpillingSumTest, RunsAddUpToTheMapSumAtEveryThreshold) {
+  util::Rng rng(71);
+  const std::vector<CollocationMatrix> places = mixedPlaces(rng, 48);
+  SymmetricAdjacency reference(64);
+  for (const CollocationMatrix& place : places) {
+    reference.addCollocation(place);
+  }
+  const std::vector<AdjacencyTriplet> expected = reference.toTriplets();
+  const AdjacencyKernelStats& stats = reference.kernelStats();
+  ASSERT_GT(stats.densePlaces, 0u);
+  ASSERT_GT(stats.hashPlaces, 0u);
+  ASSERT_GT(stats.globalEmits, expected.size()) << "no pair repeats";
+
+  std::map<std::uint64_t, int> flushesAt;
+  for (const std::uint64_t threshold :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{16} << 10,
+        std::uint64_t{1} << 30}) {
+    SCOPED_TRACE("threshold " + std::to_string(threshold));
+    ScratchDir scratch("chisimnet_spill_sum_threshold_" +
+                       std::to_string(threshold));
+    SpillingSum sum(scratch.path(), "w0.b0.", threshold, 64);
+    int flushes = 0;
+    for (const CollocationMatrix& place : places) {
+      flushes += sum.addCollocation(place) ? 1 : 0;
+    }
+    std::vector<std::vector<AdjacencyTriplet>> runs{sum.drainInMemory()};
+    for (const SpillRunInfo& run : sum.takeRuns()) {
+      EXPECT_GE(run.shardOf(64), 0);
+      SpillRunReader reader(run);
+      runs.push_back(drain(reader));
+    }
+    for (const std::vector<AdjacencyTriplet>& run : runs) {
+      EXPECT_TRUE(strictlyAscending(run));
+    }
+    EXPECT_EQ(bruteForceSum(runs), expected);
+    EXPECT_EQ(sum.kernelStats().globalEmits, stats.globalEmits);
+    EXPECT_EQ(sum.kernelStats().pairHourUpdates, stats.pairHourUpdates);
+    EXPECT_EQ(sum.kernelStats().hashPlaces, stats.hashPlaces);
+    flushesAt[threshold] = flushes;
+  }
+  EXPECT_EQ(flushesAt[0], 0);
+  EXPECT_EQ(flushesAt[std::uint64_t{1} << 30], 0);
+  EXPECT_GT(flushesAt[std::uint64_t{16} << 10], 1);
+  EXPECT_GT(flushesAt[1], flushesAt[std::uint64_t{16} << 10]);
+}
+
+/// Equal pairs add up across the sort, also past UINT32_MAX (a weight no
+/// single place can carry: a place's counts are uint32).
+TEST(SpillingSumTest, SortAndSumAddsEqualPairsPastUint32) {
+  constexpr std::uint64_t kBig = std::uint64_t{0xFFFFFFFF};
+  std::vector<AdjacencyTriplet> triplets{{5, 9, kBig}, {1, 2, 3},
+                                         {5, 9, kBig}, {1, 70000, 1},
+                                         {1, 2, 4},    {5, 9, 2}};
+  util::DefaultInitVector<AdjacencyTriplet> scratch;
+  triplets.resize(sortAndSumTriplets(triplets, scratch));
+  EXPECT_EQ(triplets, (std::vector<AdjacencyTriplet>{
+                          {1, 2, 7}, {1, 70000, 1}, {5, 9, 2 * kBig + 2}}));
+  EXPECT_EQ(sortAndSumTriplets({}, scratch), 0u);
+}
+
+/// A sum whose pairs stay below its threshold never flushes, however many
+/// places it takes: it writes no file and drains everything in memory.
+TEST(SpillingSumTest, ASumBelowItsThresholdNeverFlushes) {
+  ScratchDir scratch("chisimnet_spill_sum_below");
+  SpillingSum sum(scratch.path(), "w0.b0.", 8 << 10, 64);  // 512 rows
+  SymmetricAdjacency reference(64);
+  for (table::PlaceId place = 0; place < 100; ++place) {
+    // Two persons sharing two hours: one pair per place.
+    const std::vector<table::Event> events{
+        table::Event{0, 3, place, 0, place},
+        table::Event{1, 4, place + 1, 0, place}};
+    const CollocationMatrix matrix(place, events, 0, 8);
+    reference.addCollocation(matrix);
+    EXPECT_FALSE(sum.addCollocation(matrix)) << "place " << place;
+  }
+  EXPECT_EQ(sum.residentTriplets(), 100u);
+  EXPECT_TRUE(sum.takeRuns().empty());
+  EXPECT_TRUE(std::filesystem::is_empty(scratch.path()));
+  EXPECT_EQ(sum.drainInMemory(), reference.toTriplets());
+}
+
+/// peakBytes counts the buffer and the radix sort's scratch: below
+/// util::kInPlaceMinItems rows the scratch is as long as the buffer, so a
+/// drain of n appended pairs peaks at no less than twice their bytes.
+TEST(SpillingSumTest, PeakBytesIncludeTheSortScratch) {
+  util::Rng rng(73);
+  SpillingSum sum({}, "w0.b0.", 0, 64);
+  for (const CollocationMatrix& place : mixedPlaces(rng, 16)) {
+    sum.addCollocation(place);
+  }
+  const std::uint64_t appended = sum.residentTriplets();
+  ASSERT_EQ(appended, sum.kernelStats().globalEmits);
+  ASSERT_GT(appended, 1000u);
+  ASSERT_LE(appended, util::kInPlaceMinItems);
+  EXPECT_GE(sum.peakBytes(), appended * sizeof(AdjacencyTriplet));
+  const std::vector<AdjacencyTriplet> drained = sum.drainInMemory();
+  EXPECT_LT(drained.size(), appended);
+  EXPECT_GE(sum.peakBytes(), 2 * appended * sizeof(AdjacencyTriplet));
 }
 
 /// A killed writer's husk: the next accumulator over the directory sweeps

@@ -970,16 +970,20 @@ TEST(ProcessTransportSynthesisTest, SpillModeSharesRunFilesBitIdentical) {
 /// lost and its places go to the survivors under fresh tokens. The CADJ is
 /// still the brute-force sum, the husk is on disk, and the next run over
 /// the same spill directory sweeps it at startup and writes the same bytes.
+/// Each place puts 25 of 60 persons together in hour 19, so its 300 pairs
+/// alone pass the 4 KiB (256-row) floor of the flush threshold.
 TEST(ProcessTransportSynthesisTest, KillBetweenFlushesLeavesAHuskTheNextRunSweeps) {
   util::Rng rng(97);
   FuzzCase fuzz;
   fuzz.windowEnd = 48;
-  for (int i = 0; i < 600; ++i) {
-    const auto start = static_cast<table::Hour>(rng.uniformBelow(40));
-    fuzz.events.append(table::Event{
-        start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(6)),
-        static_cast<table::PersonId>(rng.uniformBelow(60)), 0,
-        static_cast<table::PlaceId>(rng.uniformBelow(24))});
+  for (table::PlaceId place = 0; place < 24; ++place) {
+    const auto first = static_cast<table::PersonId>(rng.uniformBelow(60));
+    for (table::PersonId i = 0; i < 25; ++i) {
+      const auto start = static_cast<table::Hour>(rng.uniformBelow(20));
+      fuzz.events.append(table::Event{
+          start, start + 20 + static_cast<table::Hour>(rng.uniformBelow(6)),
+          (first + i) % 60, 0, place});
+    }
   }
   const auto reference =
       bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
@@ -1000,7 +1004,7 @@ TEST(ProcessTransportSynthesisTest, KillBetweenFlushesLeavesAHuskTheNextRunSweep
 
   SynthesisConfig config = socketConfig(fuzz, MpTransport::kProcess);
   config.maxRespawns = 1;
-  config.memoryBudgetBytes = 32 << 10;  // flush after (nearly) every place
+  config.memoryBudgetBytes = 32 << 10;  // flush after every place
   config.spillDir = scratch.path() / "spill";
   {
     FaultPlan plan;

@@ -6,6 +6,8 @@
 #include <set>
 #include <span>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chisimnet/pop/schedule.hpp"
@@ -15,6 +17,7 @@
 #include "chisimnet/util/env.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/label_index.hpp"
+#include "chisimnet/util/radix_sort.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "chisimnet/util/timer.hpp"
 
@@ -645,6 +648,50 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GE(timer.seconds(), 0.0);
   timer.reset();
   EXPECT_LT(timer.seconds(), 1.0);
+}
+
+/// The in-place sort deals large spans into buckets and sorts each through
+/// a scratch of the largest bucket; small spans take the plain LSD passes.
+/// Either way the keys come out as std::sort orders them, repeats included.
+TEST(RadixSort, InPlaceMatchesStdSortWithABucketSizedScratch) {
+  Rng rng(29);
+  const auto key = [](const std::pair<std::uint64_t, std::uint32_t>& item) {
+    return item.first;
+  };
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{1000}, kInPlaceMinItems + 1,
+                              std::size_t{300000}}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> items;
+    for (std::size_t k = 0; k < n; ++k) {
+      // Upper-triangular packed pairs over 100 k ids: many repeats.
+      const auto i = static_cast<std::uint32_t>(rng.uniformBelow(100000));
+      const auto j = i + 1 + static_cast<std::uint32_t>(rng.uniformBelow(50));
+      items.emplace_back((std::uint64_t{i} << 32) | j,
+                         static_cast<std::uint32_t>(k));
+    }
+    std::vector<std::uint64_t> expected;
+    for (const auto& item : items) {
+      expected.push_back(item.first);
+    }
+    std::sort(expected.begin(), expected.end());
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch;
+    radixSortInPlace(std::span(items), scratch, key);
+    std::vector<std::uint64_t> sorted;
+    for (const auto& item : items) {
+      sorted.push_back(item.first);
+    }
+    EXPECT_EQ(sorted, expected);
+    if (n > kInPlaceMinItems) {
+      EXPECT_LT(scratch.size(), n / 16);
+    }
+  }
+  // All keys equal: nothing to deal out.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> same(
+      kInPlaceMinItems + 5, {7, 0});
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> scratch;
+  radixSortInPlace(std::span(same), scratch, key);
+  EXPECT_TRUE(scratch.empty());
 }
 
 }  // namespace
