@@ -17,6 +17,7 @@
 #include "chisimnet/elog/event_logger.hpp"
 #include "chisimnet/elog/log_directory.hpp"
 #include "chisimnet/elog/prefetch.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 
 namespace {
@@ -117,6 +118,34 @@ void BM_LogReadWindowPushdown(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_LogReadWindowPushdown)->Unit(benchmark::kMillisecond);
+
+/// CRC-32 throughput of the table fallback and of the kernel crc32 picks
+/// (the PCLMULQDQ fold where the CPU has it), over a 4 KiB frame, a 64 KiB
+/// chunk and a 16 MiB buffer that outgrows the caches. Every CLG5 chunk,
+/// spill frame, CADJ payload and checkpoint body is CRC-checked.
+void crc32Throughput(benchmark::State& state, util::detail::Crc32Kernel kernel) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(7);
+  std::vector<std::byte> bytes(size);
+  for (std::byte& b : bytes) {
+    b = static_cast<std::byte>(rng.uniformBelow(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel(bytes, 0));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+
+void BM_Crc32Table(benchmark::State& state) {
+  crc32Throughput(state, &util::detail::crc32Table);
+}
+BENCHMARK(BM_Crc32Table)->Arg(4 << 10)->Arg(64 << 10)->Arg(16 << 20);
+
+void BM_Crc32(benchmark::State& state) {
+  crc32Throughput(state, util::detail::crc32Kernel());
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(16 << 20);
 
 /// Batched read pipeline: serial load-then-consume vs the background
 /// prefetcher. The consume step (sort + place index) stands in for synthesis

@@ -26,7 +26,8 @@
 ///   the bytes that remain, and a declared element count is bounded by
 ///   them before it sizes an allocation.
 /// - writeU32 / readU32 / ...: iostream header helpers for file headers.
-/// - crc32 and the varint / zigzag helpers of the packed log encoding.
+/// - crc32 (a carry-less-multiply fold with a slicing-by-8 fallback) and
+///   the varint / zigzag helpers of the packed log encoding.
 
 namespace chisimnet::util {
 
@@ -158,8 +159,30 @@ class ByteReader {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span,
-/// optionally chained via the seed parameter.
+/// optionally chained via the seed parameter. On an x86-64 CPU with
+/// PCLMULQDQ and SSE4.1 a carry-less-multiply fold covers every whole
+/// 16-byte block of a span of 64 bytes or more; elsewhere, and for the
+/// rest, a slicing-by-8 table. The kernel is picked once per process and
+/// both give the same values.
 std::uint32_t crc32(std::span<const std::byte> bytes, std::uint32_t seed = 0) noexcept;
+
+namespace detail {
+/// crc32's kernels, named so tests and benches can reach each one.
+using Crc32Kernel = std::uint32_t (*)(std::span<const std::byte>,
+                                      std::uint32_t) noexcept;
+/// The slicing-by-8 table kernel: the fallback.
+std::uint32_t crc32Table(std::span<const std::byte> bytes,
+                         std::uint32_t seed) noexcept;
+#if defined(__x86_64__)
+/// The fold kernel (four 128-bit lanes, 64 bytes a step, then a Barrett
+/// reduction; the table takes the tail under 16 bytes). Call it only where
+/// the CPU has PCLMULQDQ and SSE4.1.
+std::uint32_t crc32Fold(std::span<const std::byte> bytes,
+                        std::uint32_t seed) noexcept;
+#endif
+/// The kernel crc32 calls on this CPU.
+Crc32Kernel crc32Kernel() noexcept;
+}  // namespace detail
 
 /// The crc32 of A followed by B, from crc32(A), crc32(B) and B's length,
 /// without reading either (zlib's crc32_combine: B's length in zero bits is

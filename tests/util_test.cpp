@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <latch>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -261,7 +264,7 @@ TEST(Crc32, DetectsSingleBitFlip) {
 }
 
 /// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition the
-/// table-driven crc32 must reproduce.
+/// kernel behind crc32 must reproduce.
 std::uint32_t bitwiseCrc32(std::span<const std::byte> bytes,
                            std::uint32_t seed = 0) {
   std::uint32_t crc = seed ^ 0xFFFFFFFFu;
@@ -283,19 +286,29 @@ std::vector<std::byte> randomBytes(std::size_t size, std::uint64_t seed) {
   return bytes;
 }
 
-TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  // 8-byte blocks plus a bytewise tail: every length 0..64 at every start
-  // offset 0..7 exercises each block/tail split and each alignment.
-  const std::vector<std::byte> data = randomBytes(64 + 8, 11);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 64; ++length) {
-      const std::span<const std::byte> piece(data.data() + offset, length);
-      EXPECT_EQ(crc32(piece), bitwiseCrc32(piece))
-          << "offset " << offset << " length " << length;
-      EXPECT_EQ(crc32(piece, 0x1234ABCDu), bitwiseCrc32(piece, 0x1234ABCDu))
-          << "seeded, offset " << offset << " length " << length;
+/// Every length 0..1100 at every start offset 0..15, unseeded and seeded,
+/// against the bitwise reference: the range crosses the fold's 64-byte
+/// entry, its 16-byte steps and the table's tail under 16 bytes.
+void expectKernelMatchesBitwise(detail::Crc32Kernel kernel) {
+  const std::vector<std::byte> data = randomBytes(1100 + 16, 16);
+  for (const std::uint32_t seed : {0u, 0x1234ABCDu}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      // The reference chains one byte per length, so each length costs
+      // one byte of bitwise work.
+      std::uint32_t reference = seed;
+      for (std::size_t length = 0; length <= 1100; ++length) {
+        const std::span<const std::byte> piece(data.data() + offset, length);
+        ASSERT_EQ(kernel(piece, seed), reference)
+            << "seed " << seed << " offset " << offset << " length " << length;
+        reference = bitwiseCrc32(
+            std::span(data).subspan(offset + length, 1), reference);
+      }
     }
   }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  expectKernelMatchesBitwise(&crc32);
 }
 
 TEST(Crc32, ChainsAcrossRandomSplits) {
@@ -346,6 +359,93 @@ TEST(Crc32, CombineEqualsChainedCrcOverRandomSplits) {
   folded = crc32Combine(folded, crc32(second), second.size());
   folded = crc32Combine(folded, crc32(third), third.size());
   EXPECT_EQ(folded, crc32(all));
+}
+
+TEST(Crc32, TableKernelMatchesBitwiseReference) {
+  expectKernelMatchesBitwise(&detail::crc32Table);
+}
+
+#if defined(__x86_64__)
+bool cpuHasFold() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+}
+
+TEST(Crc32, FoldKernelMatchesBitwiseReference) {
+  if (!cpuHasFold()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ or SSE4.1";
+  }
+  expectKernelMatchesBitwise(&detail::crc32Fold);
+}
+
+TEST(Crc32, TakesTheFoldWhereTheCpuHasPclmul) {
+  // crc32 calls crc32Kernel(); a lost dispatch would leave every CRC on
+  // the table kernel with no test failing on its values.
+  EXPECT_EQ(detail::crc32Kernel(),
+            cpuHasFold() ? &detail::crc32Fold : &detail::crc32Table);
+}
+#endif
+
+TEST(Crc32, ChainsAMultiMebibyteBufferAcrossRandomSplits) {
+  const std::vector<std::byte> data = randomBytes(3 * 1024 * 1024 + 13, 17);
+  const std::uint32_t whole = bitwiseCrc32(data);
+  EXPECT_EQ(crc32(data), whole);
+  EXPECT_EQ(detail::crc32Table(data, 0), whole);
+  Rng rng(18);
+  for (int trial = 0; trial < 4; ++trial) {
+    // Pieces from empty to 256 KiB, most past the fold's 64-byte entry.
+    std::uint32_t chained = 0;
+    std::size_t cursor = 0;
+    while (cursor < data.size()) {
+      const std::size_t limit = trial % 2 == 0 ? 256 * 1024 : 300;
+      const std::size_t piece =
+          std::min<std::size_t>(rng.uniformBelow(limit), data.size() - cursor);
+      chained = crc32(std::span(data).subspan(cursor, piece), chained);
+      cursor += piece;
+    }
+    EXPECT_EQ(chained, whole) << "trial " << trial;
+  }
+}
+
+TEST(Crc32, CombineOverFoldSizedPieces) {
+  const std::vector<std::byte> data = randomBytes(64 * 1024 + 77, 19);
+  const std::span<const std::byte> all(data);
+  const std::uint32_t whole = crc32(all);
+  // Pieces of 64·k + r bytes for r across a 16-byte step, plus a tail.
+  for (const std::size_t remainder : {0, 1, 15, 16, 17, 48, 63}) {
+    std::uint32_t folded = 0;
+    std::size_t cursor = 0;
+    for (std::size_t k = 1; cursor < data.size(); ++k) {
+      const std::size_t piece =
+          std::min(64 * k + remainder, data.size() - cursor);
+      folded = crc32Combine(folded, crc32(all.subspan(cursor, piece)), piece);
+      cursor += piece;
+    }
+    EXPECT_EQ(folded, whole) << "remainder " << remainder;
+  }
+}
+
+TEST(Crc32, ConcurrentFirstUseAgrees) {
+  // ctest runs each test in its own process, so four threads make the
+  // process's first crc32 calls together and race on picking the kernel.
+  const std::vector<std::byte> data = randomBytes(4096 + 5, 20);
+  const std::uint32_t expected = bitwiseCrc32(data);
+  constexpr std::size_t kThreads = 4;
+  std::latch start(kThreads);
+  std::array<std::uint32_t, kThreads> results{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      results[t] = crc32(data);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(results[t], expected) << "thread " << t;
+  }
 }
 
 TEST(LabelIndex, FindsEveryLabelOnDenseSparseAndSkewedIds) {
